@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from warpcheck.geometry import CurvatureBundle
+from warpcheck.checks import CheckContext, PointScratch
 from warpcheck.ode import OdeWarpingFunction, WarpOdeParams, first_integral, integrate_warpedvss
 from warpcheck.spaces import make_sphere_chart
 from warpcheck.spaces import _assemble_warped
@@ -34,10 +34,12 @@ def main() -> int:
     warping = OdeWarpingFunction(params, traj, period=period)
     wg = _assemble_warped(warping, make_sphere_chart(3, 1.0), (0.0, period), True, "ejiri-from-ode")
     scalars, icz, wp3 = [], 0.0, 0.0
+    ctx = CheckContext(wg.chart, wg)
     for p in wg.chart.sample_points(50, offset=0):
-        scalars.append(CurvatureBundle(wg.chart, p, order=2).scalar)
-        icz = max(icz, icotton_warped_residual(wg, p).rel)
-        wp3 = max(wp3, warpedproduct3_residual(wg, p)[0].rel)
+        sc = PointScratch(ctx, p, order=3)
+        scalars.append(sc.bundle.scalar)
+        icz = max(icz, icotton_warped_residual(sc.bundle).rel)
+        wp3 = max(wp3, warpedproduct3_residual(wg, sc.hdot)[0].rel)
     print(f"scalar curvature: mean {np.mean(scalars):.12f}, spread {max(scalars) - min(scalars):.3e}")
     print(f"max i_dt C residual:      {icz:.3e}")
     print(f"max L*hdot + C(.,xi,.):   {wp3:.3e}")

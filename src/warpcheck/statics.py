@@ -41,6 +41,7 @@ __all__ = [
     "nonconstant_r_cotton_formulas",
     "propddoth_check",
     "inrp_product_check",
+    "t_potential",
     "xicvf_two_formulas",
     "warping_jet",
     "warping_derivatives",
@@ -276,10 +277,6 @@ def hdot_field(bundle: CurvatureBundle, wg: WarpedGeometry) -> JetTensor:
     return hd1.embed(bundle.space, (0,))
 
 
-def _fiber_bundle(wg: WarpedGeometry, point, order: int) -> CurvatureBundle:
-    return CurvatureBundle(wg.fiber_chart, np.asarray(point)[1:], order=order)
-
-
 def _fiber_ric0(fb: CurvatureBundle) -> np.ndarray:
     """Trace-free fiber Ricci (components w.r.t. the shared fiber coordinates)."""
     m = fb.dim
@@ -288,39 +285,35 @@ def _fiber_ric0(fb: CurvatureBundle) -> np.ndarray:
     return fb.ric.value - (fb.scalar / m) * fb.g0
 
 
-def t_expr_field(bundle: CurvatureBundle, ast: ExprAst) -> JetTensor:
-    f = eval_expr(ast, bundle.coords[0])
-    if not isinstance(f, Jet):
-        f = Jet.constant(float(f), bundle.dim, bundle.order)
-    return JetTensor(f.space, f.coeffs)
+def t_potential(ast: ExprAst, label: str, a: float = 0.0, b: float = 0.0) -> StaticPotentialSpec:
+    """A potential f(t) given by an expression in the first coordinate."""
+    return StaticPotentialSpec(label=label, builder=lambda coords: eval_expr(ast, coords[0]), a=a, b=b)
+
+
+# The warped helpers below take what one sample point shares among its
+# checks: the total-space bundle ``b`` (of order >= 3 wherever the Cotton
+# tensor enters), a static analysis on it, and the fiber bundle ``fb`` at
+# the point's fiber coordinates.  None of them builds a bundle.
 
 
 def lgh_closed_forms(
     wg: WarpedGeometry,
-    point,
-    f_ast: ExprAst | None = None,
+    analysis: StaticAnalysis,
+    fb: CurvatureBundle,
     use_hdot: bool = False,
-    order: int = 3,
 ) -> ResidualSet:
     """Slot-by-slot residuals between generic L*_g f and the warped closed forms.
 
-    The potential is a function of t alone (an expression, or hdot itself),
-    so the fiber Hessian/Laplacian terms of the closed forms drop out.  No
+    The potential of ``analysis`` is a function of t alone: an expression,
+    or hdot itself (``use_hdot``, which adds the hdot closed form).  So the
+    fiber Hessian/Laplacian terms of the closed forms drop out.  No
     constancy of the scalar curvature is assumed.
     """
-    point = np.asarray(point, dtype=float)
-    b = CurvatureBundle(wg.chart, point, order=order)
+    b = analysis.bundle
     n = b.dim
-    if use_hdot:
-        f = hdot_field(b, wg)
-    elif f_ast is not None:
-        f = t_expr_field(b, f_ast)
-    else:
-        raise ValueError("provide f_ast or use_hdot=True")
+    f = analysis.f
 
-    analysis = StaticAnalysis(b, StaticPotentialSpec(label="f(t)", builder=None), f_jets=f)
-
-    hderivs = warping_derivatives(wg, point[0], 4)
+    hderivs = warping_derivatives(wg, b.point[0], 4)
     h, hd, hdd, hddd = hderivs[0], hderivs[1], hderivs[2], hderivs[3]
     zeros = (0,) * (n - 1)
     fj = f.jet(())
@@ -330,7 +323,6 @@ def lgh_closed_forms(
     lap_v = float(analysis.lap.value)
     scal = b.scalar
 
-    fb = _fiber_bundle(wg, point, order=2)
     ric0 = _fiber_ric0(fb)
     g_fiber = b.g0[1:, 1:]
 
@@ -362,19 +354,16 @@ def lgh_closed_forms(
     return out
 
 
-def icotton_warped_residual(wg: WarpedGeometry, point, order: int = 3) -> Residual:
+def icotton_warped_residual(b: CurvatureBundle) -> Residual:
     """|| i_{d/dt} C || at the point (zero when the scalar curvature is constant)."""
-    b = CurvatureBundle(wg.chart, np.asarray(point, dtype=float), order=order)
     c0 = b.cotton.value[0]
     return Residual(b.norm(c0, ("l", "l")), b.jnorm(b.cotton, ("l",) * 3))
 
 
-def warpedproduct3_residual(wg: WarpedGeometry, point, order: int = 3) -> tuple[Residual, float, float]:
+def warpedproduct3_residual(wg: WarpedGeometry, hdot: StaticAnalysis) -> tuple[Residual, float, float]:
     """Residual of L*_g hdot = -C(., xi, .) plus the norms of both sides."""
-    b = CurvatureBundle(wg.chart, np.asarray(point, dtype=float), order=order)
-    f = hdot_field(b, wg)
-    analysis = StaticAnalysis(b, StaticPotentialSpec(label="hdot", builder=None), f_jets=f)
-    lstar_v = analysis.lstar_f.value
+    b = hdot.bundle
+    lstar_v = hdot.lstar_f.value
     xi_vec = b.vector_field(wg.xi.builder)
     c_mid = jt_einsum("ilj,l->ij", b.cotton, xi_vec).value
     lhs_norm = b.norm(lstar_v, ("l", "l"))
@@ -383,42 +372,34 @@ def warpedproduct3_residual(wg: WarpedGeometry, point, order: int = 3) -> tuple[
     return resid, lhs_norm, rhs_norm
 
 
-def equivalence_clauses(wg: WarpedGeometry, point, order: int = 3) -> dict[str, float]:
+def equivalence_clauses(hdot: StaticAnalysis, fb: CurvatureBundle) -> dict[str, float]:
     """The four clause magnitudes of the warped vacuum-static equivalence chain."""
-    point = np.asarray(point, dtype=float)
-    b = CurvatureBundle(wg.chart, point, order=order)
-    f = hdot_field(b, wg)
-    analysis = StaticAnalysis(b, StaticPotentialSpec(label="hdot", builder=None), f_jets=f)
-    fb = _fiber_bundle(wg, point, order=2)
-    ric0 = _fiber_ric0(fb)
+    b = hdot.bundle
     return {
-        "lstar_hdot": b.norm(analysis.lstar_f.value, ("l", "l")),
+        "lstar_hdot": b.norm(hdot.lstar_f.value, ("l", "l")),
         "cotton_mid_dt": b.norm(b.cotton.value[:, 0, :], ("l", "l")),
         "cotton": b.jnorm(b.cotton, ("l",) * 3),
-        "fiber_efield": fb.norm(ric0, ("l", "l")),
+        "fiber_efield": fb.norm(_fiber_ric0(fb), ("l", "l")),
     }
 
 
-def nonconstant_r_cotton_formulas(wg: WarpedGeometry, point, order: int = 3) -> ResidualSet:
+def nonconstant_r_cotton_formulas(wg: WarpedGeometry, b: CurvatureBundle, fb: CurvatureBundle) -> ResidualSet:
     """Generic Cotton components vs the explicit warped-product formulas.
 
     Valid whether or not the scalar curvature is constant; for constant R
     everything on both sides degenerates to zero.  The fiber branch is
     C(X,Y,Z) = [Z(R) g(X,Y) - Y(R) g(X,Z)]/4 for n=3 and
     Cbar + Z(Theta) g(X,Y) - Y(Theta) g(X,Z), Theta = Rbar h^-2/(2(n-2))
-    - R/(2(n-1)), for n >= 4.
+    - R/(2(n-1)), for n >= 4, where a fiber of dimension >= 3 needs ``fb``
+    of order >= 3 for its Cotton tensor Cbar.
     """
-    point = np.asarray(point, dtype=float)
-    b = CurvatureBundle(wg.chart, point, order=order)
     n = b.dim
     c = b.cotton.value
     cnorm = b.jnorm(b.cotton, ("l",) * 3)
     dr = b.scalar_jet.partials().value  # covariant dR components
-    hderivs = warping_derivatives(wg, point[0], 2)
+    hderivs = warping_derivatives(wg, b.point[0], 2)
     h, hd = hderivs[0], hderivs[1]
 
-    fiber_order = 3 if (n >= 4 and wg.fiber_chart.dim >= 3) else 2
-    fb = _fiber_bundle(wg, point, order=fiber_order)
     ric0 = _fiber_ric0(fb)
     g0 = b.g0
 
@@ -439,7 +420,7 @@ def nonconstant_r_cotton_formulas(wg: WarpedGeometry, point, order: int = 3) -> 
         # Theta as a jet field on the total chart: embed the fiber scalar,
         # multiply by h(t)^-2, subtract R/(2(n-1)).
         rbar = fb.scalar_jet.embed(b.space, tuple(range(1, n)))
-        h1 = warping_jet(wg, point[0], b.order)
+        h1 = warping_jet(wg, b.point[0], b.order)
         h_tot = JetTensor(h1.space, h1.coeffs).embed(b.space, (0,))
         theta = rbar / (2.0 * (n - 2.0)) / (h_tot * h_tot) - b.scalar_jet / (2.0 * (n - 1.0))
         dtheta = theta.partials().value
@@ -455,22 +436,18 @@ def nonconstant_r_cotton_formulas(wg: WarpedGeometry, point, order: int = 3) -> 
     return out
 
 
-def propddoth_check(wg: WarpedGeometry, fiber_builder, point, order: int = 2) -> ResidualSet:
+def propddoth_check(wg: WarpedGeometry, fiber_builder, b: CurvatureBundle, fb: CurvatureBundle) -> ResidualSet:
     """Residuals of the h*fbar assembly: fiber, warping, and total equations.
 
     ``fiber_builder`` supplies fbar on the fiber chart.  The returned set
     carries the fiber vacuum residual and the warping-equation residual (the two
     premises) alongside the total-space vacuum residual for h(t)*fbar.
     """
-    point = np.asarray(point, dtype=float)
-    b = CurvatureBundle(wg.chart, point, order=order)
     n = b.dim
-
-    fb = _fiber_bundle(wg, point, order=2)
     fiber_pot = StaticPotentialSpec(label="fbar", builder=fiber_builder)
     fiber_res = StaticAnalysis(fb, fiber_pot).vacuum_residuals()["full"]
 
-    hderivs = warping_derivatives(wg, point[0], 2)
+    hderivs = warping_derivatives(wg, b.point[0], 2)
     h, hdd = hderivs[0], hderivs[2]
     warping_eq = hdd + b.scalar * h / (n * (n - 1.0))
 
@@ -486,29 +463,25 @@ def propddoth_check(wg: WarpedGeometry, fiber_builder, point, order: int = 2) ->
     }
 
 
-def inrp_product_check(wg: WarpedGeometry, f_ast: ExprAst, point, order: int = 2) -> ResidualSet:
+def inrp_product_check(wg: WarpedGeometry, analysis: StaticAnalysis, fb: CurvatureBundle) -> ResidualSet:
     """Residuals for the Riemannian-product criterion (h == 1, f = f(t)).
 
-    Checks f'' + Rbar f/(n-1) = 0 against the fiber scalar curvature and the
-    full vacuum equation on the product, and reports the fiber Einstein
-    defect alongside.
+    Checks f'' + Rbar f/(n-1) = 0 for the potential f(t) of ``analysis``
+    against the fiber scalar curvature and the full vacuum equation on the
+    product, and reports the fiber Einstein defect alongside.
     """
-    point = np.asarray(point, dtype=float)
-    b = CurvatureBundle(wg.chart, point, order=order)
+    b = analysis.bundle
     n = b.dim
-    hvals = warping_derivatives(wg, point[0], 1)
+    hvals = warping_derivatives(wg, b.point[0], 1)
     if abs(hvals[0] - 1.0) > 1e-12 or abs(hvals[1]) > 1e-12:
         raise PreconditionSkip("product criterion requires h == 1")
 
-    fb = _fiber_bundle(wg, point, order=2)
     rbar = fb.scalar
-    f = t_expr_field(b, f_ast)
     zeros = (0,) * (n - 1)
-    fj = f.jet(())
+    fj = analysis.f.jet(())
     f0, ftt = fj.value, fj.partial((2,) + zeros)
     ddotf = ftt + rbar * f0 / (n - 1.0)
 
-    analysis = StaticAnalysis(b, StaticPotentialSpec(label="f(t)", builder=None), f_jets=f)
     full = analysis.vacuum_residuals()["full"]
     ric0 = _fiber_ric0(fb)
     return {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpcheck.checks import CheckContext, PointScratch
 from warpcheck.spaces import basicex_geometry, ejiri_space, expwarp_space
 
 
@@ -22,6 +23,17 @@ def basicex41():
 @pytest.fixture(scope="session")
 def expwarp4():
     return expwarp_space(4)
+
+
+def _point_scratch(wg, point, potential=None, order=3, fiber_order=2):
+    """The per-point objects run_suite shares among checks on a warped space."""
+    ctx = CheckContext(wg.chart, wg, potential)
+    return PointScratch(ctx, np.asarray(point, dtype=float), order, fiber_order)
+
+
+@pytest.fixture
+def point_scratch():
+    return _point_scratch
 
 
 def central_diff(fn, x, order, step):

@@ -135,7 +135,7 @@ def _ode_non_einstein_space() -> WarpedGeometry:
     return _assemble_warped(warping, fiber_chart, (0.0, period), True, "S^1 x_h (S^2 x S^2(2))")
 
 
-def test_criterion_4_wp3_and_icotton():
+def test_criterion_4_wp3_and_icotton(point_scratch):
     with Criterion(4, "L* hdot = -C(.,xi,.) and i_dt C = 0 on constant-R warped spaces", 30.0):
         spaces = [
             ejiri_space(),
@@ -147,35 +147,38 @@ def test_criterion_4_wp3_and_icotton():
         witness = 0.0
         for wg in spaces:
             for p in wg.chart.sample_points(20, offset=0):
-                resid, lhs, rhs = warpedproduct3_residual(wg, p)
+                sc = point_scratch(wg, p)
+                resid, lhs, rhs = warpedproduct3_residual(wg, sc.hdot)
                 assert resid.rel < 1e-8, wg.chart.label
-                assert icotton_warped_residual(wg, p).rel < 1e-8, wg.chart.label
+                assert icotton_warped_residual(sc.bundle).rel < 1e-8, wg.chart.label
                 if wg.chart.label.startswith("S^1 x_h (S^2"):
                     witness = max(witness, rhs)
         assert witness > 1e-3  # both sides individually nonzero on the non-Einstein fiber
 
 
-def test_criterion_5_equivalence_chain():
+def test_criterion_5_equivalence_chain(point_scratch):
     with Criterion(5, "equivalence chain: joint PASS (Einstein) and joint FAIL (S^2 x S^2(2))", 30.0):
         tol = 1e-6
         einstein = [ejiri_space()]
         for wg in einstein:
             maxima = {}
             for p in wg.chart.sample_points(25, offset=0):
-                for key, value in equivalence_clauses(wg, p).items():
+                sc = point_scratch(wg, p)
+                for key, value in equivalence_clauses(sc.hdot, sc.fiber).items():
                     maxima[key] = max(maxima.get(key, 0.0), value)
             verdicts = {k: v < tol for k, v in maxima.items()}
             assert all(verdicts.values()), maxima
         failing = _ode_non_einstein_space()
         maxima = {}
         for p in failing.chart.sample_points(25, offset=0):
-            for key, value in equivalence_clauses(failing, p).items():
+            sc = point_scratch(failing, p)
+            for key, value in equivalence_clauses(sc.hdot, sc.fiber).items():
                 maxima[key] = max(maxima.get(key, 0.0), value)
         verdicts = {k: v < tol for k, v in maxima.items()}
         assert not any(verdicts.values()), maxima  # all four clauses fail together
 
 
-def test_criterion_6_ode_suite():
+def test_criterion_6_ode_suite(point_scratch):
     with Criterion(6, "ODE suite: conservation, Ejiri constants, periodic assembly", 30.0):
         # (a) first-integral drift < 1e-10 per unit time at dt = 1e-3
         ejiri_params = WarpOdeParams(4, 3.0, 6.0, 0.75)
@@ -213,7 +216,7 @@ def test_criterion_6_ode_suite():
         ]
         assert max(scalars) - min(scalars) < 1e-6
         assert abs(np.mean(scalars) - 12.0) < 1e-6
-        resid, _, _ = warpedproduct3_residual(wg, wg.chart.sample_points(1, offset=7)[0])
+        resid, _, _ = warpedproduct3_residual(wg, point_scratch(wg, wg.chart.sample_points(1, offset=7)[0]).hdot)
         assert resid.rel < 1e-6
 
 
@@ -281,19 +284,21 @@ def test_criterion_7_tensor_algebra_invariants():
                         assert residual.abs < 1e-10 * (1.0 + tn), name
 
 
-def test_criterion_8_lgh_and_nein3_nonconstant():
+def test_criterion_8_lgh_and_nein3_nonconstant(point_scratch):
     with Criterion(8, "warped L* closed forms and explicit Cotton components off constant scalar", 30.0):
         wg4 = expwarp_space(4)
         for p in wg4.chart.sample_points(20, offset=0):
-            res = lgh_closed_forms(wg4, p, use_hdot=True)
+            sc = point_scratch(wg4, p, fiber_order=3)
+            res = lgh_closed_forms(wg4, sc.hdot, sc.fiber, use_hdot=True)
             for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian", "hdot_form"):
                 assert res[name].rel < 1e-8, name
-            nein = nonconstant_r_cotton_formulas(wg4, p)
+            nein = nonconstant_r_cotton_formulas(wg4, sc.bundle, sc.fiber)
             for name, residual in nein.items():
                 assert residual.rel < 1e-7, f"n=4 {name}"
         wg3 = expwarp_space(3)
         for p in wg3.chart.sample_points(20, offset=0):
-            nein = nonconstant_r_cotton_formulas(wg3, p)
+            sc = point_scratch(wg3, p)
+            nein = nonconstant_r_cotton_formulas(wg3, sc.bundle, sc.fiber)
             for name, residual in nein.items():
                 assert residual.rel < 1e-7, f"n=3 {name}"
 

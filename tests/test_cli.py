@@ -144,6 +144,9 @@ def test_config_validation_errors():
                 "tolerances": {"firstthm": -1.0},
             }
         )
+    both = {"builtin": "sphere_height", "potential_t": "t"}
+    with pytest.raises(ConfigError, match="not both"):
+        build_context(RunConfig.from_dict({"space": {"kind": "sphere", "dim": 3}, "checks": ["vss_residual"], "potential": both}))
 
 
 def test_point_override():

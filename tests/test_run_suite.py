@@ -1,0 +1,129 @@
+"""run_suite as a whole: verdicts on broken points, bundle sharing, golden reports."""
+
+import copy
+import json
+import math
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+from pytest import approx
+
+from warpcheck.checks import EXAMPLE_CONFIGS, RunConfig, build_context, run_suite
+from warpcheck.cli import main
+from warpcheck.geometry import CurvatureBundle
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _warped_over_s3(interval, warping, checks, **extra):
+    space = {"kind": "warped", "interval": interval, "warping": warping, "fiber": {"kind": "sphere", "dim": 3}}
+    return dict({"space": space, "checks": checks}, **extra)
+
+
+# -- points that break -----------------------------------------------------------
+
+
+def test_nonfinite_residual_fails(tmp_path):
+    """exp(exp(exp(t))) overflows on [5, 6]: NaN residuals must FAIL, never PASS."""
+    raw = _warped_over_s3(
+        [5, 6], "1+0*t", ["vss_residual", "lgh_forms"], potential={"potential_t": "exp(exp(exp(t)))"}, samples=5
+    )
+    config = RunConfig.from_dict(raw)
+    with np.errstate(all="ignore"):
+        report = run_suite(config)
+    first = [float(x) for x in build_context(config).chart.sample_points(5)[0]]
+    for outcome in report.checks:
+        assert outcome.status == "FAIL", outcome.check
+        assert outcome.max_rel_residual == math.inf
+        assert outcome.worst_point == first
+        assert outcome.reason.startswith("non-finite residual")
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "r.json"
+    with np.errstate(all="ignore"):
+        assert main(["verify", str(path), "--out", str(out), "--no-timestamp"]) == 1
+    assert [c["status"] for c in json.loads(out.read_text())["checks"]] == ["FAIL", "FAIL"]
+
+
+def test_domain_error_fails_its_point_and_run_goes_on():
+    """log(t) leaves its domain at t <= 0; the other points and checks still run."""
+    raw = _warped_over_s3([-1, 1], "1", ["vss_residual", "icotton_zero"], potential={"potential_t": "log(t)"}, samples=6)
+    report = run_suite(RunConfig.from_dict(raw))
+    vss, icotton = report.checks
+    assert vss.status == "FAIL"
+    assert vss.reason.startswith("JetDomainError")
+    assert vss.samples == 6
+    bad = [row for row in vss.point_rows if row[2] == math.inf]
+    good = [row for row in vss.point_rows if row[2] < math.inf]
+    assert all(point[0] <= 0.0 for point, _, _ in bad) and bad
+    assert all(point[0] > 0.0 and math.isfinite(rel) for point, _, rel in good) and good
+    assert vss.worst_point == list(bad[0][0])
+    assert icotton.status == "PASS" and icotton.samples == 6
+
+
+def test_singular_metric_point_is_reported(tmp_path):
+    """h(t) = (t - 0.3)^2 vanishes at t = 0.3: FAIL rows with the point, exit 1, and a report."""
+    raw = _warped_over_s3([0, 1], "(t-0.3)*(t-0.3)", ["vss_residual", "icotton_zero"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "r.json"
+    point = "0.3,0.3,0.2,0.1"
+    assert main(["verify", str(path), "--out", str(out), "--no-timestamp", "--point", point]) == 1
+    for outcome in json.loads(out.read_text())["checks"]:
+        assert outcome["status"] == "FAIL"
+        assert outcome["reason"].startswith("SingularMetricError")
+        assert outcome["worst_point"] == [0.3, 0.3, 0.2, 0.1]
+
+
+# -- the shipped examples ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def example_runs():
+    """Each example's report, and the CurvatureBundles built while running it."""
+    built = Counter()
+    init = CurvatureBundle.__init__
+    current = [""]
+
+    def counting_init(self, *args, **kwargs):
+        built[current[0]] += 1
+        init(self, *args, **kwargs)
+
+    reports = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CurvatureBundle, "__init__", counting_init)
+        for name, raw in EXAMPLE_CONFIGS.items():
+            current[0] = name
+            reports[name] = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
+    return reports, built
+
+
+def test_bundles_per_point(example_runs):
+    _, built = example_runs
+    assert built["ejiri"] <= 2 * EXAMPLE_CONFIGS["ejiri"]["samples"]  # total space + fiber
+    assert built["sphere-s4"] == EXAMPLE_CONFIGS["sphere-s4"]["samples"]
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
+def test_example_report_matches_golden(example_runs, name):
+    """Reports match those of the per-check bundle design they replaced.
+
+    Residual values compare to 1e-12, relative to 1 + |value| as residuals
+    are judged, so that another LAPACK build does not break the test.
+    """
+    reports, _ = example_runs
+    got = reports[name].to_dict()
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert got["summary"] == want["summary"]
+    assert [c["check"] for c in got["checks"]] == [c["check"] for c in want["checks"]]
+    for g, w in zip(got["checks"], want["checks"]):
+        for key in ("status", "samples", "tolerance", "reason", "worst_point"):
+            assert g.get(key) == w.get(key), (g["check"], key)
+        for key in ("max_abs_residual", "max_rel_residual"):
+            assert g[key] == approx(w[key], rel=1e-12, abs=1e-12), (g["check"], key)
+        assert g.get("details", {}).keys() == w.get("details", {}).keys(), g["check"]
+        for key, value in w.get("details", {}).items():
+            assert g["details"][key] == approx(value, rel=1e-12, abs=1e-12), (g["check"], key)

@@ -31,6 +31,7 @@ from warpcheck.statics import (
     nonconstant_r_cotton_formulas,
     propddoth_check,
     t_algebra_defects,
+    t_potential,
     t_tensor,
     tfe_identity_residual,
     vacuum_static_residual,
@@ -210,23 +211,25 @@ def test_tfe_identity_n5k1():
 # -- warped closed forms of L* -------------------------------------------------------------------------
 
 
-def test_lgh_hdot_on_ejiri(ejiri):
-    p = np.array([0.8, 0.2, -0.1, 0.3])
-    res = lgh_closed_forms(ejiri, p, use_hdot=True)
+def test_lgh_hdot_on_ejiri(ejiri, point_scratch):
+    sc = point_scratch(ejiri, np.array([0.8, 0.2, -0.1, 0.3]))
+    res = lgh_closed_forms(ejiri, sc.hdot, sc.fiber, use_hdot=True)
     for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian", "hdot_form"):
         assert res[name].rel < 1e-8, name
 
 
-def test_lgh_arbitrary_potential_on_ejiri(ejiri):
-    res = lgh_closed_forms(ejiri, np.array([1.4, 0.1, 0.2, -0.2]), f_ast=dsl.parse("sin(t)"))
+def test_lgh_arbitrary_potential_on_ejiri(ejiri, point_scratch):
+    sc = point_scratch(ejiri, np.array([1.4, 0.1, 0.2, -0.2]), t_potential(dsl.parse("sin(t)"), "sin(t)"))
+    res = lgh_closed_forms(ejiri, sc.static, sc.fiber)
     assert res["mixed_slot"].rel < 1e-8
     assert res["tt_slot"].rel < 1e-8
 
 
-def test_lgh_constants():
+def test_lgh_constants(point_scratch):
     wg = build_warped_geometry(WarpedProductSpec.from_strings((-1.0, 1.0), "1", Sphere(3, 1.0)))
     p = np.array([0.2, 0.1, -0.2, 0.3])
-    res = lgh_closed_forms(wg, p, f_ast=dsl.parse("1"))
+    sc = point_scratch(wg, p, t_potential(dsl.parse("1"), "1"))
+    res = lgh_closed_forms(wg, sc.static, sc.fiber)
     for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian"):
         assert res[name].rel < 1e-10, name
     # L3 reduces to -(R/(n-1)) g on the fiber block for f == 1, h == 1
@@ -236,10 +239,11 @@ def test_lgh_constants():
     assert st.lstar_f.value[1:, 1:] == approx(expected, abs=1e-9)
 
 
-def test_lgh_requires_no_constant_scalar(expwarp4):
+def test_lgh_requires_no_constant_scalar(expwarp4, point_scratch):
     """Lemma holds on the nonconstant-R space too."""
     for p in expwarp4.chart.sample_points(5, offset=0):
-        res = lgh_closed_forms(expwarp4, p, use_hdot=True)
+        sc = point_scratch(expwarp4, p)
+        res = lgh_closed_forms(expwarp4, sc.hdot, sc.fiber, use_hdot=True)
         for name, residual in res.items():
             assert residual.rel < 1e-8, name
 
@@ -247,63 +251,66 @@ def test_lgh_requires_no_constant_scalar(expwarp4):
 # -- iCzero / wp3 ------------------------------------------------------------------------------
 
 
-def test_icotton_zero_on_constant_r(ejiri, basicex52):
+def test_icotton_zero_on_constant_r(ejiri, basicex52, point_scratch):
     wg, _ = basicex52
     for geometry in (ejiri, wg):
         for p in geometry.chart.sample_points(4, offset=0):
-            assert icotton_warped_residual(geometry, p).rel < 1e-8
+            assert icotton_warped_residual(point_scratch(geometry, p).bundle).rel < 1e-8
 
 
-def test_icotton_product_chart():
+def test_icotton_product_chart(point_scratch):
     wg = build_warped_geometry(WarpedProductSpec.from_strings((-1.0, 1.0), "1", Sphere(3, 1.0)))
-    assert icotton_warped_residual(wg, np.array([0.1, 0.2, -0.1, 0.3])).rel < 1e-9
+    assert icotton_warped_residual(point_scratch(wg, np.array([0.1, 0.2, -0.1, 0.3])).bundle).rel < 1e-9
 
 
-def test_wp3_identity_einstein_fiber(ejiri):
-    resid, lhs, rhs = warpedproduct3_residual(ejiri, np.array([2.0, 0.2, 0.1, -0.3]))
+def test_wp3_identity_einstein_fiber(ejiri, point_scratch):
+    resid, lhs, rhs = warpedproduct3_residual(ejiri, point_scratch(ejiri, np.array([2.0, 0.2, 0.1, -0.3])).hdot)
     assert resid.rel < 1e-8
     assert lhs < 1e-10 and rhs < 1e-10  # both sides vanish
 
 
-def test_wp3_identity_non_einstein_fiber(basicex52):
+def test_wp3_identity_non_einstein_fiber(basicex52, point_scratch):
     wg, _ = basicex52
     found_nonzero = False
     for p in wg.chart.sample_points(5, offset=0):
-        resid, lhs, rhs = warpedproduct3_residual(wg, p)
+        resid, lhs, rhs = warpedproduct3_residual(wg, point_scratch(wg, p).hdot)
         assert resid.rel < 1e-7
         if rhs > 1e-3:
             found_nonzero = True
     assert found_nonzero
 
 
-def test_wp3_constant_h_trivial():
+def test_wp3_constant_h_trivial(point_scratch):
     wg = build_warped_geometry(WarpedProductSpec.from_strings((-1.0, 1.0), "1", Sphere(3, 1.0)))
-    resid, lhs, rhs = warpedproduct3_residual(wg, np.array([0.1, 0.2, -0.1, 0.3]))
+    resid, lhs, rhs = warpedproduct3_residual(wg, point_scratch(wg, np.array([0.1, 0.2, -0.1, 0.3])).hdot)
     assert lhs < 1e-12 and rhs < 1e-12
 
 
 # -- explicit warped Cotton components ---------------------------------------------------------------------------
 
 
-def test_nein3_nonconstant_r(expwarp4):
+def test_nein3_nonconstant_r(expwarp4, point_scratch):
     for p in expwarp4.chart.sample_points(4, offset=0):
-        res = nonconstant_r_cotton_formulas(expwarp4, p)
+        sc = point_scratch(expwarp4, p, fiber_order=3)
+        res = nonconstant_r_cotton_formulas(expwarp4, sc.bundle, sc.fiber)
         for name, residual in res.items():
             assert residual.rel < 1e-7, name
 
 
-def test_nein3_n3_branch():
+def test_nein3_n3_branch(point_scratch):
     from warpcheck.spaces import expwarp_space
 
     wg = expwarp_space(3)
     for p in wg.chart.sample_points(4, offset=0):
-        res = nonconstant_r_cotton_formulas(wg, p)
+        sc = point_scratch(wg, p)
+        res = nonconstant_r_cotton_formulas(wg, sc.bundle, sc.fiber)
         for name, residual in res.items():
             assert residual.rel < 1e-7, name
 
 
-def test_nein3_degenerates_on_constant_r(ejiri):
-    res = nonconstant_r_cotton_formulas(ejiri, np.array([0.9, 0.2, -0.1, 0.3]))
+def test_nein3_degenerates_on_constant_r(ejiri, point_scratch):
+    sc = point_scratch(ejiri, np.array([0.9, 0.2, -0.1, 0.3]), fiber_order=3)
+    res = nonconstant_r_cotton_formulas(ejiri, sc.bundle, sc.fiber)
     for name, residual in res.items():
         assert residual.rel < 1e-8, name
 
@@ -311,40 +318,42 @@ def test_nein3_degenerates_on_constant_r(ejiri):
 # -- propddoth ------------------------------------------------------------------------------------
 
 
-def test_propddoth_basicex_assembly(basicex52):
+def test_propddoth_basicex_assembly(basicex52, point_scratch):
     wg, pot = basicex52
     for p in wg.chart.sample_points(3, offset=0):
-        res = propddoth_check(wg, pot.factored.fiber_builder, p)
+        sc = point_scratch(wg, p, order=2)
+        res = propddoth_check(wg, pot.factored.fiber_builder, sc.bundle, sc.fiber)
         assert res["fiber_vss"].rel < 1e-8
         assert res["warping_equation"].rel < 1e-10
         assert res["total_vss"].rel < 1e-8
 
 
-def test_propddoth_flat_fiber_product():
+def test_propddoth_flat_fiber_product(point_scratch):
     """Scalar-flat fiber: the product (h == 1) with potential fbar is static."""
     wg = build_warped_geometry(WarpedProductSpec.from_strings((-1.0, 1.0), "1", FlatTorus(3)))
     builder = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
-    res = propddoth_check(wg, builder, np.array([0.2, 1.0, 2.0, 3.0]))
+    sc = point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), order=2)
+    res = propddoth_check(wg, builder, sc.bundle, sc.fiber)
     for name, residual in res.items():
         assert residual.rel < 1e-8, name
 
 
-def test_propddoth_flat_fiber_exponential_warping():
+def test_propddoth_flat_fiber_exponential_warping(point_scratch):
     """h = e^t over a scalar-flat fiber satisfies the warping equation with R = -n(n-1)."""
     wg = build_warped_geometry(WarpedProductSpec.from_strings((-0.5, 0.5), "exp(t)", FlatTorus(3)))
     builder = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
-    p = np.array([0.2, 1.0, 2.0, 3.0])
-    b = CurvatureBundle(wg.chart, p, order=2)
-    assert b.scalar == approx(-12.0, abs=1e-10)
-    res = propddoth_check(wg, builder, p)
+    sc = point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), order=2)
+    assert sc.bundle.scalar == approx(-12.0, abs=1e-10)
+    res = propddoth_check(wg, builder, sc.bundle, sc.fiber)
     for name, residual in res.items():
         assert residual.rel < 1e-8, name
 
 
-def test_propddoth_warping_equation_witness():
+def test_propddoth_warping_equation_witness(point_scratch):
     wg = build_warped_geometry(WarpedProductSpec.from_strings((0.0, 1.0), "1+0.3*t", FlatTorus(3)))
     builder = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
-    res = propddoth_check(wg, builder, np.array([0.4, 1.0, 2.0, 3.0]))
+    sc = point_scratch(wg, np.array([0.4, 1.0, 2.0, 3.0]), order=2)
+    res = propddoth_check(wg, builder, sc.bundle, sc.fiber)
     assert res["warping_equation"].abs > 0.01
     assert res["total_vss"].abs > 0.01
 
@@ -358,33 +367,38 @@ def _product_over_sphere(radius=1.0):
     )
 
 
-def test_inrp_cos_solution():
+def _inrp(point_scratch, wg, source, p):
+    sc = point_scratch(wg, p, t_potential(dsl.parse(source), source), order=2)
+    return inrp_product_check(wg, sc.static, sc.fiber)
+
+
+def test_inrp_cos_solution(point_scratch):
     wg = _product_over_sphere()
     omega = math.sqrt(6.0 / 3.0)
     p = np.array([0.3, 0.2, -0.3, 0.4])
-    res = inrp_product_check(wg, dsl.parse(f"cos({omega}*t)"), p)
+    res = _inrp(point_scratch, wg, f"cos({omega}*t)", p)
     assert res["ddotf"].rel < 1e-8
     assert res["full"].rel < 1e-8
 
 
-def test_inrp_sin_solution():
+def test_inrp_sin_solution(point_scratch):
     wg = _product_over_sphere()
     omega = math.sqrt(6.0 / 3.0)
-    res = inrp_product_check(wg, dsl.parse(f"sin({omega}*t)"), np.array([0.3, 0.2, -0.3, 0.4]))
+    res = _inrp(point_scratch, wg, f"sin({omega}*t)", np.array([0.3, 0.2, -0.3, 0.4]))
     assert res["full"].rel < 1e-8
 
 
-def test_inrp_wrong_frequency_witness():
+def test_inrp_wrong_frequency_witness(point_scratch):
     wg = _product_over_sphere()
     omega = math.sqrt(6.0 / 3.0) * 1.2
-    res = inrp_product_check(wg, dsl.parse(f"cos({omega}*t)"), np.array([0.3, 0.2, -0.3, 0.4]))
+    res = _inrp(point_scratch, wg, f"cos({omega}*t)", np.array([0.3, 0.2, -0.3, 0.4]))
     assert res["ddotf"].abs > 0.01
     assert res["full"].abs > 0.01
 
 
-def test_inrp_requires_unit_warping(ejiri):
+def test_inrp_requires_unit_warping(ejiri, point_scratch):
     with pytest.raises(PreconditionSkip):
-        inrp_product_check(ejiri, dsl.parse("cos(t)"), np.array([0.3, 0.2, -0.3, 0.4]))
+        _inrp(point_scratch, ejiri, "cos(t)", np.array([0.3, 0.2, -0.3, 0.4]))
 
 
 # -- xiCVF two formulas --------------------------------------------------------------------------------
@@ -436,11 +450,11 @@ def test_xicvf_zero_field_trivial(basicex52):
 # -- equivalence clauses ----------------------------------------------------------------------------
 
 
-def test_equivalence_clauses_einstein_vs_not(ejiri, basicex52):
+def test_equivalence_clauses_einstein_vs_not(ejiri, basicex52, point_scratch):
     wg, _ = basicex52
-    p_e = np.array([0.8, 0.2, -0.1, 0.3])
-    clauses_pass = equivalence_clauses(ejiri, p_e)
+    sc = point_scratch(ejiri, np.array([0.8, 0.2, -0.1, 0.3]))
+    clauses_pass = equivalence_clauses(sc.hdot, sc.fiber)
     assert all(v < 1e-8 for v in clauses_pass.values())
-    p_b = wg.chart.sample_points(3, offset=23)[2]
-    clauses_fail = equivalence_clauses(wg, p_b)
+    sc = point_scratch(wg, wg.chart.sample_points(3, offset=23)[2])
+    clauses_fail = equivalence_clauses(sc.hdot, sc.fiber)
     assert all(v > 1e-6 for v in clauses_fail.values())
