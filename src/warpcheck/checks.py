@@ -713,41 +713,43 @@ def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> Ve
     fiber_order = 3 if "nein3_forms" in config.checks else 2  # nein3 needs the fiber Cotton tensor
     scratches = deque(PointScratch(ctx, p, order, fiber_order) for p in points)
 
-    r_constant, r_mean, r_spread = (True, 0.0, 0.0)
-    if _NEEDS_CONSTANT_R.intersection(config.checks):
-        r_constant, r_mean, r_spread = _scalar_survey(scratches)
+    # overflow at a point shows as a non-finite residual, which FAILs with that point
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r_constant, r_mean, r_spread = (True, 0.0, 0.0)
+        if _NEEDS_CONSTANT_R.intersection(config.checks):
+            r_constant, r_mean, r_spread = _scalar_survey(scratches)
 
-    outcomes: list[CheckOutcome] = []
-    for check in config.checks:
-        skip = None
-        if check in _NEEDS_WARPED and ctx.warped is None:
-            skip = "needs a warped space"
-        elif check in _NEEDS_POTENTIAL and ctx.potential is None and ctx.warped is None:
-            skip = "needs a potential"
-        elif check in _NEEDS_FIELD and ctx.fld is None:
-            skip = "needs a conformal field"
-        elif check in _NEEDS_CONSTANT_R and not r_constant:
-            skip = f"scalar curvature not constant (spread {r_spread:.3e} about {r_mean:.6g})"
-        # a PASS here is provisional: the status settles after the point loop
-        outcomes.append(CheckOutcome(check, "SKIP" if skip else "PASS", config.tolerance(check), reason=skip))
+        outcomes: list[CheckOutcome] = []
+        for check in config.checks:
+            skip = None
+            if check in _NEEDS_WARPED and ctx.warped is None:
+                skip = "needs a warped space"
+            elif check in _NEEDS_POTENTIAL and ctx.potential is None and ctx.warped is None:
+                skip = "needs a potential"
+            elif check in _NEEDS_FIELD and ctx.fld is None:
+                skip = "needs a conformal field"
+            elif check in _NEEDS_CONSTANT_R and not r_constant:
+                skip = f"scalar curvature not constant (spread {r_spread:.3e} about {r_mean:.6g})"
+            # a PASS here is provisional: the status settles after the point loop
+            outcomes.append(CheckOutcome(check, "SKIP" if skip else "PASS", config.tolerance(check), reason=skip))
 
-    while scratches:
-        sc = scratches.popleft()  # frees the point's jets once its checks ran
-        for k, out in enumerate(outcomes):
-            if out.status == "SKIP":
-                continue
-            start = time.perf_counter()
-            try:
-                residuals = _EVALUATORS[out.check](ctx, sc)
-            except PreconditionSkip as unmet:
-                out = outcomes[k] = CheckOutcome(
-                    out.check, "SKIP", out.tolerance, reason=unmet.reason, wall_time=out.wall_time
-                )
-            except _POINT_ERRORS as exc:
-                out.add_error(sc.point, exc)
-            else:
-                out.add(sc.point, residuals)
-            out.wall_time += time.perf_counter() - start
+        while scratches:
+            sc = scratches.popleft()  # frees the point's jets once its checks ran
+            for k, out in enumerate(outcomes):
+                if out.status == "SKIP":
+                    continue
+                start = time.perf_counter()
+                try:
+                    residuals = _EVALUATORS[out.check](ctx, sc)
+                except PreconditionSkip as unmet:
+                    out = outcomes[k] = CheckOutcome(
+                        out.check, "SKIP", out.tolerance, reason=unmet.reason, wall_time=out.wall_time
+                    )
+                except _POINT_ERRORS as exc:
+                    out.add_error(sc.point, exc)
+                else:
+                    out.add(sc.point, residuals)
+                out.wall_time += time.perf_counter() - start
 
     for out in outcomes:
         if out.status == "SKIP":

@@ -14,6 +14,13 @@ call away.  Index conventions:
   ``C_ijk = A_{ij,k} - A_{ik,j}``, ``Xi_ik = C_{ijk,j}``.
 * Comma derivatives append the derivative index last, so
   ``T_{ij,k}`` is ``cov(T)[i, j, k]``.
+
+Order rule: a jet product is formed only up to the order its result keeps
+(Riemann's quadratic term, each covariant derivative, the k-th Neumann term
+of the inverse metric at order k).  No bit moves: the graded-lex layout
+makes a lower order's coefficients, product pairs and sums a prefix of the
+higher order's, and a factor with zero value part (``g - g0``) meets the
+dropped top-order coefficients only through products equal to 0.0.
 """
 
 from __future__ import annotations
@@ -157,12 +164,15 @@ class CurvatureBundle:
     @cached_property
     def ginv(self) -> JetTensor:
         # Neumann series: with g = g0 + N, inverse = sum_j (-G0 N)^j G0,
-        # exact at jet order k after k terms because N has no value part.
+        # exact at jet order k after k terms because N has no value part, so
+        # term k runs at order k on the previous one zero-padded.
         g0inv = self.ginv0
         n_mat = self.g - JetTensor.const(self.space, self.g0)
-        x = JetTensor.const(self.space, g0inv)
-        for _ in range(self.order):
-            x = JetTensor.const(self.space, g0inv) - _jt_const_matmul(g0inv, jt_einsum("ij,jk->ik", n_mat, x))
+        x = JetTensor.const(jet_space(self.dim, 0), g0inv)
+        for k in range(1, self.order + 1):
+            space = jet_space(self.dim, k)
+            x_pad = x.embed(space, tuple(range(self.dim)))
+            x = JetTensor.const(space, g0inv) - _jt_const_matmul(g0inv, jt_einsum("ij,jk->ik", n_mat, x_pad))
         return x
 
     # -- connection and curvature ----------------------------------------
@@ -178,12 +188,12 @@ class CurvatureBundle:
     @cached_property
     def riemann13(self) -> JetTensor:
         """R^l_{ijk}, axes (l, i, j, k)."""
-        gamma = self.gamma
-        dgamma = gamma.partials()  # (upper, low1, low2, deriv)
+        dgamma = self.gamma.partials()  # (upper, low1, low2, deriv)
+        gamma = self.gamma.truncate(dgamma.order)
         term = dgamma.transpose("lkij->lijk") - dgamma.transpose("ljik->lijk")
-        term = term + jt_einsum("mki,ljm->lijk", gamma, gamma)
-        term = term - jt_einsum("mji,lkm->lijk", gamma, gamma)
-        return term
+        # Gamma^m_ki Gamma^l_jm; the term Gamma^m_ji Gamma^l_km is it with j, k swapped
+        quad = jt_einsum("mki,ljm->lijk", gamma, gamma)
+        return term + quad - quad.transpose("lijk->likj")
 
     @cached_property
     def riemann4(self) -> JetTensor:
@@ -235,11 +245,6 @@ class CurvatureBundle:
         dc = self.covariant_derivative(self.cotton, ("l", "l", "l"))
         return jt_einsum("jl,ijkl->ik", self.ginv, dc)
 
-    @cached_property
-    def nabla_riemann(self) -> JetTensor:
-        """R_{ijkl,m} with the derivative index last."""
-        return self.covariant_derivative(self.riemann4, ("l", "l", "l", "l"))
-
     def _need_dim(self, minimum: int, what: str) -> None:
         if self.dim < minimum:
             raise ValueError(f"{what} requires dim >= {minimum}, chart has dim {self.dim}")
@@ -275,13 +280,14 @@ class CurvatureBundle:
         if t.data.ndim - 1 != rank:
             raise ValueError(f"tensor rank {t.data.ndim - 1} != variance length {rank}")
         out = t.partials()
+        t, gamma = t.truncate(out.order), self.gamma.truncate(out.order)
         letters = "abcdefgh"[:rank]
         for pos, flag in enumerate(variance):
             tsub = letters[:pos] + "s" + letters[pos + 1 :]
             if flag == "l":
-                out = out - jt_einsum(f"si{letters[pos]},{tsub}->{letters}i", self.gamma, t)
+                out = out - jt_einsum(f"si{letters[pos]},{tsub}->{letters}i", gamma, t)
             else:
-                out = out + jt_einsum(f"{letters[pos]}is,{tsub}->{letters}i", self.gamma, t)
+                out = out + jt_einsum(f"{letters[pos]}is,{tsub}->{letters}i", gamma, t)
         return out
 
     def gradient(self, f: JetTensor) -> JetTensor:
@@ -338,20 +344,8 @@ class CurvatureBundle:
         return self._tv(self.schouten, ("l", "l"))
 
     @property
-    def efield_value(self) -> TensorValue:
-        return self._tv(self.efield, ("l", "l"))
-
-    @property
-    def weyl_value(self) -> TensorValue:
-        return self._tv(self.weyl, ("l",) * 4)
-
-    @property
     def cotton_value(self) -> TensorValue:
         return self._tv(self.cotton, ("l", "l", "l"))
-
-    @property
-    def cotton_divergence_value(self) -> TensorValue:
-        return self._tv(self.cotton_divergence, ("l", "l"))
 
 
 # -- module-level operations (spec surface) ---------------------------------

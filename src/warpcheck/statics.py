@@ -143,8 +143,12 @@ class StaticAnalysis:
         scale = b.jnorm(lhs, ("l", "l")) + b.jnorm(rhs, ("l", "l"))
         return Residual(b.jnorm(lhs - rhs, ("l", "l")), scale)
 
+    @cached_property
+    def _solution_defect(self) -> Residual:
+        return self.generalized_defect()
+
     def require_solution(self, what: str) -> None:
-        defect = self.generalized_defect()
+        defect = self._solution_defect
         if defect.rel > SOLUTION_REL_TOL:
             raise PreconditionSkip(
                 f"{what}: potential {self.potential.label!r} does not solve the "

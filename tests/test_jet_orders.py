@@ -1,0 +1,180 @@
+"""Products formed only up to the jet order that is kept change no bit.
+
+The curvature pipeline truncates factors before a product instead of
+truncating the product.  That rests on two facts about the jet layout,
+checked here on random tensors, and on the rewritten formulas matching
+the straightforward ones bit for bit on real charts.
+"""
+
+from functools import cached_property
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from warpcheck import geometry
+from warpcheck.geometry import CurvatureBundle, MetricChart, _jt_const_matmul
+from warpcheck.jets import JetTensor, jet_space, jt_einsum
+from warpcheck.spaces import basicex_geometry, ejiri_space, make_sphere_chart
+
+SPECS = ("mki,ljm->lijk", "ij,jk->ik", "sia,sbc->abci")
+
+
+def _bits(t: JetTensor) -> np.ndarray:
+    return np.ascontiguousarray(t.data).view(np.int64)
+
+
+def _assert_bitwise(x: JetTensor, y: JetTensor) -> None:
+    assert x.space is y.space
+    assert x.shape == y.shape
+    np.testing.assert_array_equal(_bits(x), _bits(y))
+
+
+def _operands(spec: str, dim: int, order: int, seed: int) -> tuple[JetTensor, JetTensor]:
+    rng = np.random.default_rng(seed)
+    space = jet_space(dim, order)
+    sa, sb = spec.split("->")[0].split(",")
+    return tuple(
+        JetTensor(space, rng.standard_normal((dim,) * len(s) + (space.n_coeffs,))) for s in (sa, sb)
+    )
+
+
+jet_cases = st.tuples(
+    st.sampled_from(SPECS),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_cases)
+def test_truncated_product_is_prefix_of_full_product(case):
+    spec, dim, order, seed = case
+    a, b = _operands(spec, dim, order, seed)
+    full = jt_einsum(spec, a, b)
+    for k in range(order):
+        _assert_bitwise(full.truncate(k), jt_einsum(spec, a.truncate(k), b.truncate(k)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_cases)
+def test_zero_value_factor_ignores_padded_top_order(case):
+    """With one factor's value part 0.0, the other's top-order coefficients only add +0.0."""
+    spec, dim, order, seed = case
+    a, b = _operands(spec, dim, order, seed)
+    for k in range(1, order + 1):
+        space = jet_space(dim, k)
+        for zero_first in (True, False):
+            z, other = (a, b) if zero_first else (b, a)
+            data = z.truncate(k).data.copy()
+            data[..., 0] = 0.0
+            z = JetTensor(space, data)
+            padded = other.truncate(k - 1).embed(space, tuple(range(dim)))
+            pair_full = (z, other) if zero_first else (other, z)
+            pair_padded = (z, padded) if zero_first else (padded, z)
+            _assert_bitwise(jt_einsum(spec, *pair_full).truncate(k), jt_einsum(spec, *pair_padded))
+
+
+# -- the rewritten formulas against the straightforward ones ----------------------
+
+
+class FullOrderBundle(CurvatureBundle):
+    """The formulas as written before products were cut to the kept order."""
+
+    @cached_property
+    def ginv(self) -> JetTensor:
+        g0inv = self.ginv0
+        n_mat = self.g - JetTensor.const(self.space, self.g0)
+        x = JetTensor.const(self.space, g0inv)
+        for _ in range(self.order):
+            x = JetTensor.const(self.space, g0inv) - _jt_const_matmul(g0inv, jt_einsum("ij,jk->ik", n_mat, x))
+        return x
+
+    @cached_property
+    def riemann13(self) -> JetTensor:
+        gamma = self.gamma
+        dgamma = gamma.partials()
+        term = dgamma.transpose("lkij->lijk") - dgamma.transpose("ljik->lijk")
+        term = term + jt_einsum("mki,ljm->lijk", gamma, gamma)
+        term = term - jt_einsum("mji,lkm->lijk", gamma, gamma)
+        return term
+
+    def covariant_derivative(self, t: JetTensor, variance: tuple[str, ...]) -> JetTensor:
+        rank = len(variance)
+        out = t.partials()
+        letters = "abcdefgh"[:rank]
+        for pos, flag in enumerate(variance):
+            tsub = letters[:pos] + "s" + letters[pos + 1 :]
+            if flag == "l":
+                out = out - jt_einsum(f"si{letters[pos]},{tsub}->{letters}i", self.gamma, t)
+            else:
+                out = out + jt_einsum(f"{letters[pos]}is,{tsub}->{letters}i", self.gamma, t)
+        return out
+
+
+def dense_chart(n: int = 4) -> MetricChart:
+    """g = I + 0.15 (A_ij cos(B_ij . x)): every entry and derivative nonzero."""
+    rng = np.random.default_rng(7)
+    amp = rng.uniform(-1.0, 1.0, (n, n))
+    amp = (amp + amp.T) / 2.0
+    freq = rng.uniform(-1.0, 1.0, (n, n, n))
+    freq = (freq + freq.transpose(1, 0, 2)) / 2.0
+
+    def builder(coords):
+        rows = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                phase = coords[0] * float(freq[i, j, 0])
+                for k in range(1, n):
+                    phase = phase + coords[k] * float(freq[i, j, k])
+                entry = phase.elem("cos") * (0.15 * float(amp[i, j]))
+                rows[i][j] = rows[j][i] = entry + 1.0 if i == j else entry
+        return rows
+
+    return MetricChart(dim=n, label="dense", builder=builder, box=(np.full(n, -1.0), np.full(n, 1.0)))
+
+
+CHARTS = {
+    "sphere": lambda: make_sphere_chart(4, 1.0),
+    "ejiri": lambda: ejiri_space().chart,
+    "basicex": lambda: basicex_geometry(5, 2)[0].chart,
+    "dense": dense_chart,
+}
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_kept_order_formulas_match_full_order_bitwise(name, order):
+    chart = CHARTS[name]()
+    attrs = ("ginv", "riemann13", "cotton") + (("cotton_divergence",) if order >= 4 else ())
+    for point in chart.sample_points(2, offset=3):
+        new, ref = CurvatureBundle(chart, point, order), FullOrderBundle(chart, point, order)
+        for attr in attrs:
+            _assert_bitwise(getattr(new, attr), getattr(ref, attr))
+
+
+def test_no_geometry_product_is_truncated_after_the_fact(monkeypatch):
+    """No jt_einsum result built in geometry.py is cut to a lower order later."""
+    made: list[JetTensor] = []
+    cut: list[str] = []
+
+    def recording_einsum(spec, a, b):
+        out = jt_einsum(spec, a, b)
+        made.append(out)
+        return out
+
+    truncate = JetTensor.truncate
+
+    def checking_truncate(self, order):
+        if order < self.order and any(self is m for m in made):
+            cut.append(f"order {self.order} -> {order}, shape {self.shape}")
+        return truncate(self, order)
+
+    monkeypatch.setattr(geometry, "jt_einsum", recording_einsum)
+    monkeypatch.setattr(JetTensor, "truncate", checking_truncate)
+    chart = dense_chart()
+    CurvatureBundle(chart, chart.sample_points(1)[0], order=4).cotton_divergence
+    assert made
+    assert cut == []

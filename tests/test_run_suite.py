@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from pytest import approx
 from warpcheck.checks import EXAMPLE_CONFIGS, RunConfig, build_context, run_suite
 from warpcheck.cli import main
 from warpcheck.geometry import CurvatureBundle
+from warpcheck.statics import StaticAnalysis
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +48,24 @@ def test_nonfinite_residual_fails(tmp_path):
     with np.errstate(all="ignore"):
         assert main(["verify", str(path), "--out", str(out), "--no-timestamp"]) == 1
     assert [c["status"] for c in json.loads(out.read_text())["checks"]] == ["FAIL", "FAIL"]
+
+
+def test_nonfinite_run_is_quiet(tmp_path, capfd):
+    """The overflow behind a non-finite FAIL is reported as the FAIL, not as numpy warnings."""
+    raw = _warped_over_s3([5, 6], "1+0*t", ["vss_residual"], potential={"potential_t": "exp(exp(exp(t)))"}, samples=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (vss,) = run_suite(RunConfig.from_dict(raw)).checks
+        assert capfd.readouterr().err == ""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", str(path), "--out", str(tmp_path / "r.json"), "--no-timestamp"]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert vss.status == "FAIL"
+    assert vss.reason.startswith("non-finite residual")
+    assert capfd.readouterr().err.splitlines() == [
+        "[FAIL] vss_residual: max_rel=inf tol=1.0e-08 (non-finite residual 'full')"
+    ]
 
 
 def test_domain_error_fails_its_point_and_run_goes_on():
@@ -127,3 +147,19 @@ def test_example_report_matches_golden(example_runs, name):
         assert g.get("details", {}).keys() == w.get("details", {}).keys(), g["check"]
         for key, value in w.get("details", {}).items():
             assert g["details"][key] == approx(value, rel=1e-12, abs=1e-12), (g["check"], key)
+
+
+def test_generalized_defect_once_per_point(monkeypatch):
+    """tfe_identity, decompose_ids and xicvf_forms share one solution test per point."""
+    calls = []
+    defect = StaticAnalysis.generalized_defect
+
+    def counting_defect(self):
+        calls.append(self)
+        return defect(self)
+
+    monkeypatch.setattr(StaticAnalysis, "generalized_defect", counting_defect)
+    raw = dict(EXAMPLE_CONFIGS["basicex-n5-k2"], samples=4)
+    report = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
+    assert {c.check: c.status for c in report.checks}["decompose_ids"] == "PASS"
+    assert len(calls) == 4
