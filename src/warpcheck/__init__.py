@@ -4,14 +4,11 @@ from .geometry import (
     CurvatureBundle,
     MetricChart,
     SingularMetricError,
-    christoffel,
     curvature_bundle,
     interior_mult,
     kulkarni_nomizu,
-    riemann,
-    tensor_norm,
 )
-from .jets import Jet, JetTensor, extract_partial, jet_arith, jet_elem, jet_var
+from .jets import JetTensor
 from .spaces import (
     ConformalFieldSpec,
     StaticPotentialSpec,
@@ -31,21 +28,13 @@ __all__ = [
     "MetricChart",
     "SingularMetricError",
     "TensorValue",
-    "Jet",
     "JetTensor",
     "ConformalFieldSpec",
     "StaticPotentialSpec",
     "WarpedProductSpec",
-    "christoffel",
     "curvature_bundle",
     "interior_mult",
     "kulkarni_nomizu",
-    "riemann",
-    "tensor_norm",
-    "jet_var",
-    "jet_arith",
-    "jet_elem",
-    "extract_partial",
     "make_basicex",
     "make_hyperbolic_chart",
     "make_product_chart",

@@ -18,21 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import CurvatureBundle, MetricChart
-from .jets import Jet, JetTensor, jt_einsum
+from .geometry import CurvatureBundle
+from .jets import JetTensor, jt_einsum
 from .residuals import PreconditionSkip, Residual, ResidualSet
 from .spaces import ConformalFieldSpec
 
 __all__ = [
     "ConformalAnalysis",
-    "characteristic_function",
-    "conformal_residual",
-    "p_tensor",
-    "closed_cvf_identities",
-    "phi_tensor",
-    "firstthm_residual",
-    "ixi_cotton_residual",
-    "cxi_divergence_residual",
     "sphere_gradient_field",
     "rotation_field",
     "zero_field",
@@ -43,7 +35,7 @@ CLOSED_REL_TOL = 1e-9
 
 
 class ConformalAnalysis:
-    """Jet-level analysis of one conformal field at one point of one chart."""
+    """Analysis of one conformal field at one point of one chart, as jets."""
 
     def __init__(self, bundle: CurvatureBundle, xi: ConformalFieldSpec):
         self.bundle = bundle
@@ -170,9 +162,6 @@ class ConformalAnalysis:
         term4 = jt_einsum("ia,ak->ik", b.ric, p_up)
         return term1 + term2 + term3 + term4
 
-    def phi_tensor_value(self) -> np.ndarray:
-        return self.phi_tensor_jets.value
-
     @cached_property
     def lstar_phi(self) -> JetTensor:
         return self.bundle.lstar(self.phi)
@@ -249,48 +238,6 @@ class ConformalAnalysis:
         return Residual(b.jnorm(contracted, ("l",)), scale)
 
 
-# -- spec-surface wrappers -----------------------------------------------------
-
-
-def _analysis(xi: ConformalFieldSpec, chart: MetricChart, point, order: int = 3) -> ConformalAnalysis:
-    return ConformalAnalysis(CurvatureBundle(chart, point, order=order), xi)
-
-
-def characteristic_function(xi: ConformalFieldSpec, chart: MetricChart, point) -> float:
-    """phi = div(xi)/n at the point."""
-    return float(_analysis(xi, chart, point, order=2).phi.value)
-
-
-def conformal_residual(xi: ConformalFieldSpec, chart: MetricChart, point) -> float:
-    return _analysis(xi, chart, point, order=2).conformal_defect().abs
-
-
-def p_tensor(xi: ConformalFieldSpec, chart: MetricChart, point):
-    a = _analysis(xi, chart, point, order=2)
-    return a.bundle._tv(a.p, ("l", "l"))
-
-
-def closed_cvf_identities(xi: ConformalFieldSpec, chart: MetricChart, point) -> ResidualSet:
-    return _analysis(xi, chart, point, order=3).closed_identities()
-
-
-def phi_tensor(xi: ConformalFieldSpec, chart: MetricChart, point):
-    a = _analysis(xi, chart, point, order=4)
-    return a.bundle._tv(a.phi_tensor_jets, ("l", "l"))
-
-
-def firstthm_residual(xi: ConformalFieldSpec, chart: MetricChart, point) -> Residual:
-    return _analysis(xi, chart, point, order=4).firstthm_defect()
-
-
-def ixi_cotton_residual(xi: ConformalFieldSpec, chart: MetricChart, point, mode: str = "general") -> Residual:
-    return _analysis(xi, chart, point, order=4).ixi_cotton_defect(mode)
-
-
-def cxi_divergence_residual(xi: ConformalFieldSpec, chart: MetricChart, point) -> Residual:
-    return _analysis(xi, chart, point, order=4).cxi_divergence_defect()
-
-
 # -- built-in fields ------------------------------------------------------------
 
 
@@ -316,11 +263,8 @@ def sphere_gradient_field(m: int, r: float, axis: int) -> ConformalFieldSpec:
             f = 2.0 * r2 * coords[axis - 1] / (r2 + s)
         # xi^i = g^ij d_j f = lam^-2 d_i f; the partials come from f's own jet,
         # so the components live one jet order below the coordinates.
-        df = JetTensor(f.space, f.coeffs).partials()
-        return [
-            inv_lam2.truncate(df.space.order) * Jet(df.space, df.data[i].copy())
-            for i in range(m)
-        ]
+        df = f.partials()
+        return [inv_lam2 * JetTensor(df.space, df.data[i]) for i in range(m)]
 
     return ConformalFieldSpec(label=f"grad y_{axis} on S^{m}({r:g})", builder=builder)
 
@@ -329,7 +273,7 @@ def rotation_field(dim: int, i: int = 0, j: int = 1) -> ConformalFieldSpec:
     """Killing rotation x_i d_j - x_j d_i (Killing for any radial conformal factor)."""
 
     def builder(coords):
-        zero = Jet.constant(0.0, coords[0].num_vars, coords[0].order)
+        zero = JetTensor.const(coords[0].space, 0.0)
         out = [zero] * dim
         out[j] = coords[i]
         out[i] = -coords[j]
@@ -340,7 +284,6 @@ def rotation_field(dim: int, i: int = 0, j: int = 1) -> ConformalFieldSpec:
 
 def zero_field(dim: int) -> ConformalFieldSpec:
     def builder(coords):
-        zero = Jet.constant(0.0, coords[0].num_vars, coords[0].order)
-        return [zero] * dim
+        return [JetTensor.const(coords[0].space, 0.0)] * dim
 
     return ConformalFieldSpec(label="zero", builder=builder)

@@ -10,7 +10,8 @@ Grammar (recursive descent, '^' right-associative):
 
 The only variable is ``t``.  Exponents must be constant subtrees (no ``t``);
 non-integer constant exponents require a positive base at evaluation time.
-Evaluation is polymorphic over floats and :class:`~warpcheck.jets.Jet`.
+Evaluation is polymorphic over floats and scalar jets
+(:class:`~warpcheck.jets.JetTensor` of shape ``()``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .jets import Jet, jet_elem
+from .jets import JetTensor
 
 __all__ = [
     "ExprAst",
@@ -321,7 +322,7 @@ def _const_value(node: ExprAst) -> float:
 
 
 def eval_expr(node: ExprAst, t):
-    """Evaluate at ``t``, which may be a float or a Jet (any num_vars/order)."""
+    """Evaluate at ``t``, which may be a float or a scalar jet (any num_vars/order)."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, NamedConst):
@@ -332,11 +333,7 @@ def eval_expr(node: ExprAst, t):
         return -eval_expr(node.arg, t)
     if isinstance(node, BinOp):
         if node.op == "^":
-            base = eval_expr(node.left, t)
-            p = _const_value(node.right)
-            if isinstance(base, Jet):
-                return base**p
-            return base**p
+            return eval_expr(node.left, t) ** _const_value(node.right)
         lhs = eval_expr(node.left, t)
         rhs = eval_expr(node.right, t)
         if node.op == "+":
@@ -348,15 +345,15 @@ def eval_expr(node: ExprAst, t):
         return lhs / rhs
     if isinstance(node, Call):
         arg = eval_expr(node.arg, t)
-        if isinstance(arg, Jet):
-            return jet_elem(arg, node.fn)
+        if isinstance(arg, JetTensor):
+            return arg.elem(node.fn)
         return _MATH_FN[node.fn](arg)
     raise TypeError(f"not an AST node: {node!r}")
 
 
 def derivative_values(node: ExprAst, t0: float, order: int) -> list[float]:
     """Raw derivatives [f(t0), f'(t0), ..., f^(order)(t0)] via jet evaluation."""
-    result = eval_expr(node, Jet.variable(0, t0, 1, order))
+    result = eval_expr(node, JetTensor.variable(0, t0, 1, order))
     if isinstance(result, (int, float)):
         return [float(result)] + [0.0] * order
     return [result.partial((j,)) for j in range(order + 1)]

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet, JetTensor, jet_space, jt_einsum
+from .jets import JetTensor, jet_space, jt_einsum
 from .sampling import halton_points
 from .tensors import TensorValue, tensor_norm_sq
 from .tensors import tensor_norm as _components_norm
@@ -40,12 +40,9 @@ __all__ = [
     "MetricChart",
     "CurvatureBundle",
     "SingularMetricError",
-    "christoffel",
-    "riemann",
     "curvature_bundle",
     "kulkarni_nomizu",
     "interior_mult",
-    "tensor_norm",
 ]
 
 COND_LIMIT = 1e12
@@ -55,16 +52,17 @@ class SingularMetricError(ValueError):
     """Metric matrix not usably positive definite at the requested point."""
 
 
-MetricBuilder = Callable[[Sequence[Jet]], Sequence[Sequence[Jet | float]]]
+MetricBuilder = Callable[[Sequence[JetTensor]], Sequence[Sequence[JetTensor | float]]]
 
 
 @dataclass(frozen=True)
 class MetricChart:
     """A coordinate chart with jet-evaluable metric components.
 
-    ``builder`` maps the coordinate jets (one Jet per coordinate, all in one
-    space) to the n x n matrix of metric component jets; plain numbers are
-    accepted for constant components.
+    ``builder`` maps the coordinate jets (one scalar ``JetTensor`` per
+    coordinate, all in one space) to the n x n matrix of metric component
+    jets; plain numbers are accepted for constant components.  Every
+    component jet must live in that one space.
     """
 
     dim: int
@@ -75,23 +73,18 @@ class MetricChart:
     known_scalar: float | None = None
     periods: tuple[float | None, ...] | None = None
 
-    def coordinate_jets(self, point: np.ndarray, order: int) -> list[Jet]:
+    def coordinate_jets(self, point: np.ndarray, order: int) -> list[JetTensor]:
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise ValueError(f"point has shape {point.shape}, chart dim is {self.dim}")
-        return [Jet.variable(i, point[i], self.dim, order) for i in range(self.dim)]
+        return [JetTensor.variable(i, point[i], self.dim, order) for i in range(self.dim)]
 
     def metric_jets(self, point: np.ndarray, order: int) -> JetTensor:
         coords = self.coordinate_jets(point, order)
-        rows = self.builder(coords)
-        jets = [
-            [
-                entry if isinstance(entry, Jet) else Jet.constant(float(entry), self.dim, order)
-                for entry in row
-            ]
-            for row in rows
-        ]
-        return JetTensor.from_jets(jets)
+        space = coords[0].space
+        return JetTensor.from_jets(
+            [[_as_jet(space, entry) for entry in row] for row in self.builder(coords)]
+        )
 
     def contains(self, point: np.ndarray) -> bool:
         lo, hi = self.box
@@ -115,6 +108,11 @@ class MetricChart:
                     if len(out) == count:
                         break
         return np.array(out)
+
+
+def _as_jet(space, entry) -> JetTensor:
+    """A builder's output entry as a scalar jet; plain numbers become constants."""
+    return entry if isinstance(entry, JetTensor) else JetTensor.const(space, float(entry))
 
 
 def _jt_const_matmul(mat: np.ndarray, t: JetTensor) -> JetTensor:
@@ -252,22 +250,16 @@ class CurvatureBundle:
     # -- field evaluation --------------------------------------------------
 
     @cached_property
-    def coords(self) -> list[Jet]:
+    def coords(self) -> list[JetTensor]:
         return self.chart.coordinate_jets(self.point, self.order)
 
     def scalar_field(self, builder) -> JetTensor:
         """Evaluate a scalar field builder at this point as a jet."""
-        out = builder(self.coords)
-        if not isinstance(out, Jet):
-            out = Jet.constant(float(out), self.dim, self.order)
-        return JetTensor(out.space, out.coeffs)
+        return _as_jet(self.space, builder(self.coords))
 
     def vector_field(self, builder) -> JetTensor:
         """Evaluate a vector field builder; components are contravariant."""
-        comps = [
-            c if isinstance(c, Jet) else Jet.constant(float(c), self.dim, self.order)
-            for c in builder(self.coords)
-        ]
+        comps = [_as_jet(self.space, c) for c in builder(self.coords)]
         if len(comps) != self.dim:
             raise ValueError(f"vector field has {len(comps)} components, chart dim {self.dim}")
         return JetTensor.from_jets(comps)
@@ -308,11 +300,6 @@ class CurvatureBundle:
         f_ric = jt_einsum(",ij->ij", f, self.ric)
         return hess - lap_g - f_ric
 
-    def raise_index(self, t: JetTensor, axis: int, rank: int) -> JetTensor:
-        letters = "abcdefgh"[:rank]
-        tsub = letters[:axis] + "s" + letters[axis + 1 :]
-        return jt_einsum(f"{letters[axis]}s,{tsub}->{letters}", self.ginv, t)
-
     def norm(self, components: np.ndarray, variance: tuple[str, ...]) -> float:
         return _components_norm(components, variance, self.g0, self.ginv0)
 
@@ -328,18 +315,6 @@ class CurvatureBundle:
         return TensorValue(t.value, variance, self.point)
 
     @property
-    def christoffel_value(self) -> TensorValue:
-        return self._tv(self.gamma, ("u", "l", "l"))
-
-    @property
-    def riemann_value(self) -> TensorValue:
-        return self._tv(self.riemann4, ("l",) * 4)
-
-    @property
-    def ricci_value(self) -> TensorValue:
-        return self._tv(self.ric, ("l", "l"))
-
-    @property
     def schouten_value(self) -> TensorValue:
         return self._tv(self.schouten, ("l", "l"))
 
@@ -351,16 +326,6 @@ class CurvatureBundle:
 # -- module-level operations (spec surface) ---------------------------------
 
 
-def christoffel(chart: MetricChart, point: np.ndarray) -> TensorValue:
-    """Levi-Civita connection coefficients Gamma^k_ij at a point."""
-    return CurvatureBundle(chart, point, order=1).christoffel_value
-
-
-def riemann(chart: MetricChart, point: np.ndarray) -> TensorValue:
-    """Covariant curvature tensor R_ijkl at a point."""
-    return CurvatureBundle(chart, point, order=2).riemann_value
-
-
 def curvature_bundle(chart: MetricChart, point: np.ndarray, want_xi_div: bool = False, order: int | None = None) -> CurvatureBundle:
     """Full curvature hierarchy at a point (jets retained for differentiation)."""
     if order is None:
@@ -369,12 +334,6 @@ def curvature_bundle(chart: MetricChart, point: np.ndarray, want_xi_div: bool = 
     if want_xi_div:
         bundle.cotton_divergence  # force evaluation so errors surface here
     return bundle
-
-
-def tensor_norm(t: TensorValue, chart: MetricChart) -> float:
-    """g-norm of a pointwise tensor, indices raised/lowered by the chart metric."""
-    bundle = CurvatureBundle(chart, t.point, order=1)
-    return bundle.norm(t.components, t.variance)
 
 
 def kulkarni_nomizu_jets(u: JetTensor, v: JetTensor) -> JetTensor:

@@ -5,14 +5,12 @@ function at a base point, for all multi-indices a with |a| <= order.  With
 that normalization, multiplication is a plain truncated convolution and the
 whole layer reduces to index bookkeeping on flat numpy arrays.
 
-Two views are provided:
-
-* :class:`Jet` -- a single scalar jet with operator sugar.  Arithmetic
-  between two jets requires identical ``(num_vars, order)``.
-* :class:`JetTensor` -- an ndarray of jets sharing one :class:`JetSpace`
-  (coefficient axis last).  This is the workhorse of the curvature
-  pipeline; :func:`jt_einsum` fuses tensor contraction with the Cauchy
-  product so geometry code reads like ordinary einsum code.
+The one jet type is :class:`JetTensor`: an ndarray of jets sharing one
+:class:`JetSpace` (coefficient axis last).  A scalar jet is a JetTensor of
+shape ``()``, so chart, field and DSL code runs the same arithmetic as the
+curvature pipeline, where :func:`jt_einsum` fuses tensor contraction with
+the Cauchy product so geometry code reads like ordinary einsum code.
+Arithmetic between jets of different orders truncates to the lower one.
 
 Multi-indices are ordered graded-lexicographically (total degree first).
 Because that ordering is degree-graded, the coefficient array of a
@@ -30,18 +28,12 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
-    "Jet",
     "JetTensor",
     "JetSpace",
     "JetDomainError",
     "JetShapeError",
     "jet_space",
-    "jet_var",
-    "jet_arith",
-    "jet_elem",
-    "extract_partial",
     "jt_einsum",
-    "ELEMENTARY_FUNCTIONS",
 ]
 
 
@@ -270,178 +262,6 @@ def _raw_div(space: JetSpace, a: np.ndarray, b: np.ndarray, fn: str | None = Non
     return _raw_mul(space, a, _raw_compose(space, series, b))
 
 
-# -- scalar jets ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Jet:
-    """A single scalar jet: normalized Taylor coefficients at a point."""
-
-    space: JetSpace
-    coeffs: np.ndarray
-
-    # construction
-
-    @staticmethod
-    def variable(i: int, value: float, num_vars: int, order: int) -> "Jet":
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        if not 0 <= i < num_vars:
-            raise IndexError(f"variable index {i} out of range for {num_vars} variables")
-        space = jet_space(num_vars, order)
-        coeffs = np.zeros(space.n_coeffs)
-        coeffs[0] = value
-        unit = tuple(1 if j == i else 0 for j in range(num_vars))
-        coeffs[space.index[unit]] = 1.0
-        return Jet(space, coeffs)
-
-    @staticmethod
-    def constant(value: float, num_vars: int, order: int) -> "Jet":
-        space = jet_space(num_vars, order)
-        coeffs = np.zeros(space.n_coeffs)
-        coeffs[0] = float(value)
-        return Jet(space, coeffs)
-
-    # basic queries
-
-    @property
-    def num_vars(self) -> int:
-        return self.space.num_vars
-
-    @property
-    def order(self) -> int:
-        return self.space.order
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-    def partial(self, alpha: tuple[int, ...]) -> float:
-        """Return the raw partial derivative d^alpha f at the base point."""
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.num_vars:
-            raise JetShapeError(f"multi-index length {len(alpha)} != num_vars {self.num_vars}")
-        if sum(alpha) > self.order:
-            raise JetShapeError(f"|alpha| = {sum(alpha)} exceeds jet order {self.order}")
-        i = self.space.index[alpha]
-        return float(self.coeffs[i] * self.space.factorials[i])
-
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise JetShapeError(f"cannot extend a jet of order {self.order} to {order}")
-        lower = jet_space(self.num_vars, order)
-        return Jet(lower, self.coeffs[: lower.n_coeffs].copy())
-
-    # arithmetic
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise JetShapeError(
-                    f"jet shape mismatch: ({self.num_vars},{self.order}) vs "
-                    f"({other.num_vars},{other.order})"
-                )
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet.constant(float(other), self.num_vars, self.order)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.space, self.coeffs + o.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.space, self.coeffs - o.coeffs)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.space, o.coeffs - self.coeffs)
-
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.space, self.coeffs * float(other))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.space, _raw_mul(self.space, self.coeffs, o.coeffs))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.space, self.coeffs / float(other))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.space, _raw_div(self.space, self.coeffs, o.coeffs))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.space, _raw_div(self.space, o.coeffs, self.coeffs))
-
-    def __pow__(self, p):
-        if isinstance(p, (int, np.integer)) or (isinstance(p, float) and p.is_integer()):
-            p = int(p)
-            if p == 0:
-                return Jet.constant(1.0, self.num_vars, self.order)
-            if p > 0 and p <= 8:
-                out = self
-                for _ in range(p - 1):
-                    out = out * self
-                return out
-        return Jet(self.space, _raw_elem(self.space, "pow_const", self.coeffs, exponent=float(p)))
-
-    def elem(self, fn: str, exponent: float | None = None) -> "Jet":
-        return Jet(self.space, _raw_elem(self.space, fn, self.coeffs, exponent))
-
-
-ELEMENTARY_FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "pow_const")
-
-
-def jet_var(i: int, value: float, num_vars: int, order: int) -> Jet:
-    """Jet of the coordinate function x_i at the given point."""
-    return Jet.variable(i, value, num_vars, order)
-
-
-def jet_arith(a: Jet, b: Jet, kind: str) -> Jet:
-    """Truncated Taylor arithmetic on two jets of identical (num_vars, order)."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def jet_elem(a: Jet, fn: str, exponent: float | None = None) -> Jet:
-    """Apply an elementary function to a jet by univariate Taylor composition."""
-    if fn not in ELEMENTARY_FUNCTIONS:
-        raise ValueError(f"unknown elementary function {fn!r}")
-    return a.elem(fn, exponent)
-
-
-def extract_partial(a: Jet, alpha: tuple[int, ...]) -> float:
-    """Raw partial derivative d^alpha f from a jet (coefficient times alpha!)."""
-    return a.partial(alpha)
-
-
 # -- jet tensors ----------------------------------------------------------
 
 
@@ -470,8 +290,21 @@ class JetTensor:
         return JetTensor(space, data)
 
     @staticmethod
+    def variable(i: int, value: float, num_vars: int, order: int) -> "JetTensor":
+        """Scalar jet of the coordinate function x_i at the given point."""
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        if not 0 <= i < num_vars:
+            raise IndexError(f"variable index {i} out of range for {num_vars} variables")
+        space = jet_space(num_vars, order)
+        data = np.zeros(space.n_coeffs)
+        data[0] = value
+        data[space.index[tuple(1 if j == i else 0 for j in range(num_vars))]] = 1.0
+        return JetTensor(space, data)
+
+    @staticmethod
     def from_jets(jets) -> "JetTensor":
-        """Stack a (possibly nested) sequence of scalar Jets."""
+        """Stack a (possibly nested) sequence of scalar (shape ``()``) jets."""
         arr = np.asarray(jets, dtype=object)
         space = arr.flat[0].space
         data = np.empty(arr.shape + (space.n_coeffs,))
@@ -479,7 +312,7 @@ class JetTensor:
             j = arr[idx]
             if j.space is not space:
                 raise JetShapeError("all jets in a JetTensor must share one space")
-            data[idx] = j.coeffs
+            data[idx] = j.data
         return JetTensor(space, data)
 
     @property
@@ -494,8 +327,15 @@ class JetTensor:
     def value(self) -> np.ndarray:
         return self.data[..., 0].copy()
 
-    def jet(self, index=()) -> Jet:
-        return Jet(self.space, self.data[index].copy())
+    def partial(self, alpha: tuple[int, ...]):
+        """Raw partial derivative d^alpha f at the base point (coefficient times alpha!)."""
+        alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != self.space.num_vars:
+            raise JetShapeError(f"multi-index length {len(alpha)} != num_vars {self.space.num_vars}")
+        if sum(alpha) > self.order:
+            raise JetShapeError(f"|alpha| = {sum(alpha)} exceeds jet order {self.order}")
+        i = self.space.index[alpha]
+        return self.data[..., i] * self.space.factorials[i]
 
     def truncate(self, order: int) -> "JetTensor":
         if order == self.order:
@@ -548,7 +388,7 @@ class JetTensor:
         return JetTensor(self.space, self.data - self._const_data(other))
 
     def __rsub__(self, other):
-        return -(self - other)
+        return JetTensor(self.space, self._const_data(other) - self.data)
 
     def __neg__(self):
         return JetTensor(self.space, -self.data)
@@ -566,6 +406,21 @@ class JetTensor:
             a, b = self._align(other)
             return JetTensor(a.space, _raw_div(a.space, a.data, b.data))
         return JetTensor(self.space, self.data / float(other))
+
+    def __rtruediv__(self, other):
+        return JetTensor(self.space, _raw_div(self.space, self._const_data(other), self.data))
+
+    def __pow__(self, p):
+        if isinstance(p, (int, np.integer)) or (isinstance(p, float) and p.is_integer()):
+            p = int(p)
+            if p == 0:
+                return JetTensor.const(self.space, np.ones(self.shape))
+            if 0 < p <= 8:
+                out = self
+                for _ in range(p - 1):
+                    out = out * self
+                return out
+        return self.elem("pow_const", exponent=float(p))
 
     def _const_data(self, other) -> np.ndarray:
         data = np.zeros_like(self.data)

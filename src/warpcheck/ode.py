@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, jet_space
+from .jets import JetTensor, jet_space
 
 __all__ = [
     "WarpOdeParams",
@@ -272,9 +272,9 @@ def kernel_reduction_check(traj: Trajectory, f_of_t, hdot_floor: float = 1e-3, p
     fs = []
     fdots = []
     for t in traj.times:
-        j = f_of_t(Jet.variable(0, float(t), 1, 1))
-        if not isinstance(j, Jet):
-            j = Jet.constant(float(j), 1, 1)
+        j = f_of_t(JetTensor.variable(0, float(t), 1, 1))
+        if not isinstance(j, JetTensor):
+            j = JetTensor.const(jet_space(1, 1), float(j))
         fs.append(j.value)
         fdots.append(j.partial((1,)))
     fs = np.array(fs)
@@ -297,7 +297,7 @@ class OdeWarpingFunction:
     """A warping function defined by the ODE itself.
 
     Evaluation at a float interpolates the stored RK4 grid with sub-steps;
-    evaluation at a Jet produces the exact Taylor jet of the ODE solution
+    evaluation at a scalar jet produces the exact Taylor jet of the ODE solution
     through the interpolated state, via the recursion
     (j+2)(j+1) a_{j+2} = [c1 H^(1-n) - R/(n(n-1)) H]_j.
     """
@@ -325,22 +325,22 @@ class OdeWarpingFunction:
             coeffs[1] = v
         space = jet_space(1, order)
         for j in range(order - 1):
-            partial = Jet(space, np.pad(coeffs[: j + 2], (0, order - j - 1)))
+            partial = JetTensor(space, np.pad(coeffs[: j + 2], (0, order - j - 1)))
             rhs = (
                 partial.elem("pow_const", exponent=1.0 - n) * self.params.c1
                 - partial * (self.params.scalar / (n * (n - 1.0)))
             )
-            coeffs[j + 2] = rhs.coeffs[j] / ((j + 2.0) * (j + 1.0))
+            coeffs[j + 2] = rhs.data[j] / ((j + 2.0) * (j + 1.0))
         return coeffs
 
     def __call__(self, t):
-        if isinstance(t, Jet):
+        if isinstance(t, JetTensor):
             t0 = t.value
             h, v = self.state_at(t0)
             coeffs = self._taylor_coeffs(h, v, t.order)
             # compose the 1-variable Taylor series with (t - t0)
             shifted = t - t0
-            out = Jet.constant(float(coeffs[-1]), t.num_vars, t.order)
+            out = JetTensor.const(t.space, float(coeffs[-1]))
             for j in range(t.order - 1, -1, -1):
                 out = out * shifted + float(coeffs[j])
             return out

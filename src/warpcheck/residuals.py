@@ -30,11 +30,5 @@ class Residual:
     def rel(self) -> float:
         return self.abs / (1.0 + self.scale)
 
-    @staticmethod
-    def combine(parts: list["Residual"]) -> "Residual":
-        if not parts:
-            return Residual(0.0, 0.0)
-        return Residual(max(p.abs for p in parts), max(p.scale for p in parts))
-
 
 ResidualSet = dict[str, Residual]

@@ -9,7 +9,7 @@ products put the base coordinate first: x^0 = t, metric dt^2 + h(t)^2 gbar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from . import dsl
 from .dsl import ExprAst
 from .geometry import MetricChart
-from .jets import Jet
+from .jets import JetTensor
 
 __all__ = [
     "Sphere",
@@ -46,7 +46,6 @@ __all__ = [
     "sphere_height_potential",
     "basicex_potential",
     "ejiri_space",
-    "basicex_space",
     "expwarp_space",
 ]
 
@@ -104,13 +103,13 @@ class FactoredPotential:
     """f(t, y) = u(t) * fbar(y) with fbar living on the fiber chart."""
 
     u_of_t: Callable
-    fiber_builder: Callable[[Sequence[Jet]], Jet]
+    fiber_builder: Callable[[Sequence[JetTensor]], JetTensor]
 
 
 @dataclass(frozen=True)
 class StaticPotentialSpec:
     label: str
-    builder: Callable[[Sequence[Jet]], Jet]
+    builder: Callable[[Sequence[JetTensor]], JetTensor]
     a: float = 0.0
     b: float = 0.0
     factored: FactoredPotential | None = None
@@ -122,7 +121,7 @@ class StaticPotentialSpec:
 @dataclass(frozen=True)
 class ConformalFieldSpec:
     label: str
-    builder: Callable[[Sequence[Jet]], Sequence[Jet]]
+    builder: Callable[[Sequence[JetTensor]], Sequence[JetTensor]]
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ class WarpedGeometry:
 # -- constant-curvature charts ----------------------------------------------
 
 
-def _sum_squares(coords: Sequence[Jet]) -> Jet:
+def _sum_squares(coords: Sequence[JetTensor]) -> JetTensor:
     s = coords[0] * coords[0]
     for c in coords[1:]:
         s = s + c * c
@@ -307,7 +306,7 @@ def _assemble_warped(
         for i in range(dfib):
             for j in range(dfib):
                 entry = fiber_rows[i][j]
-                if isinstance(entry, Jet) or entry != 0.0:
+                if isinstance(entry, JetTensor) or entry != 0.0:
                     out[1 + i][1 + j] = h2 * entry
         return out
 
@@ -328,8 +327,7 @@ def _assemble_warped(
 
     def xi_builder(coords):
         h = warping(coords[0])
-        zero = Jet.constant(0.0, coords[0].num_vars, coords[0].order)
-        return [h] + [zero] * dfib
+        return [h] + [JetTensor.const(coords[0].space, 0.0)] * dfib
 
     xi = ConformalFieldSpec(label="h d/dt", builder=xi_builder)
     return WarpedGeometry(chart, fiber_chart, warping, (t0, t1), periodic, xi)
@@ -413,7 +411,7 @@ def basicex_potential(n: int, k: int) -> StaticPotentialSpec:
         return coords[0].elem("cosh") * fiber_builder(coords[1:])
 
     def u_of_t(t):
-        return t.elem("cosh") if isinstance(t, Jet) else math.cosh(t)
+        return t.elem("cosh") if isinstance(t, JetTensor) else math.cosh(t)
 
     return StaticPotentialSpec(
         label=f"cosh(t) f_{{{k},r_{k}}}",
@@ -430,17 +428,8 @@ def basicex_geometry(n: int, k: int) -> tuple[WarpedGeometry, StaticPotentialSpe
     spec = WarpedProductSpec.from_strings((-1.2, 1.2), "cosh(t)", fiber)
     wg = build_warped_geometry(spec)
     label = f"R x_cosh (H^{k}({r_k:.4g}) x H^{n - k - 1}({s_k:.4g})), n={n}"
-    chart = MetricChart(
-        dim=wg.chart.dim,
-        label=label,
-        builder=wg.chart.builder,
-        box=wg.chart.box,
-        exclude=wg.chart.exclude,
-        known_scalar=-n * (n - 1),
-        periods=wg.chart.periods,
-    )
-    wg = WarpedGeometry(chart, wg.fiber_chart, wg.warping, wg.interval, wg.periodic, wg.xi)
-    return wg, basicex_potential(n, k)
+    chart = replace(wg.chart, label=label, known_scalar=-n * (n - 1))
+    return replace(wg, chart=chart), basicex_potential(n, k)
 
 
 def make_basicex(n: int, k: int) -> tuple[MetricChart, StaticPotentialSpec]:
@@ -456,20 +445,8 @@ def ejiri_space() -> WarpedGeometry:
     """S^1 x_h S^3(1) with h = sqrt(2 + sin t): constant scalar curvature 3."""
     spec = WarpedProductSpec.from_strings((0.0, 2.0 * math.pi), "sqrt(2+sin(t))", Sphere(3, 1.0), periodic=True)
     wg = build_warped_geometry(spec)
-    chart = MetricChart(
-        dim=wg.chart.dim,
-        label="S^1 x_h S^3(1) [h=sqrt(2+sin t)]",
-        builder=wg.chart.builder,
-        box=wg.chart.box,
-        exclude=wg.chart.exclude,
-        known_scalar=3.0,
-        periods=wg.chart.periods,
-    )
-    return WarpedGeometry(chart, wg.fiber_chart, wg.warping, wg.interval, wg.periodic, wg.xi)
-
-
-def basicex_space(n: int, k: int) -> WarpedGeometry:
-    return basicex_geometry(n, k)[0]
+    chart = replace(wg.chart, label="S^1 x_h S^3(1) [h=sqrt(2+sin t)]", known_scalar=3.0)
+    return replace(wg, chart=chart)
 
 
 def expwarp_space(n: int) -> WarpedGeometry:

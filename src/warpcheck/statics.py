@@ -12,28 +12,19 @@ criterion, and the two conformal-field contraction formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .dsl import ExprAst, eval_expr
-from .geometry import CurvatureBundle, MetricChart
-from .jets import Jet, JetTensor, jet_space, jt_einsum
+from .geometry import CurvatureBundle
+from .jets import JetTensor, jet_space, jt_einsum
 from .residuals import PreconditionSkip, Residual, ResidualSet
-from .spaces import ConformalFieldSpec, StaticPotentialSpec, WarpedGeometry
+from .spaces import StaticPotentialSpec, WarpedGeometry
 from .conformal import ConformalAnalysis
 
 __all__ = [
-    "StaticTriple",
     "StaticAnalysis",
-    "lstar",
-    "vacuum_static_residual",
-    "generalized_residual",
-    "t_tensor",
-    "t_algebra_defects",
-    "decompose_identities",
-    "tfe_identity_residual",
     "lgh_closed_forms",
     "icotton_warped_residual",
     "warpedproduct3_residual",
@@ -42,7 +33,7 @@ __all__ = [
     "propddoth_check",
     "inrp_product_check",
     "t_potential",
-    "xicvf_two_formulas",
+    "xicvf_residuals",
     "warping_jet",
     "warping_derivatives",
     "hdot_field",
@@ -52,15 +43,8 @@ __all__ = [
 SOLUTION_REL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class StaticTriple:
-    chart: MetricChart
-    potential: StaticPotentialSpec
-    xi: ConformalFieldSpec | None = None
-
-
 class StaticAnalysis:
-    """Jet-level residuals of one potential at one point.
+    """Residuals of one potential at one point, computed as jets.
 
     The potential usually comes from ``potential.builder``; passing
     ``f_jets`` instead supports potentials that exist only as jets (hdot of
@@ -218,53 +202,13 @@ class StaticAnalysis:
         return Residual(abs(lhs - rhs), tnorm_sq)
 
 
-# -- spec-surface wrappers ------------------------------------------------------
-
-
-def lstar(chart: MetricChart, potential: StaticPotentialSpec, point, order: int = 2):
-    b = CurvatureBundle(chart, point, order=max(order, 2))
-    analysis = StaticAnalysis(b, potential)
-    return b._tv(analysis.lstar_f, ("l", "l"))
-
-
-def vacuum_static_residual(triple: StaticTriple, point, order: int = 2) -> ResidualSet:
-    b = CurvatureBundle(triple.chart, point, order=max(order, 2))
-    return StaticAnalysis(b, triple.potential).vacuum_residuals()
-
-
-def generalized_residual(triple: StaticTriple, point) -> Residual:
-    b = CurvatureBundle(triple.chart, point, order=2)
-    return StaticAnalysis(b, triple.potential).generalized_defect()
-
-
-def t_tensor(triple: StaticTriple, point):
-    b = CurvatureBundle(triple.chart, point, order=2)
-    analysis = StaticAnalysis(b, triple.potential)
-    return b._tv(analysis.t_jets, ("l", "l", "l"))
-
-
-def t_algebra_defects(triple: StaticTriple, point) -> ResidualSet:
-    b = CurvatureBundle(triple.chart, point, order=2)
-    return StaticAnalysis(b, triple.potential).t_algebra()
-
-
-def decompose_identities(triple: StaticTriple, point) -> ResidualSet:
-    b = CurvatureBundle(triple.chart, point, order=3)
-    return StaticAnalysis(b, triple.potential).decompose_residuals()
-
-
-def tfe_identity_residual(triple: StaticTriple, point) -> Residual:
-    b = CurvatureBundle(triple.chart, point, order=2)
-    return StaticAnalysis(b, triple.potential).tfe_defect()
-
-
 # -- warped-product helpers -------------------------------------------------------
 
 
-def warping_jet(wg: WarpedGeometry, t0: float, order: int) -> Jet:
-    h = wg.warping(Jet.variable(0, t0, 1, order))
-    if not isinstance(h, Jet):
-        h = Jet.constant(float(h), 1, order)
+def warping_jet(wg: WarpedGeometry, t0: float, order: int) -> JetTensor:
+    h = wg.warping(JetTensor.variable(0, t0, 1, order))
+    if not isinstance(h, JetTensor):
+        h = JetTensor.const(jet_space(1, order), float(h))
     return h
 
 
@@ -275,10 +219,8 @@ def warping_derivatives(wg: WarpedGeometry, t0: float, order: int) -> list[float
 
 def hdot_field(bundle: CurvatureBundle, wg: WarpedGeometry) -> JetTensor:
     """hdot(t) as a scalar jet field on the total chart."""
-    h1 = warping_jet(wg, bundle.point[0], bundle.order + 1)
-    hd = JetTensor(h1.space, h1.coeffs).partials()
-    hd1 = JetTensor(jet_space(1, bundle.order), hd.data[0])
-    return hd1.embed(bundle.space, (0,))
+    hd = warping_jet(wg, bundle.point[0], bundle.order + 1).partials()
+    return JetTensor(hd.space, hd.data[0]).embed(bundle.space, (0,))
 
 
 def _fiber_ric0(fb: CurvatureBundle) -> np.ndarray:
@@ -320,8 +262,7 @@ def lgh_closed_forms(
     hderivs = warping_derivatives(wg, b.point[0], 4)
     h, hd, hdd, hddd = hderivs[0], hderivs[1], hderivs[2], hderivs[3]
     zeros = (0,) * (n - 1)
-    fj = f.jet(())
-    f0, ft, ftt = fj.value, fj.partial((1,) + zeros), fj.partial((2,) + zeros)
+    f0, ft, ftt = f.value, f.partial((1,) + zeros), f.partial((2,) + zeros)
 
     lstar_v = analysis.lstar_f.value
     lap_v = float(analysis.lap.value)
@@ -424,8 +365,7 @@ def nonconstant_r_cotton_formulas(wg: WarpedGeometry, b: CurvatureBundle, fb: Cu
         # Theta as a jet field on the total chart: embed the fiber scalar,
         # multiply by h(t)^-2, subtract R/(2(n-1)).
         rbar = fb.scalar_jet.embed(b.space, tuple(range(1, n)))
-        h1 = warping_jet(wg, b.point[0], b.order)
-        h_tot = JetTensor(h1.space, h1.coeffs).embed(b.space, (0,))
+        h_tot = warping_jet(wg, b.point[0], b.order).embed(b.space, (0,))
         theta = rbar / (2.0 * (n - 2.0)) / (h_tot * h_tot) - b.scalar_jet / (2.0 * (n - 1.0))
         dtheta = theta.partials().value
         cbar = fb.cotton.value if fb.dim >= 3 else np.zeros((fb.dim,) * 3)
@@ -482,8 +422,8 @@ def inrp_product_check(wg: WarpedGeometry, analysis: StaticAnalysis, fb: Curvatu
 
     rbar = fb.scalar
     zeros = (0,) * (n - 1)
-    fj = analysis.f.jet(())
-    f0, ftt = fj.value, fj.partial((2,) + zeros)
+    f = analysis.f
+    f0, ftt = f.value, f.partial((2,) + zeros)
     ddotf = ftt + rbar * f0 / (n - 1.0)
 
     full = analysis.vacuum_residuals()["full"]
@@ -495,7 +435,7 @@ def inrp_product_check(wg: WarpedGeometry, analysis: StaticAnalysis, fb: Curvatu
     }
 
 
-def xicvf_two_formulas(triple: StaticTriple, point, order: int = 3, checked: bool = True) -> ResidualSet:
+def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis, checked: bool = True) -> ResidualSet:
     """The two contraction identities tying f, phi, P, and C(., xi, .) together.
 
     Item (1):
@@ -506,16 +446,6 @@ def xicvf_two_formulas(triple: StaticTriple, point, order: int = 3, checked: boo
           = -f_k (n phi_i + R/(n-1) xi^b_i) + f_j P_ji,k + f_k P_li,l
             + (f+a) C_ijk xi^j
     """
-    if triple.xi is None:
-        raise ValueError("triple carries no conformal field")
-    point = np.asarray(point, dtype=float)
-    b = CurvatureBundle(triple.chart, point, order=order)
-    st = StaticAnalysis(b, triple.potential)
-    cf = ConformalAnalysis(b, triple.xi)
-    return xicvf_residuals(st, cf, checked=checked)
-
-
-def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis, checked: bool = True) -> ResidualSet:
     b = st.bundle
     n = b.dim
     if checked:

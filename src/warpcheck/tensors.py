@@ -39,11 +39,6 @@ class TensorValue:
     def dim(self) -> int:
         return self.components.shape[0] if self.rank else 0
 
-    def symmetry_defect(self, axes: tuple[int, int]) -> float:
-        """Max |T - T^swap| over the given axis pair."""
-        swapped = np.swapaxes(self.components, *axes)
-        return float(np.max(np.abs(self.components - swapped))) if self.components.size else 0.0
-
 
 def tensor_norm_sq(components: np.ndarray, variance: tuple[str, ...], g: np.ndarray, ginv: np.ndarray) -> float:
     """Squared g-norm: contract each covariant index with ginv, each contravariant with g."""

@@ -16,7 +16,7 @@ from pytest import approx
 import warpcheck.dsl as dsl
 from warpcheck.conformal import ConformalAnalysis, sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle, curvature_bundle, kulkarni_nomizu
-from warpcheck.jets import Jet, extract_partial, jet_var
+from warpcheck.jets import JetTensor
 from warpcheck.ode import (
     OdeWarpingFunction,
     WarpOdeParams,
@@ -44,15 +44,12 @@ from warpcheck.spaces import (
 from warpcheck.spaces import _assemble_warped
 from warpcheck.statics import (
     StaticAnalysis,
-    StaticTriple,
-    decompose_identities,
     equivalence_clauses,
     icotton_warped_residual,
     lgh_closed_forms,
     nonconstant_r_cotton_formulas,
-    tfe_identity_residual,
     warpedproduct3_residual,
-    xicvf_two_formulas,
+    xicvf_residuals,
 )
 from warpcheck.tensors import TensorValue
 
@@ -316,15 +313,15 @@ def test_criterion_9_parser_and_jets():
             points = [t for t in SAFE_POINTS if _fd_friendly(src, t)][:10]
             assert len(points) >= 10
             for t0 in points:
-                jet = dsl.eval_expr(ast, jet_var(0, t0, 1, 3))
-                if not isinstance(jet, Jet):
+                jet = dsl.eval_expr(ast, JetTensor.variable(0, t0, 1, 3))
+                if not isinstance(jet, JetTensor):
                     continue
 
                 def fn(x, _ast=ast):
                     return dsl.eval_expr(_ast, x)
 
                 for order in (1, 2, 3):
-                    got = extract_partial(jet, (order,))
+                    got = jet.partial((order,))
                     want = central_diff(fn, t0, order, steps[order])
                     assert abs(got - want) <= max(1e-5, 1e-5 * abs(want))
 
@@ -332,15 +329,15 @@ def test_criterion_9_parser_and_jets():
 def test_criterion_10_lemma_battery():
     with Criterion(10, "decomposition, E-T contraction, Cotton contractions, xi-CVF formulas", 60.0):
         wg, pot = basicex_geometry(5, 2)
-        triple = StaticTriple(wg.chart, pot, wg.xi)
         for p in wg.chart.sample_points(15, offset=0):
-            dec = decompose_identities(triple, p)
+            b = CurvatureBundle(wg.chart, p, order=4)
+            st, cf = StaticAnalysis(b, pot), ConformalAnalysis(b, wg.xi)
+            dec = st.decompose_residuals()
             assert dec["riemann_gradient"].rel < 1e-6
             assert dec["cotton_decomposition"].rel < 1e-6
-            assert tfe_identity_residual(triple, p).rel < 1e-6
-            res = xicvf_two_formulas(triple, p)
+            assert st.tfe_defect().rel < 1e-6
+            res = xicvf_residuals(st, cf)
             assert res["item1"].rel < 1e-6 and res["item2"].rel < 1e-6
-            cf = ConformalAnalysis(CurvatureBundle(wg.chart, p, order=4), wg.xi)
             assert cf.cxi_contraction_defect().rel < 1e-6
             assert cf.cxi_divergence_defect().rel < 1e-6
 
@@ -348,14 +345,14 @@ def test_criterion_10_lemma_battery():
         chart = make_sphere_chart(n, 1.0)
         xi = sphere_gradient_field(n, 1.0, axis=1)
         pot_s = sphere_height_potential(n, 1.0, axis=2)  # nlin(3): independent fields
-        triple_s = StaticTriple(chart, pot_s, xi)
         for p in chart.sample_points(15, offset=0):
-            dec = decompose_identities(triple_s, p)
+            b = CurvatureBundle(chart, p, order=4)
+            st, cf = StaticAnalysis(b, pot_s), ConformalAnalysis(b, xi)
+            dec = st.decompose_residuals()
             assert dec["riemann_gradient"].rel < 1e-6
             assert dec["cotton_decomposition"].rel < 1e-6
-            assert tfe_identity_residual(triple_s, p).rel < 1e-6
-            res = xicvf_two_formulas(triple_s, p)
+            assert st.tfe_defect().rel < 1e-6
+            res = xicvf_residuals(st, cf)
             assert res["item1"].rel < 1e-6 and res["item2"].rel < 1e-6
-            cf = ConformalAnalysis(CurvatureBundle(chart, p, order=4), xi)
             assert cf.cxi_contraction_defect().rel < 1e-6
             assert cf.cxi_divergence_defect().rel < 1e-6

@@ -6,19 +6,12 @@ from pytest import approx
 
 from warpcheck.conformal import (
     ConformalAnalysis,
-    characteristic_function,
-    closed_cvf_identities,
-    conformal_residual,
-    cxi_divergence_residual,
-    firstthm_residual,
-    ixi_cotton_residual,
-    p_tensor,
-    phi_tensor,
     rotation_field,
     sphere_gradient_field,
     zero_field,
 )
 from warpcheck.geometry import CurvatureBundle
+from warpcheck.jets import JetTensor
 from warpcheck.residuals import PreconditionSkip
 from warpcheck.spaces import (
     ConformalFieldSpec,
@@ -41,7 +34,7 @@ def analysis(wg_or_chart, field, p, order=4):
 
 def test_characteristic_function_is_hdot(ejiri):
     for p in ejiri.chart.sample_points(20, offset=0):
-        phi = characteristic_function(ejiri.xi, ejiri.chart, p)
+        phi = float(analysis(ejiri.chart, ejiri.xi, p, order=2).phi.value)
         hd = warping_derivatives(ejiri, p[0], 1)[1]
         assert phi == approx(hd, abs=1e-9)
 
@@ -50,8 +43,9 @@ def test_killing_rotation_characteristic_zero():
     chart = make_sphere_chart(2, 1.0)
     rot = rotation_field(2)
     p = np.array([0.3, 0.1])
-    assert characteristic_function(rot, chart, p) == approx(0.0, abs=1e-12)
-    assert conformal_residual(rot, chart, p) < 1e-12
+    cf = analysis(chart, rot, p, order=2)
+    assert float(cf.phi.value) == approx(0.0, abs=1e-12)
+    assert cf.conformal_defect().abs < 1e-12
 
 
 def test_sphere_gradient_field_is_conformal():
@@ -59,8 +53,9 @@ def test_sphere_gradient_field_is_conformal():
         chart = make_sphere_chart(n, 1.0)
         xi = sphere_gradient_field(n, 1.0, axis=n + 1)
         p = chart.sample_points(3, offset=2)[1]
-        assert conformal_residual(xi, chart, p) < 1e-9
-        phi = characteristic_function(xi, chart, p)
+        cf = analysis(chart, xi, p, order=2)
+        assert cf.conformal_defect().abs < 1e-9
+        phi = float(cf.phi.value)
         assert abs(phi) > 1e-3  # genuinely non-Killing
 
 
@@ -69,25 +64,23 @@ def test_sphere_gradient_field_is_conformal():
 
 def test_warped_xi_conformal(ejiri):
     p = np.array([1.1, 0.2, -0.1, 0.3])
-    assert conformal_residual(ejiri.xi, ejiri.chart, p) < 1e-9
+    assert analysis(ejiri.chart, ejiri.xi, p, order=2).conformal_defect().abs < 1e-9
 
 
 def test_non_conformal_witness():
     chart = make_flat_torus_chart(3)
 
     def builder(coords):
-        from warpcheck.jets import Jet
-
-        zero = Jet.constant(0.0, 3, coords[0].order)
+        zero = JetTensor.const(coords[0].space, 0.0)
         return [coords[1] * coords[1], zero, zero]
 
     bad = ConformalFieldSpec(label="shear", builder=builder)
-    assert conformal_residual(bad, chart, np.array([1.0, 2.0, 0.5])) > 0.1
+    assert analysis(chart, bad, np.array([1.0, 2.0, 0.5]), order=2).conformal_defect().abs > 0.1
 
 
 def test_zero_field_residual(ejiri):
     p = np.array([1.1, 0.2, -0.1, 0.3])
-    assert conformal_residual(zero_field(4), ejiri.chart, p) == approx(0.0)
+    assert analysis(ejiri.chart, zero_field(4), p, order=2).conformal_defect().abs == approx(0.0)
 
 
 # -- P tensor -----------------------------------------------------------------------
@@ -95,8 +88,8 @@ def test_zero_field_residual(ejiri):
 
 def test_p_tensor_closed_field(ejiri):
     p = np.array([0.8, 0.2, -0.1, 0.3])
-    pt = p_tensor(ejiri.xi, ejiri.chart, p)
-    assert np.max(np.abs(pt.components)) < 1e-12
+    pt = analysis(ejiri.chart, ejiri.xi, p, order=2).p.value
+    assert np.max(np.abs(pt)) < 1e-12
 
 
 def test_p_tensor_rotation_on_flat_plane():
@@ -104,7 +97,7 @@ def test_p_tensor_rotation_on_flat_plane():
     rot = rotation_field(2)
     values = []
     for p in [np.array([1.0, 2.0]), np.array([4.0, 0.5])]:
-        pt = p_tensor(rot, chart, p).components
+        pt = analysis(chart, rot, p, order=2).p.value
         assert pt == approx(-pt.T)
         values.append(pt[0, 1])
     assert values[0] == approx(values[1])  # constant skew part
@@ -113,7 +106,7 @@ def test_p_tensor_rotation_on_flat_plane():
 
 def test_p_tensor_zero_field(ejiri):
     p = np.array([0.8, 0.2, -0.1, 0.3])
-    assert np.max(np.abs(p_tensor(zero_field(4), ejiri.chart, p).components)) == 0.0
+    assert np.max(np.abs(analysis(ejiri.chart, zero_field(4), p, order=2).p.value)) == 0.0
 
 
 # -- closed-field identities ------------------------------------------------------------
@@ -121,7 +114,7 @@ def test_p_tensor_zero_field(ejiri):
 
 def test_closed_identities_on_ejiri(ejiri):
     p = np.array([0.4, 0.15, -0.2, 0.25])
-    ids = closed_cvf_identities(ejiri.xi, ejiri.chart, p)
+    ids = analysis(ejiri.chart, ejiri.xi, p, order=3).closed_identities()
     for name in ("nabla_xi", "curvature_xi", "ric_xi", "nabla_p", "div_p"):
         assert ids[name].rel < 1e-8, name
 
@@ -130,14 +123,14 @@ def test_closed_identities_on_sphere_gradient():
     chart = make_sphere_chart(4, 1.0)
     xi = sphere_gradient_field(4, 1.0, axis=5)
     p = chart.sample_points(2, offset=7)[0]
-    ids = closed_cvf_identities(xi, chart, p)
+    ids = analysis(chart, xi, p, order=3).closed_identities()
     assert ids["curvature_xi"].rel < 1e-8
     assert ids["ric_xi"].rel < 1e-8
 
 
 def test_rotation_field_skips_closed_subchecks():
     chart = make_flat_torus_chart(3)
-    ids = closed_cvf_identities(rotation_field(3), chart, np.array([1.0, 2.0, 1.5]))
+    ids = analysis(chart, rotation_field(3), np.array([1.0, 2.0, 1.5]), order=3).closed_identities()
     assert "nabla_xi" not in ids  # not closed: (a)/(d)/(e) filtered out
     assert ids["nabla_p"].rel < 1e-10  # general identities still hold
 
@@ -160,14 +153,14 @@ def test_phi_reduces_to_cotton_contraction(basicex52):
 
 def test_phi_zero_field(ejiri):
     p = np.array([0.6, 0.1, 0.1, -0.2])
-    assert np.max(np.abs(phi_tensor(zero_field(4), ejiri.chart, p).components)) < 1e-14
+    assert np.max(np.abs(analysis(ejiri.chart, zero_field(4), p).phi_tensor_jets.value)) < 1e-14
 
 
 def test_phi_killing_on_sphere():
     chart = make_sphere_chart(3, 1.0)
     rot = rotation_field(3)
     p = chart.sample_points(2, offset=3)[0]
-    assert np.max(np.abs(phi_tensor(rot, chart, p).components)) < 1e-10
+    assert np.max(np.abs(analysis(chart, rot, p).phi_tensor_jets.value)) < 1e-10
 
 
 def test_phi_symmetry(expwarp4):
@@ -184,18 +177,18 @@ def test_firstthm_on_spheres(n):
     chart = make_sphere_chart(n, 1.0)
     xi = sphere_gradient_field(n, 1.0, axis=n + 1)
     for p in chart.sample_points(5, offset=0):
-        assert firstthm_residual(xi, chart, p).rel < 1e-7
+        assert analysis(chart, xi, p).firstthm_defect().rel < 1e-7
 
 
 def test_firstthm_on_ejiri(ejiri):
     for p in ejiri.chart.sample_points(5, offset=0):
-        assert firstthm_residual(ejiri.xi, ejiri.chart, p).rel < 1e-7
+        assert analysis(ejiri.chart, ejiri.xi, p).firstthm_defect().rel < 1e-7
 
 
 def test_firstthm_on_basicex(basicex52):
     wg, _ = basicex52
     for p in wg.chart.sample_points(5, offset=0):
-        assert firstthm_residual(wg.xi, wg.chart, p).rel < 1e-7
+        assert analysis(wg.chart, wg.xi, p).firstthm_defect().rel < 1e-7
 
 
 def test_trace_identity(expwarp4):
@@ -222,22 +215,24 @@ def test_ixi_cotton_nonconstant_r():
         WarpedProductSpec.from_strings((-1.0, 1.0), "exp(t/5)", Sphere(3, 1.0))
     )
     for p in wg.chart.sample_points(4, offset=0):
-        assert ixi_cotton_residual(wg.xi, wg.chart, p, mode="closed").rel < 1e-7
-        assert ixi_cotton_residual(wg.xi, wg.chart, p, mode="general").rel < 1e-7
+        cf = analysis(wg.chart, wg.xi, p)
+        assert cf.ixi_cotton_defect("closed").rel < 1e-7
+        assert cf.ixi_cotton_defect("general").rel < 1e-7
 
 
 def test_ixi_cotton_zero_field(ejiri):
     p = np.array([0.6, 0.1, 0.1, -0.2])
-    assert ixi_cotton_residual(zero_field(4), ejiri.chart, p, mode="general").abs < 1e-14
+    assert analysis(ejiri.chart, zero_field(4), p).ixi_cotton_defect("general").abs < 1e-14
 
 
 def test_ixi_cotton_general_non_closed_field():
     chart = make_sphere_chart(3, 1.0)
     rot = rotation_field(3)
     p = chart.sample_points(2, offset=5)[1]
-    assert ixi_cotton_residual(rot, chart, p, mode="general").rel < 1e-8
+    cf = analysis(chart, rot, p)
+    assert cf.ixi_cotton_defect("general").rel < 1e-8
     with pytest.raises(PreconditionSkip):
-        ixi_cotton_residual(rot, chart, p, mode="closed")
+        cf.ixi_cotton_defect("closed")
 
 
 # -- Xi contraction --------------------------------------------------------------------------
@@ -247,9 +242,9 @@ def test_cxi_divergence_on_catalog(ejiri, basicex52):
     wg, _ = basicex52
     for geometry in (ejiri, wg):
         p = geometry.chart.sample_points(3, offset=19)[1]
-        assert cxi_divergence_residual(geometry.xi, geometry.chart, p).rel < 1e-6
+        assert analysis(geometry.chart, geometry.xi, p).cxi_divergence_defect().rel < 1e-6
 
 
 def test_cxi_divergence_zero_field(ejiri):
     p = np.array([0.6, 0.1, 0.1, -0.2])
-    assert cxi_divergence_residual(zero_field(4), ejiri.chart, p).abs < 1e-14
+    assert analysis(ejiri.chart, zero_field(4), p).cxi_divergence_defect().abs < 1e-14

@@ -5,7 +5,7 @@ from pytest import approx
 
 import warpcheck.dsl as dsl
 from warpcheck.dsl import BinOp, Call, Const, ParseError, Var, eval_expr, parse, unparse
-from warpcheck.jets import Jet, extract_partial, jet_var
+from warpcheck.jets import JetTensor
 
 # 32 expressions covering every function and operator of the grammar
 CORPUS = [
@@ -95,21 +95,21 @@ def test_round_trip(src):
 
 def test_eval_sqrt_warping_jet():
     ast = parse("sqrt(2+sin(t))")
-    jet = eval_expr(ast, jet_var(0, 0.0, 1, 2))
+    jet = eval_expr(ast, JetTensor.variable(0, 0.0, 1, 2))
     assert jet.value == approx(math.sqrt(2.0))
-    assert extract_partial(jet, (1,)) == approx(1.0 / (2.0 * math.sqrt(2.0)))
+    assert jet.partial((1,)) == approx(1.0 / (2.0 * math.sqrt(2.0)))
 
 
 def test_eval_cosh_jet_series():
-    jet = eval_expr(parse("cosh(t)"), jet_var(0, 0.0, 1, 4))
-    assert list(jet.coeffs) == approx([1.0, 0.0, 0.5, 0.0, 1.0 / 24.0])
+    jet = eval_expr(parse("cosh(t)"), JetTensor.variable(0, 0.0, 1, 4))
+    assert list(jet.data) == approx([1.0, 0.0, 0.5, 0.0, 1.0 / 24.0])
 
 
 def test_eval_domain_error():
     from warpcheck.jets import JetDomainError
 
     with pytest.raises(JetDomainError):
-        eval_expr(parse("sqrt(t-5)"), jet_var(0, 0.0, 1, 2))
+        eval_expr(parse("sqrt(t-5)"), JetTensor.variable(0, 0.0, 1, 2))
 
 
 def _fd_friendly(src, t0):
@@ -120,12 +120,12 @@ def _fd_friendly(src, t0):
             value = eval_expr(ast, t0 + d)
             if isinstance(value, float) and not math.isfinite(value):
                 return False
-        jet = eval_expr(ast, jet_var(0, t0, 1, 4))
+        jet = eval_expr(ast, JetTensor.variable(0, t0, 1, 4))
     except (ValueError, ZeroDivisionError, OverflowError):
         return False
-    if not isinstance(jet, Jet):
+    if not isinstance(jet, JetTensor):
         return True
-    return max(abs(extract_partial(jet, (k,))) for k in range(5)) < 50.0
+    return max(abs(jet.partial((k,))) for k in range(5)) < 50.0
 
 
 @pytest.mark.parametrize("src", CORPUS)
@@ -136,15 +136,15 @@ def test_derivatives_match_finite_differences(src, fd):
     points = [t for t in SAFE_POINTS if _fd_friendly(src, t)]
     assert len(points) >= 10
     for t0 in points[:10]:
-        result = eval_expr(ast, jet_var(0, t0, 1, 3))
-        if not isinstance(result, Jet):
+        result = eval_expr(ast, JetTensor.variable(0, t0, 1, 3))
+        if not isinstance(result, JetTensor):
             continue  # constant expression
 
         def fn(x):
             return eval_expr(ast, x)
 
         for order in (1, 2, 3):
-            got = extract_partial(result, (order,))
+            got = result.partial((order,))
             want = fd(fn, t0, order, steps[order])
             assert got == approx(want, abs=max(1e-5, 1e-5 * abs(want)))
 
@@ -156,8 +156,8 @@ def test_float_and_jet_paths_agree():
             if not _fd_friendly(src, t0):
                 continue
             as_float = eval_expr(ast, t0)
-            as_jet = eval_expr(ast, jet_var(0, t0, 1, 2))
-            jet_value = as_jet.value if isinstance(as_jet, Jet) else as_jet
+            as_jet = eval_expr(ast, JetTensor.variable(0, t0, 1, 2))
+            jet_value = as_jet.value if isinstance(as_jet, JetTensor) else as_jet
             assert jet_value == approx(as_float, rel=1e-14, abs=1e-14)
 
 

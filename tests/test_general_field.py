@@ -14,7 +14,7 @@ from pytest import approx
 import warpcheck.dsl as dsl
 from warpcheck.conformal import ConformalAnalysis
 from warpcheck.geometry import CurvatureBundle
-from warpcheck.jets import Jet, JetTensor, jt_einsum
+from warpcheck.jets import JetTensor, jt_einsum
 from warpcheck.spaces import (
     ConformalFieldSpec,
     Sphere,
@@ -27,7 +27,7 @@ from warpcheck.statics import warping_derivatives
 def _mixed_field(wg, dim):
     def builder(coords):
         h = wg.warping(coords[0])
-        zero = Jet.constant(0.0, dim, coords[0].order)
+        zero = JetTensor.const(coords[0].space, 0.0)
         comps = [h, -coords[2], coords[1]] + [zero] * (dim - 3)
         return comps
 

@@ -6,13 +6,13 @@ from pytest import approx
 
 from warpcheck.geometry import (
     CurvatureBundle,
+    MetricChart,
     SingularMetricError,
-    christoffel,
     curvature_bundle,
     interior_mult,
     kulkarni_nomizu,
-    riemann,
 )
+from warpcheck.jets import JetShapeError, JetTensor
 from warpcheck.spaces import (
     Sphere,
     WarpedProductSpec,
@@ -36,13 +36,13 @@ def constant_curvature_riemann(g0, kappa):
 
 def test_flat_christoffel_vanishes():
     chart = make_flat_torus_chart(3)
-    gamma = christoffel(chart, np.array([1.0, 2.0, 3.0]))
-    assert np.max(np.abs(gamma.components)) == 0.0
+    gamma = CurvatureBundle(chart, np.array([1.0, 2.0, 3.0]), order=1).gamma.value
+    assert np.max(np.abs(gamma)) == 0.0
 
 
 def test_warped_christoffel_closed_forms(ejiri):
     p = np.array([0.7, 0.2, -0.3, 0.4])
-    gamma = christoffel(ejiri.chart, p).components
+    gamma = CurvatureBundle(ejiri.chart, p, order=1).gamma.value
     h, hd = warping_derivatives(ejiri, p[0], 1)
     gbar = make_sphere_chart(3, 1.0).metric_jets(p[1:], 1).value
     assert gamma[0, 1:, 1:] == approx(-h * hd * gbar, abs=1e-12)
@@ -52,8 +52,8 @@ def test_warped_christoffel_closed_forms(ejiri):
 
 def test_stereographic_origin_christoffel():
     chart = make_sphere_chart(2, 1.0)
-    gamma = christoffel(chart, np.zeros(2))
-    assert np.max(np.abs(gamma.components)) < 1e-14
+    gamma = CurvatureBundle(chart, np.zeros(2), order=1).gamma.value
+    assert np.max(np.abs(gamma)) < 1e-14
 
 
 # -- riemann ---------------------------------------------------------------------
@@ -61,8 +61,8 @@ def test_stereographic_origin_christoffel():
 
 def test_flat_torus_riemann_zero():
     chart = make_flat_torus_chart(3)
-    r = riemann(chart, np.array([0.3, 1.1, 2.0]))
-    assert np.max(np.abs(r.components)) == 0.0
+    r = CurvatureBundle(chart, np.array([0.3, 1.1, 2.0]), order=2).riemann4.value
+    assert np.max(np.abs(r)) == 0.0
 
 
 def test_unit_sphere_sectional_curvature():
@@ -91,7 +91,7 @@ def test_riemann_symmetry_pattern(basicex52):
     """Antisymmetric in (0,1) and (2,3); symmetric under pair swap."""
     wg, _ = basicex52
     p = wg.chart.sample_points(1, offset=5)[0]
-    r4 = riemann(wg.chart, p).components
+    r4 = CurvatureBundle(wg.chart, p, order=2).riemann4.value
     assert np.max(np.abs(r4 + np.swapaxes(r4, 0, 1))) < 1e-10
     assert np.max(np.abs(r4 + np.swapaxes(r4, 2, 3))) < 1e-10
     assert np.max(np.abs(r4 - np.einsum("ijkl->klij", r4))) < 1e-10
@@ -127,11 +127,37 @@ def test_singular_metric_rejected():
         x = coords[0]
         return [[1.0, 0.0, 0.0], [0.0, x * x, 0.0], [0.0, 0.0, 1.0]]
 
-    from warpcheck.geometry import MetricChart
-
     chart = MetricChart(3, "degenerate", builder, (np.full(3, -1.0), np.full(3, 1.0)))
     with pytest.raises(SingularMetricError):
         CurvatureBundle(chart, np.array([0.0, 0.5, 0.5]), order=1).ginv0
+
+
+def _stray_entry(coords, mismatch: str) -> JetTensor:
+    """A scalar jet outside the coordinates' space: one order lower, or one more variable."""
+    x = coords[0]
+    if mismatch == "order":
+        return 1.0 + x.truncate(x.order - 1) * x
+    return 1.0 + JetTensor.variable(0, 0.5, x.space.num_vars + 1, x.order)
+
+
+@pytest.mark.parametrize("mismatch", ["order", "num_vars"])
+def test_metric_builder_mixing_jet_spaces_rejected(mismatch):
+    """Arithmetic truncates to the lower order, so the stacking step must catch a mixed builder."""
+
+    def builder(coords):
+        stray = _stray_entry(coords, mismatch)
+        return [[1.0, 0.0, 0.0], [0.0, stray, 0.0], [0.0, 0.0, 1.0 + coords[2] * coords[2]]]
+
+    chart = MetricChart(3, "mixed", builder, (np.full(3, -1.0), np.full(3, 1.0)))
+    with pytest.raises(JetShapeError):
+        chart.metric_jets(np.array([0.1, 0.2, 0.3]), 3)
+
+
+@pytest.mark.parametrize("mismatch", ["order", "num_vars"])
+def test_vector_field_mixing_jet_spaces_rejected(mismatch):
+    b = CurvatureBundle(make_flat_torus_chart(3), np.array([0.1, 0.2, 0.3]), order=3)
+    with pytest.raises(JetShapeError):
+        b.vector_field(lambda coords: [coords[1], _stray_entry(coords, mismatch), 0.0])
 
 
 def test_insufficient_dim_for_cotton():
@@ -142,8 +168,6 @@ def test_insufficient_dim_for_cotton():
 
 
 def test_insufficient_jet_order_for_cotton_divergence():
-    from warpcheck.jets import JetShapeError
-
     chart = make_sphere_chart(3, 1.0)
     with pytest.raises(JetShapeError, match="insufficient jet order"):
         curvature_bundle(chart, np.array([0.1, 0.2, 0.3]), want_xi_div=True, order=3)
@@ -223,14 +247,12 @@ def test_metric_norm_is_sqrt_dim(ejiri):
 
 
 def test_tensor_norm_op(ejiri):
-    from warpcheck.geometry import tensor_norm
-
     p = np.array([0.5, 0.1, -0.2, 0.3])
     b = CurvatureBundle(ejiri.chart, p, order=1)
     g_value = TensorValue(b.g0, ("l", "l"), p)
-    assert tensor_norm(g_value, ejiri.chart) == approx(2.0, rel=1e-12)
+    assert b.norm(g_value.components, g_value.variance) == approx(2.0, rel=1e-12)
     xi = TensorValue(np.array([1.0, 0.0, 0.0, 0.0]), ("u",), p)
-    assert tensor_norm(xi, ejiri.chart) == approx(1.0, rel=1e-12)  # dt direction is unit
+    assert b.norm(xi.components, xi.variance) == approx(1.0, rel=1e-12)  # dt direction is unit
 
 
 def test_cotton_norm_zero_on_s4():

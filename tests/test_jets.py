@@ -6,156 +6,199 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from warpcheck.jets import (
-    Jet,
-    JetDomainError,
-    JetShapeError,
-    extract_partial,
-    jet_arith,
-    jet_elem,
-    jet_var,
-)
+from warpcheck.jets import JetDomainError, JetShapeError, JetTensor, jet_space
 
 
 def test_coefficient_count_is_binomial():
     for m, k in [(1, 4), (2, 3), (3, 3), (5, 4)]:
-        j = jet_var(0, 0.0, m, k)
-        assert len(j.coeffs) == math.comb(m + k, k)
+        j = JetTensor.variable(0, 0.0, m, k)
+        assert len(j.data) == math.comb(m + k, k)
 
 
 def test_square_of_coordinate():
-    t = jet_var(0, 3.0, 1, 4)
-    sq = jet_arith(t, t, "mul")
+    t = JetTensor.variable(0, 3.0, 1, 4)
+    sq = t * t
     assert sq.value == approx(9.0)
-    assert extract_partial(sq, (1,)) == approx(6.0)
+    assert sq.partial((1,)) == approx(6.0)
     # normalized second coefficient f''/2! = 1
-    assert sq.coeffs[2] == approx(1.0)
+    assert sq.data[2] == approx(1.0)
 
 
 def test_variable_jet_at_zero():
-    t = jet_var(0, 0.0, 1, 2)
-    assert list(t.coeffs) == [0.0, 1.0, 0.0]
+    t = JetTensor.variable(0, 0.0, 1, 2)
+    assert list(t.data) == [0.0, 1.0, 0.0]
 
 
 def test_variable_jet_multivariate():
-    j = jet_var(2, 1.5, 3, 3)
+    j = JetTensor.variable(2, 1.5, 3, 3)
     assert j.value == approx(1.5)
     assert j.space.index[(0, 0, 1)] is not None
-    assert j.coeffs[j.space.index[(0, 0, 1)]] == approx(1.0)
-    assert np.count_nonzero(j.coeffs) == 2
+    assert j.data[j.space.index[(0, 0, 1)]] == approx(1.0)
+    assert np.count_nonzero(j.data) == 2
 
 
 def test_variable_index_out_of_range():
     with pytest.raises(IndexError):
-        jet_var(3, 0.0, 3, 2)
+        JetTensor.variable(3, 0.0, 3, 2)
 
 
 def test_geometric_series():
-    t = jet_var(0, 0.0, 1, 3)
-    inv = jet_arith(Jet.constant(1.0, 1, 3), 1.0 + t, "div")
-    assert list(inv.coeffs) == approx([1.0, -1.0, 1.0, -1.0])
+    t = JetTensor.variable(0, 0.0, 1, 3)
+    inv = JetTensor.const(jet_space(1, 3), 1.0) / (1.0 + t)
+    assert list(inv.data) == approx([1.0, -1.0, 1.0, -1.0])
 
 
 def test_second_derivative_of_product_against_fd(fd):
     t0 = 0.7
-    t = jet_var(0, t0, 1, 2)
-    base = 2.0 + jet_elem(t, "sin")
-    prod = jet_arith(base, base, "mul")
+    t = JetTensor.variable(0, t0, 1, 2)
+    base = 2.0 + t.elem("sin")
+    prod = base * base
 
     def fn(x):
         return (2.0 + math.sin(x)) ** 2
 
-    assert extract_partial(prod, (2,)) == approx(fd(fn, t0, 2, 1e-4), abs=1e-6)
+    assert prod.partial((2,)) == approx(fd(fn, t0, 2, 1e-4), abs=1e-6)
 
 
 def test_sqrt_jet_values(fd):
-    t = jet_var(0, 0.0, 1, 1)
-    j = jet_elem(2.0 + jet_elem(t, "sin"), "sqrt")
+    t = JetTensor.variable(0, 0.0, 1, 1)
+    j = (2.0 + t.elem("sin")).elem("sqrt")
     assert j.value == approx(math.sqrt(2.0))
-    assert extract_partial(j, (1,)) == approx(1.0 / (2.0 * math.sqrt(2.0)))
+    assert j.partial((1,)) == approx(1.0 / (2.0 * math.sqrt(2.0)))
 
     def fn(x):
         return math.sqrt(2.0 + math.sin(x))
 
-    assert extract_partial(j, (1,)) == approx(fd(fn, 0.0, 1, 1e-5), abs=1e-8)
+    assert j.partial((1,)) == approx(fd(fn, 0.0, 1, 1e-5), abs=1e-8)
 
 
 def test_cosh_series():
-    j = jet_elem(jet_var(0, 0.0, 1, 4), "cosh")
-    assert list(j.coeffs) == approx([1.0, 0.0, 0.5, 0.0, 1.0 / 24.0])
+    j = JetTensor.variable(0, 0.0, 1, 4).elem("cosh")
+    assert list(j.data) == approx([1.0, 0.0, 0.5, 0.0, 1.0 / 24.0])
 
 
 def test_log_domain_error():
     with pytest.raises(JetDomainError):
-        jet_elem(Jet.constant(0.0, 1, 3), "log")
+        JetTensor.const(jet_space(1, 3), 0.0).elem("log")
     with pytest.raises(JetDomainError):
-        jet_elem(Jet.constant(-2.0, 1, 3), "sqrt")
+        JetTensor.const(jet_space(1, 3), -2.0).elem("sqrt")
 
 
 def test_extract_partial_t4():
-    t = jet_var(0, 0.0, 1, 4)
+    t = JetTensor.variable(0, 0.0, 1, 4)
     j = t * t * t * t
-    assert extract_partial(j, (4,)) == approx(24.0)
+    assert j.partial((4,)) == approx(24.0)
 
 
 def test_extract_partial_sin_third():
-    j = jet_elem(jet_var(0, 0.0, 1, 4), "sin")
-    assert extract_partial(j, (3,)) == approx(-1.0)
+    j = JetTensor.variable(0, 0.0, 1, 4).elem("sin")
+    assert j.partial((3,)) == approx(-1.0)
 
 
 def test_extract_partial_sqrt_fd(fd):
     t0 = 1.2
-    j = jet_elem(2.0 + jet_elem(jet_var(0, t0, 1, 2), "sin"), "sqrt")
+    j = (2.0 + JetTensor.variable(0, t0, 1, 2).elem("sin")).elem("sqrt")
 
     def fn(x):
         return math.sqrt(2.0 + math.sin(x))
 
-    assert extract_partial(j, (2,)) == approx(fd(fn, t0, 2, 1e-3), abs=1e-5)
+    assert j.partial((2,)) == approx(fd(fn, t0, 2, 1e-3), abs=1e-5)
 
 
 def test_extract_partial_order_overflow():
-    j = jet_var(0, 0.0, 1, 2)
+    j = JetTensor.variable(0, 0.0, 1, 2)
     with pytest.raises(JetShapeError):
-        extract_partial(j, (3,))
+        j.partial((3,))
 
 
 def test_arithmetic_shape_mismatch():
-    a = jet_var(0, 0.0, 1, 2)
-    b = jet_var(0, 0.0, 1, 3)
+    a = JetTensor.variable(0, 0.0, 1, 2)
+    b = JetTensor.variable(0, 0.0, 1, 3)
+    # different orders: the result lives at the lower order
+    total = a + b
+    assert total.space is a.space
+    assert np.array_equal(total.data, a.data + b.data[: a.space.n_coeffs])
+    c = JetTensor.variable(0, 0.0, 2, 2)
     with pytest.raises(JetShapeError):
-        jet_arith(a, b, "add")
-    c = jet_var(0, 0.0, 2, 2)
-    with pytest.raises(JetShapeError):
-        jet_arith(a, c, "mul")
+        a * c
 
 
 def test_division_by_zero_value():
-    a = jet_var(0, 1.0, 1, 2)
-    b = jet_var(0, 0.0, 1, 2)
+    a = JetTensor.variable(0, 1.0, 1, 2)
+    b = JetTensor.variable(0, 0.0, 1, 2)
     with pytest.raises(JetDomainError):
-        jet_arith(a, b, "div")
+        a / b
 
 
 def test_tan_is_sin_over_cos():
     t0 = 0.4
-    t = jet_var(0, t0, 1, 3)
-    tan = jet_elem(t, "tan")
-    quotient = jet_elem(t, "sin") / jet_elem(t, "cos")
-    assert tan.coeffs == approx(quotient.coeffs)
+    t = JetTensor.variable(0, t0, 1, 3)
+    tan = t.elem("tan")
+    quotient = t.elem("sin") / t.elem("cos")
+    assert tan.data == approx(quotient.data)
 
 
 def test_pow_const_matches_exp_log():
-    t = jet_var(0, 2.0, 1, 4)
+    t = JetTensor.variable(0, 2.0, 1, 4)
     base = 1.0 + t * t
-    direct = jet_elem(base, "pow_const", exponent=-1.7)
-    via_exp = jet_elem(jet_elem(base, "log") * (-1.7), "exp")
-    assert direct.coeffs == approx(via_exp.coeffs)
+    direct = base.elem("pow_const", exponent=-1.7)
+    via_exp = (base.elem("log") * (-1.7)).elem("exp")
+    assert direct.data == approx(via_exp.data)
 
 
 def test_integer_power():
-    t = jet_var(0, 1.3, 1, 3)
-    assert (t**3).coeffs == approx((t * t * t).coeffs)
-    assert (t ** (-2)).coeffs == approx((1.0 / (t * t)).coeffs)
+    t = JetTensor.variable(0, 1.3, 1, 3)
+    assert (t**3).data == approx((t * t * t).data)
+    assert (t ** (-2)).data == approx((1.0 / (t * t)).data)
+
+
+# -- scalar methods against the arithmetic they stand for ---------------------
+
+
+def _bits(j: JetTensor) -> bytes:
+    """Exact coefficient bits, so 0.0 and -0.0 differ."""
+    return j.data.tobytes()
+
+
+def _scalar(num_vars: int, order: int) -> JetTensor:
+    x = JetTensor.variable(0, 0.7, num_vars, order)
+    y = JetTensor.variable(num_vars - 1, -0.4, num_vars, order)
+    return 1.5 + x.elem("sin") * y
+
+
+@pytest.mark.parametrize("num_vars, order", [(1, 4), (3, 3)])
+def test_integer_power_is_repeated_product_bitwise(num_vars, order):
+    j = _scalar(num_vars, order)
+    assert _bits(j**3) == _bits(j * j * j)
+    assert _bits(j**3.0) == _bits(j * j * j)
+    assert _bits(j**0) == _bits(JetTensor.const(j.space, 1.0))
+    assert _bits(j**-2) == _bits(j.elem("pow_const", exponent=-2.0))
+    assert _bits(j**9) == _bits(j.elem("pow_const", exponent=9.0))
+    assert _bits(j**0.5) == _bits(j.elem("pow_const", exponent=0.5))
+
+
+@pytest.mark.parametrize("c", [1.0, -2.5, 0.0])
+def test_const_over_jet_bitwise(c):
+    j = _scalar(2, 4)
+    assert _bits(c / j) == _bits(JetTensor.const(j.space, c) / j)
+
+
+def test_const_minus_jet_bitwise():
+    """c - j subtracts coefficient-wise: zero coefficients stay +0.0."""
+    j = JetTensor.variable(0, 0.5, 2, 3)
+    assert _bits(1.0 - j) == _bits(JetTensor.const(j.space, 1.0) - j)
+    assert not np.any(np.signbit((1.0 - j).data[j.space.degrees > 1]))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_partial_is_coefficient_times_factorial(order):
+    x, y = JetTensor.variable(0, 0.4, 2, order), JetTensor.variable(1, -0.9, 2, order)
+    j = (x * y).elem("exp") + y.elem("sin")
+    for slot, alpha in enumerate(j.space.multi_indices):
+        factorial = math.prod(math.factorial(a) for a in alpha)
+        assert j.partial(alpha) == j.data[slot] * float(factorial)
+    with pytest.raises(JetShapeError):
+        j.partial((1,))
 
 
 # -- properties -------------------------------------------------------------
@@ -167,12 +210,12 @@ finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 def test_leibniz_rule(a0, a1, b0, b1):
     """First partials of a product obey the product rule exactly."""
     space_args = (2, 3)
-    a = a0 + a1 * jet_var(0, 0.5, *space_args) * jet_var(1, -0.2, *space_args)
-    b = b0 + b1 * jet_var(1, -0.2, *space_args)
+    a = a0 + a1 * JetTensor.variable(0, 0.5, *space_args) * JetTensor.variable(1, -0.2, *space_args)
+    b = b0 + b1 * JetTensor.variable(1, -0.2, *space_args)
     prod = a * b
     for i, alpha in enumerate([(1, 0), (0, 1)]):
-        expected = extract_partial(a, alpha) * b.value + a.value * extract_partial(b, alpha)
-        assert extract_partial(prod, alpha) == approx(expected, rel=1e-13, abs=1e-13)
+        expected = a.partial(alpha) * b.value + a.value * b.partial(alpha)
+        assert prod.partial(alpha) == approx(expected, rel=1e-13, abs=1e-13)
 
 
 @given(
@@ -184,11 +227,11 @@ def test_leibniz_rule(a0, a1, b0, b1):
 @settings(max_examples=60)
 def test_div_mul_roundtrip(b0, b1, a0, a1):
     """(a/b)*b == a to 1e-13 relative when |b| is bounded away from zero."""
-    a = a0 + a1 * jet_var(0, 0.3, 1, 4) + jet_elem(jet_var(0, 0.3, 1, 4), "sin")
-    b = b0 + b1 * 0.05 * jet_var(0, 0.3, 1, 4)
+    a = a0 + a1 * JetTensor.variable(0, 0.3, 1, 4) + JetTensor.variable(0, 0.3, 1, 4).elem("sin")
+    b = b0 + b1 * 0.05 * JetTensor.variable(0, 0.3, 1, 4)
     back = (a / b) * b
-    scale = np.max(np.abs(a.coeffs)) + 1.0
-    assert np.max(np.abs(back.coeffs - a.coeffs)) <= 1e-13 * scale
+    scale = np.max(np.abs(a.data)) + 1.0
+    assert np.max(np.abs(back.data - a.data)) <= 1e-13 * scale
 
 
 def _random_expression(rng, depth):
@@ -234,18 +277,18 @@ def test_chain_rule_against_finite_differences(fd):
         src = _random_expression(rng, rng.choice([2, 2, 3]))
         ast = dsl.parse(src)
         t0 = rng.uniform(-1.0, 1.0)
-        probe = dsl.eval_expr(ast, jet_var(0, t0, 1, 5))
-        if not isinstance(probe, Jet):
+        probe = dsl.eval_expr(ast, JetTensor.variable(0, t0, 1, 5))
+        if not isinstance(probe, JetTensor):
             continue
-        if max(abs(extract_partial(probe, (k,))) for k in range(6)) > 30.0:
+        if max(abs(probe.partial((k,))) for k in range(6)) > 30.0:
             continue
-        jet = dsl.eval_expr(ast, jet_var(0, t0, 1, 3))
+        jet = dsl.eval_expr(ast, JetTensor.variable(0, t0, 1, 3))
 
         def fn(x, _ast=ast):
             return dsl.eval_expr(_ast, x)
 
         for order in (1, 2, 3):
-            got = extract_partial(jet, (order,))
+            got = jet.partial((order,))
             want = fd(fn, t0, order, steps[order])
             assert got == approx(want, abs=max(1e-5, 1e-5 * abs(want)))
         checked += 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from warpcheck.jets import Jet
+from warpcheck.jets import JetTensor, jet_space
 from warpcheck.ode import (
     NoPeriodicOrbit,
     OdeWarpingFunction,
@@ -214,12 +214,12 @@ def _hdot_evaluator(params, traj, period):
     warping = OdeWarpingFunction(params, traj, period=period)
 
     def f(tj):
-        t0 = tj.value if isinstance(tj, Jet) else float(tj)
-        order = tj.order if isinstance(tj, Jet) else 1
+        t0 = tj.value if isinstance(tj, JetTensor) else float(tj)
+        order = tj.order if isinstance(tj, JetTensor) else 1
         h, v = warping.state_at(t0)
         coeffs = warping._taylor_coeffs(h, v, order + 1)
         deriv = [(j + 1) * coeffs[j + 1] for j in range(order + 1)]
-        out = Jet.constant(deriv[-1], 1, order)
+        out = JetTensor.const(jet_space(1, order), deriv[-1])
         shifted = tj - t0
         for j in range(order - 1, -1, -1):
             out = out * shifted + deriv[j]
@@ -255,7 +255,7 @@ def test_ode_warping_jets_match_analytic():
     traj = integrate_warpedvss(EJIRI, ejiri_h(0.0), ejiri_hdot(0.0), 2 * math.pi, 1e-3)
     warping = OdeWarpingFunction(EJIRI, traj, period=2 * math.pi)
     for t0 in (0.37, 1.234, 4.5):
-        jet = warping(Jet.variable(0, t0, 1, 4))
+        jet = warping(JetTensor.variable(0, t0, 1, 4))
         s = 2.0 + math.sin(t0)
         assert jet.value == approx(math.sqrt(s), abs=1e-10)
         assert jet.partial((1,)) == approx(math.cos(t0) / (2.0 * math.sqrt(s)), abs=1e-10)

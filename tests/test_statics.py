@@ -5,7 +5,7 @@ import pytest
 from pytest import approx
 
 import warpcheck.dsl as dsl
-from warpcheck.conformal import sphere_gradient_field
+from warpcheck.conformal import ConformalAnalysis, sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.residuals import PreconditionSkip
 from warpcheck.spaces import (
@@ -20,23 +20,15 @@ from warpcheck.spaces import (
 )
 from warpcheck.statics import (
     StaticAnalysis,
-    StaticTriple,
-    decompose_identities,
     equivalence_clauses,
-    generalized_residual,
     icotton_warped_residual,
     inrp_product_check,
     lgh_closed_forms,
-    lstar,
     nonconstant_r_cotton_formulas,
     propddoth_check,
-    t_algebra_defects,
     t_potential,
-    t_tensor,
-    tfe_identity_residual,
-    vacuum_static_residual,
     warpedproduct3_residual,
-    xicvf_two_formulas,
+    xicvf_residuals,
 )
 
 
@@ -44,20 +36,29 @@ def constant_potential(c=1.0):
     return StaticPotentialSpec(label=f"const {c}", builder=lambda coords: c)
 
 
+def static(chart, potential, p, order=2):
+    return StaticAnalysis(CurvatureBundle(chart, p, order=order), potential)
+
+
+def xicvf(chart, potential, xi, p):
+    b = CurvatureBundle(chart, p, order=3)
+    return xicvf_residuals(StaticAnalysis(b, potential), ConformalAnalysis(b, xi))
+
+
 # -- L* ---------------------------------------------------------------------------
 
 
 def test_lstar_constant_on_flat_torus():
     chart = make_flat_torus_chart(3)
-    value = lstar(chart, constant_potential(), np.array([1.0, 2.0, 3.0]))
-    assert np.max(np.abs(value.components)) == 0.0
+    value = static(chart, constant_potential(), np.array([1.0, 2.0, 3.0])).lstar_f.value
+    assert np.max(np.abs(value)) == 0.0
 
 
 def test_lstar_basicex_potential(basicex52):
     wg, pot = basicex52
     for p in wg.chart.sample_points(5, offset=0):
         b = CurvatureBundle(wg.chart, p, order=2)
-        assert b.norm(lstar(wg.chart, pot, p).components, ("l", "l")) < 1e-8
+        assert b.norm(static(wg.chart, pot, p).lstar_f.value, ("l", "l")) < 1e-8
 
 
 def test_lstar_constant_on_sphere():
@@ -65,10 +66,10 @@ def test_lstar_constant_on_sphere():
     chart = make_sphere_chart(n, 1.0)
     p = chart.sample_points(2, offset=1)[0]
     b = CurvatureBundle(chart, p, order=2)
-    value = lstar(chart, constant_potential(), p)
+    value = static(chart, constant_potential(), p).lstar_f.value
     # f == 1 gives -Ric, with norm (n-1) sqrt(n)
-    assert value.components == approx(-b.ric.value, abs=1e-10)
-    assert b.norm(value.components, ("l", "l")) == approx((n - 1) * math.sqrt(n), rel=1e-9)
+    assert value == approx(-b.ric.value, abs=1e-10)
+    assert b.norm(value, ("l", "l")) == approx((n - 1) * math.sqrt(n), rel=1e-9)
 
 
 def test_lstar_trace_identity(basicex52):
@@ -90,9 +91,8 @@ def test_lstar_trace_identity(basicex52):
 
 def test_vss_residuals_basicex(basicex41):
     wg, pot = basicex41
-    triple = StaticTriple(wg.chart, pot)
     for p in wg.chart.sample_points(5, offset=0):
-        res = vacuum_static_residual(triple, p)
+        res = static(wg.chart, pot, p).vacuum_residuals()
         assert res["full"].rel < 1e-8
         assert res["trace"].rel < 1e-8
         assert res["trace_free"].rel < 1e-8
@@ -104,18 +104,16 @@ def test_height_with_shift_gives_trace_nb():
     chart = make_sphere_chart(n, 1.0)
     shift = 0.37
     pot = sphere_height_potential(n, 1.0, axis=n + 1, shift=shift)
-    triple = StaticTriple(chart, pot)
     p = chart.sample_points(2, offset=5)[0]
-    res = vacuum_static_residual(triple, p)
+    res = static(chart, pot, p).vacuum_residuals()
     assert res["trace"].abs == approx(n * pot.b, rel=1e-9)
     # and it is an exact solution of the generalized equation
-    assert generalized_residual(triple, p).rel < 1e-10
+    assert static(chart, pot, p).generalized_defect().rel < 1e-10
 
 
 def test_vss_zero_potential_evaluable(basicex41):
     wg, _ = basicex41
-    triple = StaticTriple(wg.chart, constant_potential(0.0))
-    res = vacuum_static_residual(triple, wg.chart.sample_points(1, offset=0)[0])
+    res = static(wg.chart, constant_potential(0.0), wg.chart.sample_points(1, offset=0)[0]).vacuum_residuals()
     assert res["full"].abs == approx(0.0)
 
 
@@ -123,14 +121,14 @@ def test_generalized_reduces_to_vss(basicex52):
     wg, pot = basicex52
     p = wg.chart.sample_points(1, offset=3)[0]
     assert pot.a == 0.0 and pot.b == 0.0
-    assert generalized_residual(StaticTriple(wg.chart, pot), p).rel < 1e-10
+    assert static(wg.chart, pot, p).generalized_defect().rel < 1e-10
 
 
 def test_generalized_random_potential_fails(basicex52):
     wg, _ = basicex52
     bad = StaticPotentialSpec(label="bad", builder=lambda c: c[0] * c[0] + c[1].elem("sin"))
     p = wg.chart.sample_points(1, offset=1)[0]
-    assert generalized_residual(StaticTriple(wg.chart, bad), p).abs > 0.1
+    assert static(wg.chart, bad, p).generalized_defect().abs > 0.1
 
 
 # -- T tensor ---------------------------------------------------------------------------
@@ -139,27 +137,26 @@ def test_generalized_random_potential_fails(basicex52):
 def test_t_tensor_einstein_chart_zero():
     chart = make_sphere_chart(4, 1.0)
     pot = sphere_height_potential(4, 1.0, axis=5)
-    value = t_tensor(StaticTriple(chart, pot), chart.sample_points(1, offset=2)[0])
-    assert np.max(np.abs(value.components)) < 1e-12
+    value = static(chart, pot, chart.sample_points(1, offset=2)[0]).t_jets.value
+    assert np.max(np.abs(value)) < 1e-12
 
 
 def test_t_tensor_nonzero_on_basicex(basicex52):
     wg, pot = basicex52
-    value = t_tensor(StaticTriple(wg.chart, pot), wg.chart.sample_points(1, offset=5)[0])
-    assert np.max(np.abs(value.components)) > 0.1
+    value = static(wg.chart, pot, wg.chart.sample_points(1, offset=5)[0]).t_jets.value
+    assert np.max(np.abs(value)) > 0.1
 
 
 def test_t_tensor_constant_potential_zero(basicex52):
     wg, _ = basicex52
-    value = t_tensor(StaticTriple(wg.chart, constant_potential()), wg.chart.sample_points(1, offset=5)[0])
-    assert np.max(np.abs(value.components)) < 1e-12
+    value = static(wg.chart, constant_potential(), wg.chart.sample_points(1, offset=5)[0]).t_jets.value
+    assert np.max(np.abs(value)) < 1e-12
 
 
 def test_t_algebra(basicex52):
     wg, pot = basicex52
-    triple = StaticTriple(wg.chart, pot)
     for p in wg.chart.sample_points(4, offset=0):
-        defects = t_algebra_defects(triple, p)
+        defects = static(wg.chart, pot, p).t_algebra()
         for name, res in defects.items():
             assert res.rel < 1e-10, name
 
@@ -169,9 +166,8 @@ def test_t_algebra(basicex52):
 
 def test_decompose_on_basicex(basicex52):
     wg, pot = basicex52
-    triple = StaticTriple(wg.chart, pot)
     for p in wg.chart.sample_points(4, offset=0):
-        res = decompose_identities(triple, p)
+        res = static(wg.chart, pot, p, order=3).decompose_residuals()
         assert res["riemann_gradient"].rel < 1e-7
         assert res["cotton_decomposition"].rel < 1e-7
 
@@ -181,7 +177,7 @@ def test_decompose_on_sphere_both_sides_vanish():
     chart = make_sphere_chart(n, 1.0)
     pot = sphere_height_potential(n, 1.0, axis=n + 1)
     p = chart.sample_points(1, offset=3)[0]
-    res = decompose_identities(StaticTriple(chart, pot), p)
+    res = static(chart, pot, p, order=3).decompose_residuals()
     assert res["cotton_decomposition"].abs < 1e-12
 
 
@@ -189,23 +185,21 @@ def test_decompose_skips_non_solution(basicex52):
     wg, _ = basicex52
     bad = StaticPotentialSpec(label="bad", builder=lambda c: c[0] * c[0])
     with pytest.raises(PreconditionSkip):
-        decompose_identities(StaticTriple(wg.chart, bad), wg.chart.sample_points(1, offset=0)[0])
+        static(wg.chart, bad, wg.chart.sample_points(1, offset=0)[0], order=3).decompose_residuals()
 
 
 def test_tfe_identity(basicex52, basicex41):
     for wg, pot in (basicex52, basicex41):
-        triple = StaticTriple(wg.chart, pot)
         for p in wg.chart.sample_points(3, offset=0):
-            assert tfe_identity_residual(triple, p).rel < 1e-7
+            assert static(wg.chart, pot, p).tfe_defect().rel < 1e-7
 
 
 def test_tfe_identity_n5k1():
     from warpcheck.spaces import basicex_geometry
 
     wg, pot = basicex_geometry(5, 1)
-    triple = StaticTriple(wg.chart, pot)
     p = wg.chart.sample_points(2, offset=1)[1]
-    assert tfe_identity_residual(triple, p).rel < 1e-7
+    assert static(wg.chart, pot, p).tfe_defect().rel < 1e-7
 
 
 # -- warped closed forms of L* -------------------------------------------------------------------------
@@ -406,9 +400,8 @@ def test_inrp_requires_unit_warping(ejiri, point_scratch):
 
 def test_xicvf_on_basicex(basicex52):
     wg, pot = basicex52
-    triple = StaticTriple(wg.chart, pot, wg.xi)
     for p in wg.chart.sample_points(3, offset=0):
-        res = xicvf_two_formulas(triple, p)
+        res = xicvf(wg.chart, pot, wg.xi, p)
         assert res["item1"].rel < 1e-6
         assert res["item2"].rel < 1e-6
 
@@ -419,9 +412,8 @@ def test_xicvf_sphere_linearly_independent_fields():
     chart = make_sphere_chart(n, 1.0)
     xi = sphere_gradient_field(n, 1.0, axis=1)
     pot = sphere_height_potential(n, 1.0, axis=2)
-    triple = StaticTriple(chart, pot, xi)
     for p in chart.sample_points(4, offset=0):
-        res = xicvf_two_formulas(triple, p)
+        res = xicvf(chart, pot, xi, p)
         assert res["item1"].rel < 1e-6
         assert res["item2"].rel < 1e-6
 
@@ -432,7 +424,7 @@ def test_xicvf_with_shift_constant():
     xi = sphere_gradient_field(n, 1.0, axis=1)
     pot = sphere_height_potential(n, 1.0, axis=2, shift=0.3)
     p = chart.sample_points(2, offset=9)[1]
-    res = xicvf_two_formulas(StaticTriple(chart, pot, xi), p)
+    res = xicvf(chart, pot, xi, p)
     assert res["item1"].rel < 1e-6
     assert res["item2"].rel < 1e-6
 
@@ -441,8 +433,7 @@ def test_xicvf_zero_field_trivial(basicex52):
     from warpcheck.conformal import zero_field
 
     wg, pot = basicex52
-    triple = StaticTriple(wg.chart, pot, zero_field(5))
-    res = xicvf_two_formulas(triple, wg.chart.sample_points(1, offset=2)[0])
+    res = xicvf(wg.chart, pot, zero_field(5), wg.chart.sample_points(1, offset=2)[0])
     assert res["item1"].abs < 1e-12
     assert res["item2"].abs < 1e-12
 
