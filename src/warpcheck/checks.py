@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -20,12 +21,14 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import dsl
+from . import dsl, statics
 from .conformal import ConformalAnalysis, rotation_field, sphere_gradient_field, zero_field
 from .geometry import CurvatureBundle, MetricChart, SingularMetricError
 from .jets import JetDomainError
 from .ode import (
+    NoPeriodicOrbit,
     OdeWarpingFunction,
+    PositivityLost,
     WarpOdeParams,
     c1_for_fiber_scalar,
     find_periodic_solution,
@@ -42,7 +45,9 @@ from .spaces import (
     StaticPotentialSpec,
     WarpedGeometry,
     WarpedProductSpec,
+    _assemble_warped,
     basicex_geometry,
+    basicex_potential,
     build_fiber,
     build_warped_geometry,
     hyperbolic_static_potential,
@@ -68,8 +73,8 @@ __all__ = [
     "RunConfig",
     "CheckOutcome",
     "VerificationReport",
-    "CHECK_DESCRIPTIONS",
-    "DEFAULT_TOLERANCES",
+    "Check",
+    "CHECKS",
     "SPACE_KINDS",
     "POTENTIAL_BUILTINS",
     "FIELD_BUILTINS",
@@ -83,67 +88,6 @@ __all__ = [
 class ConfigError(ValueError):
     """Run-config schema violation; message carries the offending field path."""
 
-
-# -- registry ------------------------------------------------------------------
-
-CHECK_DESCRIPTIONS = {
-    "vss_residual": "vacuum static equation: full, trace, and trace-free residuals",
-    "lgh_forms": "closed forms of L* on warped products (all slots + warped Laplacian)",
-    "wp3_identity": "L* hdot = -C(.,xi,.) on constant-scalar warped products",
-    "icotton_zero": "i_{d/dt} C = 0 on constant-scalar warped products",
-    "nein3_forms": "explicit warped Cotton components (nonconstant scalar allowed)",
-    "t_algebra": "T-tensor antisymmetry, cyclic sum, and traces",
-    "tfe_identity": "contraction identity E_ik T_ijk f_j = (n-2)/(2(n-1)) |T|^2",
-    "decompose_ids": "curvature decomposition identities for generalized solutions",
-    "xicvf_forms": "two contraction formulas tying f, phi, P, and C(.,xi,.)",
-    "propddoth": "h*fbar assembly: fiber + warping equations imply the total equation",
-    "inrp": "product criterion: f'' + Rbar f/(n-1) = 0 over an Einstein fiber",
-    "firstthm": "L* phi = Phi for the characteristic function of a conformal field",
-    "ixi_cotton": "i_xi C formula (general form; closed reduction when applicable)",
-    "cxi_div": "Xi_ik xi^i = 0 for closed fields with constant scalar curvature",
-    "equiv_chain": "joint verdict of the four warped vacuum-static equivalence clauses",
-}
-
-DEFAULT_TOLERANCES = {
-    "vss_residual": 1e-8,
-    "lgh_forms": 1e-8,
-    "wp3_identity": 1e-8,
-    "icotton_zero": 1e-8,
-    "nein3_forms": 1e-7,
-    "t_algebra": 1e-10,
-    "tfe_identity": 1e-7,
-    "decompose_ids": 1e-7,
-    "xicvf_forms": 1e-6,
-    "propddoth": 1e-8,
-    "inrp": 1e-8,
-    "firstthm": 1e-7,
-    "ixi_cotton": 1e-7,
-    "cxi_div": 1e-6,
-    "equiv_chain": 1e-6,
-}
-
-_CHECK_ORDER = {
-    "vss_residual": 2,
-    "t_algebra": 2,
-    "tfe_identity": 2,
-    "propddoth": 2,
-    "inrp": 2,
-    "lgh_forms": 3,
-    "wp3_identity": 3,
-    "icotton_zero": 3,
-    "nein3_forms": 3,
-    "decompose_ids": 3,
-    "xicvf_forms": 3,
-    "equiv_chain": 3,
-    "firstthm": 4,
-    "ixi_cotton": 4,
-    "cxi_div": 4,
-}
-
-_NEEDS_WARPED = {"lgh_forms", "wp3_identity", "icotton_zero", "nein3_forms", "propddoth", "inrp", "equiv_chain"}
-_NEEDS_POTENTIAL = {"vss_residual", "t_algebra", "tfe_identity", "decompose_ids", "xicvf_forms"}
-_NEEDS_FIELD = {"firstthm", "ixi_cotton", "cxi_div", "xicvf_forms"}
-_NEEDS_CONSTANT_R = {"wp3_identity", "icotton_zero", "cxi_div"}
 
 SPACE_KINDS = ("sphere", "hyperbolic", "flat_torus", "product", "warped", "basicex", "ode_warped")
 POTENTIAL_BUILTINS = ("warped_hdot", "basicex", "sphere_height", "hyperbolic_x0")
@@ -186,16 +130,18 @@ class RunConfig:
         expect("checks" in raw, "checks", "missing required field")
         expect(isinstance(raw["checks"], list) and raw["checks"], "checks", "must be a nonempty list")
         for i, c in enumerate(raw["checks"]):
-            expect(c in CHECK_DESCRIPTIONS, f"checks[{i}]", f"unknown check id {c!r}")
+            expect(c in CHECKS, f"checks[{i}]", f"unknown check id {c!r}")
         samples = raw.get("samples", 100)
-        expect(isinstance(samples, int) and samples >= 1, "samples", "must be an integer >= 1")
+        expect(type(samples) is int and samples >= 1, "samples", "must be an integer >= 1")  # JSON true is no int
         offset = raw.get("offset", 0)
-        expect(isinstance(offset, int) and offset >= 0, "offset", "must be an integer >= 0")
+        expect(type(offset) is int and offset >= 0, "offset", "must be an integer >= 0")
         tols = raw.get("tolerances", {})
         expect(isinstance(tols, dict), "tolerances", "must be an object")
         for key, value in tols.items():
-            expect(key in CHECK_DESCRIPTIONS, f"tolerances.{key}", "unknown check id")
-            expect(isinstance(value, (int, float)) and value > 0, f"tolerances.{key}", "must be positive")
+            expect(key in CHECKS, f"tolerances.{key}", "unknown check id")
+            # an infinite tolerance would PASS a non-finite residual; so would an int beyond float range
+            finite = isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= sys.float_info.max
+            expect(finite, f"tolerances.{key}", "must be a finite positive number")
         pot = raw.get("potential")
         expect(pot is None or isinstance(pot, dict), "potential", "must be an object")
         fld = raw.get("field")
@@ -219,7 +165,7 @@ class RunConfig:
         )
 
     def tolerance(self, check: str) -> float:
-        return float(self.tolerances.get(check, DEFAULT_TOLERANCES[check]))
+        return float(self.tolerances.get(check, CHECKS[check].tolerance))
 
 
 def _fiber_from_dict(raw: dict, path: str) -> FiberSpec:
@@ -246,7 +192,7 @@ class CheckContext:
     warped: WarpedGeometry | None = None
     potential: StaticPotentialSpec | None = None
     fld: ConformalFieldSpec | None = None
-    potential_t_ast: dsl.ExprAst | None = None
+    potential_of_t: bool = False  # the potential is a configured t-expression f(t)
 
 
 def build_context(config: RunConfig) -> CheckContext:
@@ -292,10 +238,8 @@ def build_context(config: RunConfig) -> CheckContext:
 
     potential = _build_potential(config, space, chart)
     fld = _build_field(config, chart, warped)
-    pot_ast = None
-    if config.potential and "potential_t" in config.potential:
-        pot_ast = dsl.parse(config.potential["potential_t"])
-    return CheckContext(chart=chart, warped=warped, potential=potential, fld=fld, potential_t_ast=pot_ast)
+    potential_of_t = config.potential is not None and "potential_t" in config.potential
+    return CheckContext(chart, warped, potential, fld, potential_of_t)
 
 
 def _build_ode_warped(space: dict) -> WarpedGeometry:
@@ -320,15 +264,11 @@ def _build_ode_warped(space: dict) -> WarpedGeometry:
         c1 = c1_for_fiber_scalar(n, scalar, fiber_chart.known_scalar, h0, hdot0)
     params = WarpOdeParams(n, scalar, fiber_chart.known_scalar, c1)
     dt = float(space.get("dt", 1e-3))
-    from .ode import NoPeriodicOrbit, PositivityLost
-
     try:
         traj, period = find_periodic_solution(params, h0, dt=dt)
     except (NoPeriodicOrbit, PositivityLost) as exc:
         raise ConfigError(f"space: no periodic warping for these parameters ({exc})") from exc
     warping = OdeWarpingFunction(params, traj, period=period or None)
-    from .spaces import _assemble_warped
-
     label = f"S^1 x_h {fiber_chart.label} [h: ode n={n} R={scalar:g} c1={c1:g}]"
     return _assemble_warped(warping, fiber_chart, (0.0, period if period > 0 else 1.0), True, label)
 
@@ -337,8 +277,6 @@ def _build_potential(config: RunConfig, space: dict, chart: MetricChart) -> Stat
     pot = config.potential
     if pot is None:
         if space["kind"] == "basicex":
-            from .spaces import basicex_potential
-
             return basicex_potential(int(space["n"]), int(space["k"]))
         return None
     if "builtin" in pot and "potential_t" in pot:
@@ -348,8 +286,6 @@ def _build_potential(config: RunConfig, space: dict, chart: MetricChart) -> Stat
         if name == "warped_hdot":
             return None  # handled as hdot jets by the checks that use it
         if name == "basicex":
-            from .spaces import basicex_potential
-
             return basicex_potential(int(space["n"]), int(space["k"]))
         if name == "sphere_height":
             return sphere_height_potential(
@@ -471,13 +407,11 @@ def _eval_decompose(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
 
 
 def _eval_xicvf(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    from .statics import xicvf_residuals
-
-    return xicvf_residuals(sc.static, sc.conformal)
+    return statics.xicvf_residuals(sc.static, sc.conformal)
 
 
 def _eval_lgh(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    if ctx.potential_t_ast is not None:
+    if ctx.potential_of_t:
         return lgh_closed_forms(ctx.warped, sc.static, sc.fiber)
     return lgh_closed_forms(ctx.warped, sc.hdot, sc.fiber, use_hdot=True)
 
@@ -506,7 +440,7 @@ def _eval_propddoth(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
 
 
 def _eval_inrp(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    if ctx.potential_t_ast is None:
+    if not ctx.potential_of_t:
         raise PreconditionSkip("product criterion needs a t-expression potential")
     return inrp_product_check(ctx.warped, sc.static, sc.fiber)
 
@@ -543,23 +477,80 @@ def _eval_cxi(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
     }
 
 
-_EVALUATORS: dict[str, Callable[[CheckContext, PointScratch], dict[str, Residual]]] = {
-    "vss_residual": _eval_vss,
-    "t_algebra": _eval_t_algebra,
-    "tfe_identity": _eval_tfe,
-    "decompose_ids": _eval_decompose,
-    "xicvf_forms": _eval_xicvf,
-    "lgh_forms": _eval_lgh,
-    "wp3_identity": _eval_wp3,
-    "icotton_zero": _eval_icotton,
-    "nein3_forms": _eval_nein3,
-    "propddoth": _eval_propddoth,
-    "inrp": _eval_inrp,
-    "firstthm": _eval_firstthm,
-    "ixi_cotton": _eval_ixi,
-    "cxi_div": _eval_cxi,
-    "equiv_chain": _eval_equiv,
+def _equiv_verdict(out: CheckOutcome) -> None:
+    """The chain holds when its four clauses agree: all below tolerance or none."""
+    verdicts = [value < out.tolerance for value in out.details.values()]
+    coherent = len(set(verdicts)) == 1
+    out.details = {f"max_{key}": value for key, value in out.details.items()}
+    out.details["all_below_tol"] = float(all(verdicts))
+    out.status = "PASS" if coherent else "FAIL"
+    out.max_abs_residual = out.max_rel_residual = 0.0 if coherent else 1.0
+    out.reason = None if coherent else "equivalence clauses disagree"
+    out.worst_point = None
+    out.point_rows = []
+
+
+# -- registry --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """Everything the suite runner knows about one check id.
+
+    ``order`` is the jet order of the point bundle the evaluator needs, and
+    ``fiber_order`` that of the fiber bundle.  ``needs`` names the context
+    the check cannot run without: ``warped``, ``potential``, ``field`` and
+    ``constant_r`` (the scalar curvature is constant over the samples).
+    ``settle``, if set, replaces the tolerance verdict when every point gave finite residuals.
+    """
+
+    description: str
+    tolerance: float
+    order: int
+    evaluate: Callable[[CheckContext, PointScratch], dict[str, Residual]]
+    needs: frozenset[str]
+    fiber_order: int = 2
+    settle: Callable[[CheckOutcome], None] | None = None
+
+
+CHECKS: dict[str, Check] = {
+    "vss_residual": Check("vacuum static equation: full, trace, and trace-free residuals",
+        1e-8, 2, _eval_vss, frozenset({"potential"})),
+    "lgh_forms": Check("closed forms of L* on warped products (all slots + warped Laplacian)",
+        1e-8, 3, _eval_lgh, frozenset({"warped"})),
+    "wp3_identity": Check("L* hdot = -C(.,xi,.) on constant-scalar warped products",
+        1e-8, 3, _eval_wp3, frozenset({"warped", "constant_r"})),
+    "icotton_zero": Check("i_{d/dt} C = 0 on constant-scalar warped products",
+        1e-8, 3, _eval_icotton, frozenset({"warped", "constant_r"})),
+    # the fiber's Cotton tensor takes a third-order fiber bundle
+    "nein3_forms": Check("explicit warped Cotton components (nonconstant scalar allowed)",
+        1e-7, 3, _eval_nein3, frozenset({"warped"}), fiber_order=3),
+    "t_algebra": Check("T-tensor antisymmetry, cyclic sum, and traces",
+        1e-10, 2, _eval_t_algebra, frozenset({"potential"})),
+    "tfe_identity": Check("contraction identity E_ik T_ijk f_j = (n-2)/(2(n-1)) |T|^2",
+        1e-7, 2, _eval_tfe, frozenset({"potential"})),
+    "decompose_ids": Check("curvature decomposition identities for generalized solutions",
+        1e-7, 3, _eval_decompose, frozenset({"potential"})),
+    "xicvf_forms": Check("two contraction formulas tying f, phi, P, and C(.,xi,.)",
+        1e-6, 3, _eval_xicvf, frozenset({"potential", "field"})),
+    "propddoth": Check("h*fbar assembly: fiber + warping equations imply the total equation",
+        1e-8, 2, _eval_propddoth, frozenset({"warped"})),
+    "inrp": Check("product criterion: f'' + Rbar f/(n-1) = 0 over an Einstein fiber",
+        1e-8, 2, _eval_inrp, frozenset({"warped"})),
+    "firstthm": Check("L* phi = Phi for the characteristic function of a conformal field",
+        1e-7, 4, _eval_firstthm, frozenset({"field"})),
+    "ixi_cotton": Check("i_xi C formula (general form; closed reduction when applicable)",
+        1e-7, 4, _eval_ixi, frozenset({"field"})),
+    "cxi_div": Check("Xi_ik xi^i = 0 for closed fields with constant scalar curvature",
+        1e-6, 4, _eval_cxi, frozenset({"field", "constant_r"})),
+    "equiv_chain": Check("joint verdict of the four warped vacuum-static equivalence clauses",
+        1e-6, 3, _eval_equiv, frozenset({"warped"}), settle=_equiv_verdict),
 }
+
+# A view, not a second table: run_suite looks its evaluator up here at call
+# time, so a wrapper set into this dict (a tracer, a residual guard) is the
+# one that runs.
+_EVALUATORS = {name: c.evaluate for name, c in CHECKS.items()}
 
 
 # -- outcomes and report -----------------------------------------------------------
@@ -680,19 +671,6 @@ def _scalar_survey(scratches: deque[PointScratch]) -> tuple[bool, float, float]:
     return constant, mean, hi - lo
 
 
-def _equiv_verdict(out: CheckOutcome) -> None:
-    """The chain holds when its four clauses agree: all below tolerance or none."""
-    verdicts = [value < out.tolerance for value in out.details.values()]
-    coherent = len(set(verdicts)) == 1
-    out.details = {f"max_{key}": value for key, value in out.details.items()}
-    out.details["all_below_tol"] = float(all(verdicts))
-    out.status = "PASS" if coherent else "FAIL"
-    out.max_abs_residual = out.max_rel_residual = 0.0 if coherent else 1.0
-    out.reason = None if coherent else "equivalence clauses disagree"
-    out.worst_point = None
-    out.point_rows = []
-
-
 def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> VerificationReport:
     """Execute the configured checks over the chart's Halton samples.
 
@@ -709,26 +687,27 @@ def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> Ve
     else:
         points = ctx.chart.sample_points(config.samples, config.offset)
 
-    order = max(_CHECK_ORDER[check] for check in config.checks)
-    fiber_order = 3 if "nein3_forms" in config.checks else 2  # nein3 needs the fiber Cotton tensor
+    specs = [CHECKS[check] for check in config.checks]
+    order = max(spec.order for spec in specs)
+    fiber_order = max(spec.fiber_order for spec in specs)
     scratches = deque(PointScratch(ctx, p, order, fiber_order) for p in points)
 
     # overflow at a point shows as a non-finite residual, which FAILs with that point
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r_constant, r_mean, r_spread = (True, 0.0, 0.0)
-        if _NEEDS_CONSTANT_R.intersection(config.checks):
+        if any("constant_r" in spec.needs for spec in specs):
             r_constant, r_mean, r_spread = _scalar_survey(scratches)
 
         outcomes: list[CheckOutcome] = []
-        for check in config.checks:
+        for check, spec in zip(config.checks, specs):
             skip = None
-            if check in _NEEDS_WARPED and ctx.warped is None:
+            if "warped" in spec.needs and ctx.warped is None:
                 skip = "needs a warped space"
-            elif check in _NEEDS_POTENTIAL and ctx.potential is None and ctx.warped is None:
+            elif "potential" in spec.needs and ctx.potential is None and ctx.warped is None:
                 skip = "needs a potential"
-            elif check in _NEEDS_FIELD and ctx.fld is None:
+            elif "field" in spec.needs and ctx.fld is None:
                 skip = "needs a conformal field"
-            elif check in _NEEDS_CONSTANT_R and not r_constant:
+            elif "constant_r" in spec.needs and not r_constant:
                 skip = f"scalar curvature not constant (spread {r_spread:.3e} about {r_mean:.6g})"
             # a PASS here is provisional: the status settles after the point loop
             outcomes.append(CheckOutcome(check, "SKIP" if skip else "PASS", config.tolerance(check), reason=skip))
@@ -751,12 +730,12 @@ def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> Ve
                     out.add(sc.point, residuals)
                 out.wall_time += time.perf_counter() - start
 
-    for out in outcomes:
+    for out, spec in zip(outcomes, specs):
         if out.status == "SKIP":
             continue
         out.status = "PASS" if out.max_rel_residual <= out.tolerance else "FAIL"
-        if out.check == "equiv_chain" and out.reason is None:
-            _equiv_verdict(out)
+        if spec.settle is not None and out.reason is None:
+            spec.settle(out)
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     skip_reasons = []
     for outcome in outcomes:

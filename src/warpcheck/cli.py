@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .checks import (
-    CHECK_DESCRIPTIONS,
+    CHECKS,
     EXAMPLE_CONFIGS,
     FIELD_BUILTINS,
     POTENTIAL_BUILTINS,
@@ -128,7 +128,7 @@ def _cmd_example(args) -> int:
 
 def _run_and_emit(raw: dict, args) -> int:
     try:
-        if getattr(args, "samples", None):
+        if getattr(args, "samples", None) is not None:
             raw = dict(raw, samples=args.samples)
         config = RunConfig.from_dict(raw)
         point = None
@@ -184,8 +184,8 @@ def _cmd_list() -> int:
     for name in FIELD_BUILTINS:
         print(f"  {name}")
     print("checks:")
-    for check in sorted(CHECK_DESCRIPTIONS):
-        print(f"  {check}: {CHECK_DESCRIPTIONS[check]}")
+    for name, check in sorted(CHECKS.items()):
+        print(f"  {name}: {check.description} [tol {check.tolerance:g}]")
     print("examples:")
     for name in sorted(EXAMPLE_CONFIGS):
         print(f"  {name}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from warpcheck.checks import (
-    CHECK_DESCRIPTIONS,
+    CHECKS,
     ConfigError,
     EXAMPLE_CONFIGS,
     RunConfig,
@@ -144,6 +144,15 @@ def test_config_validation_errors():
                 "tolerances": {"firstthm": -1.0},
             }
         )
+    sphere = {"space": {"kind": "sphere", "dim": 3}, "checks": ["firstthm"]}
+    # an infinite tolerance would PASS a non-finite residual; JSON 1e309 parses as inf, 10**400 overflows a float
+    for tol in (math.inf, json.loads("1e309"), 10**400, math.nan, True, "1e-8"):
+        with pytest.raises(ConfigError, match="tolerances.firstthm: must be a finite positive number"):
+            RunConfig.from_dict(dict(sphere, tolerances={"firstthm": tol}))
+    assert RunConfig.from_dict(dict(sphere, tolerances={"firstthm": 1})).tolerance("firstthm") == 1.0
+    for key in ("samples", "offset"):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict(dict(sphere, **{key: True}))
     both = {"builtin": "sphere_height", "potential_t": "t"}
     with pytest.raises(ConfigError, match="not both"):
         build_context(RunConfig.from_dict({"space": {"kind": "sphere", "dim": 3}, "checks": ["vss_residual"], "potential": both}))
@@ -158,7 +167,7 @@ def test_point_override():
 
 
 def test_every_check_id_described():
-    assert set(CHECK_DESCRIPTIONS) == {
+    assert set(CHECKS) == {
         "vss_residual",
         "lgh_forms",
         "wp3_identity",
@@ -208,6 +217,14 @@ def test_cli_verify_exit_code_config_error(tmp_path):
     assert main(["verify", str(config_path)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["verify", str(missing)]) == 2
+
+
+def test_cli_samples_zero_is_a_config_error(tmp_path, capsys):
+    assert main(["example", "sphere-s4", "--no-timestamp", "--samples", "0"]) == 2
+    assert "samples: must be an integer >= 1" in capsys.readouterr().err
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(EJIRI_CONFIG))
+    assert main(["verify", str(config_path), "--samples", "0"]) == 2
 
 
 def test_cli_verify_exit_code_construction_error(tmp_path):
@@ -323,8 +340,9 @@ def test_cli_list(capsys):
     assert main(["list"]) == 0
     text = capsys.readouterr().out
     assert "basicex" in text
-    for check in CHECK_DESCRIPTIONS:
+    for check in CHECKS:
         assert check in text
+    assert f"t_algebra: {CHECKS['t_algebra'].description} [tol 1e-10]" in text
     # stable ordering
     assert main(["list"]) == 0
     assert capsys.readouterr().out == text

@@ -50,6 +50,16 @@ def test_nonfinite_residual_fails(tmp_path):
     assert [c["status"] for c in json.loads(out.read_text())["checks"]] == ["FAIL", "FAIL"]
 
 
+def test_infinite_tolerance_is_a_config_error(tmp_path, capsys):
+    """With tol=inf the overflowing potential's non-finite lgh_forms residual would PASS: exit 2 instead."""
+    raw = _warped_over_s3([5, 6], "exp(t/5)", ["lgh_forms"], potential={"potential_t": "exp(exp(exp(t)))"}, samples=5)
+    path = tmp_path / "config.json"
+    for tol in ("Infinity", "1e309"):
+        path.write_text(json.dumps(dict(raw, tolerances={"lgh_forms": "TOL"})).replace('"TOL"', tol))
+        assert main(["verify", str(path), "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == "error: tolerances.lgh_forms: must be a finite positive number\n"
+
+
 def test_nonfinite_run_is_quiet(tmp_path, capfd):
     """The overflow behind a non-finite FAIL is reported as the FAIL, not as numpy warnings."""
     raw = _warped_over_s3([5, 6], "1+0*t", ["vss_residual"], potential={"potential_t": "exp(exp(exp(t)))"}, samples=3)
@@ -147,6 +157,20 @@ def test_example_report_matches_golden(example_runs, name):
         assert g.get("details", {}).keys() == w.get("details", {}).keys(), g["check"]
         for key, value in w.get("details", {}).items():
             assert g["details"][key] == approx(value, rel=1e-12, abs=1e-12), (g["check"], key)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
+def test_check_alone_matches_full_suite(name):
+    """A check run alone gives its entry in the full suite, bit for bit.
+
+    Alone, the point bundle has the check's own order and not the suite's
+    maximum, so an understated order or fiber order shows here.
+    """
+    raw = dict(copy.deepcopy(EXAMPLE_CONFIGS[name]), samples=2)
+    for full in run_suite(RunConfig.from_dict(raw)).checks:
+        (alone,) = run_suite(RunConfig.from_dict(dict(raw, checks=[full.check]))).checks
+        for key in ("status", "reason", "worst_point", "samples", "max_abs_residual", "max_rel_residual", "details"):
+            assert getattr(alone, key) == getattr(full, key), (full.check, key)
 
 
 def test_generalized_defect_once_per_point(monkeypatch):
