@@ -131,6 +131,7 @@ class RunConfig:
         expect(isinstance(raw["checks"], list) and raw["checks"], "checks", "must be a nonempty list")
         for i, c in enumerate(raw["checks"]):
             expect(c in CHECKS, f"checks[{i}]", f"unknown check id {c!r}")
+            expect(c not in raw["checks"][:i], f"checks[{i}]", f"repeated check id {c!r}")
         samples = raw.get("samples", 100)
         expect(type(samples) is int and samples >= 1, "samples", "must be an integer >= 1")  # JSON true is no int
         offset = raw.get("offset", 0)
@@ -477,6 +478,10 @@ def _eval_cxi(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
     }
 
 
+def _eval_closed_cvf(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
+    return sc.conformal.closed_identities()
+
+
 def _equiv_verdict(out: CheckOutcome) -> None:
     """The chain holds when its four clauses agree: all below tolerance or none."""
     verdicts = [value < out.tolerance for value in out.details.values()]
@@ -545,6 +550,9 @@ CHECKS: dict[str, Check] = {
         1e-6, 4, _eval_cxi, frozenset({"field", "constant_r"})),
     "equiv_chain": Check("joint verdict of the four warped vacuum-static equivalence clauses",
         1e-6, 3, _eval_equiv, frozenset({"warped"}), settle=_equiv_verdict),
+    "closed_cvf": Check("nabla P and div P identities; (a) nabla xi = phi I, (d) R(.,xi) and "
+        "(e) Ric(xi) = -(n-1) grad phi are reported only when the field is closed",
+        1e-8, 3, _eval_closed_cvf, frozenset({"field"})),
 }
 
 # A view, not a second table: run_suite looks its evaluator up here at call
@@ -684,6 +692,8 @@ def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> Ve
         points = np.asarray(point_override, dtype=float).reshape(1, -1)
         if points.shape[1] != ctx.chart.dim:
             raise ConfigError(f"--point: expected {ctx.chart.dim} coordinates")
+        if not np.all(np.isfinite(points)):
+            raise ConfigError(f"--point: coordinates must be finite, got {points[0].tolist()}")
     else:
         points = ctx.chart.sample_points(config.samples, config.offset)
 

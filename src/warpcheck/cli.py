@@ -133,7 +133,10 @@ def _run_and_emit(raw: dict, args) -> int:
         config = RunConfig.from_dict(raw)
         point = None
         if getattr(args, "point", None):
-            point = np.array([float(x) for x in args.point.split(",")])
+            try:
+                point = np.array([float(x) for x in args.point.split(",")])
+            except ValueError as exc:
+                raise ConfigError(f"--point: {exc}") from None
         report = run_suite(config, point_override=point)
     except (ConfigError, SingularMetricError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

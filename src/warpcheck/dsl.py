@@ -29,7 +29,6 @@ __all__ = [
     "parse",
     "unparse",
     "eval_expr",
-    "derivative_values",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")
@@ -350,10 +349,3 @@ def eval_expr(node: ExprAst, t):
         return _MATH_FN[node.fn](arg)
     raise TypeError(f"not an AST node: {node!r}")
 
-
-def derivative_values(node: ExprAst, t0: float, order: int) -> list[float]:
-    """Raw derivatives [f(t0), f'(t0), ..., f^(order)(t0)] via jet evaluation."""
-    result = eval_expr(node, JetTensor.variable(0, t0, 1, order))
-    if isinstance(result, (int, float)):
-        return [float(result)] + [0.0] * order
-    return [result.partial((j,)) for j in range(order + 1)]

@@ -33,17 +33,10 @@ import numpy as np
 
 from .jets import JetTensor, jet_space, jt_einsum
 from .sampling import halton_points
-from .tensors import TensorValue, tensor_norm_sq
+from .tensors import tensor_norm_sq
 from .tensors import tensor_norm as _components_norm
 
-__all__ = [
-    "MetricChart",
-    "CurvatureBundle",
-    "SingularMetricError",
-    "curvature_bundle",
-    "kulkarni_nomizu",
-    "interior_mult",
-]
+__all__ = ["MetricChart", "CurvatureBundle", "SingularMetricError", "kulkarni_nomizu_jets"]
 
 COND_LIMIT = 1e12
 
@@ -309,60 +302,10 @@ class CurvatureBundle:
     def jnorm(self, t: JetTensor, variance: tuple[str, ...]) -> float:
         return self.norm(t.value, variance)
 
-    # -- pointwise views ----------------------------------------------------
-
-    def _tv(self, t: JetTensor, variance: tuple[str, ...]) -> TensorValue:
-        return TensorValue(t.value, variance, self.point)
-
-    @property
-    def schouten_value(self) -> TensorValue:
-        return self._tv(self.schouten, ("l", "l"))
-
-    @property
-    def cotton_value(self) -> TensorValue:
-        return self._tv(self.cotton, ("l", "l", "l"))
-
-
-# -- module-level operations (spec surface) ---------------------------------
-
-
-def curvature_bundle(chart: MetricChart, point: np.ndarray, want_xi_div: bool = False, order: int | None = None) -> CurvatureBundle:
-    """Full curvature hierarchy at a point (jets retained for differentiation)."""
-    if order is None:
-        order = 4 if want_xi_div else 3
-    bundle = CurvatureBundle(chart, point, order=order)
-    if want_xi_div:
-        bundle.cotton_divergence  # force evaluation so errors surface here
-    return bundle
-
 
 def kulkarni_nomizu_jets(u: JetTensor, v: JetTensor) -> JetTensor:
+    """(U KN V)_ijkl = U_ik V_jl + U_jl V_ik - U_il V_jk - U_jk V_il."""
     t1 = jt_einsum("ik,jl->ijkl", u, v)
     t2 = jt_einsum("il,jk->ijkl", u, v)
     return t1 + t1.transpose("ijkl->jilk") - t2 - t2.transpose("ijkl->jilk")
 
-
-def kulkarni_nomizu(u: TensorValue, v: TensorValue) -> TensorValue:
-    """(U KN V)_ijkl = U_ik V_jl + U_jl V_ik - U_il V_jk - U_jk V_il."""
-    if u.variance != ("l", "l") or v.variance != ("l", "l"):
-        raise ValueError("Kulkarni-Nomizu product expects two covariant 2-tensors")
-    if u.components.shape != v.components.shape:
-        raise ValueError("Kulkarni-Nomizu operands must share dimensions")
-    a, b = u.components, v.components
-    comps = (
-        np.einsum("ik,jl->ijkl", a, b)
-        + np.einsum("jl,ik->ijkl", a, b)
-        - np.einsum("il,jk->ijkl", a, b)
-        - np.einsum("jk,il->ijkl", a, b)
-    )
-    return TensorValue(comps, ("l",) * 4, u.point)
-
-
-def interior_mult(xi: TensorValue, t: TensorValue) -> TensorValue:
-    """Left interior multiplication: (i_xi T)(X_1, ..) = T(xi, X_1, ..)."""
-    if xi.variance != ("u",):
-        raise ValueError("interior multiplication expects a contravariant vector")
-    if t.rank < 1 or t.variance[0] != "l":
-        raise ValueError("interior multiplication expects a covariant tensor of rank >= 1")
-    comps = np.einsum("a,a...->...", xi.components, t.components)
-    return TensorValue(np.asarray(comps), t.variance[1:], t.point)

@@ -35,8 +35,6 @@ __all__ = [
     "make_hyperbolic_chart",
     "make_flat_torus_chart",
     "make_product_chart",
-    "make_warped_chart",
-    "make_basicex",
     "basicex_geometry",
     "basicex_radii",
     "build_fiber",
@@ -45,8 +43,6 @@ __all__ = [
     "hyperbolic_static_potential",
     "sphere_height_potential",
     "basicex_potential",
-    "ejiri_space",
-    "expwarp_space",
 ]
 
 
@@ -344,12 +340,6 @@ def build_warped_geometry(spec: WarpedProductSpec) -> WarpedGeometry:
     return _assemble_warped(warping, fiber_chart, spec.interval, spec.periodic, label)
 
 
-def make_warped_chart(spec: WarpedProductSpec) -> tuple[MetricChart, ConformalFieldSpec]:
-    """Warped chart dt^2 + h(t)^2 gbar plus the distinguished field h d/dt."""
-    wg = build_warped_geometry(spec)
-    return wg.chart, wg.xi
-
-
 # -- static potentials ---------------------------------------------------------
 
 
@@ -431,26 +421,3 @@ def basicex_geometry(n: int, k: int) -> tuple[WarpedGeometry, StaticPotentialSpe
     chart = replace(wg.chart, label=label, known_scalar=-n * (n - 1))
     return replace(wg, chart=chart), basicex_potential(n, k)
 
-
-def make_basicex(n: int, k: int) -> tuple[MetricChart, StaticPotentialSpec]:
-    """The warped vacuum static space R x_cosh (H^k x H^(n-k-1)) with its potential."""
-    wg, pot = basicex_geometry(n, k)
-    return wg.chart, pot
-
-
-# -- named catalog spaces --------------------------------------------------------
-
-
-def ejiri_space() -> WarpedGeometry:
-    """S^1 x_h S^3(1) with h = sqrt(2 + sin t): constant scalar curvature 3."""
-    spec = WarpedProductSpec.from_strings((0.0, 2.0 * math.pi), "sqrt(2+sin(t))", Sphere(3, 1.0), periodic=True)
-    wg = build_warped_geometry(spec)
-    chart = replace(wg.chart, label="S^1 x_h S^3(1) [h=sqrt(2+sin t)]", known_scalar=3.0)
-    return replace(wg, chart=chart)
-
-
-def expwarp_space(n: int) -> WarpedGeometry:
-    """Nonconstant scalar curvature example: h = exp(t/5) over a round fiber."""
-    fiber = Sphere(n - 1, 1.0)
-    spec = WarpedProductSpec.from_strings((-1.0, 1.0), "exp(t/5)", fiber)
-    return build_warped_geometry(spec)

@@ -1,43 +1,10 @@
-"""Pointwise tensor values with variance bookkeeping and g-norms."""
+"""g-norms of tensor components with one variance flag per index."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["TensorValue", "tensor_norm_sq", "tensor_norm"]
-
-
-@dataclass(frozen=True)
-class TensorValue:
-    """Components of a tensor at one point.
-
-    ``variance`` holds one flag per index: 'l' (lower/covariant) or
-    'u' (upper/contravariant), in component-axis order.
-    """
-
-    components: np.ndarray
-    variance: tuple[str, ...]
-    point: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
-        object.__setattr__(self, "components", comps)
-        if comps.ndim != len(self.variance):
-            raise ValueError(
-                f"rank mismatch: {comps.ndim} axes vs variance {self.variance}"
-            )
-        if any(v not in ("l", "u") for v in self.variance):
-            raise ValueError(f"variance flags must be 'l' or 'u', got {self.variance}")
-
-    @property
-    def rank(self) -> int:
-        return self.components.ndim
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0] if self.rank else 0
+__all__ = ["tensor_norm_sq", "tensor_norm"]
 
 
 def tensor_norm_sq(components: np.ndarray, variance: tuple[str, ...], g: np.ndarray, ginv: np.ndarray) -> float:

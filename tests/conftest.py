@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from warpcheck.checks import CheckContext, PointScratch
-from warpcheck.spaces import basicex_geometry, ejiri_space, expwarp_space
+from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, PointScratch, RunConfig, build_context
+from warpcheck.spaces import basicex_geometry
+
+
+def example_geometry(name, **space):
+    """The warped geometry of an example config, as the CLI builds it; ``space`` overrides keys."""
+    raw = dict(EXAMPLE_CONFIGS[name])
+    raw["space"] = {**raw["space"], **space}
+    return build_context(RunConfig.from_dict(raw)).warped
 
 
 @pytest.fixture(scope="session")
 def ejiri():
-    return ejiri_space()
+    return example_geometry("ejiri")
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +29,13 @@ def basicex41():
 
 @pytest.fixture(scope="session")
 def expwarp4():
-    return expwarp_space(4)
+    return example_geometry("nonconstant-exp")
+
+
+@pytest.fixture(scope="session")
+def expwarp3():
+    """nonconstant-exp with its fiber lowered to S^2: the n = 3 branch of the warped formulas."""
+    return example_geometry("nonconstant-exp", fiber={"kind": "sphere", "dim": 2, "radius": 1.0})
 
 
 def _point_scratch(wg, point, potential=None, order=3, fiber_order=2):

@@ -15,7 +15,7 @@ from pytest import approx
 
 import warpcheck.dsl as dsl
 from warpcheck.conformal import ConformalAnalysis, sphere_gradient_field
-from warpcheck.geometry import CurvatureBundle, curvature_bundle, kulkarni_nomizu
+from warpcheck.geometry import CurvatureBundle, kulkarni_nomizu_jets
 from warpcheck.jets import JetTensor
 from warpcheck.ode import (
     OdeWarpingFunction,
@@ -34,8 +34,6 @@ from warpcheck.spaces import (
     WarpedGeometry,
     basicex_geometry,
     build_fiber,
-    ejiri_space,
-    expwarp_space,
     make_hyperbolic_chart,
     make_product_chart,
     make_sphere_chart,
@@ -51,7 +49,6 @@ from warpcheck.statics import (
     warpedproduct3_residual,
     xicvf_residuals,
 )
-from warpcheck.tensors import TensorValue
 
 COTTON_FLOOR = 0.5  # calibrated: max ||C|| over 100 samples is >= 1.08 on every Example-1 space
 
@@ -82,9 +79,9 @@ class Criterion:
         return False
 
 
-def test_criterion_1_ejiri_scalar_constancy():
+def test_criterion_1_ejiri_scalar_constancy(ejiri):
     with Criterion(1, "Ejiri space scalar curvature == 3 over 200 points", 10.0):
-        wg = ejiri_space()
+        wg = ejiri
         deviations = [
             abs(CurvatureBundle(wg.chart, p, order=2).scalar - 3.0)
             for p in wg.chart.sample_points(200, offset=0)
@@ -106,7 +103,7 @@ def test_criterion_2_example1_certification():
             assert cotton_max > COTTON_FLOOR, (n, k, cotton_max)
 
 
-def test_criterion_3_firstthm_identity():
+def test_criterion_3_firstthm_identity(ejiri):
     with Criterion(3, "L* phi = Phi on spheres, Ejiri, and Example-1", 60.0):
         for n in (3, 4, 5):
             chart = make_sphere_chart(n, 1.0)
@@ -114,7 +111,7 @@ def test_criterion_3_firstthm_identity():
             for p in chart.sample_points(20, offset=0):
                 cf = ConformalAnalysis(CurvatureBundle(chart, p, order=4), xi)
                 assert cf.firstthm_defect().rel < 1e-7, f"S^{n}"
-        for wg in (ejiri_space(), basicex_geometry(5, 2)[0]):
+        for wg in (ejiri, basicex_geometry(5, 2)[0]):
             for p in wg.chart.sample_points(30, offset=0):
                 cf = ConformalAnalysis(CurvatureBundle(wg.chart, p, order=4), wg.xi)
                 assert cf.firstthm_defect().rel < 1e-7, wg.chart.label
@@ -132,10 +129,10 @@ def _ode_non_einstein_space() -> WarpedGeometry:
     return _assemble_warped(warping, fiber_chart, (0.0, period), True, "S^1 x_h (S^2 x S^2(2))")
 
 
-def test_criterion_4_wp3_and_icotton(point_scratch):
+def test_criterion_4_wp3_and_icotton(ejiri, point_scratch):
     with Criterion(4, "L* hdot = -C(.,xi,.) and i_dt C = 0 on constant-R warped spaces", 30.0):
         spaces = [
-            ejiri_space(),
+            ejiri,
             basicex_geometry(4, 1)[0],
             basicex_geometry(5, 1)[0],
             basicex_geometry(5, 2)[0],
@@ -153,10 +150,10 @@ def test_criterion_4_wp3_and_icotton(point_scratch):
         assert witness > 1e-3  # both sides individually nonzero on the non-Einstein fiber
 
 
-def test_criterion_5_equivalence_chain(point_scratch):
+def test_criterion_5_equivalence_chain(ejiri, point_scratch):
     with Criterion(5, "equivalence chain: joint PASS (Einstein) and joint FAIL (S^2 x S^2(2))", 30.0):
         tol = 1e-6
-        einstein = [ejiri_space()]
+        einstein = [ejiri]
         for wg in einstein:
             maxima = {}
             for p in wg.chart.sample_points(25, offset=0):
@@ -217,28 +214,24 @@ def test_criterion_6_ode_suite(point_scratch):
         assert resid.rel < 1e-6
 
 
-def _catalog_for_algebra():
-    diag_pot = {}
+def _catalog_for_algebra(warped):
     spaces = [
         (make_sphere_chart(3, 1.0), None),
         (make_sphere_chart(4, 1.0), sphere_height_potential(4, 1.0, axis=5)),
         (make_sphere_chart(5, 0.9), None),
         (make_hyperbolic_chart(3, 1.0), None),
         (make_product_chart(make_sphere_chart(2, 1.0), make_sphere_chart(2, 2.0)), None),
-        (ejiri_space().chart, None),
-        (expwarp_space(4).chart, None),
-        (expwarp_space(3).chart, None),
-    ]
+    ] + [(wg.chart, None) for wg in warped]
     wg52, pot52 = basicex_geometry(5, 2)
     spaces.append((wg52.chart, pot52))
     return spaces
 
 
-def test_criterion_7_tensor_algebra_invariants():
+def test_criterion_7_tensor_algebra_invariants(ejiri, expwarp4, expwarp3):
     with Criterion(7, "Cotton/T/Weyl algebra, 4-d Weyl identity, Riemann reconstruction", 60.0):
-        for chart, pot in _catalog_for_algebra():
+        for chart, pot in _catalog_for_algebra((ejiri, expwarp4, expwarp3)):
             for p in chart.sample_points(8, offset=0):
-                b = curvature_bundle(chart, p)
+                b = CurvatureBundle(chart, p, order=3)
                 c = b.cotton.value
                 cn = b.jnorm(b.cotton, ("l",) * 3)
                 ctol = 1e-10 * (1.0 + cn)
@@ -268,8 +261,8 @@ def test_criterion_7_tensor_algebra_invariants():
                     target = 0.25 * wn**2 * b.g0
                     assert np.max(np.abs(wq - target)) <= 1e-9 * (1.0 + wn**2)
 
-                kn = kulkarni_nomizu(b.schouten_value, TensorValue(b.g0, ("l", "l"), p))
-                recon = w + kn.components / (b.dim - 2.0)
+                kn = kulkarni_nomizu_jets(b.schouten, b.g).value
+                recon = w + kn / (b.dim - 2.0)
                 rn = b.jnorm(b.riemann4, ("l",) * 4)
                 assert np.max(np.abs(recon - b.riemann4.value)) <= 1e-9 * (1.0 + rn)
 
@@ -281,9 +274,9 @@ def test_criterion_7_tensor_algebra_invariants():
                         assert residual.abs < 1e-10 * (1.0 + tn), name
 
 
-def test_criterion_8_lgh_and_nein3_nonconstant(point_scratch):
+def test_criterion_8_lgh_and_nein3_nonconstant(expwarp4, expwarp3, point_scratch):
     with Criterion(8, "warped L* closed forms and explicit Cotton components off constant scalar", 30.0):
-        wg4 = expwarp_space(4)
+        wg4 = expwarp4
         for p in wg4.chart.sample_points(20, offset=0):
             sc = point_scratch(wg4, p, fiber_order=3)
             res = lgh_closed_forms(wg4, sc.hdot, sc.fiber, use_hdot=True)
@@ -292,7 +285,7 @@ def test_criterion_8_lgh_and_nein3_nonconstant(point_scratch):
             nein = nonconstant_r_cotton_formulas(wg4, sc.bundle, sc.fiber)
             for name, residual in nein.items():
                 assert residual.rel < 1e-7, f"n=4 {name}"
-        wg3 = expwarp_space(3)
+        wg3 = expwarp3
         for p in wg3.chart.sample_points(20, offset=0):
             sc = point_scratch(wg3, p)
             nein = nonconstant_r_cotton_formulas(wg3, sc.bundle, sc.fiber)

@@ -153,6 +153,8 @@ def test_config_validation_errors():
     for key in ("samples", "offset"):
         with pytest.raises(ConfigError, match=key):
             RunConfig.from_dict(dict(sphere, **{key: True}))
+    with pytest.raises(ConfigError, match=r"checks\[1\]: repeated check id 'firstthm'"):
+        RunConfig.from_dict(dict(sphere, checks=["firstthm", "firstthm"]))
     both = {"builtin": "sphere_height", "potential_t": "t"}
     with pytest.raises(ConfigError, match="not both"):
         build_context(RunConfig.from_dict({"space": {"kind": "sphere", "dim": 3}, "checks": ["vss_residual"], "potential": both}))
@@ -183,6 +185,7 @@ def test_every_check_id_described():
         "ixi_cotton",
         "cxi_div",
         "equiv_chain",
+        "closed_cvf",
     }
 
 
@@ -262,6 +265,22 @@ def test_cli_point_reproduction(tmp_path):
     again = [c for c in json.loads(out2.read_text())["checks"] if c["check"] == "firstthm"][0]
     assert again["status"] == "FAIL"
     assert again["samples"] == 1
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("nan,0,0", "--point: coordinates must be finite, got [nan, 0.0, 0.0]"),
+        ("0,inf,0", "--point: coordinates must be finite, got [0.0, inf, 0.0]"),
+        ("0.1,abc,0.3", "--point: could not convert string to float: 'abc'"),
+    ],
+)
+def test_cli_point_must_be_finite_numbers(tmp_path, capsys, point, message):
+    config = {"space": {"kind": "sphere", "dim": 3}, "field": {"builtin": "sphere_gradient"}, "checks": ["firstthm"]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp", "--point", point]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_csv_output(tmp_path):

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from warpcheck.geometry import (
-    CurvatureBundle,
-    MetricChart,
-    SingularMetricError,
-    curvature_bundle,
-    interior_mult,
-    kulkarni_nomizu,
-)
-from warpcheck.jets import JetShapeError, JetTensor
+from warpcheck.geometry import CurvatureBundle, MetricChart, SingularMetricError, kulkarni_nomizu_jets
+from warpcheck.jets import JetShapeError, JetTensor, jet_space
 from warpcheck.spaces import (
     Sphere,
     WarpedProductSpec,
@@ -22,13 +15,17 @@ from warpcheck.spaces import (
     make_sphere_chart,
 )
 from warpcheck.statics import warping_derivatives
-from warpcheck.tensors import TensorValue
 
 
 def constant_curvature_riemann(g0, kappa):
     """Oracle: R = (kappa/2) (g KN g) for a space form of sectional curvature kappa."""
-    kn = kulkarni_nomizu(TensorValue(g0, ("l", "l")), TensorValue(g0, ("l", "l")))
-    return 0.5 * kappa * kn.components
+    return 0.5 * kappa * kulkarni_nomizu_jets(_const(g0), _const(g0)).value
+
+
+def _const(values):
+    """Components at one point as an order-0 jet, the form kulkarni_nomizu_jets takes."""
+    values = np.asarray(values, dtype=float)
+    return JetTensor.const(jet_space(values.shape[0], 0), values)
 
 
 # -- christoffel ---------------------------------------------------------------
@@ -102,7 +99,7 @@ def test_riemann_symmetry_pattern(basicex52):
 
 def test_s4_bundle_values():
     chart = make_sphere_chart(4, 1.0)
-    b = curvature_bundle(chart, np.array([0.1, 0.2, -0.3, 0.05]))
+    b = CurvatureBundle(chart, np.array([0.1, 0.2, -0.3, 0.05]), order=3)
     assert b.scalar == approx(12.0, abs=1e-9)
     assert np.max(np.abs(b.efield.value)) < 1e-12
     assert b.jnorm(b.weyl, ("l",) * 4) < 1e-10
@@ -170,71 +167,48 @@ def test_insufficient_dim_for_cotton():
 def test_insufficient_jet_order_for_cotton_divergence():
     chart = make_sphere_chart(3, 1.0)
     with pytest.raises(JetShapeError, match="insufficient jet order"):
-        curvature_bundle(chart, np.array([0.1, 0.2, 0.3]), want_xi_div=True, order=3)
+        CurvatureBundle(chart, np.array([0.1, 0.2, 0.3]), order=3).cotton_divergence
 
 
 # -- kulkarni-nomizu ------------------------------------------------------------------
 
 
 def test_kn_diagonal_values():
-    g = TensorValue(np.eye(3), ("l", "l"))
-    kn = kulkarni_nomizu(g, g).components
+    g = _const(np.eye(3))
+    kn = kulkarni_nomizu_jets(g, g).value
     assert kn[0, 1, 0, 1] == approx(2.0)
     assert kn[0, 1, 1, 0] == approx(-2.0)
     assert kn[0, 0, 1, 1] == approx(0.0)
 
 
 def test_kn_zero():
-    z = TensorValue(np.zeros((3, 3)), ("l", "l"))
-    assert np.max(np.abs(kulkarni_nomizu(z, z).components)) == 0.0
+    z = _const(np.zeros((3, 3)))
+    assert np.max(np.abs(kulkarni_nomizu_jets(z, z).value)) == 0.0
 
 
 def test_kn_riemann_reconstruction(ejiri):
     p = np.array([1.3, 0.1, 0.2, -0.2])
-    b = curvature_bundle(ejiri.chart, p)
-    kn = kulkarni_nomizu(b.schouten_value, TensorValue(b.g0, ("l", "l"), p))
-    reconstructed = b.weyl.value + kn.components / (b.dim - 2.0)
+    b = CurvatureBundle(ejiri.chart, p, order=3)
+    kn = kulkarni_nomizu_jets(b.schouten, b.g).value
+    reconstructed = b.weyl.value + kn / (b.dim - 2.0)
     scale = 1.0 + b.jnorm(b.riemann4, ("l",) * 4)
     assert np.max(np.abs(reconstructed - b.riemann4.value)) / scale < 1e-9
 
 
 def test_kn_shape_mismatch():
-    g = TensorValue(np.eye(3), ("l", "l"))
-    v = TensorValue(np.zeros(3), ("l",))
     with pytest.raises(ValueError):
-        kulkarni_nomizu(g, v)
+        kulkarni_nomizu_jets(_const(np.eye(3)), _const(np.zeros(3)))
 
 
 # -- interior multiplication -----------------------------------------------------------
 
 
-def test_interior_mult_metric_gives_flat(ejiri):
-    p = np.array([0.5, 0.1, -0.2, 0.3])
-    b = CurvatureBundle(ejiri.chart, p, order=1)
-    xi = TensorValue(np.array([2.0, 0.0, 1.0, 0.0]), ("u",), p)
-    flat = interior_mult(xi, TensorValue(b.g0, ("l", "l"), p))
-    assert flat.components == approx(b.g0 @ xi.components)
-
-
 def test_interior_mult_dt_cotton_constant_r(ejiri):
     p = np.array([2.2, 0.2, 0.1, -0.3])
-    b = curvature_bundle(ejiri.chart, p)
-    dt = TensorValue(np.array([1.0, 0.0, 0.0, 0.0]), ("u",), p)
-    ic = interior_mult(dt, b.cotton_value)
-    assert np.max(np.abs(ic.components)) < 1e-10
-
-
-def test_interior_mult_zero_field(ejiri):
-    p = np.array([2.2, 0.2, 0.1, -0.3])
-    b = curvature_bundle(ejiri.chart, p)
-    zero = TensorValue(np.zeros(4), ("u",), p)
-    assert np.max(np.abs(interior_mult(zero, b.cotton_value).components)) == 0.0
-
-
-def test_interior_mult_variance_check():
-    low = TensorValue(np.zeros(3), ("l",))
-    with pytest.raises(ValueError):
-        interior_mult(low, TensorValue(np.zeros((3, 3)), ("l", "l")))
+    b = CurvatureBundle(ejiri.chart, p, order=3)
+    dt = np.array([1.0, 0.0, 0.0, 0.0])
+    ic = np.einsum("a,abc->bc", dt, b.cotton.value)
+    assert np.max(np.abs(ic)) < 1e-10
 
 
 # -- norms ---------------------------------------------------------------------------
@@ -249,26 +223,21 @@ def test_metric_norm_is_sqrt_dim(ejiri):
 def test_tensor_norm_op(ejiri):
     p = np.array([0.5, 0.1, -0.2, 0.3])
     b = CurvatureBundle(ejiri.chart, p, order=1)
-    g_value = TensorValue(b.g0, ("l", "l"), p)
-    assert b.norm(g_value.components, g_value.variance) == approx(2.0, rel=1e-12)
-    xi = TensorValue(np.array([1.0, 0.0, 0.0, 0.0]), ("u",), p)
-    assert b.norm(xi.components, xi.variance) == approx(1.0, rel=1e-12)  # dt direction is unit
+    assert b.norm(b.g0, ("l", "l")) == approx(2.0, rel=1e-12)
+    xi = np.array([1.0, 0.0, 0.0, 0.0])
+    assert b.norm(xi, ("u",)) == approx(1.0, rel=1e-12)  # dt direction is unit
 
 
 def test_cotton_norm_zero_on_s4():
     chart = make_sphere_chart(4, 1.0)
-    b = curvature_bundle(chart, np.array([0.3, -0.2, 0.1, 0.4]))
+    b = CurvatureBundle(chart, np.array([0.3, -0.2, 0.1, 0.4]), order=3)
     assert b.jnorm(b.cotton, ("l",) * 3) < 1e-10
 
 
 def test_cotton_norm_positive_on_basicex(basicex52):
     wg, _ = basicex52
-    values = [
-        curvature_bundle(wg.chart, p).jnorm(
-            curvature_bundle(wg.chart, p).cotton, ("l",) * 3
-        )
-        for p in wg.chart.sample_points(5, offset=2)
-    ]
+    bundles = [CurvatureBundle(wg.chart, p, order=3) for p in wg.chart.sample_points(5, offset=2)]
+    values = [b.jnorm(b.cotton, ("l",) * 3) for b in bundles]
     assert max(values) > 0.1
 
 

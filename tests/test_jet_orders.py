@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from warpcheck import geometry
 from warpcheck.geometry import CurvatureBundle, MetricChart, _jt_const_matmul
 from warpcheck.jets import JetTensor, jet_space, jt_einsum
-from warpcheck.spaces import basicex_geometry, ejiri_space, make_sphere_chart
+from conftest import example_geometry
+from warpcheck.spaces import basicex_geometry, make_sphere_chart
 
 SPECS = ("mki,ljm->lijk", "ij,jk->ik", "sia,sbc->abci")
 
@@ -138,7 +139,7 @@ def dense_chart(n: int = 4) -> MetricChart:
 
 CHARTS = {
     "sphere": lambda: make_sphere_chart(4, 1.0),
-    "ejiri": lambda: ejiri_space().chart,
+    "ejiri": lambda: example_geometry("ejiri").chart,
     "basicex": lambda: basicex_geometry(5, 2)[0].chart,
     "dense": dense_chart,
 }

@@ -16,10 +16,7 @@ from warpcheck.ode import (
     find_periodic_solution,
     first_integral,
     integrate_warpedvss,
-    kernel_reduction_check,
     rbar_from_initial,
-    scalar_from_h,
-    third_order_residual,
     trajectory_csv_rows,
 )
 from warpcheck.residuals import PreconditionSkip
@@ -33,6 +30,28 @@ def ejiri_h(t):
 
 def ejiri_hdot(t):
     return math.cos(t) / (2.0 * math.sqrt(2.0 + math.sin(t)))
+
+
+# Oracles that judge a whole trajectory, not one sample point.
+
+
+def third_order_residual(params: WarpOdeParams, traj: Trajectory) -> float:
+    """Max residual of the third-order form along the trajectory.
+
+    hddot and the third derivative are obtained from the second-order
+    right-hand side and its h-derivative, as the ODE dictates.
+    """
+    h, v = traj.h, traj.hdot
+    hdd = np.array([params.rhs(x) for x in h])
+    h3 = np.array([params.rhs_prime(x) for x in h]) * v
+    resid = h3 + (params.n - 1.0) * v * hdd / h + params.scalar / (params.n - 1.0) * v
+    return float(np.max(np.abs(resid)))
+
+
+def scalar_from_h(params: WarpOdeParams, h: float, hdot: float, hddot: float) -> float:
+    """Total scalar curvature from (h, hdot, hddot) and the fiber scalar."""
+    n = params.n
+    return (params.rbar - (n - 1.0) * (n - 2.0) * hdot**2 - 2.0 * (n - 1.0) * h * hddot) / h**2
 
 
 def test_tau_relation_exact():
@@ -200,6 +219,38 @@ def test_linear_case_positivity_failure():
 
 
 # -- kernel reduction ----------------------------------------------------------------
+
+
+def kernel_reduction_check(traj: Trajectory, f_of_t, hdot_floor: float = 1e-3, pre_tol: float = 1e-6):
+    """Spread of f/hdot along a trajectory where hddot f - hdot fdot vanishes.
+
+    ``f_of_t`` maps t to f(t) and must satisfy hddot f - hdot fdot = 0 along
+    the trajectory (checked first; violations raise PreconditionSkip).  The
+    spread is max - min of f/hdot over samples with |hdot| > hdot_floor.
+    """
+    params = traj.params
+    fs = []
+    fdots = []
+    for t in traj.times:
+        j = f_of_t(JetTensor.variable(0, float(t), 1, 1))
+        if not isinstance(j, JetTensor):
+            j = JetTensor.const(jet_space(1, 1), float(j))
+        fs.append(j.value)
+        fdots.append(j.partial((1,)))
+    fs = np.array(fs)
+    fdots = np.array(fdots)
+    hdd = np.array([params.rhs(x) for x in traj.h])
+    numer = hdd * fs - traj.hdot * fdots
+    scale = float(np.max(np.abs(hdd * fs)) + np.max(np.abs(traj.hdot * fdots)))
+    if float(np.max(np.abs(numer))) > pre_tol * (1.0 + scale):
+        raise PreconditionSkip(
+            f"hddot f - hdot fdot is nonzero along the trajectory (max {np.max(np.abs(numer)):.3e})"
+        )
+    mask = np.abs(traj.hdot) > hdot_floor
+    if not np.any(mask):
+        raise PreconditionSkip("no samples with |hdot| above the floor")
+    ratio = fs[mask] / traj.hdot[mask]
+    return float(np.max(ratio) - np.min(ratio))
 
 
 def _orbit():

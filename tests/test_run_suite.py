@@ -173,6 +173,42 @@ def test_check_alone_matches_full_suite(name):
             assert getattr(alone, key) == getattr(full, key), (full.check, key)
 
 
+# -- closed conformal-field identities ----------------------------------------------------
+
+
+def _closed_cvf(name, **extra):
+    """closed_cvf alone on an example's space and field, at 4 samples."""
+    raw = dict(copy.deepcopy(EXAMPLE_CONFIGS[name]), checks=["closed_cvf"], samples=4, **extra)
+    (outcome,) = run_suite(RunConfig.from_dict(raw)).checks
+    return outcome
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
+def test_closed_cvf_passes_on_every_example(name):
+    """Every example's field (h d/dt, or grad y_1 on S^4) is closed: all five identities are reported."""
+    out = _closed_cvf(name)
+    assert (out.status, out.samples) == ("PASS", 4)
+    assert set(out.details) == {"nabla_p", "div_p", "nabla_xi", "curvature_xi", "ric_xi"}
+    assert out.max_rel_residual < 1e-12
+
+
+def test_closed_cvf_rotation_reports_general_identities_only():
+    out = _closed_cvf("sphere-s4", field={"builtin": "rotation"})
+    assert out.status == "PASS"
+    assert set(out.details) == {"nabla_p", "div_p"}
+
+
+@pytest.mark.parametrize("name, fld", [("ejiri", "warped_xi"), ("sphere-s4", "sphere_gradient"), ("sphere-s4", "rotation")])
+def test_closed_cvf_fails_on_scaled_riemann(monkeypatch, name, fld):
+    """A Riemann tensor off by 1e-6 FAILs the check instead of turning a precondition into a SKIP."""
+    riemann13 = CurvatureBundle.riemann13.func
+    monkeypatch.setattr(CurvatureBundle, "riemann13", property(lambda b: riemann13(b) * (1.0 + 1e-6)))
+    field = dict(EXAMPLE_CONFIGS[name].get("field", {}), builtin=fld)
+    out = _closed_cvf(name, field=field)
+    assert out.status == "FAIL"
+    assert out.max_rel_residual > 1e-7
+
+
 def test_generalized_defect_once_per_point(monkeypatch):
     """tfe_identity, decompose_ids and xicvf_forms share one solution test per point."""
     calls = []

@@ -11,16 +11,15 @@ from warpcheck.spaces import (
     ProductFiber,
     Sphere,
     WarpedProductSpec,
+    basicex_geometry,
     basicex_radii,
     build_fiber,
     build_warped_geometry,
     fiber_einstein_constant,
     hyperbolic_static_potential,
-    make_basicex,
     make_hyperbolic_chart,
     make_product_chart,
     make_sphere_chart,
-    make_warped_chart,
     sphere_height_potential,
 )
 from warpcheck.statics import StaticAnalysis
@@ -151,7 +150,7 @@ def test_product_scalar_adds_hyperbolic():
 def test_warped_constant_h_is_product():
     fiber = Sphere(3, 1.0)
     spec = WarpedProductSpec.from_strings((-1.0, 1.0), "1", fiber)
-    chart, xi = make_warped_chart(spec)
+    chart = build_warped_geometry(spec).chart
     product = make_product_chart(build_fiber(FlatTorus(1)), make_sphere_chart(3, 1.0))
     p = np.array([0.3, 0.1, -0.2, 0.4])
     gw = chart.metric_jets(p, 2).value
@@ -170,7 +169,7 @@ def test_warped_cosh_example1_scalar():
     r2, s2 = basicex_radii(n, 2)
     fiber = ProductFiber(Hyperbolic(2, r2), Hyperbolic(2, s2))
     spec = WarpedProductSpec.from_strings((-1.0, 1.0), "cosh(t)", fiber)
-    chart, xi = make_warped_chart(spec)
+    chart = build_warped_geometry(spec).chart
     p = chart.sample_points(4, offset=0)[2]
     assert scalar_at(chart, p) == approx(-20.0, abs=1e-8)
 
@@ -178,7 +177,7 @@ def test_warped_cosh_example1_scalar():
 def test_warped_nonpositive_h_rejected():
     spec = WarpedProductSpec.from_strings((0.0, 7.0), "sin(t)", Sphere(3, 1.0))
     with pytest.raises(ValueError):
-        make_warped_chart(spec)
+        build_warped_geometry(spec)
 
 
 def test_warped_xi_components(ejiri):
@@ -211,7 +210,7 @@ def test_basicex_dimensions(basicex52):
 
 
 def test_basicex_n4k1_fiber():
-    chart, pot = make_basicex(4, 1)
+    chart = basicex_geometry(4, 1)[0].chart
     assert chart.dim == 4
     r1, s1 = basicex_radii(4, 1)
     assert s1 == approx(math.sqrt(1.0 / 3.0))
@@ -221,9 +220,9 @@ def test_basicex_n4k1_fiber():
 
 def test_basicex_parameter_errors():
     with pytest.raises(ValueError):
-        make_basicex(5, 3)  # k = n-2
+        basicex_geometry(5, 3)  # k = n-2
     with pytest.raises(ValueError):
-        make_basicex(4, 0)
+        basicex_geometry(4, 0)
 
 
 def test_basicex_vacuum_static(basicex41):

@@ -291,10 +291,8 @@ def test_nein3_nonconstant_r(expwarp4, point_scratch):
             assert residual.rel < 1e-7, name
 
 
-def test_nein3_n3_branch(point_scratch):
-    from warpcheck.spaces import expwarp_space
-
-    wg = expwarp_space(3)
+def test_nein3_n3_branch(expwarp3, point_scratch):
+    wg = expwarp3
     for p in wg.chart.sample_points(4, offset=0):
         sc = point_scratch(wg, p)
         res = nonconstant_r_cotton_formulas(wg, sc.bundle, sc.fiber)

@@ -29,16 +29,14 @@ def test_ricci_closed_forms(case, ejiri, expwarp4):
 
 
 @pytest.mark.parametrize("case", ["ejiri", "exp", "exp3"])
-def test_scalar_closed_form(case, ejiri, expwarp4):
+def test_scalar_closed_form(case, ejiri, expwarp4, expwarp3):
     """R h^2 = Rbar - (n-1)(n-2) hdot^2 - 2(n-1) h hddot.
 
     The n=3 case takes Rbar as the plain scalar curvature of the
     2-dimensional fiber (twice its Gauss curvature); the formula holds as
     printed.
     """
-    from warpcheck.spaces import expwarp_space
-
-    wg = {"ejiri": ejiri, "exp": expwarp4, "exp3": expwarp_space(3)}[case]
+    wg = {"ejiri": ejiri, "exp": expwarp4, "exp3": expwarp3}[case]
     for p in wg.chart.sample_points(6, offset=0):
         b = CurvatureBundle(wg.chart, p, order=2)
         n = b.dim
