@@ -14,8 +14,7 @@ import numpy as np
 
 from warpcheck.checks import CheckContext, PointScratch
 from warpcheck.ode import OdeWarpingFunction, WarpOdeParams, first_integral, integrate_warpedvss
-from warpcheck.spaces import make_sphere_chart
-from warpcheck.spaces import _assemble_warped
+from warpcheck.spaces import assemble_warped, make_sphere_chart
 from warpcheck.statics import icotton_warped_residual, warpedproduct3_residual
 
 
@@ -32,7 +31,7 @@ def main() -> int:
     print(f"max first-integral residual (tau = {params.tau}): {drift:.3e}")
 
     warping = OdeWarpingFunction(params, traj, period=period)
-    wg = _assemble_warped(warping, make_sphere_chart(3, 1.0), (0.0, period), True, "ejiri-from-ode")
+    wg = assemble_warped(warping, make_sphere_chart(3, 1.0), (0.0, period), "ejiri-from-ode")
     scalars, icz, wp3 = [], 0.0, 0.0
     ctx = CheckContext(wg.chart, wg)
     for p in wg.chart.sample_points(50, offset=0):

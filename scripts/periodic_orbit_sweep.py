@@ -18,8 +18,7 @@ from warpcheck.ode import (
     find_periodic_solution,
     rbar_from_initial,
 )
-from warpcheck.spaces import make_sphere_chart
-from warpcheck.spaces import _assemble_warped
+from warpcheck.spaces import assemble_warped, make_sphere_chart
 
 
 def main() -> int:
@@ -35,9 +34,7 @@ def main() -> int:
         traj, period = find_periodic_solution(params, h0, dt=1e-3)
         radius = math.sqrt(6.0 / rbar)
         warping = OdeWarpingFunction(params, traj, period=period)
-        wg = _assemble_warped(
-            warping, make_sphere_chart(3, radius), (0.0, period), True, f"orbit {ratio}"
-        )
+        wg = assemble_warped(warping, make_sphere_chart(3, radius), (0.0, period), f"orbit {ratio}")
         scalars = [
             CurvatureBundle(wg.chart, p, order=2).scalar
             for p in wg.chart.sample_points(25, offset=0)

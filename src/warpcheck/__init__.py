@@ -5,7 +5,6 @@ from .jets import JetTensor
 from .spaces import (
     ConformalFieldSpec,
     StaticPotentialSpec,
-    WarpedProductSpec,
     make_hyperbolic_chart,
     make_product_chart,
     make_sphere_chart,
@@ -20,7 +19,6 @@ __all__ = [
     "JetTensor",
     "ConformalFieldSpec",
     "StaticPotentialSpec",
-    "WarpedProductSpec",
     "make_hyperbolic_chart",
     "make_product_chart",
     "make_sphere_chart",

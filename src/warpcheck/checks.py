@@ -37,21 +37,16 @@ from .ode import (
 from .residuals import PreconditionSkip, Residual
 from .spaces import (
     ConformalFieldSpec,
-    FiberSpec,
-    FlatTorus,
-    Hyperbolic,
-    ProductFiber,
-    Sphere,
     StaticPotentialSpec,
     WarpedGeometry,
-    WarpedProductSpec,
-    _assemble_warped,
+    assemble_warped,
     basicex_geometry,
     basicex_potential,
-    build_fiber,
     build_warped_geometry,
     hyperbolic_static_potential,
+    make_flat_torus_chart,
     make_hyperbolic_chart,
+    make_product_chart,
     make_sphere_chart,
     sphere_height_potential,
 )
@@ -130,7 +125,7 @@ class RunConfig:
         expect("checks" in raw, "checks", "missing required field")
         expect(isinstance(raw["checks"], list) and raw["checks"], "checks", "must be a nonempty list")
         for i, c in enumerate(raw["checks"]):
-            expect(c in CHECKS, f"checks[{i}]", f"unknown check id {c!r}")
+            expect(isinstance(c, str) and c in CHECKS, f"checks[{i}]", f"unknown check id {c!r}")
             expect(c not in raw["checks"][:i], f"checks[{i}]", f"repeated check id {c!r}")
         samples = raw.get("samples", 100)
         expect(type(samples) is int and samples >= 1, "samples", "must be an integer >= 1")  # JSON true is no int
@@ -169,22 +164,24 @@ class RunConfig:
         return float(self.tolerances.get(check, CHECKS[check].tolerance))
 
 
-def _fiber_from_dict(raw: dict, path: str) -> FiberSpec:
+def _chart_from_dict(raw: Any, path: str) -> MetricChart:
+    """The chart of a space form or a product of them; ``path`` names ``raw`` in error messages."""
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"{path}: fiber spec must be an object with a 'kind'")
     kind = raw["kind"]
-    if kind == "sphere":
-        return Sphere(int(raw["dim"]), float(raw.get("radius", 1.0)))
-    if kind == "hyperbolic":
-        return Hyperbolic(int(raw["dim"]), float(raw.get("radius", 1.0)))
-    if kind == "flat_torus":
-        return FlatTorus(int(raw["dim"]))
     if kind == "product":
-        return ProductFiber(
-            _fiber_from_dict(raw["left"], path + ".left"),
-            _fiber_from_dict(raw["right"], path + ".right"),
+        return make_product_chart(
+            _chart_from_dict(raw.get("left"), path + ".left"),
+            _chart_from_dict(raw.get("right"), path + ".right"),
         )
-    raise ConfigError(f"{path}.kind: unknown fiber kind {kind!r}")
+    if kind not in ("sphere", "hyperbolic", "flat_torus"):
+        raise ConfigError(f"{path}.kind: unknown fiber kind {kind!r}")
+    if "dim" not in raw:
+        raise ConfigError(f"{path}.dim: missing required field")
+    if kind == "flat_torus":
+        return make_flat_torus_chart(int(raw["dim"]))
+    make = make_sphere_chart if kind == "sphere" else make_hyperbolic_chart
+    return make(int(raw["dim"]), float(raw.get("radius", 1.0)))
 
 
 @dataclass
@@ -202,27 +199,11 @@ def build_context(config: RunConfig) -> CheckContext:
     kind = space["kind"]
     warped: WarpedGeometry | None = None
     try:
-        if kind == "sphere":
-            chart = make_sphere_chart(int(space["dim"]), float(space.get("radius", 1.0)))
-        elif kind == "hyperbolic":
-            chart = make_hyperbolic_chart(int(space["dim"]), float(space.get("radius", 1.0)))
-        elif kind == "flat_torus":
-            chart = build_fiber(FlatTorus(int(space["dim"])))
-        elif kind == "product":
-            chart = build_fiber(
-                ProductFiber(
-                    _fiber_from_dict(space["left"], "space.left"),
-                    _fiber_from_dict(space["right"], "space.right"),
-                )
-            )
+        if kind in ("sphere", "hyperbolic", "flat_torus", "product"):
+            chart = _chart_from_dict(space, "space")
         elif kind == "warped":
-            spec = WarpedProductSpec.from_strings(
-                tuple(space["interval"]),
-                space["warping"],
-                _fiber_from_dict(space["fiber"], "space.fiber"),
-                bool(space.get("periodic", False)),
-            )
-            warped = build_warped_geometry(spec)
+            fiber = _chart_from_dict(space.get("fiber"), "space.fiber")
+            warped = build_warped_geometry(tuple(space["interval"]), space["warping"], fiber)
             chart = warped.chart
         elif kind == "basicex":
             warped, pot = basicex_geometry(int(space["n"]), int(space["k"]))
@@ -245,8 +226,7 @@ def build_context(config: RunConfig) -> CheckContext:
 
 def _build_ode_warped(space: dict) -> WarpedGeometry:
     """Warping from the constant-scalar ODE; fiber scalar fixes c1 via the first integral."""
-    fiber_spec = _fiber_from_dict(space["fiber"], "space.fiber")
-    fiber_chart = build_fiber(fiber_spec)
+    fiber_chart = _chart_from_dict(space.get("fiber"), "space.fiber")
     if fiber_chart.known_scalar is None:
         raise ConfigError("space.fiber: ode_warped needs a fiber with known scalar curvature")
     n = fiber_chart.dim + 1
@@ -271,7 +251,7 @@ def _build_ode_warped(space: dict) -> WarpedGeometry:
         raise ConfigError(f"space: no periodic warping for these parameters ({exc})") from exc
     warping = OdeWarpingFunction(params, traj, period=period or None)
     label = f"S^1 x_h {fiber_chart.label} [h: ode n={n} R={scalar:g} c1={c1:g}]"
-    return _assemble_warped(warping, fiber_chart, (0.0, period if period > 0 else 1.0), True, label)
+    return assemble_warped(warping, fiber_chart, (0.0, period if period > 0 else 1.0), label)
 
 
 def _build_potential(config: RunConfig, space: dict, chart: MetricChart) -> StaticPotentialSpec | None:
@@ -322,7 +302,10 @@ def _build_field(config: RunConfig, chart: MetricChart, warped: WarpedGeometry |
             )
         if name == "rotation":
             axes = fld.get("axes", [0, 1])
-            return rotation_field(chart.dim, int(axes[0]), int(axes[1]))
+            distinct = isinstance(axes, list) and len(axes) == 2 and axes[0] != axes[1]
+            if not (distinct and all(type(a) is int and 0 <= a < chart.dim for a in axes)):
+                raise ConfigError(f"field.axes: need two distinct integers in 0..{chart.dim - 1}, got {axes!r}")
+            return rotation_field(chart.dim, axes[0], axes[1])
         if name == "zero":
             return zero_field(chart.dim)
         raise ConfigError(f"field.builtin: unknown builtin {name!r} (have {FIELD_BUILTINS})")
@@ -771,7 +754,6 @@ EXAMPLE_CONFIGS: dict[str, dict] = {
             "kind": "warped",
             "interval": [0.0, 6.283185307179586],
             "warping": "sqrt(2+sin(t))",
-            "periodic": True,
             "fiber": {"kind": "sphere", "dim": 3, "radius": 1.0},
         },
         "checks": [

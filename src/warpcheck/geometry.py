@@ -64,7 +64,6 @@ class MetricChart:
     box: tuple[np.ndarray, np.ndarray]
     exclude: Callable[[np.ndarray], bool] | None = None
     known_scalar: float | None = None
-    periods: tuple[float | None, ...] | None = None
 
     def coordinate_jets(self, point: np.ndarray, order: int) -> list[JetTensor]:
         point = np.asarray(point, dtype=float)

@@ -22,7 +22,7 @@ enter :class:`~warpcheck.geometry.MetricChart` without losing smoothness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 H_MIN = 1e-8
+T_MAX = 200.0  # the periodic-orbit search gives up when hdot has not returned to zero by then
+EQUILIBRIUM_TOL = 1e-9  # relative distance of h0 from h_eq below which the orbit is the constant one
 
 
 class PositivityLost(RuntimeError):
@@ -111,8 +113,6 @@ class Trajectory:
     h: np.ndarray
     hdot: np.ndarray
     dt: float
-    events: list[float] = field(default_factory=list)  # hdot zero crossings
-    method: str = "rk4"
 
     def state(self, index: int) -> tuple[float, float]:
         return float(self.h[index]), float(self.hdot[index])
@@ -132,28 +132,23 @@ def _rk4_step(params: WarpOdeParams, h: float, v: float, dt: float) -> tuple[flo
     )
 
 
-def integrate_warpedvss(
-    params: WarpOdeParams, h0: float, hdot0: float, t_end: float, dt: float, t_start: float = 0.0
-) -> Trajectory:
-    """Classical fixed-step RK4 from (h0, hdot0); errors out if h <= H_MIN."""
+def integrate_warpedvss(params: WarpOdeParams, h0: float, hdot0: float, t_end: float, dt: float) -> Trajectory:
+    """Classical fixed-step RK4 over [0, t_end] from (h0, hdot0); errors out if h <= H_MIN."""
     if h0 <= 0:
         raise ValueError(f"initial warping value must be positive, got {h0}")
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
-    steps = max(1, int(round((t_end - t_start) / dt)))
-    times = t_start + np.arange(steps + 1) * dt
+    steps = max(1, int(round(t_end / dt)))
+    times = np.arange(steps + 1) * dt
     hs = np.empty(steps + 1)
     vs = np.empty(steps + 1)
     hs[0], vs[0] = h0, hdot0
-    events: list[float] = []
     for i in range(steps):
         h_new, v_new = _rk4_step(params, hs[i], vs[i], dt)
         if not math.isfinite(h_new) or h_new <= H_MIN:
             raise PositivityLost(float(times[i]))
         hs[i + 1], vs[i + 1] = h_new, v_new
-        if vs[i] == 0.0 or (vs[i] < 0.0) != (v_new < 0.0):
-            events.append(float(times[i]))
-    return Trajectory(params, times, hs, vs, dt, events)
+    return Trajectory(params, times, hs, vs, dt)
 
 
 def first_integral(params: WarpOdeParams, h, hdot):
@@ -181,13 +176,7 @@ def _propagate(params: WarpOdeParams, h: float, v: float, span: float, dt: float
     return h, v
 
 
-def find_periodic_solution(
-    params: WarpOdeParams,
-    h0: float,
-    dt: float = 1e-3,
-    t_max: float = 200.0,
-    equilibrium_tol: float = 1e-9,
-) -> tuple[Trajectory, float]:
+def find_periodic_solution(params: WarpOdeParams, h0: float, dt: float = 1e-3) -> tuple[Trajectory, float]:
     """Locate the closed orbit through (h0, 0) in the oscillatory regime.
 
     Integrates until hdot returns to zero with h on the opposite side of the
@@ -199,16 +188,15 @@ def find_periodic_solution(
     if params.scalar <= 0 or params.c1 <= 0:
         raise NoPeriodicOrbit("oscillatory regime requires scalar > 0 and c1 > 0")
     h_eq = equilibrium_radius(params)
-    if abs(h0 - h_eq) <= equilibrium_tol * max(1.0, h_eq):
+    if abs(h0 - h_eq) <= EQUILIBRIUM_TOL * max(1.0, h_eq):
         times = np.arange(2) * dt
-        traj = Trajectory(params, times, np.full(2, h_eq), np.zeros(2), dt, method="equilibrium")
-        return traj, 0.0
+        return Trajectory(params, times, np.full(2, h_eq), np.zeros(2), dt), 0.0
 
     h, v = h0, 0.0
     t = 0.0
     below = h0 < h_eq
     t_half = None
-    while t < t_max:
+    while t < T_MAX:
         h_new, v_new = _rk4_step(params, h, v, dt)
         if h_new <= H_MIN:
             raise PositivityLost(t)
@@ -229,7 +217,7 @@ def find_periodic_solution(
             break
         h, v, t = h_new, v_new, t + dt
     if t_half is None:
-        raise NoPeriodicOrbit(f"no return event found within t_max = {t_max}")
+        raise NoPeriodicOrbit(f"no return event found within t_max = {T_MAX}")
 
     period = 2.0 * t_half
     steps = max(8, int(math.ceil(period / dt)))

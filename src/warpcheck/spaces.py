@@ -10,23 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import dsl
-from .dsl import ExprAst
 from .geometry import MetricChart
 from .jets import JetTensor
 
 __all__ = [
-    "Sphere",
-    "Hyperbolic",
-    "FlatTorus",
-    "ProductFiber",
-    "CustomFiber",
-    "FiberSpec",
-    "WarpedProductSpec",
     "StaticPotentialSpec",
     "FactoredPotential",
     "ConformalFieldSpec",
@@ -35,70 +27,20 @@ __all__ = [
     "make_hyperbolic_chart",
     "make_flat_torus_chart",
     "make_product_chart",
+    "assemble_warped",
+    "build_warped_geometry",
     "basicex_geometry",
     "basicex_radii",
-    "build_fiber",
-    "build_warped_geometry",
-    "fiber_einstein_constant",
     "hyperbolic_static_potential",
     "sphere_height_potential",
     "basicex_potential",
 ]
 
 
-# -- fiber specifications ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sphere:
-    dim: int
-    radius: float = 1.0
-
-
-@dataclass(frozen=True)
-class Hyperbolic:
-    dim: int
-    radius: float = 1.0
-
-
-@dataclass(frozen=True)
-class FlatTorus:
-    dim: int
-
-
-@dataclass(frozen=True)
-class ProductFiber:
-    left: "FiberSpec"
-    right: "FiberSpec"
-
-
-@dataclass(frozen=True)
-class CustomFiber:
-    chart: MetricChart
-    known_scalar: float | None = None
-    known_einstein_constant: float | None = None
-
-
-FiberSpec = Union[Sphere, Hyperbolic, FlatTorus, ProductFiber, CustomFiber]
-
-
-@dataclass(frozen=True)
-class WarpedProductSpec:
-    interval: tuple[float, float]
-    warping: ExprAst
-    fiber: FiberSpec
-    periodic: bool = False
-
-    @staticmethod
-    def from_strings(interval, warping: str, fiber: FiberSpec, periodic: bool = False) -> "WarpedProductSpec":
-        return WarpedProductSpec(tuple(interval), dsl.parse(warping), fiber, periodic)
-
-
 @dataclass(frozen=True)
 class FactoredPotential:
     """f(t, y) = u(t) * fbar(y) with fbar living on the fiber chart."""
 
-    u_of_t: Callable
     fiber_builder: Callable[[Sequence[JetTensor]], JetTensor]
 
 
@@ -109,9 +51,6 @@ class StaticPotentialSpec:
     a: float = 0.0
     b: float = 0.0
     factored: FactoredPotential | None = None
-
-    def kappa(self, dim: int, scalar: float) -> float:
-        return self.b + scalar * self.a / (dim * (dim - 1))
 
 
 @dataclass(frozen=True)
@@ -127,13 +66,7 @@ class WarpedGeometry:
     chart: MetricChart
     fiber_chart: MetricChart
     warping: Callable
-    interval: tuple[float, float]
-    periodic: bool
     xi: ConformalFieldSpec
-
-    @property
-    def dim(self) -> int:
-        return self.chart.dim
 
 
 # -- constant-curvature charts ----------------------------------------------
@@ -189,7 +122,7 @@ def make_hyperbolic_chart(m: int, r: float) -> MetricChart:
     )
 
 
-def make_flat_torus_chart(m: int, length: float = 2.0 * math.pi) -> MetricChart:
+def make_flat_torus_chart(m: int) -> MetricChart:
     def builder(coords):
         return [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
 
@@ -197,9 +130,8 @@ def make_flat_torus_chart(m: int, length: float = 2.0 * math.pi) -> MetricChart:
         dim=m,
         label=f"T^{m}",
         builder=builder,
-        box=(np.zeros(m), np.full(m, length)),
+        box=(np.zeros(m), np.full(m, 2.0 * math.pi)),
         known_scalar=0.0,
-        periods=(length,) * m,
     )
 
 
@@ -227,7 +159,6 @@ def make_product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
     known = None
     if a.known_scalar is not None and b.known_scalar is not None:
         known = a.known_scalar + b.known_scalar
-    periods = (a.periods or (None,) * da) + (b.periods or (None,) * db)
     return MetricChart(
         dim=da + db,
         label=f"{a.label} x {b.label}",
@@ -235,53 +166,16 @@ def make_product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
         box=(np.concatenate([a.box[0], b.box[0]]), np.concatenate([a.box[1], b.box[1]])),
         exclude=exclude if (a.exclude or b.exclude) else None,
         known_scalar=known,
-        periods=periods if any(p is not None for p in periods) else None,
     )
-
-
-def build_fiber(spec: FiberSpec) -> MetricChart:
-    if isinstance(spec, Sphere):
-        return make_sphere_chart(spec.dim, spec.radius)
-    if isinstance(spec, Hyperbolic):
-        return make_hyperbolic_chart(spec.dim, spec.radius)
-    if isinstance(spec, FlatTorus):
-        return make_flat_torus_chart(spec.dim)
-    if isinstance(spec, ProductFiber):
-        return make_product_chart(build_fiber(spec.left), build_fiber(spec.right))
-    if isinstance(spec, CustomFiber):
-        return spec.chart
-    raise TypeError(f"not a fiber spec: {spec!r}")
-
-
-def fiber_einstein_constant(spec: FiberSpec) -> float | None:
-    """Ric = c g constant when the fiber is Einstein, else None."""
-    if isinstance(spec, Sphere):
-        return (spec.dim - 1) / spec.radius**2
-    if isinstance(spec, Hyperbolic):
-        return -(spec.dim - 1) / spec.radius**2
-    if isinstance(spec, FlatTorus):
-        return 0.0
-    if isinstance(spec, ProductFiber):
-        ca = fiber_einstein_constant(spec.left)
-        cb = fiber_einstein_constant(spec.right)
-        if ca is not None and cb is not None and abs(ca - cb) < 1e-12:
-            return ca
-        return None
-    if isinstance(spec, CustomFiber):
-        return spec.known_einstein_constant
-    raise TypeError(f"not a fiber spec: {spec!r}")
 
 
 # -- warped products ----------------------------------------------------------
 
 
-def _assemble_warped(
-    warping: Callable,
-    fiber_chart: MetricChart,
-    interval: tuple[float, float],
-    periodic: bool,
-    label: str,
+def assemble_warped(
+    warping: Callable, fiber_chart: MetricChart, interval: tuple[float, float], label: str
 ) -> WarpedGeometry:
+    """dt^2 + h(t)^2 gbar over interval x fiber, for any h callable on floats and jets."""
     t0, t1 = float(interval[0]), float(interval[1])
     if not t1 > t0:
         raise ValueError(f"empty interval {interval}")
@@ -318,7 +212,6 @@ def _assemble_warped(
             np.concatenate([[t1], fiber_chart.box[1]]),
         ),
         exclude=exclude if fiber_chart.exclude else None,
-        periods=((t1 - t0 if periodic else None,) + (fiber_chart.periods or (None,) * dfib)),
     )
 
     def xi_builder(coords):
@@ -326,18 +219,18 @@ def _assemble_warped(
         return [h] + [JetTensor.const(coords[0].space, 0.0)] * dfib
 
     xi = ConformalFieldSpec(label="h d/dt", builder=xi_builder)
-    return WarpedGeometry(chart, fiber_chart, warping, (t0, t1), periodic, xi)
+    return WarpedGeometry(chart, fiber_chart, warping, xi)
 
 
-def build_warped_geometry(spec: WarpedProductSpec) -> WarpedGeometry:
-    fiber_chart = build_fiber(spec.fiber)
-    h_src = dsl.unparse(spec.warping)
+def build_warped_geometry(interval: tuple[float, float], warping_src: str, fiber_chart: MetricChart) -> WarpedGeometry:
+    """The warped product whose warping is the DSL expression ``warping_src`` in t."""
+    ast = dsl.parse(warping_src)
 
     def warping(t):
-        return dsl.eval_expr(spec.warping, t)
+        return dsl.eval_expr(ast, t)
 
-    label = f"I x_h {fiber_chart.label} [h={h_src}]"
-    return _assemble_warped(warping, fiber_chart, spec.interval, spec.periodic, label)
+    label = f"I x_h {fiber_chart.label} [h={dsl.unparse(ast)}]"
+    return assemble_warped(warping, fiber_chart, interval, label)
 
 
 # -- static potentials ---------------------------------------------------------
@@ -400,13 +293,10 @@ def basicex_potential(n: int, k: int) -> StaticPotentialSpec:
     def builder(coords):
         return coords[0].elem("cosh") * fiber_builder(coords[1:])
 
-    def u_of_t(t):
-        return t.elem("cosh") if isinstance(t, JetTensor) else math.cosh(t)
-
     return StaticPotentialSpec(
         label=f"cosh(t) f_{{{k},r_{k}}}",
         builder=builder,
-        factored=FactoredPotential(u_of_t=u_of_t, fiber_builder=fiber_builder),
+        factored=FactoredPotential(fiber_builder=fiber_builder),
     )
 
 
@@ -414,9 +304,8 @@ def basicex_geometry(n: int, k: int) -> tuple[WarpedGeometry, StaticPotentialSpe
     if not (1 <= k <= n - 3):
         raise ValueError(f"basicex needs 1 <= k <= n-3, got n={n}, k={k}")
     r_k, s_k = basicex_radii(n, k)
-    fiber = ProductFiber(Hyperbolic(k, r_k), Hyperbolic(n - k - 1, s_k))
-    spec = WarpedProductSpec.from_strings((-1.2, 1.2), "cosh(t)", fiber)
-    wg = build_warped_geometry(spec)
+    fiber = make_product_chart(make_hyperbolic_chart(k, r_k), make_hyperbolic_chart(n - k - 1, s_k))
+    wg = build_warped_geometry((-1.2, 1.2), "cosh(t)", fiber)
     label = f"R x_cosh (H^{k}({r_k:.4g}) x H^{n - k - 1}({s_k:.4g})), n={n}"
     chart = replace(wg.chart, label=label, known_scalar=-n * (n - 1))
     return replace(wg, chart=chart), basicex_potential(n, k)

@@ -167,9 +167,8 @@ class StaticAnalysis:
 
     # -- decomposition identities --------------------------------------------
 
-    def decompose_residuals(self, checked: bool = True) -> ResidualSet:
-        if checked:
-            self.require_solution("decomposition identities")
+    def decompose_residuals(self) -> ResidualSet:
+        self.require_solution("decomposition identities")
         b = self.bundle
         n = self.n
         fa = self.f_plus_a
@@ -188,10 +187,9 @@ class StaticAnalysis:
             "cotton_decomposition": Residual(b.jnorm(fa_c - rhs2, ("l",) * 3), scale2),
         }
 
-    def tfe_defect(self, checked: bool = True) -> Residual:
+    def tfe_defect(self) -> Residual:
         """E_ik T_ijk f_j = (n-2)/(2(n-1)) ||T||^2."""
-        if checked:
-            self.require_solution("E-T contraction identity")
+        self.require_solution("E-T contraction identity")
         b = self.bundle
         n = self.n
         e_up = b.ginv0 @ b.efield.value @ b.ginv0
@@ -435,7 +433,7 @@ def inrp_product_check(wg: WarpedGeometry, analysis: StaticAnalysis, fb: Curvatu
     }
 
 
-def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis, checked: bool = True) -> ResidualSet:
+def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis) -> ResidualSet:
     """The two contraction identities tying f, phi, P, and C(., xi, .) together.
 
     Item (1):
@@ -448,8 +446,7 @@ def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis, checked: bool = T
     """
     b = st.bundle
     n = b.dim
-    if checked:
-        st.require_solution("conformal-field contraction identities")
+    st.require_solution("conformal-field contraction identities")
 
     f, df, df_up = st.f, st.df, st.df_up
     fa = st.f_plus_a

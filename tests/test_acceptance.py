@@ -28,18 +28,15 @@ from warpcheck.ode import (
     rbar_from_initial,
 )
 from warpcheck.spaces import (
-    ProductFiber,
-    Sphere,
     StaticPotentialSpec,
     WarpedGeometry,
+    assemble_warped,
     basicex_geometry,
-    build_fiber,
     make_hyperbolic_chart,
     make_product_chart,
     make_sphere_chart,
     sphere_height_potential,
 )
-from warpcheck.spaces import _assemble_warped
 from warpcheck.statics import (
     StaticAnalysis,
     equivalence_clauses,
@@ -118,15 +115,14 @@ def test_criterion_3_firstthm_identity(ejiri):
 
 
 def _ode_non_einstein_space() -> WarpedGeometry:
-    fiber = ProductFiber(Sphere(2, 1.0), Sphere(2, 2.0))
-    fiber_chart = build_fiber(fiber)
+    fiber_chart = make_product_chart(make_sphere_chart(2, 1.0), make_sphere_chart(2, 2.0))
     n = 5
     scalar, h0 = 2.0, 1.0
     c1 = c1_for_fiber_scalar(n, scalar, fiber_chart.known_scalar, h0)
     params = WarpOdeParams(n, scalar, fiber_chart.known_scalar, c1)
     traj, period = find_periodic_solution(params, h0, dt=1e-3)
     warping = OdeWarpingFunction(params, traj, period=period)
-    return _assemble_warped(warping, fiber_chart, (0.0, period), True, "S^1 x_h (S^2 x S^2(2))")
+    return assemble_warped(warping, fiber_chart, (0.0, period), "S^1 x_h (S^2 x S^2(2))")
 
 
 def test_criterion_4_wp3_and_icotton(ejiri, point_scratch):
@@ -204,7 +200,7 @@ def test_criterion_6_ode_suite(point_scratch):
         radius = math.sqrt(6.0 / rbar)
         fiber_chart = make_sphere_chart(3, radius)
         warping = OdeWarpingFunction(params, traj, period=period)
-        wg = _assemble_warped(warping, fiber_chart, (0.0, period), True, "ode-assembled")
+        wg = assemble_warped(warping, fiber_chart, (0.0, period), "ode-assembled")
         scalars = [
             CurvatureBundle(wg.chart, p, order=2).scalar for p in wg.chart.sample_points(30, offset=0)
         ]

@@ -13,6 +13,7 @@ import warpcheck
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(warpcheck.__path__))
 ROOT = Path(__file__).resolve().parents[1]
+DEFS = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
 
 
 def test_package_exports_resolve():
@@ -36,19 +37,31 @@ def _uses(path: Path) -> str:
     return "\n".join(lines)
 
 
+def _own_lines(tree: ast.AST) -> dict[str, set[int]]:
+    """For each name defined by a def or class, the lines its definitions span."""
+    spans: dict[str, set[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, DEFS):
+            spans.setdefault(node.name, set()).update(range(node.lineno, node.end_lineno + 1))
+    return spans
+
+
 def test_every_definition_has_a_user():
     """Each def and class in src/ is named again in src/, scripts/ or perfbench/.
 
-    Tests do not count as users, and neither does a re-export: import
-    statements and ``__all__`` lists are skipped.
+    Tests do not count as users, and neither does a re-export (import
+    statements and ``__all__`` lists are skipped) or a definition's use of
+    itself: a name counts only outside the lines of its own definitions.
     """
-    sources = [p for d in ("src", "scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    words = Counter(word for p in sources for word in re.findall(r"\w+", _uses(p)))
-    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    uses = Counter()
+    for p in (p for d in ("src", "scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))):
+        own = _own_lines(ast.parse(p.read_text()))
+        for lineno, line in enumerate(_uses(p).splitlines(), start=1):
+            uses.update(word for word in re.findall(r"\w+", line) if lineno not in own.get(word, ()))
     names = {
         node.name
         for p in sorted((ROOT / "src" / "warpcheck").glob("*.py"))
         for node in ast.walk(ast.parse(p.read_text()))
-        if isinstance(node, defs) and not (node.name.startswith("__") and node.name.endswith("__"))
+        if isinstance(node, DEFS) and not (node.name.startswith("__") and node.name.endswith("__"))
     }
-    assert sorted(name for name in names if words[name] < 2) == []
+    assert sorted(name for name in names if uses[name] == 0) == []

@@ -19,7 +19,7 @@ EJIRI_CONFIG = {
         "kind": "warped",
         "interval": [0.0, 2.0 * math.pi],
         "warping": "sqrt(2+sin(t))",
-        "periodic": True,
+        "periodic": True,  # no kind reads this key; a config that sets it runs as one that does not
         "fiber": {"kind": "sphere", "dim": 3, "radius": 1.0},
     },
     "checks": ["icotton_zero", "wp3_identity", "firstthm"],
@@ -155,6 +155,8 @@ def test_config_validation_errors():
             RunConfig.from_dict(dict(sphere, **{key: True}))
     with pytest.raises(ConfigError, match=r"checks\[1\]: repeated check id 'firstthm'"):
         RunConfig.from_dict(dict(sphere, checks=["firstthm", "firstthm"]))
+    with pytest.raises(ConfigError, match=r"checks\[0\]: unknown check id \['firstthm'\]"):
+        RunConfig.from_dict(dict(sphere, checks=[["firstthm"]]))
     both = {"builtin": "sphere_height", "potential_t": "t"}
     with pytest.raises(ConfigError, match="not both"):
         build_context(RunConfig.from_dict({"space": {"kind": "sphere", "dim": 3}, "checks": ["vss_residual"], "potential": both}))
@@ -281,6 +283,16 @@ def test_cli_point_must_be_finite_numbers(tmp_path, capsys, point, message):
     config_path.write_text(json.dumps(config))
     assert main(["verify", str(config_path), "--no-timestamp", "--point", point]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("axes", [[0, 7], [0], [1, 1], [-1, 0], [0, 1.5], "01"], ids=str)
+def test_cli_rotation_axes_must_be_two_distinct_axes(tmp_path, capsys, axes):
+    field = {"builtin": "rotation", "axes": axes}
+    config = {"space": {"kind": "sphere", "dim": 3}, "field": field, "checks": ["firstthm"], "samples": 2}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: field.axes: need two distinct integers in 0..2, got {axes!r}\n"
 
 
 def test_cli_csv_output(tmp_path):

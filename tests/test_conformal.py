@@ -15,8 +15,6 @@ from warpcheck.jets import JetTensor
 from warpcheck.residuals import PreconditionSkip
 from warpcheck.spaces import (
     ConformalFieldSpec,
-    Sphere,
-    WarpedProductSpec,
     build_warped_geometry,
     make_flat_torus_chart,
     make_sphere_chart,
@@ -211,9 +209,7 @@ def test_ixi_cotton_closed_constant_r(basicex52):
 
 def test_ixi_cotton_nonconstant_r():
     """Closed field on a nonconstant-R space: i_xi C = dR wedge xi^b / (2(n-1))."""
-    wg = build_warped_geometry(
-        WarpedProductSpec.from_strings((-1.0, 1.0), "exp(t/5)", Sphere(3, 1.0))
-    )
+    wg = build_warped_geometry((-1.0, 1.0), "exp(t/5)", make_sphere_chart(3, 1.0))
     for p in wg.chart.sample_points(4, offset=0):
         cf = analysis(wg.chart, wg.xi, p)
         assert cf.ixi_cotton_defect("closed").rel < 1e-7

@@ -17,9 +17,8 @@ from warpcheck.geometry import CurvatureBundle
 from warpcheck.jets import JetTensor, jt_einsum
 from warpcheck.spaces import (
     ConformalFieldSpec,
-    Sphere,
-    WarpedProductSpec,
     build_warped_geometry,
+    make_sphere_chart,
 )
 from warpcheck.statics import warping_derivatives
 
@@ -81,9 +80,7 @@ def test_metric_inverse_jets_exact(basicex52):
 def test_warped_scalar_formula_property(a, bcoef, ccoef, radius, t0):
     """R h^2 = Rbar - (n-1)(n-2) hdot^2 - 2(n-1) h hddot for random warpings."""
     src = f"{a}+{bcoef}*sin(t)+{ccoef}*cos(t)"
-    wg = build_warped_geometry(
-        WarpedProductSpec.from_strings((-1.0, 1.0), src, Sphere(3, radius))
-    )
+    wg = build_warped_geometry((-1.0, 1.0), src, make_sphere_chart(3, radius))
     p = np.array([t0, 0.15, -0.1, 0.2])
     b = CurvatureBundle(wg.chart, p, order=2)
     h, hd, hdd = warping_derivatives(wg, t0, 2)[:3]

@@ -7,9 +7,6 @@ from pytest import approx
 from warpcheck.geometry import CurvatureBundle, MetricChart, SingularMetricError, kulkarni_nomizu_jets
 from warpcheck.jets import JetShapeError, JetTensor, jet_space
 from warpcheck.spaces import (
-    Sphere,
-    WarpedProductSpec,
-    build_warped_geometry,
     make_flat_torus_chart,
     make_hyperbolic_chart,
     make_sphere_chart,

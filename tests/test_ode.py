@@ -193,7 +193,7 @@ def test_periodic_equilibrium_flag():
     params = WarpOdeParams(4, 12.0, rbar_from_initial(base, h_eq, 0.0), 2.0)
     traj, period = find_periodic_solution(params, h_eq)
     assert period == 0.0
-    assert traj.method == "equilibrium"
+    assert np.all(traj.h == h_eq) and np.all(traj.hdot == 0.0)
 
 
 def test_small_oscillation_period():

@@ -1,22 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from pytest import approx
 
+from warpcheck.checks import ConfigError, RunConfig, build_context
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.spaces import (
-    FlatTorus,
-    Hyperbolic,
-    ProductFiber,
-    Sphere,
-    WarpedProductSpec,
     basicex_geometry,
     basicex_radii,
-    build_fiber,
     build_warped_geometry,
-    fiber_einstein_constant,
     hyperbolic_static_potential,
+    make_flat_torus_chart,
     make_hyperbolic_chart,
     make_product_chart,
     make_sphere_chart,
@@ -126,7 +122,7 @@ def test_hyperbolic_potential_linearity():
 
 
 def test_product_flat():
-    chart = make_product_chart(build_fiber(FlatTorus(2)), build_fiber(FlatTorus(2)))
+    chart = make_product_chart(make_flat_torus_chart(2), make_flat_torus_chart(2))
     p = chart.sample_points(1, offset=0)[0]
     assert scalar_at(chart, p) == approx(0.0, abs=1e-12)
 
@@ -148,10 +144,8 @@ def test_product_scalar_adds_hyperbolic():
 
 
 def test_warped_constant_h_is_product():
-    fiber = Sphere(3, 1.0)
-    spec = WarpedProductSpec.from_strings((-1.0, 1.0), "1", fiber)
-    chart = build_warped_geometry(spec).chart
-    product = make_product_chart(build_fiber(FlatTorus(1)), make_sphere_chart(3, 1.0))
+    chart = build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, 1.0)).chart
+    product = make_product_chart(make_flat_torus_chart(1), make_sphere_chart(3, 1.0))
     p = np.array([0.3, 0.1, -0.2, 0.4])
     gw = chart.metric_jets(p, 2).value
     gp = product.metric_jets(p, 2).value
@@ -167,17 +161,15 @@ def test_warped_ejiri_scalar(ejiri):
 def test_warped_cosh_example1_scalar():
     n = 5
     r2, s2 = basicex_radii(n, 2)
-    fiber = ProductFiber(Hyperbolic(2, r2), Hyperbolic(2, s2))
-    spec = WarpedProductSpec.from_strings((-1.0, 1.0), "cosh(t)", fiber)
-    chart = build_warped_geometry(spec).chart
+    fiber = make_product_chart(make_hyperbolic_chart(2, r2), make_hyperbolic_chart(2, s2))
+    chart = build_warped_geometry((-1.0, 1.0), "cosh(t)", fiber).chart
     p = chart.sample_points(4, offset=0)[2]
     assert scalar_at(chart, p) == approx(-20.0, abs=1e-8)
 
 
 def test_warped_nonpositive_h_rejected():
-    spec = WarpedProductSpec.from_strings((0.0, 7.0), "sin(t)", Sphere(3, 1.0))
     with pytest.raises(ValueError):
-        build_warped_geometry(spec)
+        build_warped_geometry((0.0, 7.0), "sin(t)", make_sphere_chart(3, 1.0))
 
 
 def test_warped_xi_components(ejiri):
@@ -241,7 +233,7 @@ def test_known_scalars_match():
         make_sphere_chart(3, 1.0),
         make_sphere_chart(4, 2.0),
         make_hyperbolic_chart(3, 1.0),
-        build_fiber(FlatTorus(3)),
+        make_flat_torus_chart(3),
         make_product_chart(make_sphere_chart(2, 1.0), make_sphere_chart(2, 2.0)),
     ]
     for chart in charts:
@@ -268,7 +260,60 @@ def test_non_einstein_fiber_efield_bounded_away():
     assert min(norms) > 0.5
 
 
-def test_fiber_einstein_constant_helper():
-    assert fiber_einstein_constant(Sphere(3, 1.0)) == approx(2.0)
-    assert fiber_einstein_constant(FlatTorus(2)) == approx(0.0)
-    assert fiber_einstein_constant(ProductFiber(Sphere(2, 1.0), Sphere(2, 2.0))) is None
+
+# -- charts from run-configs -------------------------------------------------------------
+
+CHART_KINDS = {
+    "sphere": ({"kind": "sphere", "dim": 2, "radius": 1.5}, lambda: make_sphere_chart(2, 1.5)),
+    "hyperbolic": ({"kind": "hyperbolic", "dim": 2, "radius": 0.7}, lambda: make_hyperbolic_chart(2, 0.7)),
+    "flat_torus": ({"kind": "flat_torus", "dim": 3}, lambda: make_flat_torus_chart(3)),
+    "product": (
+        {"kind": "product", "left": {"kind": "sphere", "dim": 2}, "right": {"kind": "hyperbolic", "dim": 1}},
+        lambda: make_product_chart(make_sphere_chart(2, 1.0), make_hyperbolic_chart(1, 1.0)),
+    ),
+}
+
+
+PATHS = {"top": "space", "warped": "space.fiber", "nested": "space.fiber.left.left"}
+
+
+def _space_at(position, raw):
+    """A space config with ``raw`` at the top, as a warped fiber, or left in a product left in the fiber."""
+    if position == "top":
+        return raw
+    if position == "nested":
+        left = {"kind": "product", "left": raw, "right": {"kind": "sphere", "dim": 1}}
+        raw = {"kind": "product", "left": left, "right": {"kind": "flat_torus", "dim": 1}}
+    return {"kind": "warped", "interval": [-1.0, 1.0], "warping": "cosh(t)", "fiber": raw}
+
+
+def _chart_at(position, chart):
+    """The chart that ``_space_at`` describes, built directly."""
+    if position == "top":
+        return chart
+    if position == "nested":
+        chart = make_product_chart(make_product_chart(chart, make_sphere_chart(1, 1.0)), make_flat_torus_chart(1))
+    return build_warped_geometry((-1.0, 1.0), "cosh(t)", chart).chart
+
+
+def _config_chart(space):
+    return build_context(RunConfig.from_dict({"space": space, "checks": ["firstthm"]})).chart
+
+
+@pytest.mark.parametrize("position", sorted(PATHS))
+@pytest.mark.parametrize("kind", sorted(CHART_KINDS))
+def test_config_chart_equals_direct_construction(kind, position):
+    raw, make = CHART_KINDS[kind]
+    chart, direct = _config_chart(_space_at(position, raw)), _chart_at(position, make())
+    assert chart.label == direct.label and chart.dim == direct.dim
+    for p in direct.sample_points(2):
+        assert chart.metric_jets(p, 2).data.tobytes() == direct.metric_jets(p, 2).data.tobytes()
+
+
+@pytest.mark.parametrize("position", sorted(PATHS))
+@pytest.mark.parametrize(
+    "raw,field", [({"kind": "banana", "dim": 2}, ".kind"), (5, ""), ({"kind": "sphere", "radius": 1.0}, ".dim")]
+)
+def test_config_chart_errors_name_their_path(raw, field, position):
+    with pytest.raises(ConfigError, match="^" + re.escape(PATHS[position] + field) + ":"):
+        _config_chart(_space_at(position, raw))

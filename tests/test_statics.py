@@ -9,10 +9,7 @@ from warpcheck.conformal import ConformalAnalysis, sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.residuals import PreconditionSkip
 from warpcheck.spaces import (
-    FlatTorus,
-    Sphere,
     StaticPotentialSpec,
-    WarpedProductSpec,
     build_warped_geometry,
     make_flat_torus_chart,
     make_sphere_chart,
@@ -220,7 +217,7 @@ def test_lgh_arbitrary_potential_on_ejiri(ejiri, point_scratch):
 
 
 def test_lgh_constants(point_scratch):
-    wg = build_warped_geometry(WarpedProductSpec.from_strings((-1.0, 1.0), "1", Sphere(3, 1.0)))
+    wg = build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, 1.0))
     p = np.array([0.2, 0.1, -0.2, 0.3])
     sc = point_scratch(wg, p, t_potential(dsl.parse("1"), "1"))
     res = lgh_closed_forms(wg, sc.static, sc.fiber)
@@ -253,7 +250,7 @@ def test_icotton_zero_on_constant_r(ejiri, basicex52, point_scratch):
 
 
 def test_icotton_product_chart(point_scratch):
-    wg = build_warped_geometry(WarpedProductSpec.from_strings((-1.0, 1.0), "1", Sphere(3, 1.0)))
+    wg = build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, 1.0))
     assert icotton_warped_residual(point_scratch(wg, np.array([0.1, 0.2, -0.1, 0.3])).bundle).rel < 1e-9
 
 
@@ -275,7 +272,7 @@ def test_wp3_identity_non_einstein_fiber(basicex52, point_scratch):
 
 
 def test_wp3_constant_h_trivial(point_scratch):
-    wg = build_warped_geometry(WarpedProductSpec.from_strings((-1.0, 1.0), "1", Sphere(3, 1.0)))
+    wg = build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, 1.0))
     resid, lhs, rhs = warpedproduct3_residual(wg, point_scratch(wg, np.array([0.1, 0.2, -0.1, 0.3])).hdot)
     assert lhs < 1e-12 and rhs < 1e-12
 
@@ -322,7 +319,7 @@ def test_propddoth_basicex_assembly(basicex52, point_scratch):
 
 def test_propddoth_flat_fiber_product(point_scratch):
     """Scalar-flat fiber: the product (h == 1) with potential fbar is static."""
-    wg = build_warped_geometry(WarpedProductSpec.from_strings((-1.0, 1.0), "1", FlatTorus(3)))
+    wg = build_warped_geometry((-1.0, 1.0), "1", make_flat_torus_chart(3))
     builder = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
     sc = point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), order=2)
     res = propddoth_check(wg, builder, sc.bundle, sc.fiber)
@@ -332,7 +329,7 @@ def test_propddoth_flat_fiber_product(point_scratch):
 
 def test_propddoth_flat_fiber_exponential_warping(point_scratch):
     """h = e^t over a scalar-flat fiber satisfies the warping equation with R = -n(n-1)."""
-    wg = build_warped_geometry(WarpedProductSpec.from_strings((-0.5, 0.5), "exp(t)", FlatTorus(3)))
+    wg = build_warped_geometry((-0.5, 0.5), "exp(t)", make_flat_torus_chart(3))
     builder = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
     sc = point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), order=2)
     assert sc.bundle.scalar == approx(-12.0, abs=1e-10)
@@ -342,7 +339,7 @@ def test_propddoth_flat_fiber_exponential_warping(point_scratch):
 
 
 def test_propddoth_warping_equation_witness(point_scratch):
-    wg = build_warped_geometry(WarpedProductSpec.from_strings((0.0, 1.0), "1+0.3*t", FlatTorus(3)))
+    wg = build_warped_geometry((0.0, 1.0), "1+0.3*t", make_flat_torus_chart(3))
     builder = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
     sc = point_scratch(wg, np.array([0.4, 1.0, 2.0, 3.0]), order=2)
     res = propddoth_check(wg, builder, sc.bundle, sc.fiber)
@@ -354,9 +351,7 @@ def test_propddoth_warping_equation_witness(point_scratch):
 
 
 def _product_over_sphere(radius=1.0):
-    return build_warped_geometry(
-        WarpedProductSpec.from_strings((-1.0, 1.0), "1", Sphere(3, radius))
-    )
+    return build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, radius))
 
 
 def _inrp(point_scratch, wg, source, p):

@@ -6,7 +6,6 @@ from pytest import approx
 
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.sampling import halton_points
-from warpcheck.spaces import Sphere, WarpedProductSpec, build_warped_geometry
 from warpcheck.statics import warping_derivatives
 
 
