@@ -267,12 +267,14 @@ def _build_potential(config: RunConfig, space: dict, chart: MetricChart) -> Stat
         if name == "warped_hdot":
             return None  # handled as hdot jets by the checks that use it
         if name == "basicex":
+            _need_kind(space, "basicex", "potential", name)
             return basicex_potential(int(space["n"]), int(space["k"]))
         if name == "sphere_height":
-            return sphere_height_potential(
-                chart.dim, float(space.get("radius", 1.0)), int(pot.get("axis", chart.dim + 1)), float(pot.get("shift", 0.0))
-            )
+            _need_kind(space, "sphere", "potential", name)
+            axis = _sphere_axis(pot, "potential", chart.dim)
+            return sphere_height_potential(chart.dim, float(space.get("radius", 1.0)), axis, float(pot.get("shift", 0.0)))
         if name == "hyperbolic_x0":
+            _need_kind(space, "hyperbolic", "potential", name)
             return hyperbolic_static_potential(chart.dim, float(space.get("radius", 1.0)))
         raise ConfigError(f"potential.builtin: unknown builtin {name!r} (have {POTENTIAL_BUILTINS})")
     if "potential_t" in pot:
@@ -286,6 +288,20 @@ def _build_potential(config: RunConfig, space: dict, chart: MetricChart) -> Stat
     raise ConfigError("potential: provide 'builtin' or 'potential_t'")
 
 
+def _need_kind(space: dict, kind: str, key: str, name: str) -> None:
+    """A builtin written in one chart's coordinates runs only on that kind of space."""
+    if space["kind"] != kind:
+        raise ConfigError(f"{key}.builtin: {name} needs a {kind} space")
+
+
+def _sphere_axis(raw: dict, key: str, dim: int) -> int:
+    """The ambient axis 1..dim+1 of a sphere builtin (default: the last)."""
+    axis = raw.get("axis", dim + 1)
+    if type(axis) is not int or not 1 <= axis <= dim + 1:
+        raise ConfigError(f"{key}.axis: need an integer in 1..{dim + 1}, got {axis!r}")
+    return axis
+
+
 def _build_field(config: RunConfig, chart: MetricChart, warped: WarpedGeometry | None) -> ConformalFieldSpec | None:
     fld = config.fld
     if fld is None:
@@ -297,9 +313,9 @@ def _build_field(config: RunConfig, chart: MetricChart, warped: WarpedGeometry |
                 raise ConfigError("field.builtin: warped_xi needs a warped space")
             return warped.xi
         if name == "sphere_gradient":
-            return sphere_gradient_field(
-                chart.dim, float(config.space.get("radius", 1.0)), int(fld.get("axis", chart.dim + 1))
-            )
+            _need_kind(config.space, "sphere", "field", name)
+            axis = _sphere_axis(fld, "field", chart.dim)
+            return sphere_gradient_field(chart.dim, float(config.space.get("radius", 1.0)), axis)
         if name == "rotation":
             axes = fld.get("axes", [0, 1])
             distinct = isinstance(axes, list) and len(axes) == 2 and axes[0] != axes[1]

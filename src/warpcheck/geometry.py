@@ -16,11 +16,14 @@ call away.  Index conventions:
   ``T_{ij,k}`` is ``cov(T)[i, j, k]``.
 
 Order rule: a jet product is formed only up to the order its result keeps
-(Riemann's quadratic term, each covariant derivative, the k-th Neumann term
-of the inverse metric at order k).  No bit moves: the graded-lex layout
-makes a lower order's coefficients, product pairs and sums a prefix of the
-higher order's, and a factor with zero value part (``g - g0``) meets the
-dropped top-order coefficients only through products equal to 0.0.
+(Riemann's quadratic term, each covariant derivative, the k-th Neumann
+term of the inverse metric at order k).  The inverse metric stops at order
+``order - 1``: everything it is contracted with is built from a derivative
+of an order-``order`` jet (of the metric or of a field), so has at most
+that order.  No bit moves: the graded-lex layout makes a lower order's
+coefficients, product pairs and sums a prefix of the higher order's, and a
+factor with zero value part (``g - g0``) meets the dropped top-order
+coefficients only through products equal to 0.0.
 """
 
 from __future__ import annotations
@@ -153,13 +156,14 @@ class CurvatureBundle:
 
     @cached_property
     def ginv(self) -> JetTensor:
+        """Inverse metric jets to order ``order - 1``, the highest any contraction keeps."""
         # Neumann series: with g = g0 + N, inverse = sum_j (-G0 N)^j G0,
         # exact at jet order k after k terms because N has no value part, so
         # term k runs at order k on the previous one zero-padded.
         g0inv = self.ginv0
         n_mat = self.g - JetTensor.const(self.space, self.g0)
         x = JetTensor.const(jet_space(self.dim, 0), g0inv)
-        for k in range(1, self.order + 1):
+        for k in range(1, self.order):
             space = jet_space(self.dim, k)
             x_pad = x.embed(space, tuple(range(self.dim)))
             x = JetTensor.const(space, g0inv) - _jt_const_matmul(g0inv, jt_einsum("ij,jk->ik", n_mat, x_pad))

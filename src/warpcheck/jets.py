@@ -85,7 +85,7 @@ class JetSpace:
             dtype=float,
         )
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._diff_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._partials_table: tuple[np.ndarray, np.ndarray] | None = None
         self._embed_tables: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
     # -- lookup tables -------------------------------------------------
@@ -114,22 +114,24 @@ class JetSpace:
             self._mul_table = (a_idx, b_idx, starts)
         return self._mul_table
 
-    def diff_table(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(source slot, scale) mapping coefficients of f to those of df/dx_i.
+    @property
+    def partials_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(source slots, scales) mapping coefficients of f to those of all df/dx_i.
 
-        The result lives in the space of one lower order:
-        coeff(df/dx_i)[b] = coeff(f)[b + e_i] * (b_i + 1).
+        Both arrays have shape (num_vars, lower.n_coeffs) for the space of
+        one lower order: coeff(df/dx_i)[b] = coeff(f)[b + e_i] * (b_i + 1).
         """
-        if i not in self._diff_tables:
+        if self._partials_table is None:
             lower = jet_space(self.num_vars, self.order - 1)
-            src = np.empty(lower.n_coeffs, dtype=int)
-            fac = np.empty(lower.n_coeffs, dtype=float)
-            for j, beta in enumerate(lower.multi_indices):
-                shifted = tuple(b + (1 if a == i else 0) for a, b in enumerate(beta))
-                src[j] = self.index[shifted]
-                fac[j] = beta[i] + 1
-            self._diff_tables[i] = (src, fac)
-        return self._diff_tables[i]
+            src = np.empty((self.num_vars, lower.n_coeffs), dtype=int)
+            fac = np.empty((self.num_vars, lower.n_coeffs), dtype=float)
+            for i in range(self.num_vars):
+                for j, beta in enumerate(lower.multi_indices):
+                    shifted = tuple(b + (1 if a == i else 0) for a, b in enumerate(beta))
+                    src[i, j] = self.index[shifted]
+                    fac[i, j] = beta[i] + 1
+            self._partials_table = (src, fac)
+        return self._partials_table
 
     def embed_table(self, sub: "JetSpace", var_positions: tuple[int, ...]) -> np.ndarray:
         """Slot mapping that places a jet of ``sub`` into this space.
@@ -233,14 +235,15 @@ def _elem_series(name: str, v: np.ndarray, order: int, exponent: float | None = 
             _check_positive(f"pow_const({p})", v)
         elif p < 0 and np.any(np.asarray(v) == 0):
             raise JetDomainError(f"pow_const({p}) requires a nonzero value part")
-        coeffs = []
+        # the exponent stays a Python float: numpy's fast paths for a scalar
+        # exponent (-1, 0.5, 2) round differently from np.power on an array
+        coeffs = np.empty((order + 1,) + np.shape(v))
         c = 1.0
-        for j in range(order + 1):
-            with np.errstate(invalid="ignore"):
-                term = np.where(c == 0.0, 0.0, c * v ** (p - j)) if float(p).is_integer() else c * v ** (p - j)
-            coeffs.append(np.asarray(term, dtype=float))
-            c *= (p - j) / (j + 1)
-        return np.stack(coeffs)
+        with np.errstate(invalid="ignore"):
+            for j in range(order + 1):
+                coeffs[j] = 0.0 if c == 0.0 else c * v ** (p - j)
+                c *= (p - j) / (j + 1)
+        return coeffs
     raise ValueError(f"unknown elementary function {name!r}")
 
 
@@ -352,11 +355,10 @@ class JetTensor:
                 "insufficient jet order: cannot differentiate an order-0 jet"
             )
         lower = jet_space(self.space.num_vars, self.order - 1)
-        cols = []
-        for i in range(self.space.num_vars):
-            src, fac = self.space.diff_table(i)
-            cols.append(self.data[..., src] * fac)
-        return JetTensor(lower, np.stack(cols, axis=-2))
+        src, fac = self.space.partials_table
+        # np.take keeps the result C-contiguous, as data[..., src] does not:
+        # np.einsum picks its inner kernel, and so its bits, by operand layout.
+        return JetTensor(lower, np.take(self.data, src, axis=-1) * fac)
 
     def embed(self, target: JetSpace, var_positions: tuple[int, ...]) -> "JetTensor":
         """Re-express in a larger variable set (other partials vanish)."""

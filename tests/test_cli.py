@@ -295,6 +295,36 @@ def test_cli_rotation_axes_must_be_two_distinct_axes(tmp_path, capsys, axes):
     assert capsys.readouterr().err == f"error: field.axes: need two distinct integers in 0..2, got {axes!r}\n"
 
 
+@pytest.mark.parametrize(
+    "space, key, builtin, message",
+    [
+        ("hyperbolic", "potential", "sphere_height", "potential.builtin: sphere_height needs a sphere space"),
+        ("hyperbolic", "field", "sphere_gradient", "field.builtin: sphere_gradient needs a sphere space"),
+        ("flat_torus", "potential", "hyperbolic_x0", "potential.builtin: hyperbolic_x0 needs a hyperbolic space"),
+        ("sphere", "potential", "hyperbolic_x0", "potential.builtin: hyperbolic_x0 needs a hyperbolic space"),
+        ("sphere", "potential", "basicex", "potential.builtin: basicex needs a basicex space"),
+    ],
+)
+def test_cli_chart_builtins_need_their_space_kind(tmp_path, capsys, space, key, builtin, message):
+    """A builtin written in one chart's coordinates would FAIL an identity elsewhere; it is a config error."""
+    check = "vss_residual" if key == "potential" else "firstthm"
+    config = {"space": {"kind": space, "dim": 3}, key: {"builtin": builtin}, "checks": [check], "samples": 2}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("axis", [9, 0, -1, 2.0, "1", True], ids=repr)
+@pytest.mark.parametrize("key, builtin, check", [("field", "sphere_gradient", "firstthm"), ("potential", "sphere_height", "vss_residual")])
+def test_cli_sphere_axis_names_its_key(tmp_path, capsys, key, builtin, check, axis):
+    config = {"space": {"kind": "sphere", "dim": 3}, key: {"builtin": builtin, "axis": axis}, "checks": [check], "samples": 2}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: {key}.axis: need an integer in 1..4, got {axis!r}\n"
+
+
 def test_cli_csv_output(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(EJIRI_CONFIG))

@@ -7,8 +7,6 @@ set by the stencils, not the jets.
 """
 
 import numpy as np
-import pytest
-from pytest import approx
 
 from warpcheck.geometry import CurvatureBundle
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-import warpcheck.dsl as dsl
 from warpcheck.conformal import ConformalAnalysis
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.jets import JetTensor, jt_einsum
@@ -64,8 +63,9 @@ def test_metric_inverse_jets_exact(basicex52):
     wg, _ = basicex52
     p = wg.chart.sample_points(1, offset=6)[0]
     b = CurvatureBundle(wg.chart, p, order=4)
+    assert b.ginv.order == b.order - 1
     identity = jt_einsum("ij,jk->ik", b.g, b.ginv)
-    expected = JetTensor.const(b.space, np.eye(b.dim))
+    expected = JetTensor.const(b.ginv.space, np.eye(b.dim))
     assert np.max(np.abs(identity.data - expected.data)) < 1e-12
 
 

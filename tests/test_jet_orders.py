@@ -3,7 +3,9 @@
 The curvature pipeline truncates factors before a product instead of
 truncating the product.  That rests on two facts about the jet layout,
 checked here on random tensors, and on the rewritten formulas matching
-the straightforward ones bit for bit on real charts.
+the straightforward ones bit for bit on real charts.  The vectorized
+``partials`` and ``pow_const`` series are pinned the same way against the
+loops they replaced.
 """
 
 from functools import cached_property
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from warpcheck import geometry
 from warpcheck.geometry import CurvatureBundle, MetricChart, _jt_const_matmul
-from warpcheck.jets import JetTensor, jet_space, jt_einsum
+from warpcheck.jets import JetTensor, _elem_series, jet_space, jt_einsum
 from conftest import example_geometry
 from warpcheck.spaces import basicex_geometry, make_sphere_chart
 
@@ -149,9 +151,10 @@ CHARTS = {
 @pytest.mark.parametrize("name", sorted(CHARTS))
 def test_kept_order_formulas_match_full_order_bitwise(name, order):
     chart = CHARTS[name]()
-    attrs = ("ginv", "riemann13", "cotton") + (("cotton_divergence",) if order >= 4 else ())
+    attrs = ("riemann13", "cotton") + (("cotton_divergence",) if order >= 4 else ())
     for point in chart.sample_points(2, offset=3):
         new, ref = CurvatureBundle(chart, point, order), FullOrderBundle(chart, point, order)
+        _assert_bitwise(new.ginv, ref.ginv.truncate(order - 1))
         for attr in attrs:
             _assert_bitwise(getattr(new, attr), getattr(ref, attr))
 
@@ -179,3 +182,76 @@ def test_no_geometry_product_is_truncated_after_the_fact(monkeypatch):
     CurvatureBundle(chart, chart.sample_points(1)[0], order=4).cotton_divergence
     assert made
     assert cut == []
+
+
+# -- vectorized kernels against the loops they replaced ---------------------------
+
+
+def reference_partials(self: JetTensor) -> JetTensor:
+    """One gather per variable, stacked: partials() as first written."""
+    space = self.space
+    lower = jet_space(space.num_vars, self.order - 1)
+    cols = []
+    for i in range(space.num_vars):
+        src = np.array([space.index[tuple(b + (a == i) for a, b in enumerate(beta))] for beta in lower.multi_indices])
+        fac = np.array([beta[i] + 1.0 for beta in lower.multi_indices])
+        cols.append(self.data[..., src] * fac)
+    return JetTensor(lower, np.stack(cols, axis=-2))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_partials_match_per_variable_gathers_bitwise(dim, order):
+    rng = np.random.default_rng(10 * dim + order)
+    space = jet_space(dim, order)
+    for rank in range(4):
+        t = JetTensor(space, rng.standard_normal((dim,) * rank + (space.n_coeffs,)))
+        got = t.partials()
+        assert got.data.flags.c_contiguous
+        _assert_bitwise(got, reference_partials(t))
+
+
+def test_cotton_divergence_unchanged_by_reference_partials(monkeypatch):
+    """The dense chart's order-4 pipeline, the deepest user of partials, moves no bit."""
+    chart = dense_chart()
+    point = chart.sample_points(1, offset=5)[0]
+    new = CurvatureBundle(chart, point, order=4).cotton_divergence
+    monkeypatch.setattr(JetTensor, "partials", reference_partials)
+    _assert_bitwise(new, CurvatureBundle(chart, point, order=4).cotton_divergence)
+
+
+def reference_pow_series(v, order: int, p: float) -> np.ndarray:
+    """The pow_const series loop with a per-term errstate and np.where."""
+    coeffs = []
+    c = 1.0
+    for j in range(order + 1):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            term = np.where(c == 0.0, 0.0, c * v ** (p - j)) if float(p).is_integer() else c * v ** (p - j)
+        coeffs.append(np.asarray(term, dtype=float))
+        c *= (p - j) / (j + 1)
+    return np.stack(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([-1.0, 0.5, 2.0, -3.0, -1.5]),
+    st.integers(min_value=0, max_value=5),
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=6),
+    st.booleans(),
+    st.booleans(),
+)
+def test_pow_const_series_matches_per_term_loop_bitwise(p, order, values, negate, shaped):
+    v = np.array(values)
+    if negate and float(p).is_integer():
+        v = -v
+    if p == 2.0:
+        v[0] = 0.0  # 0 ** (2 - j) is inf for j > 2, where the binomial factor is 0
+    data = np.zeros(v.shape + (2,))
+    data[..., 0] = v
+    if not shaped:
+        data = data[0]
+    value_part = data[..., 0]  # as _raw_elem passes it: a 0-d array for a scalar jet
+    got = _elem_series("pow_const", value_part, order, exponent=p)
+    want = reference_pow_series(value_part, order, p)
+    assert got.shape == want.shape == (order + 1,) + value_part.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
