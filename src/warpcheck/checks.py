@@ -265,6 +265,8 @@ def _build_potential(config: RunConfig, space: dict, chart: MetricChart) -> Stat
     if "builtin" in pot:
         name = pot["builtin"]
         if name == "warped_hdot":
+            if space["kind"] not in ("warped", "ode_warped", "basicex"):
+                raise ConfigError("potential.builtin: warped_hdot needs a warped space")
             return None  # handled as hdot jets by the checks that use it
         if name == "basicex":
             _need_kind(space, "basicex", "potential", name)
@@ -351,14 +353,17 @@ def _build_field(config: RunConfig, chart: MetricChart, warped: WarpedGeometry |
 class PointScratch:
     """One sample point's curvature bundle and the analyses its checks share.
 
-    The bundle has the highest order any check of the suite needs.  Each
-    analysis, and the fiber bundle, is built at most once, on first use.
+    The bundle has the highest field and metric orders any check of the
+    suite needs.  Each analysis, and the fiber bundle, is built at most
+    once, on first use.
     """
 
-    def __init__(self, ctx: CheckContext, point: np.ndarray, order: int, fiber_order: int = 2):
+    def __init__(
+        self, ctx: CheckContext, point: np.ndarray, order: int, fiber_order: int = 2, metric_order: int | None = None
+    ):
         self.ctx = ctx
         self.point = point
-        self.bundle = CurvatureBundle(ctx.chart, point, order=order)
+        self.bundle = CurvatureBundle(ctx.chart, point, order, metric_order=metric_order)
         self.fiber_order = fiber_order
 
     @cached_property
@@ -501,8 +506,11 @@ def _equiv_verdict(out: CheckOutcome) -> None:
 class Check:
     """Everything the suite runner knows about one check id.
 
-    ``order`` is the jet order of the point bundle the evaluator needs, and
-    ``fiber_order`` that of the fiber bundle.  ``needs`` names the context
+    ``order`` is the jet order of the point bundle's coordinates and fields
+    the evaluator needs, ``metric_order`` (default ``order``) that of its
+    metric and curvature, and ``fiber_order`` that of the fiber bundle.
+    ``metric_order`` is below ``order`` where a field is differentiated
+    more often than the metric.  ``needs`` names the context
     the check cannot run without: ``warped``, ``potential``, ``field`` and
     ``constant_r`` (the scalar curvature is constant over the samples).
     ``settle``, if set, replaces the tolerance verdict when every point gave finite residuals.
@@ -515,13 +523,19 @@ class Check:
     needs: frozenset[str]
     fiber_order: int = 2
     settle: Callable[[CheckOutcome], None] | None = None
+    metric_order: int | None = None
+
+    def __post_init__(self):
+        if self.metric_order is None:
+            object.__setattr__(self, "metric_order", self.order)
 
 
 CHECKS: dict[str, Check] = {
     "vss_residual": Check("vacuum static equation: full, trace, and trace-free residuals",
         1e-8, 2, _eval_vss, frozenset({"potential"})),
+    # L* f reads the metric twice differentiated, through Ricci
     "lgh_forms": Check("closed forms of L* on warped products (all slots + warped Laplacian)",
-        1e-8, 3, _eval_lgh, frozenset({"warped"})),
+        1e-8, 3, _eval_lgh, frozenset({"warped"}), metric_order=2),
     "wp3_identity": Check("L* hdot = -C(.,xi,.) on constant-scalar warped products",
         1e-8, 3, _eval_wp3, frozenset({"warped", "constant_r"})),
     "icotton_zero": Check("i_{d/dt} C = 0 on constant-scalar warped products",
@@ -541,10 +555,12 @@ CHECKS: dict[str, Check] = {
         1e-8, 2, _eval_propddoth, frozenset({"warped"})),
     "inrp": Check("product criterion: f'' + Rbar f/(n-1) = 0 over an Einstein fiber",
         1e-8, 2, _eval_inrp, frozenset({"warped"})),
+    # the metric enters through Cotton, three derivatives deep; the field jets keep
+    # order 4 because the sphere-gradient builder loses one order
     "firstthm": Check("L* phi = Phi for the characteristic function of a conformal field",
-        1e-7, 4, _eval_firstthm, frozenset({"field"})),
+        1e-7, 4, _eval_firstthm, frozenset({"field"}), metric_order=3),
     "ixi_cotton": Check("i_xi C formula (general form; closed reduction when applicable)",
-        1e-7, 4, _eval_ixi, frozenset({"field"})),
+        1e-7, 4, _eval_ixi, frozenset({"field"}), metric_order=3),
     "cxi_div": Check("Xi_ik xi^i = 0 for closed fields with constant scalar curvature",
         1e-6, 4, _eval_cxi, frozenset({"field", "constant_r"})),
     "equiv_chain": Check("joint verdict of the four warped vacuum-static equivalence clauses",
@@ -699,7 +715,8 @@ def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> Ve
     specs = [CHECKS[check] for check in config.checks]
     order = max(spec.order for spec in specs)
     fiber_order = max(spec.fiber_order for spec in specs)
-    scratches = deque(PointScratch(ctx, p, order, fiber_order) for p in points)
+    metric_order = max(spec.metric_order for spec in specs)
+    scratches = deque(PointScratch(ctx, p, order, fiber_order, metric_order) for p in points)
 
     # overflow at a point shows as a non-finite residual, which FAILs with that point
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -17,13 +17,15 @@ call away.  Index conventions:
 
 Order rule: a jet product is formed only up to the order its result keeps
 (Riemann's quadratic term, each covariant derivative, the k-th Neumann
-term of the inverse metric at order k).  The inverse metric stops at order
-``order - 1``: everything it is contracted with is built from a derivative
-of an order-``order`` jet (of the metric or of a field), so has at most
-that order.  No bit moves: the graded-lex layout makes a lower order's
-coefficients, product pairs and sums a prefix of the higher order's, and a
-factor with zero value part (``g - g0``) meets the dropped top-order
-coefficients only through products equal to 0.0.
+term of the inverse metric at order k).  The metric is expanded only to
+the order the checks read, which may be below that of the fields; a
+contraction of a field with curvature keeps the lower of the two orders.
+The inverse metric stops one order below the metric: everything it is
+contracted with is built from a derivative of the metric or of a field,
+so has at most that order.  No bit moves: the graded-lex layout makes a
+lower order's coefficients, product pairs and sums a prefix of the higher
+order's, and a factor with zero value part (``g - g0``) meets the dropped
+top-order coefficients only through products equal to 0.0.
 """
 
 from __future__ import annotations
@@ -117,15 +119,20 @@ def _jt_const_matmul(mat: np.ndarray, t: JetTensor) -> JetTensor:
 class CurvatureBundle:
     """All curvature data of one chart at one point, computed lazily as jets.
 
-    ``order`` is the metric jet order: 2 suffices for Riemann/Ricci/scalar,
-    3 adds the Cotton tensor, 4 adds the Cotton divergence and anything that
-    differentiates a computed field twice.
+    ``order`` is the jet order of the coordinates and of every field
+    evaluated on them (``space``).  ``metric_order`` (default ``order``) is
+    that of the metric, from which the whole curvature chain is built, and
+    may not exceed ``order``: 2 suffices for Riemann/Ricci/scalar, 3 adds
+    the Cotton tensor, 4 the Cotton divergence.  A field may need the
+    higher order: L* phi differentiates phi = div(xi)/n twice, and the
+    sphere-gradient field loses one order in its builder.
     """
 
-    def __init__(self, chart: MetricChart, point: np.ndarray, order: int = 3):
+    def __init__(self, chart: MetricChart, point: np.ndarray, order: int = 3, metric_order: int | None = None):
         self.chart = chart
         self.point = np.asarray(point, dtype=float)
         self.order = order
+        self.metric_order = order if metric_order is None else metric_order
         self.dim = chart.dim
         self.space = jet_space(chart.dim, order)
 
@@ -133,7 +140,10 @@ class CurvatureBundle:
 
     @cached_property
     def g(self) -> JetTensor:
-        return self.chart.metric_jets(self.point, self.order)
+        # cut from the field-order metric, not built at the lower order: a
+        # builder that composes a function at a zero argument (cos at phase
+        # 0, say) flips the sign of some zero coefficients between orders
+        return self.chart.metric_jets(self.point, self.order).truncate(self.metric_order)
 
     @cached_property
     def g0(self) -> np.ndarray:
@@ -156,14 +166,14 @@ class CurvatureBundle:
 
     @cached_property
     def ginv(self) -> JetTensor:
-        """Inverse metric jets to order ``order - 1``, the highest any contraction keeps."""
+        """Inverse metric jets to order ``metric_order - 1``, the highest any contraction keeps."""
         # Neumann series: with g = g0 + N, inverse = sum_j (-G0 N)^j G0,
         # exact at jet order k after k terms because N has no value part, so
         # term k runs at order k on the previous one zero-padded.
         g0inv = self.ginv0
-        n_mat = self.g - JetTensor.const(self.space, self.g0)
+        n_mat = self.g - JetTensor.const(self.g.space, self.g0)
         x = JetTensor.const(jet_space(self.dim, 0), g0inv)
-        for k in range(1, self.order):
+        for k in range(1, self.metric_order):
             space = jet_space(self.dim, k)
             x_pad = x.embed(space, tuple(range(self.dim)))
             x = JetTensor.const(space, g0inv) - _jt_const_matmul(g0inv, jt_einsum("ij,jk->ik", n_mat, x_pad))
@@ -263,11 +273,15 @@ class CurvatureBundle:
     # -- derived operators -------------------------------------------------
 
     def covariant_derivative(self, t: JetTensor, variance: tuple[str, ...]) -> JetTensor:
-        """One covariant derivative; the new (covariant) index goes last."""
+        """One covariant derivative; the new (covariant) index goes last.
+
+        Its order is the lower of ``t``'s less one and the connection's, so a
+        field of a higher order than the metric loses what cannot be kept.
+        """
         rank = len(variance)
         if t.data.ndim - 1 != rank:
             raise ValueError(f"tensor rank {t.data.ndim - 1} != variance length {rank}")
-        out = t.partials()
+        out = t.truncate(min(t.order, self.gamma.order + 1)).partials()
         t, gamma = t.truncate(out.order), self.gamma.truncate(out.order)
         letters = "abcdefgh"[:rank]
         for pos, flag in enumerate(variance):
@@ -292,7 +306,7 @@ class CurvatureBundle:
     def lstar(self, f: JetTensor) -> JetTensor:
         """Formal adjoint of the linearized scalar curvature: Hess f - (Lap f) g - f Ric."""
         hess = self.hessian(f)
-        lap_g = jt_einsum(",ij->ij", self.laplacian(f), self.g)
+        lap_g = jt_einsum(",ij->ij", jt_einsum("ij,ij->", self.ginv, hess), self.g)
         f_ric = jt_einsum(",ij->ij", f, self.ric)
         return hess - lap_g - f_ric
 

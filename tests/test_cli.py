@@ -303,6 +303,7 @@ def test_cli_rotation_axes_must_be_two_distinct_axes(tmp_path, capsys, axes):
         ("flat_torus", "potential", "hyperbolic_x0", "potential.builtin: hyperbolic_x0 needs a hyperbolic space"),
         ("sphere", "potential", "hyperbolic_x0", "potential.builtin: hyperbolic_x0 needs a hyperbolic space"),
         ("sphere", "potential", "basicex", "potential.builtin: basicex needs a basicex space"),
+        ("sphere", "potential", "warped_hdot", "potential.builtin: warped_hdot needs a warped space"),
     ],
 )
 def test_cli_chart_builtins_need_their_space_kind(tmp_path, capsys, space, key, builtin, message):

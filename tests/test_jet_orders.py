@@ -3,11 +3,14 @@
 The curvature pipeline truncates factors before a product instead of
 truncating the product.  That rests on two facts about the jet layout,
 checked here on random tensors, and on the rewritten formulas matching
-the straightforward ones bit for bit on real charts.  The vectorized
+the straightforward ones bit for bit on real charts.  Each check's
+declared metric order is pinned as exactly what it reads.  The vectorized
 ``partials`` and ``pow_const`` series are pinned the same way against the
 loops they replaced.
 """
 
+import copy
+import json
 from functools import cached_property
 
 import numpy as np
@@ -16,10 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpcheck import geometry
+from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, PointScratch, RunConfig, run_suite
 from warpcheck.geometry import CurvatureBundle, MetricChart, _jt_const_matmul
 from warpcheck.jets import JetTensor, _elem_series, jet_space, jt_einsum
 from conftest import example_geometry
-from warpcheck.spaces import basicex_geometry, make_sphere_chart
+from warpcheck.spaces import (
+    basicex_geometry,
+    make_flat_torus_chart,
+    make_hyperbolic_chart,
+    make_product_chart,
+    make_sphere_chart,
+)
 
 SPECS = ("mki,ljm->lijk", "ij,jk->ik", "sia,sbc->abci")
 
@@ -182,6 +192,105 @@ def test_no_geometry_product_is_truncated_after_the_fact(monkeypatch):
     CurvatureBundle(chart, chart.sample_points(1)[0], order=4).cotton_divergence
     assert made
     assert cut == []
+
+
+# -- the metric order each check declares -----------------------------------------
+
+METRIC_CHARTS = dict(
+    CHARTS,
+    hyperbolic=lambda: make_hyperbolic_chart(4, 1.0),
+    flat_torus=lambda: make_flat_torus_chart(3),
+    product=lambda: make_product_chart(make_sphere_chart(2, 1.0), make_hyperbolic_chart(2, 2.0)),
+    ode_warped=lambda: example_geometry("equiv-fail").chart,
+)
+
+
+# cos at a zero phase (the box centre): the Horner loop of a composition
+# multiplies its extra top-order term by the zero value part of the phase
+SIGNED_ZERO_CHARTS = {"dense"}
+
+
+def _centre_and_samples(chart: MetricChart) -> list[np.ndarray]:
+    """The box centre and two Halton points.
+
+    At the centre the sphere, hyperbolic and product coordinates, and the
+    fiber coordinates of the warped charts, are exactly 0.0.
+    """
+    lo, hi = chart.box
+    return [(lo + hi) / 2.0, *chart.sample_points(2, offset=3)]
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_CHARTS))
+def test_metric_jets_are_prefix_stable(name):
+    """A metric built at order k is the order-(k+1) metric truncated, up to the sign of a zero.
+
+    The sign differs on the dense chart, so a bundle cuts its metric from the
+    field-order one rather than building it at the metric order.
+    """
+    chart = METRIC_CHARTS[name]()
+    differs = False
+    for point in _centre_and_samples(chart):
+        for k in (1, 2, 3):
+            low, cut = chart.metric_jets(point, k), chart.metric_jets(point, k + 1).truncate(k)
+            np.testing.assert_array_equal(low.data, cut.data)
+            differs |= not np.array_equal(_bits(low), _bits(cut))
+    assert differs == (name in SIGNED_ZERO_CHARTS)
+
+
+@pytest.mark.parametrize("metric_order", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(METRIC_CHARTS))
+def test_curvature_at_a_lower_metric_order_is_a_prefix(name, metric_order):
+    """The chain built from the metric at a lower order is the order-4 chain truncated, bit for bit."""
+    chart = METRIC_CHARTS[name]()
+    attrs = ("g", "ginv", "gamma", "riemann13", "ric", "scalar_jet", "cotton")[: (3, 6, 7)[metric_order - 1]]
+    for point in _centre_and_samples(chart):
+        low, full = CurvatureBundle(chart, point, 4, metric_order=metric_order), CurvatureBundle(chart, point, 4)
+        for attr in attrs:
+            got = getattr(low, attr)
+            _assert_bitwise(got, getattr(full, attr).truncate(got.order))
+
+
+def _outcome_alone(raw: dict, check: str) -> str:
+    """The check's report entry when it runs alone, wall time aside, floats by repr."""
+    (out,) = run_suite(RunConfig.from_dict(dict(raw, checks=[check]))).checks
+    return json.dumps({key: value for key, value in out.to_dict().items() if key != "wall_time_s"})
+
+
+def _poison_metric_above(monkeypatch, level: int) -> None:
+    """Build each point bundle's curvature at the field order, from a metric NaN above ``level``."""
+    init = PointScratch.__init__
+
+    def poisoned_init(self, ctx, point, order, *args, **kwargs):
+        init(self, ctx, point, order, *args, **kwargs)
+        g = ctx.chart.metric_jets(point, order)
+        data = g.data.copy()
+        data[..., jet_space(ctx.chart.dim, level).n_coeffs :] = np.nan
+        self.bundle.metric_order = order
+        self.bundle.__dict__["g"] = JetTensor(g.space, data)
+
+    monkeypatch.setattr(PointScratch, "__init__", poisoned_init)
+
+
+@pytest.mark.parametrize(
+    "name, check", [(name, check) for name in sorted(EXAMPLE_CONFIGS) for check in EXAMPLE_CONFIGS[name]["checks"]]
+)
+def test_declared_metric_order_is_what_each_check_reads(monkeypatch, name, check):
+    """Metric coefficients above ``metric_order`` change no bit; those at it change the outcome."""
+    raw = dict(copy.deepcopy(EXAMPLE_CONFIGS[name]), samples=2)
+    level = CHECKS[check].metric_order
+    want = _outcome_alone(raw, check)
+    with monkeypatch.context() as mp:
+        _poison_metric_above(mp, level)
+        assert _outcome_alone(raw, check) == want
+    if json.loads(want)["status"] == "SKIP":
+        return  # skipped before any point ran, so it reads no metric here
+    with monkeypatch.context() as mp:
+        _poison_metric_above(mp, level - 1)
+        try:
+            got = _outcome_alone(raw, check)
+        except Exception:
+            return
+        assert got != want
 
 
 # -- vectorized kernels against the loops they replaced ---------------------------

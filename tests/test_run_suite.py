@@ -159,14 +159,26 @@ def test_example_report_matches_golden(example_runs, name):
             assert g["details"][key] == approx(value, rel=1e-12, abs=1e-12), (g["check"], key)
 
 
-@pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
+# A suite whose metric order (3) is below its field order (4): closed_cvf
+# and vss_residual covariantly differentiate field jets of order 4.
+SUITES = {
+    **EXAMPLE_CONFIGS,
+    "mixed-orders": dict(
+        EXAMPLE_CONFIGS["nonconstant-exp"],
+        label="mixed-orders",
+        checks=["firstthm", "closed_cvf", "vss_residual", "t_algebra", "lgh_forms", "equiv_chain"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
 def test_check_alone_matches_full_suite(name):
     """A check run alone gives its entry in the full suite, bit for bit.
 
-    Alone, the point bundle has the check's own order and not the suite's
-    maximum, so an understated order or fiber order shows here.
+    Alone, the point bundle has the check's own orders and not the suite's
+    maxima, so an understated order, metric order or fiber order shows here.
     """
-    raw = dict(copy.deepcopy(EXAMPLE_CONFIGS[name]), samples=2)
+    raw = dict(copy.deepcopy(SUITES[name]), samples=2)
     for full in run_suite(RunConfig.from_dict(raw)).checks:
         (alone,) = run_suite(RunConfig.from_dict(dict(raw, checks=[full.check]))).checks
         for key in ("status", "reason", "worst_point", "samples", "max_abs_residual", "max_rel_residual", "details"):
