@@ -53,7 +53,6 @@ from .spaces import (
 from .statics import (
     StaticAnalysis,
     equivalence_clauses,
-    hdot_field,
     icotton_warped_residual,
     inrp_product_check,
     lgh_closed_forms,
@@ -136,8 +135,7 @@ class RunConfig:
         for key, value in tols.items():
             expect(key in CHECKS, f"tolerances.{key}", "unknown check id")
             # an infinite tolerance would PASS a non-finite residual; so would an int beyond float range
-            finite = isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= sys.float_info.max
-            expect(finite, f"tolerances.{key}", "must be a finite positive number")
+            expect(_finite_number(value) and value > 0, f"tolerances.{key}", "must be a finite positive number")
         pot = raw.get("potential")
         expect(pot is None or isinstance(pot, dict), "potential", "must be an object")
         fld = raw.get("field")
@@ -162,6 +160,11 @@ class RunConfig:
 
     def tolerance(self, check: str) -> float:
         return float(self.tolerances.get(check, CHECKS[check].tolerance))
+
+
+def _finite_number(value: Any) -> bool:
+    """A JSON number (no bool) that converts to a finite float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _chart_from_dict(raw: Any, path: str) -> MetricChart:
@@ -203,7 +206,10 @@ def build_context(config: RunConfig) -> CheckContext:
             chart = _chart_from_dict(space, "space")
         elif kind == "warped":
             fiber = _chart_from_dict(space.get("fiber"), "space.fiber")
-            warped = build_warped_geometry(tuple(space["interval"]), space["warping"], fiber)
+            interval = space.get("interval")
+            if not (isinstance(interval, (list, tuple)) and len(interval) == 2 and all(map(_finite_number, interval))):
+                raise ConfigError(f"space.interval: need two finite numbers [t0, t1], got {interval!r}")
+            warped = build_warped_geometry(tuple(interval), space["warping"], fiber)
             chart = warped.chart
         elif kind == "basicex":
             warped, pot = basicex_geometry(int(space["n"]), int(space["k"]))
@@ -384,8 +390,7 @@ class PointScratch:
     @cached_property
     def hdot(self) -> StaticAnalysis:
         """hdot(t) as a potential, kept apart from a configured one (basicex has both)."""
-        pot = StaticPotentialSpec(label="hdot", builder=None)
-        return StaticAnalysis(self.bundle, pot, f_jets=hdot_field(self.bundle, self.ctx.warped))
+        return StaticAnalysis(self.bundle, self.ctx.warped.hdot)
 
     @cached_property
     def fiber(self) -> CurvatureBundle:
@@ -416,9 +421,7 @@ def _eval_xicvf(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
 
 
 def _eval_lgh(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    if ctx.potential_of_t:
-        return lgh_closed_forms(ctx.warped, sc.static, sc.fiber)
-    return lgh_closed_forms(ctx.warped, sc.hdot, sc.fiber, use_hdot=True)
+    return lgh_closed_forms(ctx.warped, sc.static if ctx.potential_of_t else sc.hdot, sc.fiber)
 
 
 def _eval_wp3(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:

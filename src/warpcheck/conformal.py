@@ -21,7 +21,7 @@ import numpy as np
 from .geometry import CurvatureBundle
 from .jets import JetTensor, jt_einsum
 from .residuals import PreconditionSkip, Residual, ResidualSet
-from .spaces import ConformalFieldSpec
+from .spaces import ConformalFieldSpec, _sum_squares, sphere_height_potential
 
 __all__ = [
     "ConformalAnalysis",
@@ -67,9 +67,27 @@ class ConformalAnalysis:
         return self.phi.partials()
 
     @cached_property
+    def hess_phi(self) -> JetTensor:
+        return self.bundle.hessian(self.phi)
+
+    @cached_property
+    def lap_phi(self) -> JetTensor:
+        return self.bundle.laplacian(self.hess_phi)
+
+    @cached_property
+    def xi_of_r(self) -> JetTensor:
+        """xi(R) = xi^l d_l R."""
+        return jt_einsum("l,l->", self.xi, self.bundle.dscalar)
+
+    @cached_property
     def p(self) -> JetTensor:
         """P_jk = (xi^b_{j,k} - xi^b_{k,j}) / 2 (skew part of dxi^b)."""
         return (self.dxi_flat - self.dxi_flat.transpose("jk->kj")) * 0.5
+
+    @cached_property
+    def p_up(self) -> JetTensor:
+        """g^ab P_bk."""
+        return jt_einsum("ab,bk->ak", self.bundle.ginv, self.p)
 
     @cached_property
     def dp(self) -> JetTensor:
@@ -152,19 +170,16 @@ class ConformalAnalysis:
         b = self.bundle
         n = self.n
         term1 = -jt_einsum("kli,l->ik", b.cotton, self.xi)
-        dscal = b.scalar_jet.partials()
-        xi_of_r = jt_einsum("l,l->", self.xi, dscal)
         term2 = (
-            jt_einsum("i,k->ik", dscal, self.xi_flat) - jt_einsum(",ik->ik", xi_of_r, b.g)
+            jt_einsum("i,k->ik", b.dscalar, self.xi_flat) - jt_einsum(",ik->ik", self.xi_of_r, b.g)
         ) * (-1.0 / (2.0 * (n - 1.0)))
         term3 = jt_einsum("jd,jkdi->ik", b.ginv, self.d2p)
-        p_up = jt_einsum("ab,bk->ak", b.ginv, self.p)
-        term4 = jt_einsum("ia,ak->ik", b.ric, p_up)
+        term4 = jt_einsum("ia,ak->ik", b.ric, self.p_up)
         return term1 + term2 + term3 + term4
 
     @cached_property
     def lstar_phi(self) -> JetTensor:
-        return self.bundle.lstar(self.phi)
+        return self.bundle.lstar(self.phi, self.hess_phi, self.lap_phi)
 
     def firstthm_defect(self) -> Residual:
         """|| L*_g phi - Phi ||, the pointwise defect of the main identity."""
@@ -182,9 +197,8 @@ class ConformalAnalysis:
         """Delta phi + R phi/(n-1) + xi(R)/(2(n-1)) = 0."""
         b = self.bundle
         n = self.n
-        lap = b.laplacian(self.phi)
-        xi_of_r = jt_einsum("l,l->", self.xi, b.scalar_jet.partials())
-        resid = lap + b.scalar_jet * self.phi / (n - 1.0) + xi_of_r / (2.0 * (n - 1.0))
+        lap = self.lap_phi
+        resid = lap + b.scalar_jet * self.phi / (n - 1.0) + self.xi_of_r / (2.0 * (n - 1.0))
         scale = abs(float(lap.value)) + abs(b.scalar * float(self.phi.value) / (n - 1.0))
         return Residual(abs(float(resid.value)), scale)
 
@@ -199,14 +213,12 @@ class ConformalAnalysis:
         b = self.bundle
         n = self.n
         lhs = jt_einsum("ljk,l->jk", b.cotton, self.xi)
-        dscal = b.scalar_jet.partials()
-        wedge = jt_einsum("j,k->jk", dscal, self.xi_flat)
+        wedge = jt_einsum("j,k->jk", b.dscalar, self.xi_flat)
         rhs = (wedge - wedge.transpose("jk->kj")) * (1.0 / (2.0 * (n - 1.0)))
         if mode == "general":
             rhs = rhs + jt_einsum("pd,pjdk->jk", b.ginv, self.d2p)
             rhs = rhs - jt_einsum("pd,pkdj->jk", b.ginv, self.d2p)
-            p_up = jt_einsum("ab,bj->aj", b.ginv, self.p)
-            rhs = rhs + jt_einsum("ka,aj->jk", b.ric, p_up)
+            rhs = rhs + jt_einsum("ka,aj->jk", b.ric, self.p_up)
             ric_up = jt_einsum("ab,bj->aj", b.ginv, b.ric)
             rhs = rhs + jt_einsum("ka,aj->jk", self.p, ric_up)
         elif mode == "closed":
@@ -247,23 +259,15 @@ def sphere_gradient_field(m: int, r: float, axis: int) -> ConformalFieldSpec:
     A closed (gradient) conformal field with characteristic function
     -y_axis / r^2.
     """
-    if not 1 <= axis <= m + 1:
-        raise ValueError(f"axis must be in 1..{m + 1}")
+    height = sphere_height_potential(m, r, axis).builder
     r2 = r * r
 
     def builder(coords):
-        s = coords[0] * coords[0]
-        for c in coords[1:]:
-            s = s + c * c
-        lam = (2.0 * r2) / (r2 + s)
+        lam = (2.0 * r2) / (r2 + _sum_squares(coords))
         inv_lam2 = 1.0 / (lam * lam)
-        if axis == m + 1:
-            f = r * (s - r2) / (r2 + s)
-        else:
-            f = 2.0 * r2 * coords[axis - 1] / (r2 + s)
         # xi^i = g^ij d_j f = lam^-2 d_i f; the partials come from f's own jet,
         # so the components live one jet order below the coordinates.
-        df = f.partials()
+        df = height(coords).partials()
         return [inv_lam2 * JetTensor(df.space, df.data[i]) for i in range(m)]
 
     return ConformalFieldSpec(label=f"grad y_{axis} on S^{m}({r:g})", builder=builder)

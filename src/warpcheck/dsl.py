@@ -253,6 +253,8 @@ def _depends_on_t(node: ExprAst) -> bool:
 
 def parse(src: str) -> ExprAst:
     """Parse a one-variable expression into an AST."""
+    if not isinstance(src, str):
+        raise ParseError(f"expected an expression string, got {type(src).__name__}", 0)
     return _Parser(src).parse()
 
 
@@ -296,30 +298,6 @@ def unparse(node: ExprAst) -> str:
 # -- evaluation -------------------------------------------------------------
 
 
-def _const_value(node: ExprAst) -> float:
-    """Fold a t-free subtree to a float (used for exponents)."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, NamedConst):
-        return _NAMED_CONSTANTS[node.name]
-    if isinstance(node, Neg):
-        return -_const_value(node.arg)
-    if isinstance(node, BinOp):
-        lhs, rhs = _const_value(node.left), _const_value(node.right)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
-            return lhs / rhs
-        return lhs**rhs
-    if isinstance(node, Call):
-        return _MATH_FN[node.fn](_const_value(node.arg))
-    raise ValueError("expression is not constant")
-
-
 def eval_expr(node: ExprAst, t):
     """Evaluate at ``t``, which may be a float or a scalar jet (any num_vars/order)."""
     if isinstance(node, Const):
@@ -332,7 +310,8 @@ def eval_expr(node: ExprAst, t):
         return -eval_expr(node.arg, t)
     if isinstance(node, BinOp):
         if node.op == "^":
-            return eval_expr(node.left, t) ** _const_value(node.right)
+            # the parser keeps t out of exponents, so this is a float
+            return eval_expr(node.left, t) ** eval_expr(node.right, t)
         lhs = eval_expr(node.left, t)
         rhs = eval_expr(node.right, t)
         if node.op == "+":

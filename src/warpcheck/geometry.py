@@ -218,6 +218,11 @@ class CurvatureBundle:
         return float(self.scalar_jet.value)
 
     @cached_property
+    def dscalar(self) -> JetTensor:
+        """dR, covariant."""
+        return self.scalar_jet.partials()
+
+    @cached_property
     def schouten(self) -> JetTensor:
         self._need_dim(3, "Schouten tensor")
         return self.ric - self.scalar_jet_times_g / (2.0 * (self.dim - 1))
@@ -292,23 +297,20 @@ class CurvatureBundle:
                 out = out + jt_einsum(f"{letters[pos]}is,{tsub}->{letters}i", gamma, t)
         return out
 
-    def gradient(self, f: JetTensor) -> JetTensor:
-        """df as a covariant rank-1 jet tensor (f scalar-shaped)."""
-        return f.partials()
+    # The scalar operators below take what the caller of a scalar f holds
+    # (its Hessian, its Laplacian), so each is formed once per scalar.
 
     def hessian(self, f: JetTensor) -> JetTensor:
-        """Hess f (0,2); symmetric up to round-off."""
-        return self.covariant_derivative(self.gradient(f), ("l",))
+        """Hess f (0,2) of a scalar-shaped f; symmetric up to round-off."""
+        return self.covariant_derivative(f.partials(), ("l",))
 
-    def laplacian(self, f: JetTensor) -> JetTensor:
-        return jt_einsum("ij,ij->", self.ginv, self.hessian(f))
+    def laplacian(self, hess: JetTensor) -> JetTensor:
+        """Lap f = g^ij Hess_ij f, from the Hessian of f."""
+        return jt_einsum("ij,ij->", self.ginv, hess)
 
-    def lstar(self, f: JetTensor) -> JetTensor:
+    def lstar(self, f: JetTensor, hess: JetTensor, lap: JetTensor) -> JetTensor:
         """Formal adjoint of the linearized scalar curvature: Hess f - (Lap f) g - f Ric."""
-        hess = self.hessian(f)
-        lap_g = jt_einsum(",ij->ij", jt_einsum("ij,ij->", self.ginv, hess), self.g)
-        f_ric = jt_einsum(",ij->ij", f, self.ric)
-        return hess - lap_g - f_ric
+        return hess - jt_einsum(",ij->ij", lap, self.g) - jt_einsum(",ij->ij", f, self.ric)
 
     def norm(self, components: np.ndarray, variance: tuple[str, ...]) -> float:
         return _components_norm(components, variance, self.g0, self.ginv0)

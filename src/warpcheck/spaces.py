@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dsl
 from .geometry import MetricChart
-from .jets import JetTensor
+from .jets import JetTensor, jet_space
 
 __all__ = [
     "StaticPotentialSpec",
@@ -28,6 +28,7 @@ __all__ = [
     "make_flat_torus_chart",
     "make_product_chart",
     "assemble_warped",
+    "warping_jet",
     "build_warped_geometry",
     "basicex_geometry",
     "basicex_radii",
@@ -61,12 +62,17 @@ class ConformalFieldSpec:
 
 @dataclass(frozen=True)
 class WarpedGeometry:
-    """A warped chart together with the pieces the closed-form checks need."""
+    """A warped chart together with the pieces the closed-form checks need.
+
+    ``warping`` is h(t); ``xi`` is the closed conformal field h d/dt and
+    ``hdot`` the potential hdot(t), both on ``chart``.
+    """
 
     chart: MetricChart
     fiber_chart: MetricChart
     warping: Callable
     xi: ConformalFieldSpec
+    hdot: StaticPotentialSpec
 
 
 # -- constant-curvature charts ----------------------------------------------
@@ -218,8 +224,23 @@ def assemble_warped(
         h = warping(coords[0])
         return [h] + [JetTensor.const(coords[0].space, 0.0)] * dfib
 
+    def hdot_builder(coords):
+        # h one order above the coordinates, so that hdot keeps their order
+        t = coords[0]
+        hd = warping_jet(warping, float(t.value), t.order + 1).partials()
+        return JetTensor(hd.space, hd.data[0]).embed(t.space, (0,))
+
     xi = ConformalFieldSpec(label="h d/dt", builder=xi_builder)
-    return WarpedGeometry(chart, fiber_chart, warping, xi)
+    hdot = StaticPotentialSpec(label="hdot", builder=hdot_builder)
+    return WarpedGeometry(chart, fiber_chart, warping, xi, hdot)
+
+
+def warping_jet(warping: Callable, t0: float, order: int) -> JetTensor:
+    """h as a one-variable jet at t0."""
+    h = warping(JetTensor.variable(0, t0, 1, order))
+    if not isinstance(h, JetTensor):
+        h = JetTensor.const(jet_space(1, order), float(h))
+    return h
 
 
 def build_warped_geometry(interval: tuple[float, float], warping_src: str, fiber_chart: MetricChart) -> WarpedGeometry:
@@ -284,11 +305,10 @@ def basicex_radii(n: int, k: int) -> tuple[float, float]:
 def basicex_potential(n: int, k: int) -> StaticPotentialSpec:
     """cosh(t) times the x0 potential of the first hyperbolic factor."""
     r_k, _ = basicex_radii(n, k)
-    r2 = r_k * r_k
+    fiber_factor = hyperbolic_static_potential(k, r_k).builder
 
     def fiber_builder(coords):
-        s = _sum_squares(coords[:k])
-        return r_k * (r2 + s) / (r2 - s)
+        return fiber_factor(coords[:k])
 
     def builder(coords):
         return coords[0].elem("cosh") * fiber_builder(coords[1:])

@@ -18,9 +18,9 @@ import numpy as np
 
 from .dsl import ExprAst, eval_expr
 from .geometry import CurvatureBundle
-from .jets import JetTensor, jet_space, jt_einsum
+from .jets import JetTensor, jt_einsum
 from .residuals import PreconditionSkip, Residual, ResidualSet
-from .spaces import StaticPotentialSpec, WarpedGeometry
+from .spaces import StaticPotentialSpec, WarpedGeometry, warping_jet
 from .conformal import ConformalAnalysis
 
 __all__ = [
@@ -34,9 +34,7 @@ __all__ = [
     "inrp_product_check",
     "t_potential",
     "xicvf_residuals",
-    "warping_jet",
     "warping_derivatives",
-    "hdot_field",
     "SOLUTION_REL_TOL",
 ]
 
@@ -44,24 +42,12 @@ SOLUTION_REL_TOL = 1e-6
 
 
 class StaticAnalysis:
-    """Residuals of one potential at one point, computed as jets.
+    """Residuals of one potential at one point, computed as jets."""
 
-    The potential usually comes from ``potential.builder``; passing
-    ``f_jets`` instead supports potentials that exist only as jets (hdot of
-    a numerically defined warping, say).
-    """
-
-    def __init__(
-        self,
-        bundle: CurvatureBundle,
-        potential: StaticPotentialSpec,
-        f_jets: JetTensor | None = None,
-    ):
+    def __init__(self, bundle: CurvatureBundle, potential: StaticPotentialSpec):
         self.bundle = bundle
         self.potential = potential
         self.n = bundle.dim
-        if f_jets is not None:
-            self.__dict__["f"] = f_jets
 
     @cached_property
     def f(self) -> JetTensor:
@@ -81,12 +67,11 @@ class StaticAnalysis:
 
     @cached_property
     def lap(self) -> JetTensor:
-        return jt_einsum("ij,ij->", self.bundle.ginv, self.hess)
+        return self.bundle.laplacian(self.hess)
 
     @cached_property
     def lstar_f(self) -> JetTensor:
-        b = self.bundle
-        return self.hess - jt_einsum(",ij->ij", self.lap, b.g) - jt_einsum(",ij->ij", self.f, b.ric)
+        return self.bundle.lstar(self.f, self.hess, self.lap)
 
     @cached_property
     def f_plus_a(self) -> JetTensor:
@@ -203,22 +188,9 @@ class StaticAnalysis:
 # -- warped-product helpers -------------------------------------------------------
 
 
-def warping_jet(wg: WarpedGeometry, t0: float, order: int) -> JetTensor:
-    h = wg.warping(JetTensor.variable(0, t0, 1, order))
-    if not isinstance(h, JetTensor):
-        h = JetTensor.const(jet_space(1, order), float(h))
-    return h
-
-
 def warping_derivatives(wg: WarpedGeometry, t0: float, order: int) -> list[float]:
-    h = warping_jet(wg, t0, order)
+    h = warping_jet(wg.warping, t0, order)
     return [h.partial((j,)) for j in range(order + 1)]
-
-
-def hdot_field(bundle: CurvatureBundle, wg: WarpedGeometry) -> JetTensor:
-    """hdot(t) as a scalar jet field on the total chart."""
-    hd = warping_jet(wg, bundle.point[0], bundle.order + 1).partials()
-    return JetTensor(hd.space, hd.data[0]).embed(bundle.space, (0,))
 
 
 def _fiber_ric0(fb: CurvatureBundle) -> np.ndarray:
@@ -240,18 +212,13 @@ def t_potential(ast: ExprAst, label: str, a: float = 0.0, b: float = 0.0) -> Sta
 # the point's fiber coordinates.  None of them builds a bundle.
 
 
-def lgh_closed_forms(
-    wg: WarpedGeometry,
-    analysis: StaticAnalysis,
-    fb: CurvatureBundle,
-    use_hdot: bool = False,
-) -> ResidualSet:
+def lgh_closed_forms(wg: WarpedGeometry, analysis: StaticAnalysis, fb: CurvatureBundle) -> ResidualSet:
     """Slot-by-slot residuals between generic L*_g f and the warped closed forms.
 
     The potential of ``analysis`` is a function of t alone: an expression,
-    or hdot itself (``use_hdot``, which adds the hdot closed form).  So the
-    fiber Hessian/Laplacian terms of the closed forms drop out.  No
-    constancy of the scalar curvature is assumed.
+    or ``wg.hdot``, which adds the hdot closed form.  So the fiber
+    Hessian/Laplacian terms of the closed forms drop out.  No constancy of
+    the scalar curvature is assumed.
     """
     b = analysis.bundle
     n = b.dim
@@ -286,7 +253,7 @@ def lgh_closed_forms(
     pred_lap = ftt + (n - 1.0) * hd / h * ft
     out["laplacian"] = Residual(abs(lap_v - pred_lap), abs(lap_v) + abs(pred_lap))
 
-    if use_hdot:
+    if analysis.potential is wg.hdot:
         # -L* hdot = hdot ric0 + h^2 [h''' + (n-1) hd hdd / h + R hd/(n-1)] gbar
         gbar = g_fiber / h**2
         pred = -(hd * ric0 + h * h * (hddd + (n - 1.0) * hd * hdd / h + scal * hd / (n - 1.0)) * gbar)
@@ -339,7 +306,7 @@ def nonconstant_r_cotton_formulas(wg: WarpedGeometry, b: CurvatureBundle, fb: Cu
     n = b.dim
     c = b.cotton.value
     cnorm = b.jnorm(b.cotton, ("l",) * 3)
-    dr = b.scalar_jet.partials().value  # covariant dR components
+    dr = b.dscalar.value
     hderivs = warping_derivatives(wg, b.point[0], 2)
     h, hd = hderivs[0], hderivs[1]
 
@@ -363,7 +330,7 @@ def nonconstant_r_cotton_formulas(wg: WarpedGeometry, b: CurvatureBundle, fb: Cu
         # Theta as a jet field on the total chart: embed the fiber scalar,
         # multiply by h(t)^-2, subtract R/(2(n-1)).
         rbar = fb.scalar_jet.embed(b.space, tuple(range(1, n)))
-        h_tot = warping_jet(wg, b.point[0], b.order).embed(b.space, (0,))
+        h_tot = warping_jet(wg.warping, b.point[0], b.order).embed(b.space, (0,))
         theta = rbar / (2.0 * (n - 2.0)) / (h_tot * h_tot) - b.scalar_jet / (2.0 * (n - 1.0))
         dtheta = theta.partials().value
         cbar = fb.cotton.value if fb.dim >= 3 else np.zeros((fb.dim,) * 3)

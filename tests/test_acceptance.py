@@ -275,7 +275,7 @@ def test_criterion_8_lgh_and_nein3_nonconstant(expwarp4, expwarp3, point_scratch
         wg4 = expwarp4
         for p in wg4.chart.sample_points(20, offset=0):
             sc = point_scratch(wg4, p, fiber_order=3)
-            res = lgh_closed_forms(wg4, sc.hdot, sc.fiber, use_hdot=True)
+            res = lgh_closed_forms(wg4, sc.hdot, sc.fiber)
             for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian", "hdot_form"):
                 assert res[name].rel < 1e-8, name
             nein = nonconstant_r_cotton_formulas(wg4, sc.bundle, sc.fiber)

@@ -160,6 +160,16 @@ def test_config_validation_errors():
     both = {"builtin": "sphere_height", "potential_t": "t"}
     with pytest.raises(ConfigError, match="not both"):
         build_context(RunConfig.from_dict({"space": {"kind": "sphere", "dim": 3}, "checks": ["vss_residual"], "potential": both}))
+    # a value of the wrong type or length under a key the schema leaves to build_context
+    space = EJIRI_CONFIG["space"]
+    for key, raw in {
+        "field.components": dict(EJIRI_CONFIG, field={"components": [1, "0", "0", "0"]}),
+        "potential.potential_t": dict(EJIRI_CONFIG, potential={"potential_t": 7}),
+        "space.warping": dict(EJIRI_CONFIG, space=dict(space, warping=2.0)),
+        "space.interval": dict(EJIRI_CONFIG, space=dict(space, interval=[0.0])),
+    }.items():
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            build_context(RunConfig.from_dict(raw))
 
 
 def test_point_override():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from pytest import approx
 
@@ -97,6 +98,14 @@ def test_eval_sqrt_warping_jet():
     jet = eval_expr(ast, JetTensor.variable(0, 0.0, 1, 2))
     assert jet.value == approx(math.sqrt(2.0))
     assert jet.partial((1,)) == approx(1.0 / (2.0 * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("src, exponent", [("t^e", math.e), ("t^sqrt(4)", 2.0), ("t^-(pi/2)", -math.pi / 2)])
+def test_constant_exponents(src, exponent):
+    """An exponent is evaluated as a constant subtree, on a float and on a jet argument."""
+    assert eval_expr(parse(src), 1.7) == 1.7**exponent
+    t = JetTensor.variable(0, 1.7, 1, 3)
+    assert np.array_equal(eval_expr(parse(src), t).data, (t**exponent).data)
 
 
 def test_eval_cosh_jet_series():

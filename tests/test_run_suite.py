@@ -235,3 +235,19 @@ def test_generalized_defect_once_per_point(monkeypatch):
     report = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
     assert {c.check: c.status for c in report.checks}["decompose_ids"] == "PASS"
     assert len(calls) == 4
+
+
+def test_hessian_once_per_scalar_per_point(monkeypatch):
+    """On ejiri the scalars at a point are hdot (the potential) and phi (the field's)."""
+    calls = []
+    hessian = CurvatureBundle.hessian
+
+    def counting_hessian(self, f):
+        calls.append(self.point.tobytes())
+        return hessian(self, f)
+
+    monkeypatch.setattr(CurvatureBundle, "hessian", counting_hessian)
+    raw = dict(EXAMPLE_CONFIGS["ejiri"], samples=2)
+    report = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
+    assert {c.status for c in report.checks} == {"PASS"}
+    assert sorted(Counter(calls).values()) == [2, 2]

@@ -204,7 +204,7 @@ def test_tfe_identity_n5k1():
 
 def test_lgh_hdot_on_ejiri(ejiri, point_scratch):
     sc = point_scratch(ejiri, np.array([0.8, 0.2, -0.1, 0.3]))
-    res = lgh_closed_forms(ejiri, sc.hdot, sc.fiber, use_hdot=True)
+    res = lgh_closed_forms(ejiri, sc.hdot, sc.fiber)
     for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian", "hdot_form"):
         assert res[name].rel < 1e-8, name
 
@@ -212,6 +212,7 @@ def test_lgh_hdot_on_ejiri(ejiri, point_scratch):
 def test_lgh_arbitrary_potential_on_ejiri(ejiri, point_scratch):
     sc = point_scratch(ejiri, np.array([1.4, 0.1, 0.2, -0.2]), t_potential(dsl.parse("sin(t)"), "sin(t)"))
     res = lgh_closed_forms(ejiri, sc.static, sc.fiber)
+    assert "hdot_form" not in res  # the hdot closed form is for wg.hdot only
     assert res["mixed_slot"].rel < 1e-8
     assert res["tt_slot"].rel < 1e-8
 
@@ -234,7 +235,7 @@ def test_lgh_requires_no_constant_scalar(expwarp4, point_scratch):
     """Lemma holds on the nonconstant-R space too."""
     for p in expwarp4.chart.sample_points(5, offset=0):
         sc = point_scratch(expwarp4, p)
-        res = lgh_closed_forms(expwarp4, sc.hdot, sc.fiber, use_hdot=True)
+        res = lgh_closed_forms(expwarp4, sc.hdot, sc.fiber)
         for name, residual in res.items():
             assert residual.rel < 1e-8, name
 
