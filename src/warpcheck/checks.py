@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable
 
@@ -32,7 +32,6 @@ from .ode import (
     WarpOdeParams,
     c1_for_fiber_scalar,
     find_periodic_solution,
-    rbar_from_initial,
 )
 from .residuals import PreconditionSkip, Residual
 from .spaces import (
@@ -231,24 +230,17 @@ def build_context(config: RunConfig) -> CheckContext:
 
 
 def _build_ode_warped(space: dict) -> WarpedGeometry:
-    """Warping from the constant-scalar ODE; fiber scalar fixes c1 via the first integral."""
+    """Warping from the constant-scalar ODE through its turning point (h0, 0); the fiber scalar fixes c1."""
+    for key in ("hdot0", "c1"):
+        if key in space:
+            raise ConfigError(f"space.{key}: not an ode_warped key (h0 is the turning point; the fiber fixes c1)")
     fiber_chart = _chart_from_dict(space.get("fiber"), "space.fiber")
     if fiber_chart.known_scalar is None:
         raise ConfigError("space.fiber: ode_warped needs a fiber with known scalar curvature")
     n = fiber_chart.dim + 1
     scalar = float(space["scalar"])
     h0 = float(space["h0"])
-    hdot0 = float(space.get("hdot0", 0.0))
-    if "c1" in space:
-        c1 = float(space["c1"])
-        rbar = rbar_from_initial(WarpOdeParams(n, scalar, 0.0, c1), h0, hdot0)
-        if abs(rbar - fiber_chart.known_scalar) > 1e-8 * (1.0 + abs(rbar)):
-            raise ConfigError(
-                f"space.c1: first integral gives fiber scalar {rbar:.6g}, "
-                f"fiber has {fiber_chart.known_scalar:.6g}"
-            )
-    else:
-        c1 = c1_for_fiber_scalar(n, scalar, fiber_chart.known_scalar, h0, hdot0)
+    c1 = c1_for_fiber_scalar(n, scalar, fiber_chart.known_scalar, h0)
     params = WarpOdeParams(n, scalar, fiber_chart.known_scalar, c1)
     dt = float(space.get("dt", 1e-3))
     try:
@@ -257,7 +249,8 @@ def _build_ode_warped(space: dict) -> WarpedGeometry:
         raise ConfigError(f"space: no periodic warping for these parameters ({exc})") from exc
     warping = OdeWarpingFunction(params, traj, period=period or None)
     label = f"S^1 x_h {fiber_chart.label} [h: ode n={n} R={scalar:g} c1={c1:g}]"
-    return assemble_warped(warping, fiber_chart, (0.0, period if period > 0 else 1.0), label)
+    wg = assemble_warped(warping, fiber_chart, (0.0, period if period > 0 else 1.0), label)
+    return replace(wg, chart=replace(wg.chart, known_scalar=scalar))
 
 
 def _build_potential(config: RunConfig, space: dict, chart: MetricChart) -> StaticPotentialSpec | None:
@@ -400,6 +393,13 @@ class PointScratch:
 # -- per-point evaluators ------------------------------------------------------------
 
 
+def _eval_scalar_value(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
+    known = ctx.chart.known_scalar
+    if known is None:
+        raise PreconditionSkip("chart has no known scalar curvature")
+    return {"scalar": Residual(abs(sc.bundle.scalar - known), abs(known))}
+
+
 def _eval_vss(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
     return sc.static.vacuum_residuals()
 
@@ -534,6 +534,8 @@ class Check:
 
 
 CHECKS: dict[str, Check] = {
+    "scalar_value": Check("scalar curvature R equals the chart's known scalar curvature",
+        1e-10, 2, _eval_scalar_value, frozenset()),
     "vss_residual": Check("vacuum static equation: full, trace, and trace-free residuals",
         1e-8, 2, _eval_vss, frozenset({"potential"})),
     # L* f reads the metric twice differentiated, through Ricci
@@ -846,6 +848,14 @@ EXAMPLE_CONFIGS: dict[str, dict] = {
         },
         "checks": ["equiv_chain", "wp3_identity", "icotton_zero", "firstthm"],
         "samples": 30,
+    },
+    # the S^1 x_h S^3(1) space of "ejiri", its warping solved from the ODE
+    # through the turning point h = 1 of sqrt(2 + sin t)
+    "ejiri-ode": {
+        "label": "ejiri-ode",
+        "space": {"kind": "ode_warped", "scalar": 3.0, "h0": 1.0, "fiber": {"kind": "sphere", "dim": 3, "radius": 1.0}},
+        "checks": ["scalar_value", "icotton_zero", "wp3_identity"],
+        "samples": 20,
     },
     "sphere-s4": {
         "label": "sphere-s4",

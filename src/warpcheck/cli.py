@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ode.add_argument("--rbar", type=float, help="fiber scalar (default: from the first integral)")
     p_ode.add_argument("--c1", type=float, required=True, help="constant c1 of the equation")
     p_ode.add_argument("--h0", type=float, required=True, help="initial h (> 0)")
-    p_ode.add_argument("--hdot0", type=float, default=0.0, help="initial hdot")
+    p_ode.add_argument("--hdot0", type=float, default=0.0, help="initial hdot (must be 0 with --periodic)")
     p_ode.add_argument("--t-end", type=float, default=10.0, help="integration horizon")
     p_ode.add_argument("--dt", type=float, default=1e-3, help="RK4 step size")
     p_ode.add_argument("--periodic", action="store_true", help="search for a periodic orbit instead")
@@ -157,6 +157,9 @@ def _cmd_solve_ode(args) -> int:
         return 2
     if args.n < 3:
         print("error: --n must be at least 3", file=sys.stderr)
+        return 2
+    if args.periodic and args.hdot0 != 0.0:
+        print("error: --periodic starts the orbit at its turning point (h0, 0); drop --hdot0", file=sys.stderr)
         return 2
     rbar = args.rbar
     if rbar is None:

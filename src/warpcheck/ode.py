@@ -81,9 +81,6 @@ class WarpOdeParams:
     def rhs(self, h: float) -> float:
         return self.c1 * h ** (1.0 - self.n) - self.scalar / (self.n * (self.n - 1.0)) * h
 
-    def rhs_prime(self, h: float) -> float:
-        return self.c1 * (1.0 - self.n) * h ** (-float(self.n)) - self.scalar / (self.n * (self.n - 1.0))
-
 
 def equilibrium_radius(params: WarpOdeParams) -> float:
     """The constant solution h_eq = (c1 n(n-1)/R)^(1/n) (needs R, c1 > 0)."""
@@ -100,9 +97,9 @@ def rbar_from_initial(params: WarpOdeParams, h0: float, hdot0: float) -> float:
     )
 
 
-def c1_for_fiber_scalar(n: int, scalar: float, rbar: float, h0: float, hdot0: float = 0.0) -> float:
-    """The c1 whose first integral matches a prescribed fiber scalar at (h0, hdot0)."""
-    tau = (hdot0**2 + scalar / (n * (n - 1.0)) * h0**2 - rbar / ((n - 1.0) * (n - 2.0))) * h0 ** (n - 2.0)
+def c1_for_fiber_scalar(n: int, scalar: float, rbar: float, h0: float) -> float:
+    """The c1 whose first integral matches a prescribed fiber scalar at the turning point (h0, 0)."""
+    tau = (scalar / (n * (n - 1.0)) * h0**2 - rbar / ((n - 1.0) * (n - 2.0))) * h0 ** (n - 2.0)
     return -(n - 2.0) * tau / 2.0
 
 

@@ -82,9 +82,8 @@ class StaticAnalysis:
     def vacuum_residuals(self) -> ResidualSet:
         b = self.bundle
         n = self.n
-        scale2 = b.jnorm(self.hess, ("l", "l")) + abs(float(self.lap.value)) + b.jnorm(
-            jt_einsum(",ij->ij", self.f, b.ric), ("l", "l")
-        )
+        scale2 = b.jnorm(self.hess, ("l", "l")) + abs(float(self.lap.value))
+        scale2 += b.norm(self.f.value * b.ric.value, ("l", "l"))
         out: ResidualSet = {
             "full": Residual(b.jnorm(self.lstar_f, ("l", "l")), scale2),
         }

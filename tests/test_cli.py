@@ -161,12 +161,15 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError, match="not both"):
         build_context(RunConfig.from_dict({"space": {"kind": "sphere", "dim": 3}, "checks": ["vss_residual"], "potential": both}))
     # a value of the wrong type or length under a key the schema leaves to build_context
-    space = EJIRI_CONFIG["space"]
+    space, ode = EJIRI_CONFIG["space"], EXAMPLE_CONFIGS["ejiri-ode"]
     for key, raw in {
         "field.components": dict(EJIRI_CONFIG, field={"components": [1, "0", "0", "0"]}),
         "potential.potential_t": dict(EJIRI_CONFIG, potential={"potential_t": 7}),
         "space.warping": dict(EJIRI_CONFIG, space=dict(space, warping=2.0)),
         "space.interval": dict(EJIRI_CONFIG, space=dict(space, interval=[0.0])),
+        # the orbit starts at its turning point (h0, 0), and the fiber fixes c1
+        "space.hdot0": dict(ode, space=dict(ode["space"], hdot0=0.3535533905932738)),
+        "space.c1": dict(ode, space=dict(ode["space"], c1=0.75)),
     }.items():
         with pytest.raises(ConfigError, match=f"^{key}: "):
             build_context(RunConfig.from_dict(raw))
@@ -198,6 +201,7 @@ def test_every_check_id_described():
         "cxi_div",
         "equiv_chain",
         "closed_cvf",
+        "scalar_value",
     }
 
 
@@ -406,6 +410,18 @@ def test_cli_solve_ode_periodic(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "period:" in captured.out
     assert out.exists()
+
+
+def test_cli_solve_ode_periodic_rejects_hdot0(tmp_path, capsys):
+    """The periodic search starts at (h0, 0); a nonzero --hdot0 would be ignored, so it is an error."""
+    out = tmp_path / "traj.csv"
+    code = main(
+        ["solve-ode", "--n", "4", "--scalar", "3", "--c1", "0.75", "--h0", "1.41421",
+         "--hdot0", "0.353553", "--periodic", "--out", str(out)]
+    )
+    assert code == 2
+    assert "drop --hdot0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_list(capsys):

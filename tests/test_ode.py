@@ -43,7 +43,8 @@ def third_order_residual(params: WarpOdeParams, traj: Trajectory) -> float:
     """
     h, v = traj.h, traj.hdot
     hdd = np.array([params.rhs(x) for x in h])
-    h3 = np.array([params.rhs_prime(x) for x in h]) * v
+    n = params.n
+    h3 = (params.c1 * (1.0 - n) * h**-n - params.scalar / (n * (n - 1.0))) * v  # F'(h) hdot
     resid = h3 + (params.n - 1.0) * v * hdd / h + params.scalar / (params.n - 1.0) * v
     return float(np.max(np.abs(resid)))
 
@@ -203,7 +204,8 @@ def test_small_oscillation_period():
     h0 = 0.995 * h_eq
     params = WarpOdeParams(4, 12.0, rbar_from_initial(base, h0, 0.0), 2.0)
     _, period = find_periodic_solution(params, h0, dt=5e-4)
-    omega = math.sqrt(-params.rhs_prime(h_eq))
+    n, c1, scalar = params.n, params.c1, params.scalar
+    omega = math.sqrt(-(c1 * (1.0 - n) * h_eq**-n - scalar / (n * (n - 1.0))))  # -F'(h_eq)
     assert period == approx(2.0 * math.pi / omega, rel=1e-3)
 
 

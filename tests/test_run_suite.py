@@ -1,6 +1,7 @@
 """run_suite as a whole: verdicts on broken points, bundle sharing, golden reports."""
 
 import copy
+import importlib.util
 import json
 import math
 import warnings
@@ -14,9 +15,11 @@ from pytest import approx
 from warpcheck.checks import EXAMPLE_CONFIGS, RunConfig, build_context, run_suite
 from warpcheck.cli import main
 from warpcheck.geometry import CurvatureBundle
+from warpcheck.ode import WarpOdeParams, equilibrium_radius, rbar_from_initial
 from warpcheck.statics import StaticAnalysis
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = GOLDEN.parent.parent
 
 
 def _warped_over_s3(interval, warping, checks, **extra):
@@ -251,3 +254,77 @@ def test_hessian_once_per_scalar_per_point(monkeypatch):
     report = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
     assert {c.status for c in report.checks} == {"PASS"}
     assert sorted(Counter(calls).values()) == [2, 2]
+
+
+# -- scalar_value: the computed R against the chart's known constant ----------------------
+
+
+def _scalar_value(space):
+    (outcome,) = run_suite(RunConfig.from_dict({"space": space, "checks": ["scalar_value"], "samples": 4})).checks
+    return outcome
+
+
+def _scale_christoffel(monkeypatch):
+    gamma = CurvatureBundle.gamma.func
+    monkeypatch.setattr(CurvatureBundle, "gamma", property(lambda b: gamma(b) * (1.0 + 1e-6)))
+
+
+@pytest.mark.parametrize("name", ["sphere-s4", "H^5", "ejiri-ode"])
+def test_scalar_value_fails_on_scaled_christoffel(monkeypatch, name):
+    """Round-off clean; Christoffel symbols off by 1e-6 FAIL instead of turning constant-R checks into SKIPs."""
+    space = EXAMPLE_CONFIGS[name]["space"] if name in EXAMPLE_CONFIGS else {"kind": "hyperbolic", "dim": 5}
+    clean = _scalar_value(space)
+    assert clean.status == "PASS" and clean.max_rel_residual < 1e-13
+    _scale_christoffel(monkeypatch)
+    broken = _scalar_value(space)
+    assert broken.status == "FAIL" and broken.max_rel_residual > 1e-7
+
+
+def test_ejiri_ode_example_exits_1_on_scaled_christoffel(monkeypatch):
+    assert main(["example", "ejiri-ode", "--no-timestamp", "--samples", "4"]) == 0
+    _scale_christoffel(monkeypatch)
+    assert main(["example", "ejiri-ode", "--no-timestamp", "--samples", "4"]) == 1
+
+
+def test_scalar_value_skips_without_known_scalar():
+    outcome = _scalar_value(EXAMPLE_CONFIGS["ejiri"]["space"])
+    assert (outcome.status, outcome.reason) == ("SKIP", "chart has no known scalar curvature")
+
+
+# Orbits of hddot + h = 2 h^-3 (n = 4, R = 12, c1 = 2) about h_eq = 2^(1/4),
+# each over the S^3 whose scalar curvature its first integral fixes.
+ORBIT_BASE = WarpOdeParams(4, 12.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("ratio", [0.995, 0.95, 0.9, 0.8, 0.7])
+def test_periodic_orbit_charts_have_constant_scalar(ratio):
+    h0 = ratio * equilibrium_radius(ORBIT_BASE)
+    rbar = rbar_from_initial(ORBIT_BASE, h0, 0.0)
+    space = {
+        "kind": "ode_warped",
+        "scalar": 12.0,
+        "h0": h0,
+        "fiber": {"kind": "sphere", "dim": 3, "radius": math.sqrt(6.0 / rbar)},
+    }
+    checks = ["scalar_value", "icotton_zero", "wp3_identity"]
+    report = run_suite(RunConfig.from_dict({"space": space, "checks": checks, "samples": 25}))
+    assert [(c.check, c.status) for c in report.checks] == [(check, "PASS") for check in checks]
+
+
+# -- scripts/run_catalog_suites.py ---------------------------------------------------------
+
+
+def test_run_catalog_suites_script(monkeypatch, capsys):
+    """One summary line per example; exit 1 once a tolerance no residual meets makes a check FAIL."""
+    spec = importlib.util.spec_from_file_location("run_catalog_suites", ROOT / "scripts" / "run_catalog_suites.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    configs = {name: dict(copy.deepcopy(raw), samples=2) for name, raw in EXAMPLE_CONFIGS.items()}
+    monkeypatch.setattr(script, "EXAMPLE_CONFIGS", configs)
+    assert script.main() == 0
+    summaries = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    assert [line.split()[0] for line in summaries] == sorted(EXAMPLE_CONFIGS)
+    assert all(" fail=0 " in line for line in summaries)
+    configs["sphere-s4"]["tolerances"] = {"firstthm": 1e-30}
+    assert script.main() == 1
+    assert "sphere-s4          pass= 5 fail=1" in capsys.readouterr().out

@@ -95,6 +95,22 @@ def test_vss_residuals_basicex(basicex41):
         assert res["trace_free"].rel < 1e-8
 
 
+def test_vss_residuals_reuse_cached_jets(basicex41, monkeypatch):
+    """Once L* f is cached, only the trace-free tensor's two products are formed; f Ric is not formed again."""
+    import warpcheck.geometry
+    import warpcheck.statics
+
+    wg, pot = basicex41
+    analysis = static(wg.chart, pot, wg.chart.sample_points(1, offset=0)[0])
+    first = analysis.vacuum_residuals()
+    calls = []
+    for module in (warpcheck.geometry, warpcheck.statics):
+        einsum = module.jt_einsum
+        monkeypatch.setattr(module, "jt_einsum", lambda spec, *ops, _e=einsum: calls.append(spec) or _e(spec, *ops))
+    assert analysis.vacuum_residuals() == first
+    assert calls == [",ij->ij", ",ij->ij"]
+
+
 def test_height_with_shift_gives_trace_nb():
     """On S^n(1), f = height + shift has Delta f + R f/(n-1) = n b with b = shift."""
     n = 4
