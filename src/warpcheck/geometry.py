@@ -17,9 +17,11 @@ call away.  Index conventions:
 
 Order rule: a jet product is formed only up to the order its result keeps
 (Riemann's quadratic term, each covariant derivative, the k-th Neumann
-term of the inverse metric at order k).  The metric is expanded only to
-the order the checks read, which may be below that of the fields; a
-contraction of a field with curvature keeps the lower of the two orders.
+term of the inverse metric at order k).  The metric is built only to
+the order the checks read, which may be below that of the fields, with
+every zero coefficient made +0.0 (a composed function's Horner loop signs
+some zeros differently at different orders); a contraction of a field
+with curvature keeps the lower of the two orders.
 The inverse metric stops one order below the metric: everything it is
 contracted with is built from a derivative of the metric or of a field,
 so has at most that order.  No bit moves: the graded-lex layout makes a
@@ -140,10 +142,11 @@ class CurvatureBundle:
 
     @cached_property
     def g(self) -> JetTensor:
-        # cut from the field-order metric, not built at the lower order: a
-        # builder that composes a function at a zero argument (cos at phase
-        # 0, say) flips the sign of some zero coefficients between orders
-        return self.chart.metric_jets(self.point, self.order).truncate(self.metric_order)
+        # built at the metric order; a builder that composes a function at a
+        # zero argument (cos at phase 0, say) flips the sign of some zero
+        # coefficients between orders, and adding 0.0 makes every zero +0.0
+        g = self.chart.metric_jets(self.point, self.metric_order)
+        return JetTensor(g.space, g.data + 0.0)
 
     @cached_property
     def g0(self) -> np.ndarray:

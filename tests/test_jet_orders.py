@@ -224,8 +224,8 @@ def _centre_and_samples(chart: MetricChart) -> list[np.ndarray]:
 def test_metric_jets_are_prefix_stable(name):
     """A metric built at order k is the order-(k+1) metric truncated, up to the sign of a zero.
 
-    The sign differs on the dense chart, so a bundle cuts its metric from the
-    field-order one rather than building it at the metric order.
+    The sign differs on the dense chart, so a bundle builds its metric at the
+    metric order and adds 0.0, which makes every zero +0.0.
     """
     chart = METRIC_CHARTS[name]()
     differs = False
