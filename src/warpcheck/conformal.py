@@ -103,13 +103,13 @@ class ConformalAnalysis:
         """|| xi^b_{i,j} + xi^b_{j,i} - 2 phi g_ij ||."""
         sym = self.dxi_flat + self.dxi_flat.transpose("jk->kj")
         resid = sym - jt_einsum(",ij->ij", self.phi, self.bundle.g) * 2.0
-        scale = self.bundle.jnorm(self.dxi_flat, ("l", "l"))
-        return Residual(self.bundle.jnorm(resid, ("l", "l")), 2.0 * scale)
+        scale = self.bundle.norm(self.dxi_flat.value, ("l", "l"))
+        return Residual(self.bundle.norm(resid.value, ("l", "l")), 2.0 * scale)
 
     def closedness_defect(self) -> Residual:
         return Residual(
-            self.bundle.jnorm(self.p, ("l", "l")),
-            self.bundle.jnorm(self.dxi_flat, ("l", "l")),
+            self.bundle.norm(self.p.value, ("l", "l")),
+            self.bundle.norm(self.dxi_flat.value, ("l", "l")),
         )
 
     @property
@@ -132,16 +132,16 @@ class ConformalAnalysis:
         rxi = jt_einsum("lijk,l->ijk", b.riemann13, self.xi_flat)
         gphi = jt_einsum("ij,k->ijk", b.g, self.dphi)
         rhs = gphi - gphi.transpose("ijk->ikj") - self.dp.transpose("jki->ijk")
-        scale = b.jnorm(rxi, ("l",) * 3) + b.jnorm(gphi, ("l",) * 3)
-        out["nabla_p"] = Residual(b.jnorm(rxi - rhs, ("l",) * 3), scale)
+        scale = b.norm(rxi.value, ("l",) * 3) + b.norm(gphi.value, ("l",) * 3)
+        out["nabla_p"] = Residual(b.norm(rxi.value - rhs.value, ("l",) * 3), scale)
 
         # (c) divergence: g^ij P_jk,i = R_kl xi^l + (n-1) phi_k
         div_p = jt_einsum("ij,jki->k", b.ginv, self.dp)
         ric_xi = jt_einsum("kl,l->k", b.ric, self.xi)
         rhs_c = ric_xi + (self.n - 1.0) * self.dphi
         out["div_p"] = Residual(
-            b.jnorm(div_p - rhs_c, ("l",)),
-            b.jnorm(div_p, ("l",)) + b.jnorm(rhs_c, ("l",)),
+            b.norm(div_p.value - rhs_c.value, ("l",)),
+            b.norm(div_p.value, ("l",)) + b.norm(rhs_c.value, ("l",)),
         )
 
         if closed:
@@ -150,18 +150,18 @@ class ConformalAnalysis:
             eye = JetTensor.const(b.space, np.eye(self.n))
             resid_a = dxi_vec - jt_einsum(",ji->ji", self.phi, eye)
             out["nabla_xi"] = Residual(
-                b.jnorm(resid_a, ("u", "l")), b.jnorm(dxi_vec, ("u", "l"))
+                b.norm(resid_a.value, ("u", "l")), b.norm(dxi_vec.value, ("u", "l"))
             )
 
             # (d) R(X, xi)Y identity: R^l_ijk xi^b_l - g_ij phi_k + g_ik phi_j = 0
             resid_d = rxi - gphi + gphi.transpose("ijk->ikj")
-            out["curvature_xi"] = Residual(b.jnorm(resid_d, ("l",) * 3), scale)
+            out["curvature_xi"] = Residual(b.norm(resid_d.value, ("l",) * 3), scale)
 
             # (e) Ric(xi) + (n-1) grad phi = 0
             resid_e = ric_xi + (self.n - 1.0) * self.dphi
             out["ric_xi"] = Residual(
-                b.jnorm(resid_e, ("l",)),
-                b.jnorm(ric_xi, ("l",)) + (self.n - 1.0) * b.jnorm(self.dphi, ("l",)),
+                b.norm(resid_e.value, ("l",)),
+                b.norm(ric_xi.value, ("l",)) + (self.n - 1.0) * b.norm(self.dphi.value, ("l",)),
             )
         return out
 
@@ -185,13 +185,13 @@ class ConformalAnalysis:
         """|| L*_g phi - Phi ||, the pointwise defect of the main identity."""
         b = self.bundle
         resid = self.lstar_phi - self.phi_tensor_jets
-        scale = b.jnorm(self.lstar_phi, ("l", "l")) + b.jnorm(self.phi_tensor_jets, ("l", "l"))
-        return Residual(b.jnorm(resid, ("l", "l")), scale)
+        scale = b.norm(self.lstar_phi.value, ("l", "l")) + b.norm(self.phi_tensor_jets.value, ("l", "l"))
+        return Residual(b.norm(resid.value, ("l", "l")), scale)
 
     def phi_symmetry_defect(self) -> Residual:
         phi_t = self.phi_tensor_jets
         resid = phi_t - phi_t.transpose("ik->ki")
-        return Residual(self.bundle.jnorm(resid, ("l", "l")), self.bundle.jnorm(phi_t, ("l", "l")))
+        return Residual(self.bundle.norm(resid.value, ("l", "l")), self.bundle.norm(phi_t.value, ("l", "l")))
 
     def trace_identity_defect(self) -> Residual:
         """Delta phi + R phi/(n-1) + xi(R)/(2(n-1)) = 0."""
@@ -228,15 +228,15 @@ class ConformalAnalysis:
                 )
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        scale = b.jnorm(lhs, ("l", "l")) + b.jnorm(rhs, ("l", "l"))
-        return Residual(b.jnorm(lhs - rhs, ("l", "l")), scale)
+        scale = b.norm(lhs.value, ("l", "l")) + b.norm(rhs.value, ("l", "l"))
+        return Residual(b.norm(lhs.value - rhs.value, ("l", "l")), scale)
 
     def cxi_contraction_defect(self) -> Residual:
         """|| C_ijk xi^i || (vanishes for closed fields with constant R)."""
         b = self.bundle
         contracted = jt_einsum("ijk,i->jk", b.cotton, self.xi)
-        scale = b.jnorm(b.cotton, ("l",) * 3) * b.jnorm(self.xi, ("u",))
-        return Residual(b.jnorm(contracted, ("l", "l")), scale)
+        scale = b.norm(b.cotton.value, ("l",) * 3) * b.norm(self.xi.value, ("u",))
+        return Residual(b.norm(contracted.value, ("l", "l")), scale)
 
     def cxi_divergence_defect(self) -> Residual:
         """|| Xi_ik xi^i || with Xi the Cotton divergence."""
@@ -246,8 +246,8 @@ class ConformalAnalysis:
             )
         b = self.bundle
         contracted = jt_einsum("ik,i->k", b.cotton_divergence, self.xi)
-        scale = b.jnorm(b.cotton_divergence, ("l", "l")) * b.jnorm(self.xi, ("u",))
-        return Residual(b.jnorm(contracted, ("l",)), scale)
+        scale = b.norm(b.cotton_divergence.value, ("l", "l")) * b.norm(self.xi.value, ("u",))
+        return Residual(b.norm(contracted.value, ("l",)), scale)
 
 
 # -- built-in fields ------------------------------------------------------------

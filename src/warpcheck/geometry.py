@@ -41,7 +41,6 @@ import numpy as np
 from .jets import JetTensor, jet_space, jt_einsum
 from .sampling import halton_points
 from .tensors import tensor_norm_sq
-from .tensors import tensor_norm as _components_norm
 
 __all__ = ["MetricChart", "CurvatureBundle", "SingularMetricError", "kulkarni_nomizu_jets"]
 
@@ -154,9 +153,10 @@ class CurvatureBundle:
 
     @cached_property
     def ginv0(self) -> np.ndarray:
+        """The inverse of g0; a metric that is not usably positive definite raises here."""
         g0 = self.g0
         try:
-            np.linalg.cholesky(g0)
+            self._cholesky = np.linalg.cholesky(g0)
         except np.linalg.LinAlgError:
             raise SingularMetricError(
                 f"metric not positive definite at {self.point} on {self.chart.label!r}"
@@ -166,6 +166,12 @@ class CurvatureBundle:
                 f"singular metric (cond > {COND_LIMIT:g}) at {self.point} on {self.chart.label!r}"
             )
         return np.linalg.inv(g0)
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L^T, L^-1) with g0 = L L^T: they take a contravariant and a covariant index to an orthonormal frame."""
+        self.ginv0  # the Cholesky factor, once the point is known to be regular
+        return self._cholesky.T, np.linalg.inv(self._cholesky)
 
     @cached_property
     def ginv(self) -> JetTensor:
@@ -316,13 +322,11 @@ class CurvatureBundle:
         return hess - jt_einsum(",ij->ij", lap, self.g) - jt_einsum(",ij->ij", f, self.ric)
 
     def norm(self, components: np.ndarray, variance: tuple[str, ...]) -> float:
-        return _components_norm(components, variance, self.g0, self.ginv0)
+        """g-norm of tensor components, one variance flag ("l" or "u") per index."""
+        return float(np.sqrt(self.norm_sq(components, variance)))
 
     def norm_sq(self, components: np.ndarray, variance: tuple[str, ...]) -> float:
-        return tensor_norm_sq(components, variance, self.g0, self.ginv0)
-
-    def jnorm(self, t: JetTensor, variance: tuple[str, ...]) -> float:
-        return self.norm(t.value, variance)
+        return tensor_norm_sq(components, variance, *self.frame)
 
 
 def kulkarni_nomizu_jets(u: JetTensor, v: JetTensor) -> JetTensor:

@@ -82,10 +82,10 @@ class StaticAnalysis:
     def vacuum_residuals(self) -> ResidualSet:
         b = self.bundle
         n = self.n
-        scale2 = b.jnorm(self.hess, ("l", "l")) + abs(float(self.lap.value))
+        scale2 = b.norm(self.hess.value, ("l", "l")) + abs(float(self.lap.value))
         scale2 += b.norm(self.f.value * b.ric.value, ("l", "l"))
         out: ResidualSet = {
-            "full": Residual(b.jnorm(self.lstar_f, ("l", "l")), scale2),
+            "full": Residual(b.norm(self.lstar_f.value, ("l", "l")), scale2),
         }
         trace = self.lap + b.scalar_jet * self.f / (n - 1.0)
         out["trace"] = Residual(
@@ -97,7 +97,7 @@ class StaticAnalysis:
             + jt_einsum(",ij->ij", b.scalar_jet * self.f, b.g) / (n * (n - 1.0))
             - jt_einsum(",ij->ij", self.f, b.efield)
         )
-        out["trace_free"] = Residual(b.jnorm(tf, ("l", "l")), scale2)
+        out["trace_free"] = Residual(b.norm(tf.value, ("l", "l")), scale2)
         return out
 
     def generalized_defect(self) -> Residual:
@@ -108,8 +108,8 @@ class StaticAnalysis:
         rhs = jt_einsum(",ij->ij", self.f_plus_a, b.efield) + JetTensor.const(
             b.space, self.potential.b * b.g0
         )
-        scale = b.jnorm(lhs, ("l", "l")) + b.jnorm(rhs, ("l", "l"))
-        return Residual(b.jnorm(lhs - rhs, ("l", "l")), scale)
+        scale = b.norm(lhs.value, ("l", "l")) + b.norm(rhs.value, ("l", "l"))
+        return Residual(b.norm(lhs.value - rhs.value, ("l", "l")), scale)
 
     @cached_property
     def _solution_defect(self) -> Residual:
@@ -137,16 +137,16 @@ class StaticAnalysis:
     def t_algebra(self) -> ResidualSet:
         b = self.bundle
         t = self.t_jets
-        tnorm = b.jnorm(t, ("l",) * 3)
+        tnorm = b.norm(t.value, ("l",) * 3)
         out: ResidualSet = {}
         skew = t + t.transpose("ijk->ikj")
-        out["skew"] = Residual(b.jnorm(skew, ("l",) * 3), tnorm)
+        out["skew"] = Residual(b.norm(skew.value, ("l",) * 3), tnorm)
         cyc = t + t.transpose("ijk->jki") + t.transpose("ijk->kij")
-        out["cyclic"] = Residual(b.jnorm(cyc, ("l",) * 3), tnorm)
+        out["cyclic"] = Residual(b.norm(cyc.value, ("l",) * 3), tnorm)
         tr1 = jt_einsum("ij,ijk->k", b.ginv, t)
         tr2 = jt_einsum("ik,ijk->j", b.ginv, t)
-        out["trace12"] = Residual(b.jnorm(tr1, ("l",)), tnorm)
-        out["trace13"] = Residual(b.jnorm(tr2, ("l",)), tnorm)
+        out["trace12"] = Residual(b.norm(tr1.value, ("l",)), tnorm)
+        out["trace13"] = Residual(b.norm(tr2.value, ("l",)), tnorm)
         return out
 
     # -- decomposition identities --------------------------------------------
@@ -161,14 +161,14 @@ class StaticAnalysis:
         m = b.efield - jt_einsum(",ij->ij", b.scalar_jet, b.g) / (n * (n - 1.0))
         lhs1 = jt_einsum("lijk,l->ijk", b.riemann13, self.df)
         rhs1 = jt_einsum("ij,k->ijk", m, self.df) - jt_einsum("ik,j->ijk", m, self.df) + fa_c
-        scale1 = b.jnorm(lhs1, ("l",) * 3) + b.jnorm(rhs1, ("l",) * 3)
+        scale1 = b.norm(lhs1.value, ("l",) * 3) + b.norm(rhs1.value, ("l",) * 3)
 
         iw = jt_einsum("sijk,s->ijk", b.weyl, self.df_up)
         rhs2 = iw + self.t_jets
-        scale2 = b.jnorm(fa_c, ("l",) * 3) + b.jnorm(rhs2, ("l",) * 3)
+        scale2 = b.norm(fa_c.value, ("l",) * 3) + b.norm(rhs2.value, ("l",) * 3)
         return {
-            "riemann_gradient": Residual(b.jnorm(lhs1 - rhs1, ("l",) * 3), scale1),
-            "cotton_decomposition": Residual(b.jnorm(fa_c - rhs2, ("l",) * 3), scale2),
+            "riemann_gradient": Residual(b.norm(lhs1.value - rhs1.value, ("l",) * 3), scale1),
+            "cotton_decomposition": Residual(b.norm(fa_c.value - rhs2.value, ("l",) * 3), scale2),
         }
 
     def tfe_defect(self) -> Residual:
@@ -266,7 +266,7 @@ def lgh_closed_forms(wg: WarpedGeometry, analysis: StaticAnalysis, fb: Curvature
 def icotton_warped_residual(b: CurvatureBundle) -> Residual:
     """|| i_{d/dt} C || at the point (zero when the scalar curvature is constant)."""
     c0 = b.cotton.value[0]
-    return Residual(b.norm(c0, ("l", "l")), b.jnorm(b.cotton, ("l",) * 3))
+    return Residual(b.norm(c0, ("l", "l")), b.norm(b.cotton.value, ("l",) * 3))
 
 
 def warpedproduct3_residual(wg: WarpedGeometry, hdot: StaticAnalysis) -> tuple[Residual, float, float]:
@@ -287,7 +287,7 @@ def equivalence_clauses(hdot: StaticAnalysis, fb: CurvatureBundle) -> dict[str, 
     return {
         "lstar_hdot": b.norm(hdot.lstar_f.value, ("l", "l")),
         "cotton_mid_dt": b.norm(b.cotton.value[:, 0, :], ("l", "l")),
-        "cotton": b.jnorm(b.cotton, ("l",) * 3),
+        "cotton": b.norm(b.cotton.value, ("l",) * 3),
         "fiber_efield": fb.norm(_fiber_ric0(fb), ("l", "l")),
     }
 
@@ -304,7 +304,7 @@ def nonconstant_r_cotton_formulas(wg: WarpedGeometry, b: CurvatureBundle, fb: Cu
     """
     n = b.dim
     c = b.cotton.value
-    cnorm = b.jnorm(b.cotton, ("l",) * 3)
+    cnorm = b.norm(b.cotton.value, ("l",) * 3)
     dr = b.dscalar.value
     hderivs = warping_derivatives(wg, b.point[0], 2)
     h, hd = hderivs[0], hderivs[1]
@@ -395,7 +395,7 @@ def inrp_product_check(wg: WarpedGeometry, analysis: StaticAnalysis, fb: Curvatu
     return {
         "ddotf": Residual(abs(ddotf), abs(ftt) + abs(f0)),
         "full": full,
-        "fiber_einstein": Residual(fb.norm(ric0, ("l", "l")), fb.jnorm(fb.ric, ("l", "l"))),
+        "fiber_einstein": Residual(fb.norm(ric0, ("l", "l")), fb.norm(fb.ric.value, ("l", "l"))),
     }
 
 
@@ -431,7 +431,7 @@ def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis) -> ResidualSet:
     rhs1 = jt_einsum("jki,i->jk", dp, df_up)
     rhs1 = rhs1 + jt_einsum("j,k->jk", df, div_p) - jt_einsum("k,j->jk", df, div_p)
     rhs1 = rhs1 - jt_einsum(",jk->jk", fa, jt_einsum("ijk,i->jk", b.cotton, xi))
-    scale1 = b.jnorm(lhs1, ("l", "l")) + b.jnorm(rhs1, ("l", "l"))
+    scale1 = b.norm(lhs1.value, ("l", "l")) + b.norm(rhs1.value, ("l", "l"))
 
     # item (2)
     xif = jt_einsum("a,a->", xi, df)
@@ -443,9 +443,9 @@ def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis) -> ResidualSet:
     rhs2 = rhs2 + jt_einsum("jik,j->ik", dp, df_up)
     rhs2 = rhs2 + jt_einsum("k,i->ik", df, div_p)
     rhs2 = rhs2 + jt_einsum(",ik->ik", fa, jt_einsum("ijk,j->ik", b.cotton, xi))
-    scale2 = b.jnorm(lhs2, ("l", "l")) + b.jnorm(rhs2, ("l", "l"))
+    scale2 = b.norm(lhs2.value, ("l", "l")) + b.norm(rhs2.value, ("l", "l"))
 
     return {
-        "item1": Residual(b.jnorm(lhs1 - rhs1, ("l", "l")), scale1),
-        "item2": Residual(b.jnorm(lhs2 - rhs2, ("l", "l")), scale2),
+        "item1": Residual(b.norm(lhs1.value - rhs1.value, ("l", "l")), scale1),
+        "item2": Residual(b.norm(lhs2.value - rhs2.value, ("l", "l")), scale2),
     }

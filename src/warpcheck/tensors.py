@@ -4,27 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["tensor_norm_sq", "tensor_norm"]
+__all__ = ["tensor_norm_sq"]
 
 
-def tensor_norm_sq(components: np.ndarray, variance: tuple[str, ...], g: np.ndarray, ginv: np.ndarray) -> float:
-    """Squared g-norm: contract each covariant index with ginv, each contravariant with g."""
-    comps = np.asarray(components, dtype=float)
-    if comps.ndim == 0:
-        return float(comps**2)
-    letters = "abcdefgh"
-    primes = "pqrstuvw"
-    subs_a = letters[: comps.ndim]
-    subs_b = primes[: comps.ndim]
-    operands = [comps, comps]
-    spec_parts = [subs_a, subs_b]
-    for i, v in enumerate(variance):
-        operands.append(ginv if v == "l" else g)
-        spec_parts.append(letters[i] + primes[i])
-    spec = ",".join(spec_parts) + "->"
-    return float(np.einsum(spec, *operands))
+def tensor_norm_sq(components: np.ndarray, variance: tuple[str, ...], up: np.ndarray, low: np.ndarray) -> float:
+    """Squared g-norm as a sum of squares in an orthonormal frame.
 
-
-def tensor_norm(components: np.ndarray, variance: tuple[str, ...], g: np.ndarray, ginv: np.ndarray) -> float:
-    """g-norm of a tensor; tiny negative round-off is clipped to zero."""
-    return float(np.sqrt(max(tensor_norm_sq(components, variance, g, ginv), 0.0)))
+    With ``g0 = L L^T``, ``up = L^T`` takes a contravariant index and
+    ``low = L^-1`` a covariant one to the frame.  Each step contracts the
+    leading axis and appends the new one last, and a sum of squares does
+    not depend on the order of the axes.
+    """
+    s = np.asarray(components, dtype=float)
+    for flag in variance:
+        frame = low if flag == "l" else up
+        s = s.reshape(len(frame), -1).T @ frame.T
+    return float(np.vdot(s, s))

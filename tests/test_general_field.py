@@ -40,8 +40,8 @@ def test_nonclosed_field_on_nonzero_cotton_space(basicex52):
         cf = ConformalAnalysis(b, xi)
         assert cf.conformal_defect().rel < 1e-12
         assert not cf.is_closed
-        assert b.jnorm(b.cotton, ("l",) * 3) > 0.1
-        assert b.jnorm(cf.p, ("l", "l")) > 0.1
+        assert b.norm(b.cotton.value, ("l",) * 3) > 0.1
+        assert b.norm(cf.p.value, ("l", "l")) > 0.1
         assert cf.firstthm_defect().rel < 1e-12
         assert cf.phi_symmetry_defect().rel < 1e-12
         assert cf.ixi_cotton_defect("general").rel < 1e-12

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from warpcheck.geometry import CurvatureBundle, MetricChart, SingularMetricError, kulkarni_nomizu_jets
@@ -99,8 +101,8 @@ def test_s4_bundle_values():
     b = CurvatureBundle(chart, np.array([0.1, 0.2, -0.3, 0.05]), order=3)
     assert b.scalar == approx(12.0, abs=1e-9)
     assert np.max(np.abs(b.efield.value)) < 1e-12
-    assert b.jnorm(b.weyl, ("l",) * 4) < 1e-10
-    assert b.jnorm(b.cotton, ("l",) * 3) < 1e-10
+    assert b.norm(b.weyl.value, ("l",) * 4) < 1e-10
+    assert b.norm(b.cotton.value, ("l",) * 3) < 1e-10
 
 
 def test_ejiri_scalar_constant(ejiri):
@@ -188,7 +190,7 @@ def test_kn_riemann_reconstruction(ejiri):
     b = CurvatureBundle(ejiri.chart, p, order=3)
     kn = kulkarni_nomizu_jets(b.schouten, b.g).value
     reconstructed = b.weyl.value + kn / (b.dim - 2.0)
-    scale = 1.0 + b.jnorm(b.riemann4, ("l",) * 4)
+    scale = 1.0 + b.norm(b.riemann4.value, ("l",) * 4)
     assert np.max(np.abs(reconstructed - b.riemann4.value)) / scale < 1e-9
 
 
@@ -211,6 +213,43 @@ def test_interior_mult_dt_cotton_constant_r(ejiri):
 # -- norms ---------------------------------------------------------------------------
 
 
+def _constant_metric_bundle(g0: np.ndarray) -> CurvatureBundle:
+    """A bundle on the chart whose metric is g0 everywhere."""
+    n = len(g0)
+    chart = MetricChart(n, "constant", lambda coords: g0.tolist(), (np.full(n, -1.0), np.full(n, 1.0)))
+    return CurvatureBundle(chart, np.zeros(n), order=1)
+
+
+def _einsum_norm_sq(components, variance, g0, ginv0):
+    """Oracle: one contraction of the components with themselves over n^(2 rank) terms."""
+    rank = components.ndim
+    operands, subs = [components, components], ["abcd"[:rank], "pqrs"[:rank]]
+    for i, flag in enumerate(variance):
+        operands.append(ginv0 if flag == "l" else g0)
+        subs.append("abcd"[i] + "pqrs"[i])
+    return float(np.einsum(",".join(subs) + "->", *operands))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_frame_norm_matches_einsum_oracle(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    b = _constant_metric_bundle(a @ a.T + np.eye(n))
+    variance = tuple("lu"[k] for k in rng.integers(0, 2, rank))
+    comps = rng.standard_normal((n,) * rank)
+    want = _einsum_norm_sq(comps, variance, b.g0, b.ginv0)
+    assert b.norm_sq(comps, variance) == approx(want, rel=1e-12)
+    assert b.norm(b.g0, ("l", "l")) == approx(math.sqrt(n), rel=1e-12)
+    assert b.norm(b.ginv0, ("u", "u")) == approx(math.sqrt(n), rel=1e-12)
+    # a non-finite component never norms to a silent 0.0
+    for bad in (math.nan, math.inf, -math.inf):
+        poisoned = comps.copy()
+        poisoned.flat[rng.integers(poisoned.size)] = bad
+        with np.errstate(invalid="ignore"):
+            assert not math.isfinite(b.norm(poisoned, variance))
+
+
 def test_metric_norm_is_sqrt_dim(ejiri):
     p = np.array([0.5, 0.1, -0.2, 0.3])
     b = CurvatureBundle(ejiri.chart, p, order=1)
@@ -228,13 +267,13 @@ def test_tensor_norm_op(ejiri):
 def test_cotton_norm_zero_on_s4():
     chart = make_sphere_chart(4, 1.0)
     b = CurvatureBundle(chart, np.array([0.3, -0.2, 0.1, 0.4]), order=3)
-    assert b.jnorm(b.cotton, ("l",) * 3) < 1e-10
+    assert b.norm(b.cotton.value, ("l",) * 3) < 1e-10
 
 
 def test_cotton_norm_positive_on_basicex(basicex52):
     wg, _ = basicex52
     bundles = [CurvatureBundle(wg.chart, p, order=3) for p in wg.chart.sample_points(5, offset=2)]
-    values = [b.jnorm(b.cotton, ("l",) * 3) for b in bundles]
+    values = [b.norm(b.cotton.value, ("l",) * 3) for b in bundles]
     assert max(values) > 0.1
 
 

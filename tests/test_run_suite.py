@@ -15,6 +15,7 @@ from pytest import approx
 from warpcheck.checks import EXAMPLE_CONFIGS, RunConfig, build_context, run_suite
 from warpcheck.cli import main
 from warpcheck.geometry import CurvatureBundle
+from warpcheck.jets import JetTensor
 from warpcheck.ode import WarpOdeParams, equilibrium_radius, rbar_from_initial
 from warpcheck.statics import StaticAnalysis
 
@@ -51,6 +52,24 @@ def test_nonfinite_residual_fails(tmp_path):
     with np.errstate(all="ignore"):
         assert main(["verify", str(path), "--out", str(out), "--no-timestamp"]) == 1
     assert [c["status"] for c in json.loads(out.read_text())["checks"]] == ["FAIL", "FAIL"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_norm_fails_its_check(monkeypatch, bad):
+    """A non-finite Cotton component off the d/dt slot: only the scale norm sees it, and icotton_zero FAILs."""
+    cotton = CurvatureBundle.cotton.func
+
+    def poisoned(b):
+        c = cotton(b)
+        data = c.data.copy()
+        data[1, 2, 3, 0] = bad
+        return JetTensor(c.space, data)
+
+    monkeypatch.setattr(CurvatureBundle, "cotton", property(poisoned))
+    raw = dict(copy.deepcopy(EXAMPLE_CONFIGS["ejiri-ode"]), checks=["icotton_zero"], samples=4)
+    (outcome,) = run_suite(RunConfig.from_dict(raw)).checks
+    assert outcome.status == "FAIL" and outcome.max_rel_residual == math.inf
+    assert outcome.reason == "non-finite residual 'icotton'"
 
 
 def test_infinite_tolerance_is_a_config_error(tmp_path, capsys):

@@ -247,7 +247,7 @@ def test_einstein_fiber_efield_small():
     for chart in (make_sphere_chart(3, 1.0), make_hyperbolic_chart(3, 0.8)):
         p = chart.sample_points(3, offset=0)[1]
         b = CurvatureBundle(chart, p, order=2)
-        assert b.jnorm(b.efield, ("l", "l")) < 1e-9
+        assert b.norm(b.efield.value, ("l", "l")) < 1e-9
 
 
 def test_non_einstein_fiber_efield_bounded_away():
@@ -256,7 +256,7 @@ def test_non_einstein_fiber_efield_bounded_away():
     norms = []
     for p in chart.sample_points(5, offset=0):
         b = CurvatureBundle(chart, p, order=2)
-        norms.append(b.jnorm(b.efield, ("l", "l")))
+        norms.append(b.norm(b.efield.value, ("l", "l")))
     assert min(norms) > 0.5
 
 
