@@ -5,6 +5,7 @@ lines as they complete (they are also forced through the capture so they
 appear in plain ``pytest`` runs).
 """
 
+import copy
 import math
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 from pytest import approx
 
 import warpcheck.dsl as dsl
+from warpcheck.checks import EXAMPLE_CONFIGS, RunConfig, build_context
 from warpcheck.conformal import ConformalAnalysis, sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle, kulkarni_nomizu_jets
 from warpcheck.jets import JetTensor
@@ -115,14 +117,8 @@ def test_criterion_3_firstthm_identity(ejiri):
 
 
 def _ode_non_einstein_space() -> WarpedGeometry:
-    fiber_chart = make_product_chart(make_sphere_chart(2, 1.0), make_sphere_chart(2, 2.0))
-    n = 5
-    scalar, h0 = 2.0, 1.0
-    c1 = c1_for_fiber_scalar(n, scalar, fiber_chart.known_scalar, h0)
-    params = WarpOdeParams(n, scalar, fiber_chart.known_scalar, c1)
-    traj, period = find_periodic_solution(params, h0, dt=1e-3)
-    warping = OdeWarpingFunction(params, traj, period=period)
-    return assemble_warped(warping, fiber_chart, (0.0, period), "S^1 x_h (S^2 x S^2(2))")
+    """The S^1 x_h (S^2 x S^2(2)) space of the ``equiv-fail`` example, as its config builds it."""
+    return build_context(RunConfig.from_dict(copy.deepcopy(EXAMPLE_CONFIGS["equiv-fail"]))).warped
 
 
 def test_criterion_4_wp3_and_icotton(ejiri, point_scratch):
@@ -134,6 +130,7 @@ def test_criterion_4_wp3_and_icotton(ejiri, point_scratch):
             basicex_geometry(5, 2)[0],
             _ode_non_einstein_space(),
         ]
+        non_einstein = spaces[-1]
         witness = 0.0
         for wg in spaces:
             for p in wg.chart.sample_points(20, offset=0):
@@ -141,7 +138,7 @@ def test_criterion_4_wp3_and_icotton(ejiri, point_scratch):
                 resid, lhs, rhs = warpedproduct3_residual(wg, sc.hdot)
                 assert resid.rel < 1e-8, wg.chart.label
                 assert icotton_warped_residual(sc.bundle).rel < 1e-8, wg.chart.label
-                if wg.chart.label.startswith("S^1 x_h (S^2"):
+                if wg is non_einstein:
                     witness = max(witness, rhs)
         assert witness > 1e-3  # both sides individually nonzero on the non-Einstein fiber
 

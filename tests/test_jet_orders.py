@@ -10,6 +10,7 @@ loops they replaced.
 """
 
 import copy
+import hashlib
 import json
 from functools import cached_property
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from warpcheck import geometry
 from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, PointScratch, RunConfig, run_suite
 from warpcheck.geometry import CurvatureBundle, MetricChart, _jt_const_matmul
-from warpcheck.jets import JetTensor, _elem_series, jet_space, jt_einsum
+from warpcheck.jets import JetTensor, _elem_series, _raw_mul, jet_space, jt_einsum
 from conftest import example_geometry
 from warpcheck.spaces import (
     basicex_geometry,
@@ -88,6 +89,47 @@ def test_zero_value_factor_ignores_padded_top_order(case):
             pair_full = (z, other) if zero_first else (other, z)
             pair_padded = (z, padded) if zero_first else (padded, z)
             _assert_bitwise(jt_einsum(spec, *pair_full).truncate(k), jt_einsum(spec, *pair_padded))
+
+
+# -- numpy's summation order ------------------------------------------------------
+
+# SHA-256 of the output bytes over dims 4-5 and orders 3-4, for the specs the
+# curvature chain uses, and for _raw_mul.  The Ricci and Cotton-divergence
+# specs are one contraction up to renaming, so their digests agree.
+SUMMATION_DIGESTS = {
+    "kl,ijl->kij": "39101bb022d631709c5a30de6d80cb812c7d16d91b1d599b317299572c34df26",
+    "mki,ljm->lijk": "2d7451ef7e03ed7c167d4a5a1422ef824a707db622daa2292fd3bee6160e8e12",
+    "is,sjkl->ijkl": "644976a1ddd85781efcb2c101805134e5fb4d7c8c21941203a8a8767154b5259",
+    "kl,ikjl->ij": "1b8bdb602e607977754f3bf0aac9a8afe3ac4f063445c4c164c4141e7dff9bda",
+    "ij,ij->": "61fab0f99645eb4c52b0637d14d9404989ea7861cf4d0fe5023b1b8f049c2a23",
+    "jl,ijkl->ik": "1b8bdb602e607977754f3bf0aac9a8afe3ac4f063445c4c164c4141e7dff9bda",
+    "_raw_mul": "ebc61f2fcaa4ce451f894929d76818331aa067d461dccfee7e6a81d6ae066ab9",
+}
+
+
+def _summation_digest(spec: str) -> str:
+    digest = hashlib.sha256()
+    for dim in (4, 5):
+        for order in (3, 4):
+            if spec == "_raw_mul":
+                a, b = _operands("ij,ij->ij", dim, order, seed=0)
+                out = _raw_mul(a.space, a.data, b.data)
+            else:
+                out = jt_einsum(spec, *_operands(spec, dim, order, seed=0)).data
+            digest.update(np.ascontiguousarray(out).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("spec", sorted(SUMMATION_DIGESTS))
+def test_numpy_summation_order_is_pinned(spec):
+    """The kernels' output bits on fixed operands.
+
+    Every golden digit rests on the order in which ``np.einsum`` and
+    ``np.add.reduceat`` sum.  A failure here means a numpy upgrade changed
+    that order, so golden digits will move: re-derive the goldens and these
+    digests together, and say which digits moved.
+    """
+    assert _summation_digest(spec) == SUMMATION_DIGESTS[spec]
 
 
 # -- the rewritten formulas against the straightforward ones ----------------------
