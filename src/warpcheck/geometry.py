@@ -141,9 +141,8 @@ class CurvatureBundle:
 
     @cached_property
     def g(self) -> JetTensor:
-        # built at the metric order; a builder that composes a function at a
-        # zero argument (cos at phase 0, say) flips the sign of some zero
-        # coefficients between orders, and adding 0.0 makes every zero +0.0
+        # + 0.0: a function composed at a zero argument (cos at phase 0, say)
+        # signs some zero coefficients differently at different orders
         g = self.chart.metric_jets(self.point, self.metric_order)
         return JetTensor(g.space, g.data + 0.0)
 

@@ -262,6 +262,9 @@ def test_tensor_norm_op(ejiri):
     assert b.norm(b.g0, ("l", "l")) == approx(2.0, rel=1e-12)
     xi = np.array([1.0, 0.0, 0.0, 0.0])
     assert b.norm(xi, ("u",)) == approx(1.0, rel=1e-12)  # dt direction is unit
+    for variance in (("l",), ("l", "l", "l")):
+        with pytest.raises(ValueError, match="variance length"):
+            b.norm(b.g0, variance)
 
 
 def test_cotton_norm_zero_on_s4():

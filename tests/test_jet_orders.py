@@ -6,7 +6,8 @@ checked here on random tensors, and on the rewritten formulas matching
 the straightforward ones bit for bit on real charts.  Each check's
 declared metric order is pinned as exactly what it reads.  The vectorized
 ``partials`` and ``pow_const`` series are pinned the same way against the
-loops they replaced.
+loops they replaced, and numpy's summation order under the kernels by a
+digest of their output.
 """
 
 import copy
