@@ -33,7 +33,7 @@ from .ode import (
     c1_for_fiber_scalar,
     find_periodic_solution,
 )
-from .residuals import PreconditionSkip, Residual
+from .residuals import PreconditionSkip, Residual, ResidualSet
 from .spaces import (
     ConformalFieldSpec,
     StaticPotentialSpec,
@@ -59,6 +59,7 @@ from .statics import (
     propddoth_check,
     t_potential,
     warpedproduct3_residual,
+    xicvf_residuals,
 )
 
 __all__ = [
@@ -350,11 +351,12 @@ def _build_field(config: RunConfig, chart: MetricChart, warped: WarpedGeometry |
 
 
 class PointScratch:
-    """One sample point's curvature bundle and the analyses its checks share.
+    """One sample point's curvature bundle and what its checks share.
 
     The bundle has the highest field and metric orders any check of the
-    suite needs.  Each analysis, and the fiber bundle, is built at most
-    once, on first use.
+    suite needs.  Each analysis, the fiber bundle and each value derived
+    from them is built at most once, on first use.  A check's evaluator
+    takes the scratch as its one argument.
     """
 
     def __init__(
@@ -367,18 +369,14 @@ class PointScratch:
 
     @cached_property
     def conformal(self) -> ConformalAnalysis:
-        if self.ctx.fld is None:
-            raise PreconditionSkip("no conformal field configured")
         return ConformalAnalysis(self.bundle, self.ctx.fld)
 
     @cached_property
     def static(self) -> StaticAnalysis:
         """The configured potential; on a warped space without one, hdot."""
-        if self.ctx.potential is not None:
-            return StaticAnalysis(self.bundle, self.ctx.potential)
-        if self.ctx.warped is not None:
+        if self.ctx.potential is None:
             return self.hdot
-        raise PreconditionSkip("no potential configured")
+        return StaticAnalysis(self.bundle, self.ctx.potential)
 
     @cached_property
     def hdot(self) -> StaticAnalysis:
@@ -389,79 +387,33 @@ class PointScratch:
     def fiber(self) -> CurvatureBundle:
         return CurvatureBundle(self.ctx.warped.fiber_chart, self.point[1:], order=self.fiber_order)
 
+    @cached_property
+    def fiber_ric0(self) -> np.ndarray:
+        return statics.fiber_ric0(self.fiber)
+
+    @cached_property
+    def warping(self) -> list[float]:
+        """h(t) and its first four derivatives at the point's t."""
+        return statics.warping_derivatives(self.ctx.warped, self.point[0], 4)
+
 
 # -- per-point evaluators ------------------------------------------------------------
+# The identities of statics are evaluators themselves; a check on one
+# analysis names its method in the registry.  These hold what no helper does.
 
 
-def _eval_scalar_value(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    known = ctx.chart.known_scalar
+def _eval_scalar_value(sc: PointScratch) -> ResidualSet:
+    known = sc.ctx.chart.known_scalar
     if known is None:
         raise PreconditionSkip("chart has no known scalar curvature")
     return {"scalar": Residual(abs(sc.bundle.scalar - known), abs(known))}
 
 
-def _eval_vss(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    return sc.static.vacuum_residuals()
-
-
-def _eval_t_algebra(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    return sc.static.t_algebra()
-
-
-def _eval_tfe(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    return {"tfe": sc.static.tfe_defect()}
-
-
-def _eval_decompose(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    return sc.static.decompose_residuals()
-
-
-def _eval_xicvf(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    return statics.xicvf_residuals(sc.static, sc.conformal)
-
-
-def _eval_lgh(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    return lgh_closed_forms(ctx.warped, sc.static if ctx.potential_of_t else sc.hdot, sc.fiber)
-
-
-def _eval_wp3(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    resid, _, _ = warpedproduct3_residual(ctx.warped, sc.hdot)
-    return {"wp3": resid}
-
-
-def _eval_icotton(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    return {"icotton": icotton_warped_residual(sc.bundle)}
-
-
-def _eval_nein3(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    return nonconstant_r_cotton_formulas(ctx.warped, sc.bundle, sc.fiber)
-
-
-def _eval_propddoth(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    if ctx.potential is None or ctx.potential.factored is None:
-        raise PreconditionSkip("assembly criterion needs a factored potential u(t)*fbar")
-    res = propddoth_check(ctx.warped, ctx.potential.factored.fiber_builder, sc.bundle, sc.fiber)
-    for premise in ("fiber_vss", "warping_equation"):
-        if res[premise].rel > 1e-6:
-            raise PreconditionSkip(f"premise {premise} fails (residual {res[premise].rel:.2e})")
-    return {"total_vss": res["total_vss"], "fiber_vss": res["fiber_vss"], "warping_equation": res["warping_equation"]}
-
-
-def _eval_inrp(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    if not ctx.potential_of_t:
-        raise PreconditionSkip("product criterion needs a t-expression potential")
-    return inrp_product_check(ctx.warped, sc.static, sc.fiber)
-
-
-def _eval_equiv(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    return {key: Residual(value) for key, value in equivalence_clauses(sc.hdot, sc.fiber).items()}
-
-
-def _eval_firstthm(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
+def _eval_firstthm(sc: PointScratch) -> ResidualSet:
     cf = sc.conformal
     defect = cf.conformal_defect()
     if defect.rel > 1e-7:
-        raise PreconditionSkip(f"field {ctx.fld.label!r} is not conformal (residual {defect.rel:.2e})")
+        raise PreconditionSkip(f"field {cf.spec.label!r} is not conformal (residual {defect.rel:.2e})")
     return {
         "firstthm": cf.firstthm_defect(),
         "phi_symmetry": cf.phi_symmetry_defect(),
@@ -469,7 +421,7 @@ def _eval_firstthm(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
     }
 
 
-def _eval_ixi(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
+def _eval_ixi(sc: PointScratch) -> ResidualSet:
     cf = sc.conformal
     out = {"general": cf.ixi_cotton_defect("general")}
     if cf.is_closed:
@@ -477,7 +429,7 @@ def _eval_ixi(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
     return out
 
 
-def _eval_cxi(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
+def _eval_cxi(sc: PointScratch) -> ResidualSet:
     cf = sc.conformal
     return {
         "cotton_contraction": cf.cxi_contraction_defect(),
@@ -485,8 +437,8 @@ def _eval_cxi(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
     }
 
 
-def _eval_closed_cvf(ctx: CheckContext, sc: PointScratch) -> dict[str, Residual]:
-    return sc.conformal.closed_identities()
+def _eval_equiv(sc: PointScratch) -> ResidualSet:
+    return {key: Residual(value) for key, value in equivalence_clauses(sc).items()}
 
 
 def _equiv_verdict(out: CheckOutcome) -> None:
@@ -522,7 +474,7 @@ class Check:
     description: str
     tolerance: float
     order: int
-    evaluate: Callable[[CheckContext, PointScratch], dict[str, Residual]]
+    evaluate: Callable[[PointScratch], ResidualSet]
     needs: frozenset[str]
     fiber_order: int = 2
     settle: Callable[[CheckOutcome], None] | None = None
@@ -537,29 +489,29 @@ CHECKS: dict[str, Check] = {
     "scalar_value": Check("scalar curvature R equals the chart's known scalar curvature",
         1e-10, 2, _eval_scalar_value, frozenset()),
     "vss_residual": Check("vacuum static equation: full, trace, and trace-free residuals",
-        1e-8, 2, _eval_vss, frozenset({"potential"})),
+        1e-8, 2, lambda sc: sc.static.vacuum_residuals(), frozenset({"potential"})),
     # L* f reads the metric twice differentiated, through Ricci
     "lgh_forms": Check("closed forms of L* on warped products (all slots + warped Laplacian)",
-        1e-8, 3, _eval_lgh, frozenset({"warped"}), metric_order=2),
+        1e-8, 3, lgh_closed_forms, frozenset({"warped"}), metric_order=2),
     "wp3_identity": Check("L* hdot = -C(.,xi,.) on constant-scalar warped products",
-        1e-8, 3, _eval_wp3, frozenset({"warped", "constant_r"})),
+        1e-8, 3, warpedproduct3_residual, frozenset({"warped", "constant_r"})),
     "icotton_zero": Check("i_{d/dt} C = 0 on constant-scalar warped products",
-        1e-8, 3, _eval_icotton, frozenset({"warped", "constant_r"})),
+        1e-8, 3, icotton_warped_residual, frozenset({"warped", "constant_r"})),
     # the fiber's Cotton tensor takes a third-order fiber bundle
     "nein3_forms": Check("explicit warped Cotton components (nonconstant scalar allowed)",
-        1e-7, 3, _eval_nein3, frozenset({"warped"}), fiber_order=3),
+        1e-7, 3, nonconstant_r_cotton_formulas, frozenset({"warped"}), fiber_order=3),
     "t_algebra": Check("T-tensor antisymmetry, cyclic sum, and traces",
-        1e-10, 2, _eval_t_algebra, frozenset({"potential"})),
+        1e-10, 2, lambda sc: sc.static.t_algebra(), frozenset({"potential"})),
     "tfe_identity": Check("contraction identity E_ik T_ijk f_j = (n-2)/(2(n-1)) |T|^2",
-        1e-7, 2, _eval_tfe, frozenset({"potential"})),
+        1e-7, 2, lambda sc: {"tfe": sc.static.tfe_defect()}, frozenset({"potential"})),
     "decompose_ids": Check("curvature decomposition identities for generalized solutions",
-        1e-7, 3, _eval_decompose, frozenset({"potential"})),
+        1e-7, 3, lambda sc: sc.static.decompose_residuals(), frozenset({"potential"})),
     "xicvf_forms": Check("two contraction formulas tying f, phi, P, and C(.,xi,.)",
-        1e-6, 3, _eval_xicvf, frozenset({"potential", "field"})),
+        1e-6, 3, xicvf_residuals, frozenset({"potential", "field"})),
     "propddoth": Check("h*fbar assembly: fiber + warping equations imply the total equation",
-        1e-8, 2, _eval_propddoth, frozenset({"warped"})),
+        1e-8, 2, propddoth_check, frozenset({"warped"})),
     "inrp": Check("product criterion: f'' + Rbar f/(n-1) = 0 over an Einstein fiber",
-        1e-8, 2, _eval_inrp, frozenset({"warped"})),
+        1e-8, 2, inrp_product_check, frozenset({"warped"})),
     # the metric enters through Cotton, three derivatives deep; the field jets keep
     # order 4 because the sphere-gradient builder loses one order
     "firstthm": Check("L* phi = Phi for the characteristic function of a conformal field",
@@ -572,7 +524,7 @@ CHECKS: dict[str, Check] = {
         1e-6, 3, _eval_equiv, frozenset({"warped"}), settle=_equiv_verdict),
     "closed_cvf": Check("nabla P and div P identities; (a) nabla xi = phi I, (d) R(.,xi) and "
         "(e) Ric(xi) = -(n-1) grad phi are reported only when the field is closed",
-        1e-8, 3, _eval_closed_cvf, frozenset({"field"})),
+        1e-8, 3, lambda sc: sc.conformal.closed_identities(), frozenset({"field"})),
 }
 
 # A view, not a second table: run_suite looks its evaluator up here at call
@@ -750,7 +702,7 @@ def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> Ve
                     continue
                 start = time.perf_counter()
                 try:
-                    residuals = _EVALUATORS[out.check](ctx, sc)
+                    residuals = _EVALUATORS[out.check](sc)
                 except PreconditionSkip as unmet:
                     out = outcomes[k] = CheckOutcome(
                         out.check, "SKIP", out.tolerance, reason=unmet.reason, wall_time=out.wall_time

@@ -139,10 +139,7 @@ class ConformalAnalysis:
         div_p = jt_einsum("ij,jki->k", b.ginv, self.dp)
         ric_xi = jt_einsum("kl,l->k", b.ric, self.xi)
         rhs_c = ric_xi + (self.n - 1.0) * self.dphi
-        out["div_p"] = Residual(
-            b.norm(div_p.value - rhs_c.value, ("l",)),
-            b.norm(div_p.value, ("l",)) + b.norm(rhs_c.value, ("l",)),
-        )
+        out["div_p"] = b.defect(div_p.value, rhs_c.value, ("l",))
 
         if closed:
             # (a) nabla_i xi^j = phi delta^j_i
@@ -183,10 +180,7 @@ class ConformalAnalysis:
 
     def firstthm_defect(self) -> Residual:
         """|| L*_g phi - Phi ||, the pointwise defect of the main identity."""
-        b = self.bundle
-        resid = self.lstar_phi - self.phi_tensor_jets
-        scale = b.norm(self.lstar_phi.value, ("l", "l")) + b.norm(self.phi_tensor_jets.value, ("l", "l"))
-        return Residual(b.norm(resid.value, ("l", "l")), scale)
+        return self.bundle.defect(self.lstar_phi.value, self.phi_tensor_jets.value, ("l", "l"))
 
     def phi_symmetry_defect(self) -> Residual:
         phi_t = self.phi_tensor_jets
@@ -228,8 +222,7 @@ class ConformalAnalysis:
                 )
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        scale = b.norm(lhs.value, ("l", "l")) + b.norm(rhs.value, ("l", "l"))
-        return Residual(b.norm(lhs.value - rhs.value, ("l", "l")), scale)
+        return b.defect(lhs.value, rhs.value, ("l", "l"))
 
     def cxi_contraction_defect(self) -> Residual:
         """|| C_ijk xi^i || (vanishes for closed fields with constant R)."""

@@ -39,6 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jets import JetTensor, jet_space, jt_einsum
+from .residuals import Residual
 from .sampling import halton_points
 from .tensors import tensor_norm_sq
 
@@ -326,6 +327,10 @@ class CurvatureBundle:
 
     def norm_sq(self, components: np.ndarray, variance: tuple[str, ...]) -> float:
         return tensor_norm_sq(components, variance, *self.frame)
+
+    def defect(self, lhs: np.ndarray, rhs: np.ndarray, variance: tuple[str, ...]) -> Residual:
+        """The residual of the identity lhs = rhs, on the scale of both sides."""
+        return Residual(self.norm(lhs - rhs, variance), self.norm(lhs, variance) + self.norm(rhs, variance))
 
 
 def kulkarni_nomizu_jets(u: JetTensor, v: JetTensor) -> JetTensor:

@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FactoredPotential:
-    """f(t, y) = u(t) * fbar(y) with fbar living on the fiber chart."""
+    """f(t, y) = h(t) * fbar(y), h the warping, with fbar living on the fiber chart."""
 
     fiber_builder: Callable[[Sequence[JetTensor]], JetTensor]
 

@@ -13,6 +13,7 @@ criterion, and the two conformal-field contraction formulas.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,7 +22,9 @@ from .geometry import CurvatureBundle
 from .jets import JetTensor, jt_einsum
 from .residuals import PreconditionSkip, Residual, ResidualSet
 from .spaces import StaticPotentialSpec, WarpedGeometry, warping_jet
-from .conformal import ConformalAnalysis
+
+if TYPE_CHECKING:
+    from .checks import PointScratch
 
 __all__ = [
     "StaticAnalysis",
@@ -35,6 +38,7 @@ __all__ = [
     "t_potential",
     "xicvf_residuals",
     "warping_derivatives",
+    "fiber_ric0",
     "SOLUTION_REL_TOL",
 ]
 
@@ -108,8 +112,7 @@ class StaticAnalysis:
         rhs = jt_einsum(",ij->ij", self.f_plus_a, b.efield) + JetTensor.const(
             b.space, self.potential.b * b.g0
         )
-        scale = b.norm(lhs.value, ("l", "l")) + b.norm(rhs.value, ("l", "l"))
-        return Residual(b.norm(lhs.value - rhs.value, ("l", "l")), scale)
+        return b.defect(lhs.value, rhs.value, ("l", "l"))
 
     @cached_property
     def _solution_defect(self) -> Residual:
@@ -161,14 +164,10 @@ class StaticAnalysis:
         m = b.efield - jt_einsum(",ij->ij", b.scalar_jet, b.g) / (n * (n - 1.0))
         lhs1 = jt_einsum("lijk,l->ijk", b.riemann13, self.df)
         rhs1 = jt_einsum("ij,k->ijk", m, self.df) - jt_einsum("ik,j->ijk", m, self.df) + fa_c
-        scale1 = b.norm(lhs1.value, ("l",) * 3) + b.norm(rhs1.value, ("l",) * 3)
-
-        iw = jt_einsum("sijk,s->ijk", b.weyl, self.df_up)
-        rhs2 = iw + self.t_jets
-        scale2 = b.norm(fa_c.value, ("l",) * 3) + b.norm(rhs2.value, ("l",) * 3)
+        rhs2 = jt_einsum("sijk,s->ijk", b.weyl, self.df_up) + self.t_jets
         return {
-            "riemann_gradient": Residual(b.norm(lhs1.value - rhs1.value, ("l",) * 3), scale1),
-            "cotton_decomposition": Residual(b.norm(fa_c.value - rhs2.value, ("l",) * 3), scale2),
+            "riemann_gradient": b.defect(lhs1.value, rhs1.value, ("l",) * 3),
+            "cotton_decomposition": b.defect(fa_c.value, rhs2.value, ("l",) * 3),
         }
 
     def tfe_defect(self) -> Residual:
@@ -192,7 +191,7 @@ def warping_derivatives(wg: WarpedGeometry, t0: float, order: int) -> list[float
     return [h.partial((j,)) for j in range(order + 1)]
 
 
-def _fiber_ric0(fb: CurvatureBundle) -> np.ndarray:
+def fiber_ric0(fb: CurvatureBundle) -> np.ndarray:
     """Trace-free fiber Ricci (components w.r.t. the shared fiber coordinates)."""
     m = fb.dim
     if m == 1:
@@ -205,26 +204,27 @@ def t_potential(ast: ExprAst, label: str, a: float = 0.0, b: float = 0.0) -> Sta
     return StaticPotentialSpec(label=label, builder=lambda coords: eval_expr(ast, coords[0]), a=a, b=b)
 
 
-# The warped helpers below take what one sample point shares among its
-# checks: the total-space bundle ``b`` (of order >= 3 wherever the Cotton
-# tensor enters), a static analysis on it, and the fiber bundle ``fb`` at
-# the point's fiber coordinates.  None of them builds a bundle.
+# The identities below are check evaluators.  Each takes one sample point's
+# scratch ``sc``, which holds what the point's checks share: the total-space
+# bundle (of order >= 3 wherever the Cotton tensor enters), the analyses on
+# it, the fiber bundle at the point's fiber coordinates, and the warping's
+# derivatives at its t.  None of them builds a bundle.
 
 
-def lgh_closed_forms(wg: WarpedGeometry, analysis: StaticAnalysis, fb: CurvatureBundle) -> ResidualSet:
+def lgh_closed_forms(sc: PointScratch) -> ResidualSet:
     """Slot-by-slot residuals between generic L*_g f and the warped closed forms.
 
-    The potential of ``analysis`` is a function of t alone: an expression,
-    or ``wg.hdot``, which adds the hdot closed form.  So the fiber
+    f is the configured t-expression potential, or else hdot, which adds the
+    hdot closed form.  As f is a function of t alone, the fiber
     Hessian/Laplacian terms of the closed forms drop out.  No constancy of
     the scalar curvature is assumed.
     """
-    b = analysis.bundle
+    analysis = sc.static if sc.ctx.potential_of_t else sc.hdot
+    b = sc.bundle
     n = b.dim
     f = analysis.f
 
-    hderivs = warping_derivatives(wg, b.point[0], 4)
-    h, hd, hdd, hddd = hderivs[0], hderivs[1], hderivs[2], hderivs[3]
+    h, hd, hdd, hddd = sc.warping[:4]
     zeros = (0,) * (n - 1)
     f0, ft, ftt = f.value, f.partial((1,) + zeros), f.partial((2,) + zeros)
 
@@ -232,7 +232,7 @@ def lgh_closed_forms(wg: WarpedGeometry, analysis: StaticAnalysis, fb: Curvature
     lap_v = float(analysis.lap.value)
     scal = b.scalar
 
-    ric0 = _fiber_ric0(fb)
+    ric0 = sc.fiber_ric0
     g_fiber = b.g0[1:, 1:]
 
     out: ResidualSet = {}
@@ -252,7 +252,7 @@ def lgh_closed_forms(wg: WarpedGeometry, analysis: StaticAnalysis, fb: Curvature
     pred_lap = ftt + (n - 1.0) * hd / h * ft
     out["laplacian"] = Residual(abs(lap_v - pred_lap), abs(lap_v) + abs(pred_lap))
 
-    if analysis.potential is wg.hdot:
+    if analysis is sc.hdot:
         # -L* hdot = hdot ric0 + h^2 [h''' + (n-1) hd hdd / h + R hd/(n-1)] gbar
         gbar = g_fiber / h**2
         pred = -(hd * ric0 + h * h * (hddd + (n - 1.0) * hd * hdd / h + scal * hd / (n - 1.0)) * gbar)
@@ -263,53 +263,49 @@ def lgh_closed_forms(wg: WarpedGeometry, analysis: StaticAnalysis, fb: Curvature
     return out
 
 
-def icotton_warped_residual(b: CurvatureBundle) -> Residual:
+def icotton_warped_residual(sc: PointScratch) -> ResidualSet:
     """|| i_{d/dt} C || at the point (zero when the scalar curvature is constant)."""
-    c0 = b.cotton.value[0]
-    return Residual(b.norm(c0, ("l", "l")), b.norm(b.cotton.value, ("l",) * 3))
+    b = sc.bundle
+    return {"icotton": Residual(b.norm(b.cotton.value[0], ("l", "l")), b.norm(b.cotton.value, ("l",) * 3))}
 
 
-def warpedproduct3_residual(wg: WarpedGeometry, hdot: StaticAnalysis) -> tuple[Residual, float, float]:
-    """Residual of L*_g hdot = -C(., xi, .) plus the norms of both sides."""
-    b = hdot.bundle
-    lstar_v = hdot.lstar_f.value
-    xi_vec = b.vector_field(wg.xi.builder)
+def warpedproduct3_residual(sc: PointScratch) -> ResidualSet:
+    """Residual of L*_g hdot = -C(., xi, .)."""
+    b = sc.bundle
+    xi_vec = b.vector_field(sc.ctx.warped.xi.builder)
     c_mid = jt_einsum("ilj,l->ij", b.cotton, xi_vec).value
-    lhs_norm = b.norm(lstar_v, ("l", "l"))
-    rhs_norm = b.norm(c_mid, ("l", "l"))
-    resid = Residual(b.norm(lstar_v + c_mid, ("l", "l")), lhs_norm + rhs_norm)
-    return resid, lhs_norm, rhs_norm
+    return {"wp3": b.defect(sc.hdot.lstar_f.value, -c_mid, ("l", "l"))}
 
 
-def equivalence_clauses(hdot: StaticAnalysis, fb: CurvatureBundle) -> dict[str, float]:
+def equivalence_clauses(sc: PointScratch) -> dict[str, float]:
     """The four clause magnitudes of the warped vacuum-static equivalence chain."""
-    b = hdot.bundle
+    b = sc.bundle
     return {
-        "lstar_hdot": b.norm(hdot.lstar_f.value, ("l", "l")),
+        "lstar_hdot": b.norm(sc.hdot.lstar_f.value, ("l", "l")),
         "cotton_mid_dt": b.norm(b.cotton.value[:, 0, :], ("l", "l")),
         "cotton": b.norm(b.cotton.value, ("l",) * 3),
-        "fiber_efield": fb.norm(_fiber_ric0(fb), ("l", "l")),
+        "fiber_efield": sc.fiber.norm(sc.fiber_ric0, ("l", "l")),
     }
 
 
-def nonconstant_r_cotton_formulas(wg: WarpedGeometry, b: CurvatureBundle, fb: CurvatureBundle) -> ResidualSet:
+def nonconstant_r_cotton_formulas(sc: PointScratch) -> ResidualSet:
     """Generic Cotton components vs the explicit warped-product formulas.
 
     Valid whether or not the scalar curvature is constant; for constant R
     everything on both sides degenerates to zero.  The fiber branch is
     C(X,Y,Z) = [Z(R) g(X,Y) - Y(R) g(X,Z)]/4 for n=3 and
     Cbar + Z(Theta) g(X,Y) - Y(Theta) g(X,Z), Theta = Rbar h^-2/(2(n-2))
-    - R/(2(n-1)), for n >= 4, where a fiber of dimension >= 3 needs ``fb``
-    of order >= 3 for its Cotton tensor Cbar.
+    - R/(2(n-1)), for n >= 4, where a fiber of dimension >= 3 needs a
+    fiber bundle of order >= 3 for its Cotton tensor Cbar.
     """
+    b, fb = sc.bundle, sc.fiber
     n = b.dim
     c = b.cotton.value
     cnorm = b.norm(b.cotton.value, ("l",) * 3)
     dr = b.dscalar.value
-    hderivs = warping_derivatives(wg, b.point[0], 2)
-    h, hd = hderivs[0], hderivs[1]
+    h, hd = sc.warping[:2]
 
-    ric0 = _fiber_ric0(fb)
+    ric0 = sc.fiber_ric0
     g0 = b.g0
 
     out: ResidualSet = {}
@@ -329,7 +325,7 @@ def nonconstant_r_cotton_formulas(wg: WarpedGeometry, b: CurvatureBundle, fb: Cu
         # Theta as a jet field on the total chart: embed the fiber scalar,
         # multiply by h(t)^-2, subtract R/(2(n-1)).
         rbar = fb.scalar_jet.embed(b.space, tuple(range(1, n)))
-        h_tot = warping_jet(wg.warping, b.point[0], b.order).embed(b.space, (0,))
+        h_tot = warping_jet(sc.ctx.warped.warping, b.point[0], b.order).embed(b.space, (0,))
         theta = rbar / (2.0 * (n - 2.0)) / (h_tot * h_tot) - b.scalar_jet / (2.0 * (n - 1.0))
         dtheta = theta.partials().value
         cbar = fb.cotton.value if fb.dim >= 3 else np.zeros((fb.dim,) * 3)
@@ -344,62 +340,59 @@ def nonconstant_r_cotton_formulas(wg: WarpedGeometry, b: CurvatureBundle, fb: Cu
     return out
 
 
-def propddoth_check(wg: WarpedGeometry, fiber_builder, b: CurvatureBundle, fb: CurvatureBundle) -> ResidualSet:
+def propddoth_check(sc: PointScratch) -> ResidualSet:
     """Residuals of the h*fbar assembly: fiber, warping, and total equations.
 
-    ``fiber_builder`` supplies fbar on the fiber chart.  The returned set
-    carries the fiber vacuum residual and the warping-equation residual (the two
-    premises) alongside the total-space vacuum residual for h(t)*fbar.
+    The configured potential is h(t)*fbar, factored with fbar on the fiber
+    chart.  Its two premises, the fiber vacuum equation for fbar and the
+    warping equation, must hold at the point; the total-space vacuum
+    residual of h*fbar is reported alongside them.
     """
-    n = b.dim
-    fiber_pot = StaticPotentialSpec(label="fbar", builder=fiber_builder)
-    fiber_res = StaticAnalysis(fb, fiber_pot).vacuum_residuals()["full"]
-
-    hderivs = warping_derivatives(wg, b.point[0], 2)
-    h, hdd = hderivs[0], hderivs[2]
-    warping_eq = hdd + b.scalar * h / (n * (n - 1.0))
-
-    def total_builder(coords):
-        return wg.warping(coords[0]) * fiber_builder(coords[1:])
-
-    total_pot = StaticPotentialSpec(label="h fbar", builder=total_builder)
-    total_res = StaticAnalysis(b, total_pot).vacuum_residuals()["full"]
+    factored = sc.ctx.potential.factored if sc.ctx.potential is not None else None
+    if factored is None:
+        raise PreconditionSkip("assembly criterion needs a factored potential u(t)*fbar")
+    n = sc.bundle.dim
+    fiber_pot = StaticPotentialSpec(label="fbar", builder=factored.fiber_builder)
+    fiber_vss = StaticAnalysis(sc.fiber, fiber_pot).vacuum_residuals()["full"]
+    h, _, hdd = sc.warping[:3]
+    warping_equation = Residual(abs(hdd + sc.bundle.scalar * h / (n * (n - 1.0))), abs(hdd) + abs(h))
+    for name, premise in (("fiber_vss", fiber_vss), ("warping_equation", warping_equation)):
+        if premise.rel > 1e-6:
+            raise PreconditionSkip(f"premise {name} fails (residual {premise.rel:.2e})")
     return {
-        "fiber_vss": fiber_res,
-        "warping_equation": Residual(abs(warping_eq), abs(hdd) + abs(h)),
-        "total_vss": total_res,
+        "total_vss": sc.static.vacuum_residuals()["full"],
+        "fiber_vss": fiber_vss,
+        "warping_equation": warping_equation,
     }
 
 
-def inrp_product_check(wg: WarpedGeometry, analysis: StaticAnalysis, fb: CurvatureBundle) -> ResidualSet:
+def inrp_product_check(sc: PointScratch) -> ResidualSet:
     """Residuals for the Riemannian-product criterion (h == 1, f = f(t)).
 
-    Checks f'' + Rbar f/(n-1) = 0 for the potential f(t) of ``analysis``
-    against the fiber scalar curvature and the full vacuum equation on the
-    product, and reports the fiber Einstein defect alongside.
+    Checks f'' + Rbar f/(n-1) = 0 for the configured potential f(t) against
+    the fiber scalar curvature and the full vacuum equation on the product,
+    and reports the fiber Einstein defect alongside.
     """
-    b = analysis.bundle
-    n = b.dim
-    hvals = warping_derivatives(wg, b.point[0], 1)
-    if abs(hvals[0] - 1.0) > 1e-12 or abs(hvals[1]) > 1e-12:
+    if not sc.ctx.potential_of_t:
+        raise PreconditionSkip("product criterion needs a t-expression potential")
+    h, hd = sc.warping[:2]
+    if abs(h - 1.0) > 1e-12 or abs(hd) > 1e-12:
         raise PreconditionSkip("product criterion requires h == 1")
 
-    rbar = fb.scalar
+    n = sc.bundle.dim
+    fb = sc.fiber
     zeros = (0,) * (n - 1)
-    f = analysis.f
+    f = sc.static.f
     f0, ftt = f.value, f.partial((2,) + zeros)
-    ddotf = ftt + rbar * f0 / (n - 1.0)
-
-    full = analysis.vacuum_residuals()["full"]
-    ric0 = _fiber_ric0(fb)
+    ddotf = ftt + fb.scalar * f0 / (n - 1.0)
     return {
         "ddotf": Residual(abs(ddotf), abs(ftt) + abs(f0)),
-        "full": full,
-        "fiber_einstein": Residual(fb.norm(ric0, ("l", "l")), fb.norm(fb.ric.value, ("l", "l"))),
+        "full": sc.static.vacuum_residuals()["full"],
+        "fiber_einstein": Residual(fb.norm(sc.fiber_ric0, ("l", "l")), fb.norm(fb.ric.value, ("l", "l"))),
     }
 
 
-def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis) -> ResidualSet:
+def xicvf_residuals(sc: PointScratch) -> ResidualSet:
     """The two contraction identities tying f, phi, P, and C(., xi, .) together.
 
     Item (1):
@@ -410,13 +403,15 @@ def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis) -> ResidualSet:
           = -f_k (n phi_i + R/(n-1) xi^b_i) + f_j P_ji,k + f_k P_li,l
             + (f+a) C_ijk xi^j
     """
-    b = st.bundle
+    st = sc.static
+    b = sc.bundle
     n = b.dim
     st.require_solution("conformal-field contraction identities")
+    cf = sc.conformal
 
-    f, df, df_up = st.f, st.df, st.df_up
+    df, df_up = st.df, st.df_up
     fa = st.f_plus_a
-    phi, dphi = cf.phi, cf.dphi
+    dphi = cf.dphi
     xi, xib = cf.xi, cf.xi_flat
     dp = cf.dp
     r_jet = b.scalar_jet
@@ -431,7 +426,6 @@ def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis) -> ResidualSet:
     rhs1 = jt_einsum("jki,i->jk", dp, df_up)
     rhs1 = rhs1 + jt_einsum("j,k->jk", df, div_p) - jt_einsum("k,j->jk", df, div_p)
     rhs1 = rhs1 - jt_einsum(",jk->jk", fa, jt_einsum("ijk,i->jk", b.cotton, xi))
-    scale1 = b.norm(lhs1.value, ("l", "l")) + b.norm(rhs1.value, ("l", "l"))
 
     # item (2)
     xif = jt_einsum("a,a->", xi, df)
@@ -443,9 +437,8 @@ def xicvf_residuals(st: StaticAnalysis, cf: ConformalAnalysis) -> ResidualSet:
     rhs2 = rhs2 + jt_einsum("jik,j->ik", dp, df_up)
     rhs2 = rhs2 + jt_einsum("k,i->ik", df, div_p)
     rhs2 = rhs2 + jt_einsum(",ik->ik", fa, jt_einsum("ijk,j->ik", b.cotton, xi))
-    scale2 = b.norm(lhs2.value, ("l", "l")) + b.norm(rhs2.value, ("l", "l"))
 
     return {
-        "item1": Residual(b.norm(lhs1.value - rhs1.value, ("l", "l")), scale1),
-        "item2": Residual(b.norm(lhs2.value - rhs2.value, ("l", "l")), scale2),
+        "item1": b.defect(lhs1.value, rhs1.value, ("l", "l")),
+        "item2": b.defect(lhs2.value, rhs2.value, ("l", "l")),
     }

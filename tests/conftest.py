@@ -3,6 +3,7 @@ import pytest
 
 from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, PointScratch, RunConfig, build_context
 from warpcheck.spaces import basicex_geometry
+from warpcheck.statics import warpedproduct3_residual
 
 
 def example_geometry(name, **space):
@@ -38,15 +39,22 @@ def expwarp3():
     return example_geometry("nonconstant-exp", fiber={"kind": "sphere", "dim": 2, "radius": 1.0})
 
 
-def _point_scratch(wg, point, potential=None, order=3, fiber_order=2):
-    """The per-point objects run_suite shares among checks on a warped space."""
-    ctx = CheckContext(wg.chart, wg, potential)
+def _point_scratch(wg, point, potential=None, order=3, fiber_order=2, potential_of_t=False):
+    """The per-point objects run_suite shares among checks on a warped space, whose field is h d/dt."""
+    ctx = CheckContext(wg.chart, wg, potential, wg.xi, potential_of_t)
     return PointScratch(ctx, np.asarray(point, dtype=float), order, fiber_order)
 
 
 @pytest.fixture
 def point_scratch():
     return _point_scratch
+
+
+def wp3_sides(sc):
+    """The wp3_identity residual at a point, with the norms of L* hdot and of C(., xi, .)."""
+    (resid,) = warpedproduct3_residual(sc).values()
+    lhs = sc.bundle.norm(sc.hdot.lstar_f.value, ("l", "l"))
+    return resid, lhs, resid.scale - lhs
 
 
 def central_diff(fn, x, order, step):

@@ -15,7 +15,7 @@ import pytest
 from pytest import approx
 
 import warpcheck.dsl as dsl
-from warpcheck.checks import EXAMPLE_CONFIGS, RunConfig, build_context
+from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, PointScratch, RunConfig, build_context
 from warpcheck.conformal import ConformalAnalysis, sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle, kulkarni_nomizu_jets
 from warpcheck.jets import JetTensor
@@ -45,9 +45,10 @@ from warpcheck.statics import (
     icotton_warped_residual,
     lgh_closed_forms,
     nonconstant_r_cotton_formulas,
-    warpedproduct3_residual,
     xicvf_residuals,
 )
+
+from conftest import wp3_sides
 
 COTTON_FLOOR = 0.5  # calibrated: max ||C|| over 100 samples is >= 1.08 on every Example-1 space
 
@@ -135,9 +136,9 @@ def test_criterion_4_wp3_and_icotton(ejiri, point_scratch):
         for wg in spaces:
             for p in wg.chart.sample_points(20, offset=0):
                 sc = point_scratch(wg, p)
-                resid, lhs, rhs = warpedproduct3_residual(wg, sc.hdot)
+                resid, lhs, rhs = wp3_sides(sc)
                 assert resid.rel < 1e-8, wg.chart.label
-                assert icotton_warped_residual(sc.bundle).rel < 1e-8, wg.chart.label
+                assert icotton_warped_residual(sc)["icotton"].rel < 1e-8, wg.chart.label
                 if wg is non_einstein:
                     witness = max(witness, rhs)
         assert witness > 1e-3  # both sides individually nonzero on the non-Einstein fiber
@@ -151,7 +152,7 @@ def test_criterion_5_equivalence_chain(ejiri, point_scratch):
             maxima = {}
             for p in wg.chart.sample_points(25, offset=0):
                 sc = point_scratch(wg, p)
-                for key, value in equivalence_clauses(sc.hdot, sc.fiber).items():
+                for key, value in equivalence_clauses(sc).items():
                     maxima[key] = max(maxima.get(key, 0.0), value)
             verdicts = {k: v < tol for k, v in maxima.items()}
             assert all(verdicts.values()), maxima
@@ -159,7 +160,7 @@ def test_criterion_5_equivalence_chain(ejiri, point_scratch):
         maxima = {}
         for p in failing.chart.sample_points(25, offset=0):
             sc = point_scratch(failing, p)
-            for key, value in equivalence_clauses(sc.hdot, sc.fiber).items():
+            for key, value in equivalence_clauses(sc).items():
                 maxima[key] = max(maxima.get(key, 0.0), value)
         verdicts = {k: v < tol for k, v in maxima.items()}
         assert not any(verdicts.values()), maxima  # all four clauses fail together
@@ -203,7 +204,7 @@ def test_criterion_6_ode_suite(point_scratch):
         ]
         assert max(scalars) - min(scalars) < 1e-6
         assert abs(np.mean(scalars) - 12.0) < 1e-6
-        resid, _, _ = warpedproduct3_residual(wg, point_scratch(wg, wg.chart.sample_points(1, offset=7)[0]).hdot)
+        resid, _, _ = wp3_sides(point_scratch(wg, wg.chart.sample_points(1, offset=7)[0]))
         assert resid.rel < 1e-6
 
 
@@ -272,16 +273,16 @@ def test_criterion_8_lgh_and_nein3_nonconstant(expwarp4, expwarp3, point_scratch
         wg4 = expwarp4
         for p in wg4.chart.sample_points(20, offset=0):
             sc = point_scratch(wg4, p, fiber_order=3)
-            res = lgh_closed_forms(wg4, sc.hdot, sc.fiber)
+            res = lgh_closed_forms(sc)
             for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian", "hdot_form"):
                 assert res[name].rel < 1e-8, name
-            nein = nonconstant_r_cotton_formulas(wg4, sc.bundle, sc.fiber)
+            nein = nonconstant_r_cotton_formulas(sc)
             for name, residual in nein.items():
                 assert residual.rel < 1e-7, f"n=4 {name}"
         wg3 = expwarp3
         for p in wg3.chart.sample_points(20, offset=0):
             sc = point_scratch(wg3, p)
-            nein = nonconstant_r_cotton_formulas(wg3, sc.bundle, sc.fiber)
+            nein = nonconstant_r_cotton_formulas(sc)
             for name, residual in nein.items():
                 assert residual.rel < 1e-7, f"n=3 {name}"
 
@@ -316,13 +317,13 @@ def test_criterion_10_lemma_battery():
     with Criterion(10, "decomposition, E-T contraction, Cotton contractions, xi-CVF formulas", 60.0):
         wg, pot = basicex_geometry(5, 2)
         for p in wg.chart.sample_points(15, offset=0):
-            b = CurvatureBundle(wg.chart, p, order=4)
-            st, cf = StaticAnalysis(b, pot), ConformalAnalysis(b, wg.xi)
+            sc = PointScratch(CheckContext(wg.chart, potential=pot, fld=wg.xi), p, 4)
+            st, cf = sc.static, sc.conformal
             dec = st.decompose_residuals()
             assert dec["riemann_gradient"].rel < 1e-6
             assert dec["cotton_decomposition"].rel < 1e-6
             assert st.tfe_defect().rel < 1e-6
-            res = xicvf_residuals(st, cf)
+            res = xicvf_residuals(sc)
             assert res["item1"].rel < 1e-6 and res["item2"].rel < 1e-6
             assert cf.cxi_contraction_defect().rel < 1e-6
             assert cf.cxi_divergence_defect().rel < 1e-6
@@ -332,13 +333,13 @@ def test_criterion_10_lemma_battery():
         xi = sphere_gradient_field(n, 1.0, axis=1)
         pot_s = sphere_height_potential(n, 1.0, axis=2)  # nlin(3): independent fields
         for p in chart.sample_points(15, offset=0):
-            b = CurvatureBundle(chart, p, order=4)
-            st, cf = StaticAnalysis(b, pot_s), ConformalAnalysis(b, xi)
+            sc = PointScratch(CheckContext(chart, potential=pot_s, fld=xi), p, 4)
+            st, cf = sc.static, sc.conformal
             dec = st.decompose_residuals()
             assert dec["riemann_gradient"].rel < 1e-6
             assert dec["cotton_decomposition"].rel < 1e-6
             assert st.tfe_defect().rel < 1e-6
-            res = xicvf_residuals(st, cf)
+            res = xicvf_residuals(sc)
             assert res["item1"].rel < 1e-6 and res["item2"].rel < 1e-6
             assert cf.cxi_contraction_defect().rel < 1e-6
             assert cf.cxi_divergence_defect().rel < 1e-6

@@ -250,12 +250,6 @@ def test_frame_norm_matches_einsum_oracle(n, rank, seed):
             assert not math.isfinite(b.norm(poisoned, variance))
 
 
-def test_metric_norm_is_sqrt_dim(ejiri):
-    p = np.array([0.5, 0.1, -0.2, 0.3])
-    b = CurvatureBundle(ejiri.chart, p, order=1)
-    assert b.norm(b.g0, ("l", "l")) == approx(math.sqrt(4.0), rel=1e-12)
-
-
 def test_tensor_norm_op(ejiri):
     p = np.array([0.5, 0.1, -0.2, 0.3])
     b = CurvatureBundle(ejiri.chart, p, order=1)

@@ -17,6 +17,7 @@ from warpcheck.cli import main
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.jets import JetTensor
 from warpcheck.ode import WarpOdeParams, equilibrium_radius, rbar_from_initial
+from warpcheck import statics
 from warpcheck.statics import StaticAnalysis
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -130,33 +131,76 @@ def test_singular_metric_point_is_reported(tmp_path):
         assert outcome["worst_point"] == [0.3, 0.3, 0.2, 0.1]
 
 
+@pytest.mark.parametrize(
+    "space, check, reason",
+    [
+        ({"kind": "sphere", "dim": 3}, "wp3_identity", "needs a warped space"),
+        ({"kind": "flat_torus", "dim": 3}, "vss_residual", "needs a potential"),
+        ({"kind": "flat_torus", "dim": 3}, "firstthm", "needs a conformal field"),
+    ],
+)
+def test_missing_context_skips_with_its_reason(space, check, reason):
+    (outcome,) = run_suite(RunConfig.from_dict({"space": space, "checks": [check], "samples": 2})).checks
+    assert (outcome.status, outcome.reason, outcome.samples) == ("SKIP", reason, 0)
+
+
 # -- the shipped examples ------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def example_runs():
-    """Each example's report, and the CurvatureBundles built while running it."""
-    built = Counter()
-    init = CurvatureBundle.__init__
+    """Each example's report, and per example how often each per-point value was derived.
+
+    The values counted are CurvatureBundles, StaticAnalyses, warping
+    derivative sets and fiber trace-free Riccis.
+    """
+    counts = {kind: Counter() for kind in ("bundles", "analyses", "warping", "fiber_ric0")}
     current = [""]
 
-    def counting_init(self, *args, **kwargs):
-        built[current[0]] += 1
-        init(self, *args, **kwargs)
+    def counting(kind, fn):
+        def counted(*args, **kwargs):
+            counts[kind][current[0]] += 1
+            return fn(*args, **kwargs)
+
+        return counted
 
     reports = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CurvatureBundle, "__init__", counting_init)
+        mp.setattr(CurvatureBundle, "__init__", counting("bundles", CurvatureBundle.__init__))
+        mp.setattr(StaticAnalysis, "__init__", counting("analyses", StaticAnalysis.__init__))
+        mp.setattr(statics, "warping_derivatives", counting("warping", statics.warping_derivatives))
+        mp.setattr(statics, "fiber_ric0", counting("fiber_ric0", statics.fiber_ric0))
         for name, raw in EXAMPLE_CONFIGS.items():
             current[0] = name
             reports[name] = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
-    return reports, built
+    return reports, counts
 
 
 def test_bundles_per_point(example_runs):
-    _, built = example_runs
-    assert built["ejiri"] <= 2 * EXAMPLE_CONFIGS["ejiri"]["samples"]  # total space + fiber
-    assert built["sphere-s4"] == EXAMPLE_CONFIGS["sphere-s4"]["samples"]
+    _, counts = example_runs
+    assert counts["bundles"]["ejiri"] <= 2 * EXAMPLE_CONFIGS["ejiri"]["samples"]  # total space + fiber
+    assert counts["bundles"]["sphere-s4"] == EXAMPLE_CONFIGS["sphere-s4"]["samples"]
+
+
+# Per point: StaticAnalyses, warping derivative sets, fiber trace-free Riccis.
+# basicex analyses its potential h*fbar, hdot and fbar on the fiber; every
+# other example analyses one potential (hdot where none is configured).
+DERIVED_PER_POINT = {
+    "basicex-n5-k2": (3, 1, 0),
+    "ejiri": (1, 1, 1),
+    "ejiri-ode": (1, 0, 0),
+    "equiv-fail": (1, 0, 1),
+    "nonconstant-exp": (1, 1, 1),
+    "sphere-s4": (1, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
+def test_point_values_derived_once(example_runs, name):
+    _, counts = example_runs
+    samples = EXAMPLE_CONFIGS[name]["samples"]
+    got = tuple(counts[kind][name] / samples for kind in ("analyses", "warping", "fiber_ric0"))
+    assert got == DERIVED_PER_POINT[name]
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))

@@ -5,10 +5,12 @@ import pytest
 from pytest import approx
 
 import warpcheck.dsl as dsl
-from warpcheck.conformal import ConformalAnalysis, sphere_gradient_field
+from warpcheck.checks import CheckContext, PointScratch
+from warpcheck.conformal import sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.residuals import PreconditionSkip
 from warpcheck.spaces import (
+    FactoredPotential,
     StaticPotentialSpec,
     build_warped_geometry,
     make_flat_torus_chart,
@@ -24,9 +26,10 @@ from warpcheck.statics import (
     nonconstant_r_cotton_formulas,
     propddoth_check,
     t_potential,
-    warpedproduct3_residual,
     xicvf_residuals,
 )
+
+from conftest import wp3_sides
 
 
 def constant_potential(c=1.0):
@@ -38,8 +41,7 @@ def static(chart, potential, p, order=2):
 
 
 def xicvf(chart, potential, xi, p):
-    b = CurvatureBundle(chart, p, order=3)
-    return xicvf_residuals(StaticAnalysis(b, potential), ConformalAnalysis(b, xi))
+    return xicvf_residuals(PointScratch(CheckContext(chart, potential=potential, fld=xi), p, 3))
 
 
 # -- L* ---------------------------------------------------------------------------
@@ -220,14 +222,14 @@ def test_tfe_identity_n5k1():
 
 def test_lgh_hdot_on_ejiri(ejiri, point_scratch):
     sc = point_scratch(ejiri, np.array([0.8, 0.2, -0.1, 0.3]))
-    res = lgh_closed_forms(ejiri, sc.hdot, sc.fiber)
+    res = lgh_closed_forms(sc)
     for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian", "hdot_form"):
         assert res[name].rel < 1e-8, name
 
 
 def test_lgh_arbitrary_potential_on_ejiri(ejiri, point_scratch):
-    sc = point_scratch(ejiri, np.array([1.4, 0.1, 0.2, -0.2]), t_potential(dsl.parse("sin(t)"), "sin(t)"))
-    res = lgh_closed_forms(ejiri, sc.static, sc.fiber)
+    sc = point_scratch(ejiri, np.array([1.4, 0.1, 0.2, -0.2]), t_potential(dsl.parse("sin(t)"), "sin(t)"), potential_of_t=True)
+    res = lgh_closed_forms(sc)
     assert "hdot_form" not in res  # the hdot closed form is for wg.hdot only
     assert res["mixed_slot"].rel < 1e-8
     assert res["tt_slot"].rel < 1e-8
@@ -236,8 +238,8 @@ def test_lgh_arbitrary_potential_on_ejiri(ejiri, point_scratch):
 def test_lgh_constants(point_scratch):
     wg = build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, 1.0))
     p = np.array([0.2, 0.1, -0.2, 0.3])
-    sc = point_scratch(wg, p, t_potential(dsl.parse("1"), "1"))
-    res = lgh_closed_forms(wg, sc.static, sc.fiber)
+    sc = point_scratch(wg, p, t_potential(dsl.parse("1"), "1"), potential_of_t=True)
+    res = lgh_closed_forms(sc)
     for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian"):
         assert res[name].rel < 1e-10, name
     # L3 reduces to -(R/(n-1)) g on the fiber block for f == 1, h == 1
@@ -251,7 +253,7 @@ def test_lgh_requires_no_constant_scalar(expwarp4, point_scratch):
     """Lemma holds on the nonconstant-R space too."""
     for p in expwarp4.chart.sample_points(5, offset=0):
         sc = point_scratch(expwarp4, p)
-        res = lgh_closed_forms(expwarp4, sc.hdot, sc.fiber)
+        res = lgh_closed_forms(sc)
         for name, residual in res.items():
             assert residual.rel < 1e-8, name
 
@@ -263,16 +265,16 @@ def test_icotton_zero_on_constant_r(ejiri, basicex52, point_scratch):
     wg, _ = basicex52
     for geometry in (ejiri, wg):
         for p in geometry.chart.sample_points(4, offset=0):
-            assert icotton_warped_residual(point_scratch(geometry, p).bundle).rel < 1e-8
+            assert icotton_warped_residual(point_scratch(geometry, p))["icotton"].rel < 1e-8
 
 
 def test_icotton_product_chart(point_scratch):
     wg = build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, 1.0))
-    assert icotton_warped_residual(point_scratch(wg, np.array([0.1, 0.2, -0.1, 0.3])).bundle).rel < 1e-9
+    assert icotton_warped_residual(point_scratch(wg, np.array([0.1, 0.2, -0.1, 0.3])))["icotton"].rel < 1e-9
 
 
 def test_wp3_identity_einstein_fiber(ejiri, point_scratch):
-    resid, lhs, rhs = warpedproduct3_residual(ejiri, point_scratch(ejiri, np.array([2.0, 0.2, 0.1, -0.3])).hdot)
+    resid, lhs, rhs = wp3_sides(point_scratch(ejiri, np.array([2.0, 0.2, 0.1, -0.3])))
     assert resid.rel < 1e-8
     assert lhs < 1e-10 and rhs < 1e-10  # both sides vanish
 
@@ -281,7 +283,7 @@ def test_wp3_identity_non_einstein_fiber(basicex52, point_scratch):
     wg, _ = basicex52
     found_nonzero = False
     for p in wg.chart.sample_points(5, offset=0):
-        resid, lhs, rhs = warpedproduct3_residual(wg, point_scratch(wg, p).hdot)
+        resid, lhs, rhs = wp3_sides(point_scratch(wg, p))
         assert resid.rel < 1e-7
         if rhs > 1e-3:
             found_nonzero = True
@@ -290,7 +292,7 @@ def test_wp3_identity_non_einstein_fiber(basicex52, point_scratch):
 
 def test_wp3_constant_h_trivial(point_scratch):
     wg = build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, 1.0))
-    resid, lhs, rhs = warpedproduct3_residual(wg, point_scratch(wg, np.array([0.1, 0.2, -0.1, 0.3])).hdot)
+    resid, lhs, rhs = wp3_sides(point_scratch(wg, np.array([0.1, 0.2, -0.1, 0.3])))
     assert lhs < 1e-12 and rhs < 1e-12
 
 
@@ -300,7 +302,7 @@ def test_wp3_constant_h_trivial(point_scratch):
 def test_nein3_nonconstant_r(expwarp4, point_scratch):
     for p in expwarp4.chart.sample_points(4, offset=0):
         sc = point_scratch(expwarp4, p, fiber_order=3)
-        res = nonconstant_r_cotton_formulas(expwarp4, sc.bundle, sc.fiber)
+        res = nonconstant_r_cotton_formulas(sc)
         for name, residual in res.items():
             assert residual.rel < 1e-7, name
 
@@ -309,14 +311,14 @@ def test_nein3_n3_branch(expwarp3, point_scratch):
     wg = expwarp3
     for p in wg.chart.sample_points(4, offset=0):
         sc = point_scratch(wg, p)
-        res = nonconstant_r_cotton_formulas(wg, sc.bundle, sc.fiber)
+        res = nonconstant_r_cotton_formulas(sc)
         for name, residual in res.items():
             assert residual.rel < 1e-7, name
 
 
 def test_nein3_degenerates_on_constant_r(ejiri, point_scratch):
     sc = point_scratch(ejiri, np.array([0.9, 0.2, -0.1, 0.3]), fiber_order=3)
-    res = nonconstant_r_cotton_formulas(ejiri, sc.bundle, sc.fiber)
+    res = nonconstant_r_cotton_formulas(sc)
     for name, residual in res.items():
         assert residual.rel < 1e-8, name
 
@@ -327,19 +329,23 @@ def test_nein3_degenerates_on_constant_r(ejiri, point_scratch):
 def test_propddoth_basicex_assembly(basicex52, point_scratch):
     wg, pot = basicex52
     for p in wg.chart.sample_points(3, offset=0):
-        sc = point_scratch(wg, p, order=2)
-        res = propddoth_check(wg, pot.factored.fiber_builder, sc.bundle, sc.fiber)
+        res = propddoth_check(point_scratch(wg, p, pot, order=2))
         assert res["fiber_vss"].rel < 1e-8
         assert res["warping_equation"].rel < 1e-10
         assert res["total_vss"].rel < 1e-8
 
 
+def _h_fbar(wg):
+    """h(t) * fbar, factored, for an affine fbar on a flat torus fiber."""
+    fbar = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
+    builder = lambda c: wg.warping(c[0]) * fbar(c[1:])
+    return StaticPotentialSpec(label="h fbar", builder=builder, factored=FactoredPotential(fiber_builder=fbar))
+
+
 def test_propddoth_flat_fiber_product(point_scratch):
     """Scalar-flat fiber: the product (h == 1) with potential fbar is static."""
     wg = build_warped_geometry((-1.0, 1.0), "1", make_flat_torus_chart(3))
-    builder = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
-    sc = point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), order=2)
-    res = propddoth_check(wg, builder, sc.bundle, sc.fiber)
+    res = propddoth_check(point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), _h_fbar(wg), order=2))
     for name, residual in res.items():
         assert residual.rel < 1e-8, name
 
@@ -347,21 +353,22 @@ def test_propddoth_flat_fiber_product(point_scratch):
 def test_propddoth_flat_fiber_exponential_warping(point_scratch):
     """h = e^t over a scalar-flat fiber satisfies the warping equation with R = -n(n-1)."""
     wg = build_warped_geometry((-0.5, 0.5), "exp(t)", make_flat_torus_chart(3))
-    builder = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
-    sc = point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), order=2)
+    sc = point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), _h_fbar(wg), order=2)
     assert sc.bundle.scalar == approx(-12.0, abs=1e-10)
-    res = propddoth_check(wg, builder, sc.bundle, sc.fiber)
+    res = propddoth_check(sc)
     for name, residual in res.items():
         assert residual.rel < 1e-8, name
 
 
 def test_propddoth_warping_equation_witness(point_scratch):
+    """h = 1 + 0.3 t fails the warping equation: the check SKIPs, and h*fbar is no solution."""
     wg = build_warped_geometry((0.0, 1.0), "1+0.3*t", make_flat_torus_chart(3))
-    builder = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
-    sc = point_scratch(wg, np.array([0.4, 1.0, 2.0, 3.0]), order=2)
-    res = propddoth_check(wg, builder, sc.bundle, sc.fiber)
-    assert res["warping_equation"].abs > 0.01
-    assert res["total_vss"].abs > 0.01
+    sc = point_scratch(wg, np.array([0.4, 1.0, 2.0, 3.0]), _h_fbar(wg), order=2)
+    with pytest.raises(PreconditionSkip, match="premise warping_equation fails"):
+        propddoth_check(sc)
+    h, _, hdd = sc.warping[:3]
+    assert abs(hdd + sc.bundle.scalar * h / 12.0) > 0.01
+    assert sc.static.vacuum_residuals()["full"].abs > 0.01
 
 
 # -- INRP -------------------------------------------------------------------------------------------
@@ -372,8 +379,7 @@ def _product_over_sphere(radius=1.0):
 
 
 def _inrp(point_scratch, wg, source, p):
-    sc = point_scratch(wg, p, t_potential(dsl.parse(source), source), order=2)
-    return inrp_product_check(wg, sc.static, sc.fiber)
+    return inrp_product_check(point_scratch(wg, p, t_potential(dsl.parse(source), source), order=2, potential_of_t=True))
 
 
 def test_inrp_cos_solution(point_scratch):
@@ -454,8 +460,8 @@ def test_xicvf_zero_field_trivial(basicex52):
 def test_equivalence_clauses_einstein_vs_not(ejiri, basicex52, point_scratch):
     wg, _ = basicex52
     sc = point_scratch(ejiri, np.array([0.8, 0.2, -0.1, 0.3]))
-    clauses_pass = equivalence_clauses(sc.hdot, sc.fiber)
+    clauses_pass = equivalence_clauses(sc)
     assert all(v < 1e-8 for v in clauses_pass.values())
     sc = point_scratch(wg, wg.chart.sample_points(3, offset=23)[2])
-    clauses_fail = equivalence_clauses(sc.hdot, sc.fiber)
+    clauses_fail = equivalence_clauses(sc)
     assert all(v > 1e-6 for v in clauses_fail.values())
