@@ -12,11 +12,13 @@ criterion, and the two conformal-field contraction formulas.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import tensors
 from .dsl import ExprAst, eval_expr
 from .geometry import CurvatureBundle
 from .jets import JetTensor, jt_einsum
@@ -199,6 +201,17 @@ def fiber_ric0(fb: CurvatureBundle) -> np.ndarray:
     return fb.ric.value - (fb.scalar / m) * fb.g0
 
 
+def _fiber_norm(b: CurvatureBundle, components: np.ndarray) -> float:
+    """The norm of a covariant tensor given by its fiber components, its d/dt components zero.
+
+    A warped chart's g0 is block-diagonal with g0[0, 0] = 1, so the fiber
+    block of the frame is the frame of the fiber block, and a d/dt slot of
+    a tensor leaves this norm unchanged.
+    """
+    up, low = b.frame
+    return math.sqrt(tensors.tensor_norm_sq(components, ("l",) * components.ndim, up[1:, 1:], low[1:, 1:]))
+
+
 def t_potential(ast: ExprAst, label: str, a: float = 0.0, b: float = 0.0) -> StaticPotentialSpec:
     """A potential f(t) given by an expression in the first coordinate."""
     return StaticPotentialSpec(label=label, builder=lambda coords: eval_expr(ast, coords[0]), a=a, b=b)
@@ -239,15 +252,13 @@ def lgh_closed_forms(sc: PointScratch) -> ResidualSet:
     pred_l1 = (n - 1.0) / h * (hdd * f0 - hd * ft)
     out["tt_slot"] = Residual(abs(lstar_v[0, 0] - pred_l1), abs(lstar_v[0, 0]) + abs(pred_l1))
 
-    mixed = np.concatenate([lstar_v[0, 1:], lstar_v[1:, 0]])
-    out["mixed_slot"] = Residual(float(np.max(np.abs(mixed))) if mixed.size else 0.0, abs(ft) + abs(f0))
+    mixed = math.hypot(_fiber_norm(b, lstar_v[0, 1:]), _fiber_norm(b, lstar_v[1:, 0]))
+    out["mixed_slot"] = Residual(mixed, abs(ft) + abs(f0))
 
     bracket = lap_v + scal * f0 / (n - 1.0) + (hdd * f0 - hd * ft) / h
     pred_l3 = -f0 * ric0 - bracket * g_fiber
     resid_l3 = lstar_v[1:, 1:] - pred_l3
-    out["fiber_slot"] = Residual(
-        float(np.max(np.abs(resid_l3))), b.norm(lstar_v, ("l", "l")) + abs(bracket)
-    )
+    out["fiber_slot"] = Residual(_fiber_norm(b, resid_l3), b.norm(lstar_v, ("l", "l")) + abs(bracket))
 
     pred_lap = ftt + (n - 1.0) * hd / h * ft
     out["laplacian"] = Residual(abs(lap_v - pred_lap), abs(lap_v) + abs(pred_lap))
@@ -257,8 +268,7 @@ def lgh_closed_forms(sc: PointScratch) -> ResidualSet:
         gbar = g_fiber / h**2
         pred = -(hd * ric0 + h * h * (hddd + (n - 1.0) * hd * hdd / h + scal * hd / (n - 1.0)) * gbar)
         out["hdot_form"] = Residual(
-            float(np.max(np.abs(lstar_v[1:, 1:] - pred))),
-            b.norm(lstar_v, ("l", "l")) + float(np.max(np.abs(pred))),
+            _fiber_norm(b, lstar_v[1:, 1:] - pred), b.norm(lstar_v, ("l", "l")) + _fiber_norm(b, pred)
         )
     return out
 
@@ -310,12 +320,12 @@ def nonconstant_r_cotton_formulas(sc: PointScratch) -> ResidualSet:
 
     out: ResidualSet = {}
     pred = -dr[1:] / (2.0 * (n - 1.0))
-    out["ttX"] = Residual(float(np.max(np.abs(c[0, 0, 1:] - pred))), cnorm)
-    out["tXt"] = Residual(float(np.max(np.abs(c[0, 1:, 0] + pred))), cnorm)
-    out["tXY"] = Residual(float(np.max(np.abs(c[0, 1:, 1:]))), cnorm)
+    out["ttX"] = Residual(_fiber_norm(b, c[0, 0, 1:] - pred), cnorm)
+    out["tXt"] = Residual(_fiber_norm(b, c[0, 1:, 0] + pred), cnorm)
+    out["tXY"] = Residual(_fiber_norm(b, c[0, 1:, 1:]), cnorm)
 
     pred_mid = hd * ric0
-    out["XhdtY"] = Residual(float(np.max(np.abs(h * c[1:, 0, 1:] - pred_mid))), cnorm + float(np.max(np.abs(pred_mid))))
+    out["XhdtY"] = Residual(_fiber_norm(b, h * c[1:, 0, 1:] - pred_mid), cnorm + _fiber_norm(b, pred_mid))
 
     if n == 3:
         pred_f = 0.25 * (
@@ -334,9 +344,7 @@ def nonconstant_r_cotton_formulas(sc: PointScratch) -> ResidualSet:
             + np.einsum("c,ab->abc", dtheta[1:], g0[1:, 1:])
             - np.einsum("b,ac->abc", dtheta[1:], g0[1:, 1:])
         )
-    out["XYZ"] = Residual(
-        float(np.max(np.abs(c[1:, 1:, 1:] - pred_f))), cnorm + float(np.max(np.abs(pred_f)))
-    )
+    out["XYZ"] = Residual(_fiber_norm(b, c[1:, 1:, 1:] - pred_f), cnorm + _fiber_norm(b, pred_f))
     return out
 
 

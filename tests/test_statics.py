@@ -8,6 +8,7 @@ import warpcheck.dsl as dsl
 from warpcheck.checks import CheckContext, PointScratch
 from warpcheck.conformal import sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle
+from warpcheck.jets import JetTensor
 from warpcheck.residuals import PreconditionSkip
 from warpcheck.spaces import (
     FactoredPotential,
@@ -256,6 +257,43 @@ def test_lgh_requires_no_constant_scalar(expwarp4, point_scratch):
         res = lgh_closed_forms(sc)
         for name, residual in res.items():
             assert residual.rel < 1e-8, name
+
+
+def _plant(jet, block):
+    """``jet`` with an error of order 1e-6 added to one block of its value; returns it and the error."""
+    err = np.zeros(jet.value.shape)
+    err[block] = 1e-6 * np.arange(1.0, 1.0 + err[block].size).reshape(err[block].shape)
+    data = jet.data.copy()
+    data[..., 0] += err
+    return JetTensor(jet.space, data), err
+
+
+def _frame_norm(b, err):
+    """The g-norm of a planted error, which must differ from its largest coordinate component."""
+    norm = b.norm(err, ("l",) * err.ndim)
+    assert not 0.5 < np.max(np.abs(err)) / norm < 2.0  # the fiber metric is far from the identity here
+    return norm
+
+
+FIBER = slice(1, None)
+
+
+@pytest.mark.parametrize("block, slots", [((0, FIBER), ("mixed_slot",)), ((FIBER, FIBER), ("fiber_slot", "hdot_form"))])
+def test_lgh_slots_are_frame_norms(ejiri, point_scratch, block, slots):
+    """An error planted in L* hdot shows in its slot as its g-norm, not as its largest coordinate component."""
+    sc = point_scratch(ejiri, np.array([0.8, 0.2, -0.1, 0.3]))
+    sc.hdot.lstar_f, err = _plant(sc.hdot.lstar_f, block)
+    res = lgh_closed_forms(sc)
+    for slot in slots:
+        assert res[slot].abs == approx(_frame_norm(sc.bundle, err), rel=1e-6), slot
+
+
+@pytest.mark.parametrize("block, slot", [((0, 0, FIBER), "ttX"), ((0, FIBER, FIBER), "tXY"), ((FIBER, FIBER, FIBER), "XYZ")])
+def test_nein3_slots_are_frame_norms(expwarp4, point_scratch, block, slot):
+    """An error planted in the Cotton tensor shows in its slot as its g-norm."""
+    sc = point_scratch(expwarp4, np.array([0.5, 0.9, -1.2, 1.4]), fiber_order=3)
+    sc.bundle.cotton, err = _plant(sc.bundle.cotton, block)
+    assert nonconstant_r_cotton_formulas(sc)[slot].abs == approx(_frame_norm(sc.bundle, err), rel=1e-6)
 
 
 # -- iCzero / wp3 ------------------------------------------------------------------------------
