@@ -398,8 +398,9 @@ class PointScratch:
 
 
 # -- per-point evaluators ------------------------------------------------------------
-# The identities of statics are evaluators themselves; a check on one
-# analysis names its method in the registry.  These hold what no helper does.
+# The warped identities of statics take the scratch themselves, and a check
+# of one analysis method calls it from its record; the evaluators below add
+# a precondition or name the residuals they gather.
 
 
 def _eval_scalar_value(sc: PointScratch) -> ResidualSet:
@@ -461,7 +462,8 @@ def _equiv_verdict(out: CheckOutcome) -> None:
 class Check:
     """Everything the suite runner knows about one check id.
 
-    ``order`` is the jet order of the point bundle's coordinates and fields
+    ``evaluate`` takes one point's :class:`PointScratch` and returns the
+    check's named residuals there.  ``order`` is the jet order of the point bundle's coordinates and fields
     the evaluator needs, ``metric_order`` (default ``order``) that of its
     metric and curvature, and ``fiber_order`` that of the fiber bundle.
     ``metric_order`` is below ``order`` where a field is differentiated
