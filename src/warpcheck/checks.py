@@ -21,10 +21,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import dsl, statics
+from . import dsl, spaces, statics
 from .conformal import ConformalAnalysis, rotation_field, sphere_gradient_field, zero_field
 from .geometry import CurvatureBundle, MetricChart, SingularMetricError
-from .jets import JetDomainError
+from .jets import JetDomainError, JetTensor
 from .ode import (
     NoPeriodicOrbit,
     OdeWarpingFunction,
@@ -244,6 +244,8 @@ def _build_ode_warped(space: dict) -> WarpedGeometry:
     c1 = c1_for_fiber_scalar(n, scalar, fiber_chart.known_scalar, h0)
     params = WarpOdeParams(n, scalar, fiber_chart.known_scalar, c1)
     dt = float(space.get("dt", 1e-3))
+    if not 0.0 < dt < math.inf:  # the orbit search steps t by dt up to its horizon
+        raise ConfigError(f"space.dt: must be a finite positive step, got {dt!r}")
     try:
         traj, period = find_periodic_solution(params, h0, dt=dt)
     except (NoPeriodicOrbit, PositivityLost) as exc:
@@ -381,7 +383,9 @@ class PointScratch:
     @cached_property
     def hdot(self) -> StaticAnalysis:
         """hdot(t) as a potential, kept apart from a configured one (basicex has both)."""
-        return StaticAnalysis(self.bundle, self.ctx.warped.hdot)
+        hd = self.warping_jet.partials()
+        hdot = JetTensor(hd.space, hd.data[0]).embed(self.bundle.space, (0,))
+        return StaticAnalysis(self.bundle, StaticPotentialSpec(label="hdot", builder=lambda coords: hdot))
 
     @cached_property
     def fiber(self) -> CurvatureBundle:
@@ -392,9 +396,14 @@ class PointScratch:
         return statics.fiber_ric0(self.fiber)
 
     @cached_property
+    def warping_jet(self) -> JetTensor:
+        """h as a one-variable jet at the point's t, one order above the bundle so that hdot keeps its order."""
+        return spaces.warping_jet(self.ctx.warped.warping, self.point[0], self.bundle.order + 1)
+
+    @cached_property
     def warping(self) -> list[float]:
-        """h(t) and its first four derivatives at the point's t."""
-        return statics.warping_derivatives(self.ctx.warped, self.point[0], 4)
+        """h(t) and its first three derivatives at the point's t."""
+        return [self.warping_jet.partial((j,)) for j in range(4)]
 
 
 # -- per-point evaluators ------------------------------------------------------------
@@ -420,14 +429,6 @@ def _eval_firstthm(sc: PointScratch) -> ResidualSet:
         "phi_symmetry": cf.phi_symmetry_defect(),
         "trace_identity": cf.trace_identity_defect(),
     }
-
-
-def _eval_ixi(sc: PointScratch) -> ResidualSet:
-    cf = sc.conformal
-    out = {"general": cf.ixi_cotton_defect("general")}
-    if cf.is_closed:
-        out["closed_form"] = cf.ixi_cotton_defect("closed")
-    return out
 
 
 def _eval_cxi(sc: PointScratch) -> ResidualSet:
@@ -519,7 +520,7 @@ CHECKS: dict[str, Check] = {
     "firstthm": Check("L* phi = Phi for the characteristic function of a conformal field",
         1e-7, 4, _eval_firstthm, frozenset({"field"}), metric_order=3),
     "ixi_cotton": Check("i_xi C formula (general form; closed reduction when applicable)",
-        1e-7, 4, _eval_ixi, frozenset({"field"}), metric_order=3),
+        1e-7, 4, lambda sc: sc.conformal.ixi_cotton_defect(), frozenset({"field"}), metric_order=3),
     "cxi_div": Check("Xi_ik xi^i = 0 for closed fields with constant scalar curvature",
         1e-6, 4, _eval_cxi, frozenset({"field", "constant_r"})),
     "equiv_chain": Check("joint verdict of the four warped vacuum-static equivalence clauses",

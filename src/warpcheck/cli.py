@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
@@ -157,6 +158,9 @@ def _cmd_solve_ode(args) -> int:
         return 2
     if args.n < 3:
         print("error: --n must be at least 3", file=sys.stderr)
+        return 2
+    if not 0.0 < args.dt < math.inf:
+        print("error: --dt must be a finite positive step", file=sys.stderr)
         return 2
     if args.periodic and args.hdot0 != 0.0:
         print("error: --periodic starts the orbit at its turning point (h0, 0); drop --hdot0", file=sys.stderr)

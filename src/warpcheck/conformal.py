@@ -80,6 +80,11 @@ class ConformalAnalysis:
         return jt_einsum("l,l->", self.xi, self.bundle.dscalar)
 
     @cached_property
+    def cotton_xi(self) -> JetTensor:
+        """i_xi C: C_ljk xi^l."""
+        return jt_einsum("ljk,l->jk", self.bundle.cotton, self.xi)
+
+    @cached_property
     def p(self) -> JetTensor:
         """P_jk = (xi^b_{j,k} - xi^b_{k,j}) / 2 (skew part of dxi^b)."""
         return (self.dxi_flat - self.dxi_flat.transpose("jk->kj")) * 0.5
@@ -112,7 +117,7 @@ class ConformalAnalysis:
             self.bundle.norm(self.dxi_flat.value, ("l", "l")),
         )
 
-    @property
+    @cached_property
     def is_closed(self) -> bool:
         return self.closedness_defect().rel < CLOSED_REL_TOL
 
@@ -196,40 +201,33 @@ class ConformalAnalysis:
         scale = abs(float(lap.value)) + abs(b.scalar * float(self.phi.value) / (n - 1.0))
         return Residual(abs(float(resid.value)), scale)
 
-    def ixi_cotton_defect(self, mode: str = "general") -> Residual:
-        """Residual of i_xi C = dR wedge xi^b /(2(n-1)) - d delta d xi^b/2 + Ric(d xi^b).
+    def ixi_cotton_defect(self) -> ResidualSet:
+        """Residuals of i_xi C = dR wedge xi^b /(2(n-1)) - d delta d xi^b/2 + Ric(d xi^b).
 
-        mode 'general' checks the full coordinate identity
+        'general' checks the full coordinate identity
         C_ljk xi^l = (grad_j R xi^b_k - grad_k R xi^b_j)/(2(n-1))
                      + P_ij,ik - P_ik,ij + R_kl P_lj + P_kl R_lj;
-        mode 'closed' drops the P terms (valid when xi is closed).
+        'closed_form' drops the P terms and is reported only for a closed field.
         """
         b = self.bundle
-        n = self.n
-        lhs = jt_einsum("ljk,l->jk", b.cotton, self.xi)
+        lhs = self.cotton_xi.value
         wedge = jt_einsum("j,k->jk", b.dscalar, self.xi_flat)
-        rhs = (wedge - wedge.transpose("jk->kj")) * (1.0 / (2.0 * (n - 1.0)))
-        if mode == "general":
-            rhs = rhs + jt_einsum("pd,pjdk->jk", b.ginv, self.d2p)
-            rhs = rhs - jt_einsum("pd,pkdj->jk", b.ginv, self.d2p)
-            rhs = rhs + jt_einsum("ka,aj->jk", b.ric, self.p_up)
-            ric_up = jt_einsum("ab,bj->aj", b.ginv, b.ric)
-            rhs = rhs + jt_einsum("ka,aj->jk", self.p, ric_up)
-        elif mode == "closed":
-            if not self.is_closed:
-                raise PreconditionSkip(
-                    f"field {self.spec.label!r} is not closed (defect {self.closedness_defect().rel:.2e})"
-                )
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        return b.defect(lhs.value, rhs.value, ("l", "l"))
+        dr_xi = (wedge - wedge.transpose("jk->kj")) * (1.0 / (2.0 * (self.n - 1.0)))
+        rhs = dr_xi + jt_einsum("pd,pjdk->jk", b.ginv, self.d2p)
+        rhs = rhs - jt_einsum("pd,pkdj->jk", b.ginv, self.d2p)
+        rhs = rhs + jt_einsum("ka,aj->jk", b.ric, self.p_up)
+        ric_up = jt_einsum("ab,bj->aj", b.ginv, b.ric)
+        rhs = rhs + jt_einsum("ka,aj->jk", self.p, ric_up)
+        out = {"general": b.defect(lhs, rhs.value, ("l", "l"))}
+        if self.is_closed:
+            out["closed_form"] = b.defect(lhs, dr_xi.value, ("l", "l"))
+        return out
 
     def cxi_contraction_defect(self) -> Residual:
         """|| C_ijk xi^i || (vanishes for closed fields with constant R)."""
         b = self.bundle
-        contracted = jt_einsum("ijk,i->jk", b.cotton, self.xi)
         scale = b.norm(b.cotton.value, ("l",) * 3) * b.norm(self.xi.value, ("u",))
-        return Residual(b.norm(contracted.value, ("l", "l")), scale)
+        return Residual(b.norm(self.cotton_xi.value, ("l", "l")), scale)
 
     def cxi_divergence_defect(self) -> Residual:
         """|| Xi_ik xi^i || with Xi the Cotton divergence."""

@@ -282,10 +282,6 @@ class JetTensor:
             )
 
     @staticmethod
-    def zeros(space: JetSpace, shape: tuple[int, ...] = ()) -> "JetTensor":
-        return JetTensor(space, np.zeros(shape + (space.n_coeffs,)))
-
-    @staticmethod
     def const(space: JetSpace, values: np.ndarray | float) -> "JetTensor":
         values = np.asarray(values, dtype=float)
         data = np.zeros(values.shape + (space.n_coeffs,))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import JetTensor, jet_space
+from .jets import JetTensor, _raw_compose, jet_space
 
 __all__ = [
     "WarpOdeParams",
@@ -182,6 +182,8 @@ def find_periodic_solution(params: WarpOdeParams, h0: float, dt: float = 1e-3) -
     trajectory covering one full period.  The constant solution is reported
     with period 0.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"step size must be finite and positive, got {dt}")
     if params.scalar <= 0 or params.c1 <= 0:
         raise NoPeriodicOrbit("oscillatory regime requires scalar > 0 and c1 > 0")
     h_eq = equilibrium_radius(params)
@@ -264,15 +266,8 @@ class OdeWarpingFunction:
 
     def __call__(self, t):
         if isinstance(t, JetTensor):
-            t0 = t.value
-            h, v = self.state_at(t0)
-            coeffs = self._taylor_coeffs(h, v, t.order)
-            # compose the 1-variable Taylor series with (t - t0)
-            shifted = t - t0
-            out = JetTensor.const(t.space, float(coeffs[-1]))
-            for j in range(t.order - 1, -1, -1):
-                out = out * shifted + float(coeffs[j])
-            return out
+            h, v = self.state_at(t.value)
+            return JetTensor(t.space, _raw_compose(t.space, self._taylor_coeffs(h, v, t.order), t.data))
         h, _ = self.state_at(float(t))
         return h
 

@@ -64,15 +64,14 @@ class ConformalFieldSpec:
 class WarpedGeometry:
     """A warped chart together with the pieces the closed-form checks need.
 
-    ``warping`` is h(t); ``xi`` is the closed conformal field h d/dt and
-    ``hdot`` the potential hdot(t), both on ``chart``.
+    ``warping`` is h(t); ``xi`` is the closed conformal field h d/dt on
+    ``chart``.
     """
 
     chart: MetricChart
     fiber_chart: MetricChart
     warping: Callable
     xi: ConformalFieldSpec
-    hdot: StaticPotentialSpec
 
 
 # -- constant-curvature charts ----------------------------------------------
@@ -224,15 +223,7 @@ def assemble_warped(
         h = warping(coords[0])
         return [h] + [JetTensor.const(coords[0].space, 0.0)] * dfib
 
-    def hdot_builder(coords):
-        # h one order above the coordinates, so that hdot keeps their order
-        t = coords[0]
-        hd = warping_jet(warping, float(t.value), t.order + 1).partials()
-        return JetTensor(hd.space, hd.data[0]).embed(t.space, (0,))
-
-    xi = ConformalFieldSpec(label="h d/dt", builder=xi_builder)
-    hdot = StaticPotentialSpec(label="hdot", builder=hdot_builder)
-    return WarpedGeometry(chart, fiber_chart, warping, xi, hdot)
+    return WarpedGeometry(chart, fiber_chart, warping, ConformalFieldSpec(label="h d/dt", builder=xi_builder))
 
 
 def warping_jet(warping: Callable, t0: float, order: int) -> JetTensor:

@@ -23,7 +23,7 @@ from .dsl import ExprAst, eval_expr
 from .geometry import CurvatureBundle
 from .jets import JetTensor, jt_einsum
 from .residuals import PreconditionSkip, Residual, ResidualSet
-from .spaces import StaticPotentialSpec, WarpedGeometry, warping_jet
+from .spaces import StaticPotentialSpec
 
 if TYPE_CHECKING:
     from .checks import PointScratch
@@ -39,7 +39,6 @@ __all__ = [
     "inrp_product_check",
     "t_potential",
     "xicvf_residuals",
-    "warping_derivatives",
     "fiber_ric0",
     "SOLUTION_REL_TOL",
 ]
@@ -83,9 +82,20 @@ class StaticAnalysis:
     def f_plus_a(self) -> JetTensor:
         return self.f + self.potential.a
 
+    @cached_property
+    def generalized_lhs(self) -> JetTensor:
+        """Hess f + R f g/(n(n-1)): the generalized equation's left side, and the trace-free vacuum residual's."""
+        b, n = self.bundle, self.n
+        return self.hess + jt_einsum(",ij->ij", b.scalar_jet * self.f, b.g) / (n * (n - 1.0))
+
     # -- vacuum static equation ------------------------------------------
 
     def vacuum_residuals(self) -> ResidualSet:
+        """The full, trace and trace-free residuals, formed once per analysis."""
+        return self._vacuum
+
+    @cached_property
+    def _vacuum(self) -> ResidualSet:
         b = self.bundle
         n = self.n
         scale2 = b.norm(self.hess.value, ("l", "l")) + abs(float(self.lap.value))
@@ -98,23 +108,15 @@ class StaticAnalysis:
             abs(float(trace.value)),
             abs(float(self.lap.value)) + abs(b.scalar * float(self.f.value) / (n - 1.0)),
         )
-        tf = (
-            self.hess
-            + jt_einsum(",ij->ij", b.scalar_jet * self.f, b.g) / (n * (n - 1.0))
-            - jt_einsum(",ij->ij", self.f, b.efield)
-        )
+        tf = self.generalized_lhs - jt_einsum(",ij->ij", self.f, b.efield)
         out["trace_free"] = Residual(b.norm(tf.value, ("l", "l")), scale2)
         return out
 
     def generalized_defect(self) -> Residual:
         """Residual of Hess f + R f g/(n(n-1)) = (f+a) E + b g."""
         b = self.bundle
-        n = self.n
-        lhs = self.hess + jt_einsum(",ij->ij", b.scalar_jet * self.f, b.g) / (n * (n - 1.0))
-        rhs = jt_einsum(",ij->ij", self.f_plus_a, b.efield) + JetTensor.const(
-            b.space, self.potential.b * b.g0
-        )
-        return b.defect(lhs.value, rhs.value, ("l", "l"))
+        rhs = jt_einsum(",ij->ij", self.f_plus_a, b.efield) + JetTensor.const(b.space, self.potential.b * b.g0)
+        return b.defect(self.generalized_lhs.value, rhs.value, ("l", "l"))
 
     @cached_property
     def _solution_defect(self) -> Residual:
@@ -163,7 +165,7 @@ class StaticAnalysis:
         fa = self.f_plus_a
         fa_c = jt_einsum(",ijk->ijk", fa, b.cotton)
 
-        m = b.efield - jt_einsum(",ij->ij", b.scalar_jet, b.g) / (n * (n - 1.0))
+        m = b.efield - b.scalar_jet_times_g / (n * (n - 1.0))
         lhs1 = jt_einsum("lijk,l->ijk", b.riemann13, self.df)
         rhs1 = jt_einsum("ij,k->ijk", m, self.df) - jt_einsum("ik,j->ijk", m, self.df) + fa_c
         rhs2 = jt_einsum("sijk,s->ijk", b.weyl, self.df_up) + self.t_jets
@@ -186,11 +188,6 @@ class StaticAnalysis:
 
 
 # -- warped-product helpers -------------------------------------------------------
-
-
-def warping_derivatives(wg: WarpedGeometry, t0: float, order: int) -> list[float]:
-    h = warping_jet(wg.warping, t0, order)
-    return [h.partial((j,)) for j in range(order + 1)]
 
 
 def fiber_ric0(fb: CurvatureBundle) -> np.ndarray:
@@ -221,7 +218,7 @@ def t_potential(ast: ExprAst, label: str, a: float = 0.0, b: float = 0.0) -> Sta
 # scratch ``sc``, which holds what the point's checks share: the total-space
 # bundle (of order >= 3 wherever the Cotton tensor enters), the analyses on
 # it, the fiber bundle at the point's fiber coordinates, and the warping's
-# derivatives at its t.  None of them builds a bundle.
+# one-variable jet at its t.  None of them builds a bundle.
 
 
 def lgh_closed_forms(sc: PointScratch) -> ResidualSet:
@@ -280,9 +277,10 @@ def icotton_warped_residual(sc: PointScratch) -> ResidualSet:
 
 
 def warpedproduct3_residual(sc: PointScratch) -> ResidualSet:
-    """Residual of L*_g hdot = -C(., xi, .)."""
+    """Residual of L*_g hdot = -C(., xi, .), xi = h d/dt (the configured field's jets when it is that field)."""
     b = sc.bundle
-    xi_vec = b.vector_field(sc.ctx.warped.xi.builder)
+    xi = sc.ctx.warped.xi
+    xi_vec = sc.conformal.xi if sc.ctx.fld is xi else b.vector_field(xi.builder)
     c_mid = jt_einsum("ilj,l->ij", b.cotton, xi_vec).value
     return {"wp3": b.defect(sc.hdot.lstar_f.value, -c_mid, ("l", "l"))}
 
@@ -335,7 +333,7 @@ def nonconstant_r_cotton_formulas(sc: PointScratch) -> ResidualSet:
         # Theta as a jet field on the total chart: embed the fiber scalar,
         # multiply by h(t)^-2, subtract R/(2(n-1)).
         rbar = fb.scalar_jet.embed(b.space, tuple(range(1, n)))
-        h_tot = warping_jet(sc.ctx.warped.warping, b.point[0], b.order).embed(b.space, (0,))
+        h_tot = sc.warping_jet.truncate(b.order).embed(b.space, (0,))
         theta = rbar / (2.0 * (n - 2.0)) / (h_tot * h_tot) - b.scalar_jet / (2.0 * (n - 1.0))
         dtheta = theta.partials().value
         cbar = fb.cotton.value if fb.dim >= 3 else np.zeros((fb.dim,) * 3)
@@ -433,7 +431,7 @@ def xicvf_residuals(sc: PointScratch) -> ResidualSet:
     div_p = jt_einsum("ab,akb->k", b.ginv, dp)
     rhs1 = jt_einsum("jki,i->jk", dp, df_up)
     rhs1 = rhs1 + jt_einsum("j,k->jk", df, div_p) - jt_einsum("k,j->jk", df, div_p)
-    rhs1 = rhs1 - jt_einsum(",jk->jk", fa, jt_einsum("ijk,i->jk", b.cotton, xi))
+    rhs1 = rhs1 - jt_einsum(",jk->jk", fa, cf.cotton_xi)
 
     # item (2)
     xif = jt_einsum("a,a->", xi, df)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, PointScratch, RunConfig, build_context
-from warpcheck.spaces import basicex_geometry
+from warpcheck.spaces import basicex_geometry, warping_jet
 from warpcheck.statics import warpedproduct3_residual
 
 
@@ -37,6 +37,12 @@ def expwarp4():
 def expwarp3():
     """nonconstant-exp with its fiber lowered to S^2: the n = 3 branch of the warped formulas."""
     return example_geometry("nonconstant-exp", fiber={"kind": "sphere", "dim": 2, "radius": 1.0})
+
+
+def warping_derivatives(wg, t0, order):
+    """h(t0) and its first ``order`` derivatives, from the warping's one-variable jet."""
+    h = warping_jet(wg.warping, t0, order)
+    return [h.partial((j,)) for j in range(order + 1)]
 
 
 def _point_scratch(wg, point, potential=None, order=3, fiber_order=2, potential_of_t=False):

@@ -262,6 +262,17 @@ def test_cli_verify_exit_code_construction_error(tmp_path):
     assert main(["verify", str(config_path)]) == 2
 
 
+@pytest.mark.parametrize("dt", [0, -0.001, math.nan, math.inf], ids=repr)
+def test_cli_ode_warped_dt_must_be_a_positive_step(tmp_path, capsys, dt):
+    """The orbit search steps t by dt up to its horizon: a zero or negative step never got there."""
+    config = dict(EXAMPLE_CONFIGS["ejiri-ode"], samples=2)
+    config["space"] = dict(config["space"], dt=dt)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: space.dt: must be a finite positive step, got {float(dt)!r}\n"
+
+
 def test_cli_point_reproduction(tmp_path):
     """A FAIL row's worst point reproduces the failure via --point."""
     config = dict(EJIRI_CONFIG, tolerances={"firstthm": 1e-30})
@@ -398,6 +409,17 @@ def test_cli_solve_ode_bad_h0(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["solve-ode", "--n", "4", "--scalar", "12", "--c1", "1",
                  "--h0", "0", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("periodic", [[], ["--periodic"]], ids=["integrate", "periodic"])
+@pytest.mark.parametrize("dt", ["0", "-1e-3", "nan"])
+def test_cli_solve_ode_bad_dt(tmp_path, capsys, periodic, dt):
+    out = tmp_path / "traj.csv"
+    code = main(["solve-ode", "--n", "4", "--scalar", "12", "--c1", "2", "--h0", "1.07", f"--dt={dt}",
+                 "--out", str(out)] + periodic)
+    assert code == 2
+    assert capsys.readouterr().err == "error: --dt must be a finite positive step\n"
+    assert not out.exists()
 
 
 def test_cli_solve_ode_periodic(tmp_path, capsys):

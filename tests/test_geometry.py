@@ -13,7 +13,7 @@ from warpcheck.spaces import (
     make_hyperbolic_chart,
     make_sphere_chart,
 )
-from warpcheck.statics import warping_derivatives
+from conftest import warping_derivatives
 
 
 def constant_curvature_riemann(g0, kappa):

@@ -197,6 +197,14 @@ def test_periodic_equilibrium_flag():
     assert np.all(traj.h == h_eq) and np.all(traj.hdot == 0.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+def test_periodic_search_rejects_a_bad_step(dt):
+    """The search steps t by dt up to its horizon, which a zero or negative step never reaches."""
+    params = WarpOdeParams(4, 12.0, 0.0, 2.0)
+    with pytest.raises(ValueError, match="step size must be finite and positive"):
+        find_periodic_solution(params, 1.0, dt=dt)
+
+
 def test_small_oscillation_period():
     """Near h_eq the period approaches 2 pi / omega with omega^2 = -F'(h_eq)."""
     base = WarpOdeParams(4, 12.0, 0.0, 2.0)

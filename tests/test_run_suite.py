@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from warpcheck.cli import main
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.jets import JetTensor
 from warpcheck.ode import WarpOdeParams, equilibrium_radius, rbar_from_initial
-from warpcheck import statics
+from warpcheck import spaces, statics
 from warpcheck.statics import StaticAnalysis
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -151,10 +152,12 @@ def test_missing_context_skips_with_its_reason(space, check, reason):
 def example_runs():
     """Each example's report, and per example how often each per-point value was derived.
 
-    The values counted are CurvatureBundles, StaticAnalyses, warping
-    derivative sets and fiber trace-free Riccis.
+    The values counted are CurvatureBundles, StaticAnalyses, warping jets,
+    fiber trace-free Riccis, vector-field evaluations (the field xi) and
+    vacuum-residual formations.
     """
-    counts = {kind: Counter() for kind in ("bundles", "analyses", "warping", "fiber_ric0")}
+    kinds = ("bundles", "analyses", "warping", "fiber_ric0", "xi", "vacuum")
+    counts = {kind: Counter() for kind in kinds}
     current = [""]
 
     def counting(kind, fn):
@@ -168,8 +171,12 @@ def example_runs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CurvatureBundle, "__init__", counting("bundles", CurvatureBundle.__init__))
         mp.setattr(StaticAnalysis, "__init__", counting("analyses", StaticAnalysis.__init__))
-        mp.setattr(statics, "warping_derivatives", counting("warping", statics.warping_derivatives))
+        mp.setattr(spaces, "warping_jet", counting("warping", spaces.warping_jet))
         mp.setattr(statics, "fiber_ric0", counting("fiber_ric0", statics.fiber_ric0))
+        mp.setattr(CurvatureBundle, "vector_field", counting("xi", CurvatureBundle.vector_field))
+        vacuum = cached_property(counting("vacuum", StaticAnalysis._vacuum.func))
+        vacuum.__set_name__(StaticAnalysis, "_vacuum")
+        mp.setattr(StaticAnalysis, "_vacuum", vacuum)
         for name, raw in EXAMPLE_CONFIGS.items():
             current[0] = name
             reports[name] = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
@@ -182,16 +189,19 @@ def test_bundles_per_point(example_runs):
     assert counts["bundles"]["sphere-s4"] == EXAMPLE_CONFIGS["sphere-s4"]["samples"]
 
 
-# Per point: StaticAnalyses, warping derivative sets, fiber trace-free Riccis.
-# basicex analyses its potential h*fbar, hdot and fbar on the fiber; every
-# other example analyses one potential (hdot where none is configured).
+# Per point: StaticAnalyses, warping jets, fiber trace-free Riccis, xi
+# evaluations and vacuum-residual formations.  basicex analyses its
+# potential h*fbar, hdot and fbar on the fiber, and forms the vacuum
+# residuals of h*fbar and of fbar; every other example analyses one
+# potential (hdot where none is configured).  A warped example forms its
+# one warping jet wherever a check reads h or hdot.
 DERIVED_PER_POINT = {
-    "basicex-n5-k2": (3, 1, 0),
-    "ejiri": (1, 1, 1),
-    "ejiri-ode": (1, 0, 0),
-    "equiv-fail": (1, 0, 1),
-    "nonconstant-exp": (1, 1, 1),
-    "sphere-s4": (1, 0, 0),
+    "basicex-n5-k2": (3, 1, 0, 1, 2),
+    "ejiri": (1, 1, 1, 1, 1),
+    "ejiri-ode": (1, 1, 0, 1, 0),
+    "equiv-fail": (1, 1, 1, 1, 0),
+    "nonconstant-exp": (1, 1, 1, 1, 0),
+    "sphere-s4": (1, 0, 0, 1, 1),
 }
 
 
@@ -199,7 +209,7 @@ DERIVED_PER_POINT = {
 def test_point_values_derived_once(example_runs, name):
     _, counts = example_runs
     samples = EXAMPLE_CONFIGS[name]["samples"]
-    got = tuple(counts[kind][name] / samples for kind in ("analyses", "warping", "fiber_ric0"))
+    got = tuple(counts[kind][name] / samples for kind in ("analyses", "warping", "fiber_ric0", "xi", "vacuum"))
     assert got == DERIVED_PER_POINT[name]
 
 

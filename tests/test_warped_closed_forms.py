@@ -6,7 +6,7 @@ from pytest import approx
 
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.sampling import halton_points
-from warpcheck.statics import warping_derivatives
+from conftest import warping_derivatives
 
 
 @pytest.mark.parametrize("case", ["ejiri", "exp"])
