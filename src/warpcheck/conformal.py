@@ -85,6 +85,11 @@ class ConformalAnalysis:
         return jt_einsum("ljk,l->jk", self.bundle.cotton, self.xi)
 
     @cached_property
+    def cotton_mid_xi(self) -> JetTensor:
+        """C(., xi, .): C_ilj xi^l."""
+        return jt_einsum("ilj,l->ij", self.bundle.cotton, self.xi)
+
+    @cached_property
     def p(self) -> JetTensor:
         """P_jk = (xi^b_{j,k} - xi^b_{k,j}) / 2 (skew part of dxi^b)."""
         return (self.dxi_flat - self.dxi_flat.transpose("jk->kj")) * 0.5
@@ -101,6 +106,16 @@ class ConformalAnalysis:
     @cached_property
     def d2p(self) -> JetTensor:
         return self.bundle.covariant_derivative(self.dp, ("l", "l", "l"))
+
+    @cached_property
+    def ginv_d2p(self) -> JetTensor:
+        """g^pd P_pj,dk, laid out as [j, k]."""
+        return jt_einsum("pd,pjdk->jk", self.bundle.ginv, self.d2p)
+
+    @cached_property
+    def ric_p_up(self) -> JetTensor:
+        """R_ia g^ab P_bk."""
+        return jt_einsum("ia,ak->ik", self.bundle.ric, self.p_up)
 
     # -- scalar diagnostics -------------------------------------------------
 
@@ -171,13 +186,11 @@ class ConformalAnalysis:
     def phi_tensor_jets(self) -> JetTensor:
         b = self.bundle
         n = self.n
-        term1 = -jt_einsum("kli,l->ik", b.cotton, self.xi)
+        term1 = -self.cotton_mid_xi.transpose("ki->ik")
         term2 = (
             jt_einsum("i,k->ik", b.dscalar, self.xi_flat) - jt_einsum(",ik->ik", self.xi_of_r, b.g)
         ) * (-1.0 / (2.0 * (n - 1.0)))
-        term3 = jt_einsum("jd,jkdi->ik", b.ginv, self.d2p)
-        term4 = jt_einsum("ia,ak->ik", b.ric, self.p_up)
-        return term1 + term2 + term3 + term4
+        return term1 + term2 + self.ginv_d2p.transpose("ki->ik") + self.ric_p_up
 
     @cached_property
     def lstar_phi(self) -> JetTensor:
@@ -213,9 +226,9 @@ class ConformalAnalysis:
         lhs = self.cotton_xi.value
         wedge = jt_einsum("j,k->jk", b.dscalar, self.xi_flat)
         dr_xi = (wedge - wedge.transpose("jk->kj")) * (1.0 / (2.0 * (self.n - 1.0)))
-        rhs = dr_xi + jt_einsum("pd,pjdk->jk", b.ginv, self.d2p)
-        rhs = rhs - jt_einsum("pd,pkdj->jk", b.ginv, self.d2p)
-        rhs = rhs + jt_einsum("ka,aj->jk", b.ric, self.p_up)
+        rhs = dr_xi + self.ginv_d2p
+        rhs = rhs - self.ginv_d2p.transpose("kj->jk")
+        rhs = rhs + self.ric_p_up.transpose("kj->jk")
         ric_up = jt_einsum("ab,bj->aj", b.ginv, b.ric)
         rhs = rhs + jt_einsum("ka,aj->jk", self.p, ric_up)
         out = {"general": b.defect(lhs, rhs.value, ("l", "l"))}

@@ -21,7 +21,6 @@ truncation a slice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -34,6 +33,7 @@ __all__ = [
     "JetShapeError",
     "jet_space",
     "jt_einsum",
+    "separable_product",
 ]
 
 
@@ -87,6 +87,7 @@ class JetSpace:
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._partials_table: tuple[np.ndarray, np.ndarray] | None = None
         self._embed_tables: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        self._product_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- lookup tables -------------------------------------------------
 
@@ -149,6 +150,21 @@ class JetSpace:
                 tgt[j] = self.index[tuple(full)]
             self._embed_tables[key] = tgt
         return self._embed_tables[key]
+
+    def product_table(self, split: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a slots, b slots) of the product of a jet in the first ``split`` variables and one in the rest.
+
+        Both factors have this space's order.  Slot k of the product is
+        ``a[ia[k]] * b[ib[k]]``, the one pair of the Cauchy product whose
+        factors do not vanish.
+        """
+        if split not in self._product_tables:
+            a = jet_space(split, self.order)
+            b = jet_space(self.num_vars - split, self.order)
+            ia = np.array([a.index[alpha[:split]] for alpha in self.multi_indices])
+            ib = np.array([b.index[alpha[split:]] for alpha in self.multi_indices])
+            self._product_tables[split] = (ia, ib)
+        return self._product_tables[split]
 
     def __repr__(self) -> str:
         return f"JetSpace(num_vars={self.num_vars}, order={self.order})"
@@ -268,18 +284,17 @@ def _raw_div(space: JetSpace, a: np.ndarray, b: np.ndarray, fn: str | None = Non
 # -- jet tensors ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class JetTensor:
     """An ndarray of jets sharing one space; coefficient axis last."""
 
-    space: JetSpace
-    data: np.ndarray
+    __slots__ = ("space", "data", "order")
 
-    def __post_init__(self):
-        if self.data.shape[-1] != self.space.n_coeffs:
-            raise JetShapeError(
-                f"coefficient axis {self.data.shape[-1]} != space size {self.space.n_coeffs}"
-            )
+    def __init__(self, space: JetSpace, data: np.ndarray):
+        if data.shape[-1] != space.n_coeffs:
+            raise JetShapeError(f"coefficient axis {data.shape[-1]} != space size {space.n_coeffs}")
+        self.space = space
+        self.data = data
+        self.order = space.order
 
     @staticmethod
     def const(space: JetSpace, values: np.ndarray | float) -> "JetTensor":
@@ -317,10 +332,6 @@ class JetTensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape[:-1]
-
-    @property
-    def order(self) -> int:
-        return self.space.order
 
     @property
     def value(self) -> np.ndarray:
@@ -366,6 +377,8 @@ class JetTensor:
     # arithmetic (auto-truncating to the lower order)
 
     def _align(self, other: "JetTensor") -> tuple["JetTensor", "JetTensor"]:
+        if self.space is other.space:
+            return self, other
         if self.space.num_vars != other.space.num_vars:
             raise JetShapeError("jet tensors with different variable counts")
         k = min(self.order, other.order)
@@ -430,8 +443,7 @@ class JetTensor:
 
     def transpose(self, spec: str) -> "JetTensor":
         """Pure index permutation, e.g. 'lkij->lijk' (jet axis rides along)."""
-        lhs, rhs = spec.split("->")
-        return JetTensor(self.space, np.einsum(f"{lhs}...->{rhs}...", self.data))
+        return JetTensor(self.space, self.data.transpose(_permutation(spec)))
 
 
 def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
@@ -443,7 +455,36 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     a, b = a._align(b)
     space = a.space
     a_idx, b_idx, starts = space.mul_table
+    prod = np.einsum(_jet_spec(spec), a.data[..., a_idx], b.data[..., b_idx])
+    return JetTensor(space, np.add.reduceat(prod, starts, axis=-1))
+
+
+def separable_product(a: JetTensor, b: JetTensor) -> JetTensor:
+    """The product f(x) g(y) of a jet of f in variables x and a jet of g in further variables y.
+
+    The result lives in the variables (x, y), at the lower of the two
+    orders, with shapes broadcast.  Each of its slots has exactly one pair of
+    nonzero factors, so it equals ``a.embed(...) * b.embed(...)`` bit for
+    bit, but for the signs of zeros.
+    """
+    k = min(a.order, b.order)
+    a, b = a.truncate(k), b.truncate(k)
+    split = a.space.num_vars
+    space = jet_space(split + b.space.num_vars, k)
+    ia, ib = space.product_table(split)
+    return JetTensor(space, a.data[..., ia] * b.data[..., ib])
+
+
+@lru_cache(maxsize=None)
+def _jet_spec(spec: str) -> str:
+    """``spec`` with the coefficient-pair axis z appended to every operand."""
     lhs, rhs = spec.split("->")
     sa, sb = lhs.split(",")
-    prod = np.einsum(f"{sa}z,{sb}z->{rhs}z", a.data[..., a_idx], b.data[..., b_idx])
-    return JetTensor(space, np.add.reduceat(prod, starts, axis=-1))
+    return f"{sa}z,{sb}z->{rhs}z"
+
+
+@lru_cache(maxsize=None)
+def _permutation(spec: str) -> tuple[int, ...]:
+    """The axes of ``ndarray.transpose`` for an index permutation like 'lkij->lijk', jet axis last."""
+    lhs, rhs = spec.split("->")
+    return tuple(lhs.index(c) for c in rhs) + (len(lhs),)

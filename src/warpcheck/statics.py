@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensors
+from .conformal import ConformalAnalysis
 from .dsl import ExprAst, eval_expr
 from .geometry import CurvatureBundle
 from .jets import JetTensor, jt_einsum
@@ -278,11 +279,9 @@ def icotton_warped_residual(sc: PointScratch) -> ResidualSet:
 
 def warpedproduct3_residual(sc: PointScratch) -> ResidualSet:
     """Residual of L*_g hdot = -C(., xi, .), xi = h d/dt (the configured field's jets when it is that field)."""
-    b = sc.bundle
     xi = sc.ctx.warped.xi
-    xi_vec = sc.conformal.xi if sc.ctx.fld is xi else b.vector_field(xi.builder)
-    c_mid = jt_einsum("ilj,l->ij", b.cotton, xi_vec).value
-    return {"wp3": b.defect(sc.hdot.lstar_f.value, -c_mid, ("l", "l"))}
+    ca = sc.conformal if sc.ctx.fld is xi else ConformalAnalysis(sc.bundle, xi)
+    return {"wp3": sc.bundle.defect(sc.hdot.lstar_f.value, -ca.cotton_mid_xi.value, ("l", "l"))}
 
 
 def equivalence_clauses(sc: PointScratch) -> dict[str, float]:

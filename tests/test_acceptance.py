@@ -30,7 +30,6 @@ from warpcheck.ode import (
     rbar_from_initial,
 )
 from warpcheck.spaces import (
-    StaticPotentialSpec,
     WarpedGeometry,
     assemble_warped,
     basicex_geometry,

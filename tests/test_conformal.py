@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, PointScratch, RunConfig, build_context
 from warpcheck.conformal import (
     ConformalAnalysis,
     rotation_field,
@@ -9,7 +10,7 @@ from warpcheck.conformal import (
     zero_field,
 )
 from warpcheck.geometry import CurvatureBundle
-from warpcheck.jets import JetTensor
+from warpcheck.jets import JetTensor, jt_einsum
 from warpcheck.spaces import (
     ConformalFieldSpec,
     build_warped_geometry,
@@ -242,3 +243,32 @@ def test_cxi_divergence_on_catalog(ejiri, basicex52):
 def test_cxi_divergence_zero_field(ejiri):
     p = np.array([0.6, 0.1, 0.1, -0.2])
     assert analysis(ejiri.chart, zero_field(4), p).cxi_divergence_defect().abs < 1e-14
+
+
+# -- shared contractions ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [(name, None) for name in ("ejiri", "basicex-n5-k2", "equiv-fail", "nonconstant-exp", "sphere-s4")]
+    + [("sphere-s4", {"builtin": "rotation"})],  # not closed: P and its derivatives do not vanish
+)
+def test_shared_contractions_read_transposed_keep_every_bit(name, field):
+    """C(., xi, .), g^-1 d2P and Ric P^# are formed once; each transposed read
+    equals the contraction it replaced at every jet coefficient, zeros' signs included."""
+    raw = EXAMPLE_CONFIGS[name]
+    config = RunConfig.from_dict(dict(raw, field=field) if field else raw)
+    ctx = build_context(config)
+    specs = [CHECKS[check] for check in config.checks]
+    orders = [max(getattr(spec, key) for spec in specs) for key in ("order", "fiber_order", "metric_order")]
+    for p in ctx.chart.sample_points(6, offset=3):
+        ca = PointScratch(ctx, p, *orders).conformal
+        b = ca.bundle
+        pairs = [
+            (ca.cotton_mid_xi.transpose("ki->ik"), jt_einsum("kli,l->ik", b.cotton, ca.xi)),
+            (ca.ginv_d2p.transpose("ki->ik"), jt_einsum("jd,jkdi->ik", b.ginv, ca.d2p)),
+            (ca.ginv_d2p.transpose("kj->jk"), jt_einsum("pd,pkdj->jk", b.ginv, ca.d2p)),
+            (ca.ric_p_up.transpose("kj->jk"), jt_einsum("ka,aj->jk", b.ric, ca.p_up)),
+        ]
+        for cached, formed in pairs:
+            assert cached.data.tobytes() == formed.data.tobytes()

@@ -16,7 +16,6 @@ from warpcheck.spaces import (
     make_hyperbolic_chart,
     make_product_chart,
     make_sphere_chart,
-    sphere_height_potential,
 )
 from warpcheck.statics import StaticAnalysis
 
