@@ -16,7 +16,7 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -29,7 +29,6 @@ from .ode import (
     NoPeriodicOrbit,
     OdeWarpingFunction,
     PositivityLost,
-    Trajectory,
     WarpOdeParams,
     c1_for_fiber_scalar,
     find_periodic_solution,
@@ -248,25 +247,13 @@ def _build_ode_warped(space: dict) -> WarpedGeometry:
     if not 0.0 < dt < math.inf:  # the orbit search steps t by dt up to its horizon
         raise ConfigError(f"space.dt: must be a finite positive step, got {dt!r}")
     try:
-        traj, period = _periodic_orbit(params, h0, dt)
+        traj, period = find_periodic_solution(params, h0, dt=dt)
     except (NoPeriodicOrbit, PositivityLost) as exc:
         raise ConfigError(f"space: no periodic warping for these parameters ({exc})") from exc
     warping = OdeWarpingFunction(params, traj, period=period or None)
     label = f"S^1 x_h {fiber_chart.label} [h: ode n={n} R={scalar:g} c1={c1:g}]"
     wg = assemble_warped(warping, fiber_chart, (0.0, period if period > 0 else 1.0), label)
     return replace(wg, chart=replace(wg.chart, known_scalar=scalar))
-
-
-@lru_cache(maxsize=16)
-def _periodic_orbit(params: WarpOdeParams, h0: float, dt: float) -> tuple[Trajectory, float]:
-    """The closed orbit through (h0, 0), solved once per process; its arrays are read-only.
-
-    A search that raises is not cached.
-    """
-    traj, period = find_periodic_solution(params, h0, dt=dt)
-    for arr in (traj.times, traj.h, traj.hdot):
-        arr.flags.writeable = False
-    return traj, period
 
 
 def _build_potential(config: RunConfig, space: dict, chart: MetricChart) -> StaticPotentialSpec | None:

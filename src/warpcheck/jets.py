@@ -33,7 +33,6 @@ __all__ = [
     "JetShapeError",
     "jet_space",
     "jt_einsum",
-    "separable_product",
 ]
 
 
@@ -87,7 +86,6 @@ class JetSpace:
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._partials_table: tuple[np.ndarray, np.ndarray] | None = None
         self._embed_tables: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        self._product_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- lookup tables -------------------------------------------------
 
@@ -150,21 +148,6 @@ class JetSpace:
                 tgt[j] = self.index[tuple(full)]
             self._embed_tables[key] = tgt
         return self._embed_tables[key]
-
-    def product_table(self, split: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a slots, b slots) of the product of a jet in the first ``split`` variables and one in the rest.
-
-        Both factors have this space's order.  Slot k of the product is
-        ``a[ia[k]] * b[ib[k]]``, the one pair of the Cauchy product whose
-        factors do not vanish.
-        """
-        if split not in self._product_tables:
-            a = jet_space(split, self.order)
-            b = jet_space(self.num_vars - split, self.order)
-            ia = np.array([a.index[alpha[:split]] for alpha in self.multi_indices])
-            ib = np.array([b.index[alpha[split:]] for alpha in self.multi_indices])
-            self._product_tables[split] = (ia, ib)
-        return self._product_tables[split]
 
     def __repr__(self) -> str:
         return f"JetSpace(num_vars={self.num_vars}, order={self.order})"
@@ -457,22 +440,6 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     a_idx, b_idx, starts = space.mul_table
     prod = np.einsum(_jet_spec(spec), a.data[..., a_idx], b.data[..., b_idx])
     return JetTensor(space, np.add.reduceat(prod, starts, axis=-1))
-
-
-def separable_product(a: JetTensor, b: JetTensor) -> JetTensor:
-    """The product f(x) g(y) of a jet of f in variables x and a jet of g in further variables y.
-
-    The result lives in the variables (x, y), at the lower of the two
-    orders, with shapes broadcast.  Each of its slots has exactly one pair of
-    nonzero factors, so it equals ``a.embed(...) * b.embed(...)`` bit for
-    bit, but for the signs of zeros.
-    """
-    k = min(a.order, b.order)
-    a, b = a.truncate(k), b.truncate(k)
-    split = a.space.num_vars
-    space = jet_space(split + b.space.num_vars, k)
-    ia, ib = space.product_table(split)
-    return JetTensor(space, a.data[..., ia] * b.data[..., ib])
 
 
 @lru_cache(maxsize=None)

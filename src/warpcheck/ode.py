@@ -103,7 +103,7 @@ def c1_for_fiber_scalar(n: int, scalar: float, rbar: float, h0: float) -> float:
     return -(n - 2.0) * tau / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class Trajectory:
     params: WarpOdeParams
     times: np.ndarray

@@ -4,10 +4,6 @@ Constant-curvature factors use conformally flat charts (stereographic for
 spheres, Poincare ball for hyperbolic space) so jets stay smooth on the whole
 sample box; hyperbolic boxes are shrunk to 0.8 of the ball radius.  Warped
 products put the base coordinate first: x^0 = t, metric dt^2 + h(t)^2 gbar.
-
-Product and warped charts build each factor's jets in that factor's own
-variables and join them by embedding or by :func:`separable_product`, so no
-factor is composed or multiplied on jets of the whole chart.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ import numpy as np
 
 from . import dsl
 from .geometry import MetricChart
-from .jets import JetTensor, separable_product
+from .jets import JetTensor, jet_space
 
 __all__ = [
     "StaticPotentialSpec",
@@ -144,28 +140,20 @@ def make_flat_torus_chart(m: int) -> MetricChart:
     )
 
 
-def _own_coordinates(coords: Sequence[JetTensor]) -> list[JetTensor]:
-    """Coordinate jets (some of a chart's) at their point, as jets in only their own variables."""
-    order = coords[0].order
-    return [JetTensor.variable(i, c.data[0], len(coords), order) for i, c in enumerate(coords)]
-
-
 def make_product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
     da, db = a.dim, b.dim
 
     def builder(coords):
-        space = coords[0].space
+        rows_a = a.builder(coords[:da])
+        rows_b = b.builder(coords[da:])
         n = da + db
         out = [[0.0] * n for _ in range(n)]
-        for factor, start in ((a, 0), (b, da)):
-            rows = factor.builder(_own_coordinates(coords[start : start + factor.dim]))
-            positions = tuple(range(start, start + factor.dim))
-            for i in range(factor.dim):
-                for j in range(factor.dim):
-                    entry = rows[i][j]
-                    if isinstance(entry, JetTensor):
-                        entry = entry.embed(space, positions)
-                    out[start + i][start + j] = entry
+        for i in range(da):
+            for j in range(da):
+                out[i][j] = rows_a[i][j]
+        for i in range(db):
+            for j in range(db):
+                out[da + i][da + j] = rows_b[i][j]
         return out
 
     def exclude(p):
@@ -205,18 +193,16 @@ def assemble_warped(
         raise ValueError(f"warped product needs total dim >= 3, got {n}")
 
     def builder(coords):
-        h = _warping_at(warping, _own_coordinates(coords[:1])[0])
+        h = warping(coords[0])
         h2 = h * h
-        fiber_rows = fiber_chart.builder(_own_coordinates(coords[1:]))
+        fiber_rows = fiber_chart.builder(coords[1:])
         out = [[0.0] * n for _ in range(n)]
         out[0][0] = 1.0
         for i in range(dfib):
             for j in range(dfib):
                 entry = fiber_rows[i][j]
-                if isinstance(entry, JetTensor):
-                    out[1 + i][1 + j] = separable_product(h2, entry)
-                elif entry != 0.0:
-                    out[1 + i][1 + j] = (h2 * entry).embed(coords[0].space, (0,))
+                if isinstance(entry, JetTensor) or entry != 0.0:
+                    out[1 + i][1 + j] = h2 * entry
         return out
 
     def exclude(p):
@@ -234,21 +220,18 @@ def assemble_warped(
     )
 
     def xi_builder(coords):
-        h = _warping_at(warping, _own_coordinates(coords[:1])[0])
-        return [h.embed(coords[0].space, (0,))] + [JetTensor.const(coords[0].space, 0.0)] * dfib
+        h = warping(coords[0])
+        return [h] + [JetTensor.const(coords[0].space, 0.0)] * dfib
 
     return WarpedGeometry(chart, fiber_chart, warping, ConformalFieldSpec(label="h d/dt", builder=xi_builder))
 
 
 def warping_jet(warping: Callable, t0: float, order: int) -> JetTensor:
     """h as a one-variable jet at t0."""
-    return _warping_at(warping, JetTensor.variable(0, t0, 1, order))
-
-
-def _warping_at(warping: Callable, t: JetTensor) -> JetTensor:
-    """h at the one-variable jet t; a constant warping becomes a constant jet."""
-    h = warping(t)
-    return h if isinstance(h, JetTensor) else JetTensor.const(t.space, float(h))
+    h = warping(JetTensor.variable(0, t0, 1, order))
+    if not isinstance(h, JetTensor):
+        h = JetTensor.const(jet_space(1, order), float(h))
+    return h
 
 
 def build_warped_geometry(interval: tuple[float, float], warping_src: str, fiber_chart: MetricChart) -> WarpedGeometry:
@@ -319,8 +302,7 @@ def basicex_potential(n: int, k: int) -> StaticPotentialSpec:
         return fiber_factor(coords[:k])
 
     def builder(coords):
-        t = _own_coordinates(coords[:1])[0]
-        return separable_product(t.elem("cosh"), fiber_builder(_own_coordinates(coords[1:])))
+        return coords[0].elem("cosh") * fiber_builder(coords[1:])
 
     return StaticPotentialSpec(
         label=f"cosh(t) f_{{{k},r_{k}}}",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from warpcheck.jets import JetDomainError, JetShapeError, JetTensor, jet_space, separable_product
+from warpcheck.jets import JetDomainError, JetShapeError, JetTensor, jet_space
 
 
 def test_coefficient_count_is_binomial():
@@ -188,22 +188,6 @@ def test_const_minus_jet_bitwise():
     j = JetTensor.variable(0, 0.5, 2, 3)
     assert _bits(1.0 - j) == _bits(JetTensor.const(j.space, 1.0) - j)
     assert not np.any(np.signbit((1.0 - j).data[j.space.degrees > 1]))
-
-
-@pytest.mark.parametrize("nx, ny, order_a, order_b", [(1, 3, 4, 4), (2, 2, 3, 3), (1, 1, 2, 2), (3, 1, 3, 4)])
-def test_separable_product_is_the_product_of_embedded_jets(nx, ny, order_a, order_b):
-    """A jet in x times a jet in y, by the gather, equals the Cauchy product of
-    the two embedded jets as floats (its zeros may differ in sign)."""
-    rng = np.random.default_rng(100 * nx + 10 * ny + order_b)
-    sa, sb = jet_space(nx, order_a), jet_space(ny, order_b)
-    a = JetTensor(sa, rng.standard_normal(sa.n_coeffs) * (rng.random(sa.n_coeffs) < 0.8))
-    b = JetTensor(sb, rng.standard_normal((2, 3, sb.n_coeffs)))
-    space = jet_space(nx + ny, min(order_a, order_b))
-    ea = a.truncate(space.order).embed(space, tuple(range(nx)))
-    eb = b.truncate(space.order).embed(space, tuple(range(nx, nx + ny)))
-    got = separable_product(a, b)
-    assert got.space is space and got.shape == (2, 3)
-    assert np.array_equal(got.data, (ea * eb).data)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])

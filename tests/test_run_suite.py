@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from warpcheck import checks
-from warpcheck.checks import EXAMPLE_CONFIGS, ConfigError, RunConfig, build_context, report_to_json, run_suite
+from warpcheck.checks import EXAMPLE_CONFIGS, RunConfig, build_context, run_suite
 from warpcheck.cli import main
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.jets import JetTensor
@@ -395,48 +394,6 @@ def test_periodic_orbit_charts_have_constant_scalar(ratio):
     checks = ["scalar_value", "icotton_zero", "wp3_identity"]
     report = run_suite(RunConfig.from_dict({"space": space, "checks": checks, "samples": 25}))
     assert [(c.check, c.status) for c in report.checks] == [(check, "PASS") for check in checks]
-
-
-def _counting_orbit_search(monkeypatch) -> Counter:
-    calls = Counter()
-    search = checks.find_periodic_solution
-
-    def counting(params, h0, dt):
-        calls[params, h0, dt] += 1
-        return search(params, h0, dt=dt)
-
-    monkeypatch.setattr(checks, "find_periodic_solution", counting)
-    checks._periodic_orbit.cache_clear()
-    return calls
-
-
-def test_ode_orbit_is_solved_once_per_process(monkeypatch):
-    calls = _counting_orbit_search(monkeypatch)
-    config = RunConfig.from_dict(dict(copy.deepcopy(EXAMPLE_CONFIGS["equiv-fail"]), samples=3))
-    solved, cached = run_suite(config), run_suite(config)
-    first, second = build_context(config), build_context(config)
-    assert list(calls.values()) == [1]
-    for report in (solved, cached):
-        for outcome in report.checks:
-            outcome.wall_time = 0.0
-    assert report_to_json(solved) == report_to_json(cached)
-    traj = first.warped.warping.traj
-    assert second.warped.warping.traj is traj
-    for values in (traj.times, traj.h, traj.hdot):
-        assert not values.flags.writeable
-    with pytest.raises(ValueError):
-        traj.h[0] = 2.0
-
-
-def test_failed_orbit_search_is_not_cached(monkeypatch):
-    calls = _counting_orbit_search(monkeypatch)
-    raw = copy.deepcopy(EXAMPLE_CONFIGS["equiv-fail"])
-    raw["space"]["scalar"] = -2.0  # no oscillatory regime: NoPeriodicOrbit
-    for _ in range(2):
-        with pytest.raises(ConfigError, match="no periodic warping"):
-            build_context(RunConfig.from_dict(raw))
-    assert list(calls.values()) == [2]
-    assert checks._periodic_orbit.cache_info().currsize == 0
 
 
 # -- scripts/run_catalog_suites.py ---------------------------------------------------------
