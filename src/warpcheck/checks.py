@@ -209,7 +209,10 @@ def build_context(config: RunConfig) -> CheckContext:
             interval = space.get("interval")
             if not (isinstance(interval, (list, tuple)) and len(interval) == 2 and all(map(_finite_number, interval))):
                 raise ConfigError(f"space.interval: need two finite numbers [t0, t1], got {interval!r}")
-            warped = build_warped_geometry(tuple(interval), space["warping"], fiber)
+            try:
+                warped = build_warped_geometry(tuple(interval), space["warping"], fiber)
+            except ArithmeticError as exc:  # the positivity scan evaluates h on floats
+                raise ConfigError(f"space.warping: cannot evaluate on {interval} ({exc})") from exc
             chart = warped.chart
         elif kind == "basicex":
             warped, pot = basicex_geometry(int(space["n"]), int(space["k"]))
@@ -640,12 +643,15 @@ _POINT_ERRORS = (JetDomainError, SingularMetricError)
 
 
 def _scalar_survey(scratches: deque[PointScratch]) -> tuple[bool, float, float]:
+    """(constant, mean, spread) of the scalar curvature over the points where it is finite."""
     values = []
     for sc in scratches:
         try:
-            values.append(sc.bundle.scalar)
+            value = sc.bundle.scalar
         except _POINT_ERRORS:
-            pass  # the checks evaluated at this point report the error
+            continue  # the checks evaluated at this point report the error
+        if math.isfinite(value):  # else they FAIL there as non-finite
+            values.append(value)
     if not values:
         return True, 0.0, 0.0
     lo, hi = min(values), max(values)

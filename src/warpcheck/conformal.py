@@ -50,7 +50,8 @@ class ConformalAnalysis:
 
     @cached_property
     def xi_flat(self) -> JetTensor:
-        return jt_einsum("ij,j->i", self.bundle.g, self.xi)
+        """xi^b to order 3 at most: the deepest read, d2P, differentiates it three times."""
+        return jt_einsum("ij,j->i", self.bundle.g, self.xi.truncate(min(self.xi.order, 3)))
 
     @cached_property
     def dxi_flat(self) -> JetTensor:
@@ -64,7 +65,8 @@ class ConformalAnalysis:
 
     @cached_property
     def dphi(self) -> JetTensor:
-        return self.phi.partials()
+        """dphi at order 0: the Hessian differentiates phi itself."""
+        return self.phi.truncate(1).partials()
 
     @cached_property
     def hess_phi(self) -> JetTensor:
@@ -77,17 +79,17 @@ class ConformalAnalysis:
     @cached_property
     def xi_of_r(self) -> JetTensor:
         """xi(R) = xi^l d_l R."""
-        return jt_einsum("l,l->", self.xi, self.bundle.dscalar)
+        return jt_einsum("l,l->", self.xi.truncate(0), self.bundle.dscalar)
 
     @cached_property
     def cotton_xi(self) -> JetTensor:
         """i_xi C: C_ljk xi^l."""
-        return jt_einsum("ljk,l->jk", self.bundle.cotton, self.xi)
+        return jt_einsum("ljk,l->jk", self.bundle.cotton, self.xi.truncate(0))
 
     @cached_property
     def cotton_mid_xi(self) -> JetTensor:
         """C(., xi, .): C_ilj xi^l."""
-        return jt_einsum("ilj,l->ij", self.bundle.cotton, self.xi)
+        return jt_einsum("ilj,l->ij", self.bundle.cotton, self.xi.truncate(0))
 
     @cached_property
     def p(self) -> JetTensor:
@@ -97,7 +99,7 @@ class ConformalAnalysis:
     @cached_property
     def p_up(self) -> JetTensor:
         """g^ab P_bk."""
-        return jt_einsum("ab,bk->ak", self.bundle.ginv, self.p)
+        return jt_einsum("ab,bk->ak", self.bundle.ginv, self.p.truncate(0))
 
     @cached_property
     def dp(self) -> JetTensor:
@@ -122,7 +124,7 @@ class ConformalAnalysis:
     def conformal_defect(self) -> Residual:
         """|| xi^b_{i,j} + xi^b_{j,i} - 2 phi g_ij ||."""
         sym = self.dxi_flat + self.dxi_flat.transpose("jk->kj")
-        resid = sym - jt_einsum(",ij->ij", self.phi, self.bundle.g) * 2.0
+        resid = sym - jt_einsum(",ij->ij", self.phi.truncate(0), self.bundle.g) * 2.0
         scale = self.bundle.norm(self.dxi_flat.value, ("l", "l"))
         return Residual(self.bundle.norm(resid.value, ("l", "l")), 2.0 * scale)
 
@@ -149,22 +151,23 @@ class ConformalAnalysis:
         closed = self.is_closed
 
         # (b) general: R^l_ijk xi^b_l = g_ij phi_k - g_ik phi_j - P_jk,i
-        rxi = jt_einsum("lijk,l->ijk", b.riemann13, self.xi_flat)
+        rxi = jt_einsum("lijk,l->ijk", b.riemann13, self.xi_flat.truncate(0))
         gphi = jt_einsum("ij,k->ijk", b.g, self.dphi)
         rhs = gphi - gphi.transpose("ijk->ikj") - self.dp.transpose("jki->ijk")
         scale = b.norm(rxi.value, ("l",) * 3) + b.norm(gphi.value, ("l",) * 3)
         out["nabla_p"] = Residual(b.norm(rxi.value - rhs.value, ("l",) * 3), scale)
 
         # (c) divergence: g^ij P_jk,i = R_kl xi^l + (n-1) phi_k
+        # at dp's own order: np.einsum sums this spec in another order at order 0
         div_p = jt_einsum("ij,jki->k", b.ginv, self.dp)
-        ric_xi = jt_einsum("kl,l->k", b.ric, self.xi)
+        ric_xi = jt_einsum("kl,l->k", b.ric, self.xi.truncate(0))
         rhs_c = ric_xi + (self.n - 1.0) * self.dphi
         out["div_p"] = b.defect(div_p.value, rhs_c.value, ("l",))
 
         if closed:
             # (a) nabla_i xi^j = phi delta^j_i
-            dxi_vec = b.covariant_derivative(self.xi, ("u",))
-            eye = JetTensor.const(b.space, np.eye(self.n))
+            dxi_vec = b.covariant_derivative(self.xi.truncate(1), ("u",))
+            eye = JetTensor.const(dxi_vec.space, np.eye(self.n))
             resid_a = dxi_vec - jt_einsum(",ji->ji", self.phi, eye)
             out["nabla_xi"] = Residual(
                 b.norm(resid_a.value, ("u", "l")), b.norm(dxi_vec.value, ("u", "l"))
@@ -188,7 +191,7 @@ class ConformalAnalysis:
         n = self.n
         term1 = -self.cotton_mid_xi.transpose("ki->ik")
         term2 = (
-            jt_einsum("i,k->ik", b.dscalar, self.xi_flat) - jt_einsum(",ik->ik", self.xi_of_r, b.g)
+            jt_einsum("i,k->ik", b.dscalar, self.xi_flat.truncate(0)) - jt_einsum(",ik->ik", self.xi_of_r, b.g)
         ) * (-1.0 / (2.0 * (n - 1.0)))
         return term1 + term2 + self.ginv_d2p.transpose("ki->ik") + self.ric_p_up
 
@@ -210,7 +213,7 @@ class ConformalAnalysis:
         b = self.bundle
         n = self.n
         lap = self.lap_phi
-        resid = lap + b.scalar_jet * self.phi / (n - 1.0) + self.xi_of_r / (2.0 * (n - 1.0))
+        resid = lap + b.scalar_jet * self.phi.truncate(0) / (n - 1.0) + self.xi_of_r / (2.0 * (n - 1.0))
         scale = abs(float(lap.value)) + abs(b.scalar * float(self.phi.value) / (n - 1.0))
         return Residual(abs(float(resid.value)), scale)
 
@@ -224,12 +227,12 @@ class ConformalAnalysis:
         """
         b = self.bundle
         lhs = self.cotton_xi.value
-        wedge = jt_einsum("j,k->jk", b.dscalar, self.xi_flat)
+        wedge = jt_einsum("j,k->jk", b.dscalar, self.xi_flat.truncate(0))
         dr_xi = (wedge - wedge.transpose("jk->kj")) * (1.0 / (2.0 * (self.n - 1.0)))
         rhs = dr_xi + self.ginv_d2p
         rhs = rhs - self.ginv_d2p.transpose("kj->jk")
         rhs = rhs + self.ric_p_up.transpose("kj->jk")
-        ric_up = jt_einsum("ab,bj->aj", b.ginv, b.ric)
+        ric_up = jt_einsum("ab,bj->aj", b.ginv, b.ric.truncate(0))
         rhs = rhs + jt_einsum("ka,aj->jk", self.p, ric_up)
         out = {"general": b.defect(lhs, rhs.value, ("l", "l"))}
         if self.is_closed:

@@ -28,6 +28,11 @@ so has at most that order.  No bit moves: the graded-lex layout makes a
 lower order's coefficients, product pairs and sums a prefix of the higher
 order's, and a factor with zero value part (``g - g0``) meets the dropped
 top-order coefficients only through products equal to 0.0.
+A jet that no code differentiates again is formed at order 0: the Hessian
+(from ``f`` truncated to order 2), L*, E, W, and in the analyses every
+product whose only reader is its value.  One order-0 operand makes a whole
+product order 0, as arithmetic aligns to the lower order, and its value is
+the full product's, bit for bit, by the same prefix property.
 """
 
 from __future__ import annotations
@@ -242,13 +247,14 @@ class CurvatureBundle:
 
     @cached_property
     def efield(self) -> JetTensor:
-        """Trace-free Ricci E_ij = Ric_ij - (R/n) g_ij."""
-        return self.ric - self.scalar_jet_times_g / float(self.dim)
+        """Trace-free Ricci E_ij = Ric_ij - (R/n) g_ij, at order 0."""
+        return self.ric.truncate(0) - self.scalar_jet_times_g / float(self.dim)
 
     @cached_property
     def weyl(self) -> JetTensor:
+        """The Weyl tensor, at order 0."""
         self._need_dim(3, "Weyl tensor")
-        return self.riemann4 - kulkarni_nomizu_jets(self.schouten, self.g) / (self.dim - 2.0)
+        return self.riemann4 - kulkarni_nomizu_jets(self.schouten.truncate(0), self.g) / (self.dim - 2.0)
 
     @cached_property
     def cotton(self) -> JetTensor:
@@ -310,8 +316,8 @@ class CurvatureBundle:
     # (its Hessian, its Laplacian), so each is formed once per scalar.
 
     def hessian(self, f: JetTensor) -> JetTensor:
-        """Hess f (0,2) of a scalar-shaped f; symmetric up to round-off."""
-        return self.covariant_derivative(f.partials(), ("l",))
+        """Hess f (0,2) of a scalar-shaped f at order 0; symmetric up to round-off."""
+        return self.covariant_derivative(f.truncate(2).partials(), ("l",))
 
     def laplacian(self, hess: JetTensor) -> JetTensor:
         """Lap f = g^ij Hess_ij f, from the Hessian of f."""
@@ -319,7 +325,7 @@ class CurvatureBundle:
 
     def lstar(self, f: JetTensor, hess: JetTensor, lap: JetTensor) -> JetTensor:
         """Formal adjoint of the linearized scalar curvature: Hess f - (Lap f) g - f Ric."""
-        return hess - jt_einsum(",ij->ij", lap, self.g) - jt_einsum(",ij->ij", f, self.ric)
+        return hess - jt_einsum(",ij->ij", lap, self.g) - jt_einsum(",ij->ij", f.truncate(hess.order), self.ric)
 
     def norm(self, components: np.ndarray, variance: tuple[str, ...]) -> float:
         """g-norm of tensor components, one variance flag ("l" or "u") per index."""

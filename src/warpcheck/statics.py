@@ -61,7 +61,8 @@ class StaticAnalysis:
 
     @cached_property
     def df(self) -> JetTensor:
-        return self.f.partials()
+        """df at order 0: the Hessian differentiates f itself."""
+        return self.f.truncate(1).partials()
 
     @cached_property
     def df_up(self) -> JetTensor:
@@ -81,13 +82,13 @@ class StaticAnalysis:
 
     @cached_property
     def f_plus_a(self) -> JetTensor:
-        return self.f + self.potential.a
+        return self.f.truncate(0) + self.potential.a
 
     @cached_property
     def generalized_lhs(self) -> JetTensor:
         """Hess f + R f g/(n(n-1)): the generalized equation's left side, and the trace-free vacuum residual's."""
         b, n = self.bundle, self.n
-        return self.hess + jt_einsum(",ij->ij", b.scalar_jet * self.f, b.g) / (n * (n - 1.0))
+        return self.hess + jt_einsum(",ij->ij", b.scalar_jet * self.f.truncate(0), b.g) / (n * (n - 1.0))
 
     # -- vacuum static equation ------------------------------------------
 
@@ -104,7 +105,7 @@ class StaticAnalysis:
         out: ResidualSet = {
             "full": Residual(b.norm(self.lstar_f.value, ("l", "l")), scale2),
         }
-        trace = self.lap + b.scalar_jet * self.f / (n - 1.0)
+        trace = self.lap + b.scalar_jet * self.f.truncate(0) / (n - 1.0)
         out["trace"] = Residual(
             abs(float(trace.value)),
             abs(float(self.lap.value)) + abs(b.scalar * float(self.f.value) / (n - 1.0)),
@@ -417,8 +418,8 @@ def xicvf_residuals(sc: PointScratch) -> ResidualSet:
     df, df_up = st.df, st.df_up
     fa = st.f_plus_a
     dphi = cf.dphi
-    xi, xib = cf.xi, cf.xi_flat
-    dp = cf.dp
+    xi, xib = cf.xi, cf.xi_flat.truncate(0)
+    dp = cf.dp.truncate(0)
     r_jet = b.scalar_jet
 
     # item (1)
@@ -441,7 +442,7 @@ def xicvf_residuals(sc: PointScratch) -> ResidualSet:
     rhs2 = -jt_einsum("k,i->ik", df, vec)
     rhs2 = rhs2 + jt_einsum("jik,j->ik", dp, df_up)
     rhs2 = rhs2 + jt_einsum("k,i->ik", df, div_p)
-    rhs2 = rhs2 + jt_einsum(",ik->ik", fa, jt_einsum("ijk,j->ik", b.cotton, xi))
+    rhs2 = rhs2 + jt_einsum(",ik->ik", fa, cf.cotton_mid_xi)
 
     return {
         "item1": b.defect(lhs1.value, rhs1.value, ("l", "l")),

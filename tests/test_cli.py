@@ -262,6 +262,15 @@ def test_cli_verify_exit_code_construction_error(tmp_path):
     assert main(["verify", str(config_path)]) == 2
 
 
+def test_cli_overflowing_warping_is_a_config_error(tmp_path, capsys):
+    """exp(exp(exp(t))) overflows a float on [5, 6] in the warping's positivity scan."""
+    config = {"space": dict(EJIRI_CONFIG["space"], interval=[5, 6], warping="exp(exp(exp(t)))"), "checks": ["lgh_forms"]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == "error: space.warping: cannot evaluate on [5, 6] (math range error)\n"
+
+
 @pytest.mark.parametrize("dt", [0, -0.001, math.nan, math.inf], ids=repr)
 def test_cli_ode_warped_dt_must_be_a_positive_step(tmp_path, capsys, dt):
     """The orbit search steps t by dt up to its horizon: a zero or negative step never got there."""

@@ -254,8 +254,9 @@ def test_cxi_divergence_zero_field(ejiri):
     + [("sphere-s4", {"builtin": "rotation"})],  # not closed: P and its derivatives do not vanish
 )
 def test_shared_contractions_read_transposed_keep_every_bit(name, field):
-    """C(., xi, .), g^-1 d2P and Ric P^# are formed once; each transposed read
-    equals the contraction it replaced at every jet coefficient, zeros' signs included."""
+    """C(., xi, .), g^-1 d2P and Ric P^# are formed once, at order 0; each transposed
+    read equals the contraction it replaced, formed from the same order-0 operands,
+    at every byte, zeros' signs included."""
     raw = EXAMPLE_CONFIGS[name]
     config = RunConfig.from_dict(dict(raw, field=field) if field else raw)
     ctx = build_context(config)
@@ -265,10 +266,11 @@ def test_shared_contractions_read_transposed_keep_every_bit(name, field):
         ca = PointScratch(ctx, p, *orders).conformal
         b = ca.bundle
         pairs = [
-            (ca.cotton_mid_xi.transpose("ki->ik"), jt_einsum("kli,l->ik", b.cotton, ca.xi)),
+            (ca.cotton_mid_xi.transpose("ki->ik"), jt_einsum("kli,l->ik", b.cotton, ca.xi.truncate(0))),
             (ca.ginv_d2p.transpose("ki->ik"), jt_einsum("jd,jkdi->ik", b.ginv, ca.d2p)),
             (ca.ginv_d2p.transpose("kj->jk"), jt_einsum("pd,pkdj->jk", b.ginv, ca.d2p)),
             (ca.ric_p_up.transpose("kj->jk"), jt_einsum("ka,aj->jk", b.ric, ca.p_up)),
         ]
         for cached, formed in pairs:
+            assert cached.order == formed.order == 0
             assert cached.data.tobytes() == formed.data.tobytes()

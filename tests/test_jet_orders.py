@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpcheck import geometry
-from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, PointScratch, RunConfig, run_suite
+from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, PointScratch, RunConfig, build_context, run_suite
 from warpcheck.geometry import CurvatureBundle, MetricChart, _jt_const_matmul
 from warpcheck.jets import JetTensor, _elem_series, _raw_mul, jet_space, jt_einsum
 from conftest import example_geometry
@@ -33,7 +33,20 @@ from warpcheck.spaces import (
     make_sphere_chart,
 )
 
-SPECS = ("mki,ljm->lijk", "ij,jk->ik", "sia,sbc->abci")
+# products of the curvature chain, and products formed from order-0 operands for
+# jets that nothing differentiates again: the Hessian's connection term,
+# R^l_ijk xi_l, g^ij Hess_ij, f Ric and the Kulkarni-Nomizu product
+SPECS = (
+    "mki,ljm->lijk",
+    "ij,jk->ik",
+    "sia,sbc->abci",
+    "sia,s->ai",
+    "lijk,l->ijk",
+    "ij,ij->",
+    "kl,ijl->kij",
+    ",ij->ij",
+    "ik,jl->ijkl",
+)
 
 
 def _bits(t: JetTensor) -> np.ndarray:
@@ -90,6 +103,36 @@ def test_zero_value_factor_ignores_padded_top_order(case):
             pair_full = (z, other) if zero_first else (other, z)
             pair_padded = (z, padded) if zero_first else (padded, z)
             _assert_bitwise(jt_einsum(spec, *pair_full).truncate(k), jt_einsum(spec, *pair_padded))
+
+
+# the suites whose metric order 4 (for cxi_div) puts every curvature jet one order
+# above what the checks read
+@pytest.mark.parametrize("name", ["ejiri", "basicex-n5-k2"])
+def test_jets_nothing_differentiates_are_order_zero(name):
+    """Each such jet is formed at order 0, and so is every product formed from it."""
+    config = RunConfig.from_dict(EXAMPLE_CONFIGS[name])
+    ctx = build_context(config)
+    specs = [CHECKS[check] for check in config.checks]
+    orders = [max(getattr(spec, key) for spec in specs) for key in ("order", "fiber_order", "metric_order")]
+    sc = PointScratch(ctx, ctx.chart.sample_points(1, offset=3)[0], *orders)
+    b, st, ca = sc.bundle, sc.static, sc.conformal
+    assert b.metric_order == 4
+    jets = {
+        "hessian": b.hessian(st.f),
+        "lstar_f": st.lstar_f,
+        "lstar_phi": ca.lstar_phi,
+        "t_jets": st.t_jets,
+        "phi_tensor_jets": ca.phi_tensor_jets,
+        "efield": b.efield,
+        "weyl": b.weyl,
+        "cotton_xi": ca.cotton_xi,
+        "cotton_mid_xi": ca.cotton_mid_xi,
+        "ginv_d2p": ca.ginv_d2p,
+        "ric_p_up": ca.ric_p_up,
+        "df": st.df,
+        "dphi": ca.dphi,
+    }
+    assert {key: jet.order for key, jet in jets.items()} == dict.fromkeys(jets, 0)
 
 
 # -- numpy's summation order ------------------------------------------------------

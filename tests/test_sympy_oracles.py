@@ -2,24 +2,31 @@
 
 sympy differentiates the metric components of a chart symbolically, without
 simplifying, forms the curvature chain by the conventions of
-``warpcheck.geometry`` and evaluates it at a rational point to 30 digits.
+``warpcheck.geometry`` and evaluates it at a rational point to 40 digits.
 The jet pipeline's values must agree to 1e-12, relative, in the norm of the
-orthonormal frame.
+orthonormal frame.  The Cotton divergence takes its last derivative as a
+central difference of the symbolic Cotton tensor, with step 1e-15 at 40
+digits, so its error is near 1e-30: a fourth symbolic derivative of this
+metric takes sympy several seconds.
 """
 
 import numpy as np
 import pytest
 
 sp = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 
+from warpcheck import dsl  # noqa: E402
 from warpcheck.checks import RunConfig, build_context  # noqa: E402
 from warpcheck.geometry import CurvatureBundle  # noqa: E402
+from warpcheck.statics import StaticAnalysis, t_potential  # noqa: E402
 
 REL_TOL = 1e-12
+DIGITS = 40
 
 
-def _curvature(coords, g, point):
-    """(R, Ric, C) of the diagonal metric ``g`` at ``point`` as float arrays.
+def _chain(coords, g):
+    """Gamma^k_ij (as gamma[k][i][j]), Ric, R and C of the diagonal metric ``g``, unsimplified.
 
     R^l_ijk = d_j Gamma^l_ki - d_k Gamma^l_ji + Gamma^m_ki Gamma^l_jm - Gamma^m_ji Gamma^l_km,
     Ric_ij = g^kl g_is R^s_kjl, A = Ric - R g / (2(n-1)), C_ijk = A_ij,k - A_ik,j.
@@ -50,21 +57,63 @@ def _curvature(coords, g, point):
             out -= gamma[s][k][i] * schouten[s][j] + gamma[s][k][j] * schouten[i][s]
         return out
 
-    subs = dict(zip(coords, point))
-
-    def value(expr):
-        return float(sp.N(sp.sympify(expr).subs(subs), 30))
-
-    cotton = np.zeros((n, n, n))
+    cotton = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(j + 1, n):
-                cotton[i, j, k] = value(dschouten(i, j, k) - dschouten(i, k, j))
-                cotton[i, k, j] = -cotton[i, j, k]
-    return value(scalar), np.array([[value(e) for e in row] for row in ric]), cotton
+                cotton[i][j][k] = dschouten(i, j, k) - dschouten(i, k, j)
+                cotton[i][k][j] = -cotton[i][j][k]
+    return gamma, ric, scalar, cotton
 
 
-def test_warped_product_of_two_spheres_matches_sympy():
+class SymbolicChart:
+    """The jet chart of a ``warped`` config beside its metric's symbolic chain, at one rational point."""
+
+    def __init__(self, space, coords, g, point):
+        self.chart = build_context(RunConfig.from_dict({"space": space, "checks": ["firstthm"]})).chart
+        self.coords, self.g, self.point = coords, g, point
+        self.gamma, self.ric, self.scalar, self.cotton = _chain(coords, g)
+        self.float_point = np.array([float(x) for x in point])
+
+    def value(self, exprs):
+        """``exprs`` (nested lists) as floats, evaluated at the point to 40 digits."""
+        with mpmath.workdps(DIGITS):
+            return np.array(self._mp(exprs, self._mp_point()), dtype=float)
+
+    def _mp(self, exprs, at):
+        return np.array(sp.lambdify(self.coords, exprs, modules="mpmath")(*at), dtype=object)
+
+    def _mp_point(self):
+        return [mpmath.mpf(x.p) / x.q for x in self.point]
+
+    def cotton_divergence(self) -> np.ndarray:
+        """Xi_ik = g^jl C_ijk,l, with d_l C_ijk a central difference of the symbolic C."""
+        n = len(self.coords)
+        cotton_at = sp.lambdify(self.coords, self.cotton, modules="mpmath")
+        with mpmath.workdps(DIGITS):
+            p = self._mp_point()
+            step = mpmath.mpf(10) ** -15
+            c = np.array(cotton_at(*p))
+            gamma = self._mp(self.gamma, p)
+            ginv = [1 / gi for gi in self._mp(self.g, p)]
+            xi = np.zeros((n, n), dtype=object)
+            for l in range(n):
+                plus, minus = list(p), list(p)
+                plus[l] += step
+                minus[l] -= step
+                dc = (np.array(cotton_at(*plus)) - np.array(cotton_at(*minus))) / (2 * step)  # d_l C_ijk
+                cov = (
+                    dc
+                    - np.einsum("si,sjk->ijk", gamma[:, l, :], c)
+                    - np.einsum("sj,isk->ijk", gamma[:, l, :], c)
+                    - np.einsum("sk,ijs->ijk", gamma[:, l, :], c)
+                )
+                xi += ginv[l] * cov[:, l, :]
+            return np.array(xi, dtype=float)
+
+
+@pytest.fixture(scope="module")
+def s2xs2():
     """dt^2 + e^(2t/5) (g_S2(1) + g_S2(2)) in the stereographic coordinates of
     ``make_sphere_chart``: not conformally flat, so its Cotton tensor is not zero."""
     space = {
@@ -77,8 +126,6 @@ def test_warped_product_of_two_spheres_matches_sympy():
             "right": {"kind": "sphere", "dim": 2, "radius": 2.0},
         },
     }
-    chart = build_context(RunConfig.from_dict({"space": space, "checks": ["firstthm"]})).chart
-
     coords = sp.symbols("t x1 x2 y1 y2")
     t, x1, x2, y1, y2 = coords
     h2 = sp.exp(2 * t / 5)
@@ -86,11 +133,42 @@ def test_warped_product_of_two_spheres_matches_sympy():
     lam2 = 8 / (4 + y1**2 + y2**2)  # r = 2
     g = [sp.Integer(1), h2 * lam1**2, h2 * lam1**2, h2 * lam2**2, h2 * lam2**2]
     point = [sp.Rational(1, 3), sp.Rational(1, 5), sp.Rational(-1, 4), sp.Rational(1, 2), sp.Rational(1, 3)]
-    scalar, ric, cotton = _curvature(coords, g, point)
+    return SymbolicChart(space, coords, g, point)
 
-    b = CurvatureBundle(chart, np.array([float(x) for x in point]), order=3)
+
+def test_warped_product_of_two_spheres_matches_sympy(s2xs2):
+    scalar, ric, cotton = s2xs2.value(s2xs2.scalar), s2xs2.value(s2xs2.ric), s2xs2.value(s2xs2.cotton)
+    b = CurvatureBundle(s2xs2.chart, s2xs2.float_point, order=3)
     assert abs(b.scalar - scalar) <= REL_TOL * abs(scalar)
     assert b.norm(b.ric.value - ric, ("l", "l")) <= REL_TOL * b.norm(ric, ("l", "l"))
     cnorm = b.norm(cotton, ("l",) * 3)
     assert cnorm > 0.1  # the comparison is not between two zeros
     assert b.norm(b.cotton.value - cotton, ("l",) * 3) <= REL_TOL * cnorm
+
+
+def test_lstar_of_a_t_potential_matches_sympy(s2xs2):
+    """L*_g f = Hess f - (Lap f) g - f Ric for f(t) = cos(t) + t^2/5, through the order-0 Hessian."""
+    coords, g, gamma = s2xs2.coords, s2xs2.g, s2xs2.gamma
+    n = len(coords)
+    f = sp.cos(coords[0]) + coords[0] ** 2 / 5
+    df = [sp.diff(f, x) for x in coords]
+    hess = [[sp.diff(df[i], coords[j]) - sum(gamma[k][i][j] * df[k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    lap = sum(hess[i][i] / g[i] for i in range(n))
+    lstar = [[hess[i][j] - (lap * g[i] if i == j else 0) - f * s2xs2.ric[i][j] for j in range(n)] for i in range(n)]
+    want = s2xs2.value(lstar)
+
+    b = CurvatureBundle(s2xs2.chart, s2xs2.float_point, order=3)
+    got = StaticAnalysis(b, t_potential(dsl.parse("cos(t) + t^2/5"), "f")).lstar_f
+    assert got.order == 0
+    norm = b.norm(want, ("l", "l"))
+    assert norm > 0.1
+    assert b.norm(got.value - want, ("l", "l")) <= REL_TOL * norm
+
+
+def test_cotton_divergence_matches_sympy(s2xs2):
+    want = s2xs2.cotton_divergence()
+    b = CurvatureBundle(s2xs2.chart, s2xs2.float_point, order=4)
+    norm = b.norm(want, ("l", "l"))
+    assert norm > 0.02
+    assert b.norm(b.cotton_divergence.value - want, ("l", "l")) <= REL_TOL * norm
