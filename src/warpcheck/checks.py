@@ -313,6 +313,8 @@ def _build_field(config: RunConfig, chart: MetricChart, warped: WarpedGeometry |
     fld = config.fld
     if fld is None:
         return warped.xi if warped is not None else None
+    if "builtin" in fld and "components" in fld:
+        raise ConfigError("field: provide 'builtin' or 'components', not both")
     if "builtin" in fld:
         name = fld["builtin"]
         if name == "warped_xi":

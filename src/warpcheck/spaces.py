@@ -184,7 +184,10 @@ def assemble_warped(
     t0, t1 = float(interval[0]), float(interval[1])
     if not t1 > t0:
         raise ValueError(f"empty interval {interval}")
-    hs = [float(warping(t)) for t in np.linspace(t0, t1, 257)]
+    try:
+        hs = [float(warping(t)) for t in np.linspace(t0, t1, 257)]
+    except ValueError as exc:  # a math function's domain error: h has no value there
+        raise ArithmeticError(exc) from exc
     if min(hs) <= 0.0:
         raise ValueError(f"warping function is nonpositive on [{t0}, {t1}] (min {min(hs):g})")
     dfib = fiber_chart.dim

@@ -6,10 +6,13 @@ import pytest
 
 from warpcheck.checks import (
     CHECKS,
+    FIELD_BUILTINS,
+    POTENTIAL_BUILTINS,
     ConfigError,
     EXAMPLE_CONFIGS,
     RunConfig,
     build_context,
+    report_to_json,
     run_suite,
 )
 from warpcheck.cli import main
@@ -271,6 +274,41 @@ def test_cli_overflowing_warping_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: space.warping: cannot evaluate on [5, 6] (math range error)\n"
 
 
+def test_cli_warping_outside_a_math_domain_is_a_config_error(tmp_path, capsys):
+    """log(t) has no value at t <= 0, which the warping's positivity scan on [-1, 1] reaches."""
+    config = {"space": dict(EJIRI_CONFIG["space"], interval=[-1, 1], warping="2+log(t)"), "checks": ["lgh_forms"]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == "error: space.warping: cannot evaluate on [-1, 1] (math domain error)\n"
+
+
+@pytest.mark.parametrize(
+    "interval, warping, fiber, message",
+    [
+        ([1, 1], "1", {"kind": "sphere", "dim": 3}, "empty interval (1, 1)"),
+        ([-1, 1], "t", {"kind": "sphere", "dim": 3}, "warping function is nonpositive on [-1.0, 1.0] (min -1)"),
+        ([-1, 1], "1", {"kind": "sphere", "dim": 1}, "warped product needs total dim >= 3, got 2"),
+    ],
+)
+def test_cli_warped_space_construction_errors(tmp_path, capsys, interval, warping, fiber, message):
+    config = {"space": {"kind": "warped", "interval": interval, "warping": warping, "fiber": fiber}, "checks": ["lgh_forms"]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_field_with_builtin_and_components_is_a_config_error(tmp_path, capsys):
+    """Either key alone names the field; with both, one of them would be ignored."""
+    field = {"builtin": "zero", "components": ["t", "0", "0"]}
+    config = {"space": {"kind": "sphere", "dim": 3}, "field": field, "checks": ["firstthm"], "samples": 2}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == "error: field: provide 'builtin' or 'components', not both\n"
+
+
 @pytest.mark.parametrize("dt", [0, -0.001, math.nan, math.inf], ids=repr)
 def test_cli_ode_warped_dt_must_be_a_positive_step(tmp_path, capsys, dt):
     """The orbit search steps t by dt up to its horizon: a zero or negative step never got there."""
@@ -348,6 +386,39 @@ def test_cli_chart_builtins_need_their_space_kind(tmp_path, capsys, space, key, 
     config_path.write_text(json.dumps(config))
     assert main(["verify", str(config_path), "--no-timestamp"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "space, key, builtin, checks",
+    [
+        ({"kind": "hyperbolic", "dim": 3}, "potential", "hyperbolic_x0", ["vss_residual", "t_algebra"]),
+        ({"kind": "basicex", "n": 5, "k": 2}, "potential", "basicex", ["vss_residual", "propddoth"]),
+        (EJIRI_CONFIG["space"], "potential", "warped_hdot", ["vss_residual", "lgh_forms"]),
+        ({"kind": "sphere", "dim": 3}, "field", "zero", ["firstthm", "closed_cvf"]),
+    ],
+)
+def test_builtins_run_on_their_space_kind(space, key, builtin, checks):
+    report = run_suite(RunConfig.from_dict({"space": space, key: {"builtin": builtin}, "checks": checks, "samples": 3}))
+    assert [(c.check, c.status) for c in report.checks] == [(c, "PASS") for c in checks]
+
+
+def test_warped_hdot_potential_is_the_default_of_a_warped_space():
+    raw = dict(EJIRI_CONFIG, checks=["vss_residual", "lgh_forms", "t_algebra"], samples=3)
+    plain = run_suite(RunConfig.from_dict(raw))
+    hdot = run_suite(RunConfig.from_dict(dict(raw, potential={"builtin": "warped_hdot"})))
+    for report in (plain, hdot):
+        for outcome in report.checks:
+            outcome.wall_time = 0.0
+    assert report_to_json(hdot) == report_to_json(plain)
+
+
+@pytest.mark.parametrize("key, have", [("potential", POTENTIAL_BUILTINS), ("field", FIELD_BUILTINS)])
+def test_cli_unknown_builtin_lists_the_known_ones(tmp_path, capsys, key, have):
+    config = {"space": {"kind": "sphere", "dim": 3}, key: {"builtin": "nope"}, "checks": ["firstthm"], "samples": 2}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: {key}.builtin: unknown builtin 'nope' (have {have})\n"
 
 
 @pytest.mark.parametrize("axis", [9, 0, -1, 2.0, "1", True], ids=repr)

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import json
 import math
+import re
 import warnings
 from collections import Counter
 from functools import cached_property
@@ -146,6 +147,16 @@ def test_singular_metric_point_is_reported(tmp_path):
         assert outcome["worst_point"] == [0.3, 0.3, 0.2, 0.1]
 
 
+def test_ill_conditioned_metric_fails_every_check():
+    """h = 1e-7 makes g0 = diag(1, 1e-14 gbar): cond(g0) passes 1e12 at every point, and every check FAILs there."""
+    raw = _warped_over_s3([0, 1], "1e-7", ["vss_residual", "icotton_zero", "lgh_forms"], samples=3)
+    report = run_suite(RunConfig.from_dict(raw))
+    for outcome in report.checks:
+        assert outcome.status == "FAIL", outcome.check
+        assert outcome.samples == 3
+        assert outcome.reason.startswith("SingularMetricError: singular metric (cond > 1e+12) at ["), outcome.reason
+
+
 @pytest.mark.parametrize(
     "space, check, reason",
     [
@@ -157,6 +168,31 @@ def test_singular_metric_point_is_reported(tmp_path):
 def test_missing_context_skips_with_its_reason(space, check, reason):
     (outcome,) = run_suite(RunConfig.from_dict({"space": space, "checks": [check], "samples": 2})).checks
     assert (outcome.status, outcome.reason, outcome.samples) == ("SKIP", reason, 0)
+
+
+@pytest.mark.parametrize(
+    "raw, check, reason",
+    [
+        (
+            {"space": {"kind": "flat_torus", "dim": 3}, "field": {"components": ["t", "0", "0"]}},
+            "firstthm",
+            r"field 'components\(t\)' is not conformal \(residual \d\.\d\de[+-]\d\d\)",
+        ),
+        (
+            {"space": {"kind": "sphere", "dim": 3}, "field": {"builtin": "rotation"}},
+            "cxi_div",
+            r"field 'rotation\(0,1\)' is not closed \(defect \d\.\d\de[+-]\d\d\)",
+        ),
+        (EXAMPLE_CONFIGS["ejiri"], "propddoth", r"assembly criterion needs a factored potential u\(t\)\*fbar"),
+        (EXAMPLE_CONFIGS["ejiri"], "inrp", r"product criterion needs a t-expression potential"),
+    ],
+)
+def test_unmet_precondition_skips_with_its_reason(raw, check, reason):
+    """A precondition an evaluator measures at a point SKIPs the check with the reason it names."""
+    config = RunConfig.from_dict(dict(copy.deepcopy(raw), checks=[check], samples=2))
+    (outcome,) = run_suite(config).checks
+    assert outcome.status == "SKIP"
+    assert re.fullmatch(reason, outcome.reason), outcome.reason
 
 
 # -- the shipped examples ------------------------------------------------------------
