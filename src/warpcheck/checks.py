@@ -193,7 +193,6 @@ class CheckContext:
     warped: WarpedGeometry | None = None
     potential: StaticPotentialSpec | None = None
     fld: ConformalFieldSpec | None = None
-    potential_of_t: bool = False  # the potential is a configured t-expression f(t)
 
 
 def build_context(config: RunConfig) -> CheckContext:
@@ -227,10 +226,7 @@ def build_context(config: RunConfig) -> CheckContext:
     except dsl.ParseError as exc:
         raise ConfigError(f"space.warping: {exc}") from exc
 
-    potential = _build_potential(config, space, chart)
-    fld = _build_field(config, chart, warped)
-    potential_of_t = config.potential is not None and "potential_t" in config.potential
-    return CheckContext(chart, warped, potential, fld, potential_of_t)
+    return CheckContext(chart, warped, _build_potential(config, space, chart), _build_field(config, chart, warped))
 
 
 def _build_ode_warped(space: dict) -> WarpedGeometry:

@@ -21,7 +21,7 @@ import numpy as np
 from .geometry import CurvatureBundle
 from .jets import JetTensor, jt_einsum
 from .residuals import PreconditionSkip, Residual, ResidualSet
-from .spaces import ConformalFieldSpec, _sum_squares, sphere_height_potential
+from .spaces import ConformalFieldSpec, space_form, sphere_height_potential
 
 __all__ = [
     "ConformalAnalysis",
@@ -110,6 +110,11 @@ class ConformalAnalysis:
         return self.bundle.covariant_derivative(self.dp, ("l", "l", "l"))
 
     @cached_property
+    def div_p(self) -> JetTensor:
+        """g^ab P_ak,b, at order 0."""
+        return jt_einsum("ab,akb->k", self.bundle.ginv, self.dp.truncate(0))
+
+    @cached_property
     def ginv_d2p(self) -> JetTensor:
         """g^pd P_pj,dk, laid out as [j, k]."""
         return jt_einsum("pd,pjdk->jk", self.bundle.ginv, self.d2p)
@@ -158,11 +163,9 @@ class ConformalAnalysis:
         out["nabla_p"] = Residual(b.norm(rxi.value - rhs.value, ("l",) * 3), scale)
 
         # (c) divergence: g^ij P_jk,i = R_kl xi^l + (n-1) phi_k
-        # at dp's own order: np.einsum sums this spec in another order at order 0
-        div_p = jt_einsum("ij,jki->k", b.ginv, self.dp)
         ric_xi = jt_einsum("kl,l->k", b.ric, self.xi.truncate(0))
         rhs_c = ric_xi + (self.n - 1.0) * self.dphi
-        out["div_p"] = b.defect(div_p.value, rhs_c.value, ("l",))
+        out["div_p"] = b.defect(self.div_p.value, rhs_c.value, ("l",))
 
         if closed:
             # (a) nabla_i xi^j = phi delta^j_i
@@ -267,10 +270,10 @@ def sphere_gradient_field(m: int, r: float, axis: int) -> ConformalFieldSpec:
     -y_axis / r^2.
     """
     height = sphere_height_potential(m, r, axis).builder
-    r2 = r * r
+    _, conformal_factor = space_form(m, r, 1)
 
     def builder(coords):
-        lam = (2.0 * r2) / (r2 + _sum_squares(coords))
+        lam = conformal_factor(coords)
         inv_lam2 = 1.0 / (lam * lam)
         # xi^i = g^ij d_j f = lam^-2 d_i f; the partials come from f's own jet,
         # so the components live one jet order below the coordinates.

@@ -28,9 +28,9 @@ so has at most that order.  No bit moves: the graded-lex layout makes a
 lower order's coefficients, product pairs and sums a prefix of the higher
 order's, and a factor with zero value part (``g - g0``) meets the dropped
 top-order coefficients only through products equal to 0.0.
-A jet that no code differentiates again is formed at order 0: the Hessian
-(from ``f`` truncated to order 2), L*, E, W, and in the analyses every
-product whose only reader is its value.  One order-0 operand makes a whole
+A jet that no code differentiates again is formed at order 0, without
+exception: the Hessian (from ``f`` truncated to order 2), L*, E, W, and
+in the analyses div P and every product whose only reader is its value.  One order-0 operand makes a whole
 product order 0, as arithmetic aligns to the lower order, and its value is
 the full product's, bit for bit, by the same prefix property.
 """

@@ -78,7 +78,6 @@ class JetSpace:
         self.multi_indices = _multi_indices(num_vars, order)
         self.index = {alpha: i for i, alpha in enumerate(self.multi_indices)}
         self.n_coeffs = len(self.multi_indices)
-        self.degrees = np.array([sum(a) for a in self.multi_indices])
         self.factorials = np.array(
             [math.prod(math.factorial(ai) for ai in alpha) for alpha in self.multi_indices],
             dtype=float,
@@ -176,12 +175,10 @@ def _raw_compose(space: JetSpace, series: np.ndarray, x: np.ndarray) -> np.ndarr
     tilde = x.copy()
     tilde[..., 0] = 0.0
     out = np.zeros_like(x)
-    out[..., 0] = series[space.order] if space.order < len(series) else 0.0
-    for j in range(min(space.order, len(series) - 1) - 1, -1, -1):
+    out[..., 0] = series[space.order]
+    for j in range(space.order - 1, -1, -1):
         out = _raw_mul(space, out, tilde)
         out[..., 0] += series[j]
-    if space.order == 0:
-        out[..., 0] = series[0]
     return out
 
 

@@ -20,9 +20,9 @@ from .jets import JetTensor, jet_space
 
 __all__ = [
     "StaticPotentialSpec",
-    "FactoredPotential",
     "ConformalFieldSpec",
     "WarpedGeometry",
+    "space_form",
     "make_sphere_chart",
     "make_hyperbolic_chart",
     "make_flat_torus_chart",
@@ -39,19 +39,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FactoredPotential:
-    """f(t, y) = h(t) * fbar(y), h the warping, with fbar living on the fiber chart."""
-
-    fiber_builder: Callable[[Sequence[JetTensor]], JetTensor]
-
-
-@dataclass(frozen=True)
 class StaticPotentialSpec:
+    """A potential f and what it is: ``of_t`` if f is a function of t alone,
+    ``fiber`` the fbar of f = h(t) * fbar, fbar living on the fiber chart."""
+
     label: str
     builder: Callable[[Sequence[JetTensor]], JetTensor]
     a: float = 0.0
     b: float = 0.0
-    factored: FactoredPotential | None = None
+    of_t: bool = False
+    fiber: StaticPotentialSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -84,47 +81,45 @@ def _sum_squares(coords: Sequence[JetTensor]) -> JetTensor:
     return s
 
 
-def make_sphere_chart(m: int, r: float) -> MetricChart:
-    """Stereographic chart of S^m(r): g = (2r^2/(r^2+|x|^2))^2 delta, |x| < 3r."""
+def space_form(m: int, r: float, sign: int) -> tuple[MetricChart, Callable[[Sequence[JetTensor]], JetTensor]]:
+    """The chart g = lam^2 delta, lam = 2r^2/(r^2 + sign |x|^2), and lam as a function of the coordinates.
+
+    sign = 1 gives the stereographic chart of S^m(r) on |x| < 3r, sign = -1
+    the Poincare ball of H^m(r) on |x| <= 0.8r.
+    """
     if m < 1 or r <= 0:
-        raise ValueError(f"sphere needs m >= 1, r > 0 (got m={m}, r={r})")
+        raise ValueError(f"{'sphere' if sign > 0 else 'hyperbolic space'} needs m >= 1, r > 0 (got m={m}, r={r})")
     r2 = r * r
 
+    def factor(coords):
+        s = _sum_squares(coords)
+        return (2.0 * r2) / (r2 + s if sign > 0 else r2 - s)
+
     def builder(coords):
-        lam = (2.0 * r2) / (r2 + _sum_squares(coords))
+        lam = factor(coords)
         lam2 = lam * lam
         return [[lam2 if i == j else 0.0 for j in range(m)] for i in range(m)]
 
-    half = 3.0 * r / math.sqrt(m)
-    return MetricChart(
+    half = (3.0 if sign > 0 else 0.8) * r / math.sqrt(m)
+    chart = MetricChart(
         dim=m,
-        label=f"S^{m}({r:g})",
+        label=f"{'S' if sign > 0 else 'H'}^{m}({r:g})",
         builder=builder,
         box=(np.full(m, -half), np.full(m, half)),
-        known_scalar=m * (m - 1) / r2,
+        exclude=None if sign > 0 else lambda p: float(np.dot(p, p)) >= (0.85 * r) ** 2,
+        known_scalar=sign * m * (m - 1) / r2,
     )
+    return chart, factor
+
+
+def make_sphere_chart(m: int, r: float) -> MetricChart:
+    """Stereographic chart of S^m(r)."""
+    return space_form(m, r, 1)[0]
 
 
 def make_hyperbolic_chart(m: int, r: float) -> MetricChart:
-    """Poincare-ball chart of H^m(r): g = (2r^2/(r^2-|x|^2))^2 delta, |x| <= 0.8r."""
-    if m < 1 or r <= 0:
-        raise ValueError(f"hyperbolic space needs m >= 1, r > 0 (got m={m}, r={r})")
-    r2 = r * r
-
-    def builder(coords):
-        lam = (2.0 * r2) / (r2 - _sum_squares(coords))
-        lam2 = lam * lam
-        return [[lam2 if i == j else 0.0 for j in range(m)] for i in range(m)]
-
-    half = 0.8 * r / math.sqrt(m)
-    return MetricChart(
-        dim=m,
-        label=f"H^{m}({r:g})",
-        builder=builder,
-        box=(np.full(m, -half), np.full(m, half)),
-        exclude=lambda p: float(np.dot(p, p)) >= (0.85 * r) ** 2,
-        known_scalar=-m * (m - 1) / r2,
-    )
+    """Poincare-ball chart of H^m(r)."""
+    return space_form(m, r, -1)[0]
 
 
 def make_flat_torus_chart(m: int) -> MetricChart:
@@ -140,21 +135,23 @@ def make_flat_torus_chart(m: int) -> MetricChart:
     )
 
 
+def _block_diagonal(blocks: Sequence[Sequence[Sequence]]) -> list[list]:
+    """The matrix with these square blocks on its diagonal and 0.0 elsewhere."""
+    n = sum(len(rows) for rows in blocks)
+    out = [[0.0] * n for _ in range(n)]
+    at = 0
+    for rows in blocks:
+        for i, row in enumerate(rows):
+            out[at + i][at : at + len(row)] = row
+        at += len(rows)
+    return out
+
+
 def make_product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
     da, db = a.dim, b.dim
 
     def builder(coords):
-        rows_a = a.builder(coords[:da])
-        rows_b = b.builder(coords[da:])
-        n = da + db
-        out = [[0.0] * n for _ in range(n)]
-        for i in range(da):
-            for j in range(da):
-                out[i][j] = rows_a[i][j]
-        for i in range(db):
-            for j in range(db):
-                out[da + i][da + j] = rows_b[i][j]
-        return out
+        return _block_diagonal([a.builder(coords[:da]), b.builder(coords[da:])])
 
     def exclude(p):
         if a.exclude is not None and a.exclude(p[:da]):
@@ -191,36 +188,20 @@ def assemble_warped(
     if min(hs) <= 0.0:
         raise ValueError(f"warping function is nonpositive on [{t0}, {t1}] (min {min(hs):g})")
     dfib = fiber_chart.dim
-    n = 1 + dfib
-    if n < 3:
-        raise ValueError(f"warped product needs total dim >= 3, got {n}")
+    if dfib + 1 < 3:
+        raise ValueError(f"warped product needs total dim >= 3, got {dfib + 1}")
 
     def builder(coords):
         h = warping(coords[0])
         h2 = h * h
-        fiber_rows = fiber_chart.builder(coords[1:])
-        out = [[0.0] * n for _ in range(n)]
-        out[0][0] = 1.0
-        for i in range(dfib):
-            for j in range(dfib):
-                entry = fiber_rows[i][j]
-                if isinstance(entry, JetTensor) or entry != 0.0:
-                    out[1 + i][1 + j] = h2 * entry
-        return out
+        fiber_rows = [
+            [h2 * entry if isinstance(entry, JetTensor) or entry != 0.0 else 0.0 for entry in row]
+            for row in fiber_chart.builder(coords[1:])
+        ]
+        return _block_diagonal([[[1.0]], fiber_rows])
 
-    def exclude(p):
-        return fiber_chart.exclude is not None and fiber_chart.exclude(p[1:])
-
-    chart = MetricChart(
-        dim=n,
-        label=label,
-        builder=builder,
-        box=(
-            np.concatenate([[t0], fiber_chart.box[0]]),
-            np.concatenate([[t1], fiber_chart.box[1]]),
-        ),
-        exclude=exclude if fiber_chart.exclude else None,
-    )
+    line = MetricChart(dim=1, label="I", builder=lambda coords: [[1.0]], box=(np.array([t0]), np.array([t1])))
+    chart = replace(make_product_chart(line, fiber_chart), label=label, builder=builder)
 
     def xi_builder(coords):
         h = warping(coords[0])
@@ -310,7 +291,7 @@ def basicex_potential(n: int, k: int) -> StaticPotentialSpec:
     return StaticPotentialSpec(
         label=f"cosh(t) f_{{{k},r_{k}}}",
         builder=builder,
-        factored=FactoredPotential(fiber_builder=fiber_builder),
+        fiber=StaticPotentialSpec(label="fbar", builder=fiber_builder),
     )
 
 

@@ -194,10 +194,7 @@ class StaticAnalysis:
 
 def fiber_ric0(fb: CurvatureBundle) -> np.ndarray:
     """Trace-free fiber Ricci (components w.r.t. the shared fiber coordinates)."""
-    m = fb.dim
-    if m == 1:
-        return np.zeros((1, 1))
-    return fb.ric.value - (fb.scalar / m) * fb.g0
+    return fb.ric.value - (fb.scalar / fb.dim) * fb.g0
 
 
 def _fiber_norm(b: CurvatureBundle, components: np.ndarray) -> float:
@@ -213,7 +210,7 @@ def _fiber_norm(b: CurvatureBundle, components: np.ndarray) -> float:
 
 def t_potential(ast: ExprAst, label: str, a: float = 0.0, b: float = 0.0) -> StaticPotentialSpec:
     """A potential f(t) given by an expression in the first coordinate."""
-    return StaticPotentialSpec(label=label, builder=lambda coords: eval_expr(ast, coords[0]), a=a, b=b)
+    return StaticPotentialSpec(label=label, builder=lambda coords: eval_expr(ast, coords[0]), a=a, b=b, of_t=True)
 
 
 # The identities below are check evaluators.  Each takes one sample point's
@@ -231,7 +228,7 @@ def lgh_closed_forms(sc: PointScratch) -> ResidualSet:
     Hessian/Laplacian terms of the closed forms drop out.  No constancy of
     the scalar curvature is assumed.
     """
-    analysis = sc.static if sc.ctx.potential_of_t else sc.hdot
+    analysis = sc.static if sc.ctx.potential is not None and sc.ctx.potential.of_t else sc.hdot
     b = sc.bundle
     n = b.dim
     f = analysis.f
@@ -336,9 +333,8 @@ def nonconstant_r_cotton_formulas(sc: PointScratch) -> ResidualSet:
         h_tot = sc.warping_jet.truncate(b.order).embed(b.space, (0,))
         theta = rbar / (2.0 * (n - 2.0)) / (h_tot * h_tot) - b.scalar_jet / (2.0 * (n - 1.0))
         dtheta = theta.partials().value
-        cbar = fb.cotton.value if fb.dim >= 3 else np.zeros((fb.dim,) * 3)
         pred_f = (
-            cbar
+            fb.cotton.value
             + np.einsum("c,ab->abc", dtheta[1:], g0[1:, 1:])
             - np.einsum("b,ac->abc", dtheta[1:], g0[1:, 1:])
         )
@@ -349,17 +345,16 @@ def nonconstant_r_cotton_formulas(sc: PointScratch) -> ResidualSet:
 def propddoth_check(sc: PointScratch) -> ResidualSet:
     """Residuals of the h*fbar assembly: fiber, warping, and total equations.
 
-    The configured potential is h(t)*fbar, factored with fbar on the fiber
-    chart.  Its two premises, the fiber vacuum equation for fbar and the
+    The configured potential is h(t)*fbar, with fbar on the fiber chart.
+    Its two premises, the fiber vacuum equation for fbar and the
     warping equation, must hold at the point; the total-space vacuum
     residual of h*fbar is reported alongside them.
     """
-    factored = sc.ctx.potential.factored if sc.ctx.potential is not None else None
-    if factored is None:
+    fbar = sc.ctx.potential.fiber if sc.ctx.potential is not None else None
+    if fbar is None:
         raise PreconditionSkip("assembly criterion needs a factored potential u(t)*fbar")
     n = sc.bundle.dim
-    fiber_pot = StaticPotentialSpec(label="fbar", builder=factored.fiber_builder)
-    fiber_vss = StaticAnalysis(sc.fiber, fiber_pot).vacuum_residuals()["full"]
+    fiber_vss = StaticAnalysis(sc.fiber, fbar).vacuum_residuals()["full"]
     h, _, hdd = sc.warping[:3]
     warping_equation = Residual(abs(hdd + sc.bundle.scalar * h / (n * (n - 1.0))), abs(hdd) + abs(h))
     for name, premise in (("fiber_vss", fiber_vss), ("warping_equation", warping_equation)):
@@ -379,7 +374,7 @@ def inrp_product_check(sc: PointScratch) -> ResidualSet:
     the fiber scalar curvature and the full vacuum equation on the product,
     and reports the fiber Einstein defect alongside.
     """
-    if not sc.ctx.potential_of_t:
+    if sc.ctx.potential is None or not sc.ctx.potential.of_t:
         raise PreconditionSkip("product criterion needs a t-expression potential")
     h, hd = sc.warping[:2]
     if abs(h - 1.0) > 1e-12 or abs(hd) > 1e-12:
@@ -428,9 +423,8 @@ def xicvf_residuals(sc: PointScratch) -> ResidualSet:
     lhs1 = float(n) * (fphi - fphi.transpose("jk->kj")) + jt_einsum(
         ",jk->jk", r_jet, fxib - fxib.transpose("jk->kj")
     ) / (n - 1.0)
-    div_p = jt_einsum("ab,akb->k", b.ginv, dp)
     rhs1 = jt_einsum("jki,i->jk", dp, df_up)
-    rhs1 = rhs1 + jt_einsum("j,k->jk", df, div_p) - jt_einsum("k,j->jk", df, div_p)
+    rhs1 = rhs1 + jt_einsum("j,k->jk", df, cf.div_p) - jt_einsum("k,j->jk", df, cf.div_p)
     rhs1 = rhs1 - jt_einsum(",jk->jk", fa, cf.cotton_xi)
 
     # item (2)
@@ -441,7 +435,7 @@ def xicvf_residuals(sc: PointScratch) -> ResidualSet:
     vec = float(n) * dphi + jt_einsum(",i->i", r_jet, xib) / (n - 1.0)
     rhs2 = -jt_einsum("k,i->ik", df, vec)
     rhs2 = rhs2 + jt_einsum("jik,j->ik", dp, df_up)
-    rhs2 = rhs2 + jt_einsum("k,i->ik", df, div_p)
+    rhs2 = rhs2 + jt_einsum("k,i->ik", df, cf.div_p)
     rhs2 = rhs2 + jt_einsum(",ik->ik", fa, cf.cotton_mid_xi)
 
     return {

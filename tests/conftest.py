@@ -45,9 +45,9 @@ def warping_derivatives(wg, t0, order):
     return [h.partial((j,)) for j in range(order + 1)]
 
 
-def _point_scratch(wg, point, potential=None, order=3, fiber_order=2, potential_of_t=False):
+def _point_scratch(wg, point, potential=None, order=3, fiber_order=2):
     """The per-point objects run_suite shares among checks on a warped space, whose field is h d/dt."""
-    ctx = CheckContext(wg.chart, wg, potential, wg.xi, potential_of_t)
+    ctx = CheckContext(wg.chart, wg, potential, wg.xi)
     return PointScratch(ctx, np.asarray(point, dtype=float), order, fiber_order)
 
 

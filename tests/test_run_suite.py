@@ -1,6 +1,7 @@
 """run_suite as a whole: verdicts on broken points, bundle sharing, golden reports."""
 
 import copy
+import hashlib
 import importlib.util
 import json
 import math
@@ -451,3 +452,17 @@ def test_run_catalog_suites_script(monkeypatch, capsys):
     configs["sphere-s4"]["tolerances"] = {"firstthm": 1e-30}
     assert script.main() == 1
     assert "sphere-s4          pass= 5 fail=1" in capsys.readouterr().out
+
+
+def test_run_catalog_suites_digest_is_that_of_the_example_report(monkeypatch, capsys, tmp_path):
+    """Each summary line carries the SHA-256 of `warpcheck example <name> --no-timestamp`'s report."""
+    spec = importlib.util.spec_from_file_location("run_catalog_suites", ROOT / "scripts" / "run_catalog_suites.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "EXAMPLE_CONFIGS", {"sphere-s4": dict(EXAMPLE_CONFIGS["sphere-s4"], samples=2)})
+    assert script.main() == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    out = tmp_path / "r.json"
+    assert main(["example", "sphere-s4", "--no-timestamp", "--samples", "2", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+    assert re.search(r" sha256=([0-9a-f]{16}) ", line).group(1) == digest

@@ -11,7 +11,6 @@ from warpcheck.geometry import CurvatureBundle
 from warpcheck.jets import JetTensor
 from warpcheck.residuals import PreconditionSkip
 from warpcheck.spaces import (
-    FactoredPotential,
     StaticPotentialSpec,
     build_warped_geometry,
     make_flat_torus_chart,
@@ -231,7 +230,7 @@ def test_lgh_hdot_on_ejiri(ejiri, point_scratch):
 
 
 def test_lgh_arbitrary_potential_on_ejiri(ejiri, point_scratch):
-    sc = point_scratch(ejiri, np.array([1.4, 0.1, 0.2, -0.2]), t_potential(dsl.parse("sin(t)"), "sin(t)"), potential_of_t=True)
+    sc = point_scratch(ejiri, np.array([1.4, 0.1, 0.2, -0.2]), t_potential(dsl.parse("sin(t)"), "sin(t)"))
     res = lgh_closed_forms(sc)
     assert "hdot_form" not in res  # the hdot closed form is for the hdot potential only
     assert res["mixed_slot"].rel < 1e-8
@@ -241,7 +240,7 @@ def test_lgh_arbitrary_potential_on_ejiri(ejiri, point_scratch):
 def test_lgh_constants(point_scratch):
     wg = build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, 1.0))
     p = np.array([0.2, 0.1, -0.2, 0.3])
-    sc = point_scratch(wg, p, t_potential(dsl.parse("1"), "1"), potential_of_t=True)
+    sc = point_scratch(wg, p, t_potential(dsl.parse("1"), "1"))
     res = lgh_closed_forms(sc)
     for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian"):
         assert res[name].rel < 1e-10, name
@@ -379,7 +378,7 @@ def _h_fbar(wg):
     """h(t) * fbar, factored, for an affine fbar on a flat torus fiber."""
     fbar = lambda c: 1.0 + 0.5 * c[0] - 0.25 * c[1]
     builder = lambda c: wg.warping(c[0]) * fbar(c[1:])
-    return StaticPotentialSpec(label="h fbar", builder=builder, factored=FactoredPotential(fiber_builder=fbar))
+    return StaticPotentialSpec(label="h fbar", builder=builder, fiber=StaticPotentialSpec(label="fbar", builder=fbar))
 
 
 def test_propddoth_flat_fiber_product(point_scratch):
@@ -419,7 +418,7 @@ def _product_over_sphere(radius=1.0):
 
 
 def _inrp(point_scratch, wg, source, p):
-    return inrp_product_check(point_scratch(wg, p, t_potential(dsl.parse(source), source), order=2, potential_of_t=True))
+    return inrp_product_check(point_scratch(wg, p, t_potential(dsl.parse(source), source), order=2))
 
 
 def test_inrp_cos_solution(point_scratch):
