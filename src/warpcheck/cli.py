@@ -162,6 +162,9 @@ def _cmd_solve_ode(args) -> int:
     if not 0.0 < args.dt < math.inf:
         print("error: --dt must be a finite positive step", file=sys.stderr)
         return 2
+    if not 0.0 < args.t_end < math.inf:
+        print("error: --t-end must be a finite positive horizon", file=sys.stderr)
+        return 2
     if args.periodic and args.hdot0 != 0.0:
         print("error: --periodic starts the orbit at its turning point (h0, 0); drop --hdot0", file=sys.stderr)
         return 2

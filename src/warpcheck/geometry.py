@@ -32,7 +32,8 @@ A jet that no code differentiates again is formed at order 0, without
 exception: the Hessian (from ``f`` truncated to order 2), L*, E, W, and
 in the analyses div P and every product whose only reader is its value.  One order-0 operand makes a whole
 product order 0, as arithmetic aligns to the lower order, and its value is
-the full product's, bit for bit, by the same prefix property.
+the full product's, bit for bit, by the same prefix property.  An order-0
+product is one ``np.einsum`` of the values.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import JetTensor, jet_space, jt_einsum
+from .jets import JetShapeError, JetSpace, JetTensor, jet_space, jt_einsum
 from .residuals import Residual
 from .sampling import halton_points
 from .tensors import tensor_norm_sq
@@ -85,10 +86,8 @@ class MetricChart:
 
     def metric_jets(self, point: np.ndarray, order: int) -> JetTensor:
         coords = self.coordinate_jets(point, order)
-        space = coords[0].space
-        return JetTensor.from_jets(
-            [[_as_jet(space, entry) for entry in row] for row in self.builder(coords)]
-        )
+        entries = [entry for row in self.builder(coords) for entry in row]
+        return _stack_entries(coords[0].space, (self.dim, self.dim), entries)
 
     def contains(self, point: np.ndarray) -> bool:
         lo, hi = self.box
@@ -114,9 +113,23 @@ class MetricChart:
         return np.array(out)
 
 
-def _as_jet(space, entry) -> JetTensor:
-    """A builder's output entry as a scalar jet; plain numbers become constants."""
-    return entry if isinstance(entry, JetTensor) else JetTensor.const(space, float(entry))
+def _stack_entries(space: JetSpace, shape: tuple[int, ...], entries: list) -> JetTensor:
+    """A builder's scalar jets and plain numbers (constants), in C order, as one jet tensor of ``shape``.
+
+    It lives in the first entry's space (``space`` if that is a number), which every jet entry must share.
+    """
+    if isinstance(entries[0], JetTensor):
+        space = entries[0].space
+    data = np.zeros(shape + (space.n_coeffs,))
+    flat = data.reshape(-1, space.n_coeffs)
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, JetTensor):
+            flat[k, 0] = float(entry)
+        elif entry.space is space:
+            flat[k] = entry.data
+        else:
+            raise JetShapeError("all jets in a JetTensor must share one space")
+    return JetTensor(space, data)
 
 
 def _jt_const_matmul(mat: np.ndarray, t: JetTensor) -> JetTensor:
@@ -281,14 +294,14 @@ class CurvatureBundle:
 
     def scalar_field(self, builder) -> JetTensor:
         """Evaluate a scalar field builder at this point as a jet."""
-        return _as_jet(self.space, builder(self.coords))
+        return _stack_entries(self.space, (), [builder(self.coords)])
 
     def vector_field(self, builder) -> JetTensor:
         """Evaluate a vector field builder; components are contravariant."""
-        comps = [_as_jet(self.space, c) for c in builder(self.coords)]
+        comps = list(builder(self.coords))
         if len(comps) != self.dim:
             raise ValueError(f"vector field has {len(comps)} components, chart dim {self.dim}")
-        return JetTensor.from_jets(comps)
+        return _stack_entries(self.space, (self.dim,), comps)
 
     # -- derived operators -------------------------------------------------
 

@@ -296,19 +296,6 @@ class JetTensor:
         data[space.index[tuple(1 if j == i else 0 for j in range(num_vars))]] = 1.0
         return JetTensor(space, data)
 
-    @staticmethod
-    def from_jets(jets) -> "JetTensor":
-        """Stack a (possibly nested) sequence of scalar (shape ``()``) jets."""
-        arr = np.asarray(jets, dtype=object)
-        space = arr.flat[0].space
-        data = np.empty(arr.shape + (space.n_coeffs,))
-        for idx in np.ndindex(arr.shape):
-            j = arr[idx]
-            if j.space is not space:
-                raise JetShapeError("all jets in a JetTensor must share one space")
-            data[idx] = j.data
-        return JetTensor(space, data)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape[:-1]
@@ -434,6 +421,11 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     """
     a, b = a._align(b)
     space = a.space
+    if space.order == 0:
+        # one coefficient, so one pair: the gather and the segmented sum would
+        # only copy, and the gather keeps a transposed view's strides, so
+        # np.einsum sees the same layout and sums in the same order
+        return JetTensor(space, np.einsum(_jet_spec(spec), a.data, b.data))
     a_idx, b_idx, starts = space.mul_table
     prod = np.einsum(_jet_spec(spec), a.data[..., a_idx], b.data[..., b_idx])
     return JetTensor(space, np.add.reduceat(prod, starts, axis=-1))

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -74,12 +76,18 @@ class WarpOdeParams:
         if self.n < 3:
             raise ValueError(f"dimension must be >= 3, got {self.n}")
 
+    @cached_property
+    def _rhs_constants(self) -> tuple[float, float, float]:
+        """c1, 1 - n and R/(n(n-1)), formed once: RK4 calls rhs four times a step."""
+        return self.c1, 1.0 - self.n, self.scalar / (self.n * (self.n - 1.0))
+
     @property
     def tau(self) -> float:
         return -2.0 * self.c1 / (self.n - 2.0)
 
     def rhs(self, h: float) -> float:
-        return self.c1 * h ** (1.0 - self.n) - self.scalar / (self.n * (self.n - 1.0)) * h
+        c1, exponent, curvature = self._rhs_constants
+        return c1 * h**exponent - curvature * h
 
 
 def equilibrium_radius(params: WarpOdeParams) -> float:
@@ -115,14 +123,12 @@ class Trajectory:
         return float(self.h[index]), float(self.hdot[index])
 
 
-def _rk4_step(params: WarpOdeParams, h: float, v: float, dt: float) -> tuple[float, float]:
-    def f(hh, vv):
-        return vv, params.rhs(hh)
-
-    k1h, k1v = f(h, v)
-    k2h, k2v = f(h + 0.5 * dt * k1h, v + 0.5 * dt * k1v)
-    k3h, k3v = f(h + 0.5 * dt * k2h, v + 0.5 * dt * k2v)
-    k4h, k4v = f(h + dt * k3h, v + dt * k3v)
+def _rk4_step(rhs: Callable[[float], float], h: float, v: float, dt: float) -> tuple[float, float]:
+    """One classical RK4 step of (h, hdot)' = (hdot, rhs(h)); ``rhs`` is a bound ``WarpOdeParams.rhs``."""
+    k1h, k1v = v, rhs(h)
+    k2h, k2v = v + 0.5 * dt * k1v, rhs(h + 0.5 * dt * k1h)
+    k3h, k3v = v + 0.5 * dt * k2v, rhs(h + 0.5 * dt * k2h)
+    k4h, k4v = v + dt * k3v, rhs(h + dt * k3h)
     return (
         h + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h),
         v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
@@ -135,16 +141,22 @@ def integrate_warpedvss(params: WarpOdeParams, h0: float, hdot0: float, t_end: f
         raise ValueError(f"initial warping value must be positive, got {h0}")
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {t_end}")
     steps = max(1, int(round(t_end / dt)))
     times = np.arange(steps + 1) * dt
     hs = np.empty(steps + 1)
     vs = np.empty(steps + 1)
-    hs[0], vs[0] = h0, hdot0
+    h, v = hs[0], vs[0] = float(h0), float(hdot0)
+    rhs = params.rhs
     for i in range(steps):
-        h_new, v_new = _rk4_step(params, hs[i], vs[i], dt)
-        if not math.isfinite(h_new) or h_new <= H_MIN:
+        try:
+            h, v = _rk4_step(rhs, h, v, dt)
+        except (ZeroDivisionError, OverflowError):  # a stage reached h = 0, or h^(1-n) overflowed
+            h = math.nan
+        if not math.isfinite(h) or h <= H_MIN:
             raise PositivityLost(float(times[i]))
-        hs[i + 1], vs[i + 1] = h_new, v_new
+        hs[i + 1], vs[i + 1] = h, v
     return Trajectory(params, times, hs, vs, dt)
 
 
@@ -169,7 +181,7 @@ def _propagate(params: WarpOdeParams, h: float, v: float, span: float, dt: float
     steps = max(1, int(math.ceil(abs(span) / dt)))
     sub = span / steps
     for _ in range(steps):
-        h, v = _rk4_step(params, h, v, sub)
+        h, v = _rk4_step(params.rhs, h, v, sub)
     return h, v
 
 
@@ -196,7 +208,7 @@ def find_periodic_solution(params: WarpOdeParams, h0: float, dt: float = 1e-3) -
     below = h0 < h_eq
     t_half = None
     while t < T_MAX:
-        h_new, v_new = _rk4_step(params, h, v, dt)
+        h_new, v_new = _rk4_step(params.rhs, h, v, dt)
         if h_new <= H_MIN:
             raise PositivityLost(t)
         crossed = (v != 0.0 and (v < 0.0) != (v_new < 0.0)) or v_new == 0.0

@@ -502,6 +502,16 @@ def test_cli_solve_ode_bad_dt(tmp_path, capsys, periodic, dt):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_end", ["0", "-5", "inf", "nan"])
+def test_cli_solve_ode_bad_t_end(tmp_path, capsys, t_end):
+    out = tmp_path / "traj.csv"
+    code = main(["solve-ode", "--n", "4", "--scalar", "12", "--c1", "1", "--h0", "1", f"--t-end={t_end}",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --t-end must be a finite positive horizon\n"
+    assert not out.exists()
+
+
 def test_cli_solve_ode_periodic(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = main(

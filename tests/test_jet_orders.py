@@ -6,8 +6,9 @@ checked here on random tensors, and on the rewritten formulas matching
 the straightforward ones bit for bit on real charts.  Each check's
 declared metric order is pinned as exactly what it reads.  The vectorized
 ``partials`` and ``pow_const`` series are pinned the same way against the
-loops they replaced, and numpy's summation order under the kernels by a
-digest of their output.
+loops they replaced, order-0 products against the general gathered
+formula, and numpy's summation order under the kernels by a digest of their
+output.
 """
 
 import copy
@@ -135,11 +136,54 @@ def test_jets_nothing_differentiates_are_order_zero(name):
     assert {key: jet.order for key, jet in jets.items()} == dict.fromkeys(jets, 0)
 
 
+# -- order-0 products ---------------------------------------------------------------
+
+# SPECS, and the order-0 products of div P, i_xi C and the static analysis
+ORDER0_SPECS = SPECS + ("ab,akb->k", "ilj,l->ij", "pd,pjdk->jk")
+
+
+def reference_order0_einsum(spec: str, a: JetTensor, b: JetTensor) -> np.ndarray:
+    """The general product at order 0: gather the pairs (here only (0, 0)), einsum, segmented sum."""
+    a_idx, b_idx, starts = a.space.mul_table
+    lhs, rhs = spec.split("->")
+    sa, sb = lhs.split(",")
+    prod = np.einsum(f"{sa}z,{sb}z->{rhs}z", a.data[..., a_idx], b.data[..., b_idx])
+    return np.add.reduceat(prod, starts, axis=-1)
+
+
+def _reversed_axes(t: JetTensor) -> JetTensor:
+    """The same tensor read through a view whose tensor axes run backwards in memory."""
+    rank = t.data.ndim - 1
+    data = np.ascontiguousarray(t.data.transpose(tuple(range(rank))[::-1] + (rank,)))
+    return JetTensor(t.space, data.transpose(tuple(range(rank))[::-1] + (rank,)))
+
+
+def _long_axis_strides(x: np.ndarray) -> list[int]:
+    return [stride for stride, size in zip(x.strides, x.shape) if size > 1]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+@pytest.mark.parametrize("spec", ORDER0_SPECS)
+def test_order0_product_matches_gathered_product_bitwise(spec, dim, layout):
+    """An order-0 jt_einsum is one np.einsum of the values: same bytes, same layout as the general path."""
+    a, b = _operands(spec, dim, 0, seed=dim)
+    if layout == "transposed":
+        a, b = _reversed_axes(a), _reversed_axes(b)
+    got, want = jt_einsum(spec, a, b).data, reference_order0_einsum(spec, a, b)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    assert _long_axis_strides(got) == _long_axis_strides(want)
+
+
 # -- numpy's summation order ------------------------------------------------------
 
 # SHA-256 of the output bytes over dims 4-5 and orders 3-4, for the specs the
 # curvature chain uses, and for _raw_mul.  The Ricci and Cotton-divergence
-# specs are one contraction up to renaming, so their digests agree.
+# specs are one contraction up to renaming, so their digests agree.  An
+# ORDER0 entry is over dims 4-5 at order 0, where jt_einsum calls np.einsum
+# on the values alone; its specs sum an index last in both operands.
+ORDER0 = " at order 0"
 SUMMATION_DIGESTS = {
     "kl,ijl->kij": "39101bb022d631709c5a30de6d80cb812c7d16d91b1d599b317299572c34df26",
     "mki,ljm->lijk": "2d7451ef7e03ed7c167d4a5a1422ef824a707db622daa2292fd3bee6160e8e12",
@@ -148,13 +192,16 @@ SUMMATION_DIGESTS = {
     "ij,ij->": "61fab0f99645eb4c52b0637d14d9404989ea7861cf4d0fe5023b1b8f049c2a23",
     "jl,ijkl->ik": "1b8bdb602e607977754f3bf0aac9a8afe3ac4f063445c4c164c4141e7dff9bda",
     "_raw_mul": "ebc61f2fcaa4ce451f894929d76818331aa067d461dccfee7e6a81d6ae066ab9",
+    "ij,ij->" + ORDER0: "d9fd13ce7d779e5af1d5362fc4fa451ff895427827b094d0e127034c585b0db3",
+    "kl,ikjl->ij" + ORDER0: "9eb659abe4da00c5dbedfc5ccfdb6b8ac0846e4d252709476ba2f5ee2cc58d55",
 }
 
 
-def _summation_digest(spec: str) -> str:
+def _summation_digest(key: str) -> str:
+    spec = key.removesuffix(ORDER0)
     digest = hashlib.sha256()
     for dim in (4, 5):
-        for order in (3, 4):
+        for order in (0,) if key.endswith(ORDER0) else (3, 4):
             if spec == "_raw_mul":
                 a, b = _operands("ij,ij->ij", dim, order, seed=0)
                 out = _raw_mul(a.space, a.data, b.data)
@@ -164,8 +211,8 @@ def _summation_digest(spec: str) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("spec", sorted(SUMMATION_DIGESTS))
-def test_numpy_summation_order_is_pinned(spec):
+@pytest.mark.parametrize("key", sorted(SUMMATION_DIGESTS))
+def test_numpy_summation_order_is_pinned(key):
     """The kernels' output bits on fixed operands.
 
     Every golden digit rests on the order in which ``np.einsum`` and
@@ -173,7 +220,7 @@ def test_numpy_summation_order_is_pinned(spec):
     that order, so golden digits will move: re-derive the goldens and these
     digests together, and say which digits moved.
     """
-    assert _summation_digest(spec) == SUMMATION_DIGESTS[spec]
+    assert _summation_digest(key) == SUMMATION_DIGESTS[key]
 
 
 # -- the rewritten formulas against the straightforward ones ----------------------

@@ -16,10 +16,12 @@ from warpcheck.ode import (
     find_periodic_solution,
     first_integral,
     integrate_warpedvss,
+    _rk4_step,
     rbar_from_initial,
     trajectory_csv_rows,
 )
 from warpcheck.residuals import PreconditionSkip
+from conftest import example_geometry
 
 EJIRI = WarpOdeParams(n=4, scalar=3.0, rbar=6.0, c1=0.75)
 
@@ -195,6 +197,63 @@ def test_periodic_equilibrium_flag():
     traj, period = find_periodic_solution(params, h_eq)
     assert period == 0.0
     assert np.all(traj.h == h_eq) and np.all(traj.hdot == 0.0)
+
+
+# -- the RK4 step, bit for bit ------------------------------------------------------
+
+
+def reference_rk4_step(params: WarpOdeParams, h, v, dt):
+    """The step as first written: a closure over params.rhs at each stage."""
+
+    def f(hh, vv):
+        return vv, params.rhs(hh)
+
+    k1h, k1v = f(h, v)
+    k2h, k2v = f(h + 0.5 * dt * k1h, v + 0.5 * dt * k1v)
+    k3h, k3v = f(h + 0.5 * dt * k2h, v + 0.5 * dt * k2v)
+    k4h, k4v = f(h + dt * k3h, v + dt * k3v)
+    return (
+        h + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h),
+        v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
+    )
+
+
+def _bits(*values) -> list[int]:
+    return [int(np.float64(x).view(np.int64)) for x in values]
+
+
+@pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+def test_rk4_step_matches_closure_form_bitwise(kind):
+    rng = np.random.default_rng(19)
+    for params in (EJIRI, WarpOdeParams(5, 2.0, 2.5, 0.8), WarpOdeParams(3, -1.0, 0.0, 0.3)):
+        for h, v, dt in rng.uniform([0.2, -2.0, 1e-4], [3.0, 2.0, 0.1], (50, 3)):
+            h, v, dt = kind(h), kind(v), kind(dt)
+            assert _bits(*_rk4_step(params.rhs, h, v, dt)) == _bits(*reference_rk4_step(params, h, v, dt))
+
+
+def test_equiv_fail_orbit_matches_reference_loop_bitwise():
+    """integrate_warpedvss over the equiv-fail orbit, against RK4 steps read back from the arrays."""
+    warping = example_geometry("equiv-fail").warping
+    traj = warping.traj
+    hs, vs = np.empty_like(traj.h), np.empty_like(traj.hdot)
+    hs[0], vs[0] = traj.h[0], traj.hdot[0]
+    for i in range(len(hs) - 1):
+        hs[i + 1], vs[i + 1] = reference_rk4_step(warping.params, hs[i], vs[i], traj.dt)
+    assert len(hs) > 1000
+    np.testing.assert_array_equal(traj.h.view(np.int64), hs.view(np.int64))
+    np.testing.assert_array_equal(traj.hdot.view(np.int64), vs.view(np.int64))
+
+
+@pytest.mark.parametrize("t_end", [0.0, -5.0, math.nan, math.inf])
+def test_integration_rejects_a_bad_horizon(t_end):
+    with pytest.raises(ValueError, match="horizon must be finite and positive"):
+        integrate_warpedvss(EJIRI, 1.0, 0.0, t_end, 1e-3)
+
+
+def test_stage_at_zero_height_loses_positivity():
+    """A stage that lands on h = 0 exactly is lost positivity, not a ZeroDivisionError."""
+    with pytest.raises(PositivityLost):
+        integrate_warpedvss(WarpOdeParams(4, 12.0, 0.0, 1.0), 1.0, -2000.0, 1.0, 1e-3)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])

@@ -7,7 +7,8 @@ The jet pipeline's values must agree to 1e-12, relative, in the norm of the
 orthonormal frame.  The Cotton divergence takes its last derivative as a
 central difference of the symbolic Cotton tensor, with step 1e-15 at 40
 digits, so its error is near 1e-30: a fourth symbolic derivative of this
-metric takes sympy several seconds.
+metric takes sympy several seconds.  A polynomial metric with off-diagonal
+terms is checked against its chain formed exactly at a rational point.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ mpmath = pytest.importorskip("mpmath")
 
 from warpcheck import dsl  # noqa: E402
 from warpcheck.checks import RunConfig, build_context  # noqa: E402
-from warpcheck.geometry import CurvatureBundle  # noqa: E402
+from warpcheck.geometry import CurvatureBundle, MetricChart  # noqa: E402
 from warpcheck.statics import StaticAnalysis, t_potential  # noqa: E402
 
 REL_TOL = 1e-12
@@ -172,3 +173,110 @@ def test_cotton_divergence_matches_sympy(s2xs2):
     norm = b.norm(want, ("l", "l"))
     assert norm > 0.02
     assert b.norm(b.cotton_divergence.value - want, ("l", "l")) <= REL_TOL * norm
+
+
+# -- a polynomial metric with off-diagonal terms ------------------------------------
+#
+# sympy takes over a minute to differentiate the whole chain of a non-diagonal
+# metric symbolically, as the unsimplified inverse grows at every derivative.  So
+# here sympy differentiates only the metric, and the chain is formed at the point
+# in exact rational arithmetic by the product rule, with the derivatives of the
+# inverse from d(g^-1) = -g^-1 (dg) g^-1.
+
+
+def _metric_derivatives(coords, g, point, k: int) -> np.ndarray:
+    """d_a1 ... d_ak g_ij at ``point``, exact, axes (a1, ..., ak, i, j)."""
+    at = dict(zip(coords, point))
+    out = np.empty((len(coords),) * (k + 2), dtype=object)
+    for index in np.ndindex(out.shape):
+        entry = g[index[-2]][index[-1]]
+        out[index] = (sp.diff(entry, *(coords[a] for a in index[:-2])) if k else entry).xreplace(at)
+    return out
+
+
+def _chain_at_point(coords, g, point):
+    """R, Ric_ij and C_ijk of the metric matrix ``g`` at ``point``, exact, by the conventions of ``_chain``."""
+    n = len(coords)
+    g0, dg, ddg, dddg = (_metric_derivatives(coords, g, point, k) for k in range(4))
+    ginv = np.array(sp.Matrix(g0.tolist()).inv().tolist(), dtype=object)
+    dginv = -np.einsum("ij,ajk,kl->ail", ginv, dg, ginv)
+    ddginv = -(
+        np.einsum("aij,bjk,kl->abil", dginv, dg, ginv)
+        + np.einsum("ij,abjk,kl->abil", ginv, ddg, ginv)
+        + np.einsum("ij,bjk,akl->abil", ginv, dg, dginv)
+    )
+
+    def first_kind(d):
+        """Gamma_lij = (d_i g_jl + d_j g_il - d_l g_ij) / 2 from d g (the last three axes of ``d``)."""
+        return (np.einsum("...ijl->...lij", d) + np.einsum("...jil->...lij", d) - d) / 2
+
+    gam1, dgam1, ddgam1 = first_kind(dg), first_kind(ddg), first_kind(dddg)
+    gamma = np.einsum("kl,lij->kij", ginv, gam1)
+    dgamma = np.einsum("akl,lij->akij", dginv, gam1) + np.einsum("kl,alij->akij", ginv, dgam1)
+    ddgamma = (
+        np.einsum("abkl,lij->abkij", ddginv, gam1)
+        + np.einsum("akl,blij->abkij", dginv, dgam1)
+        + np.einsum("bkl,alij->abkij", dginv, dgam1)
+        + np.einsum("kl,ablij->abkij", ginv, ddgam1)
+    )
+    riem = (
+        np.einsum("jlki->lijk", dgamma) - np.einsum("klji->lijk", dgamma)
+        + np.einsum("mki,ljm->lijk", gamma, gamma) - np.einsum("mji,lkm->lijk", gamma, gamma)
+    )
+    driem = (
+        np.einsum("ajlki->alijk", ddgamma) - np.einsum("aklji->alijk", ddgamma)
+        + np.einsum("amki,ljm->alijk", dgamma, gamma) + np.einsum("mki,aljm->alijk", gamma, dgamma)
+        - np.einsum("amji,lkm->alijk", dgamma, gamma) - np.einsum("mji,alkm->alijk", gamma, dgamma)
+    )
+    ric = np.einsum("kl,is,skjl->ij", ginv, g0, riem)
+    dric = (
+        np.einsum("akl,is,skjl->aij", dginv, g0, riem)
+        + np.einsum("kl,ais,skjl->aij", ginv, dg, riem)
+        + np.einsum("kl,is,askjl->aij", ginv, g0, driem)
+    )
+    scalar = np.einsum("ij,ij->", ginv, ric)
+    dscalar = np.einsum("aij,ij->a", dginv, ric) + np.einsum("ij,aij->a", ginv, dric)
+    schouten = ric - scalar * g0 / (2 * (n - 1))
+    dschouten = dric - (np.einsum("a,ij->aij", dscalar, g0) + scalar * dg) / (2 * (n - 1))
+    cov = (  # A_ij,k
+        np.einsum("kij->ijk", dschouten)
+        - np.einsum("ski,sj->ijk", gamma, schouten)
+        - np.einsum("skj,is->ijk", gamma, schouten)
+    )
+    cotton = cov - np.einsum("ijk->ikj", cov)
+    return float(scalar), ric.astype(float), cotton.astype(float)
+
+
+def test_polynomial_nondiagonal_metric_matches_exact_chain():
+    """g = I + small symmetric polynomial terms in dim 3, every entry off the diagonal nonzero.
+
+    On the box [-1/2, 1/2]^3 each diagonal entry stays above 0.8 and each
+    row's other entries sum below 0.3 in absolute value, so g is positive
+    definite there.  The jet chart's builder evaluates the same polynomials,
+    so it returns off-diagonal jets.
+    """
+    coords = sp.symbols("x y z")
+    x, y, z = coords
+    upper = {
+        (0, 0): 1 + x**2 / 4 + y * z / 5,
+        (1, 1): 1 + y**2 / 3 - x * z / 6,
+        (2, 2): 1 + z**2 / 5 + x**3 / 7,
+        (0, 1): x * y / 5 + z / 8,
+        (0, 2): y**2 / 6 - x * z / 7,
+        (1, 2): x / 9 + y * z**2 / 8,
+    }
+    g = [[upper[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
+    point = [sp.Rational(1, 3), sp.Rational(-1, 5), sp.Rational(2, 7)]
+    scalar, ric, cotton = _chain_at_point(coords, g, point)
+
+    entries = sp.lambdify(coords, g)
+    chart = MetricChart(3, "polynomial", lambda c: entries(*c), (np.full(3, -0.5), np.full(3, 0.5)))
+    b = CurvatureBundle(chart, np.array([float(p) for p in point]), order=3)
+    assert np.count_nonzero(b.g.value - np.diag(np.diag(b.g.value))) == 6
+    assert abs(b.scalar - scalar) <= REL_TOL * abs(scalar)
+    rnorm = b.norm(ric, ("l", "l"))
+    assert rnorm > 0.1
+    assert b.norm(b.ric.value - ric, ("l", "l")) <= REL_TOL * rnorm
+    cnorm = b.norm(cotton, ("l",) * 3)
+    assert cnorm > 0.1  # the comparison is not between two zeros
+    assert b.norm(b.cotton.value - cotton, ("l",) * 3) <= REL_TOL * cnorm
