@@ -40,7 +40,6 @@ from .spaces import (
     WarpedGeometry,
     assemble_warped,
     basicex_geometry,
-    basicex_potential,
     build_warped_geometry,
     hyperbolic_static_potential,
     make_flat_torus_chart,
@@ -167,6 +166,18 @@ def _finite_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
+def _number(raw: dict, key: str, path: str, default: float | None, integer: bool = False) -> int | float:
+    """``raw[key]`` as a finite float, or an int if ``integer``; a missing key is ``default`` (None: required)."""
+    if key not in raw:
+        if default is None:
+            raise ConfigError(f"{path}.{key}: missing required field")
+        return default
+    value = raw[key]
+    if not (_finite_number(value) and (not integer or float(value).is_integer())):
+        raise ConfigError(f"{path}.{key}: must be a finite {'integer' if integer else 'number'}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _chart_from_dict(raw: Any, path: str) -> MetricChart:
     """The chart of a space form or a product of them; ``path`` names ``raw`` in error messages."""
     if not isinstance(raw, dict) or "kind" not in raw:
@@ -179,12 +190,11 @@ def _chart_from_dict(raw: Any, path: str) -> MetricChart:
         )
     if kind not in ("sphere", "hyperbolic", "flat_torus"):
         raise ConfigError(f"{path}.kind: unknown fiber kind {kind!r}")
-    if "dim" not in raw:
-        raise ConfigError(f"{path}.dim: missing required field")
+    dim = _number(raw, "dim", path, None, integer=True)
     if kind == "flat_torus":
-        return make_flat_torus_chart(int(raw["dim"]))
+        return make_flat_torus_chart(dim)
     make = make_sphere_chart if kind == "sphere" else make_hyperbolic_chart
-    return make(int(raw["dim"]), float(raw.get("radius", 1.0)))
+    return make(dim, _number(raw, "radius", path, 1.0))
 
 
 @dataclass
@@ -200,6 +210,7 @@ def build_context(config: RunConfig) -> CheckContext:
     space = config.space
     kind = space["kind"]
     warped: WarpedGeometry | None = None
+    own: StaticPotentialSpec | None = None  # the potential that a space kind comes with
     try:
         if kind in ("sphere", "hyperbolic", "flat_torus", "product"):
             chart = _chart_from_dict(space, "space")
@@ -214,7 +225,8 @@ def build_context(config: RunConfig) -> CheckContext:
                 raise ConfigError(f"space.warping: cannot evaluate on {interval} ({exc})") from exc
             chart = warped.chart
         elif kind == "basicex":
-            warped, pot = basicex_geometry(int(space["n"]), int(space["k"]))
+            n, k = (_number(space, key, "space", None, integer=True) for key in ("n", "k"))
+            warped, own = basicex_geometry(n, k)
             chart = warped.chart
         elif kind == "ode_warped":
             warped = _build_ode_warped(space)
@@ -226,7 +238,7 @@ def build_context(config: RunConfig) -> CheckContext:
     except dsl.ParseError as exc:
         raise ConfigError(f"space.warping: {exc}") from exc
 
-    return CheckContext(chart, warped, _build_potential(config, space, chart), _build_field(config, chart, warped))
+    return CheckContext(chart, warped, _build_potential(config, chart, own), _build_field(config, chart, warped))
 
 
 def _build_ode_warped(space: dict) -> WarpedGeometry:
@@ -238,8 +250,8 @@ def _build_ode_warped(space: dict) -> WarpedGeometry:
     if fiber_chart.known_scalar is None:
         raise ConfigError("space.fiber: ode_warped needs a fiber with known scalar curvature")
     n = fiber_chart.dim + 1
-    scalar = float(space["scalar"])
-    h0 = float(space["h0"])
+    scalar = _number(space, "scalar", "space", None)
+    h0 = _number(space, "h0", "space", None)
     c1 = c1_for_fiber_scalar(n, scalar, fiber_chart.known_scalar, h0)
     params = WarpOdeParams(n, scalar, fiber_chart.known_scalar, c1)
     dt = float(space.get("dt", 1e-3))
@@ -255,12 +267,13 @@ def _build_ode_warped(space: dict) -> WarpedGeometry:
     return replace(wg, chart=replace(wg.chart, known_scalar=scalar))
 
 
-def _build_potential(config: RunConfig, space: dict, chart: MetricChart) -> StaticPotentialSpec | None:
-    pot = config.potential
+def _build_potential(
+    config: RunConfig, chart: MetricChart, own: StaticPotentialSpec | None
+) -> StaticPotentialSpec | None:
+    """The configured potential; without one, ``own``, the potential the space kind comes with."""
+    space, pot = config.space, config.potential
     if pot is None:
-        if space["kind"] == "basicex":
-            return basicex_potential(int(space["n"]), int(space["k"]))
-        return None
+        return own
     if "builtin" in pot and "potential_t" in pot:
         raise ConfigError("potential: provide 'builtin' or 'potential_t', not both")
     if "builtin" in pot:
@@ -271,23 +284,23 @@ def _build_potential(config: RunConfig, space: dict, chart: MetricChart) -> Stat
             return None  # handled as hdot jets by the checks that use it
         if name == "basicex":
             _need_kind(space, "basicex", "potential", name)
-            return basicex_potential(int(space["n"]), int(space["k"]))
+            return own
         if name == "sphere_height":
             _need_kind(space, "sphere", "potential", name)
             axis = _sphere_axis(pot, "potential", chart.dim)
-            return sphere_height_potential(chart.dim, float(space.get("radius", 1.0)), axis, float(pot.get("shift", 0.0)))
+            radius, shift = _number(space, "radius", "space", 1.0), _number(pot, "shift", "potential", 0.0)
+            return sphere_height_potential(chart.dim, radius, axis, shift)
         if name == "hyperbolic_x0":
             _need_kind(space, "hyperbolic", "potential", name)
-            return hyperbolic_static_potential(chart.dim, float(space.get("radius", 1.0)))
+            return hyperbolic_static_potential(chart.dim, _number(space, "radius", "space", 1.0))
         raise ConfigError(f"potential.builtin: unknown builtin {name!r} (have {POTENTIAL_BUILTINS})")
     if "potential_t" in pot:
         try:
             ast = dsl.parse(pot["potential_t"])
         except dsl.ParseError as exc:
             raise ConfigError(f"potential.potential_t: {exc}") from exc
-        return t_potential(
-            ast, f"f(t)={pot['potential_t']}", float(pot.get("a", 0.0)), float(pot.get("b", 0.0))
-        )
+        a, b = (_number(pot, key, "potential", 0.0) for key in ("a", "b"))
+        return t_potential(ast, f"f(t)={pot['potential_t']}", a, b)
     raise ConfigError("potential: provide 'builtin' or 'potential_t'")
 
 
@@ -320,7 +333,7 @@ def _build_field(config: RunConfig, chart: MetricChart, warped: WarpedGeometry |
         if name == "sphere_gradient":
             _need_kind(config.space, "sphere", "field", name)
             axis = _sphere_axis(fld, "field", chart.dim)
-            return sphere_gradient_field(chart.dim, float(config.space.get("radius", 1.0)), axis)
+            return sphere_gradient_field(chart.dim, _number(config.space, "radius", "space", 1.0), axis)
         if name == "rotation":
             axes = fld.get("axes", [0, 1])
             distinct = isinstance(axes, list) and len(axes) == 2 and axes[0] != axes[1]

@@ -153,6 +153,11 @@ def _run_and_emit(raw: dict, args) -> int:
 
 
 def _cmd_solve_ode(args) -> int:
+    for flag in ("scalar", "rbar", "c1", "h0", "hdot0"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            print(f"error: --{flag} must be a finite number", file=sys.stderr)
+            return 2
     if args.h0 <= 0:
         print("error: --h0 must be positive", file=sys.stderr)
         return 2

@@ -9,7 +9,8 @@ identities, the symmetric tensor
 
 and the identity L*_g phi = Phi, which reduces to L*_g phi = -C(., xi, .)
 for closed fields on constant-scalar-curvature metrics.  Everything is
-evaluated in jet arithmetic so phi can itself be differentiated twice.
+evaluated in jet arithmetic, and phi's dphi, Hessian, Laplacian and L*_g phi
+come from a :class:`~warpcheck.statics.StaticAnalysis` of phi, as f's do.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from .geometry import CurvatureBundle
 from .jets import JetTensor, jt_einsum
 from .residuals import PreconditionSkip, Residual, ResidualSet
-from .spaces import ConformalFieldSpec, space_form, sphere_height_potential
+from .spaces import ConformalFieldSpec, StaticPotentialSpec, space_form, sphere_height_potential
+from .statics import StaticAnalysis
 
 __all__ = [
     "ConformalAnalysis",
@@ -64,17 +66,10 @@ class ConformalAnalysis:
         return jt_einsum("ji,ji->", self.bundle.ginv, self.dxi_flat) / float(self.n)
 
     @cached_property
-    def dphi(self) -> JetTensor:
-        """dphi at order 0: the Hessian differentiates phi itself."""
-        return self.phi.truncate(1).partials()
-
-    @cached_property
-    def hess_phi(self) -> JetTensor:
-        return self.bundle.hessian(self.phi)
-
-    @cached_property
-    def lap_phi(self) -> JetTensor:
-        return self.bundle.laplacian(self.hess_phi)
+    def phi_analysis(self) -> StaticAnalysis:
+        """phi as a potential: its dphi, grad phi, Hessian, Laplacian and L*_g phi."""
+        phi = self.phi
+        return StaticAnalysis(self.bundle, StaticPotentialSpec("phi", lambda coords: phi))
 
     @cached_property
     def xi_of_r(self) -> JetTensor:
@@ -157,14 +152,15 @@ class ConformalAnalysis:
 
         # (b) general: R^l_ijk xi^b_l = g_ij phi_k - g_ik phi_j - P_jk,i
         rxi = jt_einsum("lijk,l->ijk", b.riemann13, self.xi_flat.truncate(0))
-        gphi = jt_einsum("ij,k->ijk", b.g, self.dphi)
+        dphi = self.phi_analysis.df
+        gphi = jt_einsum("ij,k->ijk", b.g, dphi)
         rhs = gphi - gphi.transpose("ijk->ikj") - self.dp.transpose("jki->ijk")
         scale = b.norm(rxi.value, ("l",) * 3) + b.norm(gphi.value, ("l",) * 3)
         out["nabla_p"] = Residual(b.norm(rxi.value - rhs.value, ("l",) * 3), scale)
 
         # (c) divergence: g^ij P_jk,i = R_kl xi^l + (n-1) phi_k
         ric_xi = jt_einsum("kl,l->k", b.ric, self.xi.truncate(0))
-        rhs_c = ric_xi + (self.n - 1.0) * self.dphi
+        rhs_c = ric_xi + (self.n - 1.0) * dphi
         out["div_p"] = b.defect(self.div_p.value, rhs_c.value, ("l",))
 
         if closed:
@@ -181,10 +177,10 @@ class ConformalAnalysis:
             out["curvature_xi"] = Residual(b.norm(resid_d.value, ("l",) * 3), scale)
 
             # (e) Ric(xi) + (n-1) grad phi = 0
-            resid_e = ric_xi + (self.n - 1.0) * self.dphi
+            resid_e = ric_xi + (self.n - 1.0) * dphi
             out["ric_xi"] = Residual(
                 b.norm(resid_e.value, ("l",)),
-                b.norm(ric_xi.value, ("l",)) + (self.n - 1.0) * b.norm(self.dphi.value, ("l",)),
+                b.norm(ric_xi.value, ("l",)) + (self.n - 1.0) * b.norm(dphi.value, ("l",)),
             )
         return out
 
@@ -198,13 +194,9 @@ class ConformalAnalysis:
         ) * (-1.0 / (2.0 * (n - 1.0)))
         return term1 + term2 + self.ginv_d2p.transpose("ki->ik") + self.ric_p_up
 
-    @cached_property
-    def lstar_phi(self) -> JetTensor:
-        return self.bundle.lstar(self.phi, self.hess_phi, self.lap_phi)
-
     def firstthm_defect(self) -> Residual:
         """|| L*_g phi - Phi ||, the pointwise defect of the main identity."""
-        return self.bundle.defect(self.lstar_phi.value, self.phi_tensor_jets.value, ("l", "l"))
+        return self.bundle.defect(self.phi_analysis.lstar_f.value, self.phi_tensor_jets.value, ("l", "l"))
 
     def phi_symmetry_defect(self) -> Residual:
         phi_t = self.phi_tensor_jets
@@ -215,7 +207,7 @@ class ConformalAnalysis:
         """Delta phi + R phi/(n-1) + xi(R)/(2(n-1)) = 0."""
         b = self.bundle
         n = self.n
-        lap = self.lap_phi
+        lap = self.phi_analysis.lap
         resid = lap + b.scalar_jet * self.phi.truncate(0) / (n - 1.0) + self.xi_of_r / (2.0 * (n - 1.0))
         scale = abs(float(lap.value)) + abs(b.scalar * float(self.phi.value) / (n - 1.0))
         return Residual(abs(float(resid.value)), scale)

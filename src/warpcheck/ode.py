@@ -136,7 +136,11 @@ def _rk4_step(rhs: Callable[[float], float], h: float, v: float, dt: float) -> t
 
 
 def integrate_warpedvss(params: WarpOdeParams, h0: float, hdot0: float, t_end: float, dt: float) -> Trajectory:
-    """Classical fixed-step RK4 over [0, t_end] from (h0, hdot0); errors out if h <= H_MIN."""
+    """Classical fixed-step RK4 over [0, t_end] from (h0, hdot0); errors out if h <= H_MIN.
+
+    It takes round(t_end / dt) steps, at least one, of t_end / steps each, so the grid ends at t_end;
+    a dt of period / steps, as find_periodic_solution passes, comes back as the same float.
+    """
     if h0 <= 0:
         raise ValueError(f"initial warping value must be positive, got {h0}")
     if dt <= 0:
@@ -144,20 +148,21 @@ def integrate_warpedvss(params: WarpOdeParams, h0: float, hdot0: float, t_end: f
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {t_end}")
     steps = max(1, int(round(t_end / dt)))
-    times = np.arange(steps + 1) * dt
+    step = t_end / steps
+    times = np.linspace(0.0, t_end, steps + 1)  # arange(steps + 1) * step, its last node set to t_end
     hs = np.empty(steps + 1)
     vs = np.empty(steps + 1)
     h, v = hs[0], vs[0] = float(h0), float(hdot0)
     rhs = params.rhs
     for i in range(steps):
         try:
-            h, v = _rk4_step(rhs, h, v, dt)
+            h, v = _rk4_step(rhs, h, v, step)
         except (ZeroDivisionError, OverflowError):  # a stage reached h = 0, or h^(1-n) overflowed
             h = math.nan
         if not math.isfinite(h) or h <= H_MIN:
             raise PositivityLost(float(times[i]))
         hs[i + 1], vs[i + 1] = h, v
-    return Trajectory(params, times, hs, vs, dt)
+    return Trajectory(params, times, hs, vs, step)
 
 
 def first_integral(params: WarpOdeParams, h, hdot):
@@ -209,7 +214,7 @@ def find_periodic_solution(params: WarpOdeParams, h0: float, dt: float = 1e-3) -
     t_half = None
     while t < T_MAX:
         h_new, v_new = _rk4_step(params.rhs, h, v, dt)
-        if h_new <= H_MIN:
+        if not h_new > H_MIN:  # also a NaN h
             raise PositivityLost(t)
         crossed = (v != 0.0 and (v < 0.0) != (v_new < 0.0)) or v_new == 0.0
         opposite = (h_new > h_eq) if below else (h_new < h_eq)

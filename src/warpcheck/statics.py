@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensors
-from .conformal import ConformalAnalysis
 from .dsl import ExprAst, eval_expr
 from .geometry import CurvatureBundle
 from .jets import JetTensor, jt_einsum
@@ -276,10 +275,9 @@ def icotton_warped_residual(sc: PointScratch) -> ResidualSet:
 
 
 def warpedproduct3_residual(sc: PointScratch) -> ResidualSet:
-    """Residual of L*_g hdot = -C(., xi, .), xi = h d/dt (the configured field's jets when it is that field)."""
-    xi = sc.ctx.warped.xi
-    ca = sc.conformal if sc.ctx.fld is xi else ConformalAnalysis(sc.bundle, xi)
-    return {"wp3": sc.bundle.defect(sc.hdot.lstar_f.value, -ca.cotton_mid_xi.value, ("l", "l"))}
+    """Residual of L*_g hdot = -C(., xi, .) for xi = h d/dt, so that C(., xi, .) = h C(., d/dt, .)."""
+    b = sc.bundle
+    return {"wp3": b.defect(sc.hdot.lstar_f.value, -(sc.warping[0] * b.cotton.value[:, 0, :]), ("l", "l"))}
 
 
 def equivalence_clauses(sc: PointScratch) -> dict[str, float]:
@@ -412,7 +410,7 @@ def xicvf_residuals(sc: PointScratch) -> ResidualSet:
 
     df, df_up = st.df, st.df_up
     fa = st.f_plus_a
-    dphi = cf.dphi
+    dphi, dphi_up = cf.phi_analysis.df, cf.phi_analysis.df_up
     xi, xib = cf.xi, cf.xi_flat.truncate(0)
     dp = cf.dp.truncate(0)
     r_jet = b.scalar_jet
@@ -429,7 +427,6 @@ def xicvf_residuals(sc: PointScratch) -> ResidualSet:
 
     # item (2)
     xif = jt_einsum("a,a->", xi, df)
-    dphi_up = jt_einsum("ab,b->a", b.ginv, dphi)
     inner = jt_einsum("b,b->", dphi_up, df) + jt_einsum(",->", r_jet, xif) / (n * (n - 1.0))
     lhs2 = jt_einsum(",ik->ik", xif, b.efield) - jt_einsum(",ik->ik", inner, b.g)
     vec = float(n) * dphi + jt_einsum(",i->i", r_jet, xib) / (n - 1.0)

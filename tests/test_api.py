@@ -104,3 +104,30 @@ def test_every_definition_has_a_user():
         unused |= {name for name in _public(others) if words[name] == 0}
         unused |= {name for name in _public(methods) if members[name] == 0}
     assert sorted(unused) == []
+
+
+def _runtime_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports when it runs: ``from .x import ...`` and ``from . import x``,
+    outside ``if TYPE_CHECKING:`` blocks (annotations only, never executed)."""
+    out: set[str] = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else [a.name for a in node.names])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("name", ["jets", "geometry", "spaces", "statics"])
+def test_module_layering(name):
+    """The modules depend one way: the curvature and potential layers never import upward.
+
+    conformal analyses phi with ``statics.StaticAnalysis``, so statics must not
+    import conformal back; checks and cli sit on top of both.
+    """
+    tree = ast.parse((ROOT / "src" / "warpcheck" / f"{name}.py").read_text())
+    assert _runtime_imports(tree) & {"conformal", "checks", "cli"} == set()

@@ -320,6 +320,51 @@ def test_cli_ode_warped_dt_must_be_a_positive_step(tmp_path, capsys, dt):
     assert capsys.readouterr().err == f"error: space.dt: must be a finite positive step, got {float(dt)!r}\n"
 
 
+SPHERE = {"kind": "sphere", "dim": 3}
+ODE_SPACE = {"kind": "ode_warped", "scalar": 3.0, "h0": 1.0, "fiber": SPHERE}
+T_POTENTIAL = {"potential_t": "cos(t)"}
+
+
+@pytest.mark.parametrize(
+    "space, potential, path, value, message",
+    [
+        (SPHERE, None, "space.dim", "3.7", "must be a finite integer, got 3.7"),
+        (SPHERE, None, "space.dim", "true", "must be a finite integer, got True"),
+        (SPHERE, None, "space.radius", '"2"', "must be a finite number, got '2'"),
+        (SPHERE, None, "space.radius", '"abc"', "must be a finite number, got 'abc'"),
+        (SPHERE, None, "space.radius", "1e400", "must be a finite number, got inf"),
+        ({"kind": "basicex", "n": 5, "k": 2}, None, "space.n", "5.9", "must be a finite integer, got 5.9"),
+        ({"kind": "basicex", "n": 5, "k": 2}, None, "space.k", "false", "must be a finite integer, got False"),
+        (EJIRI_CONFIG["space"], None, "space.fiber.dim", "2.5", "must be a finite integer, got 2.5"),
+        (ODE_SPACE, None, "space.scalar", "NaN", "must be a finite number, got nan"),
+        (ODE_SPACE, None, "space.h0", '"1"', "must be a finite number, got '1'"),
+        (SPHERE, {"builtin": "sphere_height"}, "potential.shift", "-Infinity", "must be a finite number, got -inf"),
+        (EJIRI_CONFIG["space"], T_POTENTIAL, "potential.a", "true", "must be a finite number, got True"),
+        (EJIRI_CONFIG["space"], T_POTENTIAL, "potential.b", "[1]", "must be a finite number, got [1]"),
+    ],
+)
+def test_cli_config_numbers_name_their_field(tmp_path, capsys, space, potential, path, value, message):
+    """A bool, a string, a fraction where an integer is due, or a non-finite number exits 2 naming the field."""
+    config = {"space": json.loads(json.dumps(space)), "checks": ["scalar_value"], "samples": 2}
+    if potential is not None:
+        config["potential"] = dict(potential)
+    *parents, key = path.split(".")
+    node = config
+    for name in parents:
+        node = node[name]
+    node[key] = "@"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config).replace('"@"', value))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_cli_integral_config_numbers_are_integers():
+    """An integral float is an integer: dim 3.0 builds the S^3 that dim 3 does."""
+    config = {"space": {"kind": "sphere", "dim": 3.0, "radius": 2}, "checks": ["scalar_value"]}
+    assert build_context(RunConfig.from_dict(config)).chart.dim == 3
+
+
 def test_cli_point_reproduction(tmp_path):
     """A FAIL row's worst point reproduces the failure via --point."""
     config = dict(EJIRI_CONFIG, tolerances={"firstthm": 1e-30})
@@ -500,6 +545,33 @@ def test_cli_solve_ode_bad_dt(tmp_path, capsys, periodic, dt):
     assert code == 2
     assert capsys.readouterr().err == "error: --dt must be a finite positive step\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("periodic", [[], ["--periodic"]], ids=["integrate", "periodic"])
+@pytest.mark.parametrize("flag", ["--scalar", "--rbar", "--c1", "--h0", "--hdot0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_solve_ode_non_finite_numbers(tmp_path, capsys, periodic, flag, value):
+    """A non-finite parameter exits 2 naming it, before any step is taken."""
+    out = tmp_path / "traj.csv"
+    args = {"--scalar": "12", "--c1": "2", "--h0": "1.07", flag: value}
+    code = main(["solve-ode", "--n", "4", *(f"{k}={v}" for k, v in args.items()), "--out", str(out)] + periodic)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag} must be a finite number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_end, dt", [("1e-4", "1e-3"), ("2.5004", "1e-3"), ("1", str(1 / 49)), ("0.7", "0.2")])
+def test_cli_solve_ode_grid_ends_at_t_end(tmp_path, t_end, dt):
+    """round(t_end / dt) steps of t_end / steps: the last row is at t_end, the rows evenly spaced."""
+    out = tmp_path / "traj.csv"
+    code = main(["solve-ode", "--n", "4", "--scalar", "12", "--c1", "1", "--h0", "1", "--hdot0", "0.1",
+                 f"--t-end={t_end}", f"--dt={dt}", "--out", str(out)])
+    assert code == 0
+    times = [float(line.split(",")[0]) for line in out.read_text().strip().splitlines()[1:]]
+    steps = max(1, round(float(t_end) / float(dt)))
+    assert len(times) == steps + 1
+    assert times[0] == 0.0 and times[-1] == float(t_end)
+    assert np.diff(times) == pytest.approx(float(t_end) / steps, rel=1e-9)
 
 
 @pytest.mark.parametrize("t_end", ["0", "-5", "inf", "nan"])

@@ -121,7 +121,7 @@ def test_jets_nothing_differentiates_are_order_zero(name):
     jets = {
         "hessian": b.hessian(st.f),
         "lstar_f": st.lstar_f,
-        "lstar_phi": ca.lstar_phi,
+        "lstar_phi": ca.phi_analysis.lstar_f,
         "t_jets": st.t_jets,
         "phi_tensor_jets": ca.phi_tensor_jets,
         "efield": b.efield,
@@ -131,7 +131,7 @@ def test_jets_nothing_differentiates_are_order_zero(name):
         "ginv_d2p": ca.ginv_d2p,
         "ric_p_up": ca.ric_p_up,
         "df": st.df,
-        "dphi": ca.dphi,
+        "dphi": ca.phi_analysis.df,
     }
     assert {key: jet.order for key, jet in jets.items()} == dict.fromkeys(jets, 0)
 

@@ -264,6 +264,12 @@ def test_periodic_search_rejects_a_bad_step(dt):
         find_periodic_solution(params, 1.0, dt=dt)
 
 
+def test_periodic_search_stops_on_a_non_finite_height():
+    """A NaN scalar makes h NaN at the first step: positivity is lost there, not at the search's t_max."""
+    with pytest.raises(PositivityLost, match="t = 0$"):
+        find_periodic_solution(WarpOdeParams(4, math.nan, 0.0, 2.0), 1.07)
+
+
 def test_small_oscillation_period():
     """Near h_eq the period approaches 2 pi / omega with omega^2 = -F'(h_eq)."""
     base = WarpOdeParams(4, 12.0, 0.0, 2.0)

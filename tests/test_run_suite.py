@@ -244,15 +244,18 @@ def test_bundles_per_point(example_runs):
 # evaluations and vacuum-residual formations.  basicex analyses its
 # potential h*fbar, hdot and fbar on the fiber, and forms the vacuum
 # residuals of h*fbar and of fbar; every other example analyses one
-# potential (hdot where none is configured).  A warped example forms its
-# one warping jet wherever a check reads h or hdot.
+# potential (hdot where none is configured).  The characteristic function
+# phi counts as one more StaticAnalysis wherever a check reads its
+# derivatives (firstthm, closed_cvf, xicvf_forms).  wp3 reads h C(., d/dt, .)
+# from the bundle, so ejiri-ode evaluates no field.  A warped example forms
+# its one warping jet wherever a check reads h or hdot.
 DERIVED_PER_POINT = {
-    "basicex-n5-k2": (3, 1, 0, 1, 2),
-    "ejiri": (1, 1, 1, 1, 1),
-    "ejiri-ode": (1, 1, 0, 1, 0),
-    "equiv-fail": (1, 1, 1, 1, 0),
-    "nonconstant-exp": (1, 1, 1, 1, 0),
-    "sphere-s4": (1, 0, 0, 1, 1),
+    "basicex-n5-k2": (4, 1, 0, 1, 2),
+    "ejiri": (2, 1, 1, 1, 1),
+    "ejiri-ode": (1, 1, 0, 0, 0),
+    "equiv-fail": (2, 1, 1, 1, 0),
+    "nonconstant-exp": (2, 1, 1, 1, 0),
+    "sphere-s4": (2, 0, 0, 1, 1),
 }
 
 
@@ -262,6 +265,22 @@ def test_point_values_derived_once(example_runs, name):
     samples = EXAMPLE_CONFIGS[name]["samples"]
     got = tuple(counts[kind][name] / samples for kind in ("analyses", "warping", "fiber_ric0", "xi", "vacuum"))
     assert got == DERIVED_PER_POINT[name]
+
+
+@pytest.mark.parametrize("name", ["basicex-n5-k2", "ejiri", "ejiri-ode", "equiv-fail"])
+def test_wp3_reads_h_d_dt_whatever_the_configured_field(name):
+    """wp3's xi is h d/dt by definition, so the configured field moves none of its bits."""
+    def wp3(fld):
+        raw = dict(copy.deepcopy(EXAMPLE_CONFIGS[name]), checks=["wp3_identity"], samples=10)
+        if fld is not None:
+            raw["field"] = fld
+        out = run_suite(RunConfig.from_dict(raw)).checks[0]
+        return out.status, out.max_abs_residual, out.max_rel_residual, out.worst_point
+
+    default = wp3(None)
+    assert default[0] == "PASS"
+    assert wp3({"builtin": "zero"}) == default
+    assert wp3({"builtin": "rotation", "axes": [1, 2]}) == default
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
