@@ -23,14 +23,16 @@ import numpy as np
 
 from . import dsl, spaces, statics
 from .conformal import ConformalAnalysis, rotation_field, sphere_gradient_field, zero_field
-from .geometry import CurvatureBundle, MetricChart, SingularMetricError
+from .geometry import ChartBatch, CurvatureBundle, MetricChart, SingularMetricError
 from .jets import JetDomainError, JetTensor
 from .ode import (
+    DRIFT_TOL,
     NoPeriodicOrbit,
     OdeWarpingFunction,
     PositivityLost,
     WarpOdeParams,
     c1_for_fiber_scalar,
+    drift,
     find_periodic_solution,
 )
 from .residuals import PreconditionSkip, Residual, ResidualSet
@@ -87,6 +89,7 @@ POTENTIAL_BUILTINS = ("warped_hdot", "basicex", "sphere_height", "hyperbolic_x0"
 FIELD_BUILTINS = ("warped_xi", "sphere_gradient", "rotation", "zero")
 
 R_CONSTANT_REL_TOL = 1e-8
+BATCH_POINTS = 64  # sample points per ChartBatch, which keeps a large suite's batched jets to a few MB
 
 
 # -- run configuration -----------------------------------------------------------
@@ -254,13 +257,21 @@ def _build_ode_warped(space: dict) -> WarpedGeometry:
     h0 = _number(space, "h0", "space", None)
     c1 = c1_for_fiber_scalar(n, scalar, fiber_chart.known_scalar, h0)
     params = WarpOdeParams(n, scalar, fiber_chart.known_scalar, c1)
-    dt = float(space.get("dt", 1e-3))
-    if not 0.0 < dt < math.inf:  # the orbit search steps t by dt up to its horizon
+    dt = space.get("dt", 1e-3)
+    if type(dt) is int and _finite_number(dt):
+        dt = float(dt)
+    if type(dt) is not float or not 0.0 < dt < math.inf:  # the orbit search steps t by dt up to its horizon
         raise ConfigError(f"space.dt: must be a finite positive step, got {dt!r}")
     try:
         traj, period = find_periodic_solution(params, h0, dt=dt)
     except (NoPeriodicOrbit, PositivityLost) as exc:
         raise ConfigError(f"space: no periodic warping for these parameters ({exc})") from exc
+    row, rel = drift(traj)
+    if not rel <= DRIFT_TOL:
+        raise ConfigError(
+            f"space: the warping orbit drifts (first-integral residual {rel:.3g} at t = {traj.times[row]:.6g}, "
+            f"above {DRIFT_TOL:g}); take a smaller space.dt"
+        )
     warping = OdeWarpingFunction(params, traj, period=period or None)
     label = f"S^1 x_h {fiber_chart.label} [h: ode n={n} R={scalar:g} c1={c1:g}]"
     wg = assemble_warped(warping, fiber_chart, (0.0, period if period > 0 else 1.0), label)
@@ -371,17 +382,18 @@ class PointScratch:
 
     The bundle has the highest field and metric orders any check of the
     suite needs.  Each analysis, the fiber bundle and each value derived
-    from them is built at most once, on first use.  A check's evaluator
-    takes the scratch as its one argument.
+    from them is built at most once, on first use.  The metric, fiber
+    metric, configured potential and field, fbar and warping jets are
+    slices of ``batches``, one :class:`ChartBatch` for the chart and, on a
+    warped space, one for the fiber chart (see :func:`point_scratches`).
+    A check's evaluator takes the scratch as its one argument.
     """
 
-    def __init__(
-        self, ctx: CheckContext, point: np.ndarray, order: int, fiber_order: int = 2, metric_order: int | None = None
-    ):
+    def __init__(self, ctx: CheckContext, batches: list[ChartBatch], k: int):
         self.ctx = ctx
-        self.point = point
-        self.bundle = CurvatureBundle(ctx.chart, point, order, metric_order=metric_order)
-        self.fiber_order = fiber_order
+        self.point = batches[0].points[k]
+        self.bundle = batches[0].bundle(k)
+        self.batches, self.k = batches, k
 
     @cached_property
     def conformal(self) -> ConformalAnalysis:
@@ -403,7 +415,7 @@ class PointScratch:
 
     @cached_property
     def fiber(self) -> CurvatureBundle:
-        return CurvatureBundle(self.ctx.warped.fiber_chart, self.point[1:], order=self.fiber_order)
+        return self.batches[1].bundle(self.k)
 
     @cached_property
     def fiber_ric0(self) -> np.ndarray:
@@ -412,12 +424,29 @@ class PointScratch:
     @cached_property
     def warping_jet(self) -> JetTensor:
         """h as a one-variable jet at the point's t, one order above the bundle so that hdot keeps its order."""
-        return spaces.warping_jet(self.ctx.warped.warping, self.point[0], self.bundle.order + 1)
+        warping, order = self.ctx.warped.warping, self.bundle.order + 1
+        return self.batches[0].jet("warping", self.k, lambda points: spaces.warping_jet(warping, points[..., 0], order))
 
     @cached_property
     def warping(self) -> list[float]:
         """h(t) and its first three derivatives at the point's t."""
         return [self.warping_jet.partial((j,)) for j in range(4)]
+
+
+def point_scratches(
+    ctx: CheckContext, points: np.ndarray, order: int, fiber_order: int = 2, metric_order: int | None = None
+) -> list[PointScratch]:
+    """The scratches of a (P, dim) array of points; the builders of the chart and of the fiber chart run once
+    for every BATCH_POINTS of them, so a batch's jets are freed with the scratch of its last point."""
+    out = []
+    for start in range(0, len(points), BATCH_POINTS):
+        chunk = points[start : start + BATCH_POINTS]
+        batches = [ChartBatch(ctx.chart, chunk, order, metric_order, (ctx.potential, ctx.fld))]
+        if ctx.warped is not None:
+            fbar = ctx.potential.fiber if ctx.potential is not None else None
+            batches.append(ChartBatch(ctx.warped.fiber_chart, chunk[:, 1:], fiber_order, shared=(fbar,)))
+        out += [PointScratch(ctx, batches, k) for k in range(len(chunk))]
+    return out
 
 
 # -- per-point evaluators ------------------------------------------------------------
@@ -693,7 +722,7 @@ def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> Ve
     order = max(spec.order for spec in specs)
     fiber_order = max(spec.fiber_order for spec in specs)
     metric_order = max(spec.metric_order for spec in specs)
-    scratches = deque(PointScratch(ctx, p, order, fiber_order, metric_order) for p in points)
+    scratches = deque(point_scratches(ctx, points, order, fiber_order, metric_order))
 
     # overflow at a point shows as a non-finite residual, which FAILs with that point
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -28,9 +28,11 @@ from .checks import (
 )
 from .geometry import SingularMetricError
 from .ode import (
+    DRIFT_TOL,
     NoPeriodicOrbit,
     PositivityLost,
     WarpOdeParams,
+    drift,
     find_periodic_solution,
     integrate_warpedvss,
     rbar_from_initial,
@@ -185,6 +187,14 @@ def _cmd_solve_ode(args) -> int:
             traj = integrate_warpedvss(params, args.h0, args.hdot0, args.t_end, args.dt)
     except (PositivityLost, NoPeriodicOrbit, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    row, rel = drift(traj)
+    if not rel <= DRIFT_TOL:
+        print(
+            f"error: the orbit drifts: first-integral residual {rel:.3g} relative to its terms at row {row} "
+            f"(t = {traj.times[row]:.6g}) is above {DRIFT_TOL:g}; take a smaller --dt",
+            file=sys.stderr,
+        )
         return 1
     with open(args.out, "w") as handle:
         handle.write("\n".join(trajectory_csv_rows(traj)) + "\n")

@@ -270,7 +270,7 @@ def sphere_gradient_field(m: int, r: float, axis: int) -> ConformalFieldSpec:
         # xi^i = g^ij d_j f = lam^-2 d_i f; the partials come from f's own jet,
         # so the components live one jet order below the coordinates.
         df = height(coords).partials()
-        return [inv_lam2 * JetTensor(df.space, df.data[i]) for i in range(m)]
+        return [inv_lam2 * JetTensor(df.space, df.data[..., i, :]) for i in range(m)]
 
     return ConformalFieldSpec(label=f"grad y_{axis} on S^{m}({r:g})", builder=builder)
 

@@ -34,6 +34,12 @@ in the analyses div P and every product whose only reader is its value.  One ord
 product order 0, as arithmetic aligns to the lower order, and its value is
 the full product's, bit for bit, by the same prefix property.  An order-0
 product is one ``np.einsum`` of the values.
+
+Batch rule: chart, potential and field builders run once for many sample
+points (:class:`ChartBatch`), on coordinate jets with a leading point
+axis, and each point's bundle gets its own copy of its slice;
+the curvature chain runs per point.  Jet arithmetic acts on each point's
+row alone, so a slice is, bit for bit, the jet formed at that point alone.
 """
 
 from __future__ import annotations
@@ -44,12 +50,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import JetShapeError, JetSpace, JetTensor, jet_space, jt_einsum
+from .jets import JetDomainError, JetShapeError, JetSpace, JetTensor, jet_space, jt_einsum
 from .residuals import Residual
 from .sampling import halton_points
 from .tensors import tensor_norm_sq
 
-__all__ = ["MetricChart", "CurvatureBundle", "SingularMetricError", "kulkarni_nomizu_jets"]
+__all__ = ["MetricChart", "ChartBatch", "CurvatureBundle", "SingularMetricError", "kulkarni_nomizu_jets"]
 
 COND_LIMIT = 1e12
 
@@ -79,15 +85,16 @@ class MetricChart:
     known_scalar: float | None = None
 
     def coordinate_jets(self, point: np.ndarray, order: int) -> list[JetTensor]:
+        """The coordinate jets at a point of shape (dim,), or at each row of a (P, dim) batch."""
         point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
+        if point.shape[-1:] != (self.dim,):
             raise ValueError(f"point has shape {point.shape}, chart dim is {self.dim}")
-        return [JetTensor.variable(i, point[i], self.dim, order) for i in range(self.dim)]
+        return [JetTensor.variable(i, point[..., i], self.dim, order) for i in range(self.dim)]
 
     def metric_jets(self, point: np.ndarray, order: int) -> JetTensor:
         coords = self.coordinate_jets(point, order)
         entries = [entry for row in self.builder(coords) for entry in row]
-        return _stack_entries(coords[0].space, (self.dim, self.dim), entries)
+        return _stack_entries(coords[0].space, coords[0].shape, (self.dim, self.dim), entries)
 
     def contains(self, point: np.ndarray) -> bool:
         lo, hi = self.box
@@ -113,23 +120,67 @@ class MetricChart:
         return np.array(out)
 
 
-def _stack_entries(space: JetSpace, shape: tuple[int, ...], entries: list) -> JetTensor:
-    """A builder's scalar jets and plain numbers (constants), in C order, as one jet tensor of ``shape``.
+def _stack_entries(space: JetSpace, batch: tuple[int, ...], shape: tuple[int, ...], entries: list) -> JetTensor:
+    """A builder's jets and plain numbers (constants), in C order, as one jet tensor of ``batch + shape``.
 
-    It lives in the first entry's space (``space`` if that is a number), which every jet entry must share.
+    A jet of shape () is broadcast across the batch.  It lives in the first entry's space (``space`` if that
+    is a number), which every jet entry must share.
     """
     if isinstance(entries[0], JetTensor):
         space = entries[0].space
-    data = np.zeros(shape + (space.n_coeffs,))
-    flat = data.reshape(-1, space.n_coeffs)
+    data = np.zeros(batch + shape + (space.n_coeffs,))
+    flat = data.reshape(batch + (-1, space.n_coeffs))
     for k, entry in enumerate(entries):
         if not isinstance(entry, JetTensor):
-            flat[k, 0] = float(entry)
+            flat[..., k, 0] = float(entry)
         elif entry.space is space:
-            flat[k] = entry.data
+            flat[..., k, :] = entry.data
         else:
             raise JetShapeError("all jets in a JetTensor must share one space")
     return JetTensor(space, data)
+
+
+class ChartBatch:
+    """One chart's metric and field jets at the rows of a (P, dim) array of points.
+
+    The metric and the fields of the ``shared`` specs (None for none) are each formed once, with a leading
+    point axis, and point k gets a copy of its slice.  Any other builder (it returns one point's jet) runs per
+    point, and so does every point of a batch that raised :class:`JetDomainError`: each reports its own error.
+    """
+
+    def __init__(self, chart: MetricChart, points: np.ndarray, order: int, metric_order: int | None = None, shared=()):
+        self.chart = chart
+        self.points = np.asarray(points, dtype=float)
+        self.order = order
+        self.metric_order = order if metric_order is None else metric_order
+        self.shared = frozenset(spec.builder for spec in shared if spec is not None)
+        self._batches: dict = {}
+
+    def bundle(self, k: int) -> CurvatureBundle:
+        b = CurvatureBundle(self.chart, self.points[k], self.order, self.metric_order)
+        b._batch, b._index = self, k
+        return b
+
+    def jet(self, key, k: int, build: Callable[[np.ndarray], JetTensor]) -> JetTensor:
+        """Point k's slice of ``build(points)``, formed on the first request for ``key``."""
+        if key not in self._batches:
+            try:
+                self._batches[key] = build(self.points)
+            except JetDomainError:
+                self._batches[key] = None
+        batch = self._batches[key]
+        return build(self.points[k]) if batch is None else JetTensor(batch.space, batch.data[k].copy())
+
+    def field(self, builder, k: int, shape: tuple[int, ...]) -> JetTensor:
+        """A scalar (``shape`` ()) or vector (``shape`` (dim,)) field at point k."""
+        def build(points):
+            coords = self.chart.coordinate_jets(points, self.order)
+            comps = list(builder(coords)) if shape else [builder(coords)]
+            if shape and len(comps) != shape[0]:
+                raise ValueError(f"vector field has {len(comps)} components, chart dim {shape[0]}")
+            return _stack_entries(jet_space(self.chart.dim, self.order), coords[0].shape, shape, comps)
+
+        return self.jet(builder, k, build) if builder in self.shared else build(self.points[k])
 
 
 def _jt_const_matmul(mat: np.ndarray, t: JetTensor) -> JetTensor:
@@ -155,6 +206,8 @@ class CurvatureBundle:
         self.metric_order = order if metric_order is None else metric_order
         self.dim = chart.dim
         self.space = jet_space(chart.dim, order)
+        # a bundle made alone is a batch of one; ChartBatch.bundle shares its own
+        self._batch, self._index = ChartBatch(chart, self.point[None], order, self.metric_order), 0
 
     # -- metric ----------------------------------------------------------
 
@@ -162,8 +215,7 @@ class CurvatureBundle:
     def g(self) -> JetTensor:
         # + 0.0: a function composed at a zero argument (cos at phase 0, say)
         # signs some zero coefficients differently at different orders
-        g = self.chart.metric_jets(self.point, self.metric_order)
-        return JetTensor(g.space, g.data + 0.0)
+        return self._batch.jet("g", self._index, lambda points: self.chart.metric_jets(points, self.metric_order) + 0.0)
 
     @cached_property
     def g0(self) -> np.ndarray:
@@ -288,20 +340,13 @@ class CurvatureBundle:
 
     # -- field evaluation --------------------------------------------------
 
-    @cached_property
-    def coords(self) -> list[JetTensor]:
-        return self.chart.coordinate_jets(self.point, self.order)
-
     def scalar_field(self, builder) -> JetTensor:
         """Evaluate a scalar field builder at this point as a jet."""
-        return _stack_entries(self.space, (), [builder(self.coords)])
+        return self._batch.field(builder, self._index, ())
 
     def vector_field(self, builder) -> JetTensor:
         """Evaluate a vector field builder; components are contravariant."""
-        comps = list(builder(self.coords))
-        if len(comps) != self.dim:
-            raise ValueError(f"vector field has {len(comps)} components, chart dim {self.dim}")
-        return _stack_entries(self.space, (self.dim,), comps)
+        return self._batch.field(builder, self._index, (self.dim,))
 
     # -- derived operators -------------------------------------------------
 

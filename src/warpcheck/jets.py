@@ -284,16 +284,16 @@ class JetTensor:
         return JetTensor(space, data)
 
     @staticmethod
-    def variable(i: int, value: float, num_vars: int, order: int) -> "JetTensor":
-        """Scalar jet of the coordinate function x_i at the given point."""
+    def variable(i: int, value: float | np.ndarray, num_vars: int, order: int) -> "JetTensor":
+        """The jets of the coordinate function x_i where it takes ``value``, one per entry of an array."""
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         if not 0 <= i < num_vars:
             raise IndexError(f"variable index {i} out of range for {num_vars} variables")
         space = jet_space(num_vars, order)
-        data = np.zeros(space.n_coeffs)
-        data[0] = value
-        data[space.index[tuple(1 if j == i else 0 for j in range(num_vars))]] = 1.0
+        data = np.zeros(np.shape(value) + (space.n_coeffs,))
+        data[..., 0] = value
+        data[..., space.index[tuple(1 if j == i else 0 for j in range(num_vars))]] = 1.0
         return JetTensor(space, data)
 
     @property

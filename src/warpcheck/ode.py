@@ -44,9 +44,12 @@ __all__ = [
     "OdeWarpingFunction",
     "trajectory_csv_rows",
     "H_MIN",
+    "DRIFT_TOL",
+    "drift",
 ]
 
 H_MIN = 1e-8
+DRIFT_TOL = 1e-6  # largest first-integral residual, relative to 1 + the sizes of its terms, of an orbit kept
 T_MAX = 200.0  # the periodic-orbit search gives up when hdot has not returned to zero by then
 EQUILIBRIUM_TOL = 1e-9  # relative distance of h0 from h_eq below which the orbit is the constant one
 
@@ -124,11 +127,19 @@ class Trajectory:
 
 
 def _rk4_step(rhs: Callable[[float], float], h: float, v: float, dt: float) -> tuple[float, float]:
-    """One classical RK4 step of (h, hdot)' = (hdot, rhs(h)); ``rhs`` is a bound ``WarpOdeParams.rhs``."""
+    """One classical RK4 step of (h, hdot)' = (hdot, rhs(h)); ``rhs`` is a bound ``WarpOdeParams.rhs``.
+
+    A step with a stage height not above H_MIN is lost: it returns NaN, which callers read as lost positivity.
+    """
     k1h, k1v = v, rhs(h)
-    k2h, k2v = v + 0.5 * dt * k1v, rhs(h + 0.5 * dt * k1h)
-    k3h, k3v = v + 0.5 * dt * k2v, rhs(h + 0.5 * dt * k2h)
-    k4h, k4v = v + dt * k3v, rhs(h + dt * k3h)
+    h2 = h + 0.5 * dt * k1h
+    k2h, k2v = v + 0.5 * dt * k1v, rhs(h2)
+    h3 = h + 0.5 * dt * k2h
+    k3h, k3v = v + 0.5 * dt * k2v, rhs(h3)
+    h4 = h + dt * k3h
+    if not (h > H_MIN and h2 > H_MIN and h3 > H_MIN and h4 > H_MIN):  # also a NaN stage
+        return math.nan, math.nan
+    k4h, k4v = v + dt * k3v, rhs(h4)
     return (
         h + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h),
         v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
@@ -165,18 +176,31 @@ def integrate_warpedvss(params: WarpOdeParams, h0: float, hdot0: float, t_end: f
     return Trajectory(params, times, hs, vs, step)
 
 
-def first_integral(params: WarpOdeParams, h, hdot):
-    """lhs - tau h^(2-n); identically zero along exact solutions with matching Rbar."""
+def _first_integral_terms(params: WarpOdeParams, h, hdot) -> tuple:
+    """The four terms whose sum is the first integral."""
     h = np.asarray(h, dtype=float)
     hdot = np.asarray(hdot, dtype=float)
     n = params.n
-    val = (
-        hdot**2
-        + params.scalar / (n * (n - 1.0)) * h**2
-        - params.rbar / ((n - 1.0) * (n - 2.0))
-        - params.tau * h ** (2.0 - n)
+    return (
+        hdot**2,
+        params.scalar / (n * (n - 1.0)) * h**2,
+        -(params.rbar / ((n - 1.0) * (n - 2.0))),
+        -(params.tau * h ** (2.0 - n)),
     )
+
+
+def first_integral(params: WarpOdeParams, h, hdot):
+    """lhs - tau h^(2-n); identically zero along exact solutions with matching Rbar."""
+    val = sum(_first_integral_terms(params, h, hdot))
     return val if val.shape else float(val)
+
+
+def drift(traj: Trajectory) -> tuple[int, float]:
+    """(row, value) of the largest first-integral residual relative to 1 + the sizes of its terms (NaN largest)."""
+    terms = _first_integral_terms(traj.params, traj.h, traj.hdot)
+    rel = np.abs(sum(terms)) / (1.0 + sum(np.abs(term) for term in terms))
+    row = int(np.argmax(np.where(np.isnan(rel), np.inf, rel)))
+    return row, float(rel[row])
 
 
 def _propagate(params: WarpOdeParams, h: float, v: float, span: float, dt: float) -> tuple[float, float]:
@@ -283,8 +307,11 @@ class OdeWarpingFunction:
 
     def __call__(self, t):
         if isinstance(t, JetTensor):
-            h, v = self.state_at(t.value)
-            return JetTensor(t.space, _raw_compose(t.space, self._taylor_coeffs(h, v, t.order), t.data))
+            times = t.value  # one time per jet of a batch
+            series = np.empty((t.order + 1,) + times.shape)
+            for i in np.ndindex(times.shape):
+                series[(slice(None),) + i] = self._taylor_coeffs(*self.state_at(times[i]), t.order)
+            return JetTensor(t.space, _raw_compose(t.space, series, t.data))
         h, _ = self.state_at(float(t))
         return h
 

@@ -210,11 +210,11 @@ def assemble_warped(
     return WarpedGeometry(chart, fiber_chart, warping, ConformalFieldSpec(label="h d/dt", builder=xi_builder))
 
 
-def warping_jet(warping: Callable, t0: float, order: int) -> JetTensor:
-    """h as a one-variable jet at t0."""
+def warping_jet(warping: Callable, t0: float | np.ndarray, order: int) -> JetTensor:
+    """h as a one-variable jet at t0, or at each entry of an array t0."""
     h = warping(JetTensor.variable(0, t0, 1, order))
     if not isinstance(h, JetTensor):
-        h = JetTensor.const(jet_space(1, order), float(h))
+        h = JetTensor.const(jet_space(1, order), np.full(np.shape(t0), float(h)))
     return h
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, PointScratch, RunConfig, build_context
+from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, RunConfig, build_context, point_scratches
 from warpcheck.spaces import basicex_geometry, warping_jet
 from warpcheck.statics import warpedproduct3_residual
 
@@ -48,7 +48,8 @@ def warping_derivatives(wg, t0, order):
 def _point_scratch(wg, point, potential=None, order=3, fiber_order=2):
     """The per-point objects run_suite shares among checks on a warped space, whose field is h d/dt."""
     ctx = CheckContext(wg.chart, wg, potential, wg.xi)
-    return PointScratch(ctx, np.asarray(point, dtype=float), order, fiber_order)
+    (sc,) = point_scratches(ctx, np.array([point], dtype=float), order, fiber_order)
+    return sc
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 from pytest import approx
 
 import warpcheck.dsl as dsl
-from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, PointScratch, RunConfig, build_context
+from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, RunConfig, build_context, point_scratches
 from warpcheck.conformal import ConformalAnalysis, sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle, kulkarni_nomizu_jets
 from warpcheck.jets import JetTensor
@@ -315,8 +315,8 @@ def test_criterion_9_parser_and_jets():
 def test_criterion_10_lemma_battery():
     with Criterion(10, "decomposition, E-T contraction, Cotton contractions, xi-CVF formulas", 60.0):
         wg, pot = basicex_geometry(5, 2)
-        for p in wg.chart.sample_points(15, offset=0):
-            sc = PointScratch(CheckContext(wg.chart, potential=pot, fld=wg.xi), p, 4)
+        ctx = CheckContext(wg.chart, potential=pot, fld=wg.xi)
+        for sc in point_scratches(ctx, wg.chart.sample_points(15, offset=0), 4):
             st, cf = sc.static, sc.conformal
             dec = st.decompose_residuals()
             assert dec["riemann_gradient"].rel < 1e-6
@@ -331,8 +331,8 @@ def test_criterion_10_lemma_battery():
         chart = make_sphere_chart(n, 1.0)
         xi = sphere_gradient_field(n, 1.0, axis=1)
         pot_s = sphere_height_potential(n, 1.0, axis=2)  # nlin(3): independent fields
-        for p in chart.sample_points(15, offset=0):
-            sc = PointScratch(CheckContext(chart, potential=pot_s, fld=xi), p, 4)
+        ctx = CheckContext(chart, potential=pot_s, fld=xi)
+        for sc in point_scratches(ctx, chart.sample_points(15, offset=0), 4):
             st, cf = sc.static, sc.conformal
             dec = st.decompose_residuals()
             assert dec["riemann_gradient"].rel < 1e-6

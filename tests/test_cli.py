@@ -341,6 +341,8 @@ T_POTENTIAL = {"potential_t": "cos(t)"}
         (SPHERE, {"builtin": "sphere_height"}, "potential.shift", "-Infinity", "must be a finite number, got -inf"),
         (EJIRI_CONFIG["space"], T_POTENTIAL, "potential.a", "true", "must be a finite number, got True"),
         (EJIRI_CONFIG["space"], T_POTENTIAL, "potential.b", "[1]", "must be a finite number, got [1]"),
+        (ODE_SPACE, None, "space.dt", '"abc"', "must be a finite positive step, got 'abc'"),
+        (ODE_SPACE, None, "space.dt", "true", "must be a finite positive step, got True"),
     ],
 )
 def test_cli_config_numbers_name_their_field(tmp_path, capsys, space, potential, path, value, message):
@@ -572,6 +574,43 @@ def test_cli_solve_ode_grid_ends_at_t_end(tmp_path, t_end, dt):
     assert len(times) == steps + 1
     assert times[0] == 0.0 and times[-1] == float(t_end)
     assert np.diff(times) == pytest.approx(float(t_end) / steps, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "hdot0, message",
+    [
+        # the second RK4 stage lands at h = 5e-11; the step used to end at h = 2.7e24
+        ("-1999.9999999", "error: warping function lost positivity at t = 0\n"),
+        # every stage stays above H_MIN, but one at h = 5e-6 throws h to 2.7e9 in one step
+        (
+            "-1999.99",
+            "error: the orbit drifts: first-integral residual 1 relative to its terms at row 1 (t = 0.001) "
+            "is above 1e-06; take a smaller --dt\n",
+        ),
+    ],
+    ids=["stage_collapse", "drift"],
+)
+def test_cli_solve_ode_broken_orbit_exits_1(tmp_path, capsys, hdot0, message):
+    """A step with a collapsed stage, or an orbit whose first integral drifts, exits 1 naming where; no CSV is written."""
+    out = tmp_path / "traj.csv"
+    code = main(["solve-ode", "--n", "4", "--scalar", "12", "--c1", "1", "--h0", "1", f"--hdot0={hdot0}",
+                 "--t-end", "0.01", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_cli_ode_warped_drifting_orbit_is_a_config_error(tmp_path, capsys):
+    """ejiri-ode's orbit at dt = 0.3 keeps h positive, but its first integral drifts by 2e-5."""
+    config = dict(EXAMPLE_CONFIGS["ejiri-ode"], samples=2)
+    config["space"] = dict(config["space"], dt=0.3)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == (
+        "error: space: the warping orbit drifts (first-integral residual 1.94e-05 at t = 6.28368, above 1e-06); "
+        "take a smaller space.dt\n"
+    )
 
 
 @pytest.mark.parametrize("t_end", ["0", "-5", "inf", "nan"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, PointScratch, RunConfig, build_context
+from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, RunConfig, build_context, point_scratches
 from warpcheck.conformal import (
     ConformalAnalysis,
     rotation_field,
@@ -262,8 +262,8 @@ def test_shared_contractions_read_transposed_keep_every_bit(name, field):
     ctx = build_context(config)
     specs = [CHECKS[check] for check in config.checks]
     orders = [max(getattr(spec, key) for spec in specs) for key in ("order", "fiber_order", "metric_order")]
-    for p in ctx.chart.sample_points(6, offset=3):
-        ca = PointScratch(ctx, p, *orders).conformal
+    for sc in point_scratches(ctx, ctx.chart.sample_points(6, offset=3), *orders):
+        ca = sc.conformal
         b = ca.bundle
         pairs = [
             (ca.cotton_mid_xi.transpose("ki->ik"), jt_einsum("kli,l->ik", b.cotton, ca.xi.truncate(0))),

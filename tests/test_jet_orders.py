@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpcheck import geometry
-from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, PointScratch, RunConfig, build_context, run_suite
+from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, PointScratch, RunConfig, build_context, point_scratches, run_suite
 from warpcheck.geometry import CurvatureBundle, MetricChart, _jt_const_matmul
 from warpcheck.jets import JetTensor, _elem_series, _raw_mul, jet_space, jt_einsum
 from conftest import example_geometry
@@ -115,7 +115,7 @@ def test_jets_nothing_differentiates_are_order_zero(name):
     ctx = build_context(config)
     specs = [CHECKS[check] for check in config.checks]
     orders = [max(getattr(spec, key) for spec in specs) for key in ("order", "fiber_order", "metric_order")]
-    sc = PointScratch(ctx, ctx.chart.sample_points(1, offset=3)[0], *orders)
+    (sc,) = point_scratches(ctx, ctx.chart.sample_points(1, offset=3), *orders)
     b, st, ca = sc.bundle, sc.static, sc.conformal
     assert b.metric_order == 4
     jets = {
@@ -393,9 +393,10 @@ def _poison_metric_above(monkeypatch, level: int) -> None:
     """Build each point bundle's curvature at the field order, from a metric NaN above ``level``."""
     init = PointScratch.__init__
 
-    def poisoned_init(self, ctx, point, order, *args, **kwargs):
-        init(self, ctx, point, order, *args, **kwargs)
-        g = ctx.chart.metric_jets(point, order)
+    def poisoned_init(self, ctx, batches, k):
+        init(self, ctx, batches, k)
+        order = self.bundle.order
+        g = ctx.chart.metric_jets(self.point, order)
         data = g.data.copy()
         data[..., jet_space(ctx.chart.dim, level).n_coeffs :] = np.nan
         self.bundle.metric_order = order

@@ -256,6 +256,15 @@ def test_stage_at_zero_height_loses_positivity():
         integrate_warpedvss(WarpOdeParams(4, 12.0, 0.0, 1.0), 1.0, -2000.0, 1.0, 1e-3)
 
 
+def test_stage_below_h_min_loses_the_step():
+    """The second stage lands at h = 5e-11, and the step would end at h = 2.7e24: the step is NaN, and the
+    integration loses positivity at the step's start."""
+    params = WarpOdeParams(4, 12.0, 0.0, 1.0)
+    assert all(math.isnan(x) for x in _rk4_step(params.rhs, 1.0, -1999.9999999, 1e-3))
+    with pytest.raises(PositivityLost, match="t = 0$"):
+        integrate_warpedvss(params, 1.0, -1999.9999999, 0.01, 1e-3)
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
 def test_periodic_search_rejects_a_bad_step(dt):
     """The search steps t by dt up to its horizon, which a zero or negative step never reaches."""

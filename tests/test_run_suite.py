@@ -15,9 +15,18 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from warpcheck.checks import EXAMPLE_CONFIGS, RunConfig, build_context, run_suite
+from warpcheck.checks import (
+    BATCH_POINTS,
+    CHECKS,
+    EXAMPLE_CONFIGS,
+    RunConfig,
+    build_context,
+    point_scratches,
+    report_to_json,
+    run_suite,
+)
 from warpcheck.cli import main
-from warpcheck.geometry import CurvatureBundle
+from warpcheck.geometry import CurvatureBundle, MetricChart
 from warpcheck.jets import JetTensor
 from warpcheck.ode import WarpOdeParams, equilibrium_radius, rbar_from_initial
 from warpcheck import spaces, statics
@@ -201,13 +210,15 @@ def test_unmet_precondition_skips_with_its_reason(raw, check, reason):
 
 @pytest.fixture(scope="module")
 def example_runs():
-    """Each example's report, and per example how often each per-point value was derived.
+    """Each example's report, and per example how often each value was derived.
 
-    The values counted are CurvatureBundles, StaticAnalyses, warping jets,
-    fiber trace-free Riccis, vector-field evaluations (the field xi) and
-    vacuum-residual formations.
+    The values counted are CurvatureBundles, StaticAnalyses, fiber
+    trace-free Riccis and vacuum-residual formations, which are per point;
+    metric builds (``MetricChart.metric_jets``), warping jets and coordinate
+    jets of all points at once (one for each metric and field build), which
+    are per suite; and coordinate jets of one point, which are per point.
     """
-    kinds = ("bundles", "analyses", "warping", "fiber_ric0", "xi", "vacuum")
+    kinds = ("bundles", "analyses", "fiber_ric0", "vacuum", "metric", "warping", "batched", "alone")
     counts = {kind: Counter() for kind in kinds}
     current = [""]
 
@@ -218,16 +229,22 @@ def example_runs():
 
         return counted
 
+    def coordinate_jets(chart, point, order):
+        counts["alone" if np.ndim(point) == 1 else "batched"][current[0]] += 1
+        return coordinate_jets.original(chart, point, order)
+
+    coordinate_jets.original = MetricChart.coordinate_jets
     reports = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CurvatureBundle, "__init__", counting("bundles", CurvatureBundle.__init__))
         mp.setattr(StaticAnalysis, "__init__", counting("analyses", StaticAnalysis.__init__))
-        mp.setattr(spaces, "warping_jet", counting("warping", spaces.warping_jet))
         mp.setattr(statics, "fiber_ric0", counting("fiber_ric0", statics.fiber_ric0))
-        mp.setattr(CurvatureBundle, "vector_field", counting("xi", CurvatureBundle.vector_field))
         vacuum = cached_property(counting("vacuum", StaticAnalysis._vacuum.func))
         vacuum.__set_name__(StaticAnalysis, "_vacuum")
         mp.setattr(StaticAnalysis, "_vacuum", vacuum)
+        mp.setattr(MetricChart, "metric_jets", counting("metric", MetricChart.metric_jets))
+        mp.setattr(spaces, "warping_jet", counting("warping", spaces.warping_jet))
+        mp.setattr(MetricChart, "coordinate_jets", coordinate_jets)
         for name, raw in EXAMPLE_CONFIGS.items():
             current[0] = name
             reports[name] = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
@@ -240,22 +257,37 @@ def test_bundles_per_point(example_runs):
     assert counts["bundles"]["sphere-s4"] == EXAMPLE_CONFIGS["sphere-s4"]["samples"]
 
 
-# Per point: StaticAnalyses, warping jets, fiber trace-free Riccis, xi
-# evaluations and vacuum-residual formations.  basicex analyses its
-# potential h*fbar, hdot and fbar on the fiber, and forms the vacuum
-# residuals of h*fbar and of fbar; every other example analyses one
+# Per point: StaticAnalyses, fiber trace-free Riccis, vacuum-residual
+# formations and field builds on the point's own coordinates.  basicex
+# analyses its potential h*fbar, hdot and fbar on the fiber, and forms the
+# vacuum residuals of h*fbar and of fbar; every other example analyses one
 # potential (hdot where none is configured).  The characteristic function
 # phi counts as one more StaticAnalysis wherever a check reads its
-# derivatives (firstthm, closed_cvf, xicvf_forms).  wp3 reads h C(., d/dt, .)
-# from the bundle, so ejiri-ode evaluates no field.  A warped example forms
-# its one warping jet wherever a check reads h or hdot.
+# derivatives (firstthm, closed_cvf, xicvf_forms).  phi and hdot are the
+# only fields built per point: their builders return the point's own jet.
 DERIVED_PER_POINT = {
-    "basicex-n5-k2": (4, 1, 0, 1, 2),
-    "ejiri": (2, 1, 1, 1, 1),
-    "ejiri-ode": (1, 1, 0, 0, 0),
-    "equiv-fail": (2, 1, 1, 1, 0),
-    "nonconstant-exp": (2, 1, 1, 1, 0),
-    "sphere-s4": (2, 0, 0, 1, 1),
+    "basicex-n5-k2": (4, 0, 2, 2),
+    "ejiri": (2, 1, 1, 2),
+    "ejiri-ode": (1, 0, 0, 1),
+    "equiv-fail": (2, 1, 0, 2),
+    "nonconstant-exp": (2, 1, 0, 2),
+    "sphere-s4": (2, 0, 1, 1),
+}
+
+# Per suite, each on the coordinates of every sample point at once: metric
+# builds (the chart's, and the fiber chart's where a check reads the fiber
+# bundle), warping jets, and builds of the configured potential, the field
+# and basicex's fbar.  A warped example forms its one warping jet where a
+# check reads h or hdot.  wp3 reads h C(., d/dt, .) from the bundle, so
+# ejiri-ode builds no field.  A builder run per point again multiplies its
+# count by the sample count.
+BATCHES_PER_SUITE = {
+    "basicex-n5-k2": (2, 1, 3),
+    "ejiri": (2, 1, 1),
+    "ejiri-ode": (1, 1, 0),
+    "equiv-fail": (2, 1, 1),
+    "nonconstant-exp": (2, 1, 1),
+    "sphere-s4": (1, 0, 2),
 }
 
 
@@ -263,8 +295,26 @@ DERIVED_PER_POINT = {
 def test_point_values_derived_once(example_runs, name):
     _, counts = example_runs
     samples = EXAMPLE_CONFIGS[name]["samples"]
-    got = tuple(counts[kind][name] / samples for kind in ("analyses", "warping", "fiber_ric0", "xi", "vacuum"))
+    got = tuple(counts[kind][name] / samples for kind in ("analyses", "fiber_ric0", "vacuum", "alone"))
     assert got == DERIVED_PER_POINT[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
+def test_builders_run_once_per_suite(example_runs, name):
+    _, counts = example_runs
+    metric, warping, coords = (counts[kind][name] for kind in ("metric", "warping", "batched"))
+    assert (metric, warping, coords - metric) == BATCHES_PER_SUITE[name]
+
+
+def test_builders_run_once_per_batch_of_points(monkeypatch):
+    """Past BATCH_POINTS samples, the builders run once for each BATCH_POINTS of them."""
+    calls = []
+    metric_jets = MetricChart.metric_jets
+    monkeypatch.setattr(MetricChart, "metric_jets", lambda chart, p, k: calls.append(len(p)) or metric_jets(chart, p, k))
+    config = {"space": {"kind": "sphere", "dim": 3}, "checks": ["scalar_value"], "samples": 2 * BATCH_POINTS + 1}
+    (outcome,) = run_suite(RunConfig.from_dict(config)).checks
+    assert outcome.status == "PASS" and outcome.samples == 2 * BATCH_POINTS + 1
+    assert calls == [BATCH_POINTS, BATCH_POINTS, 1]
 
 
 @pytest.mark.parametrize("name", ["basicex-n5-k2", "ejiri", "ejiri-ode", "equiv-fail"])
@@ -281,6 +331,138 @@ def test_wp3_reads_h_d_dt_whatever_the_configured_field(name):
     assert default[0] == "PASS"
     assert wp3({"builtin": "zero"}) == default
     assert wp3({"builtin": "rotation", "axes": [1, 2]}) == default
+
+
+# -- one batch per chart: each point's slice is its jets alone ----------------------
+
+BATCH_CASES = {
+    **EXAMPLE_CONFIGS,
+    "sphere-s6-firstthm": {
+        "space": {"kind": "sphere", "dim": 6, "radius": 1.0},
+        "field": {"builtin": "sphere_gradient", "axis": 1},
+        "checks": ["firstthm"],
+    },
+    "hyperbolic-h5-rotation": {
+        "space": {"kind": "hyperbolic", "dim": 5, "radius": 1.0},
+        "field": {"builtin": "rotation", "axes": [0, 1]},
+        "checks": ["firstthm"],
+    },
+    "basicex-n6-k2": {"space": {"kind": "basicex", "n": 6, "k": 2}, "checks": ["ixi_cotton", "propddoth"]},
+}
+
+
+def _same_bytes(got: JetTensor, want: JetTensor) -> bool:
+    return got.space is want.space and got.data.shape == want.data.shape and got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batch_slices_equal_the_jets_of_a_lone_point(name):
+    """The metric, fiber metric, potential, fbar, field and warping jets that a point
+    reads from its suite's batch are, byte for byte, those formed at that point alone:
+    by a lone CurvatureBundle, on the point's own coordinates, and by warping_jet at its t."""
+    config = RunConfig.from_dict(dict(copy.deepcopy(BATCH_CASES[name]), samples=3, offset=7))
+    ctx = build_context(config)
+    specs = [CHECKS[check] for check in config.checks]
+    order, fiber_order, metric_order = (max(getattr(s, k) for s in specs) for k in ("order", "fiber_order", "metric_order"))
+    points = ctx.chart.sample_points(config.samples, config.offset)
+    for sc in point_scratches(ctx, points, order, fiber_order, metric_order):
+        lone = CurvatureBundle(ctx.chart, sc.point, order, metric_order)
+        own = ctx.chart.metric_jets(sc.point, metric_order)
+        pairs = [(sc.bundle.g, lone.g), (sc.bundle.g, JetTensor(own.space, own.data + 0.0))]
+        if ctx.potential is not None:
+            pairs.append((sc.bundle.scalar_field(ctx.potential.builder), lone.scalar_field(ctx.potential.builder)))
+        if ctx.fld is not None:
+            pairs.append((sc.bundle.vector_field(ctx.fld.builder), lone.vector_field(ctx.fld.builder)))
+        if ctx.warped is not None:
+            lone_fiber = CurvatureBundle(ctx.warped.fiber_chart, sc.point[1:], fiber_order)
+            pairs.append((sc.fiber.g, lone_fiber.g))
+            fbar = ctx.potential.fiber if ctx.potential is not None else None
+            if fbar is not None:
+                pairs.append((sc.fiber.scalar_field(fbar.builder), lone_fiber.scalar_field(fbar.builder)))
+            pairs.append((sc.warping_jet, spaces.warping_jet(ctx.warped.warping, sc.point[0], order + 1)))
+        assert len(pairs) >= 2
+        for k, (got, want) in enumerate(pairs):
+            assert _same_bytes(got, want), (sc.point, k)
+
+
+def _rows_alone(raw, points):
+    """Each point's per-check rows when the suite runs at that point alone."""
+    rows = {}
+    for p in points:
+        for out in run_suite(RunConfig.from_dict(copy.deepcopy(raw)), point_override=p).checks:
+            rows.setdefault(out.check, []).extend(out.point_rows)
+            rows.setdefault((out.check, "reason"), []).append(out.reason)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "check, what",
+    [
+        ("vss_residual", {"potential": {"potential_t": "log(t)"}}),
+        ("firstthm", {"field": {"components": ["1+0*sqrt(t)", "0", "0", "0"]}}),
+    ],
+    ids=["potential", "field"],
+)
+def test_domain_error_in_a_batch_fails_only_its_point(check, what):
+    """Points outside a builder's domain make the whole batch raise; every point then
+    forms that value alone, so each bad point reports its own error and the others
+    their own residuals, exactly as when each runs alone."""
+    raw = _warped_over_s3([-0.3, 1], "1", [check], samples=6, **what)
+    (out,) = run_suite(RunConfig.from_dict(raw)).checks
+    alone = _rows_alone(raw, [np.array(row[0]) for row in out.point_rows])
+    assert repr(out.point_rows) == repr(alone[check])
+    bad = [row for row in out.point_rows if row[2] == math.inf]
+    assert bad and len(bad) < len(out.point_rows)
+    assert out.reason == next(r for r in alone[(check, "reason")] if r is not None)
+    assert out.reason.startswith("JetDomainError: "), out.reason
+
+
+def test_overflow_in_a_batch_fails_only_its_point(capfd):
+    """exp(exp(exp(t))) overflows only at the larger t: those points FAIL as non-finite,
+    the others keep the residuals they have alone, and numpy warns of nothing."""
+    potential = {"potential_t": "exp(exp(exp(t)))"}
+    raw = _warped_over_s3([1.0, 2.2], "1+0*t", ["vss_residual"], potential=potential, samples=6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (vss,) = run_suite(RunConfig.from_dict(raw)).checks
+    assert [str(w.message) for w in caught] == [] and capfd.readouterr().err == ""
+    finite = [math.isfinite(row[2]) for row in vss.point_rows]
+    assert any(finite) and not all(finite)
+    assert vss.status == "FAIL" and vss.reason.startswith("non-finite residual")
+    assert vss.worst_point == list(vss.point_rows[finite.index(False)][0])
+    points = [np.array(row[0]) for row in vss.point_rows]
+    with np.errstate(all="ignore"):
+        assert repr(vss.point_rows) == repr(_rows_alone(raw, points)["vss_residual"])
+
+
+# The first 16 hex digits of the SHA-256 of each example's report as
+# `warpcheck example <name> --no-timestamp` writes it.
+EXAMPLE_DIGESTS = {
+    "basicex-n5-k2": "c3a409ba77980d7d",
+    "ejiri": "c3cf4b6f11b569c9",
+    "ejiri-ode": "527c0d27f74bc7ce",
+    "equiv-fail": "dd94f63e25931541",
+    "nonconstant-exp": "18d8f8338aea843b",
+    "sphere-s4": "0b50c4e1fd2753ef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
+def test_example_report_digest_is_pinned(example_runs, name):
+    """The bytes of each example's ``--no-timestamp`` report, digested as
+    ``scripts/run_catalog_suites.py`` digests them.
+
+    These digests pin platform bits: every residual digit, and so the order
+    in which numpy sums.  A change meant to be byte-identical (a speed-up, a
+    refactor) keeps them.  A failure after a numpy upgrade or on another
+    platform means summation order moved, as in
+    ``test_numpy_summation_order_is_pinned``; a failure after a change to the
+    code means a digit moved, which that change must name and explain.
+    """
+    report = copy.deepcopy(example_runs[0][name])
+    for outcome in report.checks:  # as --no-timestamp writes it
+        outcome.wall_time = 0.0
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest()[:16] == EXAMPLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))

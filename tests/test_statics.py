@@ -5,7 +5,7 @@ import pytest
 from pytest import approx
 
 import warpcheck.dsl as dsl
-from warpcheck.checks import CheckContext, PointScratch
+from warpcheck.checks import CheckContext, point_scratches
 from warpcheck.conformal import sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.jets import JetTensor
@@ -41,7 +41,8 @@ def static(chart, potential, p, order=2):
 
 
 def xicvf(chart, potential, xi, p):
-    return xicvf_residuals(PointScratch(CheckContext(chart, potential=potential, fld=xi), p, 3))
+    (sc,) = point_scratches(CheckContext(chart, potential=potential, fld=xi), np.array([p], dtype=float), 3)
+    return xicvf_residuals(sc)
 
 
 # -- L* ---------------------------------------------------------------------------
