@@ -177,7 +177,14 @@ def _cmd_solve_ode(args) -> int:
         return 2
     rbar = args.rbar
     if rbar is None:
-        rbar = rbar_from_initial(WarpOdeParams(args.n, args.scalar, 0.0, args.c1), args.h0, args.hdot0)
+        try:
+            rbar = rbar_from_initial(WarpOdeParams(args.n, args.scalar, 0.0, args.c1), args.h0, args.hdot0)
+        except OverflowError:  # h0^(2-n) or h0^2
+            rbar = math.inf
+        if not math.isfinite(rbar):
+            print(f"error: --h0 {args.h0:g} and --n {args.n} take the fiber scalar out of float range; give --rbar",
+                  file=sys.stderr)
+            return 2
     params = WarpOdeParams(args.n, args.scalar, rbar, args.c1)
     try:
         if args.periodic:

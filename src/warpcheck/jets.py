@@ -16,6 +16,25 @@ Multi-indices are ordered graded-lexicographically (total degree first).
 Because that ordering is degree-graded, the coefficient array of a
 lower-order jet is a prefix of the higher-order layout, which makes
 truncation a slice.
+
+The zero rule of :func:`jt_einsum`.  Diagonal and warped charts make most
+entries of g^-1, Christoffel and Riemann jets that are exactly zero.  A
+product at order >= 1 with at most one contracted letter skips every term
+(output entry, contracted index) with an all-zero operand jet: it gathers,
+multiplies and sums only the others, rank by rank from +0.0, and
+segment-sums only the entries that have a term; the rest stay +0.0.  The
+bits are the dense path's: numpy's einsum sums one contracted letter in
+order from +0.0 without FMA, a skipped term would add +-0.0, which leaves
+such a sum as it is, and ``np.add.reduceat`` sums each entry on its own.
+The dense path still runs for a product below ``_ZERO_MIN_WORK``
+multiply-adds; for one that would skip less than ``_ZERO_MIN_SKIP`` of its
+terms (the value parts bound that share before any mask is formed); for
+two contracted letters, whose einsum order depends on operand layout; for
+a contracted letter that is the fastest axis of both operands with more
+than two terms to an entry, which einsum sums in SIMD lanes; and for a NaN
+or inf operand, where 0 * inf must stay NaN.  A plan is built on the
+product's first (dense) call, whose output layout it copies, and kept on
+the jet space by spec, operand layouts and zero masks.
 """
 
 from __future__ import annotations
@@ -85,6 +104,7 @@ class JetSpace:
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._partials_table: tuple[np.ndarray, np.ndarray] | None = None
         self._embed_tables: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        self._zero_plans: dict[tuple, tuple | bool] = {}  # jt_einsum's zero rule
 
     # -- lookup tables -------------------------------------------------
 
@@ -191,10 +211,10 @@ def _series_cyclic(values4, v: np.ndarray, order: int) -> np.ndarray:
 
 
 def _check_positive(name: str, v: np.ndarray) -> None:
-    bad = np.asarray(v) <= 0
+    values = np.asarray(v)
+    bad = values <= 0
     if np.any(bad):
-        off = np.asarray(v)[bad].flat[0] if np.ndim(v) else v
-        raise JetDomainError(f"{name} requires a positive value part, got {off!r}")
+        raise JetDomainError(f"{name} requires a positive value part, got {float(values[bad][0])!r}")
 
 
 def _elem_series(name: str, v: np.ndarray, order: int, exponent: float | None = None) -> np.ndarray:
@@ -417,18 +437,118 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     """Binary einsum whose scalar product is the truncated Cauchy product.
 
     ``spec`` uses ordinary einsum syntax over the tensor axes only, e.g.
-    ``jt_einsum('kl,ikjl->ij', ginv, riem)``.
+    ``jt_einsum('kl,ikjl->ij', ginv, riem)``.  Terms with an all-zero
+    operand jet are skipped by the zero rule of the module docstring.
     """
     a, b = a._align(b)
     space = a.space
+    ad, bd = a.data, b.data
     if space.order == 0:
         # one coefficient, so one pair: the gather and the segmented sum would
         # only copy, and the gather keeps a transposed view's strides, so
         # np.einsum sees the same layout and sums in the same order
-        return JetTensor(space, np.einsum(_jet_spec(spec), a.data, b.data))
+        return JetTensor(space, np.einsum(_jet_spec(spec), ad, bd))
     a_idx, b_idx, starts = space.mul_table
-    prod = np.einsum(_jet_spec(spec), a.data[..., a_idx], b.data[..., b_idx])
-    return JetTensor(space, np.add.reduceat(prod, starts, axis=-1))
+    letters, work = _zero_letters(spec, space, ad.shape[:-1], bd.shape[:-1])
+    key = plan = None
+    if work >= _ZERO_MIN_WORK and _zero_share(ad) + _zero_share(bd) >= _ZERO_MIN_SKIP:
+        nz_a, nz_b = ad.any(axis=-1), bd.any(axis=-1)
+        key = (spec, ad.shape, ad.strides, bd.shape, bd.strides, nz_a.tobytes(), nz_b.tobytes())
+        plan = space._zero_plans.get(key)
+        if plan and np.isfinite(ad).all() and np.isfinite(bd).all():
+            return JetTensor(space, _zero_product(plan, ad, bd, starts))
+    out = np.add.reduceat(np.einsum(_jet_spec(spec), ad[..., a_idx], bd[..., b_idx]), starts, axis=-1)
+    if key is not None and plan is None:
+        if len(space._zero_plans) >= _ZERO_PLANS_MAX:
+            space._zero_plans.clear()
+        space._zero_plans[key] = _zero_plan(letters, space, nz_a, nz_b, ad, bd, out)
+    return JetTensor(space, out)
+
+
+# -- the zero rule of jt_einsum -------------------------------------------
+
+# products below this many multiply-adds (entries of the full index space
+# times coefficient pairs) stay dense: the masks and the plan lookup would
+# cost more than the skipped terms
+_ZERO_MIN_WORK = 10_000
+# products that skip less than this share of their (output, contracted
+# index) terms stay dense: a term through a plan costs more than in einsum
+_ZERO_MIN_SKIP = 0.85
+_ZERO_PLANS_MAX = 512  # per jet space
+
+
+def _zero_share(data: np.ndarray) -> float:
+    """Share of entries whose value part is zero: at least that of all-zero jets."""
+    return 1.0 - np.count_nonzero(data[..., 0]) / data[..., 0].size
+
+
+@lru_cache(maxsize=1024)
+def _zero_letters(spec: str, space: JetSpace, shape_a: tuple, shape_b: tuple) -> tuple[tuple[str, ...], int]:
+    """((sa, sb, out, contracted letter or ''), multiply-adds), or ((), -1) where the zero rule cannot hold."""
+    lhs, so = spec.split("->")
+    sa, sb = lhs.split(",")
+    summed = set(sa + sb) - set(so)
+    if len(set(sa)) < len(sa) or len(set(sb)) < len(sb) or len(summed) > 1 or not summed <= set(sa) & set(sb):
+        return (), -1
+    extent = dict(zip(sa + sb, shape_a + shape_b))
+    return (sa, sb, so, "".join(summed)), math.prod(extent.values()) * len(space.mul_table[0])
+
+
+def _zero_plan(letters, space, nz_a, nz_b, ad, bd, dense) -> tuple | bool:
+    """Index tables of a product's nonzero terms, or False where it stays dense.
+
+    Terms are (output entry, contracted index) pairs with both operand jets
+    nonzero.  They are grouped by rank, the term's place in its entry's sum,
+    so that the sums run in einsum's order: the contracted index ascending.
+    """
+    sa, sb, so, c = letters
+    terms = np.einsum(f"{sa},{sb}->{so}{c}", nz_a, nz_b)
+    n = np.count_nonzero(terms)
+    if n > (1.0 - _ZERO_MIN_SKIP) * terms.size or dense.strides[-1] != dense.itemsize:
+        return False
+    at = dict(zip(so + c, np.nonzero(np.atleast_1d(terms))))
+
+    def rows(letters, shape):
+        return np.ravel_multi_index([at[x] for x in letters], shape) if letters else np.zeros(n, dtype=np.intp)
+
+    entry = rows(so, dense.shape[:-1])
+    first = np.ones(n, dtype=bool)
+    first[1:] = entry[1:] != entry[:-1]
+    group = np.cumsum(first) - 1
+    rank = np.arange(n) - np.flatnonzero(first)[group]
+    # einsum sums over an axis that is the fastest of both gathered operands
+    # (a gather keeps its source's axis order) in SIMD lanes, which equal an
+    # ordered sum only for at most two terms
+    fastest = [min(((s, x) for x, s, e in zip(ls, d.strides, d.shape) if e > 1), default=(0, ""))[1]
+               for ls, d in ((sa, ad), (sb, bd))]
+    if n and rank.max() > 1 and fastest == [c, c]:
+        return False
+    order = np.lexsort((group, rank))
+    bounds = np.cumsum(np.bincount(rank, minlength=1))
+    support = bounds[0]  # entries with a term, each with its rank-0 term
+    blocks = [(slice(None) if hi - lo == support else group[order[lo:hi]], lo, hi)
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    cs = space.n_coeffs
+    ia = rows(sa, ad.shape[:-1])[order, None] * cs + space.mul_table[0]
+    ib = rows(sb, bd.shape[:-1])[order, None] * cs + space.mul_table[1]
+    # the output in the dense path's memory order, coefficient axis last
+    perm = np.argsort([-s for s in dense.strides], kind="stable")
+    out_rows = sum((at[x][order[:support]] * (s // (dense.itemsize * cs)) for x, s in zip(so, dense.strides)),
+                   np.zeros(support, dtype=np.intp))
+    return ia, ib, support, blocks, out_rows, tuple(np.take(dense.shape, perm)), tuple(np.argsort(perm))
+
+
+def _zero_product(plan, ad: np.ndarray, bd: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Gather, multiply and sum a plan's terms rank by rank from +0.0; the other entries stay +0.0."""
+    ia, ib, support, blocks, out_rows, shape, inverse = plan
+    prod = np.take(ad, ia) * np.take(bd, ib)
+    acc = prod[:support]
+    acc += 0.0
+    for rows, lo, hi in blocks:
+        acc[rows] += prod[lo:hi]
+    buf = np.zeros((math.prod(shape[:-1]), shape[-1]))
+    buf[out_rows] = np.add.reduceat(acc, starts, axis=-1)
+    return buf.reshape(shape).transpose(inverse)
 
 
 @lru_cache(maxsize=None)

@@ -129,17 +129,21 @@ class Trajectory:
 def _rk4_step(rhs: Callable[[float], float], h: float, v: float, dt: float) -> tuple[float, float]:
     """One classical RK4 step of (h, hdot)' = (hdot, rhs(h)); ``rhs`` is a bound ``WarpOdeParams.rhs``.
 
-    A step with a stage height not above H_MIN is lost: it returns NaN, which callers read as lost positivity.
+    A step with a stage height not above H_MIN, or at which h^(1-n) leaves float range, is lost: it returns
+    NaN, which callers read as lost positivity.
     """
-    k1h, k1v = v, rhs(h)
-    h2 = h + 0.5 * dt * k1h
-    k2h, k2v = v + 0.5 * dt * k1v, rhs(h2)
-    h3 = h + 0.5 * dt * k2h
-    k3h, k3v = v + 0.5 * dt * k2v, rhs(h3)
-    h4 = h + dt * k3h
-    if not (h > H_MIN and h2 > H_MIN and h3 > H_MIN and h4 > H_MIN):  # also a NaN stage
+    try:
+        k1h, k1v = v, rhs(h)
+        h2 = h + 0.5 * dt * k1h
+        k2h, k2v = v + 0.5 * dt * k1v, rhs(h2)
+        h3 = h + 0.5 * dt * k2h
+        k3h, k3v = v + 0.5 * dt * k2v, rhs(h3)
+        h4 = h + dt * k3h
+        if not (h > H_MIN and h2 > H_MIN and h3 > H_MIN and h4 > H_MIN):  # also a NaN stage
+            return math.nan, math.nan
+        k4h, k4v = v + dt * k3v, rhs(h4)
+    except (ZeroDivisionError, OverflowError):  # a stage reached h = 0, or h^(1-n) overflowed
         return math.nan, math.nan
-    k4h, k4v = v + dt * k3v, rhs(h4)
     return (
         h + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h),
         v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
@@ -166,10 +170,7 @@ def integrate_warpedvss(params: WarpOdeParams, h0: float, hdot0: float, t_end: f
     h, v = hs[0], vs[0] = float(h0), float(hdot0)
     rhs = params.rhs
     for i in range(steps):
-        try:
-            h, v = _rk4_step(rhs, h, v, step)
-        except (ZeroDivisionError, OverflowError):  # a stage reached h = 0, or h^(1-n) overflowed
-            h = math.nan
+        h, v = _rk4_step(rhs, h, v, step)
         if not math.isfinite(h) or h <= H_MIN:
             raise PositivityLost(float(times[i]))
         hs[i + 1], vs[i + 1] = h, v
@@ -247,6 +248,8 @@ def find_periodic_solution(params: WarpOdeParams, h0: float, dt: float = 1e-3) -
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
                 _, v_mid = _propagate(params, h, v, mid, dt)
+                if math.isnan(v_mid):  # a sub-step collapsed
+                    raise PositivityLost(t)
                 if (v < 0.0) != (v_mid < 0.0) or v_mid == 0.0:
                     hi = mid
                 else:

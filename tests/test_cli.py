@@ -600,6 +600,28 @@ def test_cli_solve_ode_broken_orbit_exits_1(tmp_path, capsys, hdot0, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("periodic", [[], ["--periodic"]], ids=["integrate", "periodic"])
+def test_cli_solve_ode_fiber_scalar_out_of_float_range(tmp_path, capsys, periodic):
+    """h0^(2-n) = 0.1^-398 overflows a float: one error line, exit 2, as for the other parameter errors."""
+    out = tmp_path / "traj.csv"
+    code = main(["solve-ode", "--n", "400", "--scalar", "1", "--c1", "1", "--h0", "0.1", "--out", str(out)] + periodic)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --h0 0.1 and --n 400 take the fiber scalar out of float range; give --rbar\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_solve_ode_periodic_overflow_loses_positivity(tmp_path, capsys):
+    """With --rbar given, the search's first step overflows h^(1-n): lost positivity, exit 1, not a traceback."""
+    out = tmp_path / "traj.csv"
+    code = main(["solve-ode", "--n", "400", "--scalar", "1", "--c1", "1", "--h0", "0.1", "--rbar", "1",
+                 "--periodic", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: warping function lost positivity at t = 0\n"
+    assert not out.exists()
+
+
 def test_cli_ode_warped_drifting_orbit_is_a_config_error(tmp_path, capsys):
     """ejiri-ode's orbit at dt = 0.3 keeps h positive, but its first integral drifts by 2e-5."""
     config = dict(EXAMPLE_CONFIGS["ejiri-ode"], samples=2)

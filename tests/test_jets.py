@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from warpcheck.jets import JetDomainError, JetShapeError, JetTensor, jet_space
+from warpcheck import jets
+from warpcheck.jets import JetDomainError, JetShapeError, JetTensor, jet_space, jt_einsum
 
 
 def test_coefficient_count_is_binomial():
@@ -82,6 +83,14 @@ def test_log_domain_error():
         JetTensor.const(jet_space(1, 3), 0.0).elem("log")
     with pytest.raises(JetDomainError):
         JetTensor.const(jet_space(1, 3), -2.0).elem("sqrt")
+
+
+@pytest.mark.parametrize("values", [-0.1375, [0.5, -0.1375, -2.0]], ids=["0-d", "batched"])
+@pytest.mark.parametrize("fn", ["log", "sqrt"])
+def test_domain_error_names_the_first_bad_value_as_a_float(values, fn):
+    with pytest.raises(JetDomainError) as err:
+        JetTensor.const(jet_space(2, 2), values).elem(fn)
+    assert str(err.value) == f"{fn} requires a positive value part, got -0.1375"
 
 
 def test_extract_partial_t4():
@@ -294,3 +303,177 @@ def test_chain_rule_against_finite_differences(fd):
             assert got == approx(want, abs=max(1e-5, 1e-5 * abs(want)))
         checked += 1
     assert checked >= 50
+
+
+# -- the zero rule of jt_einsum against the dense product ----------------------
+
+
+def _dense_einsum(spec: str, a: JetTensor, b: JetTensor) -> np.ndarray:
+    """jt_einsum's dense path: every coefficient pair of every entry."""
+    a, b = a._align(b)
+    a_idx, b_idx, starts = a.space.mul_table
+    prod = np.einsum(jets._jet_spec(spec), a.data[..., a_idx], b.data[..., b_idx])
+    return np.add.reduceat(prod, starts, axis=-1)
+
+
+def _same(got: JetTensor, want: np.ndarray) -> bool:
+    return got.data.tobytes() == want.tobytes() and got.data.strides == want.strides
+
+
+@pytest.fixture
+def zero_rule_always(monkeypatch):
+    """The zero rule on every eligible product; tests take fresh JetSpaces, whose plan caches are empty."""
+    monkeypatch.setattr(jets, "_ZERO_MIN_WORK", 0)
+    monkeypatch.setattr(jets, "_ZERO_MIN_SKIP", 0.0)
+
+
+def _jets(rng, space, shape, keep, layout=None, negative_zeros=False) -> JetTensor:
+    """Random jets of ``space`` with all-zero jets where ``keep`` is False.
+
+    ``layout`` permutes the tensor axes in memory, so the operand is a
+    transposed view; ``negative_zeros`` writes -0.0 into some coefficients.
+    """
+    data = rng.standard_normal(shape + (space.n_coeffs,))
+    if negative_zeros:
+        data[rng.random(data.shape) < 0.3] = -0.0
+    data[~keep] = -0.0 if negative_zeros else 0.0
+    if layout is not None:
+        perm = tuple(layout) + (len(shape),)
+        data = np.ascontiguousarray(data.transpose(perm)).transpose(np.argsort(perm))
+    return JetTensor(space, data)
+
+
+@st.composite
+def _products(draw):
+    """A binary spec with zero or one contracted letter, its extents and operand layouts."""
+    letters = iter("abcdefg")
+    only_a = [next(letters) for _ in range(draw(st.integers(0, 2)))]
+    only_b = [next(letters) for _ in range(draw(st.integers(0, 2)))]
+    shared = [next(letters) for _ in range(draw(st.integers(0, 1)))]
+    summed = [next(letters) for _ in range(draw(st.integers(0, 1)))]
+    sa = draw(st.permutations(only_a + shared + summed))
+    sb = draw(st.permutations(only_b + shared + summed))
+    so = draw(st.permutations(only_a + only_b + shared))
+    extent = {x: draw(st.integers(1, 4)) for x in sa + sb}
+    spec = f"{''.join(sa)},{''.join(sb)}->{''.join(so)}"
+    layouts = [draw(st.permutations(range(len(letters)))) for letters in (sa, sb)]
+    return spec, tuple(extent[x] for x in sa), tuple(extent[x] for x in sb), *layouts
+
+
+@given(
+    product=_products(),
+    share_a=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    share_b=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    space=st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2)]),
+    extra_order=st.integers(0, 1),
+    transposed=st.booleans(),
+    negative_zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_zero_rule_is_the_dense_product_bit_for_bit(
+    product, share_a, share_b, space, extra_order, transposed, negative_zeros, seed
+):
+    """A plan built on one draw gives the dense path's bytes and strides on a second draw with the same zeros."""
+    spec, shape_a, shape_b, layout_a, layout_b = product
+    rng = np.random.default_rng(seed)
+    keep_a, keep_b = rng.random(shape_a) >= share_a, rng.random(shape_b) >= share_b
+    space_a, space_b = jets.JetSpace(*space), jet_space(space[0], space[1] + extra_order)
+    views = (layout_a, layout_b) if transposed else (None, None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "_ZERO_MIN_WORK", 0)
+        mp.setattr(jets, "_ZERO_MIN_SKIP", 0.0)
+        for _ in range(2):
+            a = _jets(rng, space_a, shape_a, keep_a, views[0], negative_zeros)
+            b = _jets(rng, space_b, shape_b, keep_b, views[1], negative_zeros)
+            assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
+    plans = list(space_a._zero_plans.values())
+    # a plan stays dense only where einsum may sum a contracted letter in SIMD lanes
+    lhs, out = spec.split("->")
+    summed = "".join(set(lhs) - set(out) - {","})
+    terms = np.einsum(f"{lhs}->{out}{summed}", keep_a, keep_b)
+    assert plans and (all(plans) or (summed and terms.sum(axis=-1).max() > 2))
+
+
+@pytest.mark.parametrize("spec", ["kl,ijl->kij", "mki,ljm->lijk", "is,sjkl->ijkl", "ij,jk->ik", "ij,j->i", ",ij->ij"])
+def test_zero_rule_takes_the_plan_on_a_diagonal_chart(zero_rule_always, spec):
+    """Sparse curvature-like operands run through a plan, which holds on new values."""
+    rng = np.random.default_rng(7)
+    space = jets.JetSpace(4, 2)
+    sa, sb = spec.split("->")[0].split(",")
+    masks = [rng.random((4,) * len(letters)) < 0.2 for letters in (sa, sb)]
+    for _ in range(3):
+        a, b = (_jets(rng, space, m.shape, m) for m in masks)
+        assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
+    assert [bool(plan) for plan in space._zero_plans.values()] == [True]
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_zero_rule_stays_dense_where_einsum_sums_in_lanes(zero_rule_always, transposed):
+    """j is the fastest axis of both C-ordered operands of 'ij,j->i', so einsum sums it in SIMD lanes:
+    with four terms to an entry no ordered sum matches it.  In a transposed view of g it is not."""
+    rng = np.random.default_rng(13)
+    space = jets.JetSpace(3, 2)
+    keep = ~np.eye(5, dtype=bool)
+    for _ in range(3):
+        g = _jets(rng, space, (5, 5), keep, (1, 0) if transposed else None)
+        v = _jets(rng, space, (5,), np.ones(5, dtype=bool))
+        assert _same(jt_einsum("ij,j->i", g, v), _dense_einsum("ij,j->i", g, v))
+    assert [bool(plan) for plan in space._zero_plans.values()] == [transposed]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_zero_rule_leaves_a_non_finite_operand_to_the_dense_path(zero_rule_always, bad):
+    """0 * inf is NaN in the dense product; skipping it would hide a FAIL."""
+    rng = np.random.default_rng(3)
+    space = jets.JetSpace(3, 2)
+    keep_a = np.eye(4, dtype=bool)
+    keep_b = np.ones((4, 4), dtype=bool)
+    a, b = _jets(rng, space, (4, 4), keep_a), _jets(rng, space, (4, 4), keep_b)
+    jt_einsum("ij,jk->ik", a, b)
+    assert any(space._zero_plans.values())
+    b.data[1, 2, 3] = bad  # meets a's zero jets a[0, 1], a[2, 1], a[3, 1]
+    got = jt_einsum("ij,jk->ik", a, b)
+    want = _dense_einsum("ij,jk->ik", a, b)
+    assert _same(got, want)
+    assert np.isnan(got.data[0, 2, 3])
+
+
+def test_zero_rule_plans_are_keyed_on_the_jet_space(zero_rule_always):
+    """JetSpace(4, 2) and JetSpace(2, 4) both have 15 coefficients but different pair tables."""
+    wide, deep = jets.JetSpace(4, 2), jets.JetSpace(2, 4)
+    assert wide.n_coeffs == deep.n_coeffs == 15
+    rng = np.random.default_rng(11)
+    keep = np.eye(3, dtype=bool)
+    for space in (wide, deep, wide, deep):
+        a, b = _jets(rng, space, (3, 3), keep), _jets(rng, space, (3, 3), keep)
+        assert _same(jt_einsum("ij,jk->ik", a, b), _dense_einsum("ij,jk->ik", a, b))
+    assert all(len(space._zero_plans) == 1 and all(space._zero_plans.values()) for space in (wide, deep))
+
+
+@pytest.mark.parametrize("spec", ["kl,ikjl->ij", "ij,ij->"])
+def test_zero_rule_never_takes_two_contracted_letters(zero_rule_always, spec):
+    """einsum's order over two contracted letters depends on operand layout."""
+    rng = np.random.default_rng(5)
+    space = jets.JetSpace(3, 2)
+    sa, sb = spec.split("->")[0].split(",")
+    for transposed in (False, True):
+        a = _jets(rng, space, (3, 3), np.eye(3, dtype=bool))
+        b = _jets(rng, space, (3,) * len(sb), rng.random((3,) * len(sb)) < 0.2)
+        if transposed:
+            a = a.transpose(f"{sa}->{sa[::-1]}")
+        assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
+    assert space._zero_plans == {}
+
+
+def test_zero_rule_plan_cache_is_bounded(zero_rule_always, monkeypatch):
+    monkeypatch.setattr(jets, "_ZERO_PLANS_MAX", 2)
+    rng = np.random.default_rng(9)
+    space = jets.JetSpace(2, 2)
+    for k in range(5):
+        keep = np.zeros((3, 3), dtype=bool)
+        keep[k % 3, (k + 1) % 3] = keep[(k + 2) % 3, k % 3] = True
+        keep[0, 0] = k > 2
+        a, b = _jets(rng, space, (3, 3), keep), _jets(rng, space, (3, 3), keep)
+        jt_einsum("ij,jk->ik", a, b)
+        assert len(space._zero_plans) <= 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from warpcheck import ode
 from warpcheck.jets import JetTensor, jet_space
 from warpcheck.ode import (
     NoPeriodicOrbit,
@@ -277,6 +278,31 @@ def test_periodic_search_stops_on_a_non_finite_height():
     """A NaN scalar makes h NaN at the first step: positivity is lost there, not at the search's t_max."""
     with pytest.raises(PositivityLost, match="t = 0$"):
         find_periodic_solution(WarpOdeParams(4, math.nan, 0.0, 2.0), 1.07)
+
+
+def test_overflowing_stage_loses_the_step():
+    """At n = 400, h = 0.1 makes h^(1-n) overflow a float: the step is NaN, as for a collapsed stage."""
+    params = WarpOdeParams(400, 1.0, 1.0, 1.0)
+    assert all(math.isnan(x) for x in _rk4_step(params.rhs, 0.1, 0.0, 1e-3))
+    with pytest.raises(PositivityLost, match="t = 0$"):
+        integrate_warpedvss(params, 0.1, 0.0, 0.01, 1e-3)
+    with pytest.raises(PositivityLost, match="t = 0$"):
+        find_periodic_solution(params, 0.1)
+
+
+def test_collapsed_substep_in_the_bisection_loses_positivity(monkeypatch):
+    """A NaN from a bisection sub-step is lost positivity at the step's start, not a return event."""
+    params = WarpOdeParams(4, 12.0, 0.0, 2.0)
+    _, period = find_periodic_solution(params, 1.07)
+    assert period > 0.0
+
+    def collapsed(params, h, v, span, dt):
+        return math.nan, math.nan
+
+    monkeypatch.setattr(ode, "_propagate", collapsed)
+    with pytest.raises(PositivityLost) as lost:
+        find_periodic_solution(params, 1.07)
+    assert 0.0 < lost.value.t < 0.5 * period
 
 
 def test_small_oscillation_period():
