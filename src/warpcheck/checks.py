@@ -411,7 +411,7 @@ class PointScratch:
         """hdot(t) as a potential, kept apart from a configured one (basicex has both)."""
         hd = self.warping_jet.partials()
         hdot = JetTensor(hd.space, hd.data[0]).embed(self.bundle.space, (0,))
-        return StaticAnalysis(self.bundle, StaticPotentialSpec(label="hdot", builder=lambda coords: hdot))
+        return StaticAnalysis(self.bundle, StaticPotentialSpec("hdot", None), hdot)
 
     @cached_property
     def fiber(self) -> CurvatureBundle:

@@ -68,8 +68,7 @@ class ConformalAnalysis:
     @cached_property
     def phi_analysis(self) -> StaticAnalysis:
         """phi as a potential: its dphi, grad phi, Hessian, Laplacian and L*_g phi."""
-        phi = self.phi
-        return StaticAnalysis(self.bundle, StaticPotentialSpec("phi", lambda coords: phi))
+        return StaticAnalysis(self.bundle, StaticPotentialSpec("phi", None), self.phi)
 
     @cached_property
     def xi_of_r(self) -> JetTensor:

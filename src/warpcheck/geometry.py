@@ -36,10 +36,15 @@ the full product's, bit for bit, by the same prefix property.  An order-0
 product is one ``np.einsum`` of the values.
 
 Batch rule: chart, potential and field builders run once for many sample
-points (:class:`ChartBatch`), on coordinate jets with a leading point
-axis, and each point's bundle gets its own copy of its slice;
-the curvature chain runs per point.  Jet arithmetic acts on each point's
-row alone, so a slice is, bit for bit, the jet formed at that point alone.
+points (:class:`ChartBatch`), on coordinate jets with a leading point axis,
+and so does the inverse metric (Cholesky factor, cond, g0^-1, frame and the
+Neumann series); each point's bundle gets a copy of its slice, and the rest
+of the curvature chain runs per point.  A slice is, bit for bit, the value
+formed at that point alone: jet arithmetic acts on each row alone, numpy's
+linalg runs one LAPACK call per matrix of a stack, and the Neumann products'
+pair axis comes last, so einsum sums their contracted index in order.  A
+batch with a g0 that is not regular, or whose metric was formed point by
+point, forms the inverse at each point alone, which raises its own error.
 """
 
 from __future__ import annotations
@@ -143,9 +148,9 @@ def _stack_entries(space: JetSpace, batch: tuple[int, ...], shape: tuple[int, ..
 class ChartBatch:
     """One chart's metric and field jets at the rows of a (P, dim) array of points.
 
-    The metric and the fields of the ``shared`` specs (None for none) are each formed once, with a leading
-    point axis, and point k gets a copy of its slice.  Any other builder (it returns one point's jet) runs per
-    point, and so does every point of a batch that raised :class:`JetDomainError`: each reports its own error.
+    The metric, its inverse and the fields of the ``shared`` specs (None for none) are each formed once, with a
+    leading point axis, and point k gets a copy of its slice.  Any other builder runs per point, and so does
+    every point of a batch that raised :class:`JetDomainError`: each reports its own error.
     """
 
     def __init__(self, chart: MetricChart, points: np.ndarray, order: int, metric_order: int | None = None, shared=()):
@@ -171,6 +176,27 @@ class ChartBatch:
         batch = self._batches[key]
         return build(self.points[k]) if batch is None else JetTensor(batch.space, batch.data[k].copy())
 
+    def metric(self, k: int) -> JetTensor:
+        # + 0.0: a function composed at a zero argument (cos at phase 0, say)
+        # signs some zero coefficients differently at different orders
+        return self.jet("g", k, lambda points: self.chart.metric_jets(points, self.metric_order) + 0.0)
+
+    def inverse(self, k: int, g: JetTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
+        """Copies of point k's g0^-1, L, L^-1 and g^-1 jets, formed for the batch on the first request; from each
+        point's own metric ``g`` if the batch's was formed point by point or has a g0 that is not regular."""
+        if "inverse" not in self._batches:
+            batch = self._batches.get("g")
+            try:
+                self._batches["inverse"] = None if batch is None else _inverse_metric(batch, "in a batch")
+            except SingularMetricError:
+                self._batches["inverse"] = None
+        parts = self._batches["inverse"]
+        if parts is None:
+            where = f"at {self.points[k]} on {self.chart.label!r}"
+            parts, k = _inverse_metric(JetTensor(g.space, g.data[None]), where), 0
+        ginv0, chol, chol_inv, ginv = parts
+        return ginv0[k].copy(), chol[k].copy(), chol_inv[k].copy(), JetTensor(ginv.space, ginv.data[k].copy())
+
     def field(self, builder, k: int, shape: tuple[int, ...]) -> JetTensor:
         """A scalar (``shape`` ()) or vector (``shape`` (dim,)) field at point k."""
         def build(points):
@@ -183,8 +209,31 @@ class ChartBatch:
         return self.jet(builder, k, build) if builder in self.shared else build(self.points[k])
 
 
-def _jt_const_matmul(mat: np.ndarray, t: JetTensor) -> JetTensor:
-    return JetTensor(t.space, np.einsum("ij,jkz->ikz", mat, t.data))
+def _inverse_metric(g: JetTensor, where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
+    """(g0^-1, L, L^-1, g^-1) at each point of a (P, n, n) batch of metric jets, g0 = L L^T, with g^-1 to order
+    ``g.order - 1``, the highest any contraction keeps.  A g0 that is not finite, not positive definite or has
+    cond(g0) > COND_LIMIT raises :class:`SingularMetricError`, its message ending in ``where``."""
+    g0 = g.value
+    if not np.isfinite(g0).all():
+        raise SingularMetricError(f"metric not finite {where}")
+    try:
+        chol = np.linalg.cholesky(g0)
+    except np.linalg.LinAlgError:
+        raise SingularMetricError(f"metric not positive definite {where}") from None
+    if np.any(np.linalg.cond(g0) > COND_LIMIT):
+        raise SingularMetricError(f"singular metric (cond > {COND_LIMIT:g}) {where}")
+    # Neumann series: with g = g0 + N, inverse = sum_j (-G0 N)^j G0,
+    # exact at jet order k after k terms because N has no value part, so
+    # term k runs at order k on the previous one zero-padded.
+    ginv0 = np.linalg.inv(g0)
+    n_mat = g - JetTensor.const(g.space, g0)
+    dim = g.space.num_vars
+    x = JetTensor.const(jet_space(dim, 0), ginv0)
+    for k in range(1, g.order):
+        space = jet_space(dim, k)
+        prod = jt_einsum("pij,pjk->pik", n_mat, x.embed(space, tuple(range(dim))))
+        x = JetTensor.const(space, ginv0) - JetTensor(space, np.einsum("pij,pjkz->pikz", ginv0, prod.data))
+    return ginv0, chol, np.linalg.inv(chol), x
 
 
 class CurvatureBundle:
@@ -213,50 +262,31 @@ class CurvatureBundle:
 
     @cached_property
     def g(self) -> JetTensor:
-        # + 0.0: a function composed at a zero argument (cos at phase 0, say)
-        # signs some zero coefficients differently at different orders
-        return self._batch.jet("g", self._index, lambda points: self.chart.metric_jets(points, self.metric_order) + 0.0)
+        return self._batch.metric(self._index)
 
     @cached_property
     def g0(self) -> np.ndarray:
         return self.g.value
 
     @cached_property
+    def _inverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
+        return self._batch.inverse(self._index, self.g)
+
+    @cached_property
     def ginv0(self) -> np.ndarray:
-        """The inverse of g0; a metric that is not usably positive definite raises here."""
-        g0 = self.g0
-        try:
-            self._cholesky = np.linalg.cholesky(g0)
-        except np.linalg.LinAlgError:
-            raise SingularMetricError(
-                f"metric not positive definite at {self.point} on {self.chart.label!r}"
-            ) from None
-        if np.linalg.cond(g0) > COND_LIMIT:
-            raise SingularMetricError(
-                f"singular metric (cond > {COND_LIMIT:g}) at {self.point} on {self.chart.label!r}"
-            )
-        return np.linalg.inv(g0)
+        """The inverse of g0; a metric that is not finite or not usably positive definite raises here."""
+        return self._inverse[0]
 
     @cached_property
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
         """(L^T, L^-1) with g0 = L L^T: they take a contravariant and a covariant index to an orthonormal frame."""
-        self.ginv0  # the Cholesky factor, once the point is known to be regular
-        return self._cholesky.T, np.linalg.inv(self._cholesky)
+        _, chol, chol_inv, _ = self._inverse
+        return chol.T, chol_inv
 
     @cached_property
     def ginv(self) -> JetTensor:
         """Inverse metric jets to order ``metric_order - 1``, the highest any contraction keeps."""
-        # Neumann series: with g = g0 + N, inverse = sum_j (-G0 N)^j G0,
-        # exact at jet order k after k terms because N has no value part, so
-        # term k runs at order k on the previous one zero-padded.
-        g0inv = self.ginv0
-        n_mat = self.g - JetTensor.const(self.g.space, self.g0)
-        x = JetTensor.const(jet_space(self.dim, 0), g0inv)
-        for k in range(1, self.metric_order):
-            space = jet_space(self.dim, k)
-            x_pad = x.embed(space, tuple(range(self.dim)))
-            x = JetTensor.const(space, g0inv) - _jt_const_matmul(g0inv, jt_einsum("ij,jk->ik", n_mat, x_pad))
-        return x
+        return self._inverse[3]
 
     # -- connection and curvature ----------------------------------------
 

@@ -34,7 +34,9 @@ a contracted letter that is the fastest axis of both operands with more
 than two terms to an entry, which einsum sums in SIMD lanes; and for a NaN
 or inf operand, where 0 * inf must stay NaN.  A plan is built on the
 product's first (dense) call, whose output layout it copies, and kept on
-the jet space by spec, operand layouts and zero masks.
+the jet space by spec, operand layouts and zero masks.  A product whose
+spec, layouts and value-part zero masks were once planned dense runs
+dense before its masks are formed.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ class JetSpace:
         self._partials_table: tuple[np.ndarray, np.ndarray] | None = None
         self._embed_tables: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._zero_plans: dict[tuple, tuple | bool] = {}  # jt_einsum's zero rule
+        self._dense_products: set[tuple] = set()  # its value-part keys of products planned dense
 
     # -- lookup tables -------------------------------------------------
 
@@ -452,16 +455,22 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     letters, work = _zero_letters(spec, space, ad.shape[:-1], bd.shape[:-1])
     key = plan = None
     if work >= _ZERO_MIN_WORK and _zero_share(ad) + _zero_share(bd) >= _ZERO_MIN_SKIP:
-        nz_a, nz_b = ad.any(axis=-1), bd.any(axis=-1)
-        key = (spec, ad.shape, ad.strides, bd.shape, bd.strides, nz_a.tobytes(), nz_b.tobytes())
-        plan = space._zero_plans.get(key)
-        if plan and np.isfinite(ad).all() and np.isfinite(bd).all():
-            return JetTensor(space, _zero_product(plan, ad, bd, starts))
+        layout = (spec, ad.shape, ad.strides, bd.shape, bd.strides)
+        dense_key = layout + ((ad[..., 0] != 0.0).tobytes(), (bd[..., 0] != 0.0).tobytes())
+        if dense_key not in space._dense_products:
+            nz_a, nz_b = ad.any(axis=-1), bd.any(axis=-1)
+            key = layout + (nz_a.tobytes(), nz_b.tobytes())
+            plan = space._zero_plans.get(key)
+            if plan and np.isfinite(ad).all() and np.isfinite(bd).all():
+                return JetTensor(space, _zero_product(plan, ad, bd, starts))
     out = np.add.reduceat(np.einsum(_jet_spec(spec), ad[..., a_idx], bd[..., b_idx]), starts, axis=-1)
     if key is not None and plan is None:
         if len(space._zero_plans) >= _ZERO_PLANS_MAX:
             space._zero_plans.clear()
-        space._zero_plans[key] = _zero_plan(letters, space, nz_a, nz_b, ad, bd, out)
+            space._dense_products.clear()
+        plan = space._zero_plans[key] = _zero_plan(letters, space, nz_a, nz_b, ad, bd, out)
+    if plan is False:
+        space._dense_products.add(dense_key)
     return JetTensor(space, out)
 
 

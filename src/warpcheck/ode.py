@@ -292,31 +292,31 @@ class OdeWarpingFunction:
         h, v = self.traj.state(idx)
         return _propagate(self.params, h, v, t_local - float(times[idx]), self.traj.dt)
 
-    def _taylor_coeffs(self, h: float, v: float, order: int) -> np.ndarray:
-        n = self.params.n
-        coeffs = np.zeros(order + 1)
-        coeffs[0] = h
-        if order >= 1:
-            coeffs[1] = v
-        space = jet_space(1, order)
-        for j in range(order - 1):
-            partial = JetTensor(space, np.pad(coeffs[: j + 2], (0, order - j - 1)))
-            rhs = (
-                partial.elem("pow_const", exponent=1.0 - n) * self.params.c1
-                - partial * (self.params.scalar / (n * (n - 1.0)))
-            )
-            coeffs[j + 2] = rhs.data[j] / ((j + 2.0) * (j + 1.0))
-        return coeffs
-
     def __call__(self, t):
         if isinstance(t, JetTensor):
             times = t.value  # one time per jet of a batch
-            series = np.empty((t.order + 1,) + times.shape)
-            for i in np.ndindex(times.shape):
-                series[(slice(None),) + i] = self._taylor_coeffs(*self.state_at(times[i]), t.order)
+            states = np.array([self.state_at(s) for s in times.ravel()]).reshape(times.shape + (2,))
+            series = _taylor_series(self.params, states, t.order)
             return JetTensor(t.space, _raw_compose(t.space, series, t.data))
         h, _ = self.state_at(float(t))
         return h
+
+
+def _taylor_series(params: WarpOdeParams, states: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients to ``order``, axes (order + 1, *states.shape[:-1]), of solutions through states (h, hdot).
+
+    The recursion (j+2)(j+1) a_{j+2} = [c1 H^(1-n) - R/(n(n-1)) H]_j runs on one one-variable jet per state,
+    whose coefficients above j + 1 are still zero at step j.
+    """
+    n = params.n
+    coeffs = np.zeros(states.shape[:-1] + (order + 1,))
+    coeffs[..., :2] = states[..., : order + 1]
+    space = jet_space(1, order)
+    for j in range(order - 1):
+        partial = JetTensor(space, coeffs)
+        rhs = partial.elem("pow_const", exponent=1.0 - n) * params.c1 - partial * (params.scalar / (n * (n - 1.0)))
+        coeffs[..., j + 2] = rhs.data[..., j] / ((j + 2.0) * (j + 1.0))
+    return np.moveaxis(coeffs, -1, 0)
 
 
 def trajectory_csv_rows(traj: Trajectory) -> list[str]:

@@ -41,10 +41,11 @@ __all__ = [
 @dataclass(frozen=True)
 class StaticPotentialSpec:
     """A potential f and what it is: ``of_t`` if f is a function of t alone,
-    ``fiber`` the fbar of f = h(t) * fbar, fbar living on the fiber chart."""
+    ``fiber`` the fbar of f = h(t) * fbar, fbar living on the fiber chart.
+    ``builder`` is None for a potential whose analysis is handed its jet."""
 
     label: str
-    builder: Callable[[Sequence[JetTensor]], JetTensor]
+    builder: Callable[[Sequence[JetTensor]], JetTensor] | None
     a: float = 0.0
     b: float = 0.0
     of_t: bool = False

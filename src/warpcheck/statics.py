@@ -47,12 +47,14 @@ SOLUTION_REL_TOL = 1e-6
 
 
 class StaticAnalysis:
-    """Residuals of one potential at one point, computed as jets."""
+    """Residuals of one potential at one point, computed as jets; ``f`` is its jet there if formed already."""
 
-    def __init__(self, bundle: CurvatureBundle, potential: StaticPotentialSpec):
+    def __init__(self, bundle: CurvatureBundle, potential: StaticPotentialSpec, f: JetTensor | None = None):
         self.bundle = bundle
         self.potential = potential
         self.n = bundle.dim
+        if f is not None:
+            self.f = f
 
     @cached_property
     def f(self) -> JetTensor:

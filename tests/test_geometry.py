@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from warpcheck.geometry import CurvatureBundle, MetricChart, SingularMetricError, kulkarni_nomizu_jets
-from warpcheck.jets import JetShapeError, JetTensor, jet_space
+from warpcheck.geometry import CurvatureBundle, MetricChart, SingularMetricError, _inverse_metric, kulkarni_nomizu_jets
+from warpcheck.jets import JetShapeError, JetTensor, jet_space, jt_einsum
 from warpcheck.spaces import (
     make_flat_torus_chart,
     make_hyperbolic_chart,
@@ -126,6 +126,50 @@ def test_singular_metric_rejected():
     chart = MetricChart(3, "degenerate", builder, (np.full(3, -1.0), np.full(3, 1.0)))
     with pytest.raises(SingularMetricError):
         CurvatureBundle(chart, np.array([0.0, 0.5, 0.5]), order=1).ginv0
+
+
+def _inverse_at_one_point(g: JetTensor) -> tuple:
+    """(g0^-1, L, L^-1, g^-1) of one point's (n, n) metric jets, formed as for that point alone: the reference."""
+    n, g0 = g.shape[0], g.value
+    g0inv = np.linalg.inv(g0)
+    n_mat = g - JetTensor.const(g.space, g0)
+    x = JetTensor.const(jet_space(n, 0), g0inv)
+    for k in range(1, g.order):
+        space = jet_space(n, k)
+        prod = jt_einsum("ij,jk->ik", n_mat, x.embed(space, tuple(range(n))))
+        x = JetTensor.const(space, g0inv) - JetTensor(space, np.einsum("ij,jkz->ikz", g0inv, prod.data))
+    chol = np.linalg.cholesky(g0)
+    return g0inv, chol, np.linalg.inv(chol), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 7, 64]), st.integers(2, 5), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_batched_inverse_metric_is_each_point_alone(points, n, order, diagonal, seed):
+    """Each point's slice of the batch's g0^-1, L, L^-1 and g^-1 jets has the bytes of the point
+    formed as a batch of one, and of the point formed alone on its (n, n) jets.  Diagonal stacks,
+    whose entries are zero or not from point to point, take jt_einsum's zero rule on the second
+    round, from the plans of the first."""
+    rng = np.random.default_rng(seed)
+    space = jet_space(n, order)
+    data = rng.uniform(-0.3, 0.3, (points, n, n, space.n_coeffs))
+    data += data.transpose(0, 2, 1, 3)
+    if diagonal:
+        data *= np.eye(n)[:, :, None] * rng.integers(0, 2, (points, n, 1, 1))
+        data[..., 0] = np.eye(n) * rng.uniform(0.5, 2.0, (points, 1, n))
+    else:
+        a = rng.standard_normal((points, n, n))
+        data[..., 0] = a @ a.transpose(0, 2, 1) / n + 0.5 * np.eye(n)
+    for _ in range(2):
+        batch = _inverse_metric(JetTensor(space, data), "")
+        assert batch[3].order == order - 1
+        for k in range(points):
+            alone = _inverse_metric(JetTensor(space, data[k : k + 1]), "")
+            reference = _inverse_at_one_point(JetTensor(space, data[k]))
+            for got, one, want in zip(batch, alone, reference):
+                if isinstance(got, JetTensor):
+                    assert got.space is one.space is want.space
+                    got, one, want = got.data, one.data, want.data
+                assert got[k].tobytes() == one[0].tobytes() == want.tobytes()
 
 
 def _stray_entry(coords, mismatch: str) -> JetTensor:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from warpcheck import geometry
 from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, PointScratch, RunConfig, build_context, point_scratches, run_suite
-from warpcheck.geometry import CurvatureBundle, MetricChart, _jt_const_matmul
+from warpcheck.geometry import CurvatureBundle, MetricChart
 from warpcheck.jets import JetTensor, _elem_series, _raw_mul, jet_space, jt_einsum
 from conftest import example_geometry
 from warpcheck.spaces import (
@@ -235,7 +235,8 @@ class FullOrderBundle(CurvatureBundle):
         n_mat = self.g - JetTensor.const(self.space, self.g0)
         x = JetTensor.const(self.space, g0inv)
         for _ in range(self.order):
-            x = JetTensor.const(self.space, g0inv) - _jt_const_matmul(g0inv, jt_einsum("ij,jk->ik", n_mat, x))
+            prod = jt_einsum("ij,jk->ik", n_mat, x)
+            x = JetTensor.const(self.space, g0inv) - JetTensor(prod.space, np.einsum("ij,jkz->ikz", g0inv, prod.data))
         return x
 
     @cached_property

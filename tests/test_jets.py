@@ -422,6 +422,19 @@ def test_zero_rule_stays_dense_where_einsum_sums_in_lanes(zero_rule_always, tran
     assert [bool(plan) for plan in space._zero_plans.values()] == [transposed]
 
 
+def test_zero_rule_goes_dense_before_masks_where_it_planned_dense(zero_rule_always):
+    """Once a product is planned dense, one with its spec, layouts and value-part zeros runs dense
+    without forming its masks: a jet that is nonzero only past its value makes no second plan."""
+    rng = np.random.default_rng(13)
+    space = jets.JetSpace(3, 2)
+    g = _jets(rng, space, (5, 5), ~np.eye(5, dtype=bool))
+    v = _jets(rng, space, (5,), np.ones(5, dtype=bool))
+    jt_einsum("ij,j->i", g, v)
+    g.data[0, 0, 1:] = 1.0
+    assert _same(jt_einsum("ij,j->i", g, v), _dense_einsum("ij,j->i", g, v))
+    assert list(space._zero_plans.values()) == [False] and len(space._dense_products) == 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_zero_rule_leaves_a_non_finite_operand_to_the_dense_path(zero_rule_always, bad):
     """0 * inf is NaN in the dense product; skipping it would hide a FAIL."""

@@ -378,7 +378,7 @@ def _hdot_evaluator(params, traj, period):
         t0 = tj.value if isinstance(tj, JetTensor) else float(tj)
         order = tj.order if isinstance(tj, JetTensor) else 1
         h, v = warping.state_at(t0)
-        coeffs = warping._taylor_coeffs(h, v, order + 1)
+        coeffs = ode._taylor_series(params, np.array([h, v]), order + 1)
         deriv = [(j + 1) * coeffs[j + 1] for j in range(order + 1)]
         out = JetTensor.const(jet_space(1, order), deriv[-1])
         shifted = tj - t0
@@ -422,6 +422,39 @@ def test_ode_warping_jets_match_analytic():
         assert jet.partial((1,)) == approx(math.cos(t0) / (2.0 * math.sqrt(s)), abs=1e-10)
         hdd = EJIRI.rhs(math.sqrt(s))
         assert jet.partial((2,)) == approx(hdd, abs=1e-9)
+
+
+def _taylor_coeffs_one_point(params, h, v, order):
+    """The Taylor recursion as formed at one state at a time, on its own padded jet: the reference."""
+    n = params.n
+    coeffs = np.zeros(order + 1)
+    coeffs[0] = h
+    if order >= 1:
+        coeffs[1] = v
+    space = jet_space(1, order)
+    for j in range(order - 1):
+        partial = JetTensor(space, np.pad(coeffs[: j + 2], (0, order - j - 1)))
+        rhs = partial.elem("pow_const", exponent=1.0 - n) * params.c1 - partial * (params.scalar / (n * (n - 1.0)))
+        coeffs[j + 2] = rhs.data[j] / ((j + 2.0) * (j + 1.0))
+    return coeffs
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 4, 6])
+def test_batched_taylor_series_is_the_per_point_series_byte_for_byte(order):
+    """One recursion over a batch of states gives each state the bytes of its own recursion,
+    and the warping jet of a batch of times is each time's jet alone."""
+    params, traj, period = _orbit()
+    warping = OdeWarpingFunction(params, traj, period=period)
+    times = np.linspace(0.1, 2.9 * period, 23)
+    states = np.array([warping.state_at(t) for t in times])
+    series = ode._taylor_series(params, states, order)
+    assert series.shape == (order + 1, len(times))
+    for i, (h, v) in enumerate(states):
+        assert series[:, i].tobytes() == _taylor_coeffs_one_point(params, h, v, order).tobytes()
+    if order >= 1:
+        batch = warping(JetTensor.variable(0, times, 1, order))
+        for i, t in enumerate(times):
+            assert batch.data[i].tobytes() == warping(JetTensor.variable(0, t, 1, order)).data.tobytes()
 
 
 def test_csv_rows_format():

@@ -1,6 +1,7 @@
 """run_suite as a whole: verdicts on broken points, bundle sharing, golden reports."""
 
 import copy
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -26,10 +27,10 @@ from warpcheck.checks import (
     run_suite,
 )
 from warpcheck.cli import main
-from warpcheck.geometry import CurvatureBundle, MetricChart
+from warpcheck.geometry import CurvatureBundle, MetricChart, SingularMetricError
 from warpcheck.jets import JetTensor
 from warpcheck.ode import WarpOdeParams, equilibrium_radius, rbar_from_initial
-from warpcheck import spaces, statics
+from warpcheck import checks, spaces, statics
 from warpcheck.statics import StaticAnalysis
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -167,6 +168,63 @@ def test_ill_conditioned_metric_fails_every_check():
         assert outcome.reason.startswith("SingularMetricError: singular metric (cond > 1e+12) at ["), outcome.reason
 
 
+def _planted_chart(chart, broken):
+    """``chart`` with g0 broken at the points whose first coordinate is a key of ``broken``: g_00 negated
+    ("not_pd"), g_11 scaled by 1e-14 ("cond") or g_00 made NaN ("nan")."""
+
+    def builder(coords):
+        rows = [list(row) for row in chart.builder(coords)]
+        x0 = np.asarray(coords[0].value)
+        kinds = np.array([broken.get(float(x), "") for x in x0.ravel()]).reshape(x0.shape)[..., None]
+        g00, g11 = rows[0][0], rows[1][1]
+        rows[0][0] = JetTensor(g00.space, np.where(kinds == "not_pd", -1.0, 1.0) * g00.data + np.where(kinds == "nan", math.nan, 0.0))
+        rows[1][1] = JetTensor(g11.space, np.where(kinds == "cond", 1e-14, 1.0) * g11.data)
+        return rows
+
+    return dataclasses.replace(chart, label="planted", builder=builder)
+
+
+def test_singular_points_in_a_batch_fail_only_themselves(monkeypatch):
+    """A batch with a point whose g0 is not positive definite, one with cond(g0) > 1e12 and one with a NaN:
+    each of the three FAILs with its own error, and every other point keeps, byte for byte, the residuals
+    it has in a batch of regular points."""
+    raw = {
+        "space": {"kind": "sphere", "dim": 3},
+        "field": {"builtin": "sphere_gradient", "axis": 1},
+        "checks": ["scalar_value", "firstthm"],
+        "samples": 8,
+    }
+    config = RunConfig.from_dict(raw)
+    ctx = build_context(config)
+    points = ctx.chart.sample_points(config.samples, config.offset)
+    broken = {float(points[1, 0]): "not_pd", float(points[4, 0]): "cond", float(points[6, 0]): "nan"}
+    planted = dataclasses.replace(ctx, chart=_planted_chart(ctx.chart, broken))
+    regular = run_suite(config)
+    monkeypatch.setattr(checks, "build_context", lambda config: planted)
+    report = run_suite(config)
+
+    for got, want in zip(report.checks, regular.checks):
+        assert want.status == "PASS" and got.status == "FAIL", got.check
+        assert [k for k, row in enumerate(got.point_rows) if row[2] == math.inf] == [1, 4, 6]
+        assert repr([row for k, row in enumerate(got.point_rows) if k not in (1, 4, 6)]) == repr(
+            [row for k, row in enumerate(want.point_rows) if k not in (1, 4, 6)]
+        )
+        assert got.reason == f"SingularMetricError: metric not positive definite at {points[1]} on 'planted'"
+    reasons = {
+        1: f"metric not positive definite at {points[1]} on 'planted'",
+        4: f"singular metric (cond > 1e+12) at {points[4]} on 'planted'",
+        6: f"metric not finite at {points[6]} on 'planted'",
+    }
+    for k, sc in enumerate(point_scratches(planted, points, 4, 2, 3)):
+        for name in ("ginv0", "frame", "ginv"):
+            if k in reasons:
+                with pytest.raises(SingularMetricError) as err:
+                    getattr(sc.bundle, name)
+                assert str(err.value) == reasons[k]
+            else:
+                getattr(sc.bundle, name)
+
+
 @pytest.mark.parametrize(
     "space, check, reason",
     [
@@ -263,15 +321,16 @@ def test_bundles_per_point(example_runs):
 # vacuum residuals of h*fbar and of fbar; every other example analyses one
 # potential (hdot where none is configured).  The characteristic function
 # phi counts as one more StaticAnalysis wherever a check reads its
-# derivatives (firstthm, closed_cvf, xicvf_forms).  phi and hdot are the
-# only fields built per point: their builders return the point's own jet.
+# derivatives (firstthm, closed_cvf, xicvf_forms).  No field is built on
+# a point's own coordinates: phi and hdot are handed to their analyses as
+# the jets they are.
 DERIVED_PER_POINT = {
-    "basicex-n5-k2": (4, 0, 2, 2),
-    "ejiri": (2, 1, 1, 2),
-    "ejiri-ode": (1, 0, 0, 1),
-    "equiv-fail": (2, 1, 0, 2),
-    "nonconstant-exp": (2, 1, 0, 2),
-    "sphere-s4": (2, 0, 1, 1),
+    "basicex-n5-k2": (4, 0, 2, 0),
+    "ejiri": (2, 1, 1, 0),
+    "ejiri-ode": (1, 0, 0, 0),
+    "equiv-fail": (2, 1, 0, 0),
+    "nonconstant-exp": (2, 1, 0, 0),
+    "sphere-s4": (2, 0, 1, 0),
 }
 
 # Per suite, each on the coordinates of every sample point at once: metric
@@ -307,14 +366,17 @@ def test_builders_run_once_per_suite(example_runs, name):
 
 
 def test_builders_run_once_per_batch_of_points(monkeypatch):
-    """Past BATCH_POINTS samples, the builders run once for each BATCH_POINTS of them."""
-    calls = []
+    """Past BATCH_POINTS samples, the builders and the inverse metric's Cholesky
+    factorization run once for each BATCH_POINTS of them."""
+    calls, factored = [], []
     metric_jets = MetricChart.metric_jets
     monkeypatch.setattr(MetricChart, "metric_jets", lambda chart, p, k: calls.append(len(p)) or metric_jets(chart, p, k))
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(len(a)) or cholesky(a))
     config = {"space": {"kind": "sphere", "dim": 3}, "checks": ["scalar_value"], "samples": 2 * BATCH_POINTS + 1}
     (outcome,) = run_suite(RunConfig.from_dict(config)).checks
     assert outcome.status == "PASS" and outcome.samples == 2 * BATCH_POINTS + 1
-    assert calls == [BATCH_POINTS, BATCH_POINTS, 1]
+    assert calls == factored == [BATCH_POINTS, BATCH_POINTS, 1]
 
 
 @pytest.mark.parametrize("name", ["basicex-n5-k2", "ejiri", "ejiri-ode", "equiv-fail"])
@@ -357,9 +419,10 @@ def _same_bytes(got: JetTensor, want: JetTensor) -> bool:
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
 def test_batch_slices_equal_the_jets_of_a_lone_point(name):
-    """The metric, fiber metric, potential, fbar, field and warping jets that a point
-    reads from its suite's batch are, byte for byte, those formed at that point alone:
-    by a lone CurvatureBundle, on the point's own coordinates, and by warping_jet at its t."""
+    """The metric, inverse metric, fiber metric, potential, fbar, field and warping jets,
+    and g0^-1 and the frame, that a point reads from its suite's batch are, byte for byte,
+    those formed at that point alone: by a lone CurvatureBundle, on the point's own
+    coordinates, and by warping_jet at its t."""
     config = RunConfig.from_dict(dict(copy.deepcopy(BATCH_CASES[name]), samples=3, offset=7))
     ctx = build_context(config)
     specs = [CHECKS[check] for check in config.checks]
@@ -368,14 +431,16 @@ def test_batch_slices_equal_the_jets_of_a_lone_point(name):
     for sc in point_scratches(ctx, points, order, fiber_order, metric_order):
         lone = CurvatureBundle(ctx.chart, sc.point, order, metric_order)
         own = ctx.chart.metric_jets(sc.point, metric_order)
-        pairs = [(sc.bundle.g, lone.g), (sc.bundle.g, JetTensor(own.space, own.data + 0.0))]
+        pairs = [(sc.bundle.g, lone.g), (sc.bundle.g, JetTensor(own.space, own.data + 0.0)), (sc.bundle.ginv, lone.ginv)]
+        for got, want in [(sc.bundle.ginv0, lone.ginv0), *zip(sc.bundle.frame, lone.frame)]:
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides, sc.point
         if ctx.potential is not None:
             pairs.append((sc.bundle.scalar_field(ctx.potential.builder), lone.scalar_field(ctx.potential.builder)))
         if ctx.fld is not None:
             pairs.append((sc.bundle.vector_field(ctx.fld.builder), lone.vector_field(ctx.fld.builder)))
         if ctx.warped is not None:
             lone_fiber = CurvatureBundle(ctx.warped.fiber_chart, sc.point[1:], fiber_order)
-            pairs.append((sc.fiber.g, lone_fiber.g))
+            pairs += [(sc.fiber.g, lone_fiber.g), (sc.fiber.ginv, lone_fiber.ginv)]
             fbar = ctx.potential.fiber if ctx.potential is not None else None
             if fbar is not None:
                 pairs.append((sc.fiber.scalar_field(fbar.builder), lone_fiber.scalar_field(fbar.builder)))
