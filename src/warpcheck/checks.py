@@ -147,6 +147,7 @@ class RunConfig:
         for key in output:
             expect(key in ("report", "csv"), f"output.{key}", "unknown output path key")
             expect(isinstance(output[key], str), f"output.{key}", "must be a path string")
+        expect(raw.get("label") is None or isinstance(raw["label"], str), "label", "must be a string")
         return RunConfig(
             space=raw["space"],
             checks=tuple(raw["checks"]),
@@ -441,10 +442,9 @@ def point_scratches(
     out = []
     for start in range(0, len(points), BATCH_POINTS):
         chunk = points[start : start + BATCH_POINTS]
-        batches = [ChartBatch(ctx.chart, chunk, order, metric_order, (ctx.potential, ctx.fld))]
+        batches = [ChartBatch(ctx.chart, chunk, order, metric_order)]
         if ctx.warped is not None:
-            fbar = ctx.potential.fiber if ctx.potential is not None else None
-            batches.append(ChartBatch(ctx.warped.fiber_chart, chunk[:, 1:], fiber_order, shared=(fbar,)))
+            batches.append(ChartBatch(ctx.warped.fiber_chart, chunk[:, 1:], fiber_order))
         out += [PointScratch(ctx, batches, k) for k in range(len(chunk))]
     return out
 

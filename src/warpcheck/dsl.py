@@ -8,8 +8,9 @@ Grammar (recursive descent, '^' right-associative):
     unary   := '-' unary | primary
     primary := number | 't' | 'pi' | 'e' | fn '(' expr ')' | '(' expr ')'
 
-The only variable is ``t``.  Exponents must be constant subtrees (no ``t``);
-non-integer constant exponents require a positive base at evaluation time.
+The only variable is ``t``.  Exponents must be constant subtrees (no ``t``),
+and a subtree without ``t`` must have a finite real value (``1/0`` does not
+parse); a non-integer exponent needs a positive base at evaluation time.
 Evaluation is polymorphic over floats and scalar jets
 (:class:`~warpcheck.jets.JetTensor` of shape ``()``).
 """
@@ -180,28 +181,42 @@ class _Parser:
             raise ParseError(f"trailing input {tok.text!r}", tok.offset, ("+", "-", "*", "/", "^", "<end>"))
         return node
 
+    def real(self, node: ExprAst, start: int) -> ExprAst:
+        """``node``, unless it is free of t without a finite real value: then its source from ``start`` is quoted."""
+        if not _depends_on_t(node):
+            try:
+                value = eval_expr(node, None)
+            except (ArithmeticError, ValueError):  # 1/0, 10^400, log(-1)
+                value = math.nan
+            if not (isinstance(value, float) and math.isfinite(value)):  # (-2)^0.5 is complex
+                raise ParseError(f"{self.src[start : self.peek().offset].strip()!r} has no finite real value", start)
+        return node
+
     def expr(self) -> ExprAst:
+        start = self.peek().offset
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next().text
-            node = BinOp(op, node, self.term())
+            node = self.real(BinOp(op, node, self.term()), start)
         return node
 
     def term(self) -> ExprAst:
+        start = self.peek().offset
         node = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next().text
-            node = BinOp(op, node, self.factor())
+            node = self.real(BinOp(op, node, self.factor()), start)
         return node
 
     def factor(self) -> ExprAst:
+        start = self.peek().offset
         base = self.unary()
         if self.peek().kind == "op" and self.peek().text == "^":
             tok = self.next()
             exponent = self.factor()  # right-associative
             if _depends_on_t(exponent):
                 raise ParseError("exponent must be a constant expression", tok.offset)
-            return BinOp("^", base, exponent)
+            return self.real(BinOp("^", base, exponent), start)
         return base
 
     def unary(self) -> ExprAst:
@@ -214,7 +229,7 @@ class _Parser:
     def primary(self) -> ExprAst:
         tok = self.next()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            return self.real(Const(float(tok.text)), tok.offset)  # 1e400 is inf
         if tok.kind == "ident":
             if tok.text == "t":
                 return Var()
@@ -224,7 +239,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(tok.text, arg)
+                return self.real(Call(tok.text, arg), tok.offset)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.offset, ("t", "pi", "e") + FUNCTIONS)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()

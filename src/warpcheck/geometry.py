@@ -148,17 +148,16 @@ def _stack_entries(space: JetSpace, batch: tuple[int, ...], shape: tuple[int, ..
 class ChartBatch:
     """One chart's metric and field jets at the rows of a (P, dim) array of points.
 
-    The metric, its inverse and the fields of the ``shared`` specs (None for none) are each formed once, with a
-    leading point axis, and point k gets a copy of its slice.  Any other builder runs per point, and so does
-    every point of a batch that raised :class:`JetDomainError`: each reports its own error.
+    The metric, its inverse and every field are each formed once, with a leading point axis, and point k gets a
+    copy of its slice.  Every point of a batch that raised :class:`JetDomainError` is formed alone, and so
+    reports its own error.
     """
 
-    def __init__(self, chart: MetricChart, points: np.ndarray, order: int, metric_order: int | None = None, shared=()):
+    def __init__(self, chart: MetricChart, points: np.ndarray, order: int, metric_order: int | None = None):
         self.chart = chart
         self.points = np.asarray(points, dtype=float)
         self.order = order
         self.metric_order = order if metric_order is None else metric_order
-        self.shared = frozenset(spec.builder for spec in shared if spec is not None)
         self._batches: dict = {}
 
     def bundle(self, k: int) -> CurvatureBundle:
@@ -206,7 +205,7 @@ class ChartBatch:
                 raise ValueError(f"vector field has {len(comps)} components, chart dim {shape[0]}")
             return _stack_entries(jet_space(self.chart.dim, self.order), coords[0].shape, shape, comps)
 
-        return self.jet(builder, k, build) if builder in self.shared else build(self.points[k])
+        return self.jet(builder, k, build)
 
 
 def _inverse_metric(g: JetTensor, where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:

@@ -28,15 +28,12 @@ order from +0.0 without FMA, a skipped term would add +-0.0, which leaves
 such a sum as it is, and ``np.add.reduceat`` sums each entry on its own.
 The dense path still runs for a product below ``_ZERO_MIN_WORK``
 multiply-adds; for one that would skip less than ``_ZERO_MIN_SKIP`` of its
-terms (the value parts bound that share before any mask is formed); for
-two contracted letters, whose einsum order depends on operand layout; for
-a contracted letter that is the fastest axis of both operands with more
-than two terms to an entry, which einsum sums in SIMD lanes; and for a NaN
-or inf operand, where 0 * inf must stay NaN.  A plan is built on the
-product's first (dense) call, whose output layout it copies, and kept on
-the jet space by spec, operand layouts and zero masks.  A product whose
-spec, layouts and value-part zero masks were once planned dense runs
-dense before its masks are formed.
+terms; for two contracted letters, whose einsum order depends on operand
+layout; for a contracted letter that is the fastest axis of both operands
+with more than two terms to an entry, which einsum sums in SIMD lanes; and
+for a NaN or inf operand, where 0 * inf must stay NaN.  A plan is built on
+the product's first (dense) call, whose output layout it copies, and kept
+on the jet space by spec, operand layouts and zero masks.
 """
 
 from __future__ import annotations
@@ -107,7 +104,6 @@ class JetSpace:
         self._partials_table: tuple[np.ndarray, np.ndarray] | None = None
         self._embed_tables: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._zero_plans: dict[tuple, tuple | bool] = {}  # jt_einsum's zero rule
-        self._dense_products: set[tuple] = set()  # its value-part keys of products planned dense
 
     # -- lookup tables -------------------------------------------------
 
@@ -454,23 +450,17 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     a_idx, b_idx, starts = space.mul_table
     letters, work = _zero_letters(spec, space, ad.shape[:-1], bd.shape[:-1])
     key = plan = None
-    if work >= _ZERO_MIN_WORK and _zero_share(ad) + _zero_share(bd) >= _ZERO_MIN_SKIP:
-        layout = (spec, ad.shape, ad.strides, bd.shape, bd.strides)
-        dense_key = layout + ((ad[..., 0] != 0.0).tobytes(), (bd[..., 0] != 0.0).tobytes())
-        if dense_key not in space._dense_products:
-            nz_a, nz_b = ad.any(axis=-1), bd.any(axis=-1)
-            key = layout + (nz_a.tobytes(), nz_b.tobytes())
-            plan = space._zero_plans.get(key)
-            if plan and np.isfinite(ad).all() and np.isfinite(bd).all():
-                return JetTensor(space, _zero_product(plan, ad, bd, starts))
+    if work >= _ZERO_MIN_WORK:
+        nz_a, nz_b = ad.any(axis=-1), bd.any(axis=-1)
+        key = (spec, ad.shape, ad.strides, bd.shape, bd.strides, nz_a.tobytes(), nz_b.tobytes())
+        plan = space._zero_plans.get(key)
+        if plan and np.isfinite(ad).all() and np.isfinite(bd).all():
+            return JetTensor(space, _zero_product(plan, ad, bd, starts))
     out = np.add.reduceat(np.einsum(_jet_spec(spec), ad[..., a_idx], bd[..., b_idx]), starts, axis=-1)
     if key is not None and plan is None:
         if len(space._zero_plans) >= _ZERO_PLANS_MAX:
             space._zero_plans.clear()
-            space._dense_products.clear()
-        plan = space._zero_plans[key] = _zero_plan(letters, space, nz_a, nz_b, ad, bd, out)
-    if plan is False:
-        space._dense_products.add(dense_key)
+        space._zero_plans[key] = _zero_plan(letters, space, nz_a, nz_b, ad, bd, out)
     return JetTensor(space, out)
 
 
@@ -484,11 +474,6 @@ _ZERO_MIN_WORK = 10_000
 # index) terms stay dense: a term through a plan costs more than in einsum
 _ZERO_MIN_SKIP = 0.85
 _ZERO_PLANS_MAX = 512  # per jet space
-
-
-def _zero_share(data: np.ndarray) -> float:
-    """Share of entries whose value part is zero: at least that of all-zero jets."""
-    return 1.0 - np.count_nonzero(data[..., 0]) / data[..., 0].size
 
 
 @lru_cache(maxsize=1024)

@@ -269,11 +269,11 @@ def find_periodic_solution(params: WarpOdeParams, h0: float, dt: float = 1e-3) -
 
 
 class OdeWarpingFunction:
-    """A warping function defined by the ODE itself.
+    """A warping function defined by the ODE itself, evaluated on one-variable jets only.
 
-    Evaluation at a float interpolates the stored RK4 grid with sub-steps;
-    evaluation at a scalar jet produces the exact Taylor jet of the ODE solution
-    through the interpolated state, via the recursion
+    At each jet's value the stored RK4 grid is interpolated with sub-steps
+    (:meth:`state_at`); the jet is the exact Taylor jet of the ODE solution
+    through that state, via the recursion
     (j+2)(j+1) a_{j+2} = [c1 H^(1-n) - R/(n(n-1)) H]_j.
     """
 
@@ -292,14 +292,11 @@ class OdeWarpingFunction:
         h, v = self.traj.state(idx)
         return _propagate(self.params, h, v, t_local - float(times[idx]), self.traj.dt)
 
-    def __call__(self, t):
-        if isinstance(t, JetTensor):
-            times = t.value  # one time per jet of a batch
-            states = np.array([self.state_at(s) for s in times.ravel()]).reshape(times.shape + (2,))
-            series = _taylor_series(self.params, states, t.order)
-            return JetTensor(t.space, _raw_compose(t.space, series, t.data))
-        h, _ = self.state_at(float(t))
-        return h
+    def __call__(self, t: JetTensor) -> JetTensor:
+        times = t.value  # one time per jet of a batch
+        states = np.array([self.state_at(s) for s in times.ravel()]).reshape(times.shape + (2,))
+        series = _taylor_series(self.params, states, t.order)
+        return JetTensor(t.space, _raw_compose(t.space, series, t.data))
 
 
 def _taylor_series(params: WarpOdeParams, states: np.ndarray, order: int) -> np.ndarray:

@@ -178,16 +178,10 @@ def make_product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
 def assemble_warped(
     warping: Callable, fiber_chart: MetricChart, interval: tuple[float, float], label: str
 ) -> WarpedGeometry:
-    """dt^2 + h(t)^2 gbar over interval x fiber, for any h callable on floats and jets."""
+    """dt^2 + h(t)^2 gbar over interval x fiber, for an h callable on jets; h > 0 on the interval, the caller checks."""
     t0, t1 = float(interval[0]), float(interval[1])
     if not t1 > t0:
         raise ValueError(f"empty interval {interval}")
-    try:
-        hs = [float(warping(t)) for t in np.linspace(t0, t1, 257)]
-    except ValueError as exc:  # a math function's domain error: h has no value there
-        raise ArithmeticError(exc) from exc
-    if min(hs) <= 0.0:
-        raise ValueError(f"warping function is nonpositive on [{t0}, {t1}] (min {min(hs):g})")
     dfib = fiber_chart.dim
     if dfib + 1 < 3:
         raise ValueError(f"warped product needs total dim >= 3, got {dfib + 1}")
@@ -220,14 +214,21 @@ def warping_jet(warping: Callable, t0: float | np.ndarray, order: int) -> JetTen
 
 
 def build_warped_geometry(interval: tuple[float, float], warping_src: str, fiber_chart: MetricChart) -> WarpedGeometry:
-    """The warped product whose warping is the DSL expression ``warping_src`` in t."""
+    """The warped product whose warping is the DSL expression ``warping_src`` in t, checked positive at 257 points."""
     ast = dsl.parse(warping_src)
 
     def warping(t):
         return dsl.eval_expr(ast, t)
 
-    label = f"I x_h {fiber_chart.label} [h={dsl.unparse(ast)}]"
-    return assemble_warped(warping, fiber_chart, interval, label)
+    wg = assemble_warped(warping, fiber_chart, interval, f"I x_h {fiber_chart.label} [h={dsl.unparse(ast)}]")
+    t0, t1 = float(interval[0]), float(interval[1])
+    try:
+        hs = [float(warping(t)) for t in np.linspace(t0, t1, 257)]
+    except ValueError as exc:  # a math function's domain error: h has no value there
+        raise ArithmeticError(exc) from exc
+    if min(hs) <= 0.0:
+        raise ValueError(f"warping function is nonpositive on [{t0}, {t1}] (min {min(hs):g})")
+    return wg
 
 
 # -- static potentials ---------------------------------------------------------

@@ -343,10 +343,13 @@ T_POTENTIAL = {"potential_t": "cos(t)"}
         (EJIRI_CONFIG["space"], T_POTENTIAL, "potential.b", "[1]", "must be a finite number, got [1]"),
         (ODE_SPACE, None, "space.dt", '"abc"', "must be a finite positive step, got 'abc'"),
         (ODE_SPACE, None, "space.dt", "true", "must be a finite positive step, got True"),
+        (SPHERE, None, "label", "0", "must be a string"),
+        (SPHERE, None, "label", '["a"]', "must be a string"),
     ],
 )
 def test_cli_config_numbers_name_their_field(tmp_path, capsys, space, potential, path, value, message):
-    """A bool, a string, a fraction where an integer is due, or a non-finite number exits 2 naming the field."""
+    """A bool, a string, a fraction where an integer is due, a non-finite number, or a label that is no
+    string exits 2 naming the field."""
     config = {"space": json.loads(json.dumps(space)), "checks": ["scalar_value"], "samples": 2}
     if potential is not None:
         config["potential"] = dict(potential)
@@ -359,6 +362,25 @@ def test_cli_config_numbers_name_their_field(tmp_path, capsys, space, potential,
     config_path.write_text(json.dumps(config).replace('"@"', value))
     assert main(["verify", str(config_path), "--no-timestamp"]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("src", ["(-2)^0.5", "0^(-1)", "10^400", "1/0", "log(-1)", "sqrt(-1)"])
+@pytest.mark.parametrize("path", ["space.warping", "potential.potential_t", "field.components"])
+def test_cli_dsl_constants_without_a_finite_real_value_name_their_field(tmp_path, capsys, path, src):
+    """A subexpression without t that has no finite real value exits 2 naming its field, not with a traceback
+    or a bare math error."""
+    config = json.loads(json.dumps(dict(EJIRI_CONFIG, checks=["lgh_forms"], samples=2)))
+    expr = f"2+{src}*t"
+    if path == "space.warping":
+        config["space"]["warping"] = expr
+    elif path == "potential.potential_t":
+        config["potential"] = {"potential_t": expr}
+    else:
+        config["field"] = {"components": [expr, "0", "0", "0"]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {src!r} has no finite real value at offset 2\n"
 
 
 def test_cli_integral_config_numbers_are_integers():

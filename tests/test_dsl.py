@@ -77,6 +77,18 @@ def test_exponent_must_be_constant():
     with pytest.raises(ParseError):
         parse("2^(1+sin(t))")
     parse("t^(1-2)")  # constant subtree is fine
+    parse("2^0.5*t")  # and so is a constant power with a finite real value
+
+
+@pytest.mark.parametrize(
+    "src, quoted, offset",
+    [("t+1e400", "1e400", 2), ("exp(1000)*t", "exp(1000)", 0), ("t^(2-1/(1-1))", "1/(1-1)", 5), ("t/(1+(-8)^(1/3))", "(-8)^(1/3)", 5)],
+)
+def test_constants_without_a_finite_real_value_are_parse_errors(src, quoted, offset):
+    """The innermost subexpression without t that is not a finite real float is quoted, where it starts."""
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == f"{quoted!r} has no finite real value at offset {offset}"
 
 
 def test_precedence():

@@ -341,6 +341,21 @@ def test_scalar_second_bianchi(basicex52):
     assert div_ric == approx(0.5 * dr, abs=1e-10)
 
 
+def test_a_lone_bundle_builds_a_field_once_as_a_batch_of_one():
+    """A lone CurvatureBundle is a batch of one for its fields as for its metric: the builder runs once, on
+    coordinate jets of shape (1,), however often the field is read."""
+    shapes = []
+
+    def builder(coords):
+        shapes.append(coords[0].shape)
+        return coords[0] * coords[1] + coords[2].elem("sin")
+
+    b = CurvatureBundle(make_sphere_chart(3, 1.0), np.array([0.4, 0.1, -0.2]), order=3)
+    reads = [b.scalar_field(builder) for _ in range(3)]
+    assert shapes == [(1,)]
+    assert all(f.shape == () and f.data.tobytes() == reads[0].data.tobytes() for f in reads)
+
+
 def test_hessian_symmetry(expwarp4):
     p = np.array([0.4, 0.1, 0.2, -0.3])
     b = CurvatureBundle(expwarp4.chart, p, order=3)

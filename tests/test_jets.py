@@ -422,9 +422,9 @@ def test_zero_rule_stays_dense_where_einsum_sums_in_lanes(zero_rule_always, tran
     assert [bool(plan) for plan in space._zero_plans.values()] == [transposed]
 
 
-def test_zero_rule_goes_dense_before_masks_where_it_planned_dense(zero_rule_always):
-    """Once a product is planned dense, one with its spec, layouts and value-part zeros runs dense
-    without forming its masks: a jet that is nonzero only past its value makes no second plan."""
+def test_zero_rule_plans_a_jet_nonzero_only_past_its_value_on_its_own(zero_rule_always):
+    """Plans are keyed on the masks of all-zero jets, not of value parts: a jet that is nonzero only past
+    its value gets a plan of its own (dense, as the first is), and the product keeps the dense bits."""
     rng = np.random.default_rng(13)
     space = jets.JetSpace(3, 2)
     g = _jets(rng, space, (5, 5), ~np.eye(5, dtype=bool))
@@ -432,7 +432,7 @@ def test_zero_rule_goes_dense_before_masks_where_it_planned_dense(zero_rule_alwa
     jt_einsum("ij,j->i", g, v)
     g.data[0, 0, 1:] = 1.0
     assert _same(jt_einsum("ij,j->i", g, v), _dense_einsum("ij,j->i", g, v))
-    assert list(space._zero_plans.values()) == [False] and len(space._dense_products) == 1
+    assert list(space._zero_plans.values()) == [False, False]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

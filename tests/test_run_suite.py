@@ -29,8 +29,8 @@ from warpcheck.checks import (
 from warpcheck.cli import main
 from warpcheck.geometry import CurvatureBundle, MetricChart, SingularMetricError
 from warpcheck.jets import JetTensor
-from warpcheck.ode import WarpOdeParams, equilibrium_radius, rbar_from_initial
-from warpcheck import checks, spaces, statics
+from warpcheck.ode import OdeWarpingFunction, WarpOdeParams, equilibrium_radius, rbar_from_initial
+from warpcheck import checks, geometry, spaces, statics
 from warpcheck.statics import StaticAnalysis
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -395,6 +395,16 @@ def test_wp3_reads_h_d_dt_whatever_the_configured_field(name):
     assert wp3({"builtin": "rotation", "axes": [1, 2]}) == default
 
 
+def test_ode_warping_is_evaluated_on_jets_only(monkeypatch):
+    """An ODE orbit is positive by construction (a lost RK4 stage raises PositivityLost, then the drift
+    gate runs), so no positivity scan evaluates the warping on floats."""
+    kinds = []
+    call = OdeWarpingFunction.__call__
+    monkeypatch.setattr(OdeWarpingFunction, "__call__", lambda self, t: kinds.append(type(t)) or call(self, t))
+    report = run_suite(RunConfig.from_dict(dict(copy.deepcopy(EXAMPLE_CONFIGS["equiv-fail"]), samples=3)))
+    assert report.checks and kinds and set(kinds) == {JetTensor}
+
+
 # -- one batch per chart: each point's slice is its jets alone ----------------------
 
 BATCH_CASES = {
@@ -417,6 +427,12 @@ def _same_bytes(got: JetTensor, want: JetTensor) -> bool:
     return got.space is want.space and got.data.shape == want.data.shape and got.data.tobytes() == want.data.tobytes()
 
 
+def _own_field(chart: MetricChart, builder, point: np.ndarray, order: int, shape: tuple[int, ...]) -> JetTensor:
+    """The field of ``builder`` formed on the coordinate jets of one point of shape (dim,)."""
+    coords = chart.coordinate_jets(point, order)
+    return geometry._stack_entries(coords[0].space, (), shape, list(builder(coords)) if shape else [builder(coords)])
+
+
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
 def test_batch_slices_equal_the_jets_of_a_lone_point(name):
     """The metric, inverse metric, fiber metric, potential, fbar, field and warping jets,
@@ -435,15 +451,22 @@ def test_batch_slices_equal_the_jets_of_a_lone_point(name):
         for got, want in [(sc.bundle.ginv0, lone.ginv0), *zip(sc.bundle.frame, lone.frame)]:
             assert got.tobytes() == want.tobytes() and got.strides == want.strides, sc.point
         if ctx.potential is not None:
-            pairs.append((sc.bundle.scalar_field(ctx.potential.builder), lone.scalar_field(ctx.potential.builder)))
+            f = sc.bundle.scalar_field(ctx.potential.builder)
+            pairs += [(f, lone.scalar_field(ctx.potential.builder)),
+                      (f, _own_field(ctx.chart, ctx.potential.builder, sc.point, order, ()))]
         if ctx.fld is not None:
-            pairs.append((sc.bundle.vector_field(ctx.fld.builder), lone.vector_field(ctx.fld.builder)))
+            xi = sc.bundle.vector_field(ctx.fld.builder)
+            pairs += [(xi, lone.vector_field(ctx.fld.builder)),
+                      (xi, _own_field(ctx.chart, ctx.fld.builder, sc.point, order, (ctx.chart.dim,)))]
         if ctx.warped is not None:
-            lone_fiber = CurvatureBundle(ctx.warped.fiber_chart, sc.point[1:], fiber_order)
+            fiber = ctx.warped.fiber_chart
+            lone_fiber = CurvatureBundle(fiber, sc.point[1:], fiber_order)
             pairs += [(sc.fiber.g, lone_fiber.g), (sc.fiber.ginv, lone_fiber.ginv)]
             fbar = ctx.potential.fiber if ctx.potential is not None else None
             if fbar is not None:
-                pairs.append((sc.fiber.scalar_field(fbar.builder), lone_fiber.scalar_field(fbar.builder)))
+                f = sc.fiber.scalar_field(fbar.builder)
+                pairs += [(f, lone_fiber.scalar_field(fbar.builder)),
+                          (f, _own_field(fiber, fbar.builder, sc.point[1:], fiber_order, ()))]
             pairs.append((sc.warping_jet, spaces.warping_jet(ctx.warped.warping, sc.point[0], order + 1)))
         assert len(pairs) >= 2
         for k, (got, want) in enumerate(pairs):
