@@ -2,7 +2,7 @@
 
 Everything downstream of the metric (Christoffel symbols, Riemann, Ricci,
 scalar, Schouten, trace-free Ricci, Weyl, Cotton, Cotton divergence) is
-computed as jet-valued tensors at one point, so covariant derivatives of
+computed as jet-valued tensors at a point, so covariant derivatives of
 any computed field are one :meth:`CurvatureBundle.covariant_derivative`
 call away.  Index conventions:
 
@@ -38,13 +38,18 @@ product is one ``np.einsum`` of the values.
 Batch rule: chart, potential and field builders run once for many sample
 points (:class:`ChartBatch`), on coordinate jets with a leading point axis,
 and so does the inverse metric (Cholesky factor, cond, g0^-1, frame and the
-Neumann series); each point's bundle gets a copy of its slice, and the rest
-of the curvature chain runs per point.  A slice is, bit for bit, the value
+Neumann series).  The curvature chain, Christoffel symbols to the Cotton
+divergence (:class:`_Chain`), runs once for each CHAIN_POINTS consecutive
+points of a batch, with the point axis p prefixed to every spec.  Each
+point's bundle gets a copy of its slice; E, W, the analyses and the norms
+run per point.  A slice is, bit for bit and stride for stride, the value
 formed at that point alone: jet arithmetic acts on each row alone, numpy's
-linalg runs one LAPACK call per matrix of a stack, and the Neumann products'
-pair axis comes last, so einsum sums their contracted index in order.  A
-batch with a g0 that is not regular, or whose metric was formed point by
-point, forms the inverse at each point alone, which raises its own error.
+linalg runs one LAPACK call per matrix of a stack, and the point axis is
+the outermost of every operand and result, so numpy runs each point's
+inner loops as at that point alone, and the zero rule's plan sums each
+entry in the dense order.  A batch with a g0 that is not regular, or whose
+metric was formed point by point, forms the inverse and the chain at each
+point alone, which raises its own error.
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ from .tensors import tensor_norm_sq
 __all__ = ["MetricChart", "ChartBatch", "CurvatureBundle", "SingularMetricError", "kulkarni_nomizu_jets"]
 
 COND_LIMIT = 1e12
+# points per run of the curvature chain in a ChartBatch (see the Batch rule): 8 takes most of the per-call
+# overhead off the chain, while a whole batch of 64 runs a dim-6 order-4 chain slower than point by point
+# and doubles a suite's peak memory
+CHAIN_POINTS = 8
 
 
 class SingularMetricError(ValueError):
@@ -148,9 +157,9 @@ def _stack_entries(space: JetSpace, batch: tuple[int, ...], shape: tuple[int, ..
 class ChartBatch:
     """One chart's metric and field jets at the rows of a (P, dim) array of points.
 
-    The metric, its inverse and every field are each formed once, with a leading point axis, and point k gets a
-    copy of its slice.  Every point of a batch that raised :class:`JetDomainError` is formed alone, and so
-    reports its own error.
+    The metric, its inverse and every field are each formed once, with a leading point axis, and the curvature
+    chain once for each CHAIN_POINTS points; point k gets a copy of its slice.  Every point of a batch that
+    raised :class:`JetDomainError` is formed alone, and so reports its own error.
     """
 
     def __init__(self, chart: MetricChart, points: np.ndarray, order: int, metric_order: int | None = None):
@@ -196,6 +205,22 @@ class ChartBatch:
         ginv0, chol, chol_inv, ginv = parts
         return ginv0[k].copy(), chol[k].copy(), chol_inv[k].copy(), JetTensor(ginv.space, ginv.data[k].copy())
 
+    def chain(self, k: int, name: str, g: JetTensor, ginv: JetTensor) -> JetTensor:
+        """A copy of point k's slice of the chain jet ``name`` (see :class:`_Chain`), laid out as if formed at
+        that point alone.  The chain runs once for each CHAIN_POINTS consecutive points, on the batch's metric
+        and inverse, on the first request from any of them; where the batch's inverse was formed point by
+        point, it runs at point k alone, on its own ``g`` and ``ginv``."""
+        alone = self._batches["inverse"] is None
+        start = k if alone else k - k % CHAIN_POINTS
+        if ("chain", start) not in self._batches:
+            if alone:  # index None adds the point axis
+                jets, rows = (g, ginv), None
+            else:
+                jets, rows = (self._batches["g"], self._batches["inverse"][3]), slice(start, start + CHAIN_POINTS)
+            self._batches["chain", start] = _Chain(*(JetTensor(t.space, t.data[rows]) for t in jets))
+        t = getattr(self._batches["chain", start], name)
+        return JetTensor(t.space, t.data[k - start].copy(order="K"))
+
     def field(self, builder, k: int, shape: tuple[int, ...]) -> JetTensor:
         """A scalar (``shape`` ()) or vector (``shape`` (dim,)) field at point k."""
         def build(points):
@@ -233,6 +258,112 @@ def _inverse_metric(g: JetTensor, where: str) -> tuple[np.ndarray, np.ndarray, n
         prod = jt_einsum("pij,pjk->pik", n_mat, x.embed(space, tuple(range(dim))))
         x = JetTensor.const(space, ginv0) - JetTensor(space, np.einsum("pij,pjkz->pikz", ginv0, prod.data))
     return ginv0, chol, np.linalg.inv(chol), x
+
+
+def covariant_derivative(gamma: JetTensor, t: JetTensor, variance: tuple[str, ...], prefix: str = "") -> JetTensor:
+    """One covariant derivative of ``t`` by the Christoffel symbols ``gamma``; the new (covariant) index goes last.
+
+    ``prefix`` names leading axes that both carry unchanged (the chain's point axis ``p``).  The order is the
+    lower of ``t``'s less one and the connection's, so a field of a higher order than the metric loses what
+    cannot be kept.
+    """
+    rank = len(variance)
+    if t.data.ndim - 1 - len(prefix) != rank:
+        raise ValueError(f"tensor rank {t.data.ndim - 1 - len(prefix)} != variance length {rank}")
+    out = t.truncate(min(t.order, gamma.order + 1)).partials()
+    t, gamma = t.truncate(out.order), gamma.truncate(out.order)
+    letters = "abcdefgh"[:rank]
+    for pos, flag in enumerate(variance):
+        tsub = prefix + letters[:pos] + "s" + letters[pos + 1 :]
+        if flag == "l":
+            out = out - jt_einsum(f"{prefix}si{letters[pos]},{tsub}->{prefix}{letters}i", gamma, t)
+        else:
+            out = out + jt_einsum(f"{prefix}{letters[pos]}is,{tsub}->{prefix}{letters}i", gamma, t)
+    return out
+
+
+def _need_dim(dim: int, minimum: int, what: str) -> None:
+    if dim < minimum:
+        raise ValueError(f"{what} requires dim >= {minimum}, chart has dim {dim}")
+
+
+class _Chain:
+    """The curvature chain at consecutive points of a batch, from their metric and inverse metric jets.
+
+    Every jet has a leading point axis p, and every spec is the one at a point with p prefixed to each operand
+    and to the output; the docstrings name the axes at one point.
+    """
+
+    def __init__(self, g: JetTensor, ginv: JetTensor):
+        self.g, self.ginv = g, ginv
+        self.dim = g.space.num_vars
+
+    @cached_property
+    def gamma(self) -> JetTensor:
+        """Christoffel symbols, axes (k, i, j) for Gamma^k_ij."""
+        dg = self.g.partials()  # (p, i, j, deriv)
+        # d_i g_jl + d_j g_il - d_l g_ij, laid out as (p, i, j, l)
+        sym = dg.transpose("pjli->pijl") + dg.transpose("pilj->pijl") - dg
+        return jt_einsum("pkl,pijl->pkij", self.ginv, sym) * 0.5
+
+    @cached_property
+    def riemann13(self) -> JetTensor:
+        """R^l_{ijk}, axes (l, i, j, k)."""
+        dgamma = self.gamma.partials()  # (p, upper, low1, low2, deriv)
+        gamma = self.gamma.truncate(dgamma.order)
+        term = dgamma.transpose("plkij->plijk") - dgamma.transpose("pljik->plijk")
+        # Gamma^m_ki Gamma^l_jm; the term Gamma^m_ji Gamma^l_km is it with j, k swapped
+        quad = jt_einsum("pmki,pljm->plijk", gamma, gamma)
+        return term + quad - quad.transpose("plijk->plikj")
+
+    @cached_property
+    def riemann4(self) -> JetTensor:
+        """R_ijkl = g_is R^s_jkl."""
+        return jt_einsum("pis,psjkl->pijkl", self.g, self.riemann13)
+
+    @cached_property
+    def ric(self) -> JetTensor:
+        """Ric_ij = g^kl R_ikjl."""
+        return jt_einsum("pkl,pikjl->pij", self.ginv, self.riemann4)
+
+    @cached_property
+    def scalar_jet(self) -> JetTensor:
+        """R = g^ij Ric_ij."""
+        return jt_einsum("pij,pij->p", self.ginv, self.ric)
+
+    @cached_property
+    def scalar_jet_times_g(self) -> JetTensor:
+        """R g_ij."""
+        return jt_einsum("p,pij->pij", self.scalar_jet, self.g)
+
+    @cached_property
+    def schouten(self) -> JetTensor:
+        """A = Ric - R/(2(n-1)) g."""
+        _need_dim(self.dim, 3, "Schouten tensor")
+        return self.ric - self.scalar_jet_times_g / (2.0 * (self.dim - 1))
+
+    @cached_property
+    def cotton(self) -> JetTensor:
+        """C_ijk = A_{ij,k} - A_{ik,j}."""
+        _need_dim(self.dim, 3, "Cotton tensor")
+        da = covariant_derivative(self.gamma, self.schouten, ("l", "l"), "p")
+        return da - da.transpose("pijk->pikj")
+
+    @cached_property
+    def cotton_divergence(self) -> JetTensor:
+        """Xi_ik = C_{ijk,j} (divergence over the middle slot)."""
+        dc = covariant_derivative(self.gamma, self.cotton, ("l", "l", "l"), "p")
+        return jt_einsum("pjl,pijkl->pik", self.ginv, dc)
+
+
+def _chained(name: str) -> cached_property:
+    """A bundle's jet ``name`` of the chain: a copy of its point's slice (see :meth:`ChartBatch.chain`)."""
+
+    def get(bundle: "CurvatureBundle") -> JetTensor:
+        return bundle._batch.chain(bundle._index, name, bundle.g, bundle.ginv)
+
+    get.__name__, get.__doc__ = name, getattr(_Chain, name).__doc__
+    return cached_property(get)
 
 
 class CurvatureBundle:
@@ -287,39 +418,17 @@ class CurvatureBundle:
         """Inverse metric jets to order ``metric_order - 1``, the highest any contraction keeps."""
         return self._inverse[3]
 
-    # -- connection and curvature ----------------------------------------
+    # -- connection and curvature: slices of the chain (see the Batch rule) --
 
-    @cached_property
-    def gamma(self) -> JetTensor:
-        """Christoffel symbols, axes (k, i, j) for Gamma^k_ij."""
-        dg = self.g.partials()  # (i, j, deriv)
-        # d_i g_jl + d_j g_il - d_l g_ij, laid out as (i, j, l)
-        sym = dg.transpose("jli->ijl") + dg.transpose("ilj->ijl") - dg
-        return jt_einsum("kl,ijl->kij", self.ginv, sym) * 0.5
-
-    @cached_property
-    def riemann13(self) -> JetTensor:
-        """R^l_{ijk}, axes (l, i, j, k)."""
-        dgamma = self.gamma.partials()  # (upper, low1, low2, deriv)
-        gamma = self.gamma.truncate(dgamma.order)
-        term = dgamma.transpose("lkij->lijk") - dgamma.transpose("ljik->lijk")
-        # Gamma^m_ki Gamma^l_jm; the term Gamma^m_ji Gamma^l_km is it with j, k swapped
-        quad = jt_einsum("mki,ljm->lijk", gamma, gamma)
-        return term + quad - quad.transpose("lijk->likj")
-
-    @cached_property
-    def riemann4(self) -> JetTensor:
-        """R_ijkl = g_is R^s_jkl."""
-        return jt_einsum("is,sjkl->ijkl", self.g, self.riemann13)
-
-    @cached_property
-    def ric(self) -> JetTensor:
-        """Ric_ij = g^kl R_ikjl."""
-        return jt_einsum("kl,ikjl->ij", self.ginv, self.riemann4)
-
-    @cached_property
-    def scalar_jet(self) -> JetTensor:
-        return jt_einsum("ij,ij->", self.ginv, self.ric)
+    gamma = _chained("gamma")
+    riemann13 = _chained("riemann13")
+    riemann4 = _chained("riemann4")
+    ric = _chained("ric")
+    scalar_jet = _chained("scalar_jet")
+    scalar_jet_times_g = _chained("scalar_jet_times_g")
+    schouten = _chained("schouten")
+    cotton = _chained("cotton")
+    cotton_divergence = _chained("cotton_divergence")
 
     @property
     def scalar(self) -> float:
@@ -331,15 +440,6 @@ class CurvatureBundle:
         return self.scalar_jet.partials()
 
     @cached_property
-    def schouten(self) -> JetTensor:
-        self._need_dim(3, "Schouten tensor")
-        return self.ric - self.scalar_jet_times_g / (2.0 * (self.dim - 1))
-
-    @cached_property
-    def scalar_jet_times_g(self) -> JetTensor:
-        return jt_einsum(",ij->ij", self.scalar_jet, self.g)
-
-    @cached_property
     def efield(self) -> JetTensor:
         """Trace-free Ricci E_ij = Ric_ij - (R/n) g_ij, at order 0."""
         return self.ric.truncate(0) - self.scalar_jet_times_g / float(self.dim)
@@ -347,25 +447,8 @@ class CurvatureBundle:
     @cached_property
     def weyl(self) -> JetTensor:
         """The Weyl tensor, at order 0."""
-        self._need_dim(3, "Weyl tensor")
+        _need_dim(self.dim, 3, "Weyl tensor")
         return self.riemann4 - kulkarni_nomizu_jets(self.schouten.truncate(0), self.g) / (self.dim - 2.0)
-
-    @cached_property
-    def cotton(self) -> JetTensor:
-        """C_ijk = A_{ij,k} - A_{ik,j}."""
-        self._need_dim(3, "Cotton tensor")
-        da = self.covariant_derivative(self.schouten, ("l", "l"))
-        return da - da.transpose("ijk->ikj")
-
-    @cached_property
-    def cotton_divergence(self) -> JetTensor:
-        """Xi_ik = C_{ijk,j} (divergence over the middle slot)."""
-        dc = self.covariant_derivative(self.cotton, ("l", "l", "l"))
-        return jt_einsum("jl,ijkl->ik", self.ginv, dc)
-
-    def _need_dim(self, minimum: int, what: str) -> None:
-        if self.dim < minimum:
-            raise ValueError(f"{what} requires dim >= {minimum}, chart has dim {self.dim}")
 
     # -- field evaluation --------------------------------------------------
 
@@ -380,24 +463,8 @@ class CurvatureBundle:
     # -- derived operators -------------------------------------------------
 
     def covariant_derivative(self, t: JetTensor, variance: tuple[str, ...]) -> JetTensor:
-        """One covariant derivative; the new (covariant) index goes last.
-
-        Its order is the lower of ``t``'s less one and the connection's, so a
-        field of a higher order than the metric loses what cannot be kept.
-        """
-        rank = len(variance)
-        if t.data.ndim - 1 != rank:
-            raise ValueError(f"tensor rank {t.data.ndim - 1} != variance length {rank}")
-        out = t.truncate(min(t.order, self.gamma.order + 1)).partials()
-        t, gamma = t.truncate(out.order), self.gamma.truncate(out.order)
-        letters = "abcdefgh"[:rank]
-        for pos, flag in enumerate(variance):
-            tsub = letters[:pos] + "s" + letters[pos + 1 :]
-            if flag == "l":
-                out = out - jt_einsum(f"si{letters[pos]},{tsub}->{letters}i", gamma, t)
-            else:
-                out = out + jt_einsum(f"{letters[pos]}is,{tsub}->{letters}i", gamma, t)
-        return out
+        """One covariant derivative at this point (see :func:`covariant_derivative`)."""
+        return covariant_derivative(self.gamma, t, variance)
 
     # The scalar operators below take what the caller of a scalar f holds
     # (its Hessian, its Laplacian), so each is formed once per scalar.

@@ -286,7 +286,7 @@ def _raw_div(space: JetSpace, a: np.ndarray, b: np.ndarray, fn: str | None = Non
 class JetTensor:
     """An ndarray of jets sharing one space; coefficient axis last."""
 
-    __slots__ = ("space", "data", "order")
+    __slots__ = ("space", "data", "order", "_truncations")
 
     def __init__(self, space: JetSpace, data: np.ndarray):
         if data.shape[-1] != space.n_coeffs:
@@ -294,6 +294,7 @@ class JetTensor:
         self.space = space
         self.data = data
         self.order = space.order
+        self._truncations: dict[int, JetTensor] | None = None  # truncate's results, by order
 
     @staticmethod
     def const(space: JetSpace, values: np.ndarray | float) -> "JetTensor":
@@ -334,12 +335,17 @@ class JetTensor:
         return self.data[..., i] * self.space.factorials[i]
 
     def truncate(self, order: int) -> "JetTensor":
+        """The jet to a lower ``order``: one copy per order, kept on this jet, as no code writes a jet's data."""
         if order == self.order:
             return self
         if order > self.order:
             raise JetShapeError(f"cannot extend order {self.order} to {order}")
-        lower = jet_space(self.space.num_vars, order)
-        return JetTensor(lower, np.ascontiguousarray(self.data[..., : lower.n_coeffs]))
+        if self._truncations is None:
+            self._truncations = {}
+        if order not in self._truncations:
+            lower = jet_space(self.space.num_vars, order)
+            self._truncations[order] = JetTensor(lower, np.ascontiguousarray(self.data[..., : lower.n_coeffs]))
+        return self._truncations[order]
 
     def partials(self) -> "JetTensor":
         """All first partials, as a new tensor axis appended before the jet axis."""

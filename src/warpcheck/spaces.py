@@ -214,7 +214,8 @@ def warping_jet(warping: Callable, t0: float | np.ndarray, order: int) -> JetTen
 
 
 def build_warped_geometry(interval: tuple[float, float], warping_src: str, fiber_chart: MetricChart) -> WarpedGeometry:
-    """The warped product whose warping is the DSL expression ``warping_src`` in t, checked positive at 257 points."""
+    """The warped product whose warping is the DSL expression ``warping_src`` in t, checked finite and positive at
+    257 points; a value that is not finite raises ArithmeticError, as h has no value there."""
     ast = dsl.parse(warping_src)
 
     def warping(t):
@@ -222,12 +223,17 @@ def build_warped_geometry(interval: tuple[float, float], warping_src: str, fiber
 
     wg = assemble_warped(warping, fiber_chart, interval, f"I x_h {fiber_chart.label} [h={dsl.unparse(ast)}]")
     t0, t1 = float(interval[0]), float(interval[1])
+    ts = np.linspace(t0, t1, 257)
     try:
-        hs = [float(warping(t)) for t in np.linspace(t0, t1, 257)]
-    except ValueError as exc:  # a math function's domain error: h has no value there
+        with np.errstate(all="ignore"):  # a NaN or inf is reported below
+            hs = np.array([float(warping(t)) for t in ts])
+    except ValueError as exc:  # a math function's domain error
         raise ArithmeticError(exc) from exc
-    if min(hs) <= 0.0:
-        raise ValueError(f"warping function is nonpositive on [{t0}, {t1}] (min {min(hs):g})")
+    if not np.isfinite(hs).all():
+        k = np.flatnonzero(~np.isfinite(hs))[0]
+        raise ArithmeticError(f"h = {hs[k]:g} at t = {ts[k]:g}")
+    if hs.min() <= 0.0:
+        raise ValueError(f"warping function is nonpositive on [{t0}, {t1}] (min {hs.min():g})")
     return wg
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 import math
 
 import numpy as np
@@ -281,6 +282,24 @@ def test_cli_warping_outside_a_math_domain_is_a_config_error(tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     assert main(["verify", str(config_path), "--no-timestamp"]) == 2
     assert capsys.readouterr().err == "error: space.warping: cannot evaluate on [-1, 1] (math domain error)\n"
+
+
+@pytest.mark.parametrize(
+    "warping, where",
+    [("2+t/0", "h = nan at t = 0"), ("1+(t-0.5)/(t-0.5)", "h = nan at t = 0.5")],
+    ids=["everywhere", "midpoint"],
+)
+def test_cli_nan_warping_is_a_config_error(tmp_path, capfd, warping, where):
+    """A warping that is NaN at a point of the positivity scan, the first or one in the middle, exits 2
+    naming space.warping, and numpy warns of nothing."""
+    config = {"space": dict(EJIRI_CONFIG["space"], interval=[0, 1], warping=warping), "checks": ["lgh_forms"]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capfd.readouterr().err == f"error: space.warping: cannot evaluate on [0, 1] ({where})\n"
 
 
 @pytest.mark.parametrize(

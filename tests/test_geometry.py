@@ -202,9 +202,10 @@ def test_vector_field_mixing_jet_spaces_rejected(mismatch):
 
 def test_insufficient_dim_for_cotton():
     chart = make_sphere_chart(2, 1.0)
-    b = CurvatureBundle(chart, np.zeros(2), order=3)
-    with pytest.raises(ValueError):
-        b.cotton
+    b = CurvatureBundle(chart, np.zeros(2), order=4)
+    for name, what in [("schouten", "Schouten"), ("weyl", "Weyl"), ("cotton", "Cotton"), ("cotton_divergence", "Cotton")]:
+        with pytest.raises(ValueError, match=f"{what} tensor requires dim >= 3, chart has dim 2"):
+            getattr(b, name)
 
 
 def test_insufficient_jet_order_for_cotton_divergence():

@@ -227,7 +227,7 @@ def test_numpy_summation_order_is_pinned(key):
 
 
 class FullOrderBundle(CurvatureBundle):
-    """The formulas as written before products were cut to the kept order."""
+    """The chain at one point as first written: no product cut to the kept order, and g^-1 to the metric's."""
 
     @cached_property
     def ginv(self) -> JetTensor:
@@ -240,6 +240,12 @@ class FullOrderBundle(CurvatureBundle):
         return x
 
     @cached_property
+    def gamma(self) -> JetTensor:
+        dg = self.g.partials()
+        sym = dg.transpose("jli->ijl") + dg.transpose("ilj->ijl") - dg
+        return jt_einsum("kl,ijl->kij", self.ginv, sym) * 0.5
+
+    @cached_property
     def riemann13(self) -> JetTensor:
         gamma = self.gamma
         dgamma = gamma.partials()
@@ -247,6 +253,24 @@ class FullOrderBundle(CurvatureBundle):
         term = term + jt_einsum("mki,ljm->lijk", gamma, gamma)
         term = term - jt_einsum("mji,lkm->lijk", gamma, gamma)
         return term
+
+    @cached_property
+    def ric(self) -> JetTensor:
+        return jt_einsum("kl,ikjl->ij", self.ginv, jt_einsum("is,sjkl->ijkl", self.g, self.riemann13))
+
+    @cached_property
+    def schouten(self) -> JetTensor:
+        scalar = jt_einsum("ij,ij->", self.ginv, self.ric)
+        return self.ric - jt_einsum(",ij->ij", scalar, self.g) / (2.0 * (self.dim - 1))
+
+    @cached_property
+    def cotton(self) -> JetTensor:
+        da = self.covariant_derivative(self.schouten, ("l", "l"))
+        return da - da.transpose("ijk->ikj")
+
+    @cached_property
+    def cotton_divergence(self) -> JetTensor:
+        return jt_einsum("jl,ijkl->ik", self.ginv, self.covariant_derivative(self.cotton, ("l", "l", "l")))
 
     def covariant_derivative(self, t: JetTensor, variance: tuple[str, ...]) -> JetTensor:
         rank = len(variance)

@@ -28,7 +28,7 @@ from warpcheck.checks import (
 )
 from warpcheck.cli import main
 from warpcheck.geometry import CurvatureBundle, MetricChart, SingularMetricError
-from warpcheck.jets import JetTensor
+from warpcheck.jets import JetShapeError, JetTensor
 from warpcheck.ode import OdeWarpingFunction, WarpOdeParams, equilibrium_radius, rbar_from_initial
 from warpcheck import checks, geometry, spaces, statics
 from warpcheck.statics import StaticAnalysis
@@ -185,19 +185,20 @@ def _planted_chart(chart, broken):
 
 
 def test_singular_points_in_a_batch_fail_only_themselves(monkeypatch):
-    """A batch with a point whose g0 is not positive definite, one with cond(g0) > 1e12 and one with a NaN:
-    each of the three FAILs with its own error, and every other point keeps, byte for byte, the residuals
-    it has in a batch of regular points."""
+    """A batch with a point whose g0 is not positive definite, one with cond(g0) > 1e12 and one with a NaN, the
+    last two inside the second chain chunk: each of the three FAILs with its own error, and every other point
+    keeps, byte for byte, the residuals and the chain jets it has in a batch of regular points."""
     raw = {
         "space": {"kind": "sphere", "dim": 3},
         "field": {"builtin": "sphere_gradient", "axis": 1},
         "checks": ["scalar_value", "firstthm"],
-        "samples": 8,
+        "samples": 20,
     }
     config = RunConfig.from_dict(raw)
     ctx = build_context(config)
     points = ctx.chart.sample_points(config.samples, config.offset)
-    broken = {float(points[1, 0]): "not_pd", float(points[4, 0]): "cond", float(points[6, 0]): "nan"}
+    bad = (1, 12, 14)
+    broken = {float(points[1, 0]): "not_pd", float(points[12, 0]): "cond", float(points[14, 0]): "nan"}
     planted = dataclasses.replace(ctx, chart=_planted_chart(ctx.chart, broken))
     regular = run_suite(config)
     monkeypatch.setattr(checks, "build_context", lambda config: planted)
@@ -205,24 +206,28 @@ def test_singular_points_in_a_batch_fail_only_themselves(monkeypatch):
 
     for got, want in zip(report.checks, regular.checks):
         assert want.status == "PASS" and got.status == "FAIL", got.check
-        assert [k for k, row in enumerate(got.point_rows) if row[2] == math.inf] == [1, 4, 6]
-        assert repr([row for k, row in enumerate(got.point_rows) if k not in (1, 4, 6)]) == repr(
-            [row for k, row in enumerate(want.point_rows) if k not in (1, 4, 6)]
+        assert [k for k, row in enumerate(got.point_rows) if row[2] == math.inf] == list(bad)
+        assert repr([row for k, row in enumerate(got.point_rows) if k not in bad]) == repr(
+            [row for k, row in enumerate(want.point_rows) if k not in bad]
         )
         assert got.reason == f"SingularMetricError: metric not positive definite at {points[1]} on 'planted'"
     reasons = {
         1: f"metric not positive definite at {points[1]} on 'planted'",
-        4: f"singular metric (cond > 1e+12) at {points[4]} on 'planted'",
-        6: f"metric not finite at {points[6]} on 'planted'",
+        12: f"singular metric (cond > 1e+12) at {points[12]} on 'planted'",
+        14: f"metric not finite at {points[14]} on 'planted'",
     }
-    for k, sc in enumerate(point_scratches(planted, points, 4, 2, 3)):
-        for name in ("ginv0", "frame", "ginv"):
+    scratches = zip(point_scratches(planted, points, 4, 2, 3), point_scratches(ctx, points, 4, 2, 3))
+    for k, (sc, clean) in enumerate(scratches):
+        for name in ("ginv0", "frame", "ginv", "gamma", "ric"):
             if k in reasons:
                 with pytest.raises(SingularMetricError) as err:
                     getattr(sc.bundle, name)
                 assert str(err.value) == reasons[k]
             else:
                 getattr(sc.bundle, name)
+        if k not in reasons:
+            for got, want in _chain_pairs(sc.bundle, clean.bundle):
+                assert _same_bytes(got, want), k
 
 
 @pytest.mark.parametrize(
@@ -424,7 +429,9 @@ BATCH_CASES = {
 
 
 def _same_bytes(got: JetTensor, want: JetTensor) -> bool:
-    return got.space is want.space and got.data.shape == want.data.shape and got.data.tobytes() == want.data.tobytes()
+    """Same space, shape, bytes and strides."""
+    return (got.space is want.space and got.data.shape == want.data.shape and got.data.strides == want.data.strides
+            and got.data.tobytes() == want.data.tobytes())
 
 
 def _own_field(chart: MetricChart, builder, point: np.ndarray, order: int, shape: tuple[int, ...]) -> JetTensor:
@@ -433,13 +440,33 @@ def _own_field(chart: MetricChart, builder, point: np.ndarray, order: int, shape
     return geometry._stack_entries(coords[0].space, (), shape, list(builder(coords)) if shape else [builder(coords)])
 
 
+CHAIN = ("gamma", "riemann13", "riemann4", "ric", "scalar_jet", "scalar_jet_times_g", "schouten", "cotton",
+         "cotton_divergence")
+
+
+def _chain_pairs(got: CurvatureBundle, want: CurvatureBundle, names=CHAIN) -> list[tuple[JetTensor, JetTensor]]:
+    """The chain jets of two bundles, each that ``want`` can form at its metric order; ``got`` must fail alike."""
+    pairs = []
+    for name in names:
+        try:
+            pairs.append((getattr(got, name), getattr(want, name)))
+        except JetShapeError:
+            with pytest.raises(JetShapeError):
+                getattr(got, name)
+    return pairs
+
+
+# sample counts that leave a short chunk (20, 30) and a second batch of one point (65)
+BATCH_SAMPLES = {name: (20, 30, 65)[k % 3] for k, name in enumerate(sorted(BATCH_CASES))}
+
+
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
 def test_batch_slices_equal_the_jets_of_a_lone_point(name):
-    """The metric, inverse metric, fiber metric, potential, fbar, field and warping jets,
-    and g0^-1 and the frame, that a point reads from its suite's batch are, byte for byte,
-    those formed at that point alone: by a lone CurvatureBundle, on the point's own
-    coordinates, and by warping_jet at its t."""
-    config = RunConfig.from_dict(dict(copy.deepcopy(BATCH_CASES[name]), samples=3, offset=7))
+    """The metric, inverse metric, fiber metric, potential, fbar, field and warping jets, every jet of the
+    curvature chain and the fiber's Ricci and scalar jets, and g0^-1 and the frame, that a point reads from its
+    suite's batch are, in bytes and strides, those formed at that point alone: by a lone CurvatureBundle, on the
+    point's own coordinates, and by warping_jet at its t."""
+    config = RunConfig.from_dict(dict(copy.deepcopy(BATCH_CASES[name]), samples=BATCH_SAMPLES[name], offset=7))
     ctx = build_context(config)
     specs = [CHECKS[check] for check in config.checks]
     order, fiber_order, metric_order = (max(getattr(s, k) for s in specs) for k in ("order", "fiber_order", "metric_order"))
@@ -448,6 +475,7 @@ def test_batch_slices_equal_the_jets_of_a_lone_point(name):
         lone = CurvatureBundle(ctx.chart, sc.point, order, metric_order)
         own = ctx.chart.metric_jets(sc.point, metric_order)
         pairs = [(sc.bundle.g, lone.g), (sc.bundle.g, JetTensor(own.space, own.data + 0.0)), (sc.bundle.ginv, lone.ginv)]
+        pairs += _chain_pairs(sc.bundle, lone)
         for got, want in [(sc.bundle.ginv0, lone.ginv0), *zip(sc.bundle.frame, lone.frame)]:
             assert got.tobytes() == want.tobytes() and got.strides == want.strides, sc.point
         if ctx.potential is not None:
@@ -462,15 +490,34 @@ def test_batch_slices_equal_the_jets_of_a_lone_point(name):
             fiber = ctx.warped.fiber_chart
             lone_fiber = CurvatureBundle(fiber, sc.point[1:], fiber_order)
             pairs += [(sc.fiber.g, lone_fiber.g), (sc.fiber.ginv, lone_fiber.ginv)]
+            pairs += _chain_pairs(sc.fiber, lone_fiber, ("ric", "scalar_jet"))
             fbar = ctx.potential.fiber if ctx.potential is not None else None
             if fbar is not None:
                 f = sc.fiber.scalar_field(fbar.builder)
                 pairs += [(f, lone_fiber.scalar_field(fbar.builder)),
                           (f, _own_field(fiber, fbar.builder, sc.point[1:], fiber_order, ()))]
             pairs.append((sc.warping_jet, spaces.warping_jet(ctx.warped.warping, sc.point[0], order + 1)))
-        assert len(pairs) >= 2
+        assert len(pairs) >= 8
         for k, (got, want) in enumerate(pairs):
             assert _same_bytes(got, want), (sc.point, k)
+
+
+@pytest.mark.parametrize("samples", [20, 65])
+def test_christoffel_symbols_formed_once_per_chunk(monkeypatch, samples):
+    """The chain runs once for each CHAIN_POINTS points of a chart batch: ceil(P / 8) Christoffel products for
+    a batch of P points, on ejiri's chart and on its fiber chart, and none at a single point."""
+    calls = Counter()
+    einsum = geometry.jt_einsum
+
+    def counting_einsum(spec, a, b):
+        calls[spec] += 1
+        return einsum(spec, a, b)
+
+    monkeypatch.setattr(geometry, "jt_einsum", counting_einsum)
+    run_suite(RunConfig.from_dict(dict(copy.deepcopy(EXAMPLE_CONFIGS["ejiri"]), samples=samples)))
+    batches = [min(BATCH_POINTS, samples - start) for start in range(0, samples, BATCH_POINTS)]
+    assert calls["pkl,pijl->pkij"] == 2 * sum(math.ceil(p / geometry.CHAIN_POINTS) for p in batches)
+    assert calls["kl,ijl->kij"] == 0
 
 
 def _rows_alone(raw, points):
@@ -678,8 +725,9 @@ def _scalar_value(space):
 
 
 def _scale_christoffel(monkeypatch):
-    gamma = CurvatureBundle.gamma.func
-    monkeypatch.setattr(CurvatureBundle, "gamma", property(lambda b: gamma(b) * (1.0 + 1e-6)))
+    """Christoffel symbols off by 1e-6 where the curvature chain forms them, so Riemann, Ricci and R inherit it."""
+    gamma = geometry._Chain.gamma.func
+    monkeypatch.setattr(geometry._Chain, "gamma", property(lambda chain: gamma(chain) * (1.0 + 1e-6)))
 
 
 @pytest.mark.parametrize("name", ["sphere-s4", "H^5", "ejiri-ode"])
