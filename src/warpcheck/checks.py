@@ -23,8 +23,8 @@ import numpy as np
 
 from . import dsl, spaces, statics
 from .conformal import ConformalAnalysis, rotation_field, sphere_gradient_field, zero_field
-from .geometry import ChartBatch, CurvatureBundle, MetricChart, SingularMetricError
-from .jets import JetDomainError, JetTensor
+from .geometry import POINT_ERRORS, ChartBatch, MetricChart, _Chain
+from .jets import JetTensor
 from .ode import (
     DRIFT_TOL,
     NoPeriodicOrbit,
@@ -35,7 +35,7 @@ from .ode import (
     drift,
     find_periodic_solution,
 )
-from .residuals import PreconditionSkip, Residual, ResidualSet
+from .residuals import PreconditionSkip, Residual, ResidualSet, at_row
 from .spaces import (
     ConformalFieldSpec,
     StaticPotentialSpec,
@@ -375,48 +375,44 @@ def _build_field(config: RunConfig, chart: MetricChart, warped: WarpedGeometry |
     raise ConfigError("field: provide 'builtin' or 'components'")
 
 
-# -- per-point scratch -------------------------------------------------------------
+# -- per-chunk and per-point scratch -------------------------------------------------------
 
 
-class PointScratch:
-    """One sample point's curvature bundle and what its checks share.
+class ChunkScratch:
+    """What the checks at the points of one chunk share (see the Batch rule of :mod:`geometry`).
 
-    The bundle has the highest field and metric orders any check of the
-    suite needs.  Each analysis, the fiber bundle and each value derived
-    from them is built at most once, on first use.  The metric, fiber
-    metric, configured potential and field, fbar and warping jets are
-    slices of ``batches``, one :class:`ChartBatch` for the chart and, on a
-    warped space, one for the fiber chart (see :func:`point_scratches`).
-    A check's evaluator takes the scratch as its one argument.
+    ``chains`` are the chunk's curvature on the chart and, on a warped
+    space, on the fiber chart, at the highest orders any check of the suite
+    needs.  Each analysis, each value derived from them and each evaluator's
+    residuals are formed at most once, for every point of the chunk.  A
+    chunk that raised a point error is ``failed``, and its points are formed
+    alone from then on.
     """
 
-    def __init__(self, ctx: CheckContext, batches: list[ChartBatch], k: int):
+    def __init__(self, ctx: CheckContext, chains: list[_Chain]):
         self.ctx = ctx
-        self.point = batches[0].points[k]
-        self.bundle = batches[0].bundle(k)
-        self.batches, self.k = batches, k
+        self.chains = chains
+        self.chain, self.fiber = chains[0], chains[1] if len(chains) > 1 else None
+        self.residuals: dict = {}  # by the identity that formed them
+        self.failed = False
 
     @cached_property
     def conformal(self) -> ConformalAnalysis:
-        return ConformalAnalysis(self.bundle, self.ctx.fld)
+        return ConformalAnalysis(self.chain, self.ctx.fld)
 
     @cached_property
     def static(self) -> StaticAnalysis:
         """The configured potential; on a warped space without one, hdot."""
         if self.ctx.potential is None:
             return self.hdot
-        return StaticAnalysis(self.bundle, self.ctx.potential)
+        return StaticAnalysis(self.chain, self.ctx.potential)
 
     @cached_property
     def hdot(self) -> StaticAnalysis:
         """hdot(t) as a potential, kept apart from a configured one (basicex has both)."""
         hd = self.warping_jet.partials()
-        hdot = JetTensor(hd.space, hd.data[0]).embed(self.bundle.space, (0,))
-        return StaticAnalysis(self.bundle, StaticPotentialSpec("hdot", None), hdot)
-
-    @cached_property
-    def fiber(self) -> CurvatureBundle:
-        return self.batches[1].bundle(self.k)
+        hdot = JetTensor(hd.space, hd.data[:, 0]).embed(self.chain.space, (0,))
+        return StaticAnalysis(self.chain, StaticPotentialSpec("hdot", None), hdot)
 
     @cached_property
     def fiber_ric0(self) -> np.ndarray:
@@ -424,35 +420,85 @@ class PointScratch:
 
     @cached_property
     def warping_jet(self) -> JetTensor:
-        """h as a one-variable jet at the point's t, one order above the bundle so that hdot keeps its order."""
-        warping, order = self.ctx.warped.warping, self.bundle.order + 1
-        return self.batches[0].jet("warping", self.k, lambda points: spaces.warping_jet(warping, points[..., 0], order))
+        """h as a one-variable jet at each point's t, one order above the chain so that hdot keeps its order."""
+        batch, warping = self.chain.batch, self.ctx.warped.warping
+        build = lambda rows: spaces.warping_jet(warping, batch.points[rows, 0], batch.order + 1)  # noqa: E731
+        return batch.formed("warping", build, self.chain.rows)
 
     @cached_property
+    def warping(self) -> list[np.ndarray]:
+        """h(t) and its first three derivatives at each point's t."""
+        return [self.warping_jet.partial((j,)) for j in range(4)]
+
+
+class PointScratch:
+    """One sample point: its row of its chunk's scratch, and its bundle (the row of the chunk's chain).
+
+    A check's evaluator takes the scratch as its one argument and returns
+    the point's residuals, read from the chunk's.
+    """
+
+    def __init__(self, chunk: ChunkScratch, row: int):
+        self.ctx = chunk.ctx
+        self.point = chunk.chain.points[row]
+        self.chunk, self.row = chunk, row
+        self.bundle = chunk.chain.bundle(row)
+
+    def split(self) -> bool:
+        """After a point error in the chunk, form this point alone, as a chunk of one; False if it is one."""
+        if len(self.chunk.chain.points) == 1:
+            return False
+        self.chunk.failed = True
+        self.__init__(ChunkScratch(self.ctx, [chain.alone(self.row) for chain in self.chunk.chains]), 0)
+        return True
+
+    @property
     def warping(self) -> list[float]:
         """h(t) and its first three derivatives at the point's t."""
-        return [self.warping_jet.partial((j,)) for j in range(4)]
+        return [value[self.row] for value in self.chunk.warping]
+
+    def rows(self, identity: Callable[[ChunkScratch], ResidualSet]) -> ResidualSet:
+        """The point's residuals, of those that ``identity`` forms for its chunk on the first request."""
+        formed = self.chunk.residuals
+        if identity not in formed:
+            formed[identity] = identity(self.chunk)
+        return at_row(formed[identity], self.row)
 
 
 def point_scratches(
     ctx: CheckContext, points: np.ndarray, order: int, fiber_order: int = 2, metric_order: int | None = None
 ) -> list[PointScratch]:
     """The scratches of a (P, dim) array of points; the builders of the chart and of the fiber chart run once
-    for every BATCH_POINTS of them, so a batch's jets are freed with the scratch of its last point."""
+    for every BATCH_POINTS of them, and everything else once per chunk of CHAIN_POINTS, so a chunk is freed with
+    the scratch of its last point and a batch with its last chunk."""
     out = []
     for start in range(0, len(points), BATCH_POINTS):
         chunk = points[start : start + BATCH_POINTS]
         batches = [ChartBatch(ctx.chart, chunk, order, metric_order)]
         if ctx.warped is not None:
             batches.append(ChartBatch(ctx.warped.fiber_chart, chunk[:, 1:], fiber_order))
-        out += [PointScratch(ctx, batches, k) for k in range(len(chunk))]
+        for chains in zip(*(batch.chunks() for batch in batches)):
+            shared = ChunkScratch(ctx, list(chains))
+            out += [PointScratch(shared, k) for k in range(len(chains[0].points))]
     return out
+
+
+def _at_point(sc: PointScratch, evaluate: Callable[[PointScratch], Any]):
+    """``evaluate(sc)``; where the point's chunk raises a point error, at the point alone, which raises its own."""
+    if sc.chunk.failed:
+        sc.split()
+    try:
+        return evaluate(sc)
+    except POINT_ERRORS:
+        if not sc.split():
+            raise
+        return evaluate(sc)
 
 
 # -- per-point evaluators ------------------------------------------------------------
 # The warped identities of statics take the scratch themselves, and a check
-# of one analysis method calls it from its record; the evaluators below add
-# a precondition or name the residuals they gather.
+# of one analysis method calls it from its record with the point's row; the
+# evaluators below add a precondition or name the residuals they gather.
 
 
 def _eval_scalar_value(sc: PointScratch) -> ResidualSet:
@@ -463,22 +509,22 @@ def _eval_scalar_value(sc: PointScratch) -> ResidualSet:
 
 
 def _eval_firstthm(sc: PointScratch) -> ResidualSet:
-    cf = sc.conformal
-    defect = cf.conformal_defect()
+    cf, row = sc.chunk.conformal, sc.row
+    defect = cf.conformal_defect(row)
     if defect.rel > 1e-7:
         raise PreconditionSkip(f"field {cf.spec.label!r} is not conformal (residual {defect.rel:.2e})")
     return {
-        "firstthm": cf.firstthm_defect(),
-        "phi_symmetry": cf.phi_symmetry_defect(),
-        "trace_identity": cf.trace_identity_defect(),
+        "firstthm": cf.firstthm_defect(row),
+        "phi_symmetry": cf.phi_symmetry_defect(row),
+        "trace_identity": cf.trace_identity_defect(row),
     }
 
 
 def _eval_cxi(sc: PointScratch) -> ResidualSet:
-    cf = sc.conformal
+    cf, row = sc.chunk.conformal, sc.row
     return {
-        "cotton_contraction": cf.cxi_contraction_defect(),
-        "divergence_contraction": cf.cxi_divergence_defect(),
+        "cotton_contraction": cf.cxi_contraction_defect(row),
+        "divergence_contraction": cf.cxi_divergence_defect(row),
     }
 
 
@@ -535,7 +581,7 @@ CHECKS: dict[str, Check] = {
     "scalar_value": Check("scalar curvature R equals the chart's known scalar curvature",
         1e-10, 2, _eval_scalar_value, frozenset()),
     "vss_residual": Check("vacuum static equation: full, trace, and trace-free residuals",
-        1e-8, 2, lambda sc: sc.static.vacuum_residuals(), frozenset({"potential"})),
+        1e-8, 2, lambda sc: sc.chunk.static.vacuum_residuals(sc.row), frozenset({"potential"})),
     # L* f reads the metric twice differentiated, through Ricci
     "lgh_forms": Check("closed forms of L* on warped products (all slots + warped Laplacian)",
         1e-8, 3, lgh_closed_forms, frozenset({"warped"}), metric_order=2),
@@ -547,11 +593,11 @@ CHECKS: dict[str, Check] = {
     "nein3_forms": Check("explicit warped Cotton components (nonconstant scalar allowed)",
         1e-7, 3, nonconstant_r_cotton_formulas, frozenset({"warped"}), fiber_order=3),
     "t_algebra": Check("T-tensor antisymmetry, cyclic sum, and traces",
-        1e-10, 2, lambda sc: sc.static.t_algebra(), frozenset({"potential"})),
+        1e-10, 2, lambda sc: sc.chunk.static.t_algebra(sc.row), frozenset({"potential"})),
     "tfe_identity": Check("contraction identity E_ik T_ijk f_j = (n-2)/(2(n-1)) |T|^2",
-        1e-7, 2, lambda sc: {"tfe": sc.static.tfe_defect()}, frozenset({"potential"})),
+        1e-7, 2, lambda sc: {"tfe": sc.chunk.static.tfe_defect(sc.row)}, frozenset({"potential"})),
     "decompose_ids": Check("curvature decomposition identities for generalized solutions",
-        1e-7, 3, lambda sc: sc.static.decompose_residuals(), frozenset({"potential"})),
+        1e-7, 3, lambda sc: sc.chunk.static.decompose_residuals(sc.row), frozenset({"potential"})),
     "xicvf_forms": Check("two contraction formulas tying f, phi, P, and C(.,xi,.)",
         1e-6, 3, xicvf_residuals, frozenset({"potential", "field"})),
     "propddoth": Check("h*fbar assembly: fiber + warping equations imply the total equation",
@@ -563,14 +609,14 @@ CHECKS: dict[str, Check] = {
     "firstthm": Check("L* phi = Phi for the characteristic function of a conformal field",
         1e-7, 4, _eval_firstthm, frozenset({"field"}), metric_order=3),
     "ixi_cotton": Check("i_xi C formula (general form; closed reduction when applicable)",
-        1e-7, 4, lambda sc: sc.conformal.ixi_cotton_defect(), frozenset({"field"}), metric_order=3),
+        1e-7, 4, lambda sc: sc.chunk.conformal.ixi_cotton_defect(sc.row), frozenset({"field"}), metric_order=3),
     "cxi_div": Check("Xi_ik xi^i = 0 for closed fields with constant scalar curvature",
         1e-6, 4, _eval_cxi, frozenset({"field", "constant_r"})),
     "equiv_chain": Check("joint verdict of the four warped vacuum-static equivalence clauses",
         1e-6, 3, _eval_equiv, frozenset({"warped"}), settle=_equiv_verdict),
     "closed_cvf": Check("nabla P and div P identities; (a) nabla xi = phi I, (d) R(.,xi) and "
         "(e) Ric(xi) = -(n-1) grad phi are reported only when the field is closed",
-        1e-8, 3, lambda sc: sc.conformal.closed_identities(), frozenset({"field"})),
+        1e-8, 3, lambda sc: sc.chunk.conformal.closed_identities(sc.row), frozenset({"field"})),
 }
 
 # A view, not a second table: run_suite looks its evaluator up here at call
@@ -677,10 +723,6 @@ def report_to_json(report: VerificationReport) -> str:
 
 # -- suite runner --------------------------------------------------------------------
 
-# Errors confined to one sample point: the checks evaluated there FAIL with
-# the point and the message, and the run goes on.
-_POINT_ERRORS = (JetDomainError, SingularMetricError)
-
 
 def _scalar_survey(scratches: deque[PointScratch]) -> tuple[bool, float, float]:
     """(constant, mean, spread) of the scalar curvature over the points where it is finite."""
@@ -688,7 +730,7 @@ def _scalar_survey(scratches: deque[PointScratch]) -> tuple[bool, float, float]:
     for sc in scratches:
         try:
             value = sc.bundle.scalar
-        except _POINT_ERRORS:
+        except POINT_ERRORS:
             continue  # the checks evaluated at this point report the error
         if math.isfinite(value):  # else they FAIL there as non-finite
             values.append(value)
@@ -751,12 +793,12 @@ def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> Ve
                     continue
                 start = time.perf_counter()
                 try:
-                    residuals = _EVALUATORS[out.check](sc)
+                    residuals = _at_point(sc, _EVALUATORS[out.check])
                 except PreconditionSkip as unmet:
                     out = outcomes[k] = CheckOutcome(
                         out.check, "SKIP", out.tolerance, reason=unmet.reason, wall_time=out.wall_time
                     )
-                except _POINT_ERRORS as exc:
+                except POINT_ERRORS as exc:  # the point FAILs with the message, and the run goes on
                     out.add_error(sc.point, exc)
                 else:
                     out.add(sc.point, residuals)

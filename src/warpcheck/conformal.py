@@ -16,14 +16,17 @@ come from a :class:`~warpcheck.statics.StaticAnalysis` of phi, as f's do.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import CurvatureBundle
 from .jets import JetTensor, jt_einsum
-from .residuals import PreconditionSkip, Residual, ResidualSet
+from .residuals import PreconditionSkip, Residual, ResidualSet, at_row
 from .spaces import ConformalFieldSpec, StaticPotentialSpec, space_form, sphere_height_potential
 from .statics import StaticAnalysis
+
+if TYPE_CHECKING:
+    from .geometry import _Chain
 
 __all__ = [
     "ConformalAnalysis",
@@ -37,218 +40,271 @@ CLOSED_REL_TOL = 1e-9
 
 
 class ConformalAnalysis:
-    """Analysis of one conformal field at one point of one chart, as jets."""
+    """Analysis of one conformal field at the points of a chunk of one chart, as jets with the chunk's point axis
+    p (see the Batch rule of :mod:`geometry`).  A residual method forms the chunk's residuals on its first call
+    and returns those of the point ``row``; a closed field's identities are reported where the field is closed."""
 
-    def __init__(self, bundle: CurvatureBundle, xi: ConformalFieldSpec):
-        self.bundle = bundle
+    def __init__(self, chain: _Chain, xi: ConformalFieldSpec):
+        self.chain = chain
         self.spec = xi
-        self.n = bundle.dim
+        self.n = chain.dim
 
     # -- field jets -------------------------------------------------------
 
     @cached_property
     def xi(self) -> JetTensor:
-        return self.bundle.vector_field(self.spec.builder)
+        return self.chain.vector_field(self.spec.builder)
 
     @cached_property
     def xi_flat(self) -> JetTensor:
         """xi^b to order 3 at most: the deepest read, d2P, differentiates it three times."""
-        return jt_einsum("ij,j->i", self.bundle.g, self.xi.truncate(min(self.xi.order, 3)))
+        return jt_einsum("pij,pj->pi", self.chain.g, self.xi.truncate(min(self.xi.order, 3)))
 
     @cached_property
     def dxi_flat(self) -> JetTensor:
         """xi^b_{j,i} laid out as [j, i] (derivative index last)."""
-        return self.bundle.covariant_derivative(self.xi_flat, ("l",))
+        return self.chain.covariant_derivative(self.xi_flat, ("l",))
 
     @cached_property
     def phi(self) -> JetTensor:
         """Characteristic function phi = div(xi)/n as a jet field."""
-        return jt_einsum("ji,ji->", self.bundle.ginv, self.dxi_flat) / float(self.n)
+        return jt_einsum("pji,pji->p", self.chain.ginv, self.dxi_flat) / float(self.n)
 
     @cached_property
     def phi_analysis(self) -> StaticAnalysis:
         """phi as a potential: its dphi, grad phi, Hessian, Laplacian and L*_g phi."""
-        return StaticAnalysis(self.bundle, StaticPotentialSpec("phi", None), self.phi)
+        return StaticAnalysis(self.chain, StaticPotentialSpec("phi", None), self.phi)
 
     @cached_property
     def xi_of_r(self) -> JetTensor:
         """xi(R) = xi^l d_l R."""
-        return jt_einsum("l,l->", self.xi.truncate(0), self.bundle.dscalar)
+        return jt_einsum("pl,pl->p", self.xi.truncate(0), self.chain.dscalar)
 
     @cached_property
     def cotton_xi(self) -> JetTensor:
         """i_xi C: C_ljk xi^l."""
-        return jt_einsum("ljk,l->jk", self.bundle.cotton, self.xi.truncate(0))
+        return jt_einsum("pljk,pl->pjk", self.chain.cotton, self.xi.truncate(0))
 
     @cached_property
     def cotton_mid_xi(self) -> JetTensor:
         """C(., xi, .): C_ilj xi^l."""
-        return jt_einsum("ilj,l->ij", self.bundle.cotton, self.xi.truncate(0))
+        return jt_einsum("pilj,pl->pij", self.chain.cotton, self.xi.truncate(0))
 
     @cached_property
     def p(self) -> JetTensor:
         """P_jk = (xi^b_{j,k} - xi^b_{k,j}) / 2 (skew part of dxi^b)."""
-        return (self.dxi_flat - self.dxi_flat.transpose("jk->kj")) * 0.5
+        return (self.dxi_flat - self.dxi_flat.transpose("pjk->pkj")) * 0.5
 
     @cached_property
     def p_up(self) -> JetTensor:
         """g^ab P_bk."""
-        return jt_einsum("ab,bk->ak", self.bundle.ginv, self.p.truncate(0))
+        return jt_einsum("pab,pbk->pak", self.chain.ginv, self.p.truncate(0))
 
     @cached_property
     def dp(self) -> JetTensor:
-        return self.bundle.covariant_derivative(self.p, ("l", "l"))
+        return self.chain.covariant_derivative(self.p, ("l", "l"))
 
     @cached_property
     def d2p(self) -> JetTensor:
-        return self.bundle.covariant_derivative(self.dp, ("l", "l", "l"))
+        return self.chain.covariant_derivative(self.dp, ("l", "l", "l"))
 
     @cached_property
     def div_p(self) -> JetTensor:
         """g^ab P_ak,b, at order 0."""
-        return jt_einsum("ab,akb->k", self.bundle.ginv, self.dp.truncate(0))
+        return jt_einsum("pab,pakb->pk", self.chain.ginv, self.dp.truncate(0))
 
     @cached_property
     def ginv_d2p(self) -> JetTensor:
-        """g^pd P_pj,dk, laid out as [j, k]."""
-        return jt_einsum("pd,pjdk->jk", self.bundle.ginv, self.d2p)
+        """g^qd P_qj,dk, laid out as [j, k]."""
+        return jt_einsum("pqd,pqjdk->pjk", self.chain.ginv, self.d2p)
 
     @cached_property
     def ric_p_up(self) -> JetTensor:
         """R_ia g^ab P_bk."""
-        return jt_einsum("ia,ak->ik", self.bundle.ric, self.p_up)
+        return jt_einsum("pia,pak->pik", self.chain.ric, self.p_up)
 
     # -- scalar diagnostics -------------------------------------------------
 
-    def conformal_defect(self) -> Residual:
+    def conformal_defect(self, row: int) -> Residual:
         """|| xi^b_{i,j} + xi^b_{j,i} - 2 phi g_ij ||."""
-        sym = self.dxi_flat + self.dxi_flat.transpose("jk->kj")
-        resid = sym - jt_einsum(",ij->ij", self.phi.truncate(0), self.bundle.g) * 2.0
-        scale = self.bundle.norm(self.dxi_flat.value, ("l", "l"))
-        return Residual(self.bundle.norm(resid.value, ("l", "l")), 2.0 * scale)
-
-    def closedness_defect(self) -> Residual:
-        return Residual(
-            self.bundle.norm(self.p.value, ("l", "l")),
-            self.bundle.norm(self.dxi_flat.value, ("l", "l")),
-        )
+        return self._conformal.at(row)
 
     @cached_property
-    def is_closed(self) -> bool:
-        return self.closedness_defect().rel < CLOSED_REL_TOL
+    def _conformal(self) -> Residual:
+        c = self.chain
+        sym = self.dxi_flat + self.dxi_flat.transpose("pjk->pkj")
+        resid = sym - jt_einsum("p,pij->pij", self.phi.truncate(0), c.g) * 2.0
+        scale = c.norm(self.dxi_flat.value, ("l", "l"))
+        return Residual(c.norm(resid.value, ("l", "l")), 2.0 * scale)
+
+    def closedness_defect(self, row: int) -> Residual:
+        return self._closedness.at(row)
+
+    @cached_property
+    def _closedness(self) -> Residual:
+        c = self.chain
+        return Residual(c.norm(self.p.value, ("l", "l")), c.norm(self.dxi_flat.value, ("l", "l")))
+
+    @cached_property
+    def is_closed(self) -> np.ndarray:
+        """Whether the field is closed, at each point of the chunk."""
+        return self._closedness.rel < CLOSED_REL_TOL
 
     # -- identities -----------------------------------------------------------
 
-    def closed_identities(self) -> ResidualSet:
+    def closed_identities(self, row: int) -> ResidualSet:
         """Residuals (a)-(e) of the closed/general conformal-field identities.
 
-        (a) and (d)/(e) assume a closed field and are reported only when the
+        (a) and (d)/(e) assume a closed field and are reported only where the
         closedness defect passes; (b) and (c) hold for any conformal field.
         """
-        b = self.bundle
-        out: ResidualSet = {}
-        closed = self.is_closed
-
-        # (b) general: R^l_ijk xi^b_l = g_ij phi_k - g_ik phi_j - P_jk,i
-        rxi = jt_einsum("lijk,l->ijk", b.riemann13, self.xi_flat.truncate(0))
-        dphi = self.phi_analysis.df
-        gphi = jt_einsum("ij,k->ijk", b.g, dphi)
-        rhs = gphi - gphi.transpose("ijk->ikj") - self.dp.transpose("jki->ijk")
-        scale = b.norm(rxi.value, ("l",) * 3) + b.norm(gphi.value, ("l",) * 3)
-        out["nabla_p"] = Residual(b.norm(rxi.value - rhs.value, ("l",) * 3), scale)
-
-        # (c) divergence: g^ij P_jk,i = R_kl xi^l + (n-1) phi_k
-        ric_xi = jt_einsum("kl,l->k", b.ric, self.xi.truncate(0))
-        rhs_c = ric_xi + (self.n - 1.0) * dphi
-        out["div_p"] = b.defect(self.div_p.value, rhs_c.value, ("l",))
-
-        if closed:
-            # (a) nabla_i xi^j = phi delta^j_i
-            dxi_vec = b.covariant_derivative(self.xi.truncate(1), ("u",))
-            eye = JetTensor.const(dxi_vec.space, np.eye(self.n))
-            resid_a = dxi_vec - jt_einsum(",ji->ji", self.phi, eye)
-            out["nabla_xi"] = Residual(
-                b.norm(resid_a.value, ("u", "l")), b.norm(dxi_vec.value, ("u", "l"))
-            )
-
-            # (d) R(X, xi)Y identity: R^l_ijk xi^b_l - g_ij phi_k + g_ik phi_j = 0
-            resid_d = rxi - gphi + gphi.transpose("ijk->ikj")
-            out["curvature_xi"] = Residual(b.norm(resid_d.value, ("l",) * 3), scale)
-
-            # (e) Ric(xi) + (n-1) grad phi = 0
-            resid_e = ric_xi + (self.n - 1.0) * dphi
-            out["ric_xi"] = Residual(
-                b.norm(resid_e.value, ("l",)),
-                b.norm(ric_xi.value, ("l",)) + (self.n - 1.0) * b.norm(dphi.value, ("l",)),
-            )
+        out = at_row(self._general_cvf, row)
+        if self.is_closed[row]:
+            out.update(at_row(self._closed_cvf, row))
         return out
 
     @cached_property
+    def _rxi_gphi(self) -> tuple[JetTensor, JetTensor, np.ndarray, JetTensor]:
+        """R^l_ijk xi^b_l, g_ij phi_k, the scale of (b) and (d), and R_kl xi^l."""
+        c = self.chain
+        rxi = jt_einsum("plijk,pl->pijk", c.riemann13, self.xi_flat.truncate(0))
+        gphi = jt_einsum("pij,pk->pijk", c.g, self.phi_analysis.df)
+        scale = c.norm(rxi.value, ("l",) * 3) + c.norm(gphi.value, ("l",) * 3)
+        return rxi, gphi, scale, jt_einsum("pkl,pl->pk", c.ric, self.xi.truncate(0))
+
+    @cached_property
+    def _general_cvf(self) -> ResidualSet:
+        c = self.chain
+        dphi = self.phi_analysis.df
+        rxi, gphi, scale, ric_xi = self._rxi_gphi
+        # (b) general: R^l_ijk xi^b_l = g_ij phi_k - g_ik phi_j - P_jk,i
+        rhs = gphi - gphi.transpose("pijk->pikj") - self.dp.transpose("pjki->pijk")
+        # (c) divergence: g^ij P_jk,i = R_kl xi^l + (n-1) phi_k
+        rhs_c = ric_xi + (self.n - 1.0) * dphi
+        return {
+            "nabla_p": Residual(c.norm(rxi.value - rhs.value, ("l",) * 3), scale),
+            "div_p": c.defect(self.div_p.value, rhs_c.value, ("l",)),
+        }
+
+    @cached_property
+    def _closed_cvf(self) -> ResidualSet:
+        c = self.chain
+        dphi = self.phi_analysis.df
+        rxi, gphi, scale, ric_xi = self._rxi_gphi
+        # (a) nabla_i xi^j = phi delta^j_i
+        dxi_vec = c.covariant_derivative(self.xi.truncate(1), ("u",))
+        eye = JetTensor.const(dxi_vec.space, np.eye(self.n))
+        resid_a = dxi_vec - jt_einsum("p,ji->pji", self.phi, eye)
+        # (d) R(X, xi)Y identity: R^l_ijk xi^b_l - g_ij phi_k + g_ik phi_j = 0
+        resid_d = rxi - gphi + gphi.transpose("pijk->pikj")
+        # (e) Ric(xi) + (n-1) grad phi = 0
+        resid_e = ric_xi + (self.n - 1.0) * dphi
+        return {
+            "nabla_xi": Residual(c.norm(resid_a.value, ("u", "l")), c.norm(dxi_vec.value, ("u", "l"))),
+            "curvature_xi": Residual(c.norm(resid_d.value, ("l",) * 3), scale),
+            "ric_xi": Residual(
+                c.norm(resid_e.value, ("l",)),
+                c.norm(ric_xi.value, ("l",)) + (self.n - 1.0) * c.norm(dphi.value, ("l",)),
+            ),
+        }
+
+    @cached_property
     def phi_tensor_jets(self) -> JetTensor:
-        b = self.bundle
+        c = self.chain
         n = self.n
-        term1 = -self.cotton_mid_xi.transpose("ki->ik")
+        term1 = -self.cotton_mid_xi.transpose("pki->pik")
         term2 = (
-            jt_einsum("i,k->ik", b.dscalar, self.xi_flat.truncate(0)) - jt_einsum(",ik->ik", self.xi_of_r, b.g)
+            jt_einsum("pi,pk->pik", c.dscalar, self.xi_flat.truncate(0))
+            - jt_einsum("p,pik->pik", self.xi_of_r, c.g)
         ) * (-1.0 / (2.0 * (n - 1.0)))
-        return term1 + term2 + self.ginv_d2p.transpose("ki->ik") + self.ric_p_up
+        return term1 + term2 + self.ginv_d2p.transpose("pki->pik") + self.ric_p_up
 
-    def firstthm_defect(self) -> Residual:
+    def firstthm_defect(self, row: int) -> Residual:
         """|| L*_g phi - Phi ||, the pointwise defect of the main identity."""
-        return self.bundle.defect(self.phi_analysis.lstar_f.value, self.phi_tensor_jets.value, ("l", "l"))
+        return self._firstthm.at(row)
 
-    def phi_symmetry_defect(self) -> Residual:
+    @cached_property
+    def _firstthm(self) -> Residual:
+        return self.chain.defect(self.phi_analysis.lstar_f.value, self.phi_tensor_jets.value, ("l", "l"))
+
+    def phi_symmetry_defect(self, row: int) -> Residual:
+        return self._phi_symmetry.at(row)
+
+    @cached_property
+    def _phi_symmetry(self) -> Residual:
         phi_t = self.phi_tensor_jets
-        resid = phi_t - phi_t.transpose("ik->ki")
-        return Residual(self.bundle.norm(resid.value, ("l", "l")), self.bundle.norm(phi_t.value, ("l", "l")))
+        resid = phi_t - phi_t.transpose("pik->pki")
+        return Residual(self.chain.norm(resid.value, ("l", "l")), self.chain.norm(phi_t.value, ("l", "l")))
 
-    def trace_identity_defect(self) -> Residual:
+    def trace_identity_defect(self, row: int) -> Residual:
         """Delta phi + R phi/(n-1) + xi(R)/(2(n-1)) = 0."""
-        b = self.bundle
+        return self._trace_identity.at(row)
+
+    @cached_property
+    def _trace_identity(self) -> Residual:
+        c = self.chain
         n = self.n
         lap = self.phi_analysis.lap
-        resid = lap + b.scalar_jet * self.phi.truncate(0) / (n - 1.0) + self.xi_of_r / (2.0 * (n - 1.0))
-        scale = abs(float(lap.value)) + abs(b.scalar * float(self.phi.value) / (n - 1.0))
-        return Residual(abs(float(resid.value)), scale)
+        resid = lap + c.scalar_jet * self.phi.truncate(0) / (n - 1.0) + self.xi_of_r / (2.0 * (n - 1.0))
+        scale = np.abs(lap.value) + np.abs(c.scalar_jet.value * self.phi.value / (n - 1.0))
+        return Residual(np.abs(resid.value), scale)
 
-    def ixi_cotton_defect(self) -> ResidualSet:
+    def ixi_cotton_defect(self, row: int) -> ResidualSet:
         """Residuals of i_xi C = dR wedge xi^b /(2(n-1)) - d delta d xi^b/2 + Ric(d xi^b).
 
         'general' checks the full coordinate identity
         C_ljk xi^l = (grad_j R xi^b_k - grad_k R xi^b_j)/(2(n-1))
                      + P_ij,ik - P_ik,ij + R_kl P_lj + P_kl R_lj;
-        'closed_form' drops the P terms and is reported only for a closed field.
+        'closed_form' drops the P terms and is reported only where the field is closed.
         """
-        b = self.bundle
-        lhs = self.cotton_xi.value
-        wedge = jt_einsum("j,k->jk", b.dscalar, self.xi_flat.truncate(0))
-        dr_xi = (wedge - wedge.transpose("jk->kj")) * (1.0 / (2.0 * (self.n - 1.0)))
-        rhs = dr_xi + self.ginv_d2p
-        rhs = rhs - self.ginv_d2p.transpose("kj->jk")
-        rhs = rhs + self.ric_p_up.transpose("kj->jk")
-        ric_up = jt_einsum("ab,bj->aj", b.ginv, b.ric.truncate(0))
-        rhs = rhs + jt_einsum("ka,aj->jk", self.p, ric_up)
-        out = {"general": b.defect(lhs, rhs.value, ("l", "l"))}
-        if self.is_closed:
-            out["closed_form"] = b.defect(lhs, dr_xi.value, ("l", "l"))
+        out = {"general": self._ixi_cotton[2].at(row)}
+        if self.is_closed[row]:
+            out["closed_form"] = self._ixi_closed.at(row)
         return out
 
-    def cxi_contraction_defect(self) -> Residual:
-        """|| C_ijk xi^i || (vanishes for closed fields with constant R)."""
-        b = self.bundle
-        scale = b.norm(b.cotton.value, ("l",) * 3) * b.norm(self.xi.value, ("u",))
-        return Residual(b.norm(self.cotton_xi.value, ("l", "l")), scale)
+    @cached_property
+    def _ixi_closed(self) -> Residual:
+        lhs, dr_xi, _ = self._ixi_cotton
+        return self.chain.defect(lhs, dr_xi.value, ("l", "l"))
 
-    def cxi_divergence_defect(self) -> Residual:
+    @cached_property
+    def _ixi_cotton(self) -> tuple[np.ndarray, JetTensor, Residual]:
+        """i_xi C, dR wedge xi^b /(2(n-1)) and the general residual."""
+        c = self.chain
+        lhs = self.cotton_xi.value
+        wedge = jt_einsum("pj,pk->pjk", c.dscalar, self.xi_flat.truncate(0))
+        dr_xi = (wedge - wedge.transpose("pjk->pkj")) * (1.0 / (2.0 * (self.n - 1.0)))
+        rhs = dr_xi + self.ginv_d2p
+        rhs = rhs - self.ginv_d2p.transpose("pkj->pjk")
+        rhs = rhs + self.ric_p_up.transpose("pkj->pjk")
+        ric_up = jt_einsum("pab,pbj->paj", c.ginv, c.ric.truncate(0))
+        rhs = rhs + jt_einsum("pka,paj->pjk", self.p, ric_up)
+        return lhs, dr_xi, c.defect(lhs, rhs.value, ("l", "l"))
+
+    def cxi_contraction_defect(self, row: int) -> Residual:
+        """|| C_ijk xi^i || (vanishes for closed fields with constant R)."""
+        return self._cxi_contraction.at(row)
+
+    @cached_property
+    def _cxi_contraction(self) -> Residual:
+        c = self.chain
+        scale = c.norm(c.cotton.value, ("l",) * 3) * c.norm(self.xi.value, ("u",))
+        return Residual(c.norm(self.cotton_xi.value, ("l", "l")), scale)
+
+    def cxi_divergence_defect(self, row: int) -> Residual:
         """|| Xi_ik xi^i || with Xi the Cotton divergence."""
-        if not self.is_closed:
+        if not self.is_closed[row]:
             raise PreconditionSkip(
-                f"field {self.spec.label!r} is not closed (defect {self.closedness_defect().rel:.2e})"
+                f"field {self.spec.label!r} is not closed (defect {self.closedness_defect(row).rel:.2e})"
             )
-        b = self.bundle
-        contracted = jt_einsum("ik,i->k", b.cotton_divergence, self.xi)
-        scale = b.norm(b.cotton_divergence.value, ("l", "l")) * b.norm(self.xi.value, ("u",))
-        return Residual(b.norm(contracted.value, ("l",)), scale)
+        return self._cxi_divergence.at(row)
+
+    @cached_property
+    def _cxi_divergence(self) -> Residual:
+        c = self.chain
+        contracted = jt_einsum("pik,pi->pk", c.cotton_divergence, self.xi)
+        scale = c.norm(c.cotton_divergence.value, ("l", "l")) * c.norm(self.xi.value, ("u",))
+        return Residual(c.norm(contracted.value, ("l",)), scale)
 
 
 # -- built-in fields ------------------------------------------------------------

@@ -38,25 +38,31 @@ product is one ``np.einsum`` of the values.
 Batch rule: chart, potential and field builders run once for many sample
 points (:class:`ChartBatch`), on coordinate jets with a leading point axis,
 and so does the inverse metric (Cholesky factor, cond, g0^-1, frame and the
-Neumann series).  The curvature chain, Christoffel symbols to the Cotton
-divergence (:class:`_Chain`), runs once for each CHAIN_POINTS consecutive
-points of a batch, with the point axis p prefixed to every spec.  Each
-point's bundle gets a copy of its slice; E, W, the analyses and the norms
-run per point.  A slice is, bit for bit and stride for stride, the value
-formed at that point alone: jet arithmetic acts on each row alone, numpy's
-linalg runs one LAPACK call per matrix of a stack, and the point axis is
-the outermost of every operand and result, so numpy runs each point's
-inner loops as at that point alone, and the zero rule's plan sums each
-entry in the dense order.  A batch with a g0 that is not regular, or whose
-metric was formed point by point, forms the inverse and the chain at each
-point alone, which raises its own error.
+Neumann series).  Everything read from them runs once for each CHAIN_POINTS
+consecutive points of a batch (a chunk, :class:`_Chain`), with the point
+axis p prefixed to every spec: the curvature chain from the Christoffel
+symbols to the Cotton divergence; dR, E and W; the Hessian, Laplacian and
+L*; the analyses of :mod:`statics` and :mod:`conformal`; and the frame
+norms, one ``matmul`` per frame of the stack and one ``vdot`` per point.
+A :class:`CurvatureBundle` is one row of its chunk and reads views of it.
+A row is, bit for bit and stride for stride, the value formed at that
+point alone: jet arithmetic acts on each row alone, numpy's linalg runs one
+LAPACK call per matrix of a stack, and the point axis is the outermost of
+every operand and result, so numpy runs each point's inner loops as at that
+point alone, and the zero rule's plan sums each entry in the dense order.
+A formation of the batch that raises a point error (:class:`JetDomainError`
+or :class:`SingularMetricError`) is formed again for each chunk; a chunk
+that raises is formed again as chunks of one point, each of which raises
+its own error (:meth:`CurvatureBundle.read`, and ``PointScratch.split`` of
+:mod:`checks` for the analyses).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -65,17 +71,23 @@ from .residuals import Residual
 from .sampling import halton_points
 from .tensors import tensor_norm_sq
 
-__all__ = ["MetricChart", "ChartBatch", "CurvatureBundle", "SingularMetricError", "kulkarni_nomizu_jets"]
+__all__ = [
+    "MetricChart", "ChartBatch", "CurvatureBundle", "SingularMetricError", "POINT_ERRORS", "kulkarni_nomizu_jets"
+]
 
 COND_LIMIT = 1e12
-# points per run of the curvature chain in a ChartBatch (see the Batch rule): 8 takes most of the per-call
-# overhead off the chain, while a whole batch of 64 runs a dim-6 order-4 chain slower than point by point
+# points of a chunk of a ChartBatch (see the Batch rule): 8 takes most of the per-call overhead off the
+# chain and the analyses, while a whole batch of 64 runs a dim-6 order-4 chain slower than point by point
 # and doubles a suite's peak memory
 CHAIN_POINTS = 8
 
 
 class SingularMetricError(ValueError):
     """Metric matrix not usably positive definite at the requested point."""
+
+
+# errors confined to the sample point where they arise
+POINT_ERRORS = (JetDomainError, SingularMetricError)
 
 
 MetricBuilder = Callable[[Sequence[JetTensor]], Sequence[Sequence[JetTensor | float]]]
@@ -155,11 +167,10 @@ def _stack_entries(space: JetSpace, batch: tuple[int, ...], shape: tuple[int, ..
 
 
 class ChartBatch:
-    """One chart's metric and field jets at the rows of a (P, dim) array of points.
+    """One chart's metric, inverse metric and field jets at the rows of a (P, dim) array of points.
 
-    The metric, its inverse and every field are each formed once, with a leading point axis, and the curvature
-    chain once for each CHAIN_POINTS points; point k gets a copy of its slice.  Every point of a batch that
-    raised :class:`JetDomainError` is formed alone, and so reports its own error.
+    Each is formed once, with a leading point axis, on the first request from any chunk (:meth:`chunks`), which
+    reads its rows as views.  Where that raised a point error, each chunk forms it at its own rows.
     """
 
     def __init__(self, chart: MetricChart, points: np.ndarray, order: int, metric_order: int | None = None):
@@ -167,70 +178,48 @@ class ChartBatch:
         self.points = np.asarray(points, dtype=float)
         self.order = order
         self.metric_order = order if metric_order is None else metric_order
-        self._batches: dict = {}
+        self._formed: dict = {}
 
-    def bundle(self, k: int) -> CurvatureBundle:
-        b = CurvatureBundle(self.chart, self.points[k], self.order, self.metric_order)
-        b._batch, b._index = self, k
-        return b
+    def chunks(self) -> list[_Chain]:
+        """The consecutive chunks of CHAIN_POINTS points, the last one short if need be."""
+        n = len(self.points)
+        return [_Chain(self, slice(k, min(k + CHAIN_POINTS, n))) for k in range(0, n, CHAIN_POINTS)]
 
-    def jet(self, key, k: int, build: Callable[[np.ndarray], JetTensor]) -> JetTensor:
-        """Point k's slice of ``build(points)``, formed on the first request for ``key``."""
-        if key not in self._batches:
+    def formed(self, key, build: Callable[[slice], Any], rows: slice):
+        """``build(rows)``: the rows of ``build`` at every point, formed on the first request for ``key``, or, where
+        that raised a point error, ``build`` at ``rows`` alone.  A value is a jet, an array or a tuple of them."""
+        if key not in self._formed:
             try:
-                self._batches[key] = build(self.points)
-            except JetDomainError:
-                self._batches[key] = None
-        batch = self._batches[key]
-        return build(self.points[k]) if batch is None else JetTensor(batch.space, batch.data[k].copy())
+                self._formed[key] = build(slice(None))
+            except POINT_ERRORS:
+                self._formed[key] = None
+        whole = self._formed[key]
+        return build(rows) if whole is None else _rows(whole, rows)
 
-    def metric(self, k: int) -> JetTensor:
+    def metric(self, rows: slice) -> JetTensor:
         # + 0.0: a function composed at a zero argument (cos at phase 0, say)
         # signs some zero coefficients differently at different orders
-        return self.jet("g", k, lambda points: self.chart.metric_jets(points, self.metric_order) + 0.0)
+        return self.chart.metric_jets(self.points[rows], self.metric_order) + 0.0
 
-    def inverse(self, k: int, g: JetTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
-        """Copies of point k's g0^-1, L, L^-1 and g^-1 jets, formed for the batch on the first request; from each
-        point's own metric ``g`` if the batch's was formed point by point or has a g0 that is not regular."""
-        if "inverse" not in self._batches:
-            batch = self._batches.get("g")
-            try:
-                self._batches["inverse"] = None if batch is None else _inverse_metric(batch, "in a batch")
-            except SingularMetricError:
-                self._batches["inverse"] = None
-        parts = self._batches["inverse"]
-        if parts is None:
-            where = f"at {self.points[k]} on {self.chart.label!r}"
-            parts, k = _inverse_metric(JetTensor(g.space, g.data[None]), where), 0
-        ginv0, chol, chol_inv, ginv = parts
-        return ginv0[k].copy(), chol[k].copy(), chol_inv[k].copy(), JetTensor(ginv.space, ginv.data[k].copy())
+    def inverse(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
+        points = self.points[rows]
+        where = f"at {points[0]} on {self.chart.label!r}" if len(points) == 1 else "in a batch"
+        return _inverse_metric(self.formed("g", self.metric, rows), where)
 
-    def chain(self, k: int, name: str, g: JetTensor, ginv: JetTensor) -> JetTensor:
-        """A copy of point k's slice of the chain jet ``name`` (see :class:`_Chain`), laid out as if formed at
-        that point alone.  The chain runs once for each CHAIN_POINTS consecutive points, on the batch's metric
-        and inverse, on the first request from any of them; where the batch's inverse was formed point by
-        point, it runs at point k alone, on its own ``g`` and ``ginv``."""
-        alone = self._batches["inverse"] is None
-        start = k if alone else k - k % CHAIN_POINTS
-        if ("chain", start) not in self._batches:
-            if alone:  # index None adds the point axis
-                jets, rows = (g, ginv), None
-            else:
-                jets, rows = (self._batches["g"], self._batches["inverse"][3]), slice(start, start + CHAIN_POINTS)
-            self._batches["chain", start] = _Chain(*(JetTensor(t.space, t.data[rows]) for t in jets))
-        t = getattr(self._batches["chain", start], name)
-        return JetTensor(t.space, t.data[k - start].copy(order="K"))
+    def field(self, builder, shape: tuple[int, ...], rows: slice) -> JetTensor:
+        """A scalar (``shape`` ()) or vector (``shape`` (dim,)) field at ``rows``."""
+        coords = self.chart.coordinate_jets(self.points[rows], self.order)
+        comps = list(builder(coords)) if shape else [builder(coords)]
+        if shape and len(comps) != shape[0]:
+            raise ValueError(f"vector field has {len(comps)} components, chart dim {shape[0]}")
+        return _stack_entries(jet_space(self.chart.dim, self.order), coords[0].shape, shape, comps)
 
-    def field(self, builder, k: int, shape: tuple[int, ...]) -> JetTensor:
-        """A scalar (``shape`` ()) or vector (``shape`` (dim,)) field at point k."""
-        def build(points):
-            coords = self.chart.coordinate_jets(points, self.order)
-            comps = list(builder(coords)) if shape else [builder(coords)]
-            if shape and len(comps) != shape[0]:
-                raise ValueError(f"vector field has {len(comps)} components, chart dim {shape[0]}")
-            return _stack_entries(jet_space(self.chart.dim, self.order), coords[0].shape, shape, comps)
 
-        return self.jet(builder, k, build)
+def _rows(value, rows: slice | int):
+    """Views of the rows (or of one row) of a jet, an array or a tuple of them."""
+    if isinstance(value, tuple):
+        return tuple(_rows(v, rows) for v in value)
+    return JetTensor(value.space, value.data[rows]) if isinstance(value, JetTensor) else value[rows]
 
 
 def _inverse_metric(g: JetTensor, where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
@@ -287,16 +276,189 @@ def _need_dim(dim: int, minimum: int, what: str) -> None:
         raise ValueError(f"{what} requires dim >= {minimum}, chart has dim {dim}")
 
 
-class _Chain:
-    """The curvature chain at consecutive points of a batch, from their metric and inverse metric jets.
+def _row_of(name: str) -> cached_property:
+    """A bundle's jet ``name``: a view of its row of its chunk's (see :meth:`CurvatureBundle.read`)."""
+    get = lambda bundle: bundle.read(operator.attrgetter(name))  # noqa: E731
+    get.__name__ = name
+    return cached_property(get)
 
-    Every jet has a leading point axis p, and every spec is the one at a point with p prefixed to each operand
-    and to the output; the docstrings name the axes at one point.
+
+class CurvatureBundle:
+    """All curvature data of one chart at one point, as jets: its row of a chunk (:class:`_Chain`), read as views.
+
+    ``order`` is the jet order of the coordinates and of every field
+    evaluated on them (``space``).  ``metric_order`` (default ``order``) is
+    that of the metric, from which the whole curvature chain is built, and
+    may not exceed ``order``: 2 suffices for Riemann/Ricci/scalar, 3 adds
+    the Cotton tensor, 4 the Cotton divergence.  A field may need the
+    higher order: L* phi differentiates phi = div(xi)/n twice, and the
+    sphere-gradient field loses one order in its builder.  The operators
+    act on jets at the point, and a chunk's on jets with its point axis.
     """
 
-    def __init__(self, g: JetTensor, ginv: JetTensor):
-        self.g, self.ginv = g, ginv
-        self.dim = g.space.num_vars
+    prefix = ""  # the axes that every spec of the operators below carries first
+
+    def __init__(self, chart: MetricChart, point: np.ndarray, order: int = 3, metric_order: int | None = None):
+        self.chart = chart
+        self.point = np.asarray(point, dtype=float)
+        self.order = order
+        self.metric_order = order if metric_order is None else metric_order
+        self.dim = chart.dim
+        self.space = jet_space(chart.dim, order)
+        # a bundle made alone is the one row of its own chunk; _Chain.bundle makes one a row of a shared chunk
+        self._chain, self._row = ChartBatch(chart, self.point[None], order, self.metric_order).chunks()[0], 0
+
+    def read(self, get: Callable[[_Chain], Any]):
+        """This point's row of ``get`` of its chunk, as views.  Where the chunk raises a point error, the point is
+        formed again alone, as a chunk of one, which raises its own."""
+        try:
+            value = get(self._chain)
+        except POINT_ERRORS:
+            if len(self._chain.points) == 1:
+                raise
+            self._chain, self._row = self._chain.alone(self._row), 0
+            value = get(self._chain)
+        return _rows(value, self._row)
+
+    # -- metric ----------------------------------------------------------
+
+    g = _row_of("g")
+    g0 = _row_of("g0")
+
+    @cached_property
+    def ginv0(self) -> np.ndarray:
+        """The inverse of g0; a metric that is not finite or not usably positive definite raises here."""
+        return self.read(operator.attrgetter("ginv0"))
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L^T, L^-1) with g0 = L L^T: they take a contravariant and a covariant index to an orthonormal frame."""
+        return self.read(operator.attrgetter("frame"))
+
+    ginv = _row_of("ginv")
+
+    # -- connection and curvature ----------------------------------------
+
+    gamma = _row_of("gamma")
+    riemann13 = _row_of("riemann13")
+    riemann4 = _row_of("riemann4")
+    ric = _row_of("ric")
+    scalar_jet = _row_of("scalar_jet")
+    scalar_jet_times_g = _row_of("scalar_jet_times_g")
+    schouten = _row_of("schouten")
+    cotton = _row_of("cotton")
+    cotton_divergence = _row_of("cotton_divergence")
+    dscalar = _row_of("dscalar")
+    efield = _row_of("efield")
+    weyl = _row_of("weyl")
+
+    @property
+    def scalar(self) -> float:
+        return float(self.scalar_jet.value)
+
+    # -- field evaluation --------------------------------------------------
+
+    def scalar_field(self, builder) -> JetTensor:
+        """Evaluate a scalar field builder at this point as a jet."""
+        return self.read(lambda chain: chain.scalar_field(builder))
+
+    def vector_field(self, builder) -> JetTensor:
+        """Evaluate a vector field builder; components are contravariant."""
+        return self.read(lambda chain: chain.vector_field(builder))
+
+    # -- derived operators -------------------------------------------------
+
+    def covariant_derivative(self, t: JetTensor, variance: tuple[str, ...]) -> JetTensor:
+        """One covariant derivative (see :func:`covariant_derivative`)."""
+        return covariant_derivative(self.gamma, t, variance, self.prefix)
+
+    # The scalar operators below take what the caller of a scalar f holds
+    # (its Hessian, its Laplacian), so each is formed once per scalar.
+
+    def hessian(self, f: JetTensor) -> JetTensor:
+        """Hess f (0,2) of a scalar-shaped f at order 0; symmetric up to round-off."""
+        return self.covariant_derivative(f.truncate(2).partials(), ("l",))
+
+    def laplacian(self, hess: JetTensor) -> JetTensor:
+        """Lap f = g^ij Hess_ij f, from the Hessian of f."""
+        p = self.prefix
+        return jt_einsum(f"{p}ij,{p}ij->{p}", self.ginv, hess)
+
+    def lstar(self, f: JetTensor, hess: JetTensor, lap: JetTensor) -> JetTensor:
+        """Formal adjoint of the linearized scalar curvature: Hess f - (Lap f) g - f Ric."""
+        p = self.prefix
+        spec = f"{p},{p}ij->{p}ij"
+        return hess - jt_einsum(spec, lap, self.g) - jt_einsum(spec, f.truncate(hess.order), self.ric)
+
+    def norm(self, components: np.ndarray, variance: tuple[str, ...]):
+        """g-norm of tensor components, one variance flag ("l" or "u") per index; a chunk's, one per point."""
+        return np.sqrt(self.norm_sq(components, variance))
+
+    def norm_sq(self, components: np.ndarray, variance: tuple[str, ...]):
+        return tensor_norm_sq(components, variance, *self.frame)
+
+    def defect(self, lhs: np.ndarray, rhs: np.ndarray, variance: tuple[str, ...]) -> Residual:
+        """The residual of the identity lhs = rhs, on the scale of both sides."""
+        return Residual(self.norm(lhs - rhs, variance), self.norm(lhs, variance) + self.norm(rhs, variance))
+
+
+class _Chain(CurvatureBundle):
+    """The curvature of a chunk: the consecutive points ``rows`` of a batch (see the Batch rule).
+
+    Every jet has a leading point axis p, and every spec is the one at a point with p prefixed to each operand
+    and to the output; the docstrings name the axes at one point.  The metric, its inverse and the fields are
+    the chunk's rows of the batch's, and the operators are the bundle's, on the point axis.
+    """
+
+    prefix = "p"
+
+    def __init__(self, batch: ChartBatch, rows: slice):
+        self.batch, self.rows = batch, rows
+        self.points = batch.points[rows]
+        self.dim = batch.chart.dim
+        self.space = jet_space(self.dim, batch.order)
+
+    def alone(self, row: int) -> _Chain:
+        """The chunk of the point ``row`` alone."""
+        start = self.rows.start + row
+        return _Chain(self.batch, slice(start, start + 1))
+
+    def bundle(self, row: int) -> CurvatureBundle:
+        b = CurvatureBundle(self.batch.chart, self.points[row], self.batch.order, self.batch.metric_order)
+        b._chain, b._row = self, row
+        return b
+
+    @cached_property
+    def g(self) -> JetTensor:
+        return self.batch.formed("g", self.batch.metric, self.rows)
+
+    @cached_property
+    def g0(self) -> np.ndarray:
+        return self.g.value
+
+    @cached_property
+    def _inverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
+        return self.batch.formed("inverse", self.batch.inverse, self.rows)
+
+    @cached_property
+    def ginv0(self) -> np.ndarray:
+        return self._inverse[0]
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        _, chol, chol_inv, _ = self._inverse
+        return chol.transpose(0, 2, 1), chol_inv
+
+    @cached_property
+    def ginv(self) -> JetTensor:
+        """Inverse metric jets to order ``metric_order - 1``, the highest any contraction keeps."""
+        return self._inverse[3]
+
+    def scalar_field(self, builder) -> JetTensor:
+        return self.batch.formed(builder, lambda rows: self.batch.field(builder, (), rows), self.rows)
+
+    def vector_field(self, builder) -> JetTensor:
+        return self.batch.formed(builder, lambda rows: self.batch.field(builder, (self.dim,), rows), self.rows)
 
     @cached_property
     def gamma(self) -> JetTensor:
@@ -316,9 +478,10 @@ class _Chain:
         quad = jt_einsum("pmki,pljm->plijk", gamma, gamma)
         return term + quad - quad.transpose("plijk->plikj")
 
-    @cached_property
+    @property
     def riemann4(self) -> JetTensor:
-        """R_ijkl = g_is R^s_jkl."""
+        """R_ijkl = g_is R^s_jkl, formed where read and not kept: the scalar survey holds every chunk's chain of a
+        batch until its checks run, and Ricci reads R_ijkl once, W and the decomposition identities once more."""
         return jt_einsum("pis,psjkl->pijkl", self.g, self.riemann13)
 
     @cached_property
@@ -346,93 +509,14 @@ class _Chain:
     def cotton(self) -> JetTensor:
         """C_ijk = A_{ij,k} - A_{ik,j}."""
         _need_dim(self.dim, 3, "Cotton tensor")
-        da = covariant_derivative(self.gamma, self.schouten, ("l", "l"), "p")
+        da = self.covariant_derivative(self.schouten, ("l", "l"))
         return da - da.transpose("pijk->pikj")
 
     @cached_property
     def cotton_divergence(self) -> JetTensor:
         """Xi_ik = C_{ijk,j} (divergence over the middle slot)."""
-        dc = covariant_derivative(self.gamma, self.cotton, ("l", "l", "l"), "p")
+        dc = self.covariant_derivative(self.cotton, ("l", "l", "l"))
         return jt_einsum("pjl,pijkl->pik", self.ginv, dc)
-
-
-def _chained(name: str) -> cached_property:
-    """A bundle's jet ``name`` of the chain: a copy of its point's slice (see :meth:`ChartBatch.chain`)."""
-
-    def get(bundle: "CurvatureBundle") -> JetTensor:
-        return bundle._batch.chain(bundle._index, name, bundle.g, bundle.ginv)
-
-    get.__name__, get.__doc__ = name, getattr(_Chain, name).__doc__
-    return cached_property(get)
-
-
-class CurvatureBundle:
-    """All curvature data of one chart at one point, computed lazily as jets.
-
-    ``order`` is the jet order of the coordinates and of every field
-    evaluated on them (``space``).  ``metric_order`` (default ``order``) is
-    that of the metric, from which the whole curvature chain is built, and
-    may not exceed ``order``: 2 suffices for Riemann/Ricci/scalar, 3 adds
-    the Cotton tensor, 4 the Cotton divergence.  A field may need the
-    higher order: L* phi differentiates phi = div(xi)/n twice, and the
-    sphere-gradient field loses one order in its builder.
-    """
-
-    def __init__(self, chart: MetricChart, point: np.ndarray, order: int = 3, metric_order: int | None = None):
-        self.chart = chart
-        self.point = np.asarray(point, dtype=float)
-        self.order = order
-        self.metric_order = order if metric_order is None else metric_order
-        self.dim = chart.dim
-        self.space = jet_space(chart.dim, order)
-        # a bundle made alone is a batch of one; ChartBatch.bundle shares its own
-        self._batch, self._index = ChartBatch(chart, self.point[None], order, self.metric_order), 0
-
-    # -- metric ----------------------------------------------------------
-
-    @cached_property
-    def g(self) -> JetTensor:
-        return self._batch.metric(self._index)
-
-    @cached_property
-    def g0(self) -> np.ndarray:
-        return self.g.value
-
-    @cached_property
-    def _inverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
-        return self._batch.inverse(self._index, self.g)
-
-    @cached_property
-    def ginv0(self) -> np.ndarray:
-        """The inverse of g0; a metric that is not finite or not usably positive definite raises here."""
-        return self._inverse[0]
-
-    @cached_property
-    def frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L^T, L^-1) with g0 = L L^T: they take a contravariant and a covariant index to an orthonormal frame."""
-        _, chol, chol_inv, _ = self._inverse
-        return chol.T, chol_inv
-
-    @cached_property
-    def ginv(self) -> JetTensor:
-        """Inverse metric jets to order ``metric_order - 1``, the highest any contraction keeps."""
-        return self._inverse[3]
-
-    # -- connection and curvature: slices of the chain (see the Batch rule) --
-
-    gamma = _chained("gamma")
-    riemann13 = _chained("riemann13")
-    riemann4 = _chained("riemann4")
-    ric = _chained("ric")
-    scalar_jet = _chained("scalar_jet")
-    scalar_jet_times_g = _chained("scalar_jet_times_g")
-    schouten = _chained("schouten")
-    cotton = _chained("cotton")
-    cotton_divergence = _chained("cotton_divergence")
-
-    @property
-    def scalar(self) -> float:
-        return float(self.scalar_jet.value)
 
     @cached_property
     def dscalar(self) -> JetTensor:
@@ -448,54 +532,14 @@ class CurvatureBundle:
     def weyl(self) -> JetTensor:
         """The Weyl tensor, at order 0."""
         _need_dim(self.dim, 3, "Weyl tensor")
-        return self.riemann4 - kulkarni_nomizu_jets(self.schouten.truncate(0), self.g) / (self.dim - 2.0)
-
-    # -- field evaluation --------------------------------------------------
-
-    def scalar_field(self, builder) -> JetTensor:
-        """Evaluate a scalar field builder at this point as a jet."""
-        return self._batch.field(builder, self._index, ())
-
-    def vector_field(self, builder) -> JetTensor:
-        """Evaluate a vector field builder; components are contravariant."""
-        return self._batch.field(builder, self._index, (self.dim,))
-
-    # -- derived operators -------------------------------------------------
-
-    def covariant_derivative(self, t: JetTensor, variance: tuple[str, ...]) -> JetTensor:
-        """One covariant derivative at this point (see :func:`covariant_derivative`)."""
-        return covariant_derivative(self.gamma, t, variance)
-
-    # The scalar operators below take what the caller of a scalar f holds
-    # (its Hessian, its Laplacian), so each is formed once per scalar.
-
-    def hessian(self, f: JetTensor) -> JetTensor:
-        """Hess f (0,2) of a scalar-shaped f at order 0; symmetric up to round-off."""
-        return self.covariant_derivative(f.truncate(2).partials(), ("l",))
-
-    def laplacian(self, hess: JetTensor) -> JetTensor:
-        """Lap f = g^ij Hess_ij f, from the Hessian of f."""
-        return jt_einsum("ij,ij->", self.ginv, hess)
-
-    def lstar(self, f: JetTensor, hess: JetTensor, lap: JetTensor) -> JetTensor:
-        """Formal adjoint of the linearized scalar curvature: Hess f - (Lap f) g - f Ric."""
-        return hess - jt_einsum(",ij->ij", lap, self.g) - jt_einsum(",ij->ij", f.truncate(hess.order), self.ric)
-
-    def norm(self, components: np.ndarray, variance: tuple[str, ...]) -> float:
-        """g-norm of tensor components, one variance flag ("l" or "u") per index."""
-        return float(np.sqrt(self.norm_sq(components, variance)))
-
-    def norm_sq(self, components: np.ndarray, variance: tuple[str, ...]) -> float:
-        return tensor_norm_sq(components, variance, *self.frame)
-
-    def defect(self, lhs: np.ndarray, rhs: np.ndarray, variance: tuple[str, ...]) -> Residual:
-        """The residual of the identity lhs = rhs, on the scale of both sides."""
-        return Residual(self.norm(lhs - rhs, variance), self.norm(lhs, variance) + self.norm(rhs, variance))
+        return self.riemann4 - kulkarni_nomizu_jets(self.schouten.truncate(0), self.g, "p") / (self.dim - 2.0)
 
 
-def kulkarni_nomizu_jets(u: JetTensor, v: JetTensor) -> JetTensor:
-    """(U KN V)_ijkl = U_ik V_jl + U_jl V_ik - U_il V_jk - U_jk V_il."""
-    t1 = jt_einsum("ik,jl->ijkl", u, v)
-    t2 = jt_einsum("il,jk->ijkl", u, v)
-    return t1 + t1.transpose("ijkl->jilk") - t2 - t2.transpose("ijkl->jilk")
+def kulkarni_nomizu_jets(u: JetTensor, v: JetTensor, prefix: str = "") -> JetTensor:
+    """(U KN V)_ijkl = U_ik V_jl + U_jl V_ik - U_il V_jk - U_jk V_il, on leading axes ``prefix`` that both carry."""
+    p = prefix
+    t1 = jt_einsum(f"{p}ik,{p}jl->{p}ijkl", u, v)
+    t2 = jt_einsum(f"{p}il,{p}jk->{p}ijkl", u, v)
+    swap = f"{p}ijkl->{p}jilk"
+    return t1 + t1.transpose(swap) - t2 - t2.transpose(swap)
 

@@ -4,13 +4,15 @@ A residual carries the absolute defect of an identity together with the
 scale of the terms that entered it; the relative residual abs/(1+scale) is
 what gets compared against tolerances, so identities between large tensors
 and identities between near-zero tensors are judged on the same footing.
+The analyses form them for a chunk of points at once, as arrays with one
+entry per point, and each point reads its own row as floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Residual", "ResidualSet", "PreconditionSkip"]
+__all__ = ["Residual", "ResidualSet", "PreconditionSkip", "at_row"]
 
 
 class PreconditionSkip(Exception):
@@ -30,5 +32,14 @@ class Residual:
     def rel(self) -> float:
         return self.abs / (1.0 + self.scale)
 
+    def at(self, row: int) -> Residual:
+        """Point ``row``'s residual, of one over a chunk's points (an array of abs and of scale)."""
+        return Residual(float(self.abs[row]), float(self.scale[row]))
+
 
 ResidualSet = dict[str, Residual]
+
+
+def at_row(residuals: ResidualSet, row: int) -> ResidualSet:
+    """Point ``row``'s residuals, of a set over a chunk's points."""
+    return {name: residual.at(row) for name, residual in residuals.items()}

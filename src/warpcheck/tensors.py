@@ -7,17 +7,23 @@ import numpy as np
 __all__ = ["tensor_norm_sq"]
 
 
-def tensor_norm_sq(components: np.ndarray, variance: tuple[str, ...], up: np.ndarray, low: np.ndarray) -> float:
+def tensor_norm_sq(components: np.ndarray, variance: tuple[str, ...], up: np.ndarray, low: np.ndarray):
     """Squared g-norm as a sum of squares in the orthonormal frame of g0 = L L^T.
 
     ``up = L^T`` takes a contravariant index to the frame, ``low = L^-1`` a
     covariant one.  Each step contracts the leading axis and appends the new
     one last; the sum of squares does not depend on the order of the axes.
+    Frames of shape (P, n, n) take components with a leading point axis to
+    the P norms, each with the bits of its point alone: ``matmul`` runs one
+    product per matrix of a stack, and each row is summed by its own ``vdot``.
     """
     s = np.asarray(components, dtype=float)
-    if s.ndim != len(variance):
-        raise ValueError(f"tensor rank {s.ndim} != variance length {len(variance)}")
+    lead = up.shape[:-2]
+    if s.ndim != len(lead) + len(variance):
+        raise ValueError(f"tensor rank {s.ndim - len(lead)} != variance length {len(variance)}")
     for flag in variance:
         frame = low if flag == "l" else up
-        s = s.reshape(len(frame), -1).T @ frame.T
+        s = s.reshape(lead + (frame.shape[-1], -1)).swapaxes(-1, -2) @ frame.swapaxes(-1, -2)
+    if lead:
+        return np.array([np.vdot(row, row) for row in s])
     return float(np.vdot(s, s))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, RunConfig, build_context, point_scratches
+from warpcheck.geometry import ChartBatch
 from warpcheck.spaces import basicex_geometry, warping_jet
 from warpcheck.statics import warpedproduct3_residual
 
@@ -45,6 +46,12 @@ def warping_derivatives(wg, t0, order):
     return [h.partial((j,)) for j in range(order + 1)]
 
 
+def lone_chain(chart, point, order, metric_order=None):
+    """The chunk of ``point`` alone, whose one row (0) the analyses of one point run on."""
+    (chain,) = ChartBatch(chart, np.array([point], dtype=float), order, metric_order).chunks()
+    return chain
+
+
 def _point_scratch(wg, point, potential=None, order=3, fiber_order=2):
     """The per-point objects run_suite shares among checks on a warped space, whose field is h d/dt."""
     ctx = CheckContext(wg.chart, wg, potential, wg.xi)
@@ -60,7 +67,7 @@ def point_scratch():
 def wp3_sides(sc):
     """The wp3_identity residual at a point, with the norms of L* hdot and of C(., xi, .)."""
     (resid,) = warpedproduct3_residual(sc).values()
-    lhs = sc.bundle.norm(sc.hdot.lstar_f.value, ("l", "l"))
+    lhs = sc.bundle.norm(sc.chunk.hdot.lstar_f.value[sc.row], ("l", "l"))
     return resid, lhs, resid.scale - lhs
 
 

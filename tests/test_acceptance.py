@@ -47,7 +47,7 @@ from warpcheck.statics import (
     xicvf_residuals,
 )
 
-from conftest import wp3_sides
+from conftest import lone_chain, wp3_sides
 
 COTTON_FLOOR = 0.5  # calibrated: max ||C|| over 100 samples is >= 1.08 on every Example-1 space
 
@@ -96,7 +96,7 @@ def test_criterion_2_example1_certification():
             for p in wg.chart.sample_points(100, offset=0):
                 b = CurvatureBundle(wg.chart, p, order=3)
                 assert abs(b.scalar + n * (n - 1)) < 1e-8, (n, k)
-                lstar_norm = b.norm(StaticAnalysis(b, pot).lstar_f.value, ("l", "l"))
+                lstar_norm = b.norm(StaticAnalysis(lone_chain(wg.chart, p, 3), pot).lstar_f.value[0], ("l", "l"))
                 assert lstar_norm < 1e-8, (n, k)
                 cotton_max = max(cotton_max, b.norm(b.cotton.value, ("l",) * 3))
             assert cotton_max > COTTON_FLOOR, (n, k, cotton_max)
@@ -108,12 +108,12 @@ def test_criterion_3_firstthm_identity(ejiri):
             chart = make_sphere_chart(n, 1.0)
             xi = sphere_gradient_field(n, 1.0, axis=n + 1)
             for p in chart.sample_points(20, offset=0):
-                cf = ConformalAnalysis(CurvatureBundle(chart, p, order=4), xi)
-                assert cf.firstthm_defect().rel < 1e-7, f"S^{n}"
+                cf = ConformalAnalysis(lone_chain(chart, p, 4), xi)
+                assert cf.firstthm_defect(0).rel < 1e-7, f"S^{n}"
         for wg in (ejiri, basicex_geometry(5, 2)[0]):
             for p in wg.chart.sample_points(30, offset=0):
-                cf = ConformalAnalysis(CurvatureBundle(wg.chart, p, order=4), wg.xi)
-                assert cf.firstthm_defect().rel < 1e-7, wg.chart.label
+                cf = ConformalAnalysis(lone_chain(wg.chart, p, 4), wg.xi)
+                assert cf.firstthm_defect(0).rel < 1e-7, wg.chart.label
 
 
 def _ode_non_einstein_space() -> WarpedGeometry:
@@ -260,9 +260,9 @@ def test_criterion_7_tensor_algebra_invariants(ejiri, expwarp4, expwarp3):
                 assert np.max(np.abs(recon - b.riemann4.value)) <= 1e-9 * (1.0 + rn)
 
                 if pot is not None:
-                    st = StaticAnalysis(b, pot)
-                    t_res = st.t_algebra()
-                    tn = b.norm(st.t_jets.value, ("l",) * 3)
+                    st = StaticAnalysis(lone_chain(chart, p, 3), pot)
+                    t_res = st.t_algebra(0)
+                    tn = b.norm(st.t_jets.value[0], ("l",) * 3)
                     for name, residual in t_res.items():
                         assert residual.abs < 1e-10 * (1.0 + tn), name
 
@@ -317,15 +317,15 @@ def test_criterion_10_lemma_battery():
         wg, pot = basicex_geometry(5, 2)
         ctx = CheckContext(wg.chart, potential=pot, fld=wg.xi)
         for sc in point_scratches(ctx, wg.chart.sample_points(15, offset=0), 4):
-            st, cf = sc.static, sc.conformal
-            dec = st.decompose_residuals()
+            st, cf = sc.chunk.static, sc.chunk.conformal
+            dec = st.decompose_residuals(sc.row)
             assert dec["riemann_gradient"].rel < 1e-6
             assert dec["cotton_decomposition"].rel < 1e-6
-            assert st.tfe_defect().rel < 1e-6
+            assert st.tfe_defect(sc.row).rel < 1e-6
             res = xicvf_residuals(sc)
             assert res["item1"].rel < 1e-6 and res["item2"].rel < 1e-6
-            assert cf.cxi_contraction_defect().rel < 1e-6
-            assert cf.cxi_divergence_defect().rel < 1e-6
+            assert cf.cxi_contraction_defect(sc.row).rel < 1e-6
+            assert cf.cxi_divergence_defect(sc.row).rel < 1e-6
 
         n = 4
         chart = make_sphere_chart(n, 1.0)
@@ -333,12 +333,12 @@ def test_criterion_10_lemma_battery():
         pot_s = sphere_height_potential(n, 1.0, axis=2)  # nlin(3): independent fields
         ctx = CheckContext(chart, potential=pot_s, fld=xi)
         for sc in point_scratches(ctx, chart.sample_points(15, offset=0), 4):
-            st, cf = sc.static, sc.conformal
-            dec = st.decompose_residuals()
+            st, cf = sc.chunk.static, sc.chunk.conformal
+            dec = st.decompose_residuals(sc.row)
             assert dec["riemann_gradient"].rel < 1e-6
             assert dec["cotton_decomposition"].rel < 1e-6
-            assert st.tfe_defect().rel < 1e-6
+            assert st.tfe_defect(sc.row).rel < 1e-6
             res = xicvf_residuals(sc)
             assert res["item1"].rel < 1e-6 and res["item2"].rel < 1e-6
-            assert cf.cxi_contraction_defect().rel < 1e-6
-            assert cf.cxi_divergence_defect().rel < 1e-6
+            assert cf.cxi_contraction_defect(sc.row).rel < 1e-6
+            assert cf.cxi_divergence_defect(sc.row).rel < 1e-6

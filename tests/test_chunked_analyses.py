@@ -1,0 +1,145 @@
+"""The analyses, residuals and norms of a chunk are, row for row, those of each point alone.
+
+A suite forms everything past the metric and field builders once per chunk of
+CHAIN_POINTS consecutive points (the Batch rule of ``geometry``).  These tests
+draw the chunk size and the points, and compare every analysis jet (bytes and
+strides), every residual's abs and scale, and every frame norm with the run in
+chunks of one point, and check that a bundle reads its chunk without copies.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from warpcheck import geometry
+from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, RunConfig, build_context, point_scratches
+from warpcheck.jets import JetShapeError, JetTensor
+from warpcheck.residuals import PreconditionSkip
+
+CHAIN = ("gamma", "riemann13", "riemann4", "ric", "scalar_jet", "scalar_jet_times_g", "schouten", "cotton",
+         "cotton_divergence", "dscalar", "efield", "weyl")
+STATIC = ("f", "df", "df_up", "hess", "lap", "lstar_f", "f_plus_a", "generalized_lhs", "t_jets")
+CONFORMAL = ("xi", "xi_flat", "dxi_flat", "phi", "xi_of_r", "cotton_xi", "cotton_mid_xi", "p", "p_up", "dp", "d2p",
+             "div_p", "ginv_d2p", "ric_p_up", "phi_tensor_jets")
+
+SUITES = {
+    **EXAMPLE_CONFIGS,
+    "rotation-s4": dict(EXAMPLE_CONFIGS["sphere-s4"], field={"builtin": "rotation", "axes": [0, 2]},
+                        checks=["firstthm", "ixi_cotton", "closed_cvf", "cxi_div", "xicvf_forms"]),
+}
+
+
+def _orders(config):
+    specs = [CHECKS[check] for check in config.checks]
+    return [max(getattr(spec, key) for spec in specs) for key in ("order", "fiber_order", "metric_order")]
+
+
+def _jets(chunk):
+    """Every jet of a chunk's chain and analyses that its suite can form, by name."""
+    sources = [("chain", chunk.chain, CHAIN)]
+    if chunk.ctx.potential is not None or chunk.ctx.warped is not None:
+        sources.append(("static", chunk.static, STATIC))
+    if chunk.ctx.fld is not None:
+        sources += [("conformal", chunk.conformal, CONFORMAL), ("phi", chunk.conformal.phi_analysis, STATIC)]
+    if chunk.ctx.warped is not None:
+        sources.append(("hdot", chunk.hdot, STATIC))
+    out = {}
+    for label, owner, names in sources:
+        for name in names:
+            try:
+                out[label, name] = getattr(owner, name)
+            except (JetShapeError, ValueError) as exc:  # too low an order or dim for it: alike in every chunk
+                out[label, name] = repr(exc)
+    return out
+
+
+def _run(config, points):
+    """Per point: every jet's row (as a view), the frame norm of its value, and each check's residuals."""
+    ctx = build_context(config)
+    rows, chunks = [], {}
+    for sc in point_scratches(ctx, points, *_orders(config)):
+        if id(sc.chunk) not in chunks:
+            jets = _jets(sc.chunk)
+            norms = {key: sc.chunk.chain.norm(jet.value, ("l",) * (jet.value.ndim - 1))
+                     for key, jet in jets.items() if not isinstance(jet, str)}
+            chunks[id(sc.chunk)] = jets, norms
+        jets, norms = chunks[id(sc.chunk)]
+        at_point = {key: jet if isinstance(jet, str) else (JetTensor(jet.space, jet.data[sc.row]), norms[key][sc.row])
+                    for key, jet in jets.items()}
+        residuals = {}
+        for check in config.checks:
+            try:
+                residuals[check] = CHECKS[check].evaluate(sc)
+            except PreconditionSkip as unmet:
+                residuals[check] = unmet.reason
+        rows.append((at_point, residuals))
+    return rows
+
+
+def _same(got, want) -> bool:
+    """Same bytes, and for jets the same space and strides."""
+    if isinstance(want, str) or isinstance(want, dict):
+        return repr(got) == repr(want)
+    if isinstance(want, JetTensor):
+        return (got.space is want.space and got.data.shape == want.data.shape and got.data.strides == want.data.strides
+                and got.data.tobytes() == want.data.tobytes())
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(sorted(SUITES)),
+    st.integers(1, 9),
+    st.integers(1, 11),
+    st.integers(0, 500),
+    st.lists(st.booleans(), min_size=11, max_size=11),
+)
+def test_chunked_run_equals_chunks_of_one(name, chunk, count, offset, keep):
+    """Chunks of 1 to 9 points, short last chunks included, over a subset of sample points."""
+    config = RunConfig.from_dict(copy.deepcopy(SUITES[name]))
+    points = build_context(config).chart.sample_points(count, offset)
+    points = points[[k for k in range(count) if keep[k]] or [0]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "CHAIN_POINTS", chunk)
+        chunked = _run(config, points)
+        mp.setattr(geometry, "CHAIN_POINTS", 1)
+        alone = _run(config, points)
+    assert len(chunked) == len(alone) == len(points)
+    for k, ((jets, residuals), (jets1, residuals1)) in enumerate(zip(chunked, alone)):
+        assert jets.keys() == jets1.keys() and len(jets) >= 12
+        for key, want in jets1.items():
+            got = jets[key]
+            assert all(_same(g, w) for g, w in zip(got, want)) if isinstance(want, tuple) else got == want, (k, key)
+        assert repr(residuals) == repr(residuals1), k
+        for check, want in residuals1.items():
+            if isinstance(want, dict):
+                for field, value in want.items():
+                    got = residuals[check][field]
+                    assert _same(got.abs, value.abs) and _same(got.scale, value.scale), (k, check, field)
+
+
+@pytest.mark.parametrize("name", ["ejiri", "sphere-s4"])
+def test_bundles_read_their_chunk_without_copies(name):
+    """A point's bundle and fiber bundle hold views of its chunk's jets, frames and inputs, and so do the field
+    jets that its chunk reads from the batch's."""
+    config = RunConfig.from_dict(copy.deepcopy(EXAMPLE_CONFIGS[name]))
+    ctx = build_context(config)
+    scratches = point_scratches(ctx, ctx.chart.sample_points(12, 3), *_orders(config))
+    for sc in scratches:
+        chain, bundle = sc.chunk.chain, sc.bundle
+        jets = _jets(sc.chunk).items()
+        formed = [name for (label, name), jet in jets if label == "chain" and not isinstance(jet, str)]
+        assert len(formed) >= 10
+        for attr in ["g", "ginv"] + [name for name in formed if name != "riemann4"]:  # R_ijkl is not kept
+            assert np.shares_memory(getattr(bundle, attr).data, getattr(chain, attr).data), attr
+        assert np.shares_memory(bundle.g0, chain.g0) and np.shares_memory(bundle.ginv0, chain.ginv0)
+        assert all(np.shares_memory(mine, its) for mine, its in zip(bundle.frame, chain.frame))
+        assert chain.g.data.base is scratches[0].chunk.chain.g.data.base is not None  # one batch, one metric
+        if ctx.fld is not None:
+            assert np.shares_memory(bundle.vector_field(ctx.fld.builder).data, sc.chunk.conformal.xi.data)
+        if ctx.warped is not None:
+            fiber = sc.chunk.fiber.bundle(sc.row)
+            assert np.shares_memory(fiber.ric.data, sc.chunk.fiber.ric.data)

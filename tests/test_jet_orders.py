@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpcheck import geometry
-from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, PointScratch, RunConfig, build_context, point_scratches, run_suite
-from warpcheck.geometry import CurvatureBundle, MetricChart
+from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, RunConfig, build_context, point_scratches, run_suite
+from warpcheck.geometry import ChartBatch, CurvatureBundle, MetricChart
 from warpcheck.jets import JetTensor, _elem_series, _raw_mul, jet_space, jt_einsum
 from conftest import example_geometry
 from warpcheck.spaces import (
@@ -116,10 +116,10 @@ def test_jets_nothing_differentiates_are_order_zero(name):
     specs = [CHECKS[check] for check in config.checks]
     orders = [max(getattr(spec, key) for spec in specs) for key in ("order", "fiber_order", "metric_order")]
     (sc,) = point_scratches(ctx, ctx.chart.sample_points(1, offset=3), *orders)
-    b, st, ca = sc.bundle, sc.static, sc.conformal
+    b, st, ca = sc.bundle, sc.chunk.static, sc.chunk.conformal
     assert b.metric_order == 4
     jets = {
-        "hessian": b.hessian(st.f),
+        "hessian": sc.chunk.chain.hessian(st.f),
         "lstar_f": st.lstar_f,
         "lstar_phi": ca.phi_analysis.lstar_f,
         "t_jets": st.t_jets,
@@ -415,19 +415,17 @@ def _outcome_alone(raw: dict, check: str) -> str:
 
 
 def _poison_metric_above(monkeypatch, level: int) -> None:
-    """Build each point bundle's curvature at the field order, from a metric NaN above ``level``."""
-    init = PointScratch.__init__
+    """Build each chunk's curvature at the field order, from a metric NaN above ``level``."""
+    metric = ChartBatch.metric
 
-    def poisoned_init(self, ctx, batches, k):
-        init(self, ctx, batches, k)
-        order = self.bundle.order
-        g = ctx.chart.metric_jets(self.point, order)
+    def poisoned(batch, rows):
+        batch.metric_order = batch.order
+        g = metric(batch, rows)
         data = g.data.copy()
-        data[..., jet_space(ctx.chart.dim, level).n_coeffs :] = np.nan
-        self.bundle.metric_order = order
-        self.bundle.__dict__["g"] = JetTensor(g.space, data)
+        data[..., jet_space(batch.chart.dim, level).n_coeffs :] = np.nan
+        return JetTensor(g.space, data)
 
-    monkeypatch.setattr(PointScratch, "__init__", poisoned_init)
+    monkeypatch.setattr(ChartBatch, "metric", poisoned)
 
 
 @pytest.mark.parametrize(

@@ -85,15 +85,15 @@ def test_overflowing_warping_fails():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nonfinite_norm_fails_its_check(monkeypatch, bad):
     """A non-finite Cotton component off the d/dt slot: only the scale norm sees it, and icotton_zero FAILs."""
-    cotton = CurvatureBundle.cotton.func
+    cotton = geometry._Chain.cotton.func
 
-    def poisoned(b):
-        c = cotton(b)
+    def poisoned(chain):
+        c = cotton(chain)
         data = c.data.copy()
-        data[1, 2, 3, 0] = bad
+        data[:, 1, 2, 3, 0] = bad
         return JetTensor(c.space, data)
 
-    monkeypatch.setattr(CurvatureBundle, "cotton", property(poisoned))
+    monkeypatch.setattr(geometry._Chain, "cotton", property(poisoned))
     raw = dict(copy.deepcopy(EXAMPLE_CONFIGS["ejiri-ode"]), checks=["icotton_zero"], samples=4)
     (outcome,) = run_suite(RunConfig.from_dict(raw)).checks
     assert outcome.status == "FAIL" and outcome.max_rel_residual == math.inf
@@ -320,16 +320,16 @@ def test_bundles_per_point(example_runs):
     assert counts["bundles"]["sphere-s4"] == EXAMPLE_CONFIGS["sphere-s4"]["samples"]
 
 
-# Per point: StaticAnalyses, fiber trace-free Riccis, vacuum-residual
-# formations and field builds on the point's own coordinates.  basicex
-# analyses its potential h*fbar, hdot and fbar on the fiber, and forms the
-# vacuum residuals of h*fbar and of fbar; every other example analyses one
+# Per chunk of CHAIN_POINTS points: StaticAnalyses, fiber trace-free Riccis,
+# vacuum-residual formations and field builds on one point's own
+# coordinates.  basicex analyses its potential h*fbar, hdot and fbar on the
+# fiber, and forms the vacuum residuals of h*fbar and of fbar; every other example analyses one
 # potential (hdot where none is configured).  The characteristic function
 # phi counts as one more StaticAnalysis wherever a check reads its
 # derivatives (firstthm, closed_cvf, xicvf_forms).  No field is built on
 # a point's own coordinates: phi and hdot are handed to their analyses as
 # the jets they are.
-DERIVED_PER_POINT = {
+DERIVED_PER_CHUNK = {
     "basicex-n5-k2": (4, 0, 2, 0),
     "ejiri": (2, 1, 1, 0),
     "ejiri-ode": (1, 0, 0, 0),
@@ -358,9 +358,9 @@ BATCHES_PER_SUITE = {
 @pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
 def test_point_values_derived_once(example_runs, name):
     _, counts = example_runs
-    samples = EXAMPLE_CONFIGS[name]["samples"]
-    got = tuple(counts[kind][name] / samples for kind in ("analyses", "fiber_ric0", "vacuum", "alone"))
-    assert got == DERIVED_PER_POINT[name]
+    chunks = math.ceil(EXAMPLE_CONFIGS[name]["samples"] / geometry.CHAIN_POINTS)
+    got = tuple(counts[kind][name] / chunks for kind in ("analyses", "fiber_ric0", "vacuum", "alone"))
+    assert got == DERIVED_PER_CHUNK[name]
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
@@ -489,14 +489,17 @@ def test_batch_slices_equal_the_jets_of_a_lone_point(name):
         if ctx.warped is not None:
             fiber = ctx.warped.fiber_chart
             lone_fiber = CurvatureBundle(fiber, sc.point[1:], fiber_order)
-            pairs += [(sc.fiber.g, lone_fiber.g), (sc.fiber.ginv, lone_fiber.ginv)]
-            pairs += _chain_pairs(sc.fiber, lone_fiber, ("ric", "scalar_jet"))
+            fiber_bundle = sc.chunk.fiber.bundle(sc.row)
+            pairs += [(fiber_bundle.g, lone_fiber.g), (fiber_bundle.ginv, lone_fiber.ginv)]
+            pairs += _chain_pairs(fiber_bundle, lone_fiber, ("ric", "scalar_jet"))
             fbar = ctx.potential.fiber if ctx.potential is not None else None
             if fbar is not None:
-                f = sc.fiber.scalar_field(fbar.builder)
+                f = fiber_bundle.scalar_field(fbar.builder)
                 pairs += [(f, lone_fiber.scalar_field(fbar.builder)),
                           (f, _own_field(fiber, fbar.builder, sc.point[1:], fiber_order, ()))]
-            pairs.append((sc.warping_jet, spaces.warping_jet(ctx.warped.warping, sc.point[0], order + 1)))
+            warping = sc.chunk.warping_jet
+            pairs.append((JetTensor(warping.space, warping.data[sc.row]),
+                          spaces.warping_jet(ctx.warped.warping, sc.point[0], order + 1)))
         assert len(pairs) >= 8
         for k, (got, want) in enumerate(pairs):
             assert _same_bytes(got, want), (sc.point, k)
@@ -550,6 +553,28 @@ def test_domain_error_in_a_batch_fails_only_its_point(check, what):
     assert bad and len(bad) < len(out.point_rows)
     assert out.reason == next(r for r in alone[(check, "reason")] if r is not None)
     assert out.reason.startswith("JetDomainError: "), out.reason
+
+
+def test_a_failing_chunk_is_formed_once_then_its_points_alone(monkeypatch):
+    """log(t) leaves its domain in both 8-point chunks of 16 points: the potential is built once for the batch,
+    once for each chunk, and then at each of its points alone: once at a good point for both checks, and at a bad
+    point once for each check, as an error is not kept."""
+    sizes = []
+    field = geometry.ChartBatch.field
+
+    def counting_field(batch, builder, shape, rows):
+        sizes.append(len(batch.points[rows]))
+        return field(batch, builder, shape, rows)
+
+    monkeypatch.setattr(geometry.ChartBatch, "field", counting_field)
+    raw = _warped_over_s3([-0.3, 1], "1", ["vss_residual", "t_algebra"], potential={"potential_t": "log(t)"},
+                          samples=16)
+    outcomes = run_suite(RunConfig.from_dict(raw)).checks
+    for out in outcomes:
+        assert out.status == "FAIL" and out.samples == 16 and out.reason.startswith("JetDomainError: ")
+    bad = sum(row[2] == math.inf for row in outcomes[0].point_rows)
+    assert 0 < bad < 8
+    assert sorted(sizes, reverse=True) == [16, 8, 8] + [1] * (16 + bad)
 
 
 def test_overflow_in_a_batch_fails_only_its_point(capfd):
@@ -676,16 +701,74 @@ def test_closed_cvf_rotation_reports_general_identities_only():
 @pytest.mark.parametrize("name, fld", [("ejiri", "warped_xi"), ("sphere-s4", "sphere_gradient"), ("sphere-s4", "rotation")])
 def test_closed_cvf_fails_on_scaled_riemann(monkeypatch, name, fld):
     """A Riemann tensor off by 1e-6 FAILs the check instead of turning a precondition into a SKIP."""
-    riemann13 = CurvatureBundle.riemann13.func
-    monkeypatch.setattr(CurvatureBundle, "riemann13", property(lambda b: riemann13(b) * (1.0 + 1e-6)))
+    riemann13 = geometry._Chain.riemann13.func
+    monkeypatch.setattr(geometry._Chain, "riemann13", property(lambda chain: riemann13(chain) * (1.0 + 1e-6)))
     field = dict(EXAMPLE_CONFIGS[name].get("field", {}), builtin=fld)
     out = _closed_cvf(name, field=field)
     assert out.status == "FAIL"
     assert out.max_rel_residual > 1e-7
 
 
-def test_generalized_defect_once_per_point(monkeypatch):
-    """tfe_identity, decompose_ids and xicvf_forms share one solution test per point."""
+# Rotations on a warped S^2 x S^2(2): within one fiber factor a rotation is
+# Killing but not closed; one that mixes t with a fiber coordinate is not
+# even conformal.
+ROTATION_SPACE = {
+    "kind": "warped",
+    "interval": [-1.0, 1.0],
+    "warping": "2+0.3*sin(t)",
+    "fiber": {
+        "kind": "product",
+        "left": {"kind": "sphere", "dim": 2, "radius": 1.0},
+        "right": {"kind": "sphere", "dim": 2, "radius": 2.0},
+    },
+}
+
+
+def _rotation_suite(axes):
+    raw = {"space": ROTATION_SPACE, "field": {"builtin": "rotation", "axes": axes},
+           "checks": ["ixi_cotton", "closed_cvf", "firstthm"], "samples": 20}
+    return RunConfig.from_dict(copy.deepcopy(raw))
+
+
+@pytest.mark.parametrize("axes", [[1, 2], [3, 4]])
+def test_killing_rotation_of_a_fiber_factor_passes_on_general_identities(axes):
+    """Every check PASSes and none reports a closed-field residual, at any point; i_xi C is compared with a
+    right side of scale 0.05 or more, far above round-off."""
+    config = _rotation_suite(axes)
+    report = run_suite(config)
+    assert [(c.check, c.status) for c in report.checks] == [
+        ("ixi_cotton", "PASS"), ("closed_cvf", "PASS"), ("firstthm", "PASS")
+    ]
+    assert {c.check: set(c.details) for c in report.checks} == {
+        "ixi_cotton": {"general"},
+        "closed_cvf": {"nabla_p", "div_p"},
+        "firstthm": {"firstthm", "phi_symmetry", "trace_identity"},
+    }
+    ctx = build_context(config)
+    spec = CHECKS["ixi_cotton"]
+    points = ctx.chart.sample_points(config.samples, config.offset)
+    scales = []
+    for sc in point_scratches(ctx, points, spec.order, spec.fiber_order, spec.metric_order):
+        residuals = spec.evaluate(sc)
+        assert set(residuals) == {"general"}
+        scales.append(residuals["general"].scale)
+    assert max(scales) >= 0.05 and min(scales) > 1e-3
+
+
+def test_rotation_mixing_t_fails_and_skips_firstthm_mid_suite():
+    """rotation(0,1) is not conformal: the general identities FAIL at their measured size, and firstthm, run
+    after them at each point, SKIPs with its precondition's reason."""
+    ixi, closed, firstthm = run_suite(_rotation_suite([0, 1])).checks
+    assert (ixi.check, ixi.status, set(ixi.details)) == ("ixi_cotton", "FAIL", {"general"})
+    assert ixi.max_rel_residual == approx(0.539, abs=0.005)
+    assert (closed.check, closed.status, set(closed.details)) == ("closed_cvf", "FAIL", {"nabla_p", "div_p"})
+    assert closed.max_rel_residual == approx(1.33, abs=0.005)
+    assert (firstthm.check, firstthm.status) == ("firstthm", "SKIP")
+    assert re.fullmatch(r"field 'rotation\(0,1\)' is not conformal \(residual \d\.\d\de[+-]\d\d\)", firstthm.reason)
+
+
+def test_generalized_defect_once_per_chunk(monkeypatch):
+    """tfe_identity, decompose_ids and xicvf_forms share one solution test per chunk: two for 10 points."""
     calls = []
     defect = StaticAnalysis.generalized_defect
 
@@ -694,23 +777,24 @@ def test_generalized_defect_once_per_point(monkeypatch):
         return defect(self)
 
     monkeypatch.setattr(StaticAnalysis, "generalized_defect", counting_defect)
-    raw = dict(EXAMPLE_CONFIGS["basicex-n5-k2"], samples=4)
+    raw = dict(EXAMPLE_CONFIGS["basicex-n5-k2"], samples=10)
     report = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
     assert {c.check: c.status for c in report.checks}["decompose_ids"] == "PASS"
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
-def test_hessian_once_per_scalar_per_point(monkeypatch):
-    """On ejiri the scalars at a point are hdot (the potential) and phi (the field's)."""
+def test_hessian_once_per_scalar_per_chunk(monkeypatch):
+    """On ejiri the scalars of a chunk are hdot (the potential) and phi (the field's): 10 points make a chunk of
+    8 and one of 2, each with two Hessians."""
     calls = []
-    hessian = CurvatureBundle.hessian
+    hessian = geometry._Chain.hessian
 
     def counting_hessian(self, f):
-        calls.append(self.point.tobytes())
+        calls.append(self.points.tobytes())
         return hessian(self, f)
 
-    monkeypatch.setattr(CurvatureBundle, "hessian", counting_hessian)
-    raw = dict(EXAMPLE_CONFIGS["ejiri"], samples=2)
+    monkeypatch.setattr(geometry._Chain, "hessian", counting_hessian)
+    raw = dict(EXAMPLE_CONFIGS["ejiri"], samples=10)
     report = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
     assert {c.status for c in report.checks} == {"PASS"}
     assert sorted(Counter(calls).values()) == [2, 2]

@@ -19,6 +19,8 @@ from warpcheck.spaces import (
 )
 from warpcheck.statics import StaticAnalysis
 
+from conftest import lone_chain
+
 
 def scalar_at(chart, p, order=2):
     return CurvatureBundle(chart, p, order=order).scalar
@@ -219,8 +221,7 @@ def test_basicex_parameter_errors():
 def test_basicex_vacuum_static(basicex41):
     wg, pot = basicex41
     p = wg.chart.sample_points(3, offset=1)[1]
-    b = CurvatureBundle(wg.chart, p, order=2)
-    residual = StaticAnalysis(b, pot).vacuum_residuals()["full"]
+    residual = StaticAnalysis(lone_chain(wg.chart, p, 2), pot).vacuum_residuals(0)["full"]
     assert residual.rel < 1e-8
 
 

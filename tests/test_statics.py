@@ -29,7 +29,7 @@ from warpcheck.statics import (
     xicvf_residuals,
 )
 
-from conftest import wp3_sides
+from conftest import lone_chain, wp3_sides
 
 
 def constant_potential(c=1.0):
@@ -37,7 +37,8 @@ def constant_potential(c=1.0):
 
 
 def static(chart, potential, p, order=2):
-    return StaticAnalysis(CurvatureBundle(chart, p, order=order), potential)
+    """The analysis of ``potential`` on the chunk of the point ``p`` alone, whose one row is 0."""
+    return StaticAnalysis(lone_chain(chart, p, order), potential)
 
 
 def xicvf(chart, potential, xi, p):
@@ -50,7 +51,7 @@ def xicvf(chart, potential, xi, p):
 
 def test_lstar_constant_on_flat_torus():
     chart = make_flat_torus_chart(3)
-    value = static(chart, constant_potential(), np.array([1.0, 2.0, 3.0])).lstar_f.value
+    value = static(chart, constant_potential(), np.array([1.0, 2.0, 3.0])).lstar_f.value[0]
     assert np.max(np.abs(value)) == 0.0
 
 
@@ -58,7 +59,7 @@ def test_lstar_basicex_potential(basicex52):
     wg, pot = basicex52
     for p in wg.chart.sample_points(5, offset=0):
         b = CurvatureBundle(wg.chart, p, order=2)
-        assert b.norm(static(wg.chart, pot, p).lstar_f.value, ("l", "l")) < 1e-8
+        assert b.norm(static(wg.chart, pot, p).lstar_f.value[0], ("l", "l")) < 1e-8
 
 
 def test_lstar_constant_on_sphere():
@@ -66,7 +67,7 @@ def test_lstar_constant_on_sphere():
     chart = make_sphere_chart(n, 1.0)
     p = chart.sample_points(2, offset=1)[0]
     b = CurvatureBundle(chart, p, order=2)
-    value = static(chart, constant_potential(), p).lstar_f.value
+    value = static(chart, constant_potential(), p).lstar_f.value[0]
     # f == 1 gives -Ric, with norm (n-1) sqrt(n)
     assert value == approx(-b.ric.value, abs=1e-10)
     assert b.norm(value, ("l", "l")) == approx((n - 1) * math.sqrt(n), rel=1e-9)
@@ -77,10 +78,10 @@ def test_lstar_trace_identity(basicex52):
     wg, pot = basicex52
     p = wg.chart.sample_points(1, offset=8)[0]
     b = CurvatureBundle(wg.chart, p, order=2)
-    st = StaticAnalysis(b, pot)
-    trace = float(np.einsum("ij,ij->", b.ginv0, st.lstar_f.value))
-    lap = float(st.lap.value)
-    f0 = float(st.f.value)
+    st = static(wg.chart, pot, p)
+    trace = float(np.einsum("ij,ij->", b.ginv0, st.lstar_f.value[0]))
+    lap = float(st.lap.value[0])
+    f0 = float(st.f.value[0])
     combo = trace + (b.dim - 1.0) * lap + b.scalar * f0
     scale = abs(trace) + abs((b.dim - 1.0) * lap) + abs(b.scalar * f0)
     assert abs(combo) / (1.0 + scale) < 1e-9
@@ -92,28 +93,29 @@ def test_lstar_trace_identity(basicex52):
 def test_vss_residuals_basicex(basicex41):
     wg, pot = basicex41
     for p in wg.chart.sample_points(5, offset=0):
-        res = static(wg.chart, pot, p).vacuum_residuals()
+        res = static(wg.chart, pot, p).vacuum_residuals(0)
         assert res["full"].rel < 1e-8
         assert res["trace"].rel < 1e-8
         assert res["trace_free"].rel < 1e-8
 
 
 def test_vss_residuals_reuse_cached_jets(basicex41, monkeypatch):
-    """Once L* f is cached, only the trace-free tensor's two products are formed, once; f Ric is not formed again."""
+    """Once L* f is cached, only the trace-free tensor's two products are formed, once for the chunk; f Ric is not
+    formed again."""
     import warpcheck.geometry
     import warpcheck.statics
 
     wg, pot = basicex41
     analysis = static(wg.chart, pot, wg.chart.sample_points(1, offset=0)[0])
-    analysis.lstar_f, analysis.bundle.efield  # the jets L* f and E, which the residuals share
+    analysis.lstar_f, analysis.chain.efield  # the jets L* f and E, which the residuals share
     calls = []
     for module in (warpcheck.geometry, warpcheck.statics):
         einsum = module.jt_einsum
         monkeypatch.setattr(module, "jt_einsum", lambda spec, *ops, _e=einsum: calls.append(spec) or _e(spec, *ops))
-    first = analysis.vacuum_residuals()
-    assert calls == [",ij->ij", ",ij->ij"]
-    assert analysis.vacuum_residuals() is first
-    assert calls == [",ij->ij", ",ij->ij"]
+    first = analysis.vacuum_residuals(0)
+    assert calls == ["p,pij->pij", "p,pij->pij"]
+    assert analysis.vacuum_residuals(0) == first
+    assert calls == ["p,pij->pij", "p,pij->pij"]
 
 
 def test_height_with_shift_gives_trace_nb():
@@ -123,15 +125,15 @@ def test_height_with_shift_gives_trace_nb():
     shift = 0.37
     pot = sphere_height_potential(n, 1.0, axis=n + 1, shift=shift)
     p = chart.sample_points(2, offset=5)[0]
-    res = static(chart, pot, p).vacuum_residuals()
+    res = static(chart, pot, p).vacuum_residuals(0)
     assert res["trace"].abs == approx(n * pot.b, rel=1e-9)
     # and it is an exact solution of the generalized equation
-    assert static(chart, pot, p).generalized_defect().rel < 1e-10
+    assert static(chart, pot, p).generalized_defect().at(0).rel < 1e-10
 
 
 def test_vss_zero_potential_evaluable(basicex41):
     wg, _ = basicex41
-    res = static(wg.chart, constant_potential(0.0), wg.chart.sample_points(1, offset=0)[0]).vacuum_residuals()
+    res = static(wg.chart, constant_potential(0.0), wg.chart.sample_points(1, offset=0)[0]).vacuum_residuals(0)
     assert res["full"].abs == approx(0.0)
 
 
@@ -139,14 +141,14 @@ def test_generalized_reduces_to_vss(basicex52):
     wg, pot = basicex52
     p = wg.chart.sample_points(1, offset=3)[0]
     assert pot.a == 0.0 and pot.b == 0.0
-    assert static(wg.chart, pot, p).generalized_defect().rel < 1e-10
+    assert static(wg.chart, pot, p).generalized_defect().at(0).rel < 1e-10
 
 
 def test_generalized_random_potential_fails(basicex52):
     wg, _ = basicex52
     bad = StaticPotentialSpec(label="bad", builder=lambda c: c[0] * c[0] + c[1].elem("sin"))
     p = wg.chart.sample_points(1, offset=1)[0]
-    assert static(wg.chart, bad, p).generalized_defect().abs > 0.1
+    assert static(wg.chart, bad, p).generalized_defect().at(0).abs > 0.1
 
 
 # -- T tensor ---------------------------------------------------------------------------
@@ -174,7 +176,7 @@ def test_t_tensor_constant_potential_zero(basicex52):
 def test_t_algebra(basicex52):
     wg, pot = basicex52
     for p in wg.chart.sample_points(4, offset=0):
-        defects = static(wg.chart, pot, p).t_algebra()
+        defects = static(wg.chart, pot, p).t_algebra(0)
         for name, res in defects.items():
             assert res.rel < 1e-10, name
 
@@ -185,7 +187,7 @@ def test_t_algebra(basicex52):
 def test_decompose_on_basicex(basicex52):
     wg, pot = basicex52
     for p in wg.chart.sample_points(4, offset=0):
-        res = static(wg.chart, pot, p, order=3).decompose_residuals()
+        res = static(wg.chart, pot, p, order=3).decompose_residuals(0)
         assert res["riemann_gradient"].rel < 1e-7
         assert res["cotton_decomposition"].rel < 1e-7
 
@@ -195,7 +197,7 @@ def test_decompose_on_sphere_both_sides_vanish():
     chart = make_sphere_chart(n, 1.0)
     pot = sphere_height_potential(n, 1.0, axis=n + 1)
     p = chart.sample_points(1, offset=3)[0]
-    res = static(chart, pot, p, order=3).decompose_residuals()
+    res = static(chart, pot, p, order=3).decompose_residuals(0)
     assert res["cotton_decomposition"].abs < 1e-12
 
 
@@ -203,13 +205,13 @@ def test_decompose_skips_non_solution(basicex52):
     wg, _ = basicex52
     bad = StaticPotentialSpec(label="bad", builder=lambda c: c[0] * c[0])
     with pytest.raises(PreconditionSkip):
-        static(wg.chart, bad, wg.chart.sample_points(1, offset=0)[0], order=3).decompose_residuals()
+        static(wg.chart, bad, wg.chart.sample_points(1, offset=0)[0], order=3).decompose_residuals(0)
 
 
 def test_tfe_identity(basicex52, basicex41):
     for wg, pot in (basicex52, basicex41):
         for p in wg.chart.sample_points(3, offset=0):
-            assert static(wg.chart, pot, p).tfe_defect().rel < 1e-7
+            assert static(wg.chart, pot, p).tfe_defect(0).rel < 1e-7
 
 
 def test_tfe_identity_n5k1():
@@ -217,7 +219,7 @@ def test_tfe_identity_n5k1():
 
     wg, pot = basicex_geometry(5, 1)
     p = wg.chart.sample_points(2, offset=1)[1]
-    assert static(wg.chart, pot, p).tfe_defect().rel < 1e-7
+    assert static(wg.chart, pot, p).tfe_defect(0).rel < 1e-7
 
 
 # -- warped closed forms of L* -------------------------------------------------------------------------
@@ -247,9 +249,9 @@ def test_lgh_constants(point_scratch):
         assert res[name].rel < 1e-10, name
     # L3 reduces to -(R/(n-1)) g on the fiber block for f == 1, h == 1
     b = CurvatureBundle(wg.chart, p, order=3)
-    st = StaticAnalysis(b, constant_potential())
+    st = static(wg.chart, constant_potential(), p, order=3)
     expected = -(b.scalar / (b.dim - 1.0)) * b.g0[1:, 1:]
-    assert st.lstar_f.value[1:, 1:] == approx(expected, abs=1e-9)
+    assert st.lstar_f.value[0, 1:, 1:] == approx(expected, abs=1e-9)
 
 
 def test_lgh_requires_no_constant_scalar(expwarp4, point_scratch):
@@ -262,11 +264,12 @@ def test_lgh_requires_no_constant_scalar(expwarp4, point_scratch):
 
 
 def _plant(jet, block):
-    """``jet`` with an error of order 1e-6 added to one block of its value; returns it and the error."""
-    err = np.zeros(jet.value.shape)
+    """A chunk's ``jet`` with an error of order 1e-6 added to one block of its value at its point 0; returns it and
+    the error."""
+    err = np.zeros(jet.value.shape[1:])
     err[block] = 1e-6 * np.arange(1.0, 1.0 + err[block].size).reshape(err[block].shape)
     data = jet.data.copy()
-    data[..., 0] += err
+    data[0, ..., 0] += err
     return JetTensor(jet.space, data), err
 
 
@@ -284,7 +287,7 @@ FIBER = slice(1, None)
 def test_lgh_slots_are_frame_norms(ejiri, point_scratch, block, slots):
     """An error planted in L* hdot shows in its slot as its g-norm, not as its largest coordinate component."""
     sc = point_scratch(ejiri, np.array([0.8, 0.2, -0.1, 0.3]))
-    sc.hdot.lstar_f, err = _plant(sc.hdot.lstar_f, block)
+    sc.chunk.hdot.lstar_f, err = _plant(sc.chunk.hdot.lstar_f, block)
     res = lgh_closed_forms(sc)
     for slot in slots:
         assert res[slot].abs == approx(_frame_norm(sc.bundle, err), rel=1e-6), slot
@@ -294,7 +297,8 @@ def test_lgh_slots_are_frame_norms(ejiri, point_scratch, block, slots):
 def test_nein3_slots_are_frame_norms(expwarp4, point_scratch, block, slot):
     """An error planted in the Cotton tensor shows in its slot as its g-norm."""
     sc = point_scratch(expwarp4, np.array([0.5, 0.9, -1.2, 1.4]), fiber_order=3)
-    sc.bundle.cotton, err = _plant(sc.bundle.cotton, block)
+    chain = sc.chunk.chain  # where the identities read the Cotton tensor
+    chain.cotton, err = _plant(chain.cotton, block)
     assert nonconstant_r_cotton_formulas(sc)[slot].abs == approx(_frame_norm(sc.bundle, err), rel=1e-6)
 
 
@@ -408,7 +412,7 @@ def test_propddoth_warping_equation_witness(point_scratch):
         propddoth_check(sc)
     h, _, hdd = sc.warping[:3]
     assert abs(hdd + sc.bundle.scalar * h / 12.0) > 0.01
-    assert sc.static.vacuum_residuals()["full"].abs > 0.01
+    assert sc.chunk.static.vacuum_residuals(sc.row)["full"].abs > 0.01
 
 
 # -- INRP -------------------------------------------------------------------------------------------
