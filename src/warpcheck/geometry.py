@@ -54,7 +54,8 @@ A formation of the batch that raises a point error (:class:`JetDomainError`
 or :class:`SingularMetricError`) is formed again for each chunk; a chunk
 that raises is formed again as chunks of one point, each of which raises
 its own error (:meth:`CurvatureBundle.read`, and ``PointScratch.split`` of
-:mod:`checks` for the analyses).
+:mod:`checks` for the analyses).  A chunk or point that raised raises the
+same error again without forming it again (:meth:`ChartBatch.formed`).
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ class ChartBatch:
         self.order = order
         self.metric_order = order if metric_order is None else metric_order
         self._formed: dict = {}
+        self._errors: dict = {}  # the point errors of build(rows), by (key, rows.start, rows.stop)
 
     def chunks(self) -> list[_Chain]:
         """The consecutive chunks of CHAIN_POINTS points, the last one short if need be."""
@@ -187,14 +189,25 @@ class ChartBatch:
 
     def formed(self, key, build: Callable[[slice], Any], rows: slice):
         """``build(rows)``: the rows of ``build`` at every point, formed on the first request for ``key``, or, where
-        that raised a point error, ``build`` at ``rows`` alone.  A value is a jet, an array or a tuple of them."""
+        that raised a point error, ``build`` at ``rows`` alone, which raises its point error again where it raised
+        one.  A value is a jet, an array or a tuple of them."""
         if key not in self._formed:
             try:
                 self._formed[key] = build(slice(None))
-            except POINT_ERRORS:
+            except POINT_ERRORS as exc:
                 self._formed[key] = None
+                self._errors[key, 0, len(self.points)] = exc  # a chunk of the whole batch is that formation
         whole = self._formed[key]
-        return build(rows) if whole is None else _rows(whole, rows)
+        if whole is not None:
+            return _rows(whole, rows)
+        at = key, rows.start, rows.stop
+        if at in self._errors:
+            raise self._errors[at].with_traceback(None)
+        try:
+            return build(rows)
+        except POINT_ERRORS as exc:
+            self._errors[at] = exc
+            raise
 
     def metric(self, rows: slice) -> JetTensor:
         # + 0.0: a function composed at a zero argument (cos at phase 0, say)
@@ -305,8 +318,13 @@ class CurvatureBundle:
         self.metric_order = order if metric_order is None else metric_order
         self.dim = chart.dim
         self.space = jet_space(chart.dim, order)
-        # a bundle made alone is the one row of its own chunk; _Chain.bundle makes one a row of a shared chunk
-        self._chain, self._row = ChartBatch(chart, self.point[None], order, self.metric_order).chunks()[0], 0
+        self._row = 0
+
+    @cached_property
+    def _chain(self) -> _Chain:
+        """A bundle made alone is the one row of its own chunk; :meth:`_Chain.bundle` makes one a row of a shared
+        chunk."""
+        return ChartBatch(self.chart, self.point[None], self.order, self.metric_order).chunks()[0]
 
     def read(self, get: Callable[[_Chain], Any]):
         """This point's row of ``get`` of its chunk, as views.  Where the chunk raises a point error, the point is

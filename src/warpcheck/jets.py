@@ -19,21 +19,26 @@ truncation a slice.
 
 The zero rule of :func:`jt_einsum`.  Diagonal and warped charts make most
 entries of g^-1, Christoffel and Riemann jets that are exactly zero.  A
-product at order >= 1 with at most one contracted letter skips every term
-(output entry, contracted index) with an all-zero operand jet: it gathers,
-multiplies and sums only the others, rank by rank from +0.0, and
+product at order >= 1 with at most two contracted letters skips every term
+(output entry, contracted indices) with an all-zero operand jet: it
+gathers, multiplies and sums only the others, rank by rank from +0.0, and
 segment-sums only the entries that have a term; the rest stay +0.0.  The
-bits are the dense path's: numpy's einsum sums one contracted letter in
-order from +0.0 without FMA, a skipped term would add +-0.0, which leaves
-such a sum as it is, and ``np.add.reduceat`` sums each entry on its own.
-The dense path still runs for a product below ``_ZERO_MIN_WORK``
+bits are the dense path's where the ranks follow einsum's order: einsum
+adds without FMA, a skipped term would add +-0.0, which leaves a sum as it
+is, and ``np.add.reduceat`` sums each entry on its own.  einsum sums a
+contracted letter that is the fastest axis of both operands (the lane
+letter) innermost, in SIMD lanes, and another one in order outside it.  So
+the dense path still runs for a product below ``_ZERO_MIN_WORK``
 multiply-adds; for one that would skip less than ``_ZERO_MIN_SKIP`` of its
-terms; for two contracted letters, whose einsum order depends on operand
-layout; for a contracted letter that is the fastest axis of both operands
-with more than two terms to an entry, which einsum sums in SIMD lanes; and
-for a NaN or inf operand, where 0 * inf must stay NaN.  A plan is built on
-the product's first (dense) call, whose output layout it copies, and kept
-on the jet space by spec, operand layouts and zero masks.
+terms, a cut-off by jet order; for a lane letter alone with more than two
+terms to an entry; for a lane letter and another with more than one term
+to an (entry, other index), or that einsum may coalesce into one lane axis;
+for two letters without a lane letter whose two nestings would order an
+entry's terms unlike; for two letters in operands that order their shared
+axes unlike in memory, which numpy 2.4 sums in an order of its own; and for
+a NaN or inf operand, where 0 * inf must stay NaN.  A plan is built on the
+product's first (dense) call, whose output layout it copies, and kept on
+the jet space by spec, operand layouts and zero masks.
 """
 
 from __future__ import annotations
@@ -478,33 +483,46 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
 _ZERO_MIN_WORK = 10_000
 # products that skip less than this share of their (output, contracted
 # index) terms stay dense: a term through a plan costs more than in einsum
-_ZERO_MIN_SKIP = 0.85
+_ZERO_MIN_SKIP = (0.85, 0.7)  # at jet order 1, at orders >= 2
 _ZERO_PLANS_MAX = 512  # per jet space
 
 
 @lru_cache(maxsize=1024)
 def _zero_letters(spec: str, space: JetSpace, shape_a: tuple, shape_b: tuple) -> tuple[tuple[str, ...], int]:
-    """((sa, sb, out, contracted letter or ''), multiply-adds), or ((), -1) where the zero rule cannot hold."""
+    """((sa, sb, out, contracted letters in sa's order), multiply-adds), or ((), -1) where the zero rule cannot hold."""
     lhs, so = spec.split("->")
     sa, sb = lhs.split(",")
-    summed = set(sa + sb) - set(so)
-    if len(set(sa)) < len(sa) or len(set(sb)) < len(sb) or len(summed) > 1 or not summed <= set(sa) & set(sb):
+    summed = "".join(x for x in sa if x in sb and x not in so)
+    if len(set(sa)) < len(sa) or len(set(sb)) < len(sb) or len(summed) > 2 or set(sa + sb) - set(so) != set(summed):
         return (), -1
     extent = dict(zip(sa + sb, shape_a + shape_b))
-    return (sa, sb, so, "".join(summed)), math.prod(extent.values()) * len(space.mul_table[0])
+    return (sa, sb, so, summed), math.prod(extent.values()) * len(space.mul_table[0])
 
 
 def _zero_plan(letters, space, nz_a, nz_b, ad, bd, dense) -> tuple | bool:
     """Index tables of a product's nonzero terms, or False where it stays dense.
 
-    Terms are (output entry, contracted index) pairs with both operand jets
+    Terms are (output entry, contracted indices) with both operand jets
     nonzero.  They are grouped by rank, the term's place in its entry's sum,
-    so that the sums run in einsum's order: the contracted index ascending.
+    so that the sums run in einsum's order: the contracted indices ascending,
+    a lane letter last.
     """
     sa, sb, so, c = letters
+    # einsum sums a letter that is the fastest axis of both gathered operands
+    # (a gather keeps its source's axis order) innermost, in SIMD lanes
+    fast_a, fast_b = ([x for _, x in sorted((s, x) for x, s, e in zip(ls, d.strides, d.shape) if e > 1)]
+                      for ls, d in ((sa, ad), (sb, bd)))
+    lane = next(iter(set(fast_a[:1]) & set(fast_b[:1]) & set(c)), "")
+    c = c.replace(lane, "") + lane
+    if len(c) == 2 and ([x for x in fast_a if x in fast_b] != [x for x in fast_b if x in fast_a]
+                        or (lane and fast_a[1:2] == fast_b[1:2] == [c[0]])):
+        # where the operands order their shared axes unlike in memory, numpy
+        # 2.4 sums the two letters in an order of its own, and it coalesces a
+        # lane letter with the other where that is next in both operands
+        return False
     terms = np.einsum(f"{sa},{sb}->{so}{c}", nz_a, nz_b)
     n = np.count_nonzero(terms)
-    if n > (1.0 - _ZERO_MIN_SKIP) * terms.size or dense.strides[-1] != dense.itemsize:
+    if n > (1.0 - _ZERO_MIN_SKIP[min(space.order, 2) - 1]) * terms.size or dense.strides[-1] != dense.itemsize:
         return False
     at = dict(zip(so + c, np.nonzero(np.atleast_1d(terms))))
 
@@ -516,12 +534,17 @@ def _zero_plan(letters, space, nz_a, nz_b, ad, bd, dense) -> tuple | bool:
     first[1:] = entry[1:] != entry[:-1]
     group = np.cumsum(first) - 1
     rank = np.arange(n) - np.flatnonzero(first)[group]
-    # einsum sums over an axis that is the fastest of both gathered operands
-    # (a gather keeps its source's axis order) in SIMD lanes, which equal an
-    # ordered sum only for at most two terms
-    fastest = [min(((s, x) for x, s, e in zip(ls, d.strides, d.shape) if e > 1), default=(0, ""))[1]
-               for ls, d in ((sa, ad), (sb, bd))]
-    if n and rank.max() > 1 and fastest == [c, c]:
+    if len(c) == 2:
+        # with a lane letter einsum sums it from 0.0 for each index of the
+        # other letter, in order, and adds that sum: one term to a lane sum;
+        # without one it adds term by term, the letters nested as the
+        # operands order them: both nestings must order an entry's terms alike
+        outer, inner = at[c[0]], at[c[1]]
+        clash = outer[1:] == outer[:-1] if lane else inner[1:] < inner[:-1]
+        if (clash & ~first[1:]).any():
+            return False
+    elif lane and n and rank.max() > 1:
+        # a lane sum equals an ordered sum only for at most two terms
         return False
     order = np.lexsort((group, rank))
     bounds = np.cumsum(np.bincount(rank, minlength=1))

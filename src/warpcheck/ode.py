@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -81,16 +80,12 @@ class WarpOdeParams:
 
     @cached_property
     def _rhs_constants(self) -> tuple[float, float, float]:
-        """c1, 1 - n and R/(n(n-1)), formed once: RK4 calls rhs four times a step."""
+        """c1, 1 - n and R/(n(n-1)) of hddot = c1 h^(1-n) - R/(n(n-1)) h, formed once for every RK4 step."""
         return self.c1, 1.0 - self.n, self.scalar / (self.n * (self.n - 1.0))
 
     @property
     def tau(self) -> float:
         return -2.0 * self.c1 / (self.n - 2.0)
-
-    def rhs(self, h: float) -> float:
-        c1, exponent, curvature = self._rhs_constants
-        return c1 * h**exponent - curvature * h
 
 
 def equilibrium_radius(params: WarpOdeParams) -> float:
@@ -126,28 +121,31 @@ class Trajectory:
         return float(self.h[index]), float(self.hdot[index])
 
 
-def _rk4_step(rhs: Callable[[float], float], h: float, v: float, dt: float) -> tuple[float, float]:
-    """One classical RK4 step of (h, hdot)' = (hdot, rhs(h)); ``rhs`` is a bound ``WarpOdeParams.rhs``.
+def _rk4_step(rhs: tuple[float, float, float], h: float, v: float, dt: float) -> tuple[float, float]:
+    """One classical RK4 step of (h, hdot)' = (hdot, c1 h^e - k h); ``rhs`` is (c1, e, k), a ``_rhs_constants``.
 
     A step with a stage height not above H_MIN, or at which h^(1-n) leaves float range, is lost: it returns
     NaN, which callers read as lost positivity.
     """
+    c1, e, k = rhs
+    half = 0.5 * dt
     try:
-        k1h, k1v = v, rhs(h)
-        h2 = h + 0.5 * dt * k1h
-        k2h, k2v = v + 0.5 * dt * k1v, rhs(h2)
-        h3 = h + 0.5 * dt * k2h
-        k3h, k3v = v + 0.5 * dt * k2v, rhs(h3)
+        k1v = c1 * h**e - k * h
+        h2 = h + half * v
+        k2h = v + half * k1v
+        k2v = c1 * h2**e - k * h2
+        h3 = h + half * k2h
+        k3h = v + half * k2v
+        k3v = c1 * h3**e - k * h3
         h4 = h + dt * k3h
         if not (h > H_MIN and h2 > H_MIN and h3 > H_MIN and h4 > H_MIN):  # also a NaN stage
             return math.nan, math.nan
-        k4h, k4v = v + dt * k3v, rhs(h4)
+        k4h = v + dt * k3v
+        k4v = c1 * h4**e - k * h4
     except (ZeroDivisionError, OverflowError):  # a stage reached h = 0, or h^(1-n) overflowed
         return math.nan, math.nan
-    return (
-        h + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h),
-        v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
-    )
+    sixth = dt / 6.0
+    return h + sixth * (v + 2 * k2h + 2 * k3h + k4h), v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
 
 
 def integrate_warpedvss(params: WarpOdeParams, h0: float, hdot0: float, t_end: float, dt: float) -> Trajectory:
@@ -165,16 +163,16 @@ def integrate_warpedvss(params: WarpOdeParams, h0: float, hdot0: float, t_end: f
     steps = max(1, int(round(t_end / dt)))
     step = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)  # arange(steps + 1) * step, its last node set to t_end
-    hs = np.empty(steps + 1)
-    vs = np.empty(steps + 1)
-    h, v = hs[0], vs[0] = float(h0), float(hdot0)
-    rhs = params.rhs
+    h, v = float(h0), float(hdot0)
+    hs, vs = [h], [v]
+    rhs = params._rhs_constants
     for i in range(steps):
         h, v = _rk4_step(rhs, h, v, step)
         if not math.isfinite(h) or h <= H_MIN:
             raise PositivityLost(float(times[i]))
-        hs[i + 1], vs[i + 1] = h, v
-    return Trajectory(params, times, hs, vs, step)
+        hs.append(h)
+        vs.append(v)
+    return Trajectory(params, times, np.array(hs), np.array(vs), step)
 
 
 def _first_integral_terms(params: WarpOdeParams, h, hdot) -> tuple:
@@ -210,8 +208,9 @@ def _propagate(params: WarpOdeParams, h: float, v: float, span: float, dt: float
         return h, v
     steps = max(1, int(math.ceil(abs(span) / dt)))
     sub = span / steps
+    rhs = params._rhs_constants
     for _ in range(steps):
-        h, v = _rk4_step(params.rhs, h, v, sub)
+        h, v = _rk4_step(rhs, h, v, sub)
     return h, v
 
 
@@ -237,8 +236,9 @@ def find_periodic_solution(params: WarpOdeParams, h0: float, dt: float = 1e-3) -
     t = 0.0
     below = h0 < h_eq
     t_half = None
+    rhs = params._rhs_constants
     while t < T_MAX:
-        h_new, v_new = _rk4_step(params.rhs, h, v, dt)
+        h_new, v_new = _rk4_step(rhs, h, v, dt)
         if not h_new > H_MIN:  # also a NaN h
             raise PositivityLost(t)
         crossed = (v != 0.0 and (v < 0.0) != (v_new < 0.0)) or v_new == 0.0

@@ -322,9 +322,10 @@ def _same(got: JetTensor, want: np.ndarray) -> bool:
 
 @pytest.fixture
 def zero_rule_always(monkeypatch):
-    """The zero rule on every eligible product; tests take fresh JetSpaces, whose plan caches are empty."""
+    """The zero rule on every eligible product, at every jet order; tests take fresh JetSpaces, whose plan caches
+    are empty."""
     monkeypatch.setattr(jets, "_ZERO_MIN_WORK", 0)
-    monkeypatch.setattr(jets, "_ZERO_MIN_SKIP", 0.0)
+    monkeypatch.setattr(jets, "_ZERO_MIN_SKIP", (0.0, 0.0))
 
 
 def _jets(rng, space, shape, keep, layout=None, negative_zeros=False) -> JetTensor:
@@ -345,12 +346,12 @@ def _jets(rng, space, shape, keep, layout=None, negative_zeros=False) -> JetTens
 
 @st.composite
 def _products(draw):
-    """A binary spec with zero or one contracted letter, its extents and operand layouts."""
+    """A binary spec with zero to two contracted letters, its extents and operand layouts."""
     letters = iter("abcdefg")
     only_a = [next(letters) for _ in range(draw(st.integers(0, 2)))]
     only_b = [next(letters) for _ in range(draw(st.integers(0, 2)))]
     shared = [next(letters) for _ in range(draw(st.integers(0, 1)))]
-    summed = [next(letters) for _ in range(draw(st.integers(0, 1)))]
+    summed = [next(letters) for _ in range(draw(st.integers(0, 2)))]
     sa = draw(st.permutations(only_a + shared + summed))
     sb = draw(st.permutations(only_b + shared + summed))
     so = draw(st.permutations(only_a + only_b + shared))
@@ -382,17 +383,32 @@ def test_zero_rule_is_the_dense_product_bit_for_bit(
     views = (layout_a, layout_b) if transposed else (None, None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jets, "_ZERO_MIN_WORK", 0)
-        mp.setattr(jets, "_ZERO_MIN_SKIP", 0.0)
+        mp.setattr(jets, "_ZERO_MIN_SKIP", (0.0, 0.0))
         for _ in range(2):
             a = _jets(rng, space_a, shape_a, keep_a, views[0], negative_zeros)
             b = _jets(rng, space_b, shape_b, keep_b, views[1], negative_zeros)
             assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
     plans = list(space_a._zero_plans.values())
-    # a plan stays dense only where einsum may sum a contracted letter in SIMD lanes
     lhs, out = spec.split("->")
-    summed = "".join(set(lhs) - set(out) - {","})
+    sa, sb = lhs.split(",")
+    summed = "".join(x for x in sa if x in sb and x not in out)
     terms = np.einsum(f"{lhs}->{out}{summed}", keep_a, keep_b)
-    assert plans and (all(plans) or (summed and terms.sum(axis=-1).max() > 2))
+    most = terms.reshape(terms.shape[: len(out)] + (-1,)).sum(axis=-1).max(initial=0)  # terms to an entry
+    fast_a, fast_b = (_fastest_first(x, t.data) for x, t in zip((sa, sb), a._align(b)))
+    lane = set(fast_a[:1]) & set(fast_b[:1]) & set(summed)
+    # a plan stays dense only where einsum may sum in SIMD lanes: a contracted letter that is the fastest axis
+    # of both operands, with more than two terms to an entry; or, for two contracted letters, where an entry
+    # has two terms or more, the operands order their shared axes unlike in memory, or einsum may coalesce
+    # the two letters, the fastest two axes of both operands, into one lane axis
+    unlike = [x for x in fast_a if x in fast_b] != [x for x in fast_b if x in fast_a]
+    coalesced = lane and set(fast_a[:2]) == set(fast_b[:2]) == set(summed)
+    dense = (lane and most > 2) if len(summed) < 2 else (most > 1 or unlike or coalesced)
+    assert plans and (all(plans) or dense)
+
+
+def _fastest_first(letters: str, data: np.ndarray) -> list[str]:
+    """The letters of an operand's axes longer than 1, fastest in memory first."""
+    return [x for _, x in sorted((s, x) for x, s, e in zip(letters, data.strides, data.shape) if e > 1)]
 
 
 @pytest.mark.parametrize("spec", ["kl,ijl->kij", "mki,ljm->lijk", "is,sjkl->ijkl", "ij,jk->ik", "ij,j->i", ",ij->ij"])
@@ -464,19 +480,57 @@ def test_zero_rule_plans_are_keyed_on_the_jet_space(zero_rule_always):
     assert all(len(space._zero_plans) == 1 and all(space._zero_plans.values()) for space in (wide, deep))
 
 
-@pytest.mark.parametrize("spec", ["kl,ikjl->ij", "ij,ij->"])
-def test_zero_rule_never_takes_two_contracted_letters(zero_rule_always, spec):
-    """einsum's order over two contracted letters depends on operand layout."""
+@pytest.mark.parametrize(
+    "spec, keep_a, transposed, planned",
+    [
+        ("kl,ikjl->ij", np.eye(3, dtype=bool), False, True),
+        ("kl,ikjl->ij", np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool), False, False),
+        ("kl,ikjl->ij", np.eye(3, dtype=bool), True, False),
+        ("ij,ij->", np.eye(3, dtype=bool), False, False),
+    ],
+    ids=["diagonal-g", "two-terms-to-a-k", "unlike-layouts", "coalesced"],
+)
+def test_zero_rule_takes_two_contracted_letters_where_einsum_sums_in_order(
+    zero_rule_always, spec, keep_a, transposed, planned
+):
+    """Ricci's g^kl R_ikjl: einsum sums l, the fastest axis of both operands, in SIMD lanes for each k, in order.
+    A diagonal g^-1 leaves one term to each lane sum and takes a plan; g^00 and g^01 leave two.  A transposed
+    g^-1 orders k and l unlike R, and einsum may then sum both in lanes; in 'ij,ij->' it coalesces i and j."""
     rng = np.random.default_rng(5)
     space = jets.JetSpace(3, 2)
-    sa, sb = spec.split("->")[0].split(",")
-    for transposed in (False, True):
-        a = _jets(rng, space, (3, 3), np.eye(3, dtype=bool))
-        b = _jets(rng, space, (3,) * len(sb), rng.random((3,) * len(sb)) < 0.2)
-        if transposed:
-            a = a.transpose(f"{sa}->{sa[::-1]}")
+    sb = spec.split("->")[0].split(",")[1]
+    for _ in range(2):
+        a = _jets(rng, space, (3, 3), keep_a, (1, 0) if transposed else None)
+        b = _jets(rng, space, (3,) * len(sb), np.ones((3,) * len(sb), dtype=bool))
         assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
-    assert space._zero_plans == {}
+    assert [bool(plan) for plan in space._zero_plans.values()] == [planned]
+
+
+@pytest.mark.parametrize(
+    "spec, cells",
+    [("kl,ikjl->ij", [(0, 0), (1, 1), (2, 2)]), ("kl,kli->i", [(0, 0), (1, 1), (1, 2)])],
+    ids=["lane-per-k", "term-by-term"],
+)
+@pytest.mark.parametrize("terms", [(1.0, 1e16, -1e16), (1e16, -1e16, 1.0)])
+def test_einsum_sums_two_contracted_letters_as_the_zero_rule_reads_it(spec, cells, terms):
+    """numpy's order over two contracted letters, pinned on the dense path's layout (pair axis z outermost).
+
+    With l in lanes, einsum adds one lane sum for each k, k ascending; with an output letter fastest, it adds
+    term by term, and a k with two terms is not summed on its own first.  Each set of terms sums to one value
+    in that order and to another where the last two are added first.  A numpy that sums otherwise fails here,
+    not in a digest.
+    """
+    sb = spec.split("->")[0].split(",")[1]
+    a = np.zeros((3, 3, 1))
+    b = np.zeros((3,) * len(sb) + (1,))
+    for (k, l), t in zip(cells, terms):
+        a[k, l] = 1.0
+        b[tuple({"k": k, "l": l}.get(x, 0) for x in sb)] = t
+    pairs = [0, 0]  # a gather, as the dense path's, puts the pair axis outermost in memory
+    out = np.einsum(jets._jet_spec(spec), a[..., pairs], b[..., pairs])
+    ordered = (terms[0] + terms[1]) + terms[2]
+    assert ordered != terms[0] + (terms[1] + terms[2])
+    assert out[(0,) * (out.ndim - 1)].tolist() == [ordered, ordered]
 
 
 def test_zero_rule_plan_cache_is_bounded(zero_rule_always, monkeypatch):

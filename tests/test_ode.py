@@ -27,6 +27,12 @@ from conftest import example_geometry
 EJIRI = WarpOdeParams(n=4, scalar=3.0, rbar=6.0, c1=0.75)
 
 
+def rhs(params: WarpOdeParams, h):
+    """hddot as the ODE gives it, c1 h^(1-n) - R/(n(n-1)) h, as the RK4 step forms it."""
+    c1, exponent, curvature = params._rhs_constants
+    return c1 * h**exponent - curvature * h
+
+
 def ejiri_h(t):
     return math.sqrt(2.0 + math.sin(t))
 
@@ -45,7 +51,7 @@ def third_order_residual(params: WarpOdeParams, traj: Trajectory) -> float:
     right-hand side and its h-derivative, as the ODE dictates.
     """
     h, v = traj.h, traj.hdot
-    hdd = np.array([params.rhs(x) for x in h])
+    hdd = np.array([rhs(params, x) for x in h])
     n = params.n
     h3 = (params.c1 * (1.0 - n) * h**-n - params.scalar / (n * (n - 1.0))) * v  # F'(h) hdot
     resid = h3 + (params.n - 1.0) * v * hdd / h + params.scalar / (params.n - 1.0) * v
@@ -133,7 +139,7 @@ def test_third_order_cosh_hand_substitution():
 def test_scalar_from_h_ejiri():
     for t in np.linspace(0.0, 2 * math.pi, 60):
         h = ejiri_h(t)
-        hdd = EJIRI.rhs(h)
+        hdd = rhs(EJIRI, h)
         assert scalar_from_h(EJIRI, h, ejiri_hdot(t), hdd) == approx(3.0, abs=1e-10)
 
 
@@ -204,10 +210,10 @@ def test_periodic_equilibrium_flag():
 
 
 def reference_rk4_step(params: WarpOdeParams, h, v, dt):
-    """The step as first written: a closure over params.rhs at each stage."""
+    """The step as first written: a closure over the ODE's right-hand side at each stage."""
 
     def f(hh, vv):
-        return vv, params.rhs(hh)
+        return vv, rhs(params, hh)
 
     k1h, k1v = f(h, v)
     k2h, k2v = f(h + 0.5 * dt * k1h, v + 0.5 * dt * k1v)
@@ -229,7 +235,7 @@ def test_rk4_step_matches_closure_form_bitwise(kind):
     for params in (EJIRI, WarpOdeParams(5, 2.0, 2.5, 0.8), WarpOdeParams(3, -1.0, 0.0, 0.3)):
         for h, v, dt in rng.uniform([0.2, -2.0, 1e-4], [3.0, 2.0, 0.1], (50, 3)):
             h, v, dt = kind(h), kind(v), kind(dt)
-            assert _bits(*_rk4_step(params.rhs, h, v, dt)) == _bits(*reference_rk4_step(params, h, v, dt))
+            assert _bits(*_rk4_step(params._rhs_constants, h, v, dt)) == _bits(*reference_rk4_step(params, h, v, dt))
 
 
 def test_equiv_fail_orbit_matches_reference_loop_bitwise():
@@ -261,7 +267,7 @@ def test_stage_below_h_min_loses_the_step():
     """The second stage lands at h = 5e-11, and the step would end at h = 2.7e24: the step is NaN, and the
     integration loses positivity at the step's start."""
     params = WarpOdeParams(4, 12.0, 0.0, 1.0)
-    assert all(math.isnan(x) for x in _rk4_step(params.rhs, 1.0, -1999.9999999, 1e-3))
+    assert all(math.isnan(x) for x in _rk4_step(params._rhs_constants, 1.0, -1999.9999999, 1e-3))
     with pytest.raises(PositivityLost, match="t = 0$"):
         integrate_warpedvss(params, 1.0, -1999.9999999, 0.01, 1e-3)
 
@@ -283,7 +289,7 @@ def test_periodic_search_stops_on_a_non_finite_height():
 def test_overflowing_stage_loses_the_step():
     """At n = 400, h = 0.1 makes h^(1-n) overflow a float: the step is NaN, as for a collapsed stage."""
     params = WarpOdeParams(400, 1.0, 1.0, 1.0)
-    assert all(math.isnan(x) for x in _rk4_step(params.rhs, 0.1, 0.0, 1e-3))
+    assert all(math.isnan(x) for x in _rk4_step(params._rhs_constants, 0.1, 0.0, 1e-3))
     with pytest.raises(PositivityLost, match="t = 0$"):
         integrate_warpedvss(params, 0.1, 0.0, 0.01, 1e-3)
     with pytest.raises(PositivityLost, match="t = 0$"):
@@ -349,7 +355,7 @@ def kernel_reduction_check(traj: Trajectory, f_of_t, hdot_floor: float = 1e-3, p
         fdots.append(j.partial((1,)))
     fs = np.array(fs)
     fdots = np.array(fdots)
-    hdd = np.array([params.rhs(x) for x in traj.h])
+    hdd = np.array([rhs(params, x) for x in traj.h])
     numer = hdd * fs - traj.hdot * fdots
     scale = float(np.max(np.abs(hdd * fs)) + np.max(np.abs(traj.hdot * fdots)))
     if float(np.max(np.abs(numer))) > pre_tol * (1.0 + scale):
@@ -420,7 +426,7 @@ def test_ode_warping_jets_match_analytic():
         s = 2.0 + math.sin(t0)
         assert jet.value == approx(math.sqrt(s), abs=1e-10)
         assert jet.partial((1,)) == approx(math.cos(t0) / (2.0 * math.sqrt(s)), abs=1e-10)
-        hdd = EJIRI.rhs(math.sqrt(s))
+        hdd = rhs(EJIRI, math.sqrt(s))
         assert jet.partial((2,)) == approx(hdd, abs=1e-9)
 
 

@@ -557,8 +557,7 @@ def test_domain_error_in_a_batch_fails_only_its_point(check, what):
 
 def test_a_failing_chunk_is_formed_once_then_its_points_alone(monkeypatch):
     """log(t) leaves its domain in both 8-point chunks of 16 points: the potential is built once for the batch,
-    once for each chunk, and then at each of its points alone: once at a good point for both checks, and at a bad
-    point once for each check, as an error is not kept."""
+    once for each chunk, and then once at each of its points alone for both checks: a bad point keeps its error."""
     sizes = []
     field = geometry.ChartBatch.field
 
@@ -574,7 +573,7 @@ def test_a_failing_chunk_is_formed_once_then_its_points_alone(monkeypatch):
         assert out.status == "FAIL" and out.samples == 16 and out.reason.startswith("JetDomainError: ")
     bad = sum(row[2] == math.inf for row in outcomes[0].point_rows)
     assert 0 < bad < 8
-    assert sorted(sizes, reverse=True) == [16, 8, 8] + [1] * (16 + bad)
+    assert sorted(sizes, reverse=True) == [16, 8, 8] + [1] * 16
 
 
 def test_overflow_in_a_batch_fails_only_its_point(capfd):
