@@ -499,7 +499,7 @@ class _Chain(CurvatureBundle):
     @property
     def riemann4(self) -> JetTensor:
         """R_ijkl = g_is R^s_jkl, formed where read and not kept: the scalar survey holds every chunk's chain of a
-        batch until its checks run, and Ricci reads R_ijkl once, W and the decomposition identities once more."""
+        batch until its checks run.  Only Ricci reads it; W forms its own order-0 part."""
         return jt_einsum("pis,psjkl->pijkl", self.g, self.riemann13)
 
     @cached_property
@@ -550,7 +550,9 @@ class _Chain(CurvatureBundle):
     def weyl(self) -> JetTensor:
         """The Weyl tensor, at order 0."""
         _need_dim(self.dim, 3, "Weyl tensor")
-        return self.riemann4 - kulkarni_nomizu_jets(self.schouten.truncate(0), self.g, "p") / (self.dim - 2.0)
+        # R_ijkl at order 0 has the full-order bits: einsum sums s in order, as s is not last in both operands
+        r0 = jt_einsum("pis,psjkl->pijkl", self.g.truncate(0), self.riemann13)
+        return r0 - kulkarni_nomizu_jets(self.schouten.truncate(0), self.g, "p") / (self.dim - 2.0)
 
 
 def kulkarni_nomizu_jets(u: JetTensor, v: JetTensor, prefix: str = "") -> JetTensor:

@@ -36,17 +36,19 @@ to an (entry, other index), or that einsum may coalesce into one lane axis;
 for two letters without a lane letter whose two nestings would order an
 entry's terms unlike; for two letters in operands that order their shared
 axes unlike in memory, which numpy 2.4 sums in an order of its own; and for
-a NaN or inf operand, where 0 * inf must stay NaN.  A plan is built on the
-product's first (dense) call, whose output layout it copies, and kept on
-the jet space by spec, operand layouts and zero masks.
+a NaN or inf operand, where 0 * inf must stay NaN.  A plan is built from
+the zero masks before the product's first call, which then runs through it;
+it takes the dense output's layout from the same product on two coefficient
+pairs.  It is kept on the jet space by spec, operand layouts and zero masks:
+where the operands and the output lead with the point axis p, by the
+per-point layouts and the union of the points' masks, so that chunks of any
+number of points share it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable
-
 import numpy as np
 
 __all__ = [
@@ -67,21 +69,18 @@ class JetDomainError(ValueError):
     """Elementary function evaluated outside its domain at the jet value."""
 
 
-def _multi_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
-    """All multi-indices with |a| <= order, graded-lexicographic."""
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, one run after another."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
 
-    out: list[tuple[int, ...]] = []
-    for degree in range(order + 1):
-        out.extend(compositions(degree, num_vars))
-    return out
+def _multi_indices(num_vars: int, order: int) -> np.ndarray:
+    """All multi-indices with |a| <= order, one per row, graded-lexicographic (first entries descending)."""
+    alphas = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(num_vars):
+        room = order + 1 - alphas.sum(axis=1)
+        alphas = np.column_stack([np.repeat(alphas, room, axis=0), _ranges(room)])
+    return alphas[np.lexsort(np.vstack([-alphas.T[::-1], alphas.sum(axis=1)]))]
 
 
 class JetSpace:
@@ -98,42 +97,50 @@ class JetSpace:
             raise ValueError(f"order must be >= 0, got {order}")
         self.num_vars = num_vars
         self.order = order
-        self.multi_indices = _multi_indices(num_vars, order)
+        self._alphas = _multi_indices(num_vars, order)
+        self.multi_indices = [tuple(alpha) for alpha in self._alphas.tolist()]
         self.index = {alpha: i for i, alpha in enumerate(self.multi_indices)}
         self.n_coeffs = len(self.multi_indices)
-        self.factorials = np.array(
-            [math.prod(math.factorial(ai) for ai in alpha) for alpha in self.multi_indices],
-            dtype=float,
-        )
+        self.factorials = np.array([float(math.factorial(k)) for k in range(order + 1)])[self._alphas].prod(axis=1)
         self._mul_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._partials_table: tuple[np.ndarray, np.ndarray] | None = None
-        self._embed_tables: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        self._embed_tables: dict[tuple[int, int, tuple[int, ...]], np.ndarray] = {}
         self._zero_plans: dict[tuple, tuple | bool] = {}  # jt_einsum's zero rule
 
     # -- lookup tables -------------------------------------------------
+
+    def _slots(self, alphas: np.ndarray) -> np.ndarray:
+        """The slot of each multi-index along the last axis of ``alphas`` (total degree <= order).
+
+        Before a multi-index of degree d come the C(d - 1 + n, n) of lower
+        degree, and at each entry a_i, with r the degree of the entries after
+        it and k their count, the C(r - 1 + k, k) that agree before it and
+        take more at it.
+        """
+        n = self.num_vars
+        comb = np.array([[math.comb(m, k) for k in range(n + 1)] for m in range(self.order + n + 1)])
+        rest = np.cumsum(alphas[..., :0:-1], axis=-1)[..., ::-1]  # degree after entry i, for i < n - 1
+        k = np.arange(n - 1, 0, -1)
+        degree = alphas.sum(axis=-1)
+        ahead = np.where(rest > 0, comb[np.maximum(rest - 1 + k, 0), k], 0).sum(axis=-1)
+        return np.where(degree > 0, comb[np.maximum(degree - 1 + n, 0), n], 0) + ahead
 
     @property
     def mul_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a_idx, b_idx, group_starts) for the truncated Cauchy product.
 
-        Pairs are sorted by output slot so a segmented sum
-        (``np.add.reduceat``) finishes the convolution.
+        Pairs are sorted by output slot, then by the slots of a and b, so a
+        segmented sum (``np.add.reduceat``) finishes the convolution.
         """
         if self._mul_table is None:
-            triples = []
-            for p, alpha in enumerate(self.multi_indices):
-                da = sum(alpha)
-                for q, beta in enumerate(self.multi_indices):
-                    if da + sum(beta) > self.order:
-                        continue
-                    gamma = tuple(x + y for x, y in zip(alpha, beta))
-                    triples.append((self.index[gamma], p, q))
-            triples.sort()
-            g_idx = np.array([t[0] for t in triples])
-            a_idx = np.array([t[1] for t in triples])
-            b_idx = np.array([t[2] for t in triples])
-            starts = np.searchsorted(g_idx, np.arange(self.n_coeffs))
-            self._mul_table = (a_idx, b_idx, starts)
+            # the slots of degree <= order - |alpha| are a prefix, as the order is graded
+            degree = self._alphas.sum(axis=1)
+            count = np.searchsorted(degree, self.order - degree, side="right")
+            a_idx, b_idx = np.repeat(np.arange(self.n_coeffs), count), _ranges(count)
+            g_idx = self._slots(self._alphas[a_idx] + self._alphas[b_idx])
+            by_out = np.argsort(g_idx, kind="stable")
+            starts = np.searchsorted(g_idx[by_out], np.arange(self.n_coeffs))
+            self._mul_table = (a_idx[by_out], b_idx[by_out], starts)
         return self._mul_table
 
     @property
@@ -145,14 +152,8 @@ class JetSpace:
         """
         if self._partials_table is None:
             lower = jet_space(self.num_vars, self.order - 1)
-            src = np.empty((self.num_vars, lower.n_coeffs), dtype=int)
-            fac = np.empty((self.num_vars, lower.n_coeffs), dtype=float)
-            for i in range(self.num_vars):
-                for j, beta in enumerate(lower.multi_indices):
-                    shifted = tuple(b + (1 if a == i else 0) for a, b in enumerate(beta))
-                    src[i, j] = self.index[shifted]
-                    fac[i, j] = beta[i] + 1
-            self._partials_table = (src, fac)
+            shifted = lower._alphas + np.eye(self.num_vars, dtype=np.intp)[:, None, :]
+            self._partials_table = (self._slots(shifted), np.ascontiguousarray(lower._alphas.T + 1.0))
         return self._partials_table
 
     def embed_table(self, sub: "JetSpace", var_positions: tuple[int, ...]) -> np.ndarray:
@@ -161,15 +162,11 @@ class JetSpace:
         ``var_positions[j]`` is the coordinate of this space carrying the
         j-th variable of ``sub``; all other partials are zero.
         """
-        key = (id(sub), var_positions)
+        key = (sub.num_vars, sub.order, var_positions)
         if key not in self._embed_tables:
-            tgt = np.empty(sub.n_coeffs, dtype=int)
-            for j, alpha in enumerate(sub.multi_indices):
-                full = [0] * self.num_vars
-                for a, pos in zip(alpha, var_positions):
-                    full[pos] = a
-                tgt[j] = self.index[tuple(full)]
-            self._embed_tables[key] = tgt
+            full = np.zeros((sub.n_coeffs, self.num_vars), dtype=np.intp)
+            full[:, list(var_positions)] = sub._alphas
+            self._embed_tables[key] = self._slots(full)
         return self._embed_tables[key]
 
     def __repr__(self) -> str:
@@ -460,19 +457,11 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
         return JetTensor(space, np.einsum(_jet_spec(spec), ad, bd))
     a_idx, b_idx, starts = space.mul_table
     letters, work = _zero_letters(spec, space, ad.shape[:-1], bd.shape[:-1])
-    key = plan = None
     if work >= _ZERO_MIN_WORK:
-        nz_a, nz_b = ad.any(axis=-1), bd.any(axis=-1)
-        key = (spec, ad.shape, ad.strides, bd.shape, bd.strides, nz_a.tobytes(), nz_b.tobytes())
-        plan = space._zero_plans.get(key)
+        plan = _zero_plan(spec, letters, space, ad, bd)
         if plan and np.isfinite(ad).all() and np.isfinite(bd).all():
             return JetTensor(space, _zero_product(plan, ad, bd, starts))
-    out = np.add.reduceat(np.einsum(_jet_spec(spec), ad[..., a_idx], bd[..., b_idx]), starts, axis=-1)
-    if key is not None and plan is None:
-        if len(space._zero_plans) >= _ZERO_PLANS_MAX:
-            space._zero_plans.clear()
-        space._zero_plans[key] = _zero_plan(letters, space, nz_a, nz_b, ad, bd, out)
-    return JetTensor(space, out)
+    return JetTensor(space, np.add.reduceat(np.einsum(_jet_spec(spec), ad[..., a_idx], bd[..., b_idx]), starts, axis=-1))
 
 
 # -- the zero rule of jt_einsum -------------------------------------------
@@ -499,19 +488,36 @@ def _zero_letters(spec: str, space: JetSpace, shape_a: tuple, shape_b: tuple) ->
     return (sa, sb, so, summed), math.prod(extent.values()) * len(space.mul_table[0])
 
 
-def _zero_plan(letters, space, nz_a, nz_b, ad, bd, dense) -> tuple | bool:
-    """Index tables of a product's nonzero terms, or False where it stays dense.
+def _zero_plan(spec: str, letters, space: JetSpace, ad: np.ndarray, bd: np.ndarray) -> tuple | bool:
+    """The product's plan, built before its first call: for one point where the point axis p leads and is outermost."""
+    sa, sb, so, _ = letters
+    lead = int(sa[:1] == sb[:1] == so[:1] == "p" and all(d.strides[0] == max(d.strides) for d in (ad, bd)))
+    nz_a, nz_b = ad.any(axis=-1), bd.any(axis=-1)
+    if lead:
+        nz_a, nz_b = nz_a.any(axis=0), nz_b.any(axis=0)
+    key = (spec, ad.shape[lead:], ad.strides[lead:], bd.shape[lead:], bd.strides[lead:], nz_a.tobytes(), nz_b.tobytes())
+    plan = space._zero_plans.get(key)
+    if plan is None:
+        if len(space._zero_plans) >= _ZERO_PLANS_MAX:
+            space._zero_plans.clear()
+        plan = space._zero_plans[key] = _build_plan(spec, letters, lead, space, nz_a, nz_b, ad, bd)
+    return plan
+
+
+def _build_plan(spec, letters, lead, space, nz_a, nz_b, ad, bd) -> tuple | bool:
+    """Index tables of a product's nonzero terms for one point (or the whole product), or False where it stays dense.
 
     Terms are (output entry, contracted indices) with both operand jets
     nonzero.  They are grouped by rank, the term's place in its entry's sum,
     so that the sums run in einsum's order: the contracted indices ascending,
     a lane letter last.
     """
-    sa, sb, so, c = letters
+    (sa, sb, so), c = (x[lead:] for x in letters[:3]), letters[3]
+    pa, pb = (ad[0], bd[0]) if lead else (ad, bd)
     # einsum sums a letter that is the fastest axis of both gathered operands
     # (a gather keeps its source's axis order) innermost, in SIMD lanes
     fast_a, fast_b = ([x for _, x in sorted((s, x) for x, s, e in zip(ls, d.strides, d.shape) if e > 1)]
-                      for ls, d in ((sa, ad), (sb, bd)))
+                      for ls, d in ((sa, pa), (sb, pb)))
     lane = next(iter(set(fast_a[:1]) & set(fast_b[:1]) & set(c)), "")
     c = c.replace(lane, "") + lane
     if len(c) == 2 and ([x for x in fast_a if x in fast_b] != [x for x in fast_b if x in fast_a]
@@ -522,14 +528,20 @@ def _zero_plan(letters, space, nz_a, nz_b, ad, bd, dense) -> tuple | bool:
         return False
     terms = np.einsum(f"{sa},{sb}->{so}{c}", nz_a, nz_b)
     n = np.count_nonzero(terms)
-    if n > (1.0 - _ZERO_MIN_SKIP[min(space.order, 2) - 1]) * terms.size or dense.strides[-1] != dense.itemsize:
+    if n > (1.0 - _ZERO_MIN_SKIP[min(space.order, 2) - 1]) * terms.size:
+        return False
+    # the dense output's layout, taken from the same product on two coefficient pairs
+    a_idx, b_idx, starts = space.mul_table
+    probe = np.add.reduceat(np.einsum(_jet_spec(spec), ad[..., a_idx[:2]], bd[..., b_idx[:2]]), starts[:2], axis=-1)
+    perm = np.argsort([-s for s in probe.strides[lead:]], kind="stable")
+    if perm[-1] != len(so) or (lead and probe.strides[0] < max(probe.strides)):
         return False
     at = dict(zip(so + c, np.nonzero(np.atleast_1d(terms))))
 
     def rows(letters, shape):
         return np.ravel_multi_index([at[x] for x in letters], shape) if letters else np.zeros(n, dtype=np.intp)
 
-    entry = rows(so, dense.shape[:-1])
+    entry = rows(so, terms.shape[: len(so)])
     first = np.ones(n, dtype=bool)
     first[1:] = entry[1:] != entry[:-1]
     group = np.cumsum(first) - 1
@@ -551,27 +563,27 @@ def _zero_plan(letters, space, nz_a, nz_b, ad, bd, dense) -> tuple | bool:
     support = bounds[0]  # entries with a term, each with its rank-0 term
     blocks = [(slice(None) if hi - lo == support else group[order[lo:hi]], lo, hi)
               for lo, hi in zip(bounds[:-1], bounds[1:])]
-    cs = space.n_coeffs
-    ia = rows(sa, ad.shape[:-1])[order, None] * cs + space.mul_table[0]
-    ib = rows(sb, bd.shape[:-1])[order, None] * cs + space.mul_table[1]
+    ia = rows(sa, pa.shape[:-1])[order, None] * space.n_coeffs + a_idx
+    ib = rows(sb, pb.shape[:-1])[order, None] * space.n_coeffs + b_idx
     # the output in the dense path's memory order, coefficient axis last
-    perm = np.argsort([-s for s in dense.strides], kind="stable")
-    out_rows = sum((at[x][order[:support]] * (s // (dense.itemsize * cs)) for x, s in zip(so, dense.strides)),
-                   np.zeros(support, dtype=np.intp))
-    return ia, ib, support, blocks, out_rows, tuple(np.take(dense.shape, perm)), tuple(np.argsort(perm))
+    shape = tuple(np.take(terms.shape[: len(so)] + (space.n_coeffs,), perm))
+    out_rows = rows([so[i] for i in perm[:-1]], shape[:-1])[order[:support]]
+    return lead, ia, ib, support, blocks, out_rows, shape, (0, *(1 + np.argsort(perm)))
 
 
 def _zero_product(plan, ad: np.ndarray, bd: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Gather, multiply and sum a plan's terms rank by rank from +0.0; the other entries stay +0.0."""
-    ia, ib, support, blocks, out_rows, shape, inverse = plan
-    prod = np.take(ad, ia) * np.take(bd, ib)
-    acc = prod[:support]
+    """Gather, multiply and sum a plan's terms rank by rank from +0.0, point by point; the other entries stay +0.0."""
+    lead, ia, ib, support, blocks, out_rows, shape, axes = plan
+    points = len(ad) if lead else 1
+    prod = np.take(ad.reshape(points, -1), ia, axis=1) * np.take(bd.reshape(points, -1), ib, axis=1)
+    acc = prod[:, :support]
     acc += 0.0
     for rows, lo, hi in blocks:
-        acc[rows] += prod[lo:hi]
-    buf = np.zeros((math.prod(shape[:-1]), shape[-1]))
-    buf[out_rows] = np.add.reduceat(acc, starts, axis=-1)
-    return buf.reshape(shape).transpose(inverse)
+        acc[:, rows] += prod[:, lo:hi]
+    buf = np.zeros((points, math.prod(shape[:-1]), shape[-1]))
+    buf[:, out_rows] = np.add.reduceat(acc, starts, axis=-1)
+    out = buf.reshape(points, *shape).transpose(axes)
+    return out if lead else out[0]
 
 
 @lru_cache(maxsize=None)

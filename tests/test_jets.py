@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from warpcheck import jets
+from warpcheck import geometry, jets
+from warpcheck.checks import EXAMPLE_CONFIGS, RunConfig, build_context
 from warpcheck.jets import JetDomainError, JetShapeError, JetTensor, jet_space, jt_einsum
 
 
@@ -14,6 +16,74 @@ def test_coefficient_count_is_binomial():
     for m, k in [(1, 4), (2, 3), (3, 3), (5, 4)]:
         j = JetTensor.variable(0, 0.0, m, k)
         assert len(j.data) == math.comb(m + k, k)
+
+
+def _reference_tables(space):
+    """mul_table, partials_table and an embed_table built by the Python loops that first built them."""
+    triples = []
+    for p, alpha in enumerate(space.multi_indices):
+        for q, beta in enumerate(space.multi_indices):
+            if sum(alpha) + sum(beta) <= space.order:
+                triples.append((space.index[tuple(x + y for x, y in zip(alpha, beta))], p, q))
+    triples.sort()
+    g_idx, a_idx, b_idx = (np.array([t[k] for t in triples]) for k in range(3))
+    tables = [a_idx, b_idx, np.searchsorted(g_idx, np.arange(space.n_coeffs))]
+    if space.order >= 1:
+        lower = jet_space(space.num_vars, space.order - 1)
+        src = np.empty((space.num_vars, lower.n_coeffs), dtype=int)
+        fac = np.empty((space.num_vars, lower.n_coeffs), dtype=float)
+        for i in range(space.num_vars):
+            for j, beta in enumerate(lower.multi_indices):
+                src[i, j] = space.index[tuple(b + (1 if a == i else 0) for a, b in enumerate(beta))]
+                fac[i, j] = beta[i] + 1
+        tables += [src, fac]
+    sub, positions = jet_space(1, space.order), (space.num_vars - 1,)
+    tgt = np.empty(sub.n_coeffs, dtype=int)
+    for j, alpha in enumerate(sub.multi_indices):
+        full = [0] * space.num_vars
+        for a, pos in zip(alpha, positions):
+            full[pos] = a
+        tgt[j] = space.index[tuple(full)]
+    return tables + [tgt]
+
+
+@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("num_vars", range(1, 8))
+def test_jet_tables_equal_the_python_loops(num_vars, order):
+    """Values, dtype, shape and memory order of every table, against the loops that first built them."""
+    space = jets.JetSpace(num_vars, order)
+    got = list(space.mul_table) + (list(space.partials_table) if order else [])
+    got.append(space.embed_table(jet_space(1, order), (num_vars - 1,)))
+    for table, want in zip(got, _reference_tables(space), strict=True):
+        assert (table.dtype, table.shape, table.flags.c_contiguous) == (want.dtype, want.shape, True)
+        assert table.tobytes() == want.tobytes()
+
+
+def test_jet_tables_of_twelve_variables_stay_small():
+    """No step allocates an array sized (order + 1)^num_vars (5^12 slots, 1.9 GB of int64 here)."""
+    tracemalloc.start()
+    try:
+        space = jets.JetSpace(12, 4)
+        space.mul_table, space.partials_table, space.embed_table(jet_space(2, 4), (3, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(space.mul_table[0]) == math.comb(24 + 4, 4)
+    assert peak < 100e6
+
+
+def test_embed_tables_are_keyed_on_the_sub_space_not_its_id():
+    """A space built directly is freed after use, and a new space of another size may take its id: the slot
+    table must follow the sub-space's (num_vars, order)."""
+    target = jets.JetSpace(3, 2)
+    first = target.embed_table(jets.JetSpace(1, 2), (1,))
+    for num_vars, order in [(1, 1), (2, 2), (1, 2)]:
+        sub = jets.JetSpace(num_vars, order)
+        got = target.embed_table(sub, (1, 2)[:num_vars])
+        assert [target.multi_indices[i][1 : 1 + num_vars] for i in got] == sub.multi_indices
+        del sub
+    assert target.embed_table(jets.JetSpace(1, 2), (1,)) is first
+    assert set(target._embed_tables) == {(1, 2, (1,)), (1, 1, (1,)), (2, 2, (1, 2))}
 
 
 def test_square_of_coordinate():
@@ -346,7 +416,8 @@ def _jets(rng, space, shape, keep, layout=None, negative_zeros=False) -> JetTens
 
 @st.composite
 def _products(draw):
-    """A binary spec with zero to two contracted letters, its extents and operand layouts."""
+    """A binary spec with zero to two contracted letters, maybe a shared leading point letter p, its per-point
+    extents and operand layouts (p stays outermost in memory)."""
     letters = iter("abcdefg")
     only_a = [next(letters) for _ in range(draw(st.integers(0, 2)))]
     only_b = [next(letters) for _ in range(draw(st.integers(0, 2)))]
@@ -356,13 +427,15 @@ def _products(draw):
     sb = draw(st.permutations(only_b + shared + summed))
     so = draw(st.permutations(only_a + only_b + shared))
     extent = {x: draw(st.integers(1, 4)) for x in sa + sb}
-    spec = f"{''.join(sa)},{''.join(sb)}->{''.join(so)}"
-    layouts = [draw(st.permutations(range(len(letters)))) for letters in (sa, sb)]
-    return spec, tuple(extent[x] for x in sa), tuple(extent[x] for x in sb), *layouts
+    lead = "p" if draw(st.booleans()) else ""
+    spec = f"{lead}{''.join(sa)},{lead}{''.join(sb)}->{lead}{''.join(so)}"
+    layouts = [[0] * bool(lead) + [bool(lead) + x for x in draw(st.permutations(range(len(ls))))] for ls in (sa, sb)]
+    return spec, lead, tuple(extent[x] for x in sa), tuple(extent[x] for x in sb), *layouts
 
 
 @given(
     product=_products(),
+    points=st.tuples(st.integers(1, 3), st.integers(1, 3)),
     share_a=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
     share_b=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
     space=st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2)]),
@@ -373,10 +446,11 @@ def _products(draw):
 )
 @settings(max_examples=150, deadline=None)
 def test_zero_rule_is_the_dense_product_bit_for_bit(
-    product, share_a, share_b, space, extra_order, transposed, negative_zeros, seed
+    product, points, share_a, share_b, space, extra_order, transposed, negative_zeros, seed
 ):
-    """A plan built on one draw gives the dense path's bytes and strides on a second draw with the same zeros."""
-    spec, shape_a, shape_b, layout_a, layout_b = product
+    """A plan built on one draw gives the dense path's bytes and strides on a second draw with the same zeros, at
+    every point, and with a point letter at another point count."""
+    spec, lead, shape_a, shape_b, layout_a, layout_b = product
     rng = np.random.default_rng(seed)
     keep_a, keep_b = rng.random(shape_a) >= share_a, rng.random(shape_b) >= share_b
     space_a, space_b = jets.JetSpace(*space), jet_space(space[0], space[1] + extra_order)
@@ -384,17 +458,26 @@ def test_zero_rule_is_the_dense_product_bit_for_bit(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jets, "_ZERO_MIN_WORK", 0)
         mp.setattr(jets, "_ZERO_MIN_SKIP", (0.0, 0.0))
-        for _ in range(2):
-            a = _jets(rng, space_a, shape_a, keep_a, views[0], negative_zeros)
-            b = _jets(rng, space_b, shape_b, keep_b, views[1], negative_zeros)
+        layouts = set()
+        for count in points[: 1 + bool(lead)] * (1 + (not lead)):
+            batch = (count,) if lead else ()
+            a = _jets(rng, space_a, batch + shape_a, np.broadcast_to(keep_a, batch + shape_a), views[0], negative_zeros)
+            b = _jets(rng, space_b, batch + shape_b, np.broadcast_to(keep_b, batch + shape_b), views[1], negative_zeros)
             assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
+            masks = (t.data.any(axis=-1) for t in a._align(b))
+            layouts.add((*(t.data.strides[len(lead):] for t in a._align(b)),
+                         *((m.any(axis=0) if lead else m).tobytes() for m in masks)))
     plans = list(space_a._zero_plans.values())
-    lhs, out = spec.split("->")
+    # one plan per pair of per-point layouts (a copy may keep another stride on an axis of length 1) and of
+    # unions of zero masks (-0.0s may zero a whole jet)
+    assert len(plans) == len(layouts)
+    lhs, out = spec.replace("p", "").split("->")
     sa, sb = lhs.split(",")
     summed = "".join(x for x in sa if x in sb and x not in out)
     terms = np.einsum(f"{lhs}->{out}{summed}", keep_a, keep_b)
     most = terms.reshape(terms.shape[: len(out)] + (-1,)).sum(axis=-1).max(initial=0)  # terms to an entry
-    fast_a, fast_b = (_fastest_first(x, t.data) for x, t in zip((sa, sb), a._align(b)))
+    point_a, point_b = (t.data[0] if lead else t.data for t in a._align(b))
+    fast_a, fast_b = _fastest_first(sa, point_a), _fastest_first(sb, point_b)
     lane = set(fast_a[:1]) & set(fast_b[:1]) & set(summed)
     # a plan stays dense only where einsum may sum in SIMD lanes: a contracted letter that is the fastest axis
     # of both operands, with more than two terms to an entry; or, for two contracted letters, where an entry
@@ -403,7 +486,7 @@ def test_zero_rule_is_the_dense_product_bit_for_bit(
     unlike = [x for x in fast_a if x in fast_b] != [x for x in fast_b if x in fast_a]
     coalesced = lane and set(fast_a[:2]) == set(fast_b[:2]) == set(summed)
     dense = (lane and most > 2) if len(summed) < 2 else (most > 1 or unlike or coalesced)
-    assert plans and (all(plans) or dense)
+    assert all(plans) or dense
 
 
 def _fastest_first(letters: str, data: np.ndarray) -> list[str]:
@@ -422,6 +505,39 @@ def test_zero_rule_takes_the_plan_on_a_diagonal_chart(zero_rule_always, spec):
         a, b = (_jets(rng, space, m.shape, m) for m in masks)
         assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
     assert [bool(plan) for plan in space._zero_plans.values()] == [True]
+
+
+def test_zero_rule_runs_a_product_through_its_plan_from_its_first_call(zero_rule_always, monkeypatch):
+    """The plan is built from the zero masks before the product: the first call forms no dense gathered product,
+    only a probe on two coefficient pairs for the output layout, and gives the dense bytes and strides."""
+    rng = np.random.default_rng(17)
+    space = jets.JetSpace(3, 2)
+    g = _jets(rng, space, (4, 5, 5), np.broadcast_to(np.eye(5, dtype=bool), (4, 5, 5)))
+    r = _jets(rng, space, (4, 5, 5, 5), rng.random((4, 5, 5, 5)) < 0.5)
+    want = _dense_einsum("pkl,pijl->pkij", g, r)
+    pairs = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kw: pairs.append(args[-1].shape[-1]) or einsum(*args, **kw))
+    got = jt_einsum("pkl,pijl->pkij", g, r)
+    assert _same(got, want)
+    assert all(space._zero_plans.values()) and len(space._zero_plans) == 1
+    assert len(space.mul_table[0]) not in pairs and 2 in pairs
+
+
+def test_a_twenty_point_batch_builds_one_plan_per_chain_product(monkeypatch):
+    """ejiri's chain on 20 points runs in chunks of 8, 8 and 4 points: the chunks share one plan per product."""
+    ctx = build_context(RunConfig.from_dict(dict(EXAMPLE_CONFIGS["ejiri"])))
+    batch = geometry.ChartBatch(ctx.chart, ctx.chart.sample_points(20), 4)
+    spaces = [jet_space(ctx.chart.dim, order) for order in range(5)]
+    for space in spaces:
+        monkeypatch.setattr(space, "_zero_plans", {})
+    chunks = batch.chunks()
+    assert [len(range(20)[c.rows]) for c in chunks] == [8, 8, 4]
+    for chunk in chunks:
+        chunk.cotton_divergence, chunk.weyl, chunk.efield
+    specs = [(space.order, key[0]) for space in spaces for key in space._zero_plans]
+    assert specs and len(specs) == len(set(specs))
+    assert sum(bool(plan) for space in spaces for plan in space._zero_plans.values()) >= 4
 
 
 @pytest.mark.parametrize("transposed", [False, True])

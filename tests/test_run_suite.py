@@ -320,6 +320,26 @@ def test_bundles_per_point(example_runs):
     assert counts["bundles"]["sphere-s4"] == EXAMPLE_CONFIGS["sphere-s4"]["samples"]
 
 
+def test_r_ijkl_is_formed_at_full_order_once_per_chunk():
+    """Ricci reads R_ijkl at full order; W, which decompose_ids reads, forms only its order-0 part."""
+    calls = []
+
+    def spy(spec, a, b):
+        if spec == "pis,psjkl->pijkl":
+            calls.append((a, a.order))  # a chunk's g, kept alive so that ids stay unique
+        return spy.original(spec, a, b)
+
+    spy.original = geometry.jt_einsum
+    config = RunConfig.from_dict(copy.deepcopy(EXAMPLE_CONFIGS["sphere-s4"]))
+    assert "decompose_ids" in config.checks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "jt_einsum", spy)
+        run_suite(config)
+    full = Counter(id(g) for g, order in calls if order > 0)
+    assert full and set(full.values()) == {1}
+    assert any(order == 0 for _, order in calls)
+
+
 # Per chunk of CHAIN_POINTS points: StaticAnalyses, fiber trace-free Riccis,
 # vacuum-residual formations and field builds on one point's own
 # coordinates.  basicex analyses its potential h*fbar, hdot and fbar on the
