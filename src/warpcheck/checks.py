@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dsl, spaces, statics
 from .conformal import ConformalAnalysis, rotation_field, sphere_gradient_field, zero_field
-from .geometry import POINT_ERRORS, ChartBatch, MetricChart, _Chain
+from .geometry import POINT_ERRORS, ChartBatch, MetricChart, _Chain, chain_points
 from .jets import JetTensor
 from .ode import (
     DRIFT_TOL,
@@ -469,15 +469,17 @@ def point_scratches(
     ctx: CheckContext, points: np.ndarray, order: int, fiber_order: int = 2, metric_order: int | None = None
 ) -> list[PointScratch]:
     """The scratches of a (P, dim) array of points; the builders of the chart and of the fiber chart run once
-    for every BATCH_POINTS of them, and everything else once per chunk of CHAIN_POINTS, so a chunk is freed with
-    the scratch of its last point and a batch with its last chunk."""
+    for every BATCH_POINTS of them, and everything else once per chunk of :func:`geometry.chain_points` points,
+    a size that the chart's dim and metric order set for the fiber batch too, so that a chunk's two chains hold
+    the same points.  A chunk is freed with the scratch of its last point and a batch with its last chunk."""
     out = []
     for start in range(0, len(points), BATCH_POINTS):
-        chunk = points[start : start + BATCH_POINTS]
-        batches = [ChartBatch(ctx.chart, chunk, order, metric_order)]
+        batch = points[start : start + BATCH_POINTS]
+        batches = [ChartBatch(ctx.chart, batch, order, metric_order)]
+        size = chain_points(ctx.chart.dim, batches[0].metric_order, len(batch))
         if ctx.warped is not None:
-            batches.append(ChartBatch(ctx.warped.fiber_chart, chunk[:, 1:], fiber_order))
-        for chains in zip(*(batch.chunks() for batch in batches)):
+            batches.append(ChartBatch(ctx.warped.fiber_chart, batch[:, 1:], fiber_order))
+        for chains in zip(*(b.chunks(size) for b in batches), strict=True):
             shared = ChunkScratch(ctx, list(chains))
             out += [PointScratch(shared, k) for k in range(len(chains[0].points))]
     return out

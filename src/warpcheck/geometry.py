@@ -38,10 +38,10 @@ product is one ``np.einsum`` of the values.
 Batch rule: chart, potential and field builders run once for many sample
 points (:class:`ChartBatch`), on coordinate jets with a leading point axis,
 and so does the inverse metric (Cholesky factor, cond, g0^-1, frame and the
-Neumann series).  Everything read from them runs once for each CHAIN_POINTS
-consecutive points of a batch (a chunk, :class:`_Chain`), with the point
-axis p prefixed to every spec: the curvature chain from the Christoffel
-symbols to the Cotton divergence; dR, E and W; the Hessian, Laplacian and
+Neumann series).  Everything read from them runs once for each chunk of
+consecutive points of a batch (:class:`_Chain`, of :func:`chain_points` points),
+with the point axis p prefixed to every spec: the curvature chain from the
+Christoffel symbols to the Cotton divergence; dR, E and W; the Hessian, Laplacian and
 L*; the analyses of :mod:`statics` and :mod:`conformal`; and the frame
 norms, one ``matmul`` per frame of the stack and one ``vdot`` per point.
 A :class:`CurvatureBundle` is one row of its chunk and reads views of it.
@@ -60,6 +60,7 @@ same error again without forming it again (:meth:`ChartBatch.formed`).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -77,10 +78,17 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
-# points of a chunk of a ChartBatch (see the Batch rule): 8 takes most of the per-call overhead off the
-# chain and the analyses, while a whole batch of 64 runs a dim-6 order-4 chain slower than point by point
-# and doubles a suite's peak memory
-CHAIN_POINTS = 8
+# Riemann coefficients in a chunk of a ChartBatch at most: dims 4-5 run whole batches to metric order 3, and
+# dim 6 chunks of 8, where whole batches of 64 raise an order-4 suite's peak memory from 58 to 198 MB
+CHUNK_COEFFS = 2**17
+
+
+def chain_points(dim: int, metric_order: int, points: int) -> int:
+    """Points per chunk of a batch of ``points``: the largest power of two whose chunk holds at most CHUNK_COEFFS
+    coefficients of Riemann's jet, the chain's widest (dim^4 entries at order metric_order - 2), at least 8 and at
+    most the batch.  A larger chunk pays the per-call overhead of the chain and the analyses fewer times."""
+    per_point = dim**4 * math.comb(dim + metric_order - 2, dim)
+    return min(1 << max((CHUNK_COEFFS // per_point).bit_length() - 1, 3), points)
 
 
 class SingularMetricError(ValueError):
@@ -182,10 +190,10 @@ class ChartBatch:
         self._formed: dict = {}
         self._errors: dict = {}  # the point errors of build(rows), by (key, rows.start, rows.stop)
 
-    def chunks(self) -> list[_Chain]:
-        """The consecutive chunks of CHAIN_POINTS points, the last one short if need be."""
+    def chunks(self, size: int) -> list[_Chain]:
+        """The consecutive chunks of ``size`` points, the last one short if need be."""
         n = len(self.points)
-        return [_Chain(self, slice(k, min(k + CHAIN_POINTS, n))) for k in range(0, n, CHAIN_POINTS)]
+        return [_Chain(self, slice(k, min(k + size, n))) for k in range(0, n, size)]
 
     def formed(self, key, build: Callable[[slice], Any], rows: slice):
         """``build(rows)``: the rows of ``build`` at every point, formed on the first request for ``key``, or, where
@@ -324,7 +332,7 @@ class CurvatureBundle:
     def _chain(self) -> _Chain:
         """A bundle made alone is the one row of its own chunk; :meth:`_Chain.bundle` makes one a row of a shared
         chunk."""
-        return ChartBatch(self.chart, self.point[None], self.order, self.metric_order).chunks()[0]
+        return ChartBatch(self.chart, self.point[None], self.order, self.metric_order).chunks(1)[0]
 
     def read(self, get: Callable[[_Chain], Any]):
         """This point's row of ``get`` of its chunk, as views.  Where the chunk raises a point error, the point is

@@ -48,7 +48,7 @@ def warping_derivatives(wg, t0, order):
 
 def lone_chain(chart, point, order, metric_order=None):
     """The chunk of ``point`` alone, whose one row (0) the analyses of one point run on."""
-    (chain,) = ChartBatch(chart, np.array([point], dtype=float), order, metric_order).chunks()
+    (chain,) = ChartBatch(chart, np.array([point], dtype=float), order, metric_order).chunks(1)
     return chain
 
 

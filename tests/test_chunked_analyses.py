@@ -1,10 +1,12 @@
 """The analyses, residuals and norms of a chunk are, row for row, those of each point alone.
 
 A suite forms everything past the metric and field builders once per chunk of
-CHAIN_POINTS consecutive points (the Batch rule of ``geometry``).  These tests
-draw the chunk size and the points, and compare every analysis jet (bytes and
-strides), every residual's abs and scale, and every frame norm with the run in
-chunks of one point, and check that a bundle reads its chunk without copies.
+consecutive points (the Batch rule of ``geometry``), whose size
+``geometry.chain_points`` sets.  These tests draw the chunk size and the
+points, and compare every analysis jet (bytes and strides), every residual's
+abs and scale, and every frame norm with the run in chunks of one point, and
+check that a bundle reads its chunk without copies and that a chunk's chart and
+fiber chains hold the same points.
 """
 
 import copy
@@ -14,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcheck import geometry
-from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, RunConfig, build_context, point_scratches
+from warpcheck import checks
+from warpcheck.checks import BATCH_POINTS, CHECKS, EXAMPLE_CONFIGS, RunConfig, build_context, point_scratches
 from warpcheck.jets import JetShapeError, JetTensor
 from warpcheck.residuals import PreconditionSkip
 
@@ -89,23 +91,33 @@ def _same(got, want) -> bool:
     return np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def _chunks_of(size):
+    """A stand-in for ``chain_points`` in ``point_scratches``: chunks of ``size`` points, capped by the batch."""
+    return lambda dim, metric_order, points: min(size, points)
+
+
+@st.composite
+def _subsets(draw):
+    """A chunk size, from 1 to 9 or one that the rule picks (16, 32, 64), and up to size + 9 consecutive sample
+    points (at least size in half the draws) with up to 3 dropped, so that full chunks, a short last chunk and a
+    second batch all occur."""
+    size = draw(st.sampled_from([*range(1, 10), 16, 32, BATCH_POINTS]))
+    count = draw(st.integers(size, size + 9) | st.integers(1, size + 9))
+    dropped = draw(st.sets(st.integers(0, count - 1), max_size=3))
+    return size, [k for k in range(count) if k not in dropped] or [0], count
+
+
 @settings(max_examples=20, deadline=None)
-@given(
-    st.sampled_from(sorted(SUITES)),
-    st.integers(1, 9),
-    st.integers(1, 11),
-    st.integers(0, 500),
-    st.lists(st.booleans(), min_size=11, max_size=11),
-)
-def test_chunked_run_equals_chunks_of_one(name, chunk, count, offset, keep):
-    """Chunks of 1 to 9 points, short last chunks included, over a subset of sample points."""
+@given(st.sampled_from(sorted(SUITES)), _subsets(), st.integers(0, 500))
+def test_chunked_run_equals_chunks_of_one(name, subset, offset):
+    """Chunks of 1 to 64 points, short last chunks included, over a subset of sample points."""
+    size, keep, count = subset
     config = RunConfig.from_dict(copy.deepcopy(SUITES[name]))
-    points = build_context(config).chart.sample_points(count, offset)
-    points = points[[k for k in range(count) if keep[k]] or [0]]
+    points = build_context(config).chart.sample_points(count, offset)[keep]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "CHAIN_POINTS", chunk)
+        mp.setattr(checks, "chain_points", _chunks_of(size))
         chunked = _run(config, points)
-        mp.setattr(geometry, "CHAIN_POINTS", 1)
+        mp.setattr(checks, "chain_points", _chunks_of(1))
         alone = _run(config, points)
     assert len(chunked) == len(alone) == len(points)
     for k, ((jets, residuals), (jets1, residuals1)) in enumerate(zip(chunked, alone)):
@@ -143,3 +155,17 @@ def test_bundles_read_their_chunk_without_copies(name):
         if ctx.warped is not None:
             fiber = sc.chunk.fiber.bundle(sc.row)
             assert np.shares_memory(fiber.ric.data, sc.chunk.fiber.ric.data)
+
+
+@pytest.mark.parametrize("name", ["ejiri", "basicex-n5-k2", "equiv-fail"])
+def test_a_chunk_holds_the_same_points_on_the_chart_and_the_fiber(name):
+    """The chart's dim and metric order size the chunks of the fiber batch too: sized by its own dim, ejiri's
+    dim-3 fiber would be cut unlike its dim-4 chart, and a chunk would pair rows of different points."""
+    config = RunConfig.from_dict(copy.deepcopy(EXAMPLE_CONFIGS[name]))
+    ctx = build_context(config)
+    scratches = point_scratches(ctx, ctx.chart.sample_points(config.samples, config.offset), *_orders(config))
+    chunks = list({id(sc.chunk): sc.chunk for sc in scratches}.values())
+    assert sum(len(chunk.chain.points) for chunk in chunks) == config.samples
+    for chunk in chunks:
+        assert chunk.fiber.rows == chunk.chain.rows
+        assert np.array_equal(chunk.fiber.points, chunk.chain.points[:, 1:])

@@ -69,7 +69,7 @@ def _gaps(name: str) -> dict:
     n = chart.dim
     rng = np.random.default_rng(sorted(EXAMPLE_CONFIGS).index(name))
     points = chart.sample_points(3, offset=11)
-    (chain,) = ChartBatch(chart, points, 4).chunks()
+    (chain,) = ChartBatch(chart, points, 4).chunks(len(points))
     want = _invariants(chain)
     gaps = dict.fromkeys(BOUNDS, 0.0)
     for k, c in enumerate(points):

@@ -525,13 +525,13 @@ def test_zero_rule_runs_a_product_through_its_plan_from_its_first_call(zero_rule
 
 
 def test_a_twenty_point_batch_builds_one_plan_per_chain_product(monkeypatch):
-    """ejiri's chain on 20 points runs in chunks of 8, 8 and 4 points: the chunks share one plan per product."""
+    """ejiri's chain on 20 points cut into chunks of 8, 8 and 4 points: the chunks share one plan per product."""
     ctx = build_context(RunConfig.from_dict(dict(EXAMPLE_CONFIGS["ejiri"])))
     batch = geometry.ChartBatch(ctx.chart, ctx.chart.sample_points(20), 4)
     spaces = [jet_space(ctx.chart.dim, order) for order in range(5)]
     for space in spaces:
         monkeypatch.setattr(space, "_zero_plans", {})
-    chunks = batch.chunks()
+    chunks = batch.chunks(8)
     assert [len(range(20)[c.rows]) for c in chunks] == [8, 8, 4]
     for chunk in chunks:
         chunk.cotton_divergence, chunk.weyl, chunk.efield

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from functools import cached_property
@@ -340,7 +341,52 @@ def test_r_ijkl_is_formed_at_full_order_once_per_chunk():
     assert any(order == 0 for _, order in calls)
 
 
-# Per chunk of CHAIN_POINTS points: StaticAnalyses, fiber trace-free Riccis,
+def _chunks(raw) -> int:
+    """The chunks that a suite of ``raw`` runs in: its batches of BATCH_POINTS samples, each cut by the size
+    that ``geometry.chain_points`` gives its chart's dim and the suite's metric order."""
+    config = RunConfig.from_dict(copy.deepcopy(raw))
+    dim = build_context(config).chart.dim
+    metric_order = max(CHECKS[check].metric_order for check in config.checks)
+    batches = [min(BATCH_POINTS, config.samples - start) for start in range(0, config.samples, BATCH_POINTS)]
+    return sum(math.ceil(p / geometry.chain_points(dim, metric_order, p)) for p in batches)
+
+
+def test_chunk_size_follows_the_riemann_jet():
+    """A chunk holds at most 2^17 Riemann coefficients, in a power of two of points, at least 8 and at most the
+    batch: whole batches on dims 4-5 up to metric order 3, 32 points on ejiri (dim 4, order 4), 8 on
+    basicex-n5-k2 (dim 5, order 4) and on dim 6."""
+    sizes = {}
+    for name, raw in EXAMPLE_CONFIGS.items():
+        config = RunConfig.from_dict(copy.deepcopy(raw))
+        metric_order = max(CHECKS[check].metric_order for check in config.checks)
+        sizes[name] = geometry.chain_points(build_context(config).chart.dim, metric_order, config.samples)
+    assert sizes == {"basicex-n5-k2": 8, "ejiri": 32, "ejiri-ode": 20, "equiv-fail": 30, "nonconstant-exp": 40,
+                     "sphere-s4": 40}
+    assert [geometry.chain_points(dim, 3, 64) for dim in (4, 5, 6)] == [64, 32, 8]
+    assert [geometry.chain_points(dim, 4, 64) for dim in (4, 5, 6)] == [32, 8, 8]
+    assert geometry.chain_points(12, 4, 64) == 8 and geometry.chain_points(6, 4, 3) == 3
+
+
+def test_dim6_order4_suite_peaks_below_62_mb():
+    """The 64-sample dim-6 suite of firstthm and cxi_div runs its metric-order-4 chain in chunks of 8; its second
+    run (the first builds the jet tables that the process keeps) peaks at most at 62.3 MB of traced allocations.
+    Whole batches of 64 peak near 198 MB: the scalar survey holds every chunk's chain of a batch."""
+    raw = {"space": {"kind": "sphere", "dim": 6, "radius": 1.0}, "field": {"builtin": "sphere_gradient", "axis": 1},
+           "checks": ["firstthm", "cxi_div"], "samples": 64}
+    config = RunConfig.from_dict(raw)
+    run_suite(config)
+    tracemalloc.start()
+    try:
+        report = run_suite(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.status for c in report.checks] == ["PASS", "PASS"]
+    assert peak <= 62.3e6, peak
+    assert _chunks(raw) == 8
+
+
+# Per chunk (see _chunks): StaticAnalyses, fiber trace-free Riccis,
 # vacuum-residual formations and field builds on one point's own
 # coordinates.  basicex analyses its potential h*fbar, hdot and fbar on the
 # fiber, and forms the vacuum residuals of h*fbar and of fbar; every other example analyses one
@@ -378,7 +424,7 @@ BATCHES_PER_SUITE = {
 @pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
 def test_point_values_derived_once(example_runs, name):
     _, counts = example_runs
-    chunks = math.ceil(EXAMPLE_CONFIGS[name]["samples"] / geometry.CHAIN_POINTS)
+    chunks = _chunks(EXAMPLE_CONFIGS[name])
     got = tuple(counts[kind][name] / chunks for kind in ("analyses", "fiber_ric0", "vacuum", "alone"))
     assert got == DERIVED_PER_CHUNK[name]
 
@@ -527,8 +573,9 @@ def test_batch_slices_equal_the_jets_of_a_lone_point(name):
 
 @pytest.mark.parametrize("samples", [20, 65])
 def test_christoffel_symbols_formed_once_per_chunk(monkeypatch, samples):
-    """The chain runs once for each CHAIN_POINTS points of a chart batch: ceil(P / 8) Christoffel products for
-    a batch of P points, on ejiri's chart and on its fiber chart, and none at a single point."""
+    """The chain runs once per chunk of a chart batch: ceil(P / size) Christoffel products for a batch of P
+    points (size 32 on ejiri, capped by the batch), on ejiri's chart and on its fiber chart, which the chart's
+    size cuts alike, and none at a single point."""
     calls = Counter()
     einsum = geometry.jt_einsum
 
@@ -537,9 +584,9 @@ def test_christoffel_symbols_formed_once_per_chunk(monkeypatch, samples):
         return einsum(spec, a, b)
 
     monkeypatch.setattr(geometry, "jt_einsum", counting_einsum)
-    run_suite(RunConfig.from_dict(dict(copy.deepcopy(EXAMPLE_CONFIGS["ejiri"]), samples=samples)))
-    batches = [min(BATCH_POINTS, samples - start) for start in range(0, samples, BATCH_POINTS)]
-    assert calls["pkl,pijl->pkij"] == 2 * sum(math.ceil(p / geometry.CHAIN_POINTS) for p in batches)
+    raw = dict(copy.deepcopy(EXAMPLE_CONFIGS["ejiri"]), samples=samples)
+    run_suite(RunConfig.from_dict(raw))
+    assert calls["pkl,pijl->pkij"] == 2 * _chunks(raw) == 2 * (1 if samples == 20 else 3)
     assert calls["kl,ijl->kij"] == 0
 
 
@@ -577,7 +624,8 @@ def test_domain_error_in_a_batch_fails_only_its_point(check, what):
 
 def test_a_failing_chunk_is_formed_once_then_its_points_alone(monkeypatch):
     """log(t) leaves its domain in both 8-point chunks of 16 points: the potential is built once for the batch,
-    once for each chunk, and then once at each of its points alone for both checks: a bad point keeps its error."""
+    once for each chunk, and then once at each of its points alone for both checks: a bad point keeps its error.
+    Over S^9 (dim 10, 10^4 Riemann entries a point at metric order 2) the rule cuts 16 points into two chunks."""
     sizes = []
     field = geometry.ChartBatch.field
 
@@ -588,6 +636,8 @@ def test_a_failing_chunk_is_formed_once_then_its_points_alone(monkeypatch):
     monkeypatch.setattr(geometry.ChartBatch, "field", counting_field)
     raw = _warped_over_s3([-0.3, 1], "1", ["vss_residual", "t_algebra"], potential={"potential_t": "log(t)"},
                           samples=16)
+    raw["space"]["fiber"]["dim"] = 9
+    assert _chunks(raw) == 2
     outcomes = run_suite(RunConfig.from_dict(raw)).checks
     for out in outcomes:
         assert out.status == "FAIL" and out.samples == 16 and out.reason.startswith("JetDomainError: ")
@@ -803,8 +853,8 @@ def test_generalized_defect_once_per_chunk(monkeypatch):
 
 
 def test_hessian_once_per_scalar_per_chunk(monkeypatch):
-    """On ejiri the scalars of a chunk are hdot (the potential) and phi (the field's): 10 points make a chunk of
-    8 and one of 2, each with two Hessians."""
+    """On ejiri the scalars of a chunk are hdot (the potential) and phi (the field's): 40 points make a chunk of
+    32 and one of 8, each with two Hessians."""
     calls = []
     hessian = geometry._Chain.hessian
 
@@ -813,10 +863,10 @@ def test_hessian_once_per_scalar_per_chunk(monkeypatch):
         return hessian(self, f)
 
     monkeypatch.setattr(geometry._Chain, "hessian", counting_hessian)
-    raw = dict(EXAMPLE_CONFIGS["ejiri"], samples=10)
+    raw = dict(EXAMPLE_CONFIGS["ejiri"], samples=40)
     report = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
     assert {c.status for c in report.checks} == {"PASS"}
-    assert sorted(Counter(calls).values()) == [2, 2]
+    assert sorted(Counter(calls).values()) == [2] * _chunks(raw) == [2, 2]
 
 
 # -- scalar_value: the computed R against the chart's known constant ----------------------
