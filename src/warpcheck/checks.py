@@ -441,6 +441,7 @@ class PointScratch:
     def __init__(self, chunk: ChunkScratch, row: int):
         self.ctx = chunk.ctx
         self.point = chunk.chain.points[row]
+        self.coords = tuple(self.point.tolist())  # the point as its outcomes record it
         self.chunk, self.row = chunk, row
         self.bundle = chunk.chain.bundle(row)
 
@@ -663,7 +664,7 @@ class CheckOutcome:
             out["details"] = self.details
         return out
 
-    def add(self, point: np.ndarray, residuals: dict[str, Residual]) -> None:
+    def add(self, point: tuple[float, ...], residuals: dict[str, Residual]) -> None:
         """Fold one point's residuals into the running worst case.
 
         A non-finite residual counts as an infinite relative residual, so
@@ -682,17 +683,17 @@ class CheckOutcome:
                 point_rel, point_abs = rel, residual.abs
             if self.worst_point is None or rel > self.max_rel_residual:
                 self.max_rel_residual, self.max_abs_residual = rel, residual.abs
-                self.worst_point = [float(x) for x in point]
-        self.point_rows.append((tuple(float(x) for x in point), point_abs, point_rel))
+                self.worst_point = list(point)
+        self.point_rows.append((point, point_abs, point_rel))
 
-    def add_error(self, point: np.ndarray, exc: Exception) -> None:
+    def add_error(self, point: tuple[float, ...], exc: Exception) -> None:
         """A domain or singular-metric error at a point counts as an infinite residual there."""
         self.samples += 1
-        self.point_rows.append((tuple(float(x) for x in point), math.inf, math.inf))
+        self.point_rows.append((point, math.inf, math.inf))
         self.reason = self.reason or f"{type(exc).__name__}: {exc}"
         if self.max_rel_residual < math.inf:
             self.max_rel_residual = self.max_abs_residual = math.inf
-            self.worst_point = [float(x) for x in point]
+            self.worst_point = list(point)
 
 
 @dataclass
@@ -801,9 +802,9 @@ def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> Ve
                         out.check, "SKIP", out.tolerance, reason=unmet.reason, wall_time=out.wall_time
                     )
                 except POINT_ERRORS as exc:  # the point FAILs with the message, and the run goes on
-                    out.add_error(sc.point, exc)
+                    out.add_error(sc.coords, exc)
                 else:
-                    out.add(sc.point, residuals)
+                    out.add(sc.coords, residuals)
                 out.wall_time += time.perf_counter() - start
 
     for out, spec in zip(outcomes, specs):

@@ -43,7 +43,7 @@ consecutive points of a batch (:class:`_Chain`, of :func:`chain_points` points),
 with the point axis p prefixed to every spec: the curvature chain from the
 Christoffel symbols to the Cotton divergence; dR, E and W; the Hessian, Laplacian and
 L*; the analyses of :mod:`statics` and :mod:`conformal`; and the frame
-norms, one ``matmul`` per frame of the stack and one ``vdot`` per point.
+norms, one ``matmul`` per frame of the stack and one BLAS dot per point.
 A :class:`CurvatureBundle` is one row of its chunk and reads views of it.
 A row is, bit for bit and stride for stride, the value formed at that
 point alone: jet arithmetic acts on each row alone, numpy's linalg runs one
@@ -223,9 +223,12 @@ class ChartBatch:
         return self.chart.metric_jets(self.points[rows], self.metric_order) + 0.0
 
     def inverse(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
-        points = self.points[rows]
-        where = f"at {points[0]} on {self.chart.label!r}" if len(points) == 1 else "in a batch"
-        return _inverse_metric(self.formed("g", self.metric, rows), where)
+        try:
+            return _inverse_metric(self.formed("g", self.metric, rows))
+        except SingularMetricError as exc:  # the text of a point only for its error: numpy's repr is slow
+            points = self.points[rows]
+            where = f"at {points[0]} on {self.chart.label!r}" if len(points) == 1 else "in a batch"
+            raise SingularMetricError(f"{exc} {where}") from None
 
     def field(self, builder, shape: tuple[int, ...], rows: slice) -> JetTensor:
         """A scalar (``shape`` ()) or vector (``shape`` (dim,)) field at ``rows``."""
@@ -243,19 +246,19 @@ def _rows(value, rows: slice | int):
     return JetTensor(value.space, value.data[rows]) if isinstance(value, JetTensor) else value[rows]
 
 
-def _inverse_metric(g: JetTensor, where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
+def _inverse_metric(g: JetTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray, JetTensor]:
     """(g0^-1, L, L^-1, g^-1) at each point of a (P, n, n) batch of metric jets, g0 = L L^T, with g^-1 to order
     ``g.order - 1``, the highest any contraction keeps.  A g0 that is not finite, not positive definite or has
-    cond(g0) > COND_LIMIT raises :class:`SingularMetricError`, its message ending in ``where``."""
+    cond(g0) > COND_LIMIT raises :class:`SingularMetricError`, which :meth:`ChartBatch.inverse` tells where."""
     g0 = g.value
     if not np.isfinite(g0).all():
-        raise SingularMetricError(f"metric not finite {where}")
+        raise SingularMetricError("metric not finite")
     try:
         chol = np.linalg.cholesky(g0)
     except np.linalg.LinAlgError:
-        raise SingularMetricError(f"metric not positive definite {where}") from None
+        raise SingularMetricError("metric not positive definite") from None
     if np.any(np.linalg.cond(g0) > COND_LIMIT):
-        raise SingularMetricError(f"singular metric (cond > {COND_LIMIT:g}) {where}")
+        raise SingularMetricError(f"singular metric (cond > {COND_LIMIT:g})")
     # Neumann series: with g = g0 + N, inverse = sum_j (-G0 N)^j G0,
     # exact at jet order k after k terms because N has no value part, so
     # term k runs at order k on the previous one zero-padded.

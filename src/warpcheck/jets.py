@@ -36,13 +36,15 @@ to an (entry, other index), or that einsum may coalesce into one lane axis;
 for two letters without a lane letter whose two nestings would order an
 entry's terms unlike; for two letters in operands that order their shared
 axes unlike in memory, which numpy 2.4 sums in an order of its own; and for
-a NaN or inf operand, where 0 * inf must stay NaN.  A plan is built from
-the zero masks before the product's first call, which then runs through it;
-it takes the dense output's layout from the same product on two coefficient
-pairs.  It is kept on the jet space by spec, operand layouts and zero masks:
-where the operands and the output lead with the point axis p, by the
-per-point layouts and the union of the points' masks, so that chunks of any
-number of points share it.
+a NaN or inf operand, where 0 * inf must stay NaN (gated by one sum of
+both operands, so finite ones whose sum overflows run dense too).  A plan
+is built from the zero masks before the product's first call, which then
+runs through it; it takes the dense output's layout from the same product
+on two coefficient pairs.  It is kept on the jet space by spec, operand
+layouts and zero masks: where the operands and the output lead with the
+point axis p, by the per-point layouts and the union of the points' masks
+(ORed over the points first, whole rows at a time, then over the short
+coefficient axis), so that chunks of any number of points share it.
 """
 
 from __future__ import annotations
@@ -459,7 +461,7 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
     letters, work = _zero_letters(spec, space, ad.shape[:-1], bd.shape[:-1])
     if work >= _ZERO_MIN_WORK:
         plan = _zero_plan(spec, letters, space, ad, bd)
-        if plan and np.isfinite(ad).all() and np.isfinite(bd).all():
+        if plan and math.isfinite(ad.sum() + bd.sum()):
             return JetTensor(space, _zero_product(plan, ad, bd, starts))
     return JetTensor(space, np.add.reduceat(np.einsum(_jet_spec(spec), ad[..., a_idx], bd[..., b_idx]), starts, axis=-1))
 
@@ -492,9 +494,7 @@ def _zero_plan(spec: str, letters, space: JetSpace, ad: np.ndarray, bd: np.ndarr
     """The product's plan, built before its first call: for one point where the point axis p leads and is outermost."""
     sa, sb, so, _ = letters
     lead = int(sa[:1] == sb[:1] == so[:1] == "p" and all(d.strides[0] == max(d.strides) for d in (ad, bd)))
-    nz_a, nz_b = ad.any(axis=-1), bd.any(axis=-1)
-    if lead:
-        nz_a, nz_b = nz_a.any(axis=0), nz_b.any(axis=0)
+    nz_a, nz_b = (d.any(axis=0).any(axis=-1) if lead else d.any(axis=-1) for d in (ad, bd))
     key = (spec, ad.shape[lead:], ad.strides[lead:], bd.shape[lead:], bd.strides[lead:], nz_a.tobytes(), nz_b.tobytes())
     plan = space._zero_plans.get(key)
     if plan is None:

@@ -15,7 +15,8 @@ def tensor_norm_sq(components: np.ndarray, variance: tuple[str, ...], up: np.nda
     one last; the sum of squares does not depend on the order of the axes.
     Frames of shape (P, n, n) take components with a leading point axis to
     the P norms, each with the bits of its point alone: ``matmul`` runs one
-    product per matrix of a stack, and each row is summed by its own ``vdot``.
+    product per matrix of a stack, and one more multiplies each row by itself,
+    (1, m) by (m, 1), through the BLAS dot that a lone frame's ``vdot`` calls.
     """
     s = np.asarray(components, dtype=float)
     lead = up.shape[:-2]
@@ -25,5 +26,5 @@ def tensor_norm_sq(components: np.ndarray, variance: tuple[str, ...], up: np.nda
         frame = low if flag == "l" else up
         s = s.reshape(lead + (frame.shape[-1], -1)).swapaxes(-1, -2) @ frame.swapaxes(-1, -2)
     if lead:
-        return np.array([np.vdot(row, row) for row in s])
+        return (s.reshape(lead + (1, -1)) @ s.reshape(lead + (-1, 1))).reshape(lead)
     return float(np.vdot(s, s))

@@ -13,6 +13,7 @@ from warpcheck.spaces import (
     make_hyperbolic_chart,
     make_sphere_chart,
 )
+from warpcheck.tensors import tensor_norm_sq
 from conftest import warping_derivatives
 
 
@@ -160,10 +161,10 @@ def test_batched_inverse_metric_is_each_point_alone(points, n, order, diagonal, 
         a = rng.standard_normal((points, n, n))
         data[..., 0] = a @ a.transpose(0, 2, 1) / n + 0.5 * np.eye(n)
     for _ in range(2):
-        batch = _inverse_metric(JetTensor(space, data), "")
+        batch = _inverse_metric(JetTensor(space, data))
         assert batch[3].order == order - 1
         for k in range(points):
-            alone = _inverse_metric(JetTensor(space, data[k : k + 1]), "")
+            alone = _inverse_metric(JetTensor(space, data[k : k + 1]))
             reference = _inverse_at_one_point(JetTensor(space, data[k]))
             for got, one, want in zip(batch, alone, reference):
                 if isinstance(got, JetTensor):
@@ -293,6 +294,27 @@ def test_frame_norm_matches_einsum_oracle(n, rank, seed):
         poisoned.flat[rng.integers(poisoned.size)] = bad
         with np.errstate(invalid="ignore"):
             assert not math.isfinite(b.norm(poisoned, variance))
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("points", [1, 7])
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
+def test_stacked_frame_norms_are_the_lone_frames_bit_for_bit(rank, points, transposed):
+    """tensor_norm_sq on a (P, n, n) frame stack gives the bytes of P lone-frame calls, with mixed variance,
+    components of magnitudes 1e-5 to 1e4 and a transposed (non-contiguous) component array."""
+    rng = np.random.default_rng(100 * rank + 10 * points + transposed)
+    n = 4 if rank == 4 else 6
+    a = rng.standard_normal((points, n, n))
+    chol = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + np.eye(n))
+    up, low = chol.transpose(0, 2, 1), np.linalg.inv(chol)
+    variance = tuple("lu"[k % 2] for k in rng.permutation(rank))
+    comps = rng.standard_normal((points,) + (n,) * rank) * 10.0 ** rng.uniform(-5, 4, (points,) + (1,) * rank)
+    if transposed:
+        comps = np.asfortranarray(comps)
+        assert comps.ndim - (points == 1) < 2 or not comps.flags.c_contiguous
+    got = tensor_norm_sq(comps, variance, up, low)
+    want = np.array([tensor_norm_sq(comps[k], variance, up[k], low[k]) for k in range(points)])
+    assert got.shape == (points,) and got.tobytes() == want.tobytes()
 
 
 def test_tensor_norm_op(ejiri):

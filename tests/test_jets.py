@@ -584,6 +584,46 @@ def test_zero_rule_leaves_a_non_finite_operand_to_the_dense_path(zero_rule_alway
     assert np.isnan(got.data[0, 2, 3])
 
 
+def test_zero_rule_masks_a_chunk_by_its_union_over_the_points(zero_rule_always):
+    """With p leading and outermost, a plan is keyed on each operand's mask ``any(-1).any(0)``: a jet that is
+    nonzero at one point alone, by a NaN or a last coefficient, counts, and -0.0s count as zeros; in a
+    transposed view too."""
+    rng = np.random.default_rng(21)
+    space = jets.JetSpace(3, 2)
+    a = _jets(rng, space, (3, 4, 4), np.broadcast_to(np.eye(4, dtype=bool), (3, 4, 4)), (0, 2, 1), True)
+    keep_b = rng.random((4, 4)) < 0.3
+    keep_b[0, 1] = False
+    b = _jets(rng, space, (3, 4, 4), np.broadcast_to(keep_b, (3, 4, 4)), negative_zeros=True)
+    a.data[2, 0, 1, 4] = np.nan
+    a.data[0, 3, 0, -1] = 1.0
+    b.data[1, 0, 1, -1] = 2.0
+    jt_einsum("pij,pjk->pik", a, b)
+    (key,) = space._zero_plans
+    assert key[-2:] == (a.data.any(-1).any(0).tobytes(), b.data.any(-1).any(0).tobytes())
+    assert key[-2] != a.data[0].any(-1).tobytes() and key[-1] != b.data[0].any(-1).tobytes()
+
+
+@pytest.mark.parametrize("operand", [0, 1])
+def test_zero_rule_leaves_finite_operands_whose_sum_overflows_to_the_dense_path(zero_rule_always, monkeypatch, operand):
+    """Entries near 1e308 are finite, but their sum is inf: the product runs dense and keeps its bytes."""
+    rng = np.random.default_rng(3)
+    space = jets.JetSpace(3, 2)
+    a = _jets(rng, space, (4, 4), np.eye(4, dtype=bool))
+    b = _jets(rng, space, (4, 4), np.ones((4, 4), dtype=bool))
+    planned = []
+    product = jets._zero_product
+    monkeypatch.setattr(jets, "_zero_product", lambda *args: planned.append(1) or product(*args))
+    jt_einsum("ij,jk->ik", a, b)
+    assert planned == [1]
+    big = (a, b)[operand].data
+    big[big != 0] = 1e308 * rng.uniform(0.5, 1.0, np.count_nonzero(big))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(big).all() and not np.isfinite(big.sum())
+        got = jt_einsum("ij,jk->ik", a, b)
+        want = _dense_einsum("ij,jk->ik", a, b)
+    assert _same(got, want) and planned == [1]
+
+
 def test_zero_rule_plans_are_keyed_on_the_jet_space(zero_rule_always):
     """JetSpace(4, 2) and JetSpace(2, 4) both have 15 coefficients but different pair tables."""
     wide, deep = jets.JetSpace(4, 2), jets.JetSpace(2, 4)
