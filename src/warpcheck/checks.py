@@ -52,13 +52,16 @@ from .spaces import (
 )
 from .statics import (
     StaticAnalysis,
-    equivalence_clauses,
+    assembly_premises,
+    equivalence_residuals,
     icotton_warped_residual,
     inrp_product_check,
     lgh_closed_forms,
     nonconstant_r_cotton_formulas,
     propddoth_check,
+    require_solution,
     t_potential,
+    unit_warping,
     warpedproduct3_residual,
     xicvf_residuals,
 )
@@ -383,7 +386,7 @@ class ChunkScratch:
 
     ``chains`` are the chunk's curvature on the chart and, on a warped
     space, on the fiber chart, at the highest orders any check of the suite
-    needs.  Each analysis, each value derived from them and each evaluator's
+    needs.  Each analysis, each value derived from them and each identity's
     residuals are formed at most once, for every point of the chunk.  A
     chunk that raised a point error is ``failed``, and its points are formed
     alone from then on.
@@ -393,8 +396,14 @@ class ChunkScratch:
         self.ctx = ctx
         self.chains = chains
         self.chain, self.fiber = chains[0], chains[1] if len(chains) > 1 else None
-        self.residuals: dict = {}  # by the identity that formed them
+        self._formed: dict = {}  # by the identity that formed them
         self.failed = False
+
+    def formed(self, identity: Callable[[ChunkScratch], ResidualSet]) -> ResidualSet:
+        """The residuals that ``identity`` forms for the chunk, formed on the first request."""
+        if identity not in self._formed:
+            self._formed[identity] = identity(self)
+        return self._formed[identity]
 
     @cached_property
     def conformal(self) -> ConformalAnalysis:
@@ -432,10 +441,10 @@ class ChunkScratch:
 
 
 class PointScratch:
-    """One sample point: its row of its chunk's scratch, and its bundle (the row of the chunk's chain).
+    """One sample point: its row ``row`` of its chunk's scratch.
 
-    A check's evaluator takes the scratch as its one argument and returns
-    the point's residuals, read from the chunk's.
+    A check's precondition takes the scratch as its one argument, and
+    :meth:`Check.evaluate` reads the point's residuals from the chunk's.
     """
 
     def __init__(self, chunk: ChunkScratch, row: int):
@@ -443,7 +452,6 @@ class PointScratch:
         self.point = chunk.chain.points[row]
         self.coords = tuple(self.point.tolist())  # the point as its outcomes record it
         self.chunk, self.row = chunk, row
-        self.bundle = chunk.chain.bundle(row)
 
     def split(self) -> bool:
         """After a point error in the chunk, form this point alone, as a chunk of one; False if it is one."""
@@ -453,17 +461,9 @@ class PointScratch:
         self.__init__(ChunkScratch(self.ctx, [chain.alone(self.row) for chain in self.chunk.chains]), 0)
         return True
 
-    @property
-    def warping(self) -> list[float]:
-        """h(t) and its first three derivatives at the point's t."""
-        return [value[self.row] for value in self.chunk.warping]
-
     def rows(self, identity: Callable[[ChunkScratch], ResidualSet]) -> ResidualSet:
-        """The point's residuals, of those that ``identity`` forms for its chunk on the first request."""
-        formed = self.chunk.residuals
-        if identity not in formed:
-            formed[identity] = identity(self.chunk)
-        return at_row(formed[identity], self.row)
+        """The point's residuals, of those that ``identity`` forms for its chunk."""
+        return at_row(self.chunk.formed(identity), self.row)
 
 
 def point_scratches(
@@ -498,41 +498,51 @@ def _at_point(sc: PointScratch, evaluate: Callable[[PointScratch], Any]):
         return evaluate(sc)
 
 
-# -- per-point evaluators ------------------------------------------------------------
-# The warped identities of statics take the scratch themselves, and a check
-# of one analysis method calls it from its record with the point's row; the
-# evaluators below add a precondition or name the residuals they gather.
+# -- preconditions and identities ---------------------------------------------------
+# (see Check; those of the warped products and of the potentials are in statics)
 
 
-def _eval_scalar_value(sc: PointScratch) -> ResidualSet:
-    known = sc.ctx.chart.known_scalar
-    if known is None:
+def _known_scalar(sc: PointScratch) -> None:
+    """The chart has a known scalar curvature."""
+    if sc.ctx.chart.known_scalar is None:
         raise PreconditionSkip("chart has no known scalar curvature")
-    return {"scalar": Residual(abs(sc.bundle.scalar - known), abs(known))}
 
 
-def _eval_firstthm(sc: PointScratch) -> ResidualSet:
-    cf, row = sc.chunk.conformal, sc.row
-    defect = cf.conformal_defect(row)
-    if defect.rel > 1e-7:
-        raise PreconditionSkip(f"field {cf.spec.label!r} is not conformal (residual {defect.rel:.2e})")
+def _scalar_value(ch: ChunkScratch) -> ResidualSet:
+    known = ch.ctx.chart.known_scalar
+    scalar = ch.chain.scalar_jet.value
+    return {"scalar": Residual(np.abs(scalar - known), np.full_like(scalar, abs(known)))}
+
+
+def _conformal(sc: PointScratch) -> None:
+    """The field is conformal at the point: its conformal defect is at most 1e-7."""
+    rel = sc.chunk.conformal.conformality.at(sc.row).rel
+    if rel > 1e-7:
+        raise PreconditionSkip(f"field {sc.ctx.fld.label!r} is not conformal (residual {rel:.2e})")
+
+
+def _closed(sc: PointScratch) -> None:
+    """The field is closed at the point."""
+    cf = sc.chunk.conformal
+    if not cf.is_closed[sc.row]:
+        raise PreconditionSkip(f"field {cf.spec.label!r} is not closed (defect {cf.closedness.at(sc.row).rel:.2e})")
+
+
+def _firstthm(ch: ChunkScratch) -> ResidualSet:
+    cf = ch.conformal
     return {
-        "firstthm": cf.firstthm_defect(row),
-        "phi_symmetry": cf.phi_symmetry_defect(row),
-        "trace_identity": cf.trace_identity_defect(row),
+        "firstthm": cf.firstthm_defect(),
+        "phi_symmetry": cf.phi_symmetry_defect(),
+        "trace_identity": cf.trace_identity_defect(),
     }
 
 
-def _eval_cxi(sc: PointScratch) -> ResidualSet:
-    cf, row = sc.chunk.conformal, sc.row
+def _cxi(ch: ChunkScratch) -> ResidualSet:
+    cf = ch.conformal
     return {
-        "cotton_contraction": cf.cxi_contraction_defect(row),
-        "divergence_contraction": cf.cxi_divergence_defect(row),
+        "cotton_contraction": cf.cxi_contraction_defect(),
+        "divergence_contraction": cf.cxi_divergence_defect(),
     }
-
-
-def _eval_equiv(sc: PointScratch) -> ResidualSet:
-    return {key: Residual(value) for key, value in equivalence_clauses(sc).items()}
 
 
 def _equiv_verdict(out: CheckOutcome) -> None:
@@ -555,10 +565,13 @@ def _equiv_verdict(out: CheckOutcome) -> None:
 class Check:
     """Everything the suite runner knows about one check id.
 
-    ``evaluate`` takes one point's :class:`PointScratch` and returns the
-    check's named residuals there.  ``order`` is the jet order of the point bundle's coordinates and fields
-    the evaluator needs, ``metric_order`` (default ``order``) that of its
-    metric and curvature, and ``fiber_order`` that of the fiber bundle.
+    ``identity`` takes a :class:`ChunkScratch` and forms the check's named
+    residuals at every point of the chunk; ``precondition``, if set, takes
+    one point's :class:`PointScratch` and raises :class:`PreconditionSkip`
+    there, before the identity forms anything, where the identity does not
+    apply.  ``order`` is the jet order of the coordinates and fields
+    the identity needs, ``metric_order`` (default ``order``) that of its
+    metric and curvature, and ``fiber_order`` that of the fiber chain.
     ``metric_order`` is below ``order`` where a field is differentiated
     more often than the metric.  ``needs`` names the context
     the check cannot run without: ``warped``, ``potential``, ``field`` and
@@ -569,8 +582,9 @@ class Check:
     description: str
     tolerance: float
     order: int
-    evaluate: Callable[[PointScratch], ResidualSet]
+    identity: Callable[[ChunkScratch], ResidualSet]
     needs: frozenset[str]
+    precondition: Callable[[PointScratch], None] | None = None
     fiber_order: int = 2
     settle: Callable[[CheckOutcome], None] | None = None
     metric_order: int | None = None
@@ -579,12 +593,18 @@ class Check:
         if self.metric_order is None:
             object.__setattr__(self, "metric_order", self.order)
 
+    def evaluate(self, sc: PointScratch) -> ResidualSet:
+        """The check's residuals at the point of ``sc``, once its precondition holds there."""
+        if self.precondition is not None:
+            self.precondition(sc)
+        return sc.rows(self.identity)
+
 
 CHECKS: dict[str, Check] = {
     "scalar_value": Check("scalar curvature R equals the chart's known scalar curvature",
-        1e-10, 2, _eval_scalar_value, frozenset()),
+        1e-10, 2, _scalar_value, frozenset(), _known_scalar),
     "vss_residual": Check("vacuum static equation: full, trace, and trace-free residuals",
-        1e-8, 2, lambda sc: sc.chunk.static.vacuum_residuals(sc.row), frozenset({"potential"})),
+        1e-8, 2, lambda ch: ch.static.vacuum, frozenset({"potential"})),
     # L* f reads the metric twice differentiated, through Ricci
     "lgh_forms": Check("closed forms of L* on warped products (all slots + warped Laplacian)",
         1e-8, 3, lgh_closed_forms, frozenset({"warped"}), metric_order=2),
@@ -592,39 +612,42 @@ CHECKS: dict[str, Check] = {
         1e-8, 3, warpedproduct3_residual, frozenset({"warped", "constant_r"})),
     "icotton_zero": Check("i_{d/dt} C = 0 on constant-scalar warped products",
         1e-8, 3, icotton_warped_residual, frozenset({"warped", "constant_r"})),
-    # the fiber's Cotton tensor takes a third-order fiber bundle
+    # the fiber's Cotton tensor takes a third-order fiber chain
     "nein3_forms": Check("explicit warped Cotton components (nonconstant scalar allowed)",
         1e-7, 3, nonconstant_r_cotton_formulas, frozenset({"warped"}), fiber_order=3),
     "t_algebra": Check("T-tensor antisymmetry, cyclic sum, and traces",
-        1e-10, 2, lambda sc: sc.chunk.static.t_algebra(sc.row), frozenset({"potential"})),
+        1e-10, 2, lambda ch: ch.static.t_algebra(), frozenset({"potential"})),
     "tfe_identity": Check("contraction identity E_ik T_ijk f_j = (n-2)/(2(n-1)) |T|^2",
-        1e-7, 2, lambda sc: {"tfe": sc.chunk.static.tfe_defect(sc.row)}, frozenset({"potential"})),
+        1e-7, 2, lambda ch: {"tfe": ch.static.tfe_defect()}, frozenset({"potential"}),
+        require_solution("E-T contraction identity")),
     "decompose_ids": Check("curvature decomposition identities for generalized solutions",
-        1e-7, 3, lambda sc: sc.chunk.static.decompose_residuals(sc.row), frozenset({"potential"})),
+        1e-7, 3, lambda ch: ch.static.decompose_residuals(), frozenset({"potential"}),
+        require_solution("decomposition identities")),
     "xicvf_forms": Check("two contraction formulas tying f, phi, P, and C(.,xi,.)",
-        1e-6, 3, xicvf_residuals, frozenset({"potential", "field"})),
+        1e-6, 3, xicvf_residuals, frozenset({"potential", "field"}),
+        require_solution("conformal-field contraction identities")),
     "propddoth": Check("h*fbar assembly: fiber + warping equations imply the total equation",
-        1e-8, 2, propddoth_check, frozenset({"warped"})),
+        1e-8, 2, propddoth_check, frozenset({"warped"}), assembly_premises),
     "inrp": Check("product criterion: f'' + Rbar f/(n-1) = 0 over an Einstein fiber",
-        1e-8, 2, inrp_product_check, frozenset({"warped"})),
+        1e-8, 2, inrp_product_check, frozenset({"warped"}), unit_warping),
     # the metric enters through Cotton, three derivatives deep; the field jets keep
     # order 4 because the sphere-gradient builder loses one order
     "firstthm": Check("L* phi = Phi for the characteristic function of a conformal field",
-        1e-7, 4, _eval_firstthm, frozenset({"field"}), metric_order=3),
+        1e-7, 4, _firstthm, frozenset({"field"}), _conformal, metric_order=3),
     "ixi_cotton": Check("i_xi C formula (general form; closed reduction when applicable)",
-        1e-7, 4, lambda sc: sc.chunk.conformal.ixi_cotton_defect(sc.row), frozenset({"field"}), metric_order=3),
+        1e-7, 4, lambda ch: ch.conformal.ixi_cotton_defect(), frozenset({"field"}), metric_order=3),
     "cxi_div": Check("Xi_ik xi^i = 0 for closed fields with constant scalar curvature",
-        1e-6, 4, _eval_cxi, frozenset({"field", "constant_r"})),
+        1e-6, 4, _cxi, frozenset({"field", "constant_r"}), _closed),
     "equiv_chain": Check("joint verdict of the four warped vacuum-static equivalence clauses",
-        1e-6, 3, _eval_equiv, frozenset({"warped"}), settle=_equiv_verdict),
+        1e-6, 3, equivalence_residuals, frozenset({"warped"}), settle=_equiv_verdict),
     "closed_cvf": Check("nabla P and div P identities; (a) nabla xi = phi I, (d) R(.,xi) and "
         "(e) Ric(xi) = -(n-1) grad phi are reported only when the field is closed",
-        1e-8, 3, lambda sc: sc.chunk.conformal.closed_identities(sc.row), frozenset({"field"})),
+        1e-8, 3, lambda ch: ch.conformal.closed_identities(), frozenset({"field"})),
 }
 
-# A view, not a second table: run_suite looks its evaluator up here at call
-# time, so a wrapper set into this dict (a tracer, a residual guard) is the
-# one that runs.
+# A view, not a second table: run_suite looks a check's evaluate up here at
+# call time, so a wrapper set into this dict (a tracer, a residual guard) is
+# the one that runs.
 _EVALUATORS = {name: c.evaluate for name, c in CHECKS.items()}
 
 
@@ -732,7 +755,7 @@ def _scalar_survey(scratches: deque[PointScratch]) -> tuple[bool, float, float]:
     values = []
     for sc in scratches:
         try:
-            value = sc.bundle.scalar
+            value = _at_point(sc, lambda sc: float(sc.chunk.chain.scalar_jet.value[sc.row]))
         except POINT_ERRORS:
             continue  # the checks evaluated at this point report the error
         if math.isfinite(value):  # else they FAIL there as non-finite
@@ -750,7 +773,7 @@ def run_suite(config: RunConfig, point_override: np.ndarray | None = None) -> Ve
 
     Points run outside and checks inside, so every check at a point shares
     that point's :class:`PointScratch`.  A check's ``wall_time`` is the
-    time of its own evaluator calls, which includes whatever shared
+    time of its own evaluate calls, which includes whatever shared
     curvature it is the first to need.
     """
     ctx = build_context(config)

@@ -131,7 +131,7 @@ def _cmd_example(args) -> int:
 
 def _run_and_emit(raw: dict, args) -> int:
     try:
-        if getattr(args, "samples", None) is not None:
+        if getattr(args, "samples", None) is not None and isinstance(raw, dict):  # RunConfig rejects the rest
             raw = dict(raw, samples=args.samples)
         config = RunConfig.from_dict(raw)
         point = None

@@ -15,13 +15,14 @@ come from a :class:`~warpcheck.statics.StaticAnalysis` of phi, as f's do.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .jets import JetTensor, jt_einsum
-from .residuals import PreconditionSkip, Residual, ResidualSet, at_row
+from .residuals import Residual, ResidualSet
 from .spaces import ConformalFieldSpec, StaticPotentialSpec, space_form, sphere_height_potential
 from .statics import StaticAnalysis
 
@@ -41,8 +42,9 @@ CLOSED_REL_TOL = 1e-9
 
 class ConformalAnalysis:
     """Analysis of one conformal field at the points of a chunk of one chart, as jets with the chunk's point axis
-    p (see the Batch rule of :mod:`geometry`).  A residual method forms the chunk's residuals on its first call
-    and returns those of the point ``row``; a closed field's identities are reported where the field is closed."""
+    p (see the Batch rule of :mod:`geometry`).  A residual method forms the residuals of every point of the chunk,
+    and the defects that the preconditions read are cached; a closed field's identities are reported where the
+    field is closed."""
 
     def __init__(self, chain: _Chain, xi: ConformalFieldSpec):
         self.chain = chain
@@ -125,72 +127,51 @@ class ConformalAnalysis:
 
     # -- scalar diagnostics -------------------------------------------------
 
-    def conformal_defect(self, row: int) -> Residual:
-        """|| xi^b_{i,j} + xi^b_{j,i} - 2 phi g_ij ||."""
-        return self._conformal.at(row)
-
     @cached_property
-    def _conformal(self) -> Residual:
+    def conformality(self) -> Residual:
+        """|| xi^b_{i,j} + xi^b_{j,i} - 2 phi g_ij ||."""
         c = self.chain
         sym = self.dxi_flat + self.dxi_flat.transpose("pjk->pkj")
         resid = sym - jt_einsum("p,pij->pij", self.phi.truncate(0), c.g) * 2.0
         scale = c.norm(self.dxi_flat.value, ("l", "l"))
         return Residual(c.norm(resid.value, ("l", "l")), 2.0 * scale)
 
-    def closedness_defect(self, row: int) -> Residual:
-        return self._closedness.at(row)
-
     @cached_property
-    def _closedness(self) -> Residual:
+    def closedness(self) -> Residual:
+        """|| P ||, on the scale of || dxi^b ||."""
         c = self.chain
         return Residual(c.norm(self.p.value, ("l", "l")), c.norm(self.dxi_flat.value, ("l", "l")))
 
     @cached_property
     def is_closed(self) -> np.ndarray:
         """Whether the field is closed, at each point of the chunk."""
-        return self._closedness.rel < CLOSED_REL_TOL
+        return self.closedness.rel < CLOSED_REL_TOL
 
     # -- identities -----------------------------------------------------------
 
-    def closed_identities(self, row: int) -> ResidualSet:
+    def closed_identities(self) -> ResidualSet:
         """Residuals (a)-(e) of the closed/general conformal-field identities.
 
-        (a) and (d)/(e) assume a closed field and are reported only where the
-        closedness defect passes; (b) and (c) hold for any conformal field.
+        (a) and (d)/(e) assume a closed field and are formed only where some
+        point of the chunk is closed, and reported only there; (b) and (c)
+        hold for any conformal field.
         """
-        out = at_row(self._general_cvf, row)
-        if self.is_closed[row]:
-            out.update(at_row(self._closed_cvf, row))
-        return out
-
-    @cached_property
-    def _rxi_gphi(self) -> tuple[JetTensor, JetTensor, np.ndarray, JetTensor]:
-        """R^l_ijk xi^b_l, g_ij phi_k, the scale of (b) and (d), and R_kl xi^l."""
-        c = self.chain
-        rxi = jt_einsum("plijk,pl->pijk", c.riemann13, self.xi_flat.truncate(0))
-        gphi = jt_einsum("pij,pk->pijk", c.g, self.phi_analysis.df)
-        scale = c.norm(rxi.value, ("l",) * 3) + c.norm(gphi.value, ("l",) * 3)
-        return rxi, gphi, scale, jt_einsum("pkl,pl->pk", c.ric, self.xi.truncate(0))
-
-    @cached_property
-    def _general_cvf(self) -> ResidualSet:
         c = self.chain
         dphi = self.phi_analysis.df
-        rxi, gphi, scale, ric_xi = self._rxi_gphi
+        rxi = jt_einsum("plijk,pl->pijk", c.riemann13, self.xi_flat.truncate(0))
+        gphi = jt_einsum("pij,pk->pijk", c.g, dphi)
+        scale = c.norm(rxi.value, ("l",) * 3) + c.norm(gphi.value, ("l",) * 3)
+        ric_xi = jt_einsum("pkl,pl->pk", c.ric, self.xi.truncate(0))
         # (b) general: R^l_ijk xi^b_l = g_ij phi_k - g_ik phi_j - P_jk,i
         rhs = gphi - gphi.transpose("pijk->pikj") - self.dp.transpose("pjki->pijk")
         # (c) divergence: g^ij P_jk,i = R_kl xi^l + (n-1) phi_k
         rhs_c = ric_xi + (self.n - 1.0) * dphi
-        return {
+        out = {
             "nabla_p": Residual(c.norm(rxi.value - rhs.value, ("l",) * 3), scale),
             "div_p": c.defect(self.div_p.value, rhs_c.value, ("l",)),
         }
-
-    @cached_property
-    def _closed_cvf(self) -> ResidualSet:
-        c = self.chain
-        dphi = self.phi_analysis.df
-        rxi, gphi, scale, ric_xi = self._rxi_gphi
+        if not self.is_closed.any():
+            return out
         # (a) nabla_i xi^j = phi delta^j_i
         dxi_vec = c.covariant_derivative(self.xi.truncate(1), ("u",))
         eye = JetTensor.const(dxi_vec.space, np.eye(self.n))
@@ -199,12 +180,14 @@ class ConformalAnalysis:
         resid_d = rxi - gphi + gphi.transpose("pijk->pikj")
         # (e) Ric(xi) + (n-1) grad phi = 0
         resid_e = ric_xi + (self.n - 1.0) * dphi
-        return {
-            "nabla_xi": Residual(c.norm(resid_a.value, ("u", "l")), c.norm(dxi_vec.value, ("u", "l"))),
-            "curvature_xi": Residual(c.norm(resid_d.value, ("l",) * 3), scale),
+        closed = self.is_closed
+        return out | {
+            "nabla_xi": Residual(c.norm(resid_a.value, ("u", "l")), c.norm(dxi_vec.value, ("u", "l")), closed),
+            "curvature_xi": Residual(c.norm(resid_d.value, ("l",) * 3), scale, closed),
             "ric_xi": Residual(
                 c.norm(resid_e.value, ("l",)),
                 c.norm(ric_xi.value, ("l",)) + (self.n - 1.0) * c.norm(dphi.value, ("l",)),
+                closed,
             ),
         }
 
@@ -219,29 +202,17 @@ class ConformalAnalysis:
         ) * (-1.0 / (2.0 * (n - 1.0)))
         return term1 + term2 + self.ginv_d2p.transpose("pki->pik") + self.ric_p_up
 
-    def firstthm_defect(self, row: int) -> Residual:
+    def firstthm_defect(self) -> Residual:
         """|| L*_g phi - Phi ||, the pointwise defect of the main identity."""
-        return self._firstthm.at(row)
-
-    @cached_property
-    def _firstthm(self) -> Residual:
         return self.chain.defect(self.phi_analysis.lstar_f.value, self.phi_tensor_jets.value, ("l", "l"))
 
-    def phi_symmetry_defect(self, row: int) -> Residual:
-        return self._phi_symmetry.at(row)
-
-    @cached_property
-    def _phi_symmetry(self) -> Residual:
+    def phi_symmetry_defect(self) -> Residual:
         phi_t = self.phi_tensor_jets
         resid = phi_t - phi_t.transpose("pik->pki")
         return Residual(self.chain.norm(resid.value, ("l", "l")), self.chain.norm(phi_t.value, ("l", "l")))
 
-    def trace_identity_defect(self, row: int) -> Residual:
+    def trace_identity_defect(self) -> Residual:
         """Delta phi + R phi/(n-1) + xi(R)/(2(n-1)) = 0."""
-        return self._trace_identity.at(row)
-
-    @cached_property
-    def _trace_identity(self) -> Residual:
         c = self.chain
         n = self.n
         lap = self.phi_analysis.lap
@@ -249,7 +220,7 @@ class ConformalAnalysis:
         scale = np.abs(lap.value) + np.abs(c.scalar_jet.value * self.phi.value / (n - 1.0))
         return Residual(np.abs(resid.value), scale)
 
-    def ixi_cotton_defect(self, row: int) -> ResidualSet:
+    def ixi_cotton_defect(self) -> ResidualSet:
         """Residuals of i_xi C = dR wedge xi^b /(2(n-1)) - d delta d xi^b/2 + Ric(d xi^b).
 
         'general' checks the full coordinate identity
@@ -257,19 +228,6 @@ class ConformalAnalysis:
                      + P_ij,ik - P_ik,ij + R_kl P_lj + P_kl R_lj;
         'closed_form' drops the P terms and is reported only where the field is closed.
         """
-        out = {"general": self._ixi_cotton[2].at(row)}
-        if self.is_closed[row]:
-            out["closed_form"] = self._ixi_closed.at(row)
-        return out
-
-    @cached_property
-    def _ixi_closed(self) -> Residual:
-        lhs, dr_xi, _ = self._ixi_cotton
-        return self.chain.defect(lhs, dr_xi.value, ("l", "l"))
-
-    @cached_property
-    def _ixi_cotton(self) -> tuple[np.ndarray, JetTensor, Residual]:
-        """i_xi C, dR wedge xi^b /(2(n-1)) and the general residual."""
         c = self.chain
         lhs = self.cotton_xi.value
         wedge = jt_einsum("pj,pk->pjk", c.dscalar, self.xi_flat.truncate(0))
@@ -279,28 +237,19 @@ class ConformalAnalysis:
         rhs = rhs + self.ric_p_up.transpose("pkj->pjk")
         ric_up = jt_einsum("pab,pbj->paj", c.ginv, c.ric.truncate(0))
         rhs = rhs + jt_einsum("pka,paj->pjk", self.p, ric_up)
-        return lhs, dr_xi, c.defect(lhs, rhs.value, ("l", "l"))
+        out = {"general": c.defect(lhs, rhs.value, ("l", "l"))}
+        if self.is_closed.any():
+            out["closed_form"] = replace(c.defect(lhs, dr_xi.value, ("l", "l")), where=self.is_closed)
+        return out
 
-    def cxi_contraction_defect(self, row: int) -> Residual:
+    def cxi_contraction_defect(self) -> Residual:
         """|| C_ijk xi^i || (vanishes for closed fields with constant R)."""
-        return self._cxi_contraction.at(row)
-
-    @cached_property
-    def _cxi_contraction(self) -> Residual:
         c = self.chain
         scale = c.norm(c.cotton.value, ("l",) * 3) * c.norm(self.xi.value, ("u",))
         return Residual(c.norm(self.cotton_xi.value, ("l", "l")), scale)
 
-    def cxi_divergence_defect(self, row: int) -> Residual:
+    def cxi_divergence_defect(self) -> Residual:
         """|| Xi_ik xi^i || with Xi the Cotton divergence."""
-        if not self.is_closed[row]:
-            raise PreconditionSkip(
-                f"field {self.spec.label!r} is not closed (defect {self.closedness_defect(row).rel:.2e})"
-            )
-        return self._cxi_divergence.at(row)
-
-    @cached_property
-    def _cxi_divergence(self) -> Residual:
         c = self.chain
         contracted = jt_einsum("pik,pi->pk", c.cotton_divergence, self.xi)
         scale = c.norm(c.cotton_divergence.value, ("l", "l")) * c.norm(self.xi.value, ("u",))

@@ -44,7 +44,7 @@ with the point axis p prefixed to every spec: the curvature chain from the
 Christoffel symbols to the Cotton divergence; dR, E and W; the Hessian, Laplacian and
 L*; the analyses of :mod:`statics` and :mod:`conformal`; and the frame
 norms, one ``matmul`` per frame of the stack and one BLAS dot per point.
-A :class:`CurvatureBundle` is one row of its chunk and reads views of it.
+A lone :class:`CurvatureBundle` is the one row of its own chunk.
 A row is, bit for bit and stride for stride, the value formed at that
 point alone: jet arithmetic acts on each row alone, numpy's linalg runs one
 LAPACK call per matrix of a stack, and the point axis is the outermost of
@@ -53,9 +53,9 @@ point alone, and the zero rule's plan sums each entry in the dense order.
 A formation of the batch that raises a point error (:class:`JetDomainError`
 or :class:`SingularMetricError`) is formed again for each chunk; a chunk
 that raises is formed again as chunks of one point, each of which raises
-its own error (:meth:`CurvatureBundle.read`, and ``PointScratch.split`` of
-:mod:`checks` for the analyses).  A chunk or point that raised raises the
-same error again without forming it again (:meth:`ChartBatch.formed`).
+its own error (``PointScratch.split`` of :mod:`checks`).  A chunk or
+point that raised raises the same error again without forming it again
+(:meth:`ChartBatch.formed`).
 """
 
 from __future__ import annotations
@@ -308,7 +308,8 @@ def _row_of(name: str) -> cached_property:
 
 
 class CurvatureBundle:
-    """All curvature data of one chart at one point, as jets: its row of a chunk (:class:`_Chain`), read as views.
+    """All curvature data of one chart at one point, as jets: the one row of its own chunk (:class:`_Chain`), read
+    as views.
 
     ``order`` is the jet order of the coordinates and of every field
     evaluated on them (``space``).  ``metric_order`` (default ``order``) is
@@ -329,41 +330,22 @@ class CurvatureBundle:
         self.metric_order = order if metric_order is None else metric_order
         self.dim = chart.dim
         self.space = jet_space(chart.dim, order)
-        self._row = 0
 
     @cached_property
     def _chain(self) -> _Chain:
-        """A bundle made alone is the one row of its own chunk; :meth:`_Chain.bundle` makes one a row of a shared
-        chunk."""
+        """The point's own chunk, of this one point."""
         return ChartBatch(self.chart, self.point[None], self.order, self.metric_order).chunks(1)[0]
 
     def read(self, get: Callable[[_Chain], Any]):
-        """This point's row of ``get`` of its chunk, as views.  Where the chunk raises a point error, the point is
-        formed again alone, as a chunk of one, which raises its own."""
-        try:
-            value = get(self._chain)
-        except POINT_ERRORS:
-            if len(self._chain.points) == 1:
-                raise
-            self._chain, self._row = self._chain.alone(self._row), 0
-            value = get(self._chain)
-        return _rows(value, self._row)
+        """This point's row of ``get`` of its chunk, as views."""
+        return _rows(get(self._chain), 0)
 
     # -- metric ----------------------------------------------------------
 
     g = _row_of("g")
     g0 = _row_of("g0")
-
-    @cached_property
-    def ginv0(self) -> np.ndarray:
-        """The inverse of g0; a metric that is not finite or not usably positive definite raises here."""
-        return self.read(operator.attrgetter("ginv0"))
-
-    @cached_property
-    def frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L^T, L^-1) with g0 = L L^T: they take a contravariant and a covariant index to an orthonormal frame."""
-        return self.read(operator.attrgetter("frame"))
-
+    ginv0 = _row_of("ginv0")
+    frame = _row_of("frame")
     ginv = _row_of("ginv")
 
     # -- connection and curvature ----------------------------------------
@@ -452,11 +434,6 @@ class _Chain(CurvatureBundle):
         start = self.rows.start + row
         return _Chain(self.batch, slice(start, start + 1))
 
-    def bundle(self, row: int) -> CurvatureBundle:
-        b = CurvatureBundle(self.batch.chart, self.points[row], self.batch.order, self.batch.metric_order)
-        b._chain, b._row = self, row
-        return b
-
     @cached_property
     def g(self) -> JetTensor:
         return self.batch.formed("g", self.batch.metric, self.rows)
@@ -471,10 +448,12 @@ class _Chain(CurvatureBundle):
 
     @cached_property
     def ginv0(self) -> np.ndarray:
+        """The inverse of g0; a metric that is not finite or not usably positive definite raises here."""
         return self._inverse[0]
 
     @cached_property
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L^T, L^-1) with g0 = L L^T: they take a contravariant and a covariant index to an orthonormal frame."""
         _, chol, chol_inv, _ = self._inverse
         return chol.transpose(0, 2, 1), chol_inv
 

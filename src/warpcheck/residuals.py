@@ -5,12 +5,16 @@ scale of the terms that entered it; the relative residual abs/(1+scale) is
 what gets compared against tolerances, so identities between large tensors
 and identities between near-zero tensors are judged on the same footing.
 The analyses form them for a chunk of points at once, as arrays with one
-entry per point, and each point reads its own row as floats.
+entry per point, and each point reads its own row as floats.  A residual
+that holds only at some points (a closed field's) carries the mask of those
+points, ``where``, and the other points' rows leave it out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["Residual", "ResidualSet", "PreconditionSkip", "at_row"]
 
@@ -27,6 +31,7 @@ class PreconditionSkip(Exception):
 class Residual:
     abs: float
     scale: float = 0.0
+    where: np.ndarray | None = None
 
     @property
     def rel(self) -> float:
@@ -41,5 +46,5 @@ ResidualSet = dict[str, Residual]
 
 
 def at_row(residuals: ResidualSet, row: int) -> ResidualSet:
-    """Point ``row``'s residuals, of a set over a chunk's points."""
-    return {name: residual.at(row) for name, residual in residuals.items()}
+    """Point ``row``'s residuals, of a set over a chunk's points: each but those whose ``where`` leaves it out."""
+    return {name: r.at(row) for name, r in residuals.items() if r.where is None or r.where[row]}

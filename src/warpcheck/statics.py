@@ -12,7 +12,6 @@ criterion, and the two conformal-field contraction formulas.
 
 from __future__ import annotations
 
-import functools
 import math
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -22,7 +21,7 @@ import numpy as np
 from . import tensors
 from .dsl import ExprAst, eval_expr
 from .jets import JetTensor, jt_einsum
-from .residuals import PreconditionSkip, Residual, ResidualSet, at_row
+from .residuals import PreconditionSkip, Residual, ResidualSet
 from .spaces import StaticPotentialSpec
 
 if TYPE_CHECKING:
@@ -34,10 +33,13 @@ __all__ = [
     "lgh_closed_forms",
     "icotton_warped_residual",
     "warpedproduct3_residual",
-    "equivalence_clauses",
+    "equivalence_residuals",
     "nonconstant_r_cotton_formulas",
     "propddoth_check",
+    "assembly_premises",
     "inrp_product_check",
+    "unit_warping",
+    "require_solution",
     "t_potential",
     "xicvf_residuals",
     "fiber_ric0",
@@ -49,8 +51,8 @@ SOLUTION_REL_TOL = 1e-6
 
 class StaticAnalysis:
     """Residuals of one potential at the points of a chunk, as jets with its point axis p (see the Batch rule of
-    :mod:`geometry`); ``f`` is its jet there if formed already.  A residual method forms the chunk's residuals on
-    its first call and returns those of the point ``row``, after that point's precondition holds."""
+    :mod:`geometry`); ``f`` is its jet there if formed already.  A residual method forms the residuals of every
+    point of the chunk; the sets that several checks read are cached."""
 
     def __init__(self, chain: _Chain, potential: StaticPotentialSpec, f: JetTensor | None = None):
         self.chain = chain
@@ -96,12 +98,9 @@ class StaticAnalysis:
 
     # -- vacuum static equation ------------------------------------------
 
-    def vacuum_residuals(self, row: int) -> ResidualSet:
-        """The full, trace and trace-free residuals."""
-        return at_row(self._vacuum, row)
-
     @cached_property
-    def _vacuum(self) -> ResidualSet:
+    def vacuum(self) -> ResidualSet:
+        """The full, trace and trace-free residuals."""
         c = self.chain
         n = self.n
         scale2 = c.norm(self.hess.value, ("l", "l")) + np.abs(self.lap.value)
@@ -118,23 +117,12 @@ class StaticAnalysis:
         out["trace_free"] = Residual(c.norm(tf.value, ("l", "l")), scale2)
         return out
 
-    def generalized_defect(self) -> Residual:
-        """Residual of Hess f + R f g/(n(n-1)) = (f+a) E + b g, at every point of the chunk."""
+    @cached_property
+    def solution_defect(self) -> Residual:
+        """Residual of the generalized equation Hess f + R f g/(n(n-1)) = (f+a) E + b g."""
         c = self.chain
         rhs = jt_einsum("p,pij->pij", self.f_plus_a, c.efield) + JetTensor.const(c.space, self.potential.b * c.g0)
         return c.defect(self.generalized_lhs.value, rhs.value, ("l", "l"))
-
-    @cached_property
-    def _solution_defect(self) -> Residual:
-        return self.generalized_defect()
-
-    def require_solution(self, what: str, row: int) -> None:
-        rel = self._solution_defect.rel[row]
-        if rel > SOLUTION_REL_TOL:
-            raise PreconditionSkip(
-                f"{what}: potential {self.potential.label!r} does not solve the "
-                f"generalized equation here (residual {rel:.2e})"
-            )
 
     # -- T tensor -----------------------------------------------------------
 
@@ -147,11 +135,7 @@ class StaticAnalysis:
         term2 = jt_einsum("pik,pj->pijk", c.g, ef) - jt_einsum("pij,pk->pijk", c.g, ef)
         return term1 * ((n - 1.0) / (n - 2.0)) + term2 * (1.0 / (n - 2.0))
 
-    def t_algebra(self, row: int) -> ResidualSet:
-        return at_row(self._t_algebra, row)
-
-    @cached_property
-    def _t_algebra(self) -> ResidualSet:
+    def t_algebra(self) -> ResidualSet:
         c = self.chain
         t = self.t_jets
         tnorm = c.norm(t.value, ("l",) * 3)
@@ -168,12 +152,7 @@ class StaticAnalysis:
 
     # -- decomposition identities --------------------------------------------
 
-    def decompose_residuals(self, row: int) -> ResidualSet:
-        self.require_solution("decomposition identities", row)
-        return at_row(self._decompose, row)
-
-    @cached_property
-    def _decompose(self) -> ResidualSet:
+    def decompose_residuals(self) -> ResidualSet:
         c = self.chain
         n = self.n
         fa_c = jt_einsum("p,pijk->pijk", self.f_plus_a, c.cotton)
@@ -187,13 +166,8 @@ class StaticAnalysis:
             "cotton_decomposition": c.defect(fa_c.value, rhs2.value, ("l",) * 3),
         }
 
-    def tfe_defect(self, row: int) -> Residual:
+    def tfe_defect(self) -> Residual:
         """E_ik T_ijk f_j = (n-2)/(2(n-1)) ||T||^2."""
-        self.require_solution("E-T contraction identity", row)
-        return self._tfe.at(row)
-
-    @cached_property
-    def _tfe(self) -> Residual:
         c = self.chain
         n = self.n
         e_up = c.ginv0 @ c.efield.value @ c.ginv0
@@ -230,27 +204,13 @@ def t_potential(ast: ExprAst, label: str, a: float = 0.0, b: float = 0.0) -> Sta
     return StaticPotentialSpec(label=label, builder=lambda coords: eval_expr(ast, coords[0]), a=a, b=b, of_t=True)
 
 
-# The identities below are check evaluators.  Each takes one sample point's
-# scratch ``sc`` and returns the point's residuals, its row of those of the
-# point's chunk, which are formed once from what the chunk's checks share
-# (``ChunkScratch``): the total-space chain (of order >= 3 wherever the
-# Cotton tensor enters), the analyses on it, the fiber chain at the fiber
-# coordinates, and the warping's one-variable jets at each t.  None of them
-# builds a bundle.  A precondition is tested at the point, before the chunk
-# forms what it guards.
+# The identities and preconditions below are those of checks (``checks.Check``).
+# An identity reads what the checks of a chunk ``ch`` share: the total-space
+# chain (of order >= 3 wherever the Cotton tensor enters), the analyses on it,
+# the fiber chain at the fiber coordinates, and the warping's one-variable
+# jets at each t.
 
 
-def _per_chunk(identity: Callable[[ChunkScratch], ResidualSet]) -> Callable[[PointScratch], ResidualSet]:
-    """The evaluator of ``identity``, which forms a chunk's residuals."""
-
-    @functools.wraps(identity)
-    def at_point(sc: PointScratch) -> ResidualSet:
-        return sc.rows(identity)
-
-    return at_point
-
-
-@_per_chunk
 def lgh_closed_forms(ch: ChunkScratch) -> ResidualSet:
     """Slot-by-slot residuals between generic L*_g f and the warped closed forms.
 
@@ -302,14 +262,12 @@ def lgh_closed_forms(ch: ChunkScratch) -> ResidualSet:
     return out
 
 
-@_per_chunk
 def icotton_warped_residual(ch: ChunkScratch) -> ResidualSet:
     """|| i_{d/dt} C || at the point (zero when the scalar curvature is constant)."""
     c = ch.chain
     return {"icotton": Residual(c.norm(c.cotton.value[:, 0], ("l", "l")), c.norm(c.cotton.value, ("l",) * 3))}
 
 
-@_per_chunk
 def warpedproduct3_residual(ch: ChunkScratch) -> ResidualSet:
     """Residual of L*_g hdot = -C(., xi, .) for xi = h d/dt, so that C(., xi, .) = h C(., d/dt, .)."""
     c = ch.chain
@@ -317,12 +275,8 @@ def warpedproduct3_residual(ch: ChunkScratch) -> ResidualSet:
     return {"wp3": c.defect(ch.hdot.lstar_f.value, rhs, ("l", "l"))}
 
 
-def equivalence_clauses(sc: PointScratch) -> dict[str, float]:
-    """The four clause magnitudes of the warped vacuum-static equivalence chain."""
-    return {name: residual.abs for name, residual in sc.rows(_equivalence_clauses).items()}
-
-
-def _equivalence_clauses(ch: ChunkScratch) -> ResidualSet:
+def equivalence_residuals(ch: ChunkScratch) -> ResidualSet:
+    """The four clause magnitudes of the warped vacuum-static equivalence chain, each of scale 0."""
     c = ch.chain
     clauses = {
         "lstar_hdot": c.norm(ch.hdot.lstar_f.value, ("l", "l")),
@@ -333,7 +287,6 @@ def _equivalence_clauses(ch: ChunkScratch) -> ResidualSet:
     return {name: Residual(value, np.zeros_like(value)) for name, value in clauses.items()}
 
 
-@_per_chunk
 def nonconstant_r_cotton_formulas(ch: ChunkScratch) -> ResidualSet:
     """Generic Cotton components vs the explicit warped-product formulas.
 
@@ -385,51 +338,48 @@ def nonconstant_r_cotton_formulas(ch: ChunkScratch) -> ResidualSet:
     return out
 
 
-def propddoth_check(sc: PointScratch) -> ResidualSet:
-    """Residuals of the h*fbar assembly: fiber, warping, and total equations.
-
-    The configured potential is h(t)*fbar, with fbar on the fiber chart.
-    Its two premises, the fiber vacuum equation for fbar and the
-    warping equation, must hold at the point; the total-space vacuum
-    residual of h*fbar is reported alongside them.
-    """
-    fbar = sc.ctx.potential.fiber if sc.ctx.potential is not None else None
-    if fbar is None:
+def assembly_premises(sc: PointScratch) -> None:
+    """The precondition of the h*fbar assembly: the configured potential is h(t)*fbar, with fbar on the fiber
+    chart, and its two premises, the fiber vacuum equation for fbar and the warping equation, hold at the point."""
+    if sc.ctx.potential is None or sc.ctx.potential.fiber is None:
         raise PreconditionSkip("assembly criterion needs a factored potential u(t)*fbar")
-    premises = sc.rows(_assembly_premises)
-    for name, premise in premises.items():
+    for name, premise in sc.rows(_assembly_premises).items():
         if premise.rel > 1e-6:
             raise PreconditionSkip(f"premise {name} fails (residual {premise.rel:.2e})")
-    return {"total_vss": sc.chunk.static.vacuum_residuals(sc.row)["full"], **premises}
+
+
+def propddoth_check(ch: ChunkScratch) -> ResidualSet:
+    """The total-space vacuum residual of h*fbar, and the residuals of its two premises."""
+    return {"total_vss": ch.static.vacuum["full"], **ch.formed(_assembly_premises)}
 
 
 def _assembly_premises(ch: ChunkScratch) -> ResidualSet:
     n = ch.chain.dim
     h, _, hdd = ch.warping[:3]
     return {
-        "fiber_vss": StaticAnalysis(ch.fiber, ch.ctx.potential.fiber)._vacuum["full"],
+        "fiber_vss": StaticAnalysis(ch.fiber, ch.ctx.potential.fiber).vacuum["full"],
         "warping_equation": Residual(
             np.abs(hdd + ch.chain.scalar_jet.value * h / (n * (n - 1.0))), np.abs(hdd) + np.abs(h)
         ),
     }
 
 
-def inrp_product_check(sc: PointScratch) -> ResidualSet:
+def unit_warping(sc: PointScratch) -> None:
+    """The precondition of the product criterion: a potential f(t), and h == 1 at the point."""
+    if sc.ctx.potential is None or not sc.ctx.potential.of_t:
+        raise PreconditionSkip("product criterion needs a t-expression potential")
+    h, hd = (value[sc.row] for value in sc.chunk.warping[:2])
+    if abs(h - 1.0) > 1e-12 or abs(hd) > 1e-12:
+        raise PreconditionSkip("product criterion requires h == 1")
+
+
+def inrp_product_check(ch: ChunkScratch) -> ResidualSet:
     """Residuals for the Riemannian-product criterion (h == 1, f = f(t)).
 
     Checks f'' + Rbar f/(n-1) = 0 for the configured potential f(t) against
     the fiber scalar curvature and the full vacuum equation on the product,
     and reports the fiber Einstein defect alongside.
     """
-    if sc.ctx.potential is None or not sc.ctx.potential.of_t:
-        raise PreconditionSkip("product criterion needs a t-expression potential")
-    h, hd = sc.warping[:2]
-    if abs(h - 1.0) > 1e-12 or abs(hd) > 1e-12:
-        raise PreconditionSkip("product criterion requires h == 1")
-    return sc.rows(_product_criterion)
-
-
-def _product_criterion(ch: ChunkScratch) -> ResidualSet:
     n = ch.chain.dim
     fb = ch.fiber
     zeros = (0,) * (n - 1)
@@ -438,12 +388,28 @@ def _product_criterion(ch: ChunkScratch) -> ResidualSet:
     ddotf = ftt + fb.scalar_jet.value * f0 / (n - 1.0)
     return {
         "ddotf": Residual(np.abs(ddotf), np.abs(ftt) + np.abs(f0)),
-        "full": ch.static._vacuum["full"],
+        "full": ch.static.vacuum["full"],
         "fiber_einstein": Residual(fb.norm(ch.fiber_ric0, ("l", "l")), fb.norm(fb.ric.value, ("l", "l"))),
     }
 
 
-def xicvf_residuals(sc: PointScratch) -> ResidualSet:
+def require_solution(what: str) -> Callable[[PointScratch], None]:
+    """The precondition that the potential solves the generalized equation at the point; ``what`` names the
+    identities that assume it."""
+
+    def solves(sc: PointScratch) -> None:
+        st = sc.chunk.static
+        rel = st.solution_defect.rel[sc.row]
+        if rel > SOLUTION_REL_TOL:
+            raise PreconditionSkip(
+                f"{what}: potential {st.potential.label!r} does not solve the "
+                f"generalized equation here (residual {rel:.2e})"
+            )
+
+    return solves
+
+
+def xicvf_residuals(ch: ChunkScratch) -> ResidualSet:
     """The two contraction identities tying f, phi, P, and C(., xi, .) together.
 
     Item (1):
@@ -454,11 +420,6 @@ def xicvf_residuals(sc: PointScratch) -> ResidualSet:
           = -f_k (n phi_i + R/(n-1) xi^b_i) + f_j P_ji,k + f_k P_li,l
             + (f+a) C_ijk xi^j
     """
-    sc.chunk.static.require_solution("conformal-field contraction identities", sc.row)
-    return sc.rows(_contraction_identities)
-
-
-def _contraction_identities(ch: ChunkScratch) -> ResidualSet:
     st, cf = ch.static, ch.conformal
     b = ch.chain
     n = b.dim

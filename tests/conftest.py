@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, RunConfig, build_context, point_scratches
-from warpcheck.geometry import ChartBatch
+from warpcheck.geometry import ChartBatch, _rows
 from warpcheck.spaces import basicex_geometry, warping_jet
 from warpcheck.statics import warpedproduct3_residual
 
@@ -52,6 +52,20 @@ def lone_chain(chart, point, order, metric_order=None):
     return chain
 
 
+class RowView:
+    """Point ``row``'s views of the jets and arrays of the chunk ``chain``, and of the fields it forms: what a lone
+    CurvatureBundle reads of its own chunk of one point."""
+
+    def __init__(self, chain, row):
+        self.chain, self.row = chain, row
+
+    def __getattr__(self, name):
+        value = getattr(self.chain, name)
+        if callable(value):  # scalar_field, vector_field
+            return lambda *args: _rows(value(*args), self.row)
+        return _rows(value, self.row)
+
+
 def _point_scratch(wg, point, potential=None, order=3, fiber_order=2):
     """The per-point objects run_suite shares among checks on a warped space, whose field is h d/dt."""
     ctx = CheckContext(wg.chart, wg, potential, wg.xi)
@@ -66,8 +80,8 @@ def point_scratch():
 
 def wp3_sides(sc):
     """The wp3_identity residual at a point, with the norms of L* hdot and of C(., xi, .)."""
-    (resid,) = warpedproduct3_residual(sc).values()
-    lhs = sc.bundle.norm(sc.chunk.hdot.lstar_f.value[sc.row], ("l", "l"))
+    (resid,) = sc.rows(warpedproduct3_residual).values()
+    lhs = sc.chunk.chain.norm(sc.chunk.hdot.lstar_f.value, ("l", "l"))[sc.row]
     return resid, lhs, resid.scale - lhs
 
 

@@ -15,10 +15,11 @@ import pytest
 from pytest import approx
 
 import warpcheck.dsl as dsl
-from warpcheck.checks import EXAMPLE_CONFIGS, CheckContext, RunConfig, build_context, point_scratches
+from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, CheckContext, RunConfig, build_context, point_scratches
 from warpcheck.conformal import ConformalAnalysis, sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle, kulkarni_nomizu_jets
 from warpcheck.jets import JetTensor
+from warpcheck.residuals import at_row
 from warpcheck.ode import (
     OdeWarpingFunction,
     WarpOdeParams,
@@ -40,11 +41,10 @@ from warpcheck.spaces import (
 )
 from warpcheck.statics import (
     StaticAnalysis,
-    equivalence_clauses,
+    equivalence_residuals,
     icotton_warped_residual,
     lgh_closed_forms,
     nonconstant_r_cotton_formulas,
-    xicvf_residuals,
 )
 
 from conftest import lone_chain, wp3_sides
@@ -109,11 +109,11 @@ def test_criterion_3_firstthm_identity(ejiri):
             xi = sphere_gradient_field(n, 1.0, axis=n + 1)
             for p in chart.sample_points(20, offset=0):
                 cf = ConformalAnalysis(lone_chain(chart, p, 4), xi)
-                assert cf.firstthm_defect(0).rel < 1e-7, f"S^{n}"
+                assert cf.firstthm_defect().at(0).rel < 1e-7, f"S^{n}"
         for wg in (ejiri, basicex_geometry(5, 2)[0]):
             for p in wg.chart.sample_points(30, offset=0):
                 cf = ConformalAnalysis(lone_chain(wg.chart, p, 4), wg.xi)
-                assert cf.firstthm_defect(0).rel < 1e-7, wg.chart.label
+                assert cf.firstthm_defect().at(0).rel < 1e-7, wg.chart.label
 
 
 def _ode_non_einstein_space() -> WarpedGeometry:
@@ -137,7 +137,7 @@ def test_criterion_4_wp3_and_icotton(ejiri, point_scratch):
                 sc = point_scratch(wg, p)
                 resid, lhs, rhs = wp3_sides(sc)
                 assert resid.rel < 1e-8, wg.chart.label
-                assert icotton_warped_residual(sc)["icotton"].rel < 1e-8, wg.chart.label
+                assert sc.rows(icotton_warped_residual)["icotton"].rel < 1e-8, wg.chart.label
                 if wg is non_einstein:
                     witness = max(witness, rhs)
         assert witness > 1e-3  # both sides individually nonzero on the non-Einstein fiber
@@ -151,16 +151,16 @@ def test_criterion_5_equivalence_chain(ejiri, point_scratch):
             maxima = {}
             for p in wg.chart.sample_points(25, offset=0):
                 sc = point_scratch(wg, p)
-                for key, value in equivalence_clauses(sc).items():
-                    maxima[key] = max(maxima.get(key, 0.0), value)
+                for key, residual in sc.rows(equivalence_residuals).items():
+                    maxima[key] = max(maxima.get(key, 0.0), residual.abs)
             verdicts = {k: v < tol for k, v in maxima.items()}
             assert all(verdicts.values()), maxima
         failing = _ode_non_einstein_space()
         maxima = {}
         for p in failing.chart.sample_points(25, offset=0):
             sc = point_scratch(failing, p)
-            for key, value in equivalence_clauses(sc).items():
-                maxima[key] = max(maxima.get(key, 0.0), value)
+            for key, residual in sc.rows(equivalence_residuals).items():
+                maxima[key] = max(maxima.get(key, 0.0), residual.abs)
         verdicts = {k: v < tol for k, v in maxima.items()}
         assert not any(verdicts.values()), maxima  # all four clauses fail together
 
@@ -261,7 +261,7 @@ def test_criterion_7_tensor_algebra_invariants(ejiri, expwarp4, expwarp3):
 
                 if pot is not None:
                     st = StaticAnalysis(lone_chain(chart, p, 3), pot)
-                    t_res = st.t_algebra(0)
+                    t_res = at_row(st.t_algebra(), 0)
                     tn = b.norm(st.t_jets.value[0], ("l",) * 3)
                     for name, residual in t_res.items():
                         assert residual.abs < 1e-10 * (1.0 + tn), name
@@ -272,16 +272,16 @@ def test_criterion_8_lgh_and_nein3_nonconstant(expwarp4, expwarp3, point_scratch
         wg4 = expwarp4
         for p in wg4.chart.sample_points(20, offset=0):
             sc = point_scratch(wg4, p, fiber_order=3)
-            res = lgh_closed_forms(sc)
+            res = sc.rows(lgh_closed_forms)
             for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian", "hdot_form"):
                 assert res[name].rel < 1e-8, name
-            nein = nonconstant_r_cotton_formulas(sc)
+            nein = sc.rows(nonconstant_r_cotton_formulas)
             for name, residual in nein.items():
                 assert residual.rel < 1e-7, f"n=4 {name}"
         wg3 = expwarp3
         for p in wg3.chart.sample_points(20, offset=0):
             sc = point_scratch(wg3, p)
-            nein = nonconstant_r_cotton_formulas(sc)
+            nein = sc.rows(nonconstant_r_cotton_formulas)
             for name, residual in nein.items():
                 assert residual.rel < 1e-7, f"n=3 {name}"
 
@@ -317,15 +317,15 @@ def test_criterion_10_lemma_battery():
         wg, pot = basicex_geometry(5, 2)
         ctx = CheckContext(wg.chart, potential=pot, fld=wg.xi)
         for sc in point_scratches(ctx, wg.chart.sample_points(15, offset=0), 4):
-            st, cf = sc.chunk.static, sc.chunk.conformal
-            dec = st.decompose_residuals(sc.row)
+            dec = CHECKS["decompose_ids"].evaluate(sc)
             assert dec["riemann_gradient"].rel < 1e-6
             assert dec["cotton_decomposition"].rel < 1e-6
-            assert st.tfe_defect(sc.row).rel < 1e-6
-            res = xicvf_residuals(sc)
+            assert CHECKS["tfe_identity"].evaluate(sc)["tfe"].rel < 1e-6
+            res = CHECKS["xicvf_forms"].evaluate(sc)
             assert res["item1"].rel < 1e-6 and res["item2"].rel < 1e-6
-            assert cf.cxi_contraction_defect(sc.row).rel < 1e-6
-            assert cf.cxi_divergence_defect(sc.row).rel < 1e-6
+            cxi = CHECKS["cxi_div"].evaluate(sc)
+            assert cxi["cotton_contraction"].rel < 1e-6
+            assert cxi["divergence_contraction"].rel < 1e-6
 
         n = 4
         chart = make_sphere_chart(n, 1.0)
@@ -333,12 +333,12 @@ def test_criterion_10_lemma_battery():
         pot_s = sphere_height_potential(n, 1.0, axis=2)  # nlin(3): independent fields
         ctx = CheckContext(chart, potential=pot_s, fld=xi)
         for sc in point_scratches(ctx, chart.sample_points(15, offset=0), 4):
-            st, cf = sc.chunk.static, sc.chunk.conformal
-            dec = st.decompose_residuals(sc.row)
+            dec = CHECKS["decompose_ids"].evaluate(sc)
             assert dec["riemann_gradient"].rel < 1e-6
             assert dec["cotton_decomposition"].rel < 1e-6
-            assert st.tfe_defect(sc.row).rel < 1e-6
-            res = xicvf_residuals(sc)
+            assert CHECKS["tfe_identity"].evaluate(sc)["tfe"].rel < 1e-6
+            res = CHECKS["xicvf_forms"].evaluate(sc)
             assert res["item1"].rel < 1e-6 and res["item2"].rel < 1e-6
-            assert cf.cxi_contraction_defect(sc.row).rel < 1e-6
-            assert cf.cxi_divergence_defect(sc.row).rel < 1e-6
+            cxi = CHECKS["cxi_div"].evaluate(sc)
+            assert cxi["cotton_contraction"].rel < 1e-6
+            assert cxi["divergence_contraction"].rel < 1e-6

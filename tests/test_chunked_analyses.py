@@ -21,6 +21,8 @@ from warpcheck.checks import BATCH_POINTS, CHECKS, EXAMPLE_CONFIGS, RunConfig, b
 from warpcheck.jets import JetShapeError, JetTensor
 from warpcheck.residuals import PreconditionSkip
 
+from conftest import RowView
+
 CHAIN = ("gamma", "riemann13", "riemann4", "ric", "scalar_jet", "scalar_jet_times_g", "schouten", "cotton",
          "cotton_divergence", "dscalar", "efield", "weyl")
 STATIC = ("f", "df", "df_up", "hess", "lap", "lstar_f", "f_plus_a", "generalized_lhs", "t_jets")
@@ -141,7 +143,7 @@ def test_bundles_read_their_chunk_without_copies(name):
     ctx = build_context(config)
     scratches = point_scratches(ctx, ctx.chart.sample_points(12, 3), *_orders(config))
     for sc in scratches:
-        chain, bundle = sc.chunk.chain, sc.bundle
+        chain, bundle = sc.chunk.chain, RowView(sc.chunk.chain, sc.row)
         jets = _jets(sc.chunk).items()
         formed = [name for (label, name), jet in jets if label == "chain" and not isinstance(jet, str)]
         assert len(formed) >= 10
@@ -153,7 +155,7 @@ def test_bundles_read_their_chunk_without_copies(name):
         if ctx.fld is not None:
             assert np.shares_memory(bundle.vector_field(ctx.fld.builder).data, sc.chunk.conformal.xi.data)
         if ctx.warped is not None:
-            fiber = sc.chunk.fiber.bundle(sc.row)
+            fiber = RowView(sc.chunk.fiber, sc.row)
             assert np.shares_memory(fiber.ric.data, sc.chunk.fiber.ric.data)
 
 
@@ -169,3 +171,51 @@ def test_a_chunk_holds_the_same_points_on_the_chart_and_the_fiber(name):
     for chunk in chunks:
         assert chunk.fiber.rows == chunk.chain.rows
         assert np.array_equal(chunk.fiber.points, chunk.chain.points[:, 1:])
+
+
+MIXED = {"space": {"kind": "flat_torus", "dim": 3}, "field": {"components": ["0", "4e-10*t*t*t", "0"]},
+         "checks": ["closed_cvf", "ixi_cotton", "cxi_div"], "samples": 16}
+
+
+def _key_sets(config, points, size):
+    """Per point, the residual names of closed_cvf and ixi_cotton, and cxi_div's SKIP reason or its names."""
+    ctx = build_context(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "chain_points", _chunks_of(size))
+        scratches = point_scratches(ctx, points, *_orders(config))
+    rows = []
+    for sc in scratches:
+        row = {check: set(CHECKS[check].evaluate(sc)) for check in ("closed_cvf", "ixi_cotton")}
+        try:
+            row["cxi_div"] = set(CHECKS["cxi_div"].evaluate(sc))
+        except PreconditionSkip as unmet:
+            row["cxi_div"] = unmet.reason
+        rows.append(row)
+    return scratches, rows
+
+
+def test_a_chunk_of_closed_and_non_closed_points_keeps_each_points_residual_names():
+    """All 16 points fall in one chunk, and the field is closed only at the three with t < 1: there closed_cvf
+    reports its five residuals and ixi_cotton adds closed_form, at the other 13 neither, as at each point alone;
+    cxi_div SKIPs at the first point, which is not closed."""
+    config = RunConfig.from_dict(copy.deepcopy(MIXED))
+    points = build_context(config).chart.sample_points(config.samples, config.offset)
+    scratches, chunked = _key_sets(config, points, 16)
+    _, alone = _key_sets(config, points, 1)
+    assert len({id(sc.chunk) for sc in scratches}) == 1
+    assert chunked == alone
+    closed = [k for k, row in enumerate(chunked) if "nabla_xi" in row["closed_cvf"]]
+    assert closed == [k for k, t in enumerate(points[:, 0]) if t < 1] and len(closed) == 3
+    general = {"nabla_p", "div_p"}
+    for k, row in enumerate(chunked):
+        if k in closed:
+            assert row == {"closed_cvf": general | {"nabla_xi", "curvature_xi", "ric_xi"},
+                           "ixi_cotton": {"general", "closed_form"},
+                           "cxi_div": {"cotton_contraction", "divergence_contraction"}}, k
+        else:
+            assert row["closed_cvf"] == general and row["ixi_cotton"] == {"general"}, k
+            assert row["cxi_div"].startswith("field 'components(t)' is not closed (defect "), k
+    assert chunked[0]["cxi_div"] == "field 'components(t)' is not closed (defect 8.37e-09)"
+    report = {c.check: (c.status, c.reason) for c in checks.run_suite(config).checks}
+    assert report == {"closed_cvf": ("PASS", None), "ixi_cotton": ("PASS", None),
+                      "cxi_div": ("SKIP", "field 'components(t)' is not closed (defect 8.37e-09)")}

@@ -250,6 +250,18 @@ def test_cli_samples_zero_is_a_config_error(tmp_path, capsys):
     assert main(["verify", str(config_path), "--samples", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "raw", [[1, 2], "abc", [["space", {"kind": "sphere", "dim": 3}], ["checks", ["scalar_value"]]]]
+)
+def test_cli_samples_on_a_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, raw):
+    """--samples overrides the key of a config object; any other JSON value is rejected as without it."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    for extra in ([], ["--samples", "3"]):
+        assert main(["verify", str(config_path), "--no-timestamp", *extra]) == 2
+        assert capsys.readouterr().err == "error: $: config must be a JSON object\n", extra
+
+
 def test_cli_verify_exit_code_construction_error(tmp_path):
     # negative scalar curvature has no oscillatory regime: construction error
     config = {

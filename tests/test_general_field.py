@@ -14,6 +14,7 @@ from pytest import approx
 from warpcheck.conformal import ConformalAnalysis
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.jets import JetTensor, jt_einsum
+from warpcheck.residuals import at_row
 from warpcheck.spaces import (
     ConformalFieldSpec,
     build_warped_geometry,
@@ -38,24 +39,24 @@ def test_nonclosed_field_on_nonzero_cotton_space(basicex52):
     for p in wg.chart.sample_points(4, offset=21):
         b = CurvatureBundle(wg.chart, p, order=4)
         cf = ConformalAnalysis(lone_chain(wg.chart, p, 4), xi)
-        assert cf.conformal_defect(0).rel < 1e-12
+        assert cf.conformality.at(0).rel < 1e-12
         assert not cf.is_closed[0]
         assert b.norm(b.cotton.value, ("l",) * 3) > 0.1
         assert b.norm(cf.p.value[0], ("l", "l")) > 0.1
-        assert cf.firstthm_defect(0).rel < 1e-12
-        assert cf.phi_symmetry_defect(0).rel < 1e-12
-        assert cf.ixi_cotton_defect(0)["general"].rel < 1e-12
-        assert cf.trace_identity_defect(0).rel < 1e-10
+        assert cf.firstthm_defect().at(0).rel < 1e-12
+        assert cf.phi_symmetry_defect().at(0).rel < 1e-12
+        assert at_row(cf.ixi_cotton_defect(), 0)["general"].rel < 1e-12
+        assert cf.trace_identity_defect().at(0).rel < 1e-10
 
 
 def test_nonclosed_field_on_nonconstant_scalar_space(expwarp4):
     xi = _mixed_field(expwarp4, 4)
     for p in expwarp4.chart.sample_points(4, offset=3):
         cf = ConformalAnalysis(lone_chain(expwarp4.chart, p, 4), xi)
-        assert cf.conformal_defect(0).rel < 1e-12
+        assert cf.conformality.at(0).rel < 1e-12
         assert not cf.is_closed[0]
-        assert cf.firstthm_defect(0).rel < 1e-12
-        assert cf.ixi_cotton_defect(0)["general"].rel < 1e-12
+        assert cf.firstthm_defect().at(0).rel < 1e-12
+        assert at_row(cf.ixi_cotton_defect(), 0)["general"].rel < 1e-12
 
 
 def test_metric_inverse_jets_exact(basicex52):

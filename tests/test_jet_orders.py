@@ -116,8 +116,8 @@ def test_jets_nothing_differentiates_are_order_zero(name):
     specs = [CHECKS[check] for check in config.checks]
     orders = [max(getattr(spec, key) for spec in specs) for key in ("order", "fiber_order", "metric_order")]
     (sc,) = point_scratches(ctx, ctx.chart.sample_points(1, offset=3), *orders)
-    b, st, ca = sc.bundle, sc.chunk.static, sc.chunk.conformal
-    assert b.metric_order == 4
+    b, st, ca = sc.chunk.chain, sc.chunk.static, sc.chunk.conformal
+    assert b.batch.metric_order == 4
     jets = {
         "hessian": sc.chunk.chain.hessian(st.f),
         "lstar_f": st.lstar_f,

@@ -34,6 +34,8 @@ from warpcheck.ode import OdeWarpingFunction, WarpOdeParams, equilibrium_radius,
 from warpcheck import checks, geometry, spaces, statics
 from warpcheck.statics import StaticAnalysis
 
+from conftest import RowView
+
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = GOLDEN.parent.parent
 
@@ -220,14 +222,15 @@ def test_singular_points_in_a_batch_fail_only_themselves(monkeypatch):
     scratches = zip(point_scratches(planted, points, 4, 2, 3), point_scratches(ctx, points, 4, 2, 3))
     for k, (sc, clean) in enumerate(scratches):
         for name in ("ginv0", "frame", "ginv", "gamma", "ric"):
+            read = lambda sc: getattr(sc.chunk.chain, name)  # noqa: E731
             if k in reasons:
                 with pytest.raises(SingularMetricError) as err:
-                    getattr(sc.bundle, name)
+                    checks._at_point(sc, read)
                 assert str(err.value) == reasons[k]
             else:
-                getattr(sc.bundle, name)
+                checks._at_point(sc, read)
         if k not in reasons:
-            for got, want in _chain_pairs(sc.bundle, clean.bundle):
+            for got, want in _chain_pairs(RowView(sc.chunk.chain, sc.row), RowView(clean.chunk.chain, clean.row)):
                 assert _same_bytes(got, want), k
 
 
@@ -303,9 +306,9 @@ def example_runs():
         mp.setattr(CurvatureBundle, "__init__", counting("bundles", CurvatureBundle.__init__))
         mp.setattr(StaticAnalysis, "__init__", counting("analyses", StaticAnalysis.__init__))
         mp.setattr(statics, "fiber_ric0", counting("fiber_ric0", statics.fiber_ric0))
-        vacuum = cached_property(counting("vacuum", StaticAnalysis._vacuum.func))
-        vacuum.__set_name__(StaticAnalysis, "_vacuum")
-        mp.setattr(StaticAnalysis, "_vacuum", vacuum)
+        vacuum = cached_property(counting("vacuum", StaticAnalysis.vacuum.func))
+        vacuum.__set_name__(StaticAnalysis, "vacuum")
+        mp.setattr(StaticAnalysis, "vacuum", vacuum)
         mp.setattr(MetricChart, "metric_jets", counting("metric", MetricChart.metric_jets))
         mp.setattr(spaces, "warping_jet", counting("warping", spaces.warping_jet))
         mp.setattr(MetricChart, "coordinate_jets", coordinate_jets)
@@ -316,9 +319,10 @@ def example_runs():
 
 
 def test_bundles_per_point(example_runs):
+    """No example builds a bundle: every point reads the curvature of its chunk."""
     _, counts = example_runs
     assert counts["bundles"]["ejiri"] <= 2 * EXAMPLE_CONFIGS["ejiri"]["samples"]  # total space + fiber
-    assert counts["bundles"]["sphere-s4"] == EXAMPLE_CONFIGS["sphere-s4"]["samples"]
+    assert sum(counts["bundles"].values()) == 0
 
 
 def test_r_ijkl_is_formed_at_full_order_once_per_chunk():
@@ -538,24 +542,25 @@ def test_batch_slices_equal_the_jets_of_a_lone_point(name):
     order, fiber_order, metric_order = (max(getattr(s, k) for s in specs) for k in ("order", "fiber_order", "metric_order"))
     points = ctx.chart.sample_points(config.samples, config.offset)
     for sc in point_scratches(ctx, points, order, fiber_order, metric_order):
+        bundle = RowView(sc.chunk.chain, sc.row)
         lone = CurvatureBundle(ctx.chart, sc.point, order, metric_order)
         own = ctx.chart.metric_jets(sc.point, metric_order)
-        pairs = [(sc.bundle.g, lone.g), (sc.bundle.g, JetTensor(own.space, own.data + 0.0)), (sc.bundle.ginv, lone.ginv)]
-        pairs += _chain_pairs(sc.bundle, lone)
-        for got, want in [(sc.bundle.ginv0, lone.ginv0), *zip(sc.bundle.frame, lone.frame)]:
+        pairs = [(bundle.g, lone.g), (bundle.g, JetTensor(own.space, own.data + 0.0)), (bundle.ginv, lone.ginv)]
+        pairs += _chain_pairs(bundle, lone)
+        for got, want in [(bundle.ginv0, lone.ginv0), *zip(bundle.frame, lone.frame)]:
             assert got.tobytes() == want.tobytes() and got.strides == want.strides, sc.point
         if ctx.potential is not None:
-            f = sc.bundle.scalar_field(ctx.potential.builder)
+            f = bundle.scalar_field(ctx.potential.builder)
             pairs += [(f, lone.scalar_field(ctx.potential.builder)),
                       (f, _own_field(ctx.chart, ctx.potential.builder, sc.point, order, ()))]
         if ctx.fld is not None:
-            xi = sc.bundle.vector_field(ctx.fld.builder)
+            xi = bundle.vector_field(ctx.fld.builder)
             pairs += [(xi, lone.vector_field(ctx.fld.builder)),
                       (xi, _own_field(ctx.chart, ctx.fld.builder, sc.point, order, (ctx.chart.dim,)))]
         if ctx.warped is not None:
             fiber = ctx.warped.fiber_chart
             lone_fiber = CurvatureBundle(fiber, sc.point[1:], fiber_order)
-            fiber_bundle = sc.chunk.fiber.bundle(sc.row)
+            fiber_bundle = RowView(sc.chunk.fiber, sc.row)
             pairs += [(fiber_bundle.g, lone_fiber.g), (fiber_bundle.ginv, lone_fiber.ginv)]
             pairs += _chain_pairs(fiber_bundle, lone_fiber, ("ric", "scalar_jet"))
             fbar = ctx.potential.fiber if ctx.potential is not None else None
@@ -839,13 +844,15 @@ def test_rotation_mixing_t_fails_and_skips_firstthm_mid_suite():
 def test_generalized_defect_once_per_chunk(monkeypatch):
     """tfe_identity, decompose_ids and xicvf_forms share one solution test per chunk: two for 10 points."""
     calls = []
-    defect = StaticAnalysis.generalized_defect
+    defect = StaticAnalysis.solution_defect.func
 
     def counting_defect(self):
         calls.append(self)
         return defect(self)
 
-    monkeypatch.setattr(StaticAnalysis, "generalized_defect", counting_defect)
+    solution_defect = cached_property(counting_defect)
+    solution_defect.__set_name__(StaticAnalysis, "solution_defect")
+    monkeypatch.setattr(StaticAnalysis, "solution_defect", solution_defect)
     raw = dict(EXAMPLE_CONFIGS["basicex-n5-k2"], samples=10)
     report = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
     assert {c.check: c.status for c in report.checks}["decompose_ids"] == "PASS"

@@ -7,6 +7,7 @@ from pytest import approx
 
 from warpcheck.checks import ConfigError, RunConfig, build_context
 from warpcheck.geometry import CurvatureBundle
+from warpcheck.residuals import at_row
 from warpcheck.spaces import (
     basicex_geometry,
     basicex_radii,
@@ -221,7 +222,7 @@ def test_basicex_parameter_errors():
 def test_basicex_vacuum_static(basicex41):
     wg, pot = basicex41
     p = wg.chart.sample_points(3, offset=1)[1]
-    residual = StaticAnalysis(lone_chain(wg.chart, p, 2), pot).vacuum_residuals(0)["full"]
+    residual = at_row(StaticAnalysis(lone_chain(wg.chart, p, 2), pot).vacuum, 0)["full"]
     assert residual.rel < 1e-8
 
 

@@ -5,11 +5,11 @@ import pytest
 from pytest import approx
 
 import warpcheck.dsl as dsl
-from warpcheck.checks import CheckContext, point_scratches
+from warpcheck.checks import CHECKS, CheckContext, point_scratches
 from warpcheck.conformal import sphere_gradient_field
 from warpcheck.geometry import CurvatureBundle
 from warpcheck.jets import JetTensor
-from warpcheck.residuals import PreconditionSkip
+from warpcheck.residuals import PreconditionSkip, at_row
 from warpcheck.spaces import (
     StaticPotentialSpec,
     build_warped_geometry,
@@ -18,15 +18,13 @@ from warpcheck.spaces import (
     sphere_height_potential,
 )
 from warpcheck.statics import (
+    SOLUTION_REL_TOL,
     StaticAnalysis,
-    equivalence_clauses,
+    equivalence_residuals,
     icotton_warped_residual,
-    inrp_product_check,
     lgh_closed_forms,
     nonconstant_r_cotton_formulas,
-    propddoth_check,
     t_potential,
-    xicvf_residuals,
 )
 
 from conftest import lone_chain, wp3_sides
@@ -41,9 +39,17 @@ def static(chart, potential, p, order=2):
     return StaticAnalysis(lone_chain(chart, p, order), potential)
 
 
+def solution(chart, potential, p, order=2):
+    """The analysis of ``static``, whose potential must solve the generalized equation at ``p``: the precondition
+    of the identities that assume a solution."""
+    analysis = static(chart, potential, p, order)
+    assert analysis.solution_defect.at(0).rel <= SOLUTION_REL_TOL
+    return analysis
+
+
 def xicvf(chart, potential, xi, p):
     (sc,) = point_scratches(CheckContext(chart, potential=potential, fld=xi), np.array([p], dtype=float), 3)
-    return xicvf_residuals(sc)
+    return CHECKS["xicvf_forms"].evaluate(sc)
 
 
 # -- L* ---------------------------------------------------------------------------
@@ -93,7 +99,7 @@ def test_lstar_trace_identity(basicex52):
 def test_vss_residuals_basicex(basicex41):
     wg, pot = basicex41
     for p in wg.chart.sample_points(5, offset=0):
-        res = static(wg.chart, pot, p).vacuum_residuals(0)
+        res = at_row(static(wg.chart, pot, p).vacuum, 0)
         assert res["full"].rel < 1e-8
         assert res["trace"].rel < 1e-8
         assert res["trace_free"].rel < 1e-8
@@ -112,9 +118,9 @@ def test_vss_residuals_reuse_cached_jets(basicex41, monkeypatch):
     for module in (warpcheck.geometry, warpcheck.statics):
         einsum = module.jt_einsum
         monkeypatch.setattr(module, "jt_einsum", lambda spec, *ops, _e=einsum: calls.append(spec) or _e(spec, *ops))
-    first = analysis.vacuum_residuals(0)
+    first = at_row(analysis.vacuum, 0)
     assert calls == ["p,pij->pij", "p,pij->pij"]
-    assert analysis.vacuum_residuals(0) == first
+    assert at_row(analysis.vacuum, 0) == first
     assert calls == ["p,pij->pij", "p,pij->pij"]
 
 
@@ -125,15 +131,15 @@ def test_height_with_shift_gives_trace_nb():
     shift = 0.37
     pot = sphere_height_potential(n, 1.0, axis=n + 1, shift=shift)
     p = chart.sample_points(2, offset=5)[0]
-    res = static(chart, pot, p).vacuum_residuals(0)
+    res = at_row(static(chart, pot, p).vacuum, 0)
     assert res["trace"].abs == approx(n * pot.b, rel=1e-9)
     # and it is an exact solution of the generalized equation
-    assert static(chart, pot, p).generalized_defect().at(0).rel < 1e-10
+    assert static(chart, pot, p).solution_defect.at(0).rel < 1e-10
 
 
 def test_vss_zero_potential_evaluable(basicex41):
     wg, _ = basicex41
-    res = static(wg.chart, constant_potential(0.0), wg.chart.sample_points(1, offset=0)[0]).vacuum_residuals(0)
+    res = at_row(static(wg.chart, constant_potential(0.0), wg.chart.sample_points(1, offset=0)[0]).vacuum, 0)
     assert res["full"].abs == approx(0.0)
 
 
@@ -141,14 +147,14 @@ def test_generalized_reduces_to_vss(basicex52):
     wg, pot = basicex52
     p = wg.chart.sample_points(1, offset=3)[0]
     assert pot.a == 0.0 and pot.b == 0.0
-    assert static(wg.chart, pot, p).generalized_defect().at(0).rel < 1e-10
+    assert static(wg.chart, pot, p).solution_defect.at(0).rel < 1e-10
 
 
 def test_generalized_random_potential_fails(basicex52):
     wg, _ = basicex52
     bad = StaticPotentialSpec(label="bad", builder=lambda c: c[0] * c[0] + c[1].elem("sin"))
     p = wg.chart.sample_points(1, offset=1)[0]
-    assert static(wg.chart, bad, p).generalized_defect().at(0).abs > 0.1
+    assert static(wg.chart, bad, p).solution_defect.at(0).abs > 0.1
 
 
 # -- T tensor ---------------------------------------------------------------------------
@@ -176,7 +182,7 @@ def test_t_tensor_constant_potential_zero(basicex52):
 def test_t_algebra(basicex52):
     wg, pot = basicex52
     for p in wg.chart.sample_points(4, offset=0):
-        defects = static(wg.chart, pot, p).t_algebra(0)
+        defects = at_row(static(wg.chart, pot, p).t_algebra(), 0)
         for name, res in defects.items():
             assert res.rel < 1e-10, name
 
@@ -187,7 +193,7 @@ def test_t_algebra(basicex52):
 def test_decompose_on_basicex(basicex52):
     wg, pot = basicex52
     for p in wg.chart.sample_points(4, offset=0):
-        res = static(wg.chart, pot, p, order=3).decompose_residuals(0)
+        res = at_row(solution(wg.chart, pot, p, order=3).decompose_residuals(), 0)
         assert res["riemann_gradient"].rel < 1e-7
         assert res["cotton_decomposition"].rel < 1e-7
 
@@ -197,21 +203,22 @@ def test_decompose_on_sphere_both_sides_vanish():
     chart = make_sphere_chart(n, 1.0)
     pot = sphere_height_potential(n, 1.0, axis=n + 1)
     p = chart.sample_points(1, offset=3)[0]
-    res = static(chart, pot, p, order=3).decompose_residuals(0)
+    res = at_row(solution(chart, pot, p, order=3).decompose_residuals(), 0)
     assert res["cotton_decomposition"].abs < 1e-12
 
 
 def test_decompose_skips_non_solution(basicex52):
     wg, _ = basicex52
     bad = StaticPotentialSpec(label="bad", builder=lambda c: c[0] * c[0])
+    (sc,) = point_scratches(CheckContext(wg.chart, potential=bad), wg.chart.sample_points(1, offset=0), 3)
     with pytest.raises(PreconditionSkip):
-        static(wg.chart, bad, wg.chart.sample_points(1, offset=0)[0], order=3).decompose_residuals(0)
+        CHECKS["decompose_ids"].evaluate(sc)
 
 
 def test_tfe_identity(basicex52, basicex41):
     for wg, pot in (basicex52, basicex41):
         for p in wg.chart.sample_points(3, offset=0):
-            assert static(wg.chart, pot, p).tfe_defect(0).rel < 1e-7
+            assert solution(wg.chart, pot, p).tfe_defect().at(0).rel < 1e-7
 
 
 def test_tfe_identity_n5k1():
@@ -219,7 +226,7 @@ def test_tfe_identity_n5k1():
 
     wg, pot = basicex_geometry(5, 1)
     p = wg.chart.sample_points(2, offset=1)[1]
-    assert static(wg.chart, pot, p).tfe_defect(0).rel < 1e-7
+    assert solution(wg.chart, pot, p).tfe_defect().at(0).rel < 1e-7
 
 
 # -- warped closed forms of L* -------------------------------------------------------------------------
@@ -227,14 +234,14 @@ def test_tfe_identity_n5k1():
 
 def test_lgh_hdot_on_ejiri(ejiri, point_scratch):
     sc = point_scratch(ejiri, np.array([0.8, 0.2, -0.1, 0.3]))
-    res = lgh_closed_forms(sc)
+    res = sc.rows(lgh_closed_forms)
     for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian", "hdot_form"):
         assert res[name].rel < 1e-8, name
 
 
 def test_lgh_arbitrary_potential_on_ejiri(ejiri, point_scratch):
     sc = point_scratch(ejiri, np.array([1.4, 0.1, 0.2, -0.2]), t_potential(dsl.parse("sin(t)"), "sin(t)"))
-    res = lgh_closed_forms(sc)
+    res = sc.rows(lgh_closed_forms)
     assert "hdot_form" not in res  # the hdot closed form is for the hdot potential only
     assert res["mixed_slot"].rel < 1e-8
     assert res["tt_slot"].rel < 1e-8
@@ -244,7 +251,7 @@ def test_lgh_constants(point_scratch):
     wg = build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, 1.0))
     p = np.array([0.2, 0.1, -0.2, 0.3])
     sc = point_scratch(wg, p, t_potential(dsl.parse("1"), "1"))
-    res = lgh_closed_forms(sc)
+    res = sc.rows(lgh_closed_forms)
     for name in ("tt_slot", "mixed_slot", "fiber_slot", "laplacian"):
         assert res[name].rel < 1e-10, name
     # L3 reduces to -(R/(n-1)) g on the fiber block for f == 1, h == 1
@@ -258,7 +265,7 @@ def test_lgh_requires_no_constant_scalar(expwarp4, point_scratch):
     """Lemma holds on the nonconstant-R space too."""
     for p in expwarp4.chart.sample_points(5, offset=0):
         sc = point_scratch(expwarp4, p)
-        res = lgh_closed_forms(sc)
+        res = sc.rows(lgh_closed_forms)
         for name, residual in res.items():
             assert residual.rel < 1e-8, name
 
@@ -288,9 +295,9 @@ def test_lgh_slots_are_frame_norms(ejiri, point_scratch, block, slots):
     """An error planted in L* hdot shows in its slot as its g-norm, not as its largest coordinate component."""
     sc = point_scratch(ejiri, np.array([0.8, 0.2, -0.1, 0.3]))
     sc.chunk.hdot.lstar_f, err = _plant(sc.chunk.hdot.lstar_f, block)
-    res = lgh_closed_forms(sc)
+    res = sc.rows(lgh_closed_forms)
     for slot in slots:
-        assert res[slot].abs == approx(_frame_norm(sc.bundle, err), rel=1e-6), slot
+        assert res[slot].abs == approx(_frame_norm(CurvatureBundle(sc.ctx.chart, sc.point), err), rel=1e-6), slot
 
 
 @pytest.mark.parametrize("block, slot", [((0, 0, FIBER), "ttX"), ((0, FIBER, FIBER), "tXY"), ((FIBER, FIBER, FIBER), "XYZ")])
@@ -299,7 +306,7 @@ def test_nein3_slots_are_frame_norms(expwarp4, point_scratch, block, slot):
     sc = point_scratch(expwarp4, np.array([0.5, 0.9, -1.2, 1.4]), fiber_order=3)
     chain = sc.chunk.chain  # where the identities read the Cotton tensor
     chain.cotton, err = _plant(chain.cotton, block)
-    assert nonconstant_r_cotton_formulas(sc)[slot].abs == approx(_frame_norm(sc.bundle, err), rel=1e-6)
+    assert sc.rows(nonconstant_r_cotton_formulas)[slot].abs == approx(_frame_norm(CurvatureBundle(sc.ctx.chart, sc.point), err), rel=1e-6)
 
 
 # -- iCzero / wp3 ------------------------------------------------------------------------------
@@ -309,12 +316,12 @@ def test_icotton_zero_on_constant_r(ejiri, basicex52, point_scratch):
     wg, _ = basicex52
     for geometry in (ejiri, wg):
         for p in geometry.chart.sample_points(4, offset=0):
-            assert icotton_warped_residual(point_scratch(geometry, p))["icotton"].rel < 1e-8
+            assert point_scratch(geometry, p).rows(icotton_warped_residual)["icotton"].rel < 1e-8
 
 
 def test_icotton_product_chart(point_scratch):
     wg = build_warped_geometry((-1.0, 1.0), "1", make_sphere_chart(3, 1.0))
-    assert icotton_warped_residual(point_scratch(wg, np.array([0.1, 0.2, -0.1, 0.3])))["icotton"].rel < 1e-9
+    assert point_scratch(wg, np.array([0.1, 0.2, -0.1, 0.3])).rows(icotton_warped_residual)["icotton"].rel < 1e-9
 
 
 def test_wp3_identity_einstein_fiber(ejiri, point_scratch):
@@ -346,7 +353,7 @@ def test_wp3_constant_h_trivial(point_scratch):
 def test_nein3_nonconstant_r(expwarp4, point_scratch):
     for p in expwarp4.chart.sample_points(4, offset=0):
         sc = point_scratch(expwarp4, p, fiber_order=3)
-        res = nonconstant_r_cotton_formulas(sc)
+        res = sc.rows(nonconstant_r_cotton_formulas)
         for name, residual in res.items():
             assert residual.rel < 1e-7, name
 
@@ -355,14 +362,14 @@ def test_nein3_n3_branch(expwarp3, point_scratch):
     wg = expwarp3
     for p in wg.chart.sample_points(4, offset=0):
         sc = point_scratch(wg, p)
-        res = nonconstant_r_cotton_formulas(sc)
+        res = sc.rows(nonconstant_r_cotton_formulas)
         for name, residual in res.items():
             assert residual.rel < 1e-7, name
 
 
 def test_nein3_degenerates_on_constant_r(ejiri, point_scratch):
     sc = point_scratch(ejiri, np.array([0.9, 0.2, -0.1, 0.3]), fiber_order=3)
-    res = nonconstant_r_cotton_formulas(sc)
+    res = sc.rows(nonconstant_r_cotton_formulas)
     for name, residual in res.items():
         assert residual.rel < 1e-8, name
 
@@ -373,7 +380,7 @@ def test_nein3_degenerates_on_constant_r(ejiri, point_scratch):
 def test_propddoth_basicex_assembly(basicex52, point_scratch):
     wg, pot = basicex52
     for p in wg.chart.sample_points(3, offset=0):
-        res = propddoth_check(point_scratch(wg, p, pot, order=2))
+        res = CHECKS["propddoth"].evaluate(point_scratch(wg, p, pot, order=2))
         assert res["fiber_vss"].rel < 1e-8
         assert res["warping_equation"].rel < 1e-10
         assert res["total_vss"].rel < 1e-8
@@ -389,7 +396,7 @@ def _h_fbar(wg):
 def test_propddoth_flat_fiber_product(point_scratch):
     """Scalar-flat fiber: the product (h == 1) with potential fbar is static."""
     wg = build_warped_geometry((-1.0, 1.0), "1", make_flat_torus_chart(3))
-    res = propddoth_check(point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), _h_fbar(wg), order=2))
+    res = CHECKS["propddoth"].evaluate(point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), _h_fbar(wg), order=2))
     for name, residual in res.items():
         assert residual.rel < 1e-8, name
 
@@ -398,8 +405,8 @@ def test_propddoth_flat_fiber_exponential_warping(point_scratch):
     """h = e^t over a scalar-flat fiber satisfies the warping equation with R = -n(n-1)."""
     wg = build_warped_geometry((-0.5, 0.5), "exp(t)", make_flat_torus_chart(3))
     sc = point_scratch(wg, np.array([0.2, 1.0, 2.0, 3.0]), _h_fbar(wg), order=2)
-    assert sc.bundle.scalar == approx(-12.0, abs=1e-10)
-    res = propddoth_check(sc)
+    assert float(sc.chunk.chain.scalar_jet.value[sc.row]) == approx(-12.0, abs=1e-10)
+    res = CHECKS["propddoth"].evaluate(sc)
     for name, residual in res.items():
         assert residual.rel < 1e-8, name
 
@@ -409,10 +416,10 @@ def test_propddoth_warping_equation_witness(point_scratch):
     wg = build_warped_geometry((0.0, 1.0), "1+0.3*t", make_flat_torus_chart(3))
     sc = point_scratch(wg, np.array([0.4, 1.0, 2.0, 3.0]), _h_fbar(wg), order=2)
     with pytest.raises(PreconditionSkip, match="premise warping_equation fails"):
-        propddoth_check(sc)
-    h, _, hdd = sc.warping[:3]
-    assert abs(hdd + sc.bundle.scalar * h / 12.0) > 0.01
-    assert sc.chunk.static.vacuum_residuals(sc.row)["full"].abs > 0.01
+        CHECKS["propddoth"].evaluate(sc)
+    h, _, hdd = (value[sc.row] for value in sc.chunk.warping[:3])
+    assert abs(hdd + float(sc.chunk.chain.scalar_jet.value[sc.row]) * h / 12.0) > 0.01
+    assert at_row(sc.chunk.static.vacuum, sc.row)["full"].abs > 0.01
 
 
 # -- INRP -------------------------------------------------------------------------------------------
@@ -423,7 +430,7 @@ def _product_over_sphere(radius=1.0):
 
 
 def _inrp(point_scratch, wg, source, p):
-    return inrp_product_check(point_scratch(wg, p, t_potential(dsl.parse(source), source), order=2))
+    return CHECKS["inrp"].evaluate(point_scratch(wg, p, t_potential(dsl.parse(source), source), order=2))
 
 
 def test_inrp_cos_solution(point_scratch):
@@ -504,8 +511,8 @@ def test_xicvf_zero_field_trivial(basicex52):
 def test_equivalence_clauses_einstein_vs_not(ejiri, basicex52, point_scratch):
     wg, _ = basicex52
     sc = point_scratch(ejiri, np.array([0.8, 0.2, -0.1, 0.3]))
-    clauses_pass = equivalence_clauses(sc)
+    clauses_pass = {key: r.abs for key, r in sc.rows(equivalence_residuals).items()}
     assert all(v < 1e-8 for v in clauses_pass.values())
     sc = point_scratch(wg, wg.chart.sample_points(3, offset=23)[2])
-    clauses_fail = equivalence_clauses(sc)
+    clauses_fail = {key: r.abs for key, r in sc.rows(equivalence_residuals).items()}
     assert all(v > 1e-6 for v in clauses_fail.values())
