@@ -481,10 +481,12 @@ class _Chain(CurvatureBundle):
         """R^l_{ijk}, axes (l, i, j, k)."""
         dgamma = self.gamma.partials()  # (p, upper, low1, low2, deriv)
         gamma = self.gamma.truncate(dgamma.order)
-        term = dgamma.transpose("plkij->plijk") - dgamma.transpose("pljik->plijk")
+        term = dgamma.transpose("plkij->plijk") - dgamma.transpose("pljik->plijk")  # a fresh array: sum into it
         # Gamma^m_ki Gamma^l_jm; the term Gamma^m_ji Gamma^l_km is it with j, k swapped
         quad = jt_einsum("pmki,pljm->plijk", gamma, gamma)
-        return term + quad - quad.transpose("plijk->plikj")
+        term.data += quad.data
+        term.data -= quad.transpose("plijk->plikj").data
+        return term
 
     @property
     def riemann4(self) -> JetTensor:

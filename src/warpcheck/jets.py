@@ -20,31 +20,34 @@ truncation a slice.
 The zero rule of :func:`jt_einsum`.  Diagonal and warped charts make most
 entries of g^-1, Christoffel and Riemann jets that are exactly zero.  A
 product at order >= 1 with at most two contracted letters skips every term
-(output entry, contracted indices) with an all-zero operand jet: it
-gathers, multiplies and sums only the others, rank by rank from +0.0, and
-segment-sums only the entries that have a term; the rest stay +0.0.  The
-bits are the dense path's where the ranks follow einsum's order: einsum
-adds without FMA, a skipped term would add +-0.0, which leaves a sum as it
-is, and ``np.add.reduceat`` sums each entry on its own.  einsum sums a
-contracted letter that is the fastest axis of both operands (the lane
-letter) innermost, in SIMD lanes, and another one in order outside it.  So
-the dense path still runs for a product below ``_ZERO_MIN_WORK``
-multiply-adds; for one that would skip less than ``_ZERO_MIN_SKIP`` of its
-terms, a cut-off by jet order; for a lane letter alone with more than two
-terms to an entry; for a lane letter and another with more than one term
-to an (entry, other index), or that einsum may coalesce into one lane axis;
-for two letters without a lane letter whose two nestings would order an
-entry's terms unlike; for two letters in operands that order their shared
-axes unlike in memory, which numpy 2.4 sums in an order of its own; and for
-a NaN or inf operand, where 0 * inf must stay NaN (gated by one sum of
-both operands, so finite ones whose sum overflows run dense too).  A plan
-is built from the zero masks before the product's first call, which then
-runs through it; it takes the dense output's layout from the same product
-on two coefficient pairs.  It is kept on the jet space by spec, operand
-layouts and zero masks: where the operands and the output lead with the
-point axis p, by the per-point layouts and the union of the points' masks
-(ORed over the points first, whole rows at a time, then over the short
-coefficient axis), so that chunks of any number of points share it.
+(output entry, contracted indices) with an all-zero operand jet.  It
+numbers the entries by term count, most first, and gathers, multiplies and
+sums only the other terms one rank block at a time from +0.0, each block
+into a prefix of the entries; it segment-sums only the entries that have a
+term, and the rest stay +0.0.  The bits are the dense path's where the
+ranks follow einsum's order: einsum adds without FMA, a skipped term would
+add +-0.0, which leaves a sum as it is, and ``np.add.reduceat`` sums each
+entry on its own.  einsum sums a contracted letter that is the fastest
+axis of both operands (the lane letter) innermost, in SIMD lanes, and
+another one in order outside it.  So the dense path still runs for a
+product below ``_ZERO_MIN_WORK`` multiply-adds; for one that would skip
+less than ``_ZERO_MIN_SKIP`` of its terms, a cut-off by jet order and, at
+order 1, by the number of contracted letters; for a lane letter alone with
+more than two terms to an entry; for a lane letter and another with more
+than one term to an (entry, other index), or that einsum may coalesce into
+one lane axis; for two letters without a lane letter whose two nestings
+would order an entry's terms unlike; for two letters in operands that
+order their shared axes unlike in memory, which numpy 2.4 sums in an order
+of its own; and for a NaN or inf operand, where 0 * inf must stay NaN
+(gated by one sum of both operands, so finite ones whose sum overflows run
+dense too).  A plan is built from the zero masks before the product's
+first call, which then runs through it; it takes the dense output's layout
+from the same product on two coefficient pairs.  It is kept on the jet
+space by spec, operand layouts and zero masks: where the operands and the
+output lead with the point axis p, by the per-point layouts and the union
+of the points' masks (ORed over the points first, whole rows at a time,
+then over the short coefficient axis), so that chunks of any number of
+points share it.
 """
 
 from __future__ import annotations
@@ -183,9 +186,10 @@ def jet_space(num_vars: int, order: int) -> JetSpace:
 # -- raw-array kernels --------------------------------------------------
 
 
-def _raw_mul(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _raw_mul(space: JetSpace, a: np.ndarray, b: np.ndarray, b_gathered: bool = False) -> np.ndarray:
+    """The truncated Cauchy product; ``b_gathered`` says that ``b`` is already gathered over the pair table."""
     a_idx, b_idx, starts = space.mul_table
-    prod = a[..., a_idx] * b[..., b_idx]
+    prod = a[..., a_idx] * (b if b_gathered else b[..., b_idx])
     return np.add.reduceat(prod, starts, axis=-1)
 
 
@@ -193,24 +197,27 @@ def _raw_compose(space: JetSpace, series: np.ndarray, x: np.ndarray) -> np.ndarr
     """Compose a univariate power series with a jet (Horner form).
 
     ``series`` has shape (order+1, *slot_shape): series[j] is the j-th
-    Taylor coefficient of the outer function at the jet's value part.
+    Taylor coefficient of the outer function at the jet's value part.  The
+    Horner factor x - x0 is gathered over the pair table once, for all steps.
     """
     tilde = x.copy()
     tilde[..., 0] = 0.0
+    tilde = tilde[..., space.mul_table[1]]
     out = np.zeros_like(x)
     out[..., 0] = series[space.order]
     for j in range(space.order - 1, -1, -1):
-        out = _raw_mul(space, out, tilde)
+        out = _raw_mul(space, out, tilde, True)
         out[..., 0] += series[j]
     return out
 
 
-def _series_cyclic(values4, v: np.ndarray, order: int) -> np.ndarray:
-    """Taylor coefficients for functions whose derivatives cycle (period 4 or 2)."""
-    coeffs = np.empty((order + 1,) + np.shape(v))
-    for j in range(order + 1):
-        coeffs[j] = values4[j % len(values4)](v) / math.factorial(j)
-    return coeffs
+def _series_cyclic(f, df, flip: bool, v: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients of f where f'' = -f (``flip``) or f'' = f: f and f' are evaluated once, and the
+    derivatives past them are the two, or their exact negations, in turn."""
+    fv, dfv = f(v), df(v)
+    cycle = (fv, dfv, -fv, -dfv) if flip else (fv, dfv)
+    factorials = np.array([math.factorial(j) for j in range(order + 1)], dtype=float)
+    return np.stack([cycle[j % len(cycle)] for j in range(order + 1)]) / factorials.reshape((-1,) + (1,) * np.ndim(v))
 
 
 def _check_positive(name: str, v: np.ndarray) -> None:
@@ -239,13 +246,13 @@ def _elem_series(name: str, v: np.ndarray, order: int, exponent: float | None = 
             c *= (0.5 - j) / (j + 1)
         return np.stack(coeffs)
     if name == "sin":
-        return _series_cyclic([np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)], v, order)
+        return _series_cyclic(np.sin, np.cos, True, v, order)
     if name == "cos":
-        return _series_cyclic([np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin], v, order)
+        return _series_cyclic(np.cos, lambda x: -np.sin(x), True, v, order)
     if name == "sinh":
-        return _series_cyclic([np.sinh, np.cosh], v, order)
+        return _series_cyclic(np.sinh, np.cosh, False, v, order)
     if name == "cosh":
-        return _series_cyclic([np.cosh, np.sinh], v, order)
+        return _series_cyclic(np.cosh, np.sinh, False, v, order)
     if name == "pow_const":
         if exponent is None:
             raise ValueError("pow_const requires an exponent")
@@ -473,8 +480,10 @@ def jt_einsum(spec: str, a: JetTensor, b: JetTensor) -> JetTensor:
 # cost more than the skipped terms
 _ZERO_MIN_WORK = 10_000
 # products that skip less than this share of their (output, contracted
-# index) terms stay dense: a term through a plan costs more than in einsum
-_ZERO_MIN_SKIP = (0.85, 0.7)  # at jet order 1, at orders >= 2
+# index) terms stay dense: a term through a plan costs more than in einsum.
+# By jet order 1 or >= 2, then by up to one or two contracted letters: at
+# order 1 einsum's lane sums over two letters cost more a term
+_ZERO_MIN_SKIP = ((0.85, 0.75), (0.7, 0.7))
 _ZERO_PLANS_MAX = 512  # per jet space
 
 
@@ -510,7 +519,8 @@ def _build_plan(spec, letters, lead, space, nz_a, nz_b, ad, bd) -> tuple | bool:
     Terms are (output entry, contracted indices) with both operand jets
     nonzero.  They are grouped by rank, the term's place in its entry's sum,
     so that the sums run in einsum's order: the contracted indices ascending,
-    a lane letter last.
+    a lane letter last.  Entries are numbered by term count, most first, so
+    the entries of each rank block are a prefix of the rank-0 block.
     """
     (sa, sb, so), c = (x[lead:] for x in letters[:3]), letters[3]
     pa, pb = (ad[0], bd[0]) if lead else (ad, bd)
@@ -528,7 +538,7 @@ def _build_plan(spec, letters, lead, space, nz_a, nz_b, ad, bd) -> tuple | bool:
         return False
     terms = np.einsum(f"{sa},{sb}->{so}{c}", nz_a, nz_b)
     n = np.count_nonzero(terms)
-    if n > (1.0 - _ZERO_MIN_SKIP[min(space.order, 2) - 1]) * terms.size:
+    if n > (1.0 - _ZERO_MIN_SKIP[min(space.order, 2) - 1][len(c) == 2]) * terms.size:
         return False
     # the dense output's layout, taken from the same product on two coefficient pairs
     a_idx, b_idx, starts = space.mul_table
@@ -558,28 +568,31 @@ def _build_plan(spec, letters, lead, space, nz_a, nz_b, ad, bd) -> tuple | bool:
     elif lane and n and rank.max() > 1:
         # a lane sum equals an ordered sum only for at most two terms
         return False
-    order = np.lexsort((group, rank))
-    bounds = np.cumsum(np.bincount(rank, minlength=1))
-    support = bounds[0]  # entries with a term, each with its rank-0 term
-    blocks = [(slice(None) if hi - lo == support else group[order[lo:hi]], lo, hi)
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    by_count = np.argsort(np.argsort(-np.bincount(group), kind="stable"))  # each entry's number, most terms first
+    order = np.lexsort((by_count[group], rank))
+    bounds = np.cumsum(np.bincount(rank, minlength=1))  # bounds[0]: entries with a term, each with its rank-0 term
     ia = rows(sa, pa.shape[:-1])[order, None] * space.n_coeffs + a_idx
     ib = rows(sb, pb.shape[:-1])[order, None] * space.n_coeffs + b_idx
     # the output in the dense path's memory order, coefficient axis last
     shape = tuple(np.take(terms.shape[: len(so)] + (space.n_coeffs,), perm))
-    out_rows = rows([so[i] for i in perm[:-1]], shape[:-1])[order[:support]]
-    return lead, ia, ib, support, blocks, out_rows, shape, (0, *(1 + np.argsort(perm)))
+    out_rows = rows([so[i] for i in perm[:-1]], shape[:-1])[order[: bounds[0]]]
+    return lead, ia, ib, bounds, out_rows, shape, (0, *(1 + np.argsort(perm)))
 
 
 def _zero_product(plan, ad: np.ndarray, bd: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Gather, multiply and sum a plan's terms rank by rank from +0.0, point by point; the other entries stay +0.0."""
-    lead, ia, ib, support, blocks, out_rows, shape, axes = plan
+    """Gather, multiply and sum a plan's terms one rank block at a time from +0.0, point by point, each block into
+    a prefix of the entries; the other entries stay +0.0."""
+    lead, ia, ib, bounds, out_rows, shape, axes = plan
     points = len(ad) if lead else 1
-    prod = np.take(ad.reshape(points, -1), ia, axis=1) * np.take(bd.reshape(points, -1), ib, axis=1)
-    acc = prod[:, :support]
+    ad, bd = ad.reshape(points, -1), bd.reshape(points, -1)
+
+    def block(lo, hi):
+        return np.take(ad, ia[lo:hi], axis=1) * np.take(bd, ib[lo:hi], axis=1)
+
+    acc = block(0, bounds[0])
     acc += 0.0
-    for rows, lo, hi in blocks:
-        acc[:, rows] += prod[:, lo:hi]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        acc[:, : hi - lo] += block(lo, hi)
     buf = np.zeros((points, math.prod(shape[:-1]), shape[-1]))
     buf[:, out_rows] = np.add.reduceat(acc, starts, axis=-1)
     out = buf.reshape(points, *shape).transpose(axes)

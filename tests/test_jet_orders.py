@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from warpcheck import geometry
 from warpcheck.checks import CHECKS, EXAMPLE_CONFIGS, RunConfig, build_context, point_scratches, run_suite
 from warpcheck.geometry import ChartBatch, CurvatureBundle, MetricChart
-from warpcheck.jets import JetTensor, _elem_series, _raw_mul, jet_space, jt_einsum
+from warpcheck.jets import JetTensor, _elem_series, _raw_elem, _raw_mul, jet_space, jt_einsum
 from conftest import example_geometry
 from warpcheck.spaces import (
     basicex_geometry,
@@ -182,8 +182,14 @@ def test_order0_product_matches_gathered_product_bitwise(spec, dim, layout):
 # curvature chain uses, and for _raw_mul.  The Ricci and Cotton-divergence
 # specs are one contraction up to renaming, so their digests agree.  An
 # ORDER0 entry is over dims 4-5 at order 0, where jt_einsum calls np.einsum
-# on the values alone; its specs sum an index last in both operands.
+# on the values alone; its specs sum an index last in both operands.  A
+# COMPOSE entry is an elementary function's series composed with fixed-seed
+# jets (_raw_compose's Horner sum) over 1, 5 and 6 variables, orders 3-4 and
+# batch shapes (), (1,), (40,) and (3, 4, 4); pow_const(-1) is the series that
+# _raw_div composes.
 ORDER0 = " at order 0"
+COMPOSE = "_raw_compose "
+COMPOSED = {"sin": None, "cos": None, "cosh": None, "sqrt": None, "pow_const(-1)": -1.0}
 SUMMATION_DIGESTS = {
     "kl,ijl->kij": "39101bb022d631709c5a30de6d80cb812c7d16d91b1d599b317299572c34df26",
     "mki,ljm->lijk": "2d7451ef7e03ed7c167d4a5a1422ef824a707db622daa2292fd3bee6160e8e12",
@@ -194,12 +200,29 @@ SUMMATION_DIGESTS = {
     "_raw_mul": "ebc61f2fcaa4ce451f894929d76818331aa067d461dccfee7e6a81d6ae066ab9",
     "ij,ij->" + ORDER0: "d9fd13ce7d779e5af1d5362fc4fa451ff895427827b094d0e127034c585b0db3",
     "kl,ikjl->ij" + ORDER0: "9eb659abe4da00c5dbedfc5ccfdb6b8ac0846e4d252709476ba2f5ee2cc58d55",
+    COMPOSE + "sin": "0d8a3f81d2828814ecf495a10a231b9df6311996b2c92d41edbf30d29a67a0f2",
+    COMPOSE + "cos": "a5a1efee4f14c52086880632b8ace7047f1850c2de29d0201738ba141c2c075c",
+    COMPOSE + "cosh": "6bda88ce18052b0edb81525d69790b7e5072f5997054a2734748afcb749fb033",
+    COMPOSE + "sqrt": "ef0035c86e0d7cf47fc485d22911e8c07be995117dfe5668e60b4f832ad9c242",
+    COMPOSE + "pow_const(-1)": "5723ba33f9e9c83aeb0eaef78ee288341bdaab767c8f41b6cfab437903cafa1b",
 }
 
 
 def _summation_digest(key: str) -> str:
     spec = key.removesuffix(ORDER0)
     digest = hashlib.sha256()
+    if key.startswith(COMPOSE):
+        name = key.removeprefix(COMPOSE)
+        rng = np.random.default_rng(0)
+        for num_vars in (1, 5, 6):
+            for order in (3, 4):
+                space = jet_space(num_vars, order)
+                for shape in ((), (1,), (40,), (3, 4, 4)):
+                    x = rng.standard_normal(shape + (space.n_coeffs,))
+                    x[..., 0] = 0.5 + np.abs(x[..., 0])  # in the domain of sqrt and 1/x
+                    out = _raw_elem(space, name.split("(")[0], x, COMPOSED[name])
+                    digest.update(np.ascontiguousarray(out).tobytes())
+        return digest.hexdigest()
     for dim in (4, 5):
         for order in (0,) if key.endswith(ORDER0) else (3, 4):
             if spec == "_raw_mul":
