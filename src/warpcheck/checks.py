@@ -198,6 +198,8 @@ def _chart_from_dict(raw: Any, path: str) -> MetricChart:
     if kind not in ("sphere", "hyperbolic", "flat_torus"):
         raise ConfigError(f"{path}.kind: unknown fiber kind {kind!r}")
     dim = _number(raw, "dim", path, None, integer=True)
+    if dim < 1:
+        raise ConfigError(f"{path}.dim: must be an integer >= 1, got {dim}")
     if kind == "flat_torus":
         return make_flat_torus_chart(dim)
     make = make_sphere_chart if kind == "sphere" else make_hyperbolic_chart
@@ -254,9 +256,11 @@ def _build_ode_warped(space: dict) -> WarpedGeometry:
         if key in space:
             raise ConfigError(f"space.{key}: not an ode_warped key (h0 is the turning point; the fiber fixes c1)")
     fiber_chart = _chart_from_dict(space.get("fiber"), "space.fiber")
+    n = fiber_chart.dim + 1
+    if n < 3:  # c1 divides by n - 2
+        raise ConfigError(f"space.fiber: warped product needs total dim >= 3, got {n}")
     if fiber_chart.known_scalar is None:
         raise ConfigError("space.fiber: ode_warped needs a fiber with known scalar curvature")
-    n = fiber_chart.dim + 1
     scalar = _number(space, "scalar", "space", None)
     h0 = _number(space, "h0", "space", None)
     c1 = c1_for_fiber_scalar(n, scalar, fiber_chart.known_scalar, h0)

@@ -1,7 +1,7 @@
 """Command-line driver: verify, solve-ode, example, list.
 
 Exit codes: 0 = every check PASS or SKIP; 1 = at least one FAIL;
-2 = configuration or space-construction error.
+2 = configuration, space-construction or output-path error.
 """
 
 from __future__ import annotations
@@ -229,12 +229,16 @@ def _cmd_list() -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "solve-ode":
-        return _cmd_solve_ode(args)
-    if args.command == "example":
-        return _cmd_example(args)
+    try:
+        if args.command == "verify":
+            return _cmd_verify(args)
+        if args.command == "solve-ode":
+            return _cmd_solve_ode(args)
+        if args.command == "example":
+            return _cmd_example(args)
+    except OSError as exc:  # the config is read under its own error; every other file is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     if args.command == "list":
         return _cmd_list()
     raise AssertionError(f"unhandled command {args.command!r}")

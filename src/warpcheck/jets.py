@@ -19,35 +19,33 @@ truncation a slice.
 
 The zero rule of :func:`jt_einsum`.  Diagonal and warped charts make most
 entries of g^-1, Christoffel and Riemann jets that are exactly zero.  A
-product at order >= 1 with at most two contracted letters skips every term
-(output entry, contracted indices) with an all-zero operand jet.  It
-numbers the entries by term count, most first, and gathers, multiplies and
-sums only the other terms one rank block at a time from +0.0, each block
-into a prefix of the entries; it segment-sums only the entries that have a
-term, and the rest stay +0.0.  The bits are the dense path's where the
-ranks follow einsum's order: einsum adds without FMA, a skipped term would
-add +-0.0, which leaves a sum as it is, and ``np.add.reduceat`` sums each
-entry on its own.  einsum sums a contracted letter that is the fastest
-axis of both operands (the lane letter) innermost, in SIMD lanes, and
-another one in order outside it.  So the dense path still runs for a
-product below ``_ZERO_MIN_WORK`` multiply-adds; for one that would skip
-less than ``_ZERO_MIN_SKIP`` of its terms, a cut-off by jet order and, at
-order 1, by the number of contracted letters; for a lane letter alone with
-more than two terms to an entry; for a lane letter and another with more
-than one term to an (entry, other index), or that einsum may coalesce into
-one lane axis; for two letters without a lane letter whose two nestings
-would order an entry's terms unlike; for two letters in operands that
-order their shared axes unlike in memory, which numpy 2.4 sums in an order
-of its own; and for a NaN or inf operand, where 0 * inf must stay NaN
-(gated by one sum of both operands, so finite ones whose sum overflows run
-dense too).  A plan is built from the zero masks before the product's
-first call, which then runs through it; it takes the dense output's layout
-from the same product on two coefficient pairs.  It is kept on the jet
-space by spec, operand layouts and zero masks: where the operands and the
-output lead with the point axis p, by the per-point layouts and the union
-of the points' masks (ORed over the points first, whole rows at a time,
-then over the short coefficient axis), so that chunks of any number of
-points share it.
+product at order >= 1 whose operands and output lead with the point axis p,
+outermost in memory, with at most two contracted letters skips every term
+(output entry, contracted indices) with an all-zero operand jet; any other
+product runs dense.  It numbers the entries by term count, most first, and
+gathers, multiplies and sums the other terms one rank block at a time from
++0.0, each block into a prefix of the entries; it segment-sums only the
+entries that have a term, and the rest stay +0.0.  The bits are the dense
+path's where the ranks follow einsum's order: einsum adds without FMA, a
+skipped term would add +-0.0, which leaves a sum as it is, and
+``np.add.reduceat`` sums each entry on its own.  einsum sums a contracted
+letter that is the fastest axis of both operands (the lane letter)
+innermost, in SIMD lanes, and another one in order outside it.  So the dense
+path still runs for a product below ``_ZERO_MIN_WORK`` multiply-adds; for
+one that would skip less than ``_ZERO_MIN_SKIP`` of its terms, a cut-off by
+jet order and, at order 1, by the number of contracted letters; for a lane
+letter alone with more than two terms to an entry; for a lane letter and
+another with more than one term to an (entry, other index), or that einsum
+may coalesce into one lane axis; for two letters without a lane letter whose
+two nestings would order an entry's terms unlike; for two letters in
+operands that order their shared axes unlike in memory, which numpy 2.4 sums
+in an order of its own; and for a NaN or inf operand, where 0 * inf must
+stay NaN (gated by one sum of both operands, so finite ones whose sum
+overflows run dense too).  A plan is built for one point from the zero masks
+before the product's first call; it takes the dense output's layout from the
+same product on two coefficient pairs.  It is kept on the jet space by spec,
+per-point operand layouts and the union of the points' zero masks, so that
+chunks of any number of points share it.
 """
 
 from __future__ import annotations
@@ -229,22 +227,13 @@ def _check_positive(name: str, v: np.ndarray) -> None:
 
 def _elem_series(name: str, v: np.ndarray, order: int, exponent: float | None = None) -> np.ndarray:
     if name == "exp":
-        e = np.exp(v)
-        return np.stack([e / math.factorial(j) for j in range(order + 1)])
+        return _series_cyclic(np.exp, np.exp, False, v, order)
     if name == "log":
         _check_positive("log", v)
-        coeffs = [np.log(v)]
-        for j in range(1, order + 1):
-            coeffs.append((-1.0) ** (j - 1) / (j * v**j))
-        return np.stack(coeffs)
+        return np.stack([np.log(v)] + [(-1.0) ** (j - 1) / (j * v**j) for j in range(1, order + 1)])
     if name == "sqrt":
         _check_positive("sqrt", v)
-        coeffs = [np.sqrt(v)]
-        c = 0.5
-        for j in range(1, order + 1):
-            coeffs.append(c * v ** (0.5 - j))
-            c *= (0.5 - j) / (j + 1)
-        return np.stack(coeffs)
+        return _elem_series("pow_const", v, order, 0.5)
     if name == "sin":
         return _series_cyclic(np.sin, np.cos, True, v, order)
     if name == "cos":
@@ -489,32 +478,33 @@ _ZERO_PLANS_MAX = 512  # per jet space
 
 @lru_cache(maxsize=1024)
 def _zero_letters(spec: str, space: JetSpace, shape_a: tuple, shape_b: tuple) -> tuple[tuple[str, ...], int]:
-    """((sa, sb, out, contracted letters in sa's order), multiply-adds), or ((), -1) where the zero rule cannot hold."""
+    """((sa, sb, out past their p, contracted letters in sa's order), multiply-adds), or ((), -1) off the zero rule."""
     lhs, so = spec.split("->")
     sa, sb = lhs.split(",")
     summed = "".join(x for x in sa if x in sb and x not in so)
-    if len(set(sa)) < len(sa) or len(set(sb)) < len(sb) or len(summed) > 2 or set(sa + sb) - set(so) != set(summed):
+    if (len(set(sa)) < len(sa) or len(set(sb)) < len(sb) or len(summed) > 2 or set(sa + sb) - set(so) != set(summed)
+            or not sa[:1] == sb[:1] == so[:1] == "p"):
         return (), -1
     extent = dict(zip(sa + sb, shape_a + shape_b))
-    return (sa, sb, so, summed), math.prod(extent.values()) * len(space.mul_table[0])
+    return (sa[1:], sb[1:], so[1:], summed), math.prod(extent.values()) * len(space.mul_table[0])
 
 
 def _zero_plan(spec: str, letters, space: JetSpace, ad: np.ndarray, bd: np.ndarray) -> tuple | bool:
-    """The product's plan, built before its first call: for one point where the point axis p leads and is outermost."""
-    sa, sb, so, _ = letters
-    lead = int(sa[:1] == sb[:1] == so[:1] == "p" and all(d.strides[0] == max(d.strides) for d in (ad, bd)))
-    nz_a, nz_b = (d.any(axis=0).any(axis=-1) if lead else d.any(axis=-1) for d in (ad, bd))
-    key = (spec, ad.shape[lead:], ad.strides[lead:], bd.shape[lead:], bd.strides[lead:], nz_a.tobytes(), nz_b.tobytes())
+    """The product's plan, built before its first call from one point, or False where p is not outermost in memory."""
+    if any(d.strides[0] < max(d.strides) for d in (ad, bd)):
+        return False
+    nz_a, nz_b = (d.any(axis=0).any(axis=-1) for d in (ad, bd))
+    key = (spec, ad.shape[1:], ad.strides[1:], bd.shape[1:], bd.strides[1:], nz_a.tobytes(), nz_b.tobytes())
     plan = space._zero_plans.get(key)
     if plan is None:
         if len(space._zero_plans) >= _ZERO_PLANS_MAX:
             space._zero_plans.clear()
-        plan = space._zero_plans[key] = _build_plan(spec, letters, lead, space, nz_a, nz_b, ad, bd)
+        plan = space._zero_plans[key] = _build_plan(spec, letters, space, nz_a, nz_b, ad, bd)
     return plan
 
 
-def _build_plan(spec, letters, lead, space, nz_a, nz_b, ad, bd) -> tuple | bool:
-    """Index tables of a product's nonzero terms for one point (or the whole product), or False where it stays dense.
+def _build_plan(spec, letters, space, nz_a, nz_b, ad, bd) -> tuple | bool:
+    """Index tables of a product's nonzero terms for one point, or False where it stays dense.
 
     Terms are (output entry, contracted indices) with both operand jets
     nonzero.  They are grouped by rank, the term's place in its entry's sum,
@@ -522,12 +512,11 @@ def _build_plan(spec, letters, lead, space, nz_a, nz_b, ad, bd) -> tuple | bool:
     a lane letter last.  Entries are numbered by term count, most first, so
     the entries of each rank block are a prefix of the rank-0 block.
     """
-    (sa, sb, so), c = (x[lead:] for x in letters[:3]), letters[3]
-    pa, pb = (ad[0], bd[0]) if lead else (ad, bd)
+    sa, sb, so, c = letters
     # einsum sums a letter that is the fastest axis of both gathered operands
     # (a gather keeps its source's axis order) innermost, in SIMD lanes
     fast_a, fast_b = ([x for _, x in sorted((s, x) for x, s, e in zip(ls, d.strides, d.shape) if e > 1)]
-                      for ls, d in ((sa, pa), (sb, pb)))
+                      for ls, d in ((sa, ad[0]), (sb, bd[0])))
     lane = next(iter(set(fast_a[:1]) & set(fast_b[:1]) & set(c)), "")
     c = c.replace(lane, "") + lane
     if len(c) == 2 and ([x for x in fast_a if x in fast_b] != [x for x in fast_b if x in fast_a]
@@ -543,8 +532,8 @@ def _build_plan(spec, letters, lead, space, nz_a, nz_b, ad, bd) -> tuple | bool:
     # the dense output's layout, taken from the same product on two coefficient pairs
     a_idx, b_idx, starts = space.mul_table
     probe = np.add.reduceat(np.einsum(_jet_spec(spec), ad[..., a_idx[:2]], bd[..., b_idx[:2]]), starts[:2], axis=-1)
-    perm = np.argsort([-s for s in probe.strides[lead:]], kind="stable")
-    if perm[-1] != len(so) or (lead and probe.strides[0] < max(probe.strides)):
+    perm = np.argsort([-s for s in probe.strides[1:]], kind="stable")
+    if perm[-1] != len(so) or probe.strides[0] < max(probe.strides):
         return False
     at = dict(zip(so + c, np.nonzero(np.atleast_1d(terms))))
 
@@ -571,19 +560,19 @@ def _build_plan(spec, letters, lead, space, nz_a, nz_b, ad, bd) -> tuple | bool:
     by_count = np.argsort(np.argsort(-np.bincount(group), kind="stable"))  # each entry's number, most terms first
     order = np.lexsort((by_count[group], rank))
     bounds = np.cumsum(np.bincount(rank, minlength=1))  # bounds[0]: entries with a term, each with its rank-0 term
-    ia = rows(sa, pa.shape[:-1])[order, None] * space.n_coeffs + a_idx
-    ib = rows(sb, pb.shape[:-1])[order, None] * space.n_coeffs + b_idx
+    ia = rows(sa, nz_a.shape)[order, None] * space.n_coeffs + a_idx
+    ib = rows(sb, nz_b.shape)[order, None] * space.n_coeffs + b_idx
     # the output in the dense path's memory order, coefficient axis last
     shape = tuple(np.take(terms.shape[: len(so)] + (space.n_coeffs,), perm))
     out_rows = rows([so[i] for i in perm[:-1]], shape[:-1])[order[: bounds[0]]]
-    return lead, ia, ib, bounds, out_rows, shape, (0, *(1 + np.argsort(perm)))
+    return ia, ib, bounds, out_rows, shape, (0, *(1 + np.argsort(perm)))
 
 
 def _zero_product(plan, ad: np.ndarray, bd: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Gather, multiply and sum a plan's terms one rank block at a time from +0.0, point by point, each block into
     a prefix of the entries; the other entries stay +0.0."""
-    lead, ia, ib, bounds, out_rows, shape, axes = plan
-    points = len(ad) if lead else 1
+    ia, ib, bounds, out_rows, shape, axes = plan
+    points = len(ad)
     ad, bd = ad.reshape(points, -1), bd.reshape(points, -1)
 
     def block(lo, hi):
@@ -595,8 +584,7 @@ def _zero_product(plan, ad: np.ndarray, bd: np.ndarray, starts: np.ndarray) -> n
         acc[:, : hi - lo] += block(lo, hi)
     buf = np.zeros((points, math.prod(shape[:-1]), shape[-1]))
     buf[:, out_rows] = np.add.reduceat(acc, starts, axis=-1)
-    out = buf.reshape(points, *shape).transpose(axes)
-    return out if lead else out[0]
+    return buf.reshape(points, *shape).transpose(axes)
 
 
 @lru_cache(maxsize=None)

@@ -124,6 +124,8 @@ def make_hyperbolic_chart(m: int, r: float) -> MetricChart:
 
 
 def make_flat_torus_chart(m: int) -> MetricChart:
+    if m < 1:
+        raise ValueError(f"flat torus needs m >= 1 (got m={m})")
     def builder(coords):
         return [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
 

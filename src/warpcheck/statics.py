@@ -20,6 +20,7 @@ import numpy as np
 
 from . import tensors
 from .dsl import ExprAst, eval_expr
+from .geometry import _need_dim
 from .jets import JetTensor, jt_einsum
 from .residuals import PreconditionSkip, Residual, ResidualSet
 from .spaces import StaticPotentialSpec
@@ -130,6 +131,7 @@ class StaticAnalysis:
     def t_jets(self) -> JetTensor:
         c = self.chain
         n = self.n
+        _need_dim(n, 3, "T tensor")
         ef = jt_einsum("pjl,pl->pj", c.efield, self.df_up)
         term1 = jt_einsum("pik,pj->pijk", c.efield, self.df) - jt_einsum("pij,pk->pijk", c.efield, self.df)
         term2 = jt_einsum("pik,pj->pijk", c.g, ef) - jt_einsum("pij,pk->pijk", c.g, ef)

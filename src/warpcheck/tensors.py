@@ -13,10 +13,9 @@ def tensor_norm_sq(components: np.ndarray, variance: tuple[str, ...], up: np.nda
     ``up = L^T`` takes a contravariant index to the frame, ``low = L^-1`` a
     covariant one.  Each step contracts the leading axis and appends the new
     one last; the sum of squares does not depend on the order of the axes.
-    Frames of shape (P, n, n) take components with a leading point axis to
-    the P norms, each with the bits of its point alone: ``matmul`` runs one
-    product per matrix of a stack, and one more multiplies each row by itself,
-    (1, m) by (m, 1), through the BLAS dot that a lone frame's ``vdot`` calls.
+    Frames of shape (*lead, n, n) give norms of shape ``lead``, each with the
+    bits of its frame alone: ``matmul`` runs one product per matrix of a
+    stack, and one more per row, (1, m) by (m, 1).
     """
     s = np.asarray(components, dtype=float)
     lead = up.shape[:-2]
@@ -25,6 +24,4 @@ def tensor_norm_sq(components: np.ndarray, variance: tuple[str, ...], up: np.nda
     for flag in variance:
         frame = low if flag == "l" else up
         s = s.reshape(lead + (frame.shape[-1], -1)).swapaxes(-1, -2) @ frame.swapaxes(-1, -2)
-    if lead:
-        return (s.reshape(lead + (1, -1)) @ s.reshape(lead + (-1, 1))).reshape(lead)
-    return float(np.vdot(s, s))
+    return (s.reshape(lead + (1, -1)) @ s.reshape(lead + (-1, 1))).reshape(lead)

@@ -320,14 +320,53 @@ def test_cli_nan_warping_is_a_config_error(tmp_path, capfd, warping, where):
         ([1, 1], "1", {"kind": "sphere", "dim": 3}, "empty interval (1, 1)"),
         ([-1, 1], "t", {"kind": "sphere", "dim": 3}, "warping function is nonpositive on [-1.0, 1.0] (min -1)"),
         ([-1, 1], "1", {"kind": "sphere", "dim": 1}, "warped product needs total dim >= 3, got 2"),
+        pytest.param(None, None, {"kind": "sphere", "dim": 1},
+                     "space.fiber: warped product needs total dim >= 3, got 2", id="ode_warped-fiber-dim-1"),
     ],
 )
 def test_cli_warped_space_construction_errors(tmp_path, capsys, interval, warping, fiber, message):
-    config = {"space": {"kind": "warped", "interval": interval, "warping": warping, "fiber": fiber}, "checks": ["lgh_forms"]}
+    """Without a warping the space is the ode_warped kind, whose c1 divides by n - 2."""
+    space = {"kind": "warped", "interval": interval, "warping": warping} if warping else dict(ODE_SPACE)
+    config = {"space": dict(space, fiber=fiber), "checks": ["lgh_forms"]}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     assert main(["verify", str(config_path), "--no-timestamp"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("check", ["t_algebra", "tfe_identity"])
+def test_cli_t_tensor_on_a_surface_is_a_construction_error(tmp_path, capsys, check):
+    """T divides by n - 2, as Schouten, Cotton and Weyl do: on S^2 it exits 2 naming the tensor."""
+    config = {"space": {"kind": "sphere", "dim": 2}, "potential": {"builtin": "sphere_height"}, "checks": [check],
+              "samples": 2}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == "error: T tensor requires dim >= 3, chart has dim 2\n"
+
+
+@pytest.mark.parametrize("where", ["--out", "--csv", "output.report", "output.csv"])
+def test_cli_verify_unwritable_output_exits_2(tmp_path, capsys, where):
+    """A path in a missing directory is an error of the run's set-up, after the status lines of the run."""
+    bad = str(tmp_path / "missing" / "out")
+    config = {"space": {"kind": "sphere", "dim": 3}, "checks": ["firstthm"], "samples": 2}
+    flags = [where, bad] if where.startswith("--") else []
+    if not flags:
+        config["output"] = {where.split(".")[1]: bad}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["verify", str(config_path), "--no-timestamp", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[SKIP] firstthm: ") and err.endswith(f"error: cannot write output: [Errno 2] "
+                                                                 f"No such file or directory: '{bad}'\n")
+
+
+def test_cli_solve_ode_unwritable_output_exits_2(tmp_path, capsys):
+    bad = str(tmp_path / "missing" / "traj.csv")
+    code = main(["solve-ode", "--n", "4", "--scalar", "12", "--c1", "1", "--h0", "1", "--t-end", "0.1",
+                 "--out", bad])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write output: [Errno 2] No such file or directory: '{bad}'\n"
 
 
 def test_cli_field_with_builtin_and_components_is_a_config_error(tmp_path, capsys):

@@ -300,8 +300,9 @@ def test_frame_norm_matches_einsum_oracle(n, rank, seed):
 @pytest.mark.parametrize("points", [1, 7])
 @pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
 def test_stacked_frame_norms_are_the_lone_frames_bit_for_bit(rank, points, transposed):
-    """tensor_norm_sq on a (P, n, n) frame stack gives the bytes of P lone-frame calls, with mixed variance,
-    components of magnitudes 1e-5 to 1e4 and a transposed (non-contiguous) component array."""
+    """tensor_norm_sq on a (P, n, n) frame stack gives the bytes of P one-row stacks, each point alone, with mixed
+    variance, components of magnitudes 1e-5 to 1e4 and a transposed (non-contiguous) component array; a lone
+    frame, with no stack axis, gives its one-row stack's bytes as a 0-d array."""
     rng = np.random.default_rng(100 * rank + 10 * points + transposed)
     n = 4 if rank == 4 else 6
     a = rng.standard_normal((points, n, n))
@@ -313,8 +314,11 @@ def test_stacked_frame_norms_are_the_lone_frames_bit_for_bit(rank, points, trans
         comps = np.asfortranarray(comps)
         assert comps.ndim - (points == 1) < 2 or not comps.flags.c_contiguous
     got = tensor_norm_sq(comps, variance, up, low)
-    want = np.array([tensor_norm_sq(comps[k], variance, up[k], low[k]) for k in range(points)])
+    want = np.concatenate([tensor_norm_sq(comps[k : k + 1], variance, up[k : k + 1], low[k : k + 1])
+                           for k in range(points)])
     assert got.shape == (points,) and got.tobytes() == want.tobytes()
+    lone = tensor_norm_sq(comps[0], variance, up[0], low[0])
+    assert lone.shape == () and lone.tobytes() == want[:1].tobytes()
 
 
 def test_tensor_norm_op(ejiri):

@@ -414,9 +414,23 @@ def _jets(rng, space, shape, keep, layout=None, negative_zeros=False) -> JetTens
     return JetTensor(space, data)
 
 
+def _per_point(spec: str) -> str:
+    """``spec`` with the point letter p leading both operands and the output, as every product of a chunk."""
+    lhs, out = spec.split("->")
+    return "p" + lhs.replace(",", ",p") + "->p" + out
+
+
+def _point_jets(rng, space, points, keep, layout=None, negative_zeros=False) -> JetTensor:
+    """``_jets`` of shape (points, *keep.shape), each point with the zero jets of ``keep``; ``layout`` permutes
+    the per-point axes in memory, and p stays outermost."""
+    shape = (points,) + keep.shape
+    layout = None if layout is None else (0, *(1 + np.asarray(layout)))
+    return _jets(rng, space, shape, np.broadcast_to(keep, shape), layout, negative_zeros)
+
+
 @st.composite
 def _products(draw):
-    """A binary spec with zero to two contracted letters, maybe a shared leading point letter p, its per-point
+    """A binary spec with zero to two contracted letters and a shared leading point letter p, its per-point
     extents and operand layouts (p stays outermost in memory)."""
     letters = iter("abcdefg")
     only_a = [next(letters) for _ in range(draw(st.integers(0, 2)))]
@@ -427,10 +441,9 @@ def _products(draw):
     sb = draw(st.permutations(only_b + shared + summed))
     so = draw(st.permutations(only_a + only_b + shared))
     extent = {x: draw(st.integers(1, 4)) for x in sa + sb}
-    lead = "p" if draw(st.booleans()) else ""
-    spec = f"{lead}{''.join(sa)},{lead}{''.join(sb)}->{lead}{''.join(so)}"
-    layouts = [[0] * bool(lead) + [bool(lead) + x for x in draw(st.permutations(range(len(ls))))] for ls in (sa, sb)]
-    return spec, lead, tuple(extent[x] for x in sa), tuple(extent[x] for x in sb), *layouts
+    spec = _per_point(f"{''.join(sa)},{''.join(sb)}->{''.join(so)}")
+    layouts = [draw(st.permutations(range(len(ls)))) for ls in (sa, sb)]
+    return spec, tuple(extent[x] for x in sa), tuple(extent[x] for x in sb), *layouts
 
 
 @given(
@@ -450,9 +463,9 @@ def test_zero_rule_is_the_dense_product_bit_for_bit(
     product, points, share_a, share_b, space, extra_order, transposed, negative_zeros, cut_off, seed
 ):
     """A plan built on one draw gives the dense path's bytes and strides on a second draw with the same zeros, at
-    every point, and with a point letter at another point count.  With ``cut_off`` the skip cut-offs are the
-    module's own, so order-1 products over two contracted letters meet theirs."""
-    spec, lead, shape_a, shape_b, layout_a, layout_b = product
+    every point and at another point count.  With ``cut_off`` the skip cut-offs are the module's own, so order-1
+    products over two contracted letters meet theirs."""
+    spec, shape_a, shape_b, layout_a, layout_b = product
     rng = np.random.default_rng(seed)
     keep_a, keep_b = rng.random(shape_a) >= share_a, rng.random(shape_b) >= share_b
     space_a, space_b = jets.JetSpace(*space), jet_space(space[0], space[1] + extra_order)
@@ -462,14 +475,12 @@ def test_zero_rule_is_the_dense_product_bit_for_bit(
         skip = jets._ZERO_MIN_SKIP if cut_off else ((0.0, 0.0), (0.0, 0.0))
         mp.setattr(jets, "_ZERO_MIN_SKIP", skip)
         layouts = set()
-        for count in points[: 1 + bool(lead)] * (1 + (not lead)):
-            batch = (count,) if lead else ()
-            a = _jets(rng, space_a, batch + shape_a, np.broadcast_to(keep_a, batch + shape_a), views[0], negative_zeros)
-            b = _jets(rng, space_b, batch + shape_b, np.broadcast_to(keep_b, batch + shape_b), views[1], negative_zeros)
+        for count in points:
+            a = _point_jets(rng, space_a, count, keep_a, views[0], negative_zeros)
+            b = _point_jets(rng, space_b, count, keep_b, views[1], negative_zeros)
             assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
-            masks = (t.data.any(axis=-1) for t in a._align(b))
-            layouts.add((*(t.data.strides[len(lead):] for t in a._align(b)),
-                         *((m.any(axis=0) if lead else m).tobytes() for m in masks)))
+            masks = (t.data.any(axis=-1).any(axis=0) for t in a._align(b))
+            layouts.add((*(t.data.strides[1:] for t in a._align(b)), *(m.tobytes() for m in masks)))
     plans = list(space_a._zero_plans.values())
     # one plan per pair of per-point layouts (a copy may keep another stride on an axis of length 1) and of
     # unions of zero masks (-0.0s may zero a whole jet)
@@ -479,7 +490,7 @@ def test_zero_rule_is_the_dense_product_bit_for_bit(
     summed = "".join(x for x in sa if x in sb and x not in out)
     terms = np.einsum(f"{lhs}->{out}{summed}", keep_a, keep_b)
     most = terms.reshape(terms.shape[: len(out)] + (-1,)).sum(axis=-1).max(initial=0)  # terms to an entry
-    point_a, point_b = (t.data[0] if lead else t.data for t in a._align(b))
+    point_a, point_b = (t.data[0] for t in a._align(b))
     fast_a, fast_b = _fastest_first(sa, point_a), _fastest_first(sb, point_b)
     lane = set(fast_a[:1]) & set(fast_b[:1]) & set(summed)
     # a plan stays dense only where einsum may sum in SIMD lanes: a contracted letter that is the fastest axis
@@ -501,13 +512,15 @@ def _fastest_first(letters: str, data: np.ndarray) -> list[str]:
 
 @pytest.mark.parametrize("spec", ["kl,ijl->kij", "mki,ljm->lijk", "is,sjkl->ijkl", "ij,jk->ik", "ij,j->i", ",ij->ij"])
 def test_zero_rule_takes_the_plan_on_a_diagonal_chart(zero_rule_always, spec):
-    """Sparse curvature-like operands run through a plan, which holds on new values."""
+    """Sparse curvature-like operands of a chunk run through a plan, which holds on new values and other point
+    counts."""
     rng = np.random.default_rng(7)
     space = jets.JetSpace(4, 2)
     sa, sb = spec.split("->")[0].split(",")
     masks = [rng.random((4,) * len(letters)) < 0.2 for letters in (sa, sb)]
-    for _ in range(3):
-        a, b = (_jets(rng, space, m.shape, m) for m in masks)
+    spec = _per_point(spec)
+    for points in (1, 2, 3):
+        a, b = (_point_jets(rng, space, points, m) for m in masks)
         assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
     assert [bool(plan) for plan in space._zero_plans.values()] == [True]
 
@@ -529,6 +542,24 @@ def test_zero_rule_runs_a_product_through_its_plan_from_its_first_call(zero_rule
     assert len(space.mul_table[0]) not in pairs and 2 in pairs
 
 
+@pytest.mark.parametrize(
+    "spec, layout", [("ij,jk->ik", None), ("pij,jk->pik", None), ("pij,pjk->pik", (1, 0, 2))],
+    ids=["no-point-axis", "one-operand-per-point", "p-not-outermost"],
+)
+def test_zero_rule_plans_only_products_that_lead_with_the_point_axis(zero_rule_always, monkeypatch, spec, layout):
+    """A product whose operands and output do not all lead with p, or whose p is not outermost in memory, builds
+    no plan and runs dense, byte for byte, however sparse its operands."""
+    rng = np.random.default_rng(23)
+    space = jets.JetSpace(3, 2)
+    planned = []
+    monkeypatch.setattr(jets, "_zero_product", lambda *args: planned.append(1))
+    sa, sb = spec.split("->")[0].split(",")
+    a = _jets(rng, space, (3,) * len(sa), np.broadcast_to(np.eye(3, dtype=bool), (3,) * len(sa)), layout)
+    b = _jets(rng, space, (3,) * len(sb), np.broadcast_to(np.eye(3, dtype=bool), (3,) * len(sb)))
+    assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
+    assert space._zero_plans == {} and planned == []
+
+
 def test_a_twenty_point_batch_builds_one_plan_per_chain_product(monkeypatch):
     """ejiri's chain on 20 points cut into chunks of 8, 8 and 4 points: the chunks share one plan per product."""
     ctx = build_context(RunConfig.from_dict(dict(EXAMPLE_CONFIGS["ejiri"])))
@@ -547,14 +578,14 @@ def test_a_twenty_point_batch_builds_one_plan_per_chain_product(monkeypatch):
 
 def _block_entries(key, plan, space) -> list[np.ndarray]:
     """The output entry (its output-letter indices, one row a term) of each rank block's terms, block by block."""
-    lead, ia, ib, bounds = plan[:4]
+    ia, ib, bounds = plan[:3]
     lhs, so = key[0].split("->")
-    sa, sb = (s[lead:] for s in lhs.split(","))
+    sa, sb = (s[1:] for s in lhs.split(","))
     at = {}
     for letters, idx, shape in ((sa, ia, key[1][:-1]), (sb, ib, key[3][:-1])):
         at.update(zip(letters, np.unravel_index(idx[:, 0] // space.n_coeffs, shape) if shape else ()))
     # a zero column keeps the entries of a scalar output two-dimensional
-    entries = np.stack([at[x] for x in so[lead:]] + [np.zeros(len(ia), dtype=np.intp)], axis=1)
+    entries = np.stack([at[x] for x in so[1:]] + [np.zeros(len(ia), dtype=np.intp)], axis=1)
     return [entries[lo:hi] for lo, hi in zip([0, *bounds[:-1]], bounds)]
 
 
@@ -592,15 +623,15 @@ def test_zero_rule_adds_each_rank_block_into_a_prefix_of_its_accumulator(suite, 
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_zero_rule_stays_dense_where_einsum_sums_in_lanes(zero_rule_always, transposed):
-    """j is the fastest axis of both C-ordered operands of 'ij,j->i', so einsum sums it in SIMD lanes:
+    """j is the fastest axis of both C-ordered operands of 'pij,pj->pi', so einsum sums it in SIMD lanes:
     with four terms to an entry no ordered sum matches it.  In a transposed view of g it is not."""
     rng = np.random.default_rng(13)
     space = jets.JetSpace(3, 2)
     keep = ~np.eye(5, dtype=bool)
-    for _ in range(3):
-        g = _jets(rng, space, (5, 5), keep, (1, 0) if transposed else None)
-        v = _jets(rng, space, (5,), np.ones(5, dtype=bool))
-        assert _same(jt_einsum("ij,j->i", g, v), _dense_einsum("ij,j->i", g, v))
+    for points in (1, 2, 3):
+        g = _point_jets(rng, space, points, keep, (1, 0) if transposed else None)
+        v = _point_jets(rng, space, points, np.ones(5, dtype=bool))
+        assert _same(jt_einsum("pij,pj->pi", g, v), _dense_einsum("pij,pj->pi", g, v))
     assert [bool(plan) for plan in space._zero_plans.values()] == [transposed]
 
 
@@ -609,11 +640,11 @@ def test_zero_rule_plans_a_jet_nonzero_only_past_its_value_on_its_own(zero_rule_
     its value gets a plan of its own (dense, as the first is), and the product keeps the dense bits."""
     rng = np.random.default_rng(13)
     space = jets.JetSpace(3, 2)
-    g = _jets(rng, space, (5, 5), ~np.eye(5, dtype=bool))
-    v = _jets(rng, space, (5,), np.ones(5, dtype=bool))
-    jt_einsum("ij,j->i", g, v)
-    g.data[0, 0, 1:] = 1.0
-    assert _same(jt_einsum("ij,j->i", g, v), _dense_einsum("ij,j->i", g, v))
+    g = _point_jets(rng, space, 2, ~np.eye(5, dtype=bool))
+    v = _point_jets(rng, space, 2, np.ones(5, dtype=bool))
+    jt_einsum("pij,pj->pi", g, v)
+    g.data[1, 0, 0, 1:] = 1.0
+    assert _same(jt_einsum("pij,pj->pi", g, v), _dense_einsum("pij,pj->pi", g, v))
     assert list(space._zero_plans.values()) == [False, False]
 
 
@@ -622,16 +653,15 @@ def test_zero_rule_leaves_a_non_finite_operand_to_the_dense_path(zero_rule_alway
     """0 * inf is NaN in the dense product; skipping it would hide a FAIL."""
     rng = np.random.default_rng(3)
     space = jets.JetSpace(3, 2)
-    keep_a = np.eye(4, dtype=bool)
-    keep_b = np.ones((4, 4), dtype=bool)
-    a, b = _jets(rng, space, (4, 4), keep_a), _jets(rng, space, (4, 4), keep_b)
-    jt_einsum("ij,jk->ik", a, b)
+    a = _point_jets(rng, space, 3, np.eye(4, dtype=bool))
+    b = _point_jets(rng, space, 3, np.ones((4, 4), dtype=bool))
+    jt_einsum("pij,pjk->pik", a, b)
     assert any(space._zero_plans.values())
-    b.data[1, 2, 3] = bad  # meets a's zero jets a[0, 1], a[2, 1], a[3, 1]
-    got = jt_einsum("ij,jk->ik", a, b)
-    want = _dense_einsum("ij,jk->ik", a, b)
+    b.data[2, 1, 2, 3] = bad  # meets a's zero jets a[2, 0, 1], a[2, 2, 1], a[2, 3, 1]
+    got = jt_einsum("pij,pjk->pik", a, b)
+    want = _dense_einsum("pij,pjk->pik", a, b)
     assert _same(got, want)
-    assert np.isnan(got.data[0, 2, 3])
+    assert np.isnan(got.data[2, 0, 2, 3]) and np.isfinite(got.data[:2]).all()
 
 
 def test_zero_rule_masks_a_chunk_by_its_union_over_the_points(zero_rule_always):
@@ -658,19 +688,19 @@ def test_zero_rule_leaves_finite_operands_whose_sum_overflows_to_the_dense_path(
     """Entries near 1e308 are finite, but their sum is inf: the product runs dense and keeps its bytes."""
     rng = np.random.default_rng(3)
     space = jets.JetSpace(3, 2)
-    a = _jets(rng, space, (4, 4), np.eye(4, dtype=bool))
-    b = _jets(rng, space, (4, 4), np.ones((4, 4), dtype=bool))
+    a = _point_jets(rng, space, 2, np.eye(4, dtype=bool))
+    b = _point_jets(rng, space, 2, np.ones((4, 4), dtype=bool))
     planned = []
     product = jets._zero_product
     monkeypatch.setattr(jets, "_zero_product", lambda *args: planned.append(1) or product(*args))
-    jt_einsum("ij,jk->ik", a, b)
+    jt_einsum("pij,pjk->pik", a, b)
     assert planned == [1]
     big = (a, b)[operand].data
     big[big != 0] = 1e308 * rng.uniform(0.5, 1.0, np.count_nonzero(big))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isfinite(big).all() and not np.isfinite(big.sum())
-        got = jt_einsum("ij,jk->ik", a, b)
-        want = _dense_einsum("ij,jk->ik", a, b)
+        got = jt_einsum("pij,pjk->pik", a, b)
+        want = _dense_einsum("pij,pjk->pik", a, b)
     assert _same(got, want) and planned == [1]
 
 
@@ -680,19 +710,19 @@ def test_zero_rule_plans_are_keyed_on_the_jet_space(zero_rule_always):
     assert wide.n_coeffs == deep.n_coeffs == 15
     rng = np.random.default_rng(11)
     keep = np.eye(3, dtype=bool)
-    for space in (wide, deep, wide, deep):
-        a, b = _jets(rng, space, (3, 3), keep), _jets(rng, space, (3, 3), keep)
-        assert _same(jt_einsum("ij,jk->ik", a, b), _dense_einsum("ij,jk->ik", a, b))
+    for space, points in zip((wide, deep, wide, deep), (1, 2, 3, 1)):
+        a, b = _point_jets(rng, space, points, keep), _point_jets(rng, space, points, keep)
+        assert _same(jt_einsum("pij,pjk->pik", a, b), _dense_einsum("pij,pjk->pik", a, b))
     assert all(len(space._zero_plans) == 1 and all(space._zero_plans.values()) for space in (wide, deep))
 
 
 @pytest.mark.parametrize(
     "spec, keep_a, transposed, planned",
     [
-        ("kl,ikjl->ij", np.eye(3, dtype=bool), False, True),
-        ("kl,ikjl->ij", np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool), False, False),
-        ("kl,ikjl->ij", np.eye(3, dtype=bool), True, False),
-        ("ij,ij->", np.eye(3, dtype=bool), False, False),
+        ("pkl,pikjl->pij", np.eye(3, dtype=bool), False, True),
+        ("pkl,pikjl->pij", np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool), False, False),
+        ("pkl,pikjl->pij", np.eye(3, dtype=bool), True, False),
+        ("pij,pij->p", np.eye(3, dtype=bool), False, False),
     ],
     ids=["diagonal-g", "two-terms-to-a-k", "unlike-layouts", "coalesced"],
 )
@@ -701,13 +731,13 @@ def test_zero_rule_takes_two_contracted_letters_where_einsum_sums_in_order(
 ):
     """Ricci's g^kl R_ikjl: einsum sums l, the fastest axis of both operands, in SIMD lanes for each k, in order.
     A diagonal g^-1 leaves one term to each lane sum and takes a plan; g^00 and g^01 leave two.  A transposed
-    g^-1 orders k and l unlike R, and einsum may then sum both in lanes; in 'ij,ij->' it coalesces i and j."""
+    g^-1 orders k and l unlike R, and einsum may then sum both in lanes; in 'pij,pij->p' it coalesces i and j."""
     rng = np.random.default_rng(5)
     space = jets.JetSpace(3, 2)
-    sb = spec.split("->")[0].split(",")[1]
-    for _ in range(2):
-        a = _jets(rng, space, (3, 3), keep_a, (1, 0) if transposed else None)
-        b = _jets(rng, space, (3,) * len(sb), np.ones((3,) * len(sb), dtype=bool))
+    sb = spec.split("->")[0].split(",")[1][1:]
+    for points in (1, 3):
+        a = _point_jets(rng, space, points, keep_a, (1, 0) if transposed else None)
+        b = _point_jets(rng, space, points, np.ones((3,) * len(sb), dtype=bool))
         assert _same(jt_einsum(spec, a, b), _dense_einsum(spec, a, b))
     assert [bool(plan) for plan in space._zero_plans.values()] == [planned]
 
@@ -747,6 +777,6 @@ def test_zero_rule_plan_cache_is_bounded(zero_rule_always, monkeypatch):
         keep = np.zeros((3, 3), dtype=bool)
         keep[k % 3, (k + 1) % 3] = keep[(k + 2) % 3, k % 3] = True
         keep[0, 0] = k > 2
-        a, b = _jets(rng, space, (3, 3), keep), _jets(rng, space, (3, 3), keep)
-        jt_einsum("ij,jk->ik", a, b)
-        assert len(space._zero_plans) <= 2
+        a, b = _point_jets(rng, space, 2, keep), _point_jets(rng, space, 2, keep)
+        jt_einsum("pij,pjk->pik", a, b)
+        assert 1 <= len(space._zero_plans) <= 2

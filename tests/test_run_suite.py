@@ -31,7 +31,7 @@ from warpcheck.cli import main
 from warpcheck.geometry import CurvatureBundle, MetricChart, SingularMetricError
 from warpcheck.jets import JetShapeError, JetTensor
 from warpcheck.ode import OdeWarpingFunction, WarpOdeParams, equilibrium_radius, rbar_from_initial
-from warpcheck import checks, geometry, spaces, statics
+from warpcheck import checks, geometry, jets, spaces, statics
 from warpcheck.statics import StaticAnalysis
 
 from conftest import RowView
@@ -283,9 +283,10 @@ def example_runs():
     trace-free Riccis and vacuum-residual formations, which are per point;
     metric builds (``MetricChart.metric_jets``), warping jets and coordinate
     jets of all points at once (one for each metric and field build), which
-    are per suite; and coordinate jets of one point, which are per point.
+    are per suite; coordinate jets of one point, which are per point; and
+    jt_einsum products that run through a zero plan (``_zero_product``).
     """
-    kinds = ("bundles", "analyses", "fiber_ric0", "vacuum", "metric", "warping", "batched", "alone")
+    kinds = ("bundles", "analyses", "fiber_ric0", "vacuum", "metric", "warping", "batched", "alone", "planned")
     counts = {kind: Counter() for kind in kinds}
     current = [""]
 
@@ -312,6 +313,7 @@ def example_runs():
         mp.setattr(MetricChart, "metric_jets", counting("metric", MetricChart.metric_jets))
         mp.setattr(spaces, "warping_jet", counting("warping", spaces.warping_jet))
         mp.setattr(MetricChart, "coordinate_jets", coordinate_jets)
+        mp.setattr(jets, "_zero_product", counting("planned", jets._zero_product))
         for name, raw in EXAMPLE_CONFIGS.items():
             current[0] = name
             reports[name] = run_suite(RunConfig.from_dict(copy.deepcopy(raw)))
@@ -323,6 +325,17 @@ def test_bundles_per_point(example_runs):
     _, counts = example_runs
     assert counts["bundles"]["ejiri"] <= 2 * EXAMPLE_CONFIGS["ejiri"]["samples"]  # total space + fiber
     assert sum(counts["bundles"].values()) == 0
+
+
+# products through a zero plan per example, at each example's own sample count
+PLANNED = {"ejiri": 22, "basicex-n5-k2": 64, "nonconstant-exp": 12, "equiv-fail": 12, "ejiri-ode": 5, "sphere-s4": 5}
+
+
+def test_plan_traffic_per_example(example_runs):
+    """How many of each example's products run through a zero plan: a gate that sent per-point products dense
+    would keep every bit and only cost time."""
+    _, counts = example_runs
+    assert dict(counts["planned"]) == PLANNED
 
 
 def test_r_ijkl_is_formed_at_full_order_once_per_chunk():

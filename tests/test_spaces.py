@@ -313,8 +313,23 @@ def test_config_chart_equals_direct_construction(kind, position):
 
 @pytest.mark.parametrize("position", sorted(PATHS))
 @pytest.mark.parametrize(
-    "raw,field", [({"kind": "banana", "dim": 2}, ".kind"), (5, ""), ({"kind": "sphere", "radius": 1.0}, ".dim")]
+    "raw,field",
+    [
+        ({"kind": "banana", "dim": 2}, ".kind"),
+        (5, ""),
+        ({"kind": "sphere", "radius": 1.0}, ".dim"),
+        ({"kind": "flat_torus", "dim": 0}, ".dim"),
+        ({"kind": "flat_torus", "dim": -1}, ".dim"),
+        ({"kind": "sphere", "dim": 0}, ".dim"),
+    ],
 )
 def test_config_chart_errors_name_their_path(raw, field, position):
     with pytest.raises(ConfigError, match="^" + re.escape(PATHS[position] + field) + ":"):
         _config_chart(_space_at(position, raw))
+
+
+@pytest.mark.parametrize("make", [make_flat_torus_chart, make_sphere_chart, make_hyperbolic_chart])
+def test_space_form_charts_need_dim_at_least_1(make):
+    args = (0,) if make is make_flat_torus_chart else (0, 1.0)
+    with pytest.raises(ValueError, match=r"needs m >= 1"):
+        make(*args)
